@@ -9,7 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check lint typecheck test baseline catalog catalog-check \
 	waitgraph waitgraph-check interference interference-check \
-	observe bench-json chaos profile phasecost phasecost-check \
+	observe bench-json bench-e2e chaos profile phasecost phasecost-check \
 	sweep sweep-smoke
 
 check: lint typecheck catalog-check waitgraph-check interference-check \
@@ -82,6 +82,18 @@ sweep-smoke:
 # `check` — wall-clock results belong in an artifact, not a gate.
 bench-json:
 	$(PYTHON) benchmarks/perf_kernel.py --json BENCH_kernel.json --repeats 5
+
+# End-to-end benchmark (BENCHMARK.json, benchmarks/e2e/README.md): five
+# open-loop workloads, five repeats each plus one traced run for the
+# per-layer ledger, then the verdict against the recorded seed-7 baseline
+# (exit 1 on any `worse`).  ~3 min; not part of `check`.  The medians of
+# a PR that claims a gain go into BENCH_e2e.json as that PR's row.
+BENCH_E2E_OUT ?= benchmarks/output/e2e
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py --repeats 5 --traced \
+		--out $(BENCH_E2E_OUT)/results.json
+	$(PYTHON) benchmarks/e2e/compare.py benchmarks/e2e/baseline.json \
+		$(BENCH_E2E_OUT)/results.json
 
 # Regenerate the protocol message catalog (docs/messages.md + .json)
 # from the M4xx message-flow graph; `catalog-check` fails when the

@@ -85,6 +85,17 @@ class FailureDetector:
         """Call ``listener(peer)`` whenever a peer becomes suspected."""
         self._suspect_listeners.append(listener)
 
+    def off_suspect(self, listener: Callable[[str], None]) -> None:
+        """Stop calling ``listener`` (a no-op when it is not registered).
+
+        For waits that end: consensus watches its coordinator for one
+        round at a time and must not leave a listener behind per round.
+        """
+        try:
+            self._suspect_listeners.remove(listener)
+        except ValueError:
+            pass
+
     def on_restore(self, listener: Callable[[str], None]) -> None:
         """Call ``listener(peer)`` when a suspected peer proves alive."""
         self._restore_listeners.append(listener)
@@ -132,7 +143,9 @@ class FailureDetector:
                 self.suspected.add(peer)
                 if self.trace is not None:
                     self.trace.record("fd", self.node.name, action="suspect", peer=peer)
-                for listener in self._suspect_listeners:
+                # A snapshot: a listener may off_suspect() itself or a
+                # later one while the loop runs.
+                for listener in tuple(self._suspect_listeners):
                     listener(peer)
 
     def __repr__(self) -> str:

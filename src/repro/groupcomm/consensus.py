@@ -170,13 +170,19 @@ class Consensus:
                             value=proposal,
                         )
                 # Phase 3: adopt the proposal or give up on the coordinator.
-                waited = yield self._race(
-                    state,
-                    sim.any_of(
-                        [self._await_proposal(state, r), self._suspicion(coordinator)],
-                        label=f"phase3:{instance}:{r}",
-                    ),
-                )
+                proposal = self._await_proposal(state, r)
+                suspicion, listener = self._suspicion(coordinator)
+                try:
+                    waited = yield self._race(
+                        state,
+                        sim.any_of(
+                            [proposal, suspicion], label=f"phase3:{instance}:{r}"
+                        ),
+                    )
+                finally:
+                    # Decided either way, or the node crashed: the detector
+                    # keeps one listener per live round, not per round run.
+                    self.detector.off_suspect(listener)
                 if waited is _DECIDED:
                     break
                 index, _value = waited
@@ -308,17 +314,21 @@ class Consensus:
             state.decided_future.set_result(body["value"])
         self.on_decide(body["instance"], body["value"])
 
-    def _suspicion(self, peer: str) -> Future:
-        """Future resolving when the failure detector suspects ``peer``."""
+    def _suspicion(self, peer: str) -> Tuple[Future, Callable[[str], None]]:
+        """Future resolving when the failure detector suspects ``peer``.
+
+        Also returns the detector listener feeding it, which the caller
+        hands to ``off_suspect`` once it stops waiting.
+        """
         future = self.node.sim.future(label=f"suspect:{peer}")
-        if self.detector.is_suspected(peer):
-            future.set_result(peer)
-            return future
         def listener(name: str) -> None:
             if name == peer:
                 future.try_set_result(peer)
-        self.detector.on_suspect(listener)
-        return future
+        if self.detector.is_suspected(peer):
+            future.set_result(peer)
+        else:
+            self.detector.on_suspect(listener)
+        return future, listener
 
 
 class _DecidedSentinel:

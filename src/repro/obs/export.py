@@ -12,13 +12,18 @@ Three formats, all byte-deterministic for a given span set:
   id order; the machine-readable form the regression tests byte-compare.
 * **Plain-text metrics report** — :meth:`MetricsRegistry.report`,
   written beside the traces by :func:`write_artifacts`.
+
+Both JSON formats come out of one generator each, a bounded chunk of
+spans at a time: :func:`write_artifacts` streams the pieces to the file,
+the string-returning functions join the very same pieces.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import ReplicationError
 from .observer import Observer
@@ -52,6 +57,14 @@ def assert_no_open_spans(observer: Observer) -> None:
 # Simulated-time unit -> Chrome microseconds (1 unit rendered as 1 ms).
 _TS_SCALE = 1000.0
 
+# The one encoder every exported JSON byte goes through.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# Spans per piece: enough to make the per-``encode`` overhead vanish, few
+# enough that a piece's event dicts (~3 k, half a megabyte of text) die
+# before the cyclic GC promotes them and runs a full collection.
+_CHUNK_SPANS = 1024
+
 
 def _track_order(spans: Sequence[Span], node_order: Optional[Sequence[str]]) -> List[str]:
     """Deterministic tid assignment: declared node order, then the rest."""
@@ -61,12 +74,22 @@ def _track_order(spans: Sequence[Span], node_order: Optional[Sequence[str]]) -> 
     return ordered
 
 
-def chrome_trace(
+def _chunks(spans: Sequence[Span]) -> Iterator[Sequence[Span]]:
+    for at in range(0, len(spans), _CHUNK_SPANS):
+        yield spans[at:at + _CHUNK_SPANS]
+
+
+def _trace_pieces(
     spans: Sequence[Span],
-    node_order: Optional[Sequence[str]] = None,
-    process_name: str = "repro",
-) -> str:
-    """Render spans as Chrome trace-event JSON (Perfetto-loadable)."""
+    node_order: Optional[Sequence[str]],
+    process_name: str,
+) -> Iterator[str]:
+    """The Chrome trace document, piece by piece.
+
+    Each chunk of spans becomes its events and one ``encode`` of that
+    list; the brackets come off so the pieces join into the single
+    ``traceEvents`` array without the whole list ever existing.
+    """
     tracks = _track_order(spans, node_order)
     tid_of = {name: index for index, name in enumerate(tracks)}
     events: List[Dict[str, Any]] = [
@@ -79,42 +102,50 @@ def chrome_trace(
         events.append({"ph": "M", "pid": 0, "tid": tid_of[name],
                        "name": "thread_sort_index",
                        "args": {"sort_index": tid_of[name]}})
-    for span in spans:
-        args = {"span_id": span.span_id, "parent_id": span.parent_id,
-                "trace_id": span.trace_id, "status": span.status}
-        args.update(span.attrs)
-        tid = tid_of[span.source]
-        start = span.start * _TS_SCALE
-        if span.kind == INSTANT:
-            events.append({"ph": "i", "pid": 0, "tid": tid, "ts": start,
-                           "s": "t", "name": span.name, "cat": span.category,
-                           "args": args})
-            continue
-        end = (span.end if span.end is not None else span.start) * _TS_SCALE
-        events.append({"ph": "X", "pid": 0, "tid": tid, "ts": start,
-                       "dur": end - start, "name": span.name,
-                       "cat": span.category, "args": args})
-        if span.category == "message" and span.status == "ok":
-            # Flow arrow from the send on the source track to the arrival
-            # on the destination track.
-            dst = span.attrs.get("dst")
-            if dst in tid_of:
-                events.append({"ph": "s", "pid": 0, "tid": tid, "ts": start,
-                               "id": span.span_id, "name": "flight",
-                               "cat": "message"})
-                events.append({"ph": "f", "pid": 0, "tid": tid_of[dst],
-                               "ts": end, "id": span.span_id, "bp": "e",
-                               "name": "flight", "cat": "message"})
-    document = {"displayTimeUnit": "ms", "traceEvents": events}
-    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    yield '{"displayTimeUnit":"ms","traceEvents":['
+    yield _ENCODER.encode(events)[1:-1]
+    for chunk in _chunks(spans):
+        events = []
+        for span in chunk:
+            args = {"span_id": span.span_id, "parent_id": span.parent_id,
+                    "trace_id": span.trace_id, "status": span.status}
+            args.update(span.attrs)
+            tid = tid_of[span.source]
+            start = span.start * _TS_SCALE
+            if span.kind == INSTANT:
+                events.append({"ph": "i", "pid": 0, "tid": tid, "ts": start,
+                               "s": "t", "name": span.name,
+                               "cat": span.category, "args": args})
+                continue
+            end = (span.end if span.end is not None else span.start) * _TS_SCALE
+            events.append({"ph": "X", "pid": 0, "tid": tid, "ts": start,
+                           "dur": end - start, "name": span.name,
+                           "cat": span.category, "args": args})
+            if span.category == "message" and span.status == "ok":
+                # Flow arrow from the send on the source track to the
+                # arrival on the destination track.
+                dst = span.attrs.get("dst")
+                if dst in tid_of:
+                    events.append({"ph": "s", "pid": 0, "tid": tid,
+                                   "ts": start, "id": span.span_id,
+                                   "name": "flight", "cat": "message"})
+                    events.append({"ph": "f", "pid": 0, "tid": tid_of[dst],
+                                   "ts": end, "id": span.span_id, "bp": "e",
+                                   "name": "flight", "cat": "message"})
+        yield "," + _ENCODER.encode(events)[1:-1]
+    yield "]}\n"
 
 
-def spans_jsonl(spans: Sequence[Span]) -> str:
-    """One JSON object per span, in span-id order, keys sorted."""
-    lines = []
-    for span in sorted(spans, key=lambda s: s.span_id):
-        lines.append(json.dumps(
-            {
+def _jsonl_pieces(spans: Sequence[Span]) -> Iterator[str]:
+    """The JSONL export, a chunk of whole lines at a time.
+
+    One ``encode`` per span: attrs may nest anything, so where one
+    record ends cannot be recovered from the text of an encoded list.
+    """
+    encode = _ENCODER.encode
+    for chunk in _chunks(sorted(spans, key=attrgetter("span_id"))):
+        yield "".join([
+            encode({
                 "span_id": span.span_id,
                 "parent_id": span.parent_id,
                 "trace_id": span.trace_id,
@@ -126,11 +157,23 @@ def spans_jsonl(spans: Sequence[Span]) -> str:
                 "end": span.end,
                 "status": span.status,
                 "attrs": span.attrs,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ))
-    return "\n".join(lines) + ("\n" if lines else "")
+            }) + "\n"
+            for span in chunk
+        ])
+
+
+def chrome_trace(
+    spans: Sequence[Span],
+    node_order: Optional[Sequence[str]] = None,
+    process_name: str = "repro",
+) -> str:
+    """Render spans as Chrome trace-event JSON (Perfetto-loadable)."""
+    return "".join(_trace_pieces(spans, node_order, process_name))
+
+
+def spans_jsonl(spans: Sequence[Span]) -> str:
+    """One JSON object per span, in span-id order, keys sorted."""
+    return "".join(_jsonl_pieces(spans))
 
 
 def write_artifacts(
@@ -143,7 +186,8 @@ def write_artifacts(
 
     ``stem`` is a path without extension; the files written are
     ``<stem>.trace.json``, ``<stem>.spans.jsonl`` and
-    ``<stem>.metrics.txt``.  Returns format -> path.
+    ``<stem>.metrics.txt``.  The two JSON files are streamed piece by
+    piece, never held as one string.  Returns format -> path.
     """
     observer.finalize()
     assert_no_open_spans(observer)
@@ -155,11 +199,11 @@ def write_artifacts(
         "spans": f"{stem}.spans.jsonl",
         "metrics": f"{stem}.metrics.txt",
     }
+    spans = observer.tracer.spans
     with open(paths["trace"], "w") as handle:
-        handle.write(chrome_trace(observer.tracer.spans, node_order=node_order,
-                                  process_name=title))
+        handle.writelines(_trace_pieces(spans, node_order, title))
     with open(paths["spans"], "w") as handle:
-        handle.write(spans_jsonl(observer.tracer.spans))
+        handle.writelines(_jsonl_pieces(spans))
     with open(paths["metrics"], "w") as handle:
         handle.write(observer.metrics.report(title=title))
     return paths

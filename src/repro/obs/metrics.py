@@ -16,11 +16,11 @@ report stays grep-able.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .timeseries import DEFAULT_BUCKET_WIDTH, TimeSeries
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "InstrumentFamily", "MetricsRegistry"]
 
 
 def _percentile(data: List[float], q: float) -> float:
@@ -103,6 +103,28 @@ def _key(name: str, label: Optional[str]) -> Tuple[str, str]:
 def _render(key: Tuple[str, str]) -> str:
     name, label = key
     return f"{name}{{{label}}}" if label else name
+
+
+class InstrumentFamily(dict):
+    """``label -> instrument`` of one metric name, filled on first use.
+
+    What a per-message hook holds in place of ``registry.inc(name,
+    label)``: a hit is one dict subscript, with no key tuple and no call
+    chain.  Creation stays lazy, so an instrument enters the report only
+    once something touched it.  ``accessor`` is the registry method that
+    makes it (``registry.counter``, ``.histogram``, ``.series``);
+    unlabelled metrics use the label ``None``.
+    """
+
+    __slots__ = ("_accessor", "_name")
+
+    def __init__(self, accessor: Callable[[str, Optional[str]], Any], name: str) -> None:
+        self._accessor = accessor
+        self._name = name
+
+    def __missing__(self, label: Optional[str]) -> Any:
+        instrument = self[label] = self._accessor(self._name, label)
+        return instrument
 
 
 class MetricsRegistry:

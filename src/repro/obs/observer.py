@@ -27,10 +27,10 @@ Causality model (one root per client request):
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
-from .metrics import MetricsRegistry
+from .metrics import InstrumentFamily, MetricsRegistry
 from .spans import Span, SpanTracer
 
 __all__ = ["Observer", "abort_reason_label"]
@@ -79,6 +79,25 @@ class Observer:
         self._trace_log: Any = None
         self._sampled_sim: Any = None
         self._finalized = False
+        # Instruments of the per-message, per-phase and per-lock hooks,
+        # resolved once per label instead of by (name, label) per call.
+        counter, histogram, series = (
+            self.metrics.counter, self.metrics.histogram, self.metrics.series
+        )
+        self._bytes = InstrumentFamily(counter, "messages.bytes")
+        self._sent = InstrumentFamily(counter, "messages.sent")
+        self._sent_by_type = InstrumentFamily(counter, "messages.sent.by_type")
+        self._sent_by_inner = InstrumentFamily(counter, "messages.sent.by_inner_type")
+        self._delivered = InstrumentFamily(counter, "messages.delivered")
+        self._flight_time = InstrumentFamily(histogram, "message.flight_time")
+        self._ts_messages = InstrumentFamily(series, "ts.messages")
+        self._phases_entered = InstrumentFamily(counter, "phases.entered")
+        self._phase_latency = InstrumentFamily(histogram, "phase.latency")
+        self._ts_phase_time = InstrumentFamily(series, "ts.phase_time")
+        self._broadcasts = InstrumentFamily(counter, "broadcast.delivered")
+        self._lock_requests = InstrumentFamily(counter, "lock.requests")
+        self._lock_wait_time = InstrumentFamily(histogram, "lock.wait_time")
+        self._lock_hold_time = InstrumentFamily(histogram, "lock.hold_time")
 
     # -- client request lifecycle (called from repro.core) -----------------
 
@@ -113,11 +132,9 @@ class Observer:
         else:
             self.metrics.sample("ts.aborts", now)
 
-    @contextmanager
-    def request_context(self, request_id: str) -> Iterator[Optional[Span]]:
+    def request_context(self, request_id: str) -> ContextManager[Optional[Span]]:
         """Causal context of a request's root span (client-side dispatch)."""
-        with self.tracer.context(self._open_requests.get(str(request_id))) as span:
-            yield span
+        return self.tracer.context(self._open_requests.get(str(request_id)))
 
     # -- network (called from repro.net, duck-typed) -----------------------
 
@@ -132,35 +149,35 @@ class Observer:
         every flight of a request even across untracked boundaries.
         """
         payload = message.payload
-        attrs = {"type": message.type, "src": message.src, "dst": message.dst,
+        mtype = message.type
+        attrs = {"type": mtype, "src": message.src, "dst": message.dst,
                  "msg_id": message.msg_id}
         inner = None
         if isinstance(payload, dict):
             inner = payload.get("inner_type")
             attrs["bytes"] = size = _approx_size(payload)
-            self.metrics.inc("messages.bytes", amount=size)
+            self._bytes[None].value += size
         if isinstance(inner, str):
             attrs["inner"] = inner
-        trace_id = None
-        if self.tracer.current is None:
-            trace_id = _payload_trace_hint(payload)
-        span = self.tracer.start(
-            f"msg:{message.type}", "message", message.src,
-            trace_id=trace_id, **attrs
+            self._sent_by_inner[inner].value += 1
+        tracer = self.tracer
+        parent = tracer.current
+        span = tracer.record(
+            f"msg:{mtype}", "message", message.src,
+            None if parent is not None else _payload_trace_hint(payload),
+            parent, attrs,
         )
         message.span_id = span.span_id
-        self.metrics.inc("messages.sent")
-        self.metrics.inc("messages.sent.by_type", label=message.type)
-        self.metrics.sample("ts.messages", span.start)
-        if isinstance(inner, str):
-            self.metrics.inc("messages.sent.by_inner_type", label=inner)
+        self._sent[None].value += 1
+        self._sent_by_type[mtype].value += 1
+        self._ts_messages[None].observe(span.start)
 
     def on_message_deliver(self, message: Any) -> None:
         span = self.tracer.get(message.span_id)
         if span is not None:
             self.tracer.finish(span, status="ok")
-            self.metrics.observe("message.flight_time", span.duration)
-        self.metrics.inc("messages.delivered")
+            self._flight_time[None].observe(span.end - span.start)
+        self._delivered[None].value += 1
 
     def on_message_drop(self, message: Any, cause: str) -> None:
         span = self.tracer.get(message.span_id)
@@ -168,19 +185,18 @@ class Observer:
             self.tracer.finish(span, status=f"dropped:{cause}")
         self.metrics.inc("messages.dropped", label=cause)
 
-    @contextmanager
-    def handler_context(self, node_name: str, message: Any) -> Iterator[Optional[Span]]:
+    def handler_context(
+        self, node_name: str, message: Any
+    ) -> ContextManager[Optional[Span]]:
         """Bracket a handler invocation with a span under the flight span."""
         flight = self.tracer.get(message.span_id)
         if flight is None:
-            yield None
-            return
-        with self.tracer.span(
+            return self.tracer.context(None)
+        return self.tracer.span(
             f"handle:{message.type}", "handle", node_name,
             trace_id=flight.trace_id, parent_id=flight.span_id,
             type=message.type, src=message.src,
-        ) as span:
-            yield span
+        )
 
     # -- phases (called from repro.core.phases) ------------------------------
 
@@ -189,20 +205,21 @@ class Observer:
     ) -> Span:
         """Open a phase span; the previous phase of (source, request) ends."""
         key = (source, request_id)
+        tracer = self.tracer
         previous = self._open_phases.pop(key, None)
         if previous is not None:
-            self.tracer.finish(previous)
-            self.metrics.observe("phase.latency", previous.duration,
-                                 label=previous.name)
-            self.metrics.sample("ts.phase_time", previous.end,
-                                previous.duration, label=previous.name)
-        span = self.tracer.start(
-            phase, "phase", source, trace_id=str(request_id),
-            request=str(request_id), mechanism=mechanism,
+            tracer.finish(previous)
+            took = previous.end - previous.start
+            self._phase_latency[previous.name].observe(took)
+            self._ts_phase_time[previous.name].observe(previous.end, took)
+        trace_id = str(request_id)
+        span = tracer.record(
+            phase, "phase", source, trace_id, tracer.current,
+            {"request": trace_id, "mechanism": mechanism},
         )
         self._open_phases[key] = span
-        self.metrics.inc("phases.entered", label=phase)
-        completed = self._completed_at.get(str(request_id))
+        self._phases_entered[phase].value += 1
+        completed = self._completed_at.get(trace_id)
         if phase == "AC" and completed is not None:
             # A replica applying after the client already got its answer:
             # lazy propagation.  The gap is the staleness window this
@@ -222,7 +239,7 @@ class Observer:
         match a lock pattern the analysis extracted.
         """
         self.lock_sequence.append((site, str(txn), item, mode))
-        self.metrics.inc("lock.requests", label=mode)
+        self._lock_requests[mode].value += 1
 
     def on_lock_wait(self, site: str, txn: object, item: str, mode: str) -> Span:
         return self.tracer.start(
@@ -233,7 +250,7 @@ class Observer:
     def on_lock_granted(self, span: Optional[Span], waited: float) -> None:
         if span is not None:
             self.tracer.finish(span, status="ok")
-        self.metrics.observe("lock.wait_time", waited)
+        self._lock_wait_time[None].observe(waited)
 
     def on_lock_failed(self, span: Optional[Span], cause: str) -> None:
         if span is not None:
@@ -241,7 +258,7 @@ class Observer:
         self.metrics.inc("lock.aborted_waits", label=cause)
 
     def on_lock_released(self, hold_time: float) -> None:
-        self.metrics.observe("lock.hold_time", hold_time)
+        self._lock_hold_time[None].observe(hold_time)
 
     def on_deadlock(self) -> None:
         self.metrics.inc("lock.deadlocks")
@@ -315,7 +332,7 @@ class Observer:
                 f"{category}:{mtype}" if mtype else category, "gc",
                 event.source, **_primitive_attrs(event.data),
             )
-            self.metrics.inc("broadcast.delivered", label=category)
+            self._broadcasts[category].value += 1
         elif category == "fd":
             action = event.data.get("action", "")
             self.tracer.instant(
@@ -380,8 +397,7 @@ class Observer:
         for request_id in sorted(self._open_requests):
             self.tracer.finish(self._open_requests[request_id], status="unanswered")
         self._open_requests.clear()
-        force_closed = len(self.tracer.open_spans())
-        self.tracer.finalize()
+        force_closed = self.tracer.finalize()
         self.metrics.set("spans.recorded", float(len(self.tracer.spans)))
         self.metrics.set("spans.force_closed", float(force_closed))
         if self._trace_log is not None:
@@ -401,6 +417,11 @@ def _txn_trace(txn: object) -> str:
     return str(txn)
 
 
+# Exact leaf types of fixed size; these and ``str`` (its length) are sized
+# inside the container loop, without a call.
+_FIXED_SIZE = {bool: 1, type(None): 1, int: 8, float: 8}
+
+
 def _approx_size(value: Any) -> int:
     """Deterministic wire-size estimate of a payload, in bytes.
 
@@ -408,22 +429,33 @@ def _approx_size(value: Any) -> int:
     numbers a fixed word, containers recurse with small framing.  Unknown
     objects count a flat 16 — never ``str()`` them, the default repr
     embeds ``id()`` and would vary run to run.
+
+    One call per container, not per key and value: leaves of the exact
+    common types are sized in the loop, and only containers and subclass
+    instances (which take the ``isinstance`` ladder) recurse.
     """
-    if isinstance(value, bool) or value is None:
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, bytes):
-        return len(value)
     if isinstance(value, dict):
-        return 2 + sum(
-            _approx_size(k) + _approx_size(v) + 2 for k, v in value.items()
-        )
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 2 + sum(_approx_size(item) for item in value)
-    return 16
+        size = 2 + 2 * len(value)
+        items: Any = chain(value, value.values())
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        size = 2
+        items = value
+    elif isinstance(value, bool) or value is None:
+        return 1
+    elif isinstance(value, (int, float)):
+        return 8
+    elif isinstance(value, (str, bytes)):
+        return len(value)
+    else:
+        return 16
+    for item in items:
+        cls = item.__class__
+        if cls is str:
+            size += len(item)
+        else:
+            fixed = _FIXED_SIZE.get(cls)
+            size += fixed if fixed is not None else _approx_size(item)
+    return size
 
 
 def _payload_trace_hint(payload: Any, depth: int = 5) -> Optional[str]:

@@ -28,9 +28,8 @@ under it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from types import SimpleNamespace
+from typing import Any, Dict, List, Optional
 
 __all__ = ["Span", "SpanTracer", "SPAN", "INSTANT"]
 
@@ -38,7 +37,6 @@ SPAN = "span"
 INSTANT = "instant"
 
 
-@dataclass
 class Span:
     """One timed, causally linked unit of work.
 
@@ -67,17 +65,28 @@ class Span:
         Deterministically ordered payload of primitive values.
     """
 
-    span_id: int
-    parent_id: Optional[int]
-    trace_id: str
-    name: str
-    category: str
-    source: str
-    start: float
-    end: Optional[float] = None
-    kind: str = SPAN
-    status: str = "ok"
-    attrs: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = (
+        "span_id", "parent_id", "trace_id", "name", "category", "source",
+        "start", "end", "kind", "status", "attrs",
+    )
+
+    def __init__(
+        self, span_id: int, parent_id: Optional[int], trace_id: str, name: str,
+        category: str, source: str, start: float, end: Optional[float] = None,
+        kind: str = SPAN, status: str = "ok",
+        attrs: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.trace_id = trace_id
+        self.name = name
+        self.category = category
+        self.source = source
+        self.start = start
+        self.end = end
+        self.kind = kind
+        self.status = status
+        self.attrs = attrs if attrs is not None else {}
 
     @property
     def duration(self) -> float:
@@ -91,6 +100,10 @@ class Span:
         )
 
 
+# Clock of a tracer built without one: every span is stamped 0.0.
+_NO_CLOCK = SimpleNamespace(now=0.0)
+
+
 class SpanTracer:
     """Collects :class:`Span` records against a simulated clock.
 
@@ -101,19 +114,23 @@ class SpanTracer:
     dispatch caused directly.  Work it *scheduled* (timers, processes)
     runs later with an empty context and must be linked explicitly via
     ``parent_id`` if causality matters.
+
+    Span ids are positions: span ``n`` is ``spans[n - 1]``, so lookup by
+    id needs no second index.
     """
 
     def __init__(self, clock: Any = None) -> None:
-        self._clock = clock
-        self._next_id = 1
+        self._clock = clock if clock is not None else _NO_CLOCK
         self.spans: List[Span] = []
-        self._by_id: Dict[int, Span] = {}
         self._stack: List[Span] = []
         self._finalized = False
+        # Spans before this index were bounded by finalize(); only later
+        # ones (a hook firing after finalization) can still be open.
+        self._bounded = 0
 
     @property
     def now(self) -> float:
-        return self._clock.now if self._clock is not None else 0.0
+        return self._clock.now
 
     # -- recording ---------------------------------------------------------
 
@@ -128,30 +145,34 @@ class SpanTracer:
         **attrs: Any,
     ) -> Span:
         """Open a span; parent and trace default from the context stack."""
-        parent = self._by_id.get(parent_id) if parent_id is not None else None
-        if parent is None and use_context and self._stack:
-            parent = self._stack[-1]
+        parent = self._parent(parent_id, use_context)
+        return self.record(name, category, source, trace_id, parent, attrs)
+
+    def record(
+        self, name: str, category: str, source: str, trace_id: Optional[str],
+        parent: Optional[Span], attrs: Dict[str, Any], kind: str = SPAN,
+    ) -> Span:
+        """Positional core of :meth:`start` and :meth:`instant`.
+
+        For the per-message hooks, which have the parent span in hand and
+        build ``attrs`` once (the dict is kept, not copied).  A ``None``
+        trace id inherits the parent's.
+        """
         if trace_id is None:
             trace_id = parent.trace_id if parent is not None else ""
+        now = self._clock.now
         span = Span(
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else None,
-            trace_id=trace_id,
-            name=name,
-            category=category,
-            source=source,
-            start=self.now,
-            attrs=attrs,
+            len(self.spans) + 1, parent.span_id if parent is not None else None,
+            trace_id, name, category, source,
+            now, now if kind is INSTANT else None, kind, "ok", attrs,
         )
-        self._next_id += 1
         self.spans.append(span)
-        self._by_id[span.span_id] = span
         return span
 
     def finish(self, span: Span, status: Optional[str] = None, **attrs: Any) -> None:
         """Close a span at the current simulated time (idempotent)."""
         if span.end is None:
-            span.end = self.now
+            span.end = self._clock.now
         if status is not None:
             span.status = status
         if attrs:
@@ -167,12 +188,8 @@ class SpanTracer:
         **attrs: Any,
     ) -> Span:
         """Record a point event (start == end)."""
-        span = self.start(
-            name, category, source, trace_id=trace_id, parent_id=parent_id, **attrs
-        )
-        span.end = span.start
-        span.kind = INSTANT
-        return span
+        parent = self._parent(parent_id, True)
+        return self.record(name, category, source, trace_id, parent, attrs, INSTANT)
 
     # -- causal context ---------------------------------------------------
 
@@ -186,22 +203,18 @@ class SpanTracer:
     def current(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
 
-    @contextmanager
-    def context(self, span: Optional[Span]) -> Iterator[Optional[Span]]:
-        """Make ``span`` the causal parent for the enclosed block."""
-        if span is None:
-            yield None
-            return
-        self.push(span)
-        try:
-            yield span
-        finally:
-            self.pop()
+    def _parent(self, parent_id: Optional[int], use_context: bool) -> Optional[Span]:
+        """The explicit parent if it exists, else the top of the context."""
+        parent = self.get(parent_id)
+        if parent is None and use_context and self._stack:
+            parent = self._stack[-1]
+        return parent
 
-    @contextmanager
-    def span(
-        self, name: str, category: str, source: str, **kwargs: Any
-    ) -> Iterator[Span]:
+    def context(self, span: Optional[Span]) -> "_Scope":
+        """Make ``span`` the causal parent for the enclosed block."""
+        return _Scope(self, span)
+
+    def span(self, name: str, category: str, source: str, **kwargs: Any) -> "_Scope":
         """Start a span, make it current, finish it on exit.
 
         An exception escaping the block (a handler interrupted by a node
@@ -209,21 +222,14 @@ class SpanTracer:
         tagged ``error:<ExceptionType>`` instead of ``ok`` — error paths
         must never leave a span open or mislabelled as clean.
         """
-        span = self.start(name, category, source, **kwargs)
-        self.push(span)
-        try:
-            yield span
-        except BaseException as exc:
-            self.pop()
-            self.finish(span, status=f"error:{type(exc).__name__}")
-            raise
-        self.pop()
-        self.finish(span)
+        return _Scope(self, None, ((name, category, source), kwargs))
 
     # -- queries ------------------------------------------------------------
 
     def get(self, span_id: Optional[int]) -> Optional[Span]:
-        return self._by_id.get(span_id) if span_id is not None else None
+        if span_id is None or not 0 < span_id <= len(self.spans):
+            return None
+        return self.spans[span_id - 1]
 
     def for_trace(self, trace_id: str) -> List[Span]:
         """Spans of one request, in (start time, creation) order."""
@@ -234,7 +240,7 @@ class SpanTracer:
 
     def open_spans(self) -> List[Span]:
         """Spans not yet closed, in creation order (empty after finalize)."""
-        return [span for span in self.spans if span.end is None]
+        return [span for span in self.spans[self._bounded:] if span.end is None]
 
     def phase_sequence(
         self, trace_id: str, source: Optional[str] = None
@@ -246,28 +252,69 @@ class SpanTracer:
             if s.category == "phase" and (source is None or s.source == source)
         ]
 
-    def finalize(self) -> None:
+    def finalize(self) -> int:
         """Close every still-open span at the last simulated instant.
 
         Lazy techniques legitimately leave spans open (an AC phase whose
         propagation outlives the run); exports need every interval
-        bounded.  Idempotent.
+        bounded.  One walk finds the horizon and the stragglers; returns
+        how many spans it had to close.  Idempotent (later calls close
+        nothing and return 0).
         """
         if self._finalized:
-            return
+            return 0
         self._finalized = True
-        horizon = self.now
+        horizon = self._clock.now
+        stragglers = []
         for span in self.spans:
-            horizon = max(horizon, span.start, span.end or 0.0)
-        for span in self.spans:
-            if span.end is None:
-                span.end = horizon
-                if span.status == "ok":
-                    span.status = "open"
+            if span.start > horizon:
+                horizon = span.start
+            end = span.end
+            if end is None:
+                stragglers.append(span)
+            elif end > horizon:
+                horizon = end
+        for span in stragglers:
+            span.end = horizon
+            if span.status == "ok":
+                span.status = "open"
+        self._bounded = len(self.spans)
+        return len(stragglers)
 
     def __len__(self) -> int:
         return len(self.spans)
 
     def __repr__(self) -> str:
-        open_count = sum(1 for s in self.spans if s.end is None)
-        return f"<SpanTracer spans={len(self.spans)} open={open_count}>"
+        return f"<SpanTracer spans={len(self.spans)} open={len(self.open_spans())}>"
+
+
+class _Scope:
+    """The ``with`` block of :meth:`SpanTracer.context` and ``.span``.
+
+    Keeps ``span`` on the context stack for the block (``None``: nothing
+    happens).  Given ``start`` — the arguments of :meth:`SpanTracer.start`
+    — it opens that span on entry and finishes it on exit instead.
+    """
+
+    __slots__ = ("_tracer", "_span", "_start")
+
+    def __init__(self, tracer: SpanTracer, span: Optional[Span],
+                 start: Optional[tuple] = None) -> None:
+        self._tracer = tracer
+        self._span = span
+        self._start = start
+
+    def __enter__(self) -> Optional[Span]:
+        if self._start is not None:
+            args, kwargs = self._start
+            self._span = self._tracer.start(*args, **kwargs)
+        if self._span is not None:
+            self._tracer.push(self._span)
+        return self._span
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        if self._span is not None:
+            self._tracer.pop()
+            if self._start is not None:
+                status = f"error:{exc_type.__name__}" if exc_type else None
+                self._tracer.finish(self._span, status=status)

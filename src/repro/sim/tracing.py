@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "TraceLog"]
 
@@ -62,7 +62,9 @@ class TraceLog:
         self._sim = sim
         self.max_events = max_events
         self._events: Deque[TraceEvent] = deque(maxlen=max_events)
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
+        # A tuple, replaced (never mutated) by subscribe() and on eviction:
+        # record() iterates it as is, with no per-record snapshot copy.
+        self._subscribers: Tuple[Callable[[TraceEvent], None], ...] = ()
         self.dropped_events = 0
         self.subscriber_errors: List[Exception] = []
 
@@ -73,20 +75,21 @@ class TraceLog:
         if self.max_events is not None and len(self._events) == self.max_events:
             self.dropped_events += 1
         self._events.append(event)
-        for subscriber in list(self._subscribers):
-            try:
-                subscriber(event)
-            except Exception as exc:  # noqa: BLE001 - subscriber isolation
-                self.subscriber_errors.append(exc)
+        subscribers = self._subscribers
+        if subscribers:
+            for subscriber in subscribers:
                 try:
-                    self._subscribers.remove(subscriber)
-                except ValueError:
-                    pass
+                    subscriber(event)
+                except Exception as exc:  # noqa: BLE001 - subscriber isolation
+                    self.subscriber_errors.append(exc)
+                    self._subscribers = tuple(
+                        s for s in self._subscribers if s != subscriber
+                    )
         return event
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Invoke ``callback`` for every subsequently recorded event."""
-        self._subscribers.append(callback)
+        self._subscribers += (callback,)
 
     # -- queries -----------------------------------------------------------
 

@@ -128,6 +128,35 @@ class TestConsensusUnderFailures:
         assert decisions["n2"].get("i") == "early"
 
 
+class TestSuspicionListeners:
+    def test_detector_listeners_bounded_by_live_rounds(self):
+        # Every round watches its coordinator through the failure
+        # detector; the listener must go when the round's phase-3 race is
+        # decided, or the detector's list grows with every round ever run.
+        # Jittery links and a tight timeout add wrong suspicions, so some
+        # instances take several rounds.
+        h = GroupHarness(3, seed=3, jitter=True, fd_interval=1.0, fd_timeout=1.5)
+        cons, decisions = attach(h)
+        registered = {n: len(h.detectors[n]._suspect_listeners) for n in h.names}
+        proposed = 0
+        for _wave in range(20):
+            for _ in range(10):
+                for name in h.names:
+                    cons[name].propose(proposed, f"{name}:{proposed}")
+                proposed += 1
+            h.run(until=h.sim.now + 40)
+            for name in h.names:
+                live = proposed - len(decisions[name])
+                extra = len(h.detectors[name]._suspect_listeners) - registered[name]
+                assert 0 <= extra <= live, (
+                    f"{name}: {extra} round listeners for {live} live instances"
+                )
+        h.run(until=h.sim.now + 2000)
+        for name in h.names:
+            assert len(decisions[name]) == 200
+            assert len(h.detectors[name]._suspect_listeners) == registered[name]
+
+
 class TestDeferredConsensus:
     def test_only_coordinator_computes_in_failure_free_run(self):
         h = GroupHarness(3)

@@ -13,8 +13,10 @@ Three layers of guarantees:
   the dynamic span world and the static message-flow world agree.
 """
 
+import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,7 @@ from repro.obs import (
     chrome_trace,
     spans_jsonl,
     write_artifacts,
+    write_counter_track,
 )
 from repro.workload import WorkloadSpec, run_workload
 
@@ -169,6 +172,36 @@ class TestSpanTracer:
         span = tracer.instant("tick", "gc", "r0")
         assert span.kind == "instant" and span.start == span.end
 
+    def test_span_scope_closes_and_tags_errors(self):
+        clock = FakeClock()
+        tracer = SpanTracer(clock)
+        with tracer.span("work", "handle", "r0", trace_id="t", kind_of="x") as span:
+            assert tracer.current is span and span.end is None
+            clock.now = 3.0
+        assert tracer.current is None
+        assert (span.end, span.status, span.attrs) == (3.0, "ok", {"kind_of": "x"})
+        with pytest.raises(KeyError):
+            with tracer.span("boom", "handle", "r0") as failed:
+                raise KeyError("x")
+        assert tracer.current is None
+        assert failed.end == 3.0 and failed.status == "error:KeyError"
+        with tracer.context(None) as nothing:
+            assert nothing is None and tracer.current is None
+
+    def test_get_by_id_and_finalize_count(self):
+        tracer = SpanTracer(FakeClock())
+        first = tracer.start("a", "cat", "n")
+        second = tracer.start("b", "cat", "n")
+        tracer.finish(second)
+        assert tracer.get(1) is first and tracer.get(2) is second
+        assert tracer.get(None) is None and tracer.get(0) is None
+        assert tracer.get(3) is None
+        assert tracer.open_spans() == [first]
+        assert tracer.finalize() == 1 and tracer.finalize() == 0
+        assert tracer.open_spans() == []
+        late = tracer.start("late", "cat", "n")   # a hook firing after finalize
+        assert tracer.open_spans() == [late]
+
 
 # ---------------------------------------------------------------------------
 # Unit: metrics registry
@@ -208,6 +241,19 @@ class TestMetrics:
         assert first == registry.report(title="t")
         assert first.endswith("\n")
         assert first.index("a") < first.index("b")
+
+    def test_cached_hook_instruments_stay_lazy(self):
+        # The observer resolves its per-message instruments once, but an
+        # instrument must still enter the report only when first touched.
+        observer = Observer(FakeClock())
+        assert observer.metrics.snapshot()["counters"] == {}
+        observer.on_lock_acquire("r0", "t1", "x", "X")
+        observer.on_lock_acquire("r0", "t2", "x", "X")
+        observer.on_lock_released(2.5)
+        snap = observer.metrics.snapshot()
+        assert snap["counters"] == {"lock.requests{X}": 2}
+        assert list(snap["histograms"]) == ["lock.hold_time"]
+        assert observer.metrics.counter("lock.requests", "X").value == 2
 
     def test_abort_reason_labels_bounded(self):
         assert abort_reason_label("transaction r0:t3: deadlock victim") == "deadlock"
@@ -263,6 +309,11 @@ class TestExporters:
         assert sorted(paths) == ["metrics", "spans", "trace"]
         for path in paths.values():
             assert os.path.exists(path) and os.path.getsize(path) > 0
+        # The streamed files hold exactly what the string renderers return.
+        spans = observer.tracer.spans
+        assert Path(paths["trace"]).read_text() == chrome_trace(
+            spans, process_name="metrics")
+        assert Path(paths["spans"]).read_text() == spans_jsonl(spans)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +426,45 @@ def test_every_message_span_closes(technique, runs):
 
 
 # ---------------------------------------------------------------------------
+# Golden: the exported bytes are pinned across commits, not only across runs
+# ---------------------------------------------------------------------------
+
+GOLDEN = REPO / "tests" / "data" / "obs_golden.json"
+
+
+def _artifact_digests(system, technique, directory):
+    """sha256 of the four files the exporters write for one observed run."""
+    stem = os.path.join(str(directory), technique)
+    order = system.replica_names + [c.name for c in system.clients]
+    paths = write_artifacts(system.observer, stem, node_order=order,
+                            title=technique)
+    paths["counters"] = write_counter_track(system.observer, stem,
+                                            title=technique)
+    return {
+        kind: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for kind, path in sorted(paths.items())
+    }
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_artifacts_match_cross_commit_golden(technique, runs, tmp_path):
+    """Every exported byte equals what the recording commit wrote.
+
+    ``tests/data/obs_golden.json`` holds the sha256 of ``.trace.json``,
+    ``.spans.jsonl``, ``.metrics.txt`` and ``.counters.trace.json`` for
+    all ten techniques at the ``_observed_run`` settings.  A PR that
+    changes an export format *on purpose* regenerates it with
+
+        PYTHONPATH=src python tests/test_obs.py
+
+    and says so; any other difference is a regression.
+    """
+    (system, _), _ = runs(technique)
+    golden = json.loads(GOLDEN.read_text())
+    assert _artifact_digests(system, technique, tmp_path) == golden[technique]
+
+
+# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -396,3 +486,16 @@ def test_cli_observe_rejects_unknown_technique(tmp_path):
     from repro.__main__ import main
 
     assert main(["observe", "nope", "--out", str(tmp_path)]) == 2
+
+
+if __name__ == "__main__":
+    # Regenerate the cross-commit golden (see the golden test's docstring).
+    with tempfile.TemporaryDirectory() as scratch:
+        digests = {
+            technique: _artifact_digests(_observed_run(technique)[0], technique,
+                                         scratch)
+            for technique in TECHNIQUES
+        }
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
