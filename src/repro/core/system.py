@@ -106,6 +106,7 @@ class ReplicaNode:
             timeout=fd_timeout,
             trace=system.trace,
         )
+        self.detector.on_restore(self.transport.resend_unacked)
         # Per-replica RNG: non-deterministic operations draw from it, so
         # two replicas executing the same request can legitimately diverge
         # (the scenario motivating passive/semi-active replication).

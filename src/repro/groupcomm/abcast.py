@@ -136,6 +136,7 @@ class ConsensusAtomicBroadcast:
         self._unordered: Dict[str, Tuple[str, str, dict]] = {}
         self._delivered: Set[str] = set()
         self._next_instance = 0       # next instance this node may propose
+        self._proposed_instance = -1  # last instance this node proposed for
         self._apply_cursor = 0        # next decision to apply
         self._decisions: Dict[int, list] = {}
         self._rb = ReliableBroadcast(
@@ -164,15 +165,17 @@ class ConsensusAtomicBroadcast:
     # -- stage 2: ordering -------------------------------------------------------
 
     def _maybe_propose(self) -> None:
-        if not self._unordered:
-            return
-        if self._next_instance in self._decisions:
+        instance = self._next_instance
+        if not self._unordered or instance == self._proposed_instance:
+            return  # consensus keeps the first proposal per instance
+        if instance in self._decisions:
             return  # decision already known; will advance in _apply
+        self._proposed_instance = instance
         batch = [
             [uid, origin, mtype, body]
             for uid, (origin, mtype, body) in sorted(self._unordered.items())
         ]
-        self._consensus.propose(self._next_instance, batch)
+        self._consensus.propose(instance, batch)
 
     def _on_decide(self, instance: int, batch: list) -> None:
         if instance in self._decisions or instance < self._apply_cursor:

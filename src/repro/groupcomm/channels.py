@@ -4,15 +4,25 @@ The raw :class:`~repro.net.Network` may lose messages.  Quasi-reliable
 channels — "if neither endpoint crashes, every message sent is eventually
 delivered, exactly once, in FIFO order" — are the lowest abstraction the
 paper's group-communication primitives assume.  :class:`ReliableTransport`
-builds them with positive acknowledgements, periodic retransmission and
+builds them with positive acknowledgements, retransmission and
 receiver-side sequence tracking.
+
+Retransmission state is per *peer*: one window of unacked frames and one
+retry timer per destination, which retransmits only the oldest frame — a
+*probe* — so a silent peer costs one frame per ``retry_interval``, not
+one per frame waiting for it.  The backlog is resent in one pass once the
+peer is known to be back: when a probe's ack arrives (links are FIFO, so
+whatever was sent before the probe and is still unacked was lost) or when
+the owner says so (:meth:`ReliableTransport.resend_unacked`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from collections import defaultdict
+from typing import Any, Callable, Dict
 
 from ..net import Message, Node
+from ..sim import Timer
 
 __all__ = ["ReliableTransport"]
 
@@ -20,16 +30,30 @@ DATA = "rt.data"
 ACK = "rt.ack"
 
 
+class _Unacked:
+    """A frame awaiting its ack, with its last transmit time and transmit count."""
+
+    __slots__ = ("frame", "sent_at", "transmits")
+
+    def __init__(self, frame: dict) -> None:
+        self.frame = frame
+        self.sent_at = 0.0
+        self.transmits = 0
+
+
 class ReliableTransport:
     """Per-node reliable-channel endpoint.
 
     Upper layers register an *upcall* per inner message type with
-    :meth:`on`, and send with :meth:`send`.  Lost messages are retransmitted
-    every ``retry_interval`` until acknowledged; duplicates created by
-    retransmission are suppressed with per-sender sequence numbers, and
-    delivery to the upcall is in per-sender FIFO order.
+    :meth:`on`, and send with :meth:`send`.  While a peer has unacked
+    frames the oldest is retransmitted every ``retry_interval``, and once
+    the peer answers whatever else was lost is resent at once; duplicates
+    created by retransmission are suppressed with per-sender sequence
+    numbers, and delivery to the upcall is in per-sender FIFO order.
 
     One transport instance per node; all reliable upper layers share it.
+    ``transmits`` counts the DATA frames it put on the wire, first
+    transmissions and repeats, and ``retransmits`` the repeats alone.
     """
 
     def __init__(self, node: Node, retry_interval: float = 5.0) -> None:
@@ -38,16 +62,20 @@ class ReliableTransport:
         self._upcalls: Dict[str, Callable[[str, dict], None]] = {}
         self._undelivered: Dict[str, list] = {}
         self._next_seq: Dict[str, int] = {}          # per destination
-        self._unacked: Dict[Tuple[str, int], dict] = {}
-        # Pending retransmit timer per unacked frame, cancelled on ack so
-        # acked frames stop producing no-op wakeups (one per retry
-        # interval per frame — a measurable share of all kernel events in
-        # message-heavy runs).
-        self._retry_timers: Dict[Tuple[str, int], Any] = {}
+        # Per destination: the unacked frames by seq, oldest first, their
+        # one retry timer, and when the backlog was last resent.
+        self._windows: Dict[str, Dict[int, _Unacked]] = defaultdict(dict)
+        self._retry_timers: Dict[str, Timer] = {}
+        self._last_pass: Dict[str, float] = {}
         self._next_expected: Dict[str, int] = {}     # per source
         self._out_of_order: Dict[str, Dict[int, Message]] = {}
+        self.transmits = 0
+        self.retransmits = 0
         node.on(DATA, self._on_data)
         node.on(ACK, self._on_ack)
+        # A crash cancels the node's timers; without them a frame lost
+        # before it would hold the receiver's FIFO queue back for ever.
+        node.add_recover_hook(self._on_recover)
 
     def on(self, inner_type: str, upcall: Callable[[str, dict], None]) -> None:
         """Register ``upcall(src, payload)`` for reliable messages of a type.
@@ -72,8 +100,19 @@ class ReliableTransport:
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
         frame = {"seq": seq, "inner_type": inner_type, "body": payload}
-        self._unacked[(dst, seq)] = frame
+        self._windows[dst][seq] = _Unacked(frame)
         self._transmit(dst, seq)
+        self._arm(dst, self.retry_interval)
+
+    def resend_unacked(self, dst: str, before: float = float("inf")) -> None:
+        """Retransmit the unacked frames to ``dst`` last sent before ``before``.
+
+        For when ``dst`` is known to be reachable again.
+        """
+        self._last_pass[dst] = self.node.sim.now
+        for seq, entry in self._windows[dst].items():
+            if entry.sent_at < before:
+                self._transmit(dst, seq)
 
     def send_to_group(self, members: list, inner_type: str, **payload: Any) -> None:
         """Reliable point-to-point send to every member (incl. self)."""
@@ -88,15 +127,35 @@ class ReliableTransport:
         self._upcall(inner_type, self.node.name, payload)
 
     def _transmit(self, dst: str, seq: int) -> None:
-        key = (dst, seq)
-        frame = self._unacked.get(key)
-        if frame is None or self.node.crashed:
-            self._retry_timers.pop(key, None)
-            return
-        self.node.send(dst, DATA, **frame)
-        self._retry_timers[key] = self.node.after(
-            self.retry_interval, self._transmit, dst, seq
-        )
+        """Put one DATA frame on the wire (first transmission or repeat)."""
+        entry = self._windows[dst][seq]
+        entry.sent_at = self.node.sim.now
+        entry.transmits += 1
+        self.transmits += 1
+        if entry.transmits > 1:
+            self.retransmits += 1
+        self.node.send(dst, DATA, **entry.frame)
+
+    def _arm(self, dst: str, delay: float) -> None:
+        timer = self._retry_timers.get(dst)
+        if timer is None or timer.cancelled:  # never armed, fired, or lost to a crash
+            self._retry_timers[dst] = self.node.after(delay, self._on_retry, dst)
+
+    def _on_recover(self) -> None:
+        for dst, window in self._windows.items():
+            if window:
+                self._arm(dst, self.retry_interval)
+
+    def _on_retry(self, dst: str) -> None:
+        window = self._windows[dst]
+        if not window:
+            return  # nothing to watch: the next send arms a new timer
+        seq, oldest = next(iter(window.items()))
+        wait = oldest.sent_at + self.retry_interval - self.node.sim.now
+        if wait <= 0:
+            self._transmit(dst, seq)  # the probe
+            wait = self.retry_interval
+        self._arm(dst, wait)
 
     def _on_data(self, message: Message) -> None:
         src = message.src
@@ -114,11 +173,15 @@ class ReliableTransport:
             self._upcall(frame["inner_type"], src, frame["body"])
 
     def _on_ack(self, message: Message) -> None:
-        key = (message.src, message["seq"])
-        self._unacked.pop(key, None)
-        timer = self._retry_timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
+        src = message.src
+        entry = self._windows[src].pop(message["seq"], None)
+        # A retransmission got through, so the peer is back, and FIFO
+        # links would have brought the ack of anything sent earlier first:
+        # what is still unacked from before it was lost.  One pass per
+        # silence — the frames a pass resends carry the time of the pass.
+        if (entry is not None and entry.transmits > 1
+                and entry.sent_at > self._last_pass.get(src, -1.0)):
+            self.resend_unacked(src, before=entry.sent_at)
 
     def _upcall(self, inner_type: str, src: str, payload: dict) -> None:
         upcall = self._upcalls.get(inner_type)
@@ -128,4 +191,5 @@ class ReliableTransport:
         upcall(src, payload)
 
     def __repr__(self) -> str:
-        return f"<ReliableTransport@{self.node.name} unacked={len(self._unacked)}>"
+        unacked = sum(len(window) for window in self._windows.values())
+        return f"<ReliableTransport@{self.node.name} unacked={unacked}>"

@@ -295,7 +295,11 @@ class TestResilientClient:
     def test_retries_reuse_the_same_request_id(self):
         system = ReplicatedSystem("active", replicas=3, clients=0, seed=3)
         edge = ResilientClient(system, index=0, request_timeout=15.0)
-        # 60% loss everywhere: attempts go silent, the edge must retry.
+        # The first attempt goes silent by construction — the client is
+        # cut off for longer than one request_timeout — and the retries
+        # then face 60% loss everywhere.
+        system.injector.partition_at(0.0, [edge.name], list(system.replica_names))
+        system.injector.heal_at(16.0)
         for replica in system.replica_names:
             system.injector.drop_at(0.0, replica, 0.6, duration=80.0)
         future = edge.submit(Operation.update("x", "add", 1))
