@@ -14,12 +14,29 @@ such as locking protocols [BHG87]"):
 
 Locks are acquired through futures so simulated processes block in
 simulated time: ``yield lock_manager.acquire(txn, item, "w")``.
+
+An operation costs what it touches, not the size of the table.  Beside the
+per-item queues there is a *wait index* (transaction -> its queued requests,
+in the order it made them), so release, timeout and victim abort go straight
+to a transaction's requests, and the deadlock search never builds the
+wait-for graph: it asks for the edges of the one transaction it is visiting.
+Those edges come in a fixed order and held items are released in grant
+order, so which waiter resumes first and which cycle is found do not depend
+on ``PYTHONHASHSEED``.
+
+The table is re-entrant: resolving a future runs its callbacks inline, so
+granting or failing a request resumes its process *inside* the manager and
+that process comes straight back into ``acquire`` / ``release_all``.  One
+rule keeps this safe — **resolve, then look again**: queues and the index
+are mutated in place only, the table is consistent whenever a future is
+resolved, and nothing read before a resolution (a queue, a position in it)
+is trusted or written back after it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import TransactionAborted
 from ..sim import Future, Simulator
@@ -31,13 +48,14 @@ WRITE = "w"
 
 
 class _Request:
-    __slots__ = ("txn", "mode", "future", "timer", "span", "wait_start")
+    __slots__ = ("txn", "item", "mode", "future", "timer", "span", "wait_start")
 
-    def __init__(self, txn, mode: str, future: Future, timer=None) -> None:
+    def __init__(self, txn, item: str, mode: str, future: Future) -> None:
         self.txn = txn
+        self.item = item
         self.mode = mode
         self.future = future
-        self.timer = timer
+        self.timer = None
         self.span = None          # observability: open lock-wait span
         self.wait_start = 0.0
 
@@ -49,6 +67,11 @@ class LockManager:
     arrival order of transactions and uses it as age for deadlock victim
     selection (youngest dies), the standard policy that avoids starving
     long-running transactions.
+
+    Invariants, true whenever control leaves the manager (also into a
+    resumed process): a request is in ``_queues[request.item]`` exactly when
+    it is in ``_waiting[request.txn]``; neither dict keeps an empty list;
+    ``_holders`` and ``_held_by_txn`` mirror each other, both in grant order.
     """
 
     def __init__(self, sim: Simulator, name: str = "", obs=None) -> None:
@@ -57,7 +80,8 @@ class LockManager:
         self.obs = obs  # optional duck-typed observer (repro.obs)
         self._holders: Dict[str, Dict[object, str]] = {}
         self._queues: Dict[str, List[_Request]] = {}
-        self._held_by_txn: Dict[object, Set[str]] = {}
+        self._held_by_txn: Dict[object, Dict[str, None]] = {}
+        self._waiting: Dict[object, List[_Request]] = {}  # the wait index
         self._ages: Dict[object, int] = {}
         self._grant_times: Dict[Tuple[object, str], float] = {}
         self._arrivals = itertools.count(1)
@@ -90,72 +114,98 @@ class LockManager:
                 self.obs.on_lock_granted(None, 0.0)
             future.set_result(True)
             return future
-        request = _Request(txn, mode, future)
+        request = _Request(txn, item, mode, future)
         if self.obs is not None:
             request.span = self.obs.on_lock_wait(self.name, txn, item, mode)
             request.wait_start = self.sim.now
         if timeout is not None:
-            request.timer = self.sim.schedule(timeout, self._expire, item, request)
+            request.timer = self.sim.schedule(timeout, self._expire, request)
+        # The single enqueue point: queue and wait index change together.
         self._queues.setdefault(item, []).append(request)
-        self._detect_deadlock(item, txn)
+        self._waiting.setdefault(txn, []).append(request)
+        cycle = self._find_cycle(txn)
+        if cycle:
+            self.deadlocks_detected += 1
+            if self.obs is not None:
+                self.obs.on_deadlock()
+            self._abort_waiting(max(cycle, key=lambda t: self._ages.get(t, 0)))
         return future
 
     def _can_grant(self, txn: object, item: str, mode: str) -> bool:
-        holders = self._holders.get(item, {})
-        queue = self._queues.get(item, [])
-        held = holders.get(txn)
-        if held == WRITE or held == mode:
-            return True  # re-entrant / already sufficient
-        if held == READ and mode == WRITE:
-            # Upgrade: only if sole holder (queue state is irrelevant —
-            # upgrades jump the queue to avoid trivial upgrade deadlock).
-            return len(holders) == 1
-        others = {t: m for t, m in holders.items() if t != txn}
+        holders = self._holders.get(item)
+        if holders:
+            held = holders.get(txn)
+            if held == WRITE or held == mode:
+                return True  # re-entrant / already sufficient
+            if held is not None:
+                # Upgrade: only if sole holder (queue state is irrelevant —
+                # upgrades jump the queue to avoid trivial upgrade deadlock).
+                return len(holders) == 1
+            if mode == WRITE or WRITE in holders.values():
+                return False
         if mode == READ:
             # Fairness: readers must not overtake queued writers.
-            writer_queued = any(r.mode == WRITE for r in queue)
-            return not writer_queued and all(m == READ for m in others.values())
-        return not others
+            for request in self._queues.get(item, ()):
+                if request.mode == WRITE:
+                    return False
+        return True
 
     def _grant(self, txn: object, item: str, mode: str) -> None:
         holders = self._holders.setdefault(item, {})
         current = holders.get(txn)
         holders[txn] = WRITE if WRITE in (current, mode) else READ
-        self._held_by_txn.setdefault(txn, set()).add(item)
+        self._held_by_txn.setdefault(txn, {})[item] = None
         if self.obs is not None:
             self._grant_times.setdefault((txn, item), self.sim.now)
+
+    def _dequeue(self, request: _Request) -> bool:
+        """Take a request out of its queue and the wait index, in place.
+
+        Returns ``False`` if it is queued no longer: a process resumed by an
+        earlier resolution got there first.
+        """
+        mine = self._waiting.get(request.txn)
+        if not mine or request not in mine:
+            return False
+        mine.remove(request)
+        if not mine:
+            del self._waiting[request.txn]
+        queue = self._queues[request.item]
+        queue.remove(request)
+        if not queue:
+            del self._queues[request.item]
+        if request.timer is not None:
+            request.timer.cancel()
+        return True
 
     # -- release -----------------------------------------------------------------
 
     def release_all(self, txn: object) -> None:
-        """Release every lock held or requested by ``txn`` (strict 2PL)."""
-        for item in self._held_by_txn.pop(txn, set()):
-            holders = self._holders.get(item, {})
-            holders.pop(txn, None)
-            if not holders:
-                self._holders.pop(item, None)
+        """Release every lock held or requested by ``txn`` (strict 2PL).
+
+        Requests still queued (aborted while waiting) are dropped without
+        resolution.  They leave the table before anyone is woken, so no
+        process resumed below can be granted a lock on ``txn``'s behalf;
+        waiters are then woken item by item, held items in grant order.
+        """
+        held = self._held_by_txn.pop(txn, ())
+        dropped = list(self._waiting.get(txn, ()))
+        for request in dropped:
+            self._dequeue(request)
+        for item in held:
+            holders = self._holders.get(item)
+            if holders is not None:
+                holders.pop(txn, None)
+                if not holders:
+                    del self._holders[item]
             if self.obs is not None:
                 granted_at = self._grant_times.pop((txn, item), None)
                 if granted_at is not None:
                     self.obs.on_lock_released(self.sim.now - granted_at)
             self._wake(item)
-        # Remove any still-queued requests (aborted while waiting).
-        for item, queue in list(self._queues.items()):
-            kept = [r for r in queue if r.txn != txn]
-            removed = [r for r in queue if r.txn is txn or r.txn == txn]
-            for request in removed:
-                self._cancel_request(request)
-            if kept:
-                self._queues[item] = kept
-            else:
-                self._queues.pop(item, None)
-            if removed:
-                self._wake(item)
+        for request in dropped:
+            self._wake(request.item)
         self._ages.pop(txn, None)
-
-    def _cancel_request(self, request: _Request) -> None:
-        if request.timer is not None:
-            request.timer.cancel()
 
     def reset(self) -> None:
         """Drop the entire lock table (host crash: lock state is volatile).
@@ -169,125 +219,110 @@ class LockManager:
         """
         for queue in self._queues.values():
             for request in queue:
-                self._cancel_request(request)
+                if request.timer is not None:
+                    request.timer.cancel()
         self._queues.clear()
+        self._waiting.clear()
         self._holders.clear()
         self._held_by_txn.clear()
         self._ages.clear()
         self._grant_times.clear()
 
     def _wake(self, item: str) -> None:
-        queue = self._queues.get(item)
-        if not queue:
-            return
-        granted = True
-        while granted and queue:
+        """Grant from the head of ``item``'s queue for as long as it can be."""
+        while True:
+            queue = self._queues.get(item)  # again: a grant resumes a process
+            if not queue:
+                return
             head = queue[0]
-            if head.future.done:
-                queue.pop(0)
+            if head.future.done:  # cancelled from outside
+                self._dequeue(head)
                 continue
-            if self._can_grant(head.txn, item, head.mode):
-                queue.pop(0)
-                self._cancel_request(head)
-                self._grant(head.txn, item, head.mode)
-                if self.obs is not None:
-                    self.obs.on_lock_granted(
-                        head.span, self.sim.now - head.wait_start
-                    )
-                head.future.set_result(True)
-            else:
-                granted = False
-        if not queue:
-            self._queues.pop(item, None)
+            if not self._can_grant(head.txn, item, head.mode):
+                return
+            self._dequeue(head)
+            self._grant(head.txn, item, head.mode)
+            if self.obs is not None:
+                self.obs.on_lock_granted(head.span, self.sim.now - head.wait_start)
+            head.future.set_result(True)
 
     # -- failure paths -----------------------------------------------------------
 
-    def _expire(self, item: str, request: _Request) -> None:
-        queue = self._queues.get(item, [])
-        if request not in queue or request.future.done:
+    def _expire(self, request: _Request) -> None:
+        if request.future.done or not self._dequeue(request):
             return
-        queue.remove(request)
         self.timeouts += 1
         if self.obs is not None:
             self.obs.on_lock_failed(request.span, "timeout")
         request.future.set_exception(
             TransactionAborted(request.txn, "lock wait timeout")
         )
-        self._wake(item)
-
-    def _detect_deadlock(self, item: str, txn: object) -> None:
-        cycle = self._find_cycle(txn)
-        if not cycle:
-            return
-        victim = max(cycle, key=lambda t: self._ages.get(t, 0))
-        self.deadlocks_detected += 1
-        if self.obs is not None:
-            self.obs.on_deadlock()
-        self._abort_waiting(victim)
+        self._wake(request.item)
 
     def _abort_waiting(self, victim: object) -> None:
-        """Fail all of the victim's queued requests with a deadlock abort."""
-        for item, queue in list(self._queues.items()):
-            remaining = []
-            for request in queue:
-                if request.txn == victim and not request.future.done:
-                    self._cancel_request(request)
-                    if self.obs is not None:
-                        self.obs.on_lock_failed(request.span, "deadlock")
-                    request.future.set_exception(
-                        TransactionAborted(victim, "deadlock victim")
-                    )
-                else:
-                    remaining.append(request)
-            if remaining:
-                self._queues[item] = remaining
-            else:
-                self._queues.pop(item, None)
-            self._wake(item)
+        """Fail all of the victim's queued requests with a deadlock abort.
+
+        The copy is a work list, nothing is written back from it: failing
+        the first request usually makes the victim release, which drops the
+        rest from the table; they are failed here all the same.
+        """
+        for request in list(self._waiting.get(victim, ())):
+            self._dequeue(request)
+            if not request.future.done:
+                if self.obs is not None:
+                    self.obs.on_lock_failed(request.span, "deadlock")
+                request.future.set_exception(
+                    TransactionAborted(victim, "deadlock victim")
+                )
+            self._wake(request.item)
+
+    # -- deadlock detection ------------------------------------------------------
+
+    def _blockers(self, txn: object) -> Iterator[object]:
+        """The wait-for edges out of ``txn``, produced on demand.
+
+        For each of its queued requests, in the order it made them: the
+        holders it conflicts with (grant order), then the conflicting
+        requests queued ahead of it (queue order).  Repeats are possible.
+        """
+        for request in self._waiting.get(txn, ()):
+            exclusive = request.mode == WRITE
+            for holder, mode in self._holders.get(request.item, {}).items():
+                if (exclusive or mode == WRITE) and holder != txn:
+                    yield holder
+            for earlier in self._queues[request.item]:
+                if earlier is request:
+                    break
+                if (exclusive or earlier.mode == WRITE) and earlier.txn != txn:
+                    yield earlier.txn
 
     def _find_cycle(self, start: object) -> Optional[List[object]]:
-        """DFS over the wait-for graph; returns a cycle containing start."""
-        graph = self._wait_for_graph()
-        path: List[object] = []
-        on_path: Set[object] = set()
-        visited: Set[object] = set()
+        """Depth-first search from ``start``; returns the first cycle reached.
 
-        def dfs(txn: object) -> Optional[List[object]]:
-            visited.add(txn)
-            path.append(txn)
-            on_path.add(txn)
-            for waited_on in graph.get(txn, ()):  # noqa: B007
-                if waited_on in on_path:
-                    return path[path.index(waited_on):]
+        Costs what ``start`` can reach, not the table: only transactions
+        that wait have edges, and only the visited ones are asked for them.
+        """
+        path = {start: None}  # insertion-ordered: the branch being explored
+        visited = {start}
+        trail = [self._blockers(start)]
+        while trail:
+            for waited_on in trail[-1]:
+                if waited_on in path:
+                    branch = list(path)
+                    return branch[branch.index(waited_on):]
                 if waited_on not in visited:
-                    cycle = dfs(waited_on)
-                    if cycle is not None:
-                        return cycle
-            path.pop()
-            on_path.discard(txn)
-            return None
-
-        return dfs(start)
+                    visited.add(waited_on)
+                    path[waited_on] = None
+                    trail.append(self._blockers(waited_on))
+                    break
+            else:
+                trail.pop()
+                path.popitem()
+        return None
 
     def _wait_for_graph(self) -> Dict[object, Set[object]]:
-        graph: Dict[object, Set[object]] = {}
-        for item, queue in self._queues.items():
-            holders = self._holders.get(item, {})
-            ahead: List[_Request] = []
-            for request in queue:
-                edges = graph.setdefault(request.txn, set())
-                for holder, mode in holders.items():
-                    if holder != request.txn and (
-                        request.mode == WRITE or mode == WRITE
-                    ):
-                        edges.add(holder)
-                for earlier in ahead:
-                    if earlier.txn != request.txn and (
-                        request.mode == WRITE or earlier.mode == WRITE
-                    ):
-                        edges.add(earlier.txn)
-                ahead.append(request)
-        return graph
+        """The whole wait-for graph (introspection and tests only)."""
+        return {txn: set(self._blockers(txn)) for txn in self._waiting}
 
     # -- introspection ----------------------------------------------------------
 

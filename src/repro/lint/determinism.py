@@ -281,6 +281,51 @@ _SET_METHODS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference", "copy"}
 )
 _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+_SET_TYPES = frozenset(
+    {"Set", "set", "FrozenSet", "frozenset", "AbstractSet", "MutableSet"}
+)
+_MAP_TYPES = frozenset(
+    {"Dict", "dict", "DefaultDict", "defaultdict", "Mapping", "MutableMapping"}
+)
+_MAP_READS = frozenset({"get", "pop", "setdefault"})
+
+# Keys of the tracked-symbol set.  ``name`` / ``self.attr``: holds a set.
+# A ``[]`` suffix: holds a mapping whose *values* are sets.  A ``()``
+# infix: a function or method of this module annotated to return one.
+_VALUES = "[]"
+_RETURNS = "()"
+
+
+def _annotation_kind(node: Optional[ast.AST]) -> Optional[str]:
+    """``""`` for ``Set[...]``, ``"[]"`` for ``Dict[..., Set[...]]``."""
+    base = node.value if isinstance(node, ast.Subscript) else node
+    path = _dotted(base) if base is not None else None
+    if not path:
+        return None
+    if path[-1] in _SET_TYPES:
+        return ""
+    if path[-1] in _MAP_TYPES and isinstance(node, ast.Subscript):
+        args = node.slice
+        if isinstance(args, ast.Tuple) and args.elts:
+            if _annotation_kind(args.elts[-1]) == "":
+                return _VALUES
+    return None
+
+
+def _symbol(node: ast.AST) -> Optional[str]:
+    """Tracking key of ``name``, ``self.attr``, ``f()`` or ``self.m()``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return f"self.{node.attr}"
+    if isinstance(node, ast.Call):
+        callee = _symbol(node.func)
+        return None if callee is None else callee + _RETURNS
+    return None
 
 
 class _SetTracker(ast.NodeVisitor):
@@ -288,33 +333,31 @@ class _SetTracker(ast.NodeVisitor):
 
     A symbol is tracked only if *every* assignment to it in the scanned
     scope is a set-valued expression; one non-set assignment untracks it.
-    ``self.x`` attributes are tracked class-wide the same way.
+    ``self.x`` attributes are tracked class-wide the same way.  Mappings
+    with set values (``Dict[..., Set[...]]``) are tracked alongside, under
+    the symbol's key plus ``[]``: an annotation settles it, otherwise every
+    assignment has to be such a mapping.
     """
 
     def __init__(self) -> None:
         self.sets: Set[str] = set()
         self.poisoned: Set[str] = set()
+        self.annotated: Set[str] = set()
 
     def note(self, target: ast.AST, value: ast.AST) -> None:
         key = self._key(target)
         if key is None:
             return
-        if is_set_expr(value, self.sets - self.poisoned):
-            self.sets.add(key)
-        else:
-            self.poisoned.add(key)
+        known = self.tracked()
+        for suffix, holds in (("", is_set_expr), (_VALUES, is_set_map_expr)):
+            if holds(value, known):
+                self.sets.add(key + suffix)
+            else:
+                self.poisoned.add(key + suffix)
 
     @staticmethod
     def _key(target: ast.AST) -> Optional[str]:
-        if isinstance(target, ast.Name):
-            return target.id
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            return f"self.{target.attr}"
-        return None
+        return None if isinstance(target, ast.Call) else _symbol(target)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -322,6 +365,9 @@ class _SetTracker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        key = self._key(node.target)
+        if key is not None and _annotation_kind(node.annotation) == _VALUES:
+            self.annotated.add(key + _VALUES)
         if node.value is not None:
             self.note(node.target, node.value)
         self.generic_visit(node)
@@ -333,34 +379,60 @@ class _SetTracker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def tracked(self) -> Set[str]:
-        return self.sets - self.poisoned
+        return (self.sets - self.poisoned) | self.annotated
+
+
+def is_set_map_expr(node: ast.AST, tracked: Set[str]) -> bool:
+    """Whether ``node`` is known to be a mapping whose values are sets."""
+    key = _symbol(node)
+    return key is not None and key + _VALUES in tracked
 
 
 def is_set_expr(node: ast.AST, tracked: Set[str]) -> bool:
     """Whether ``node`` syntactically evaluates to a set."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
-    if isinstance(node, ast.Name):
-        return node.id in tracked
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return f"self.{node.attr}" in tracked
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return _symbol(node) in tracked
+    if isinstance(node, ast.Subscript):
+        return is_set_map_expr(node.value, tracked)
     if isinstance(node, ast.Call):
         if isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset"):
             return True
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SET_METHODS
-            and is_set_expr(node.func.value, tracked)
-        ):
+        if _symbol(node) in tracked:
             return True
+        if not isinstance(node.func, ast.Attribute):
+            return False
+        if node.func.attr in _SET_METHODS:
+            return is_set_expr(node.func.value, tracked)
+        if node.func.attr in _MAP_READS:
+            # A set stored as a container value: d.pop(k, set()) and
+            # friends, or any read of a mapping known to hold sets.
+            return (
+                len(node.args) == 2 and is_set_expr(node.args[1], tracked)
+            ) or is_set_map_expr(node.func.value, tracked)
         return False
     if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
         return is_set_expr(node.left, tracked) or is_set_expr(node.right, tracked)
     return False
+
+
+def _declared_returns(tree: ast.AST) -> Set[str]:
+    """Tracking keys for the functions and methods annotated to return a
+    set (``f()``, ``self.m()``) or a mapping of sets (``f()[]``)."""
+    found: Set[str] = set()
+
+    def collect(body, prefix: str) -> None:
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                kind = _annotation_kind(stmt.returns)
+                if kind is not None:
+                    found.add(prefix + stmt.name + _RETURNS + kind)
+            elif isinstance(stmt, ast.ClassDef):
+                collect(stmt.body, "self.")
+
+    collect(getattr(tree, "body", []), "")
+    return found
 
 
 def _describe(node: ast.AST) -> str:
@@ -382,7 +454,9 @@ def check_unordered_iteration(ctx) -> Iterator[Diagnostic]:
     a comprehension) over a set leaks nondeterministic order into
     whatever it builds.  Wrap the iterable in ``sorted(...)``.  Membership
     tests and order-insensitive reductions (``len``/``min``/``sum``/...)
-    are fine.
+    are fine.  A set need not be bound to a name to be seen: one stored
+    as a container value counts too — ``d.pop(k, set())`` and friends,
+    and reads of anything annotated ``Dict[..., Set[...]]``.
     """
     if not _in_scope(ctx):
         return
@@ -399,9 +473,11 @@ def check_unordered_iteration(ctx) -> Iterator[Diagnostic]:
                 if not isinstance(child, defs):
                     stack.append(child)
 
+    returns = _declared_returns(ctx.tree)
+
     def scan(scope: ast.AST, inherited: Set[str]) -> Iterator[Diagnostic]:
         tracker = _SetTracker()
-        tracker.sets |= inherited
+        tracker.sets |= inherited | returns
         body = scope.body if hasattr(scope, "body") else []
         nested: List[ast.AST] = []
 
@@ -482,14 +558,31 @@ def check_unordered_iteration(ctx) -> Iterator[Diagnostic]:
         # first, then scan each method with them in scope.
         if isinstance(scope, ast.ClassDef):
             attr_tracker = _SetTracker()
+            attr_tracker.sets |= returns
             for node in ast.walk(scope):
                 if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                     attr_tracker.visit(node)
             attr_sets = {k for k in attr_tracker.tracked() if k.startswith("self.")}
             for method in nested:
                 yield from scan(method, set(attr_sets))
+        elif isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # A closure reads its enclosing function's locals.
+            for inner in nested:
+                yield from scan(inner, _visible_in(inner, tracker.tracked()))
         else:
             for inner in nested:
                 yield from scan(inner, set())
 
     yield from scan(ctx.tree, set())
+
+
+def _visible_in(closure: ast.AST, tracked: Set[str]) -> Set[str]:
+    """The enclosing scope's tracked symbols a nested def can still see:
+    all but those its own parameters shadow."""
+    args = getattr(closure, "args", None)
+    if args is None:  # a class body: its methods see only self.* anyway
+        return tracked
+    every = args.posonlyargs + args.args + args.kwonlyargs
+    every += [a for a in (args.vararg, args.kwarg) if a is not None]
+    shadowed = {a.arg for a in every}
+    return {key for key in tracked if key.rstrip(_VALUES) not in shadowed}

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional
 
+from repro.core.system import ReplicatedSystem
 from repro.failures import FailureDetector
 from repro.net import ConstantLatency, Network, Node, UniformLatency
 from repro.groupcomm import ReliableTransport
 from repro.sim import Simulator, TraceLog
+from repro.workload import WorkloadGenerator, WorkloadSpec
+from repro.workload.openloop import ArrivalSpec, OpenLoopEngine
 
 
 class GroupHarness:
@@ -57,3 +61,46 @@ class GroupHarness:
 
     def alive(self) -> List[str]:
         return [n for n in self.names if not self.nodes[n].crashed]
+
+
+def contended_run(technique: str, seed: int, max_events: int = 400_000):
+    """Multi-operation transactions on a hot set, open loop, run to drain.
+
+    Three operations per transaction, 70 % writes, 70 % of accesses on 4 of
+    20 items, one arrival per time unit for 300: transactions hold locks
+    while they wait for the next one, so upgrades, local deadlocks and
+    victim aborts all occur — what one-operation workloads never exercise.
+    Raises ``SimulationError`` if a client is never answered (heartbeats
+    keep the event queue alive, so the run hits ``max_events``).
+    """
+    system = ReplicatedSystem(technique, replicas=3, clients=4, seed=seed)
+    generator = WorkloadGenerator(
+        WorkloadSpec(items=20, hot_fraction=0.2, hot_access_probability=0.7,
+                     ops_per_transaction=3, read_fraction=0.3),
+        seed=seed,
+    )
+    arrival = ArrivalSpec(process="poisson", rate=1.0, duration=300.0, clients=1000)
+    engine = OpenLoopEngine(system, generator, arrival)
+    summary = engine.run(settle=300, max_events=max_events)
+    return system, engine, summary
+
+
+def contended_digest(technique: str, seed: int) -> str:
+    """Committed count and a sha256 over every result, ``net.stats`` and the
+    stores of :func:`contended_run`."""
+    system, engine, summary = contended_run(technique, seed)
+    stats = system.net.stats
+    digest = hashlib.sha256()
+    digest.update(repr([
+        (r.request_id, r.committed, r.reason, r.values, r.submitted_at,
+         r.completed_at, r.server, r.retries)
+        for r in engine.results
+    ]).encode())
+    digest.update(repr([
+        stats.sent, stats.delivered, stats.dropped_loss, stats.dropped_partition,
+        stats.dropped_crash, stats.dropped_fault, stats.duplicated,
+        sorted(stats.by_type.items()),
+    ]).encode())
+    for name in system.replica_names:
+        digest.update(repr(system.store_of(name).values_digest()).encode())
+    return f"{summary.committed} {digest.hexdigest()}"

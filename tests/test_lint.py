@@ -128,6 +128,96 @@ def test_self_attribute_set_tracked_across_methods(tmp_path):
     assert rules_of(found) == ["D106"]
 
 
+# The two loops of the lock table as it was before it kept held items in
+# grant order and produced wait-for edges on demand: D106 saw neither,
+# because the set is a container *value*, never bound to a name.
+LOCK_TABLE_LOOPS = """\
+from typing import Dict, List, Optional, Set
+
+
+class LockManager:
+    def __init__(self):
+        self._held_by_txn: Dict[object, Set[str]] = {}
+        self._queues: Dict[str, list] = {}
+
+    def release_all(self, txn: object) -> None:
+        for item in self._held_by_txn.pop(txn, set()):
+            self._wake(item)
+
+    def _find_cycle(self, start: object) -> Optional[List[object]]:
+        graph = self._wait_for_graph()
+        path: List[object] = []
+
+        def dfs(txn: object) -> Optional[List[object]]:
+            path.append(txn)
+            for waited_on in graph.get(txn, ()):
+                if waited_on in path:
+                    return path[path.index(waited_on):]
+            path.pop()
+            return None
+
+        return dfs(start)
+
+    def _wait_for_graph(self) -> Dict[object, Set[object]]:
+        graph: Dict[object, Set[object]] = {}
+        for item, queue in self._queues.items():
+            for request in queue:
+                graph.setdefault(request.txn, set()).add(item)
+        return graph
+"""
+
+
+def test_set_stored_as_container_value_flagged(tmp_path):
+    paths = tree(tmp_path, {"src/repro/db/locks.py": LOCK_TABLE_LOOPS})
+    found = run_lint(paths, baseline=None)
+    assert rules_of(found) == ["D106"]
+    assert [d.line for d in found] == [10, 19]
+    assert "self._held_by_txn.pop(...)" in found[0].message
+    assert "graph.get(...)" in found[1].message
+
+
+def test_set_valued_mapping_idioms_flagged(tmp_path):
+    paths = tree(tmp_path, {
+        "src/repro/db/bad.py":
+            "from typing import Dict, Set\n"
+            "def idioms(d, k):\n"
+            "    for x in d.get(k, set()):\n"
+            "        print(x)\n"
+            "    for x in d.setdefault(k, set()):\n"
+            "        print(x)\n"
+            "    held = d.pop(k, set())\n"
+            "    return list(held)\n"
+            "def annotated(k):\n"
+            "    index: Dict[str, Set[str]] = {}\n"
+            "    for x in index[k]:\n"
+            "        print(x)\n"
+            "    return [x for x in index.get(k, ())]\n",
+    })
+    found = run_lint(paths, baseline=None)
+    assert rules_of(found) == ["D106"]
+    assert [d.line for d in found] == [3, 5, 8, 11, 13]
+
+
+def test_mapping_reads_that_hold_no_set_allowed(tmp_path):
+    paths = tree(tmp_path, {
+        "src/repro/db/good.py":
+            "from typing import Dict, List, Set\n"
+            "def fine(d, k, graph):\n"
+            "    queues: Dict[str, List[str]] = {}\n"
+            "    index: Dict[str, Set[str]] = {}\n"
+            "    for x in d.get(k, []):\n"
+            "        print(x)\n"
+            "    for x in queues.get(k, ()):\n"
+            "        print(x)\n"
+            "    for x in sorted(index.get(k, ())):\n"
+            "        print(x)\n"
+            "    def inner(index):\n"          # parameter shadows the mapping
+            "        return list(index[k])\n"
+            "    return len(index[k]), inner\n",
+    })
+    assert run_lint(paths, baseline=None) == []
+
+
 def test_module_level_counter_flagged(tmp_path):
     paths = tree(tmp_path, {
         "src/repro/db/bad.py":
