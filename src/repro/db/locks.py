@@ -108,7 +108,7 @@ class LockManager:
                 hook(self.name, txn, item, mode)
         self._ages.setdefault(txn, next(self._arrivals))
         future = self.sim.future(label=f"lock:{item}:{mode}:{txn}")
-        if self._can_grant(txn, item, mode):
+        if self._can_grant(txn, item, mode, self._queues.get(item, ())):
             self._grant(txn, item, mode)
             if self.obs is not None:
                 self.obs.on_lock_granted(None, 0.0)
@@ -131,7 +131,13 @@ class LockManager:
             self._abort_waiting(max(cycle, key=lambda t: self._ages.get(t, 0)))
         return future
 
-    def _can_grant(self, txn: object, item: str, mode: str) -> bool:
+    def _can_grant(self, txn: object, item: str, mode: str, ahead=()) -> bool:
+        """Whether the holders, and the requests queued ``ahead``, allow it.
+
+        A new arrival has the whole queue ahead of it; the head of a queue
+        has nothing ahead and is held back by holders alone, so a lock
+        nobody holds is never left ungranted because of who queues behind.
+        """
         holders = self._holders.get(item)
         if holders:
             held = holders.get(txn)
@@ -145,7 +151,7 @@ class LockManager:
                 return False
         if mode == READ:
             # Fairness: readers must not overtake queued writers.
-            for request in self._queues.get(item, ()):
+            for request in ahead:
                 if request.mode == WRITE:
                     return False
         return True

@@ -88,6 +88,19 @@ class TestGranting:
         lm.release_all("t2")
         assert granted(late_reader)
 
+    def test_free_lock_goes_to_the_head_of_the_queue(self, sim, lm):
+        """Only writers queued *ahead* of a reader hold it back: with the
+        reader at the head and a writer behind it, a release used to leave
+        the item held by nobody until a lock timeout fired."""
+        lm.acquire("w0", "x", WRITE)
+        reader = lm.acquire("r1", "x", READ)
+        writer = lm.acquire("w2", "x", WRITE)
+        lm.release_all("w0")
+        assert granted(reader) and not writer.done
+        assert lm.holders_of("x") == {"r1": READ}
+        lm.release_all("r1")
+        assert granted(writer)
+
     def test_unknown_mode_rejected(self, sim, lm):
         with pytest.raises(ValueError):
             lm.acquire("t1", "x", "exclusive")
@@ -476,6 +489,14 @@ class ScriptRunner:
             (t, i) for t, items in lm._held_by_txn.items() for i in items
         }
 
+    def check_work_conserving(self) -> None:
+        for item, queue in self.lm._queues.items():
+            head = queue[0]
+            assert not compatible_with_holders(self.lm, head.txn, item, head.mode), (
+                f"{item} could be granted to {head.txn} and is not: "
+                f"{self.lm.holders_of(item)}"
+            )
+
     def check_search_matches_oracle(self) -> None:
         assert self.lm._wait_for_graph() == reference_wait_for_graph(self.lm)
         for txn in self.reactions:
@@ -497,14 +518,16 @@ class TestSafetyProperty:
     @settings(max_examples=200, deadline=None)
     def test_nothing_lost_and_search_matches_the_oracle(self, script):
         """After every step: every unresolved request is in exactly one
-        queue and the wait index equals the queues; the on-demand search
-        and the whole-graph oracle agree, edge for edge and on whether a
-        cycle is reachable (also at the moment of every blocked acquire)."""
+        queue and the wait index equals the queues; no queue has a head
+        that could be granted; the on-demand search and the whole-graph
+        oracle agree, edge for edge and on whether a cycle is reachable
+        (also at the moment of every blocked acquire)."""
         steps, reactions = script
         runner = ScriptRunner(reactions)
         for step in steps:
             runner.step(*step)
             runner.check_nothing_lost()
+            runner.check_work_conserving()
             runner.check_search_matches_oracle()
 
 
