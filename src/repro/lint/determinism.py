@@ -422,7 +422,7 @@ def _declared_returns(tree: ast.AST) -> Set[str]:
     set (``f()``, ``self.m()``) or a mapping of sets (``f()[]``)."""
     found: Set[str] = set()
 
-    def collect(body, prefix: str) -> None:
+    def collect(body: List[ast.stmt], prefix: str) -> None:
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 kind = _annotation_kind(stmt.returns)

@@ -63,7 +63,7 @@ class GroupHarness:
         return [n for n in self.names if not self.nodes[n].crashed]
 
 
-def contended_run(technique: str, seed: int, max_events: int = 400_000):
+def contended_run(technique: str, seed: int):
     """Multi-operation transactions on a hot set, open loop, run to drain.
 
     Three operations per transaction, 70 % writes, 70 % of accesses on 4 of
@@ -71,7 +71,7 @@ def contended_run(technique: str, seed: int, max_events: int = 400_000):
     while they wait for the next one, so upgrades, local deadlocks and
     victim aborts all occur — what one-operation workloads never exercise.
     Raises ``SimulationError`` if a client is never answered (heartbeats
-    keep the event queue alive, so the run hits ``max_events``).
+    keep the event queue alive, so the run hits the event cap).
     """
     system = ReplicatedSystem(technique, replicas=3, clients=4, seed=seed)
     generator = WorkloadGenerator(
@@ -81,7 +81,7 @@ def contended_run(technique: str, seed: int, max_events: int = 400_000):
     )
     arrival = ArrivalSpec(process="poisson", rate=1.0, duration=300.0, clients=1000)
     engine = OpenLoopEngine(system, generator, arrival)
-    summary = engine.run(settle=300, max_events=max_events)
+    summary = engine.run(settle=300, max_events=400_000)
     return system, engine, summary
 
 

@@ -343,7 +343,7 @@ class TestContendedTransactions:
 
         Before the re-entrancy rule a queued upgrade was overwritten inside
         a victim abort at each of these seeds; its client never got a reply
-        and the run span on heartbeats to the event cap.
+        and the run spun on heartbeats to the event cap.
         """
         try:
             system, engine, summary = contended_run("eager_primary", seed)
@@ -421,7 +421,6 @@ class ScriptRunner:
         }
         self.pending: Dict[str, list] = {}   # futures release has not dropped
         real_search = self.lm._find_cycle
-        self.searches = 0
 
         def checked_search(start):
             found = real_search(start)
@@ -431,7 +430,6 @@ class ScriptRunner:
                 graph = reference_wait_for_graph(self.lm)
                 for here, there in zip(found, found[1:] + found[:1]):
                     assert there in graph[here], (found, graph)
-            self.searches += 1
             return found
 
         self.lm._find_cycle = checked_search
