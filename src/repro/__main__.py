@@ -17,7 +17,7 @@ Commands
     spans, plain-text metrics report); see docs/observability.md.
 ``chaos [--campaign NAME] [--technique NAME] [--seed N] [--out DIR]``
     Run the chaos campaign matrix — every named fault campaign against
-    every technique by default — through the resilient client edge,
+    every technique by default — through client edges with the retrying policy,
     asserting each technique's declared guarantee and exporting obs
     evidence artifacts; see docs/resilience.md.  ``--list`` shows the
     campaigns.  Exits non-zero if any cell fails its guarantee.

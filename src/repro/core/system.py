@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..db import TransactionManager
 from ..errors import ReplicationError
@@ -35,7 +35,8 @@ from .protocols import REGISTRY
 from .protocols.base import CLIENT_REQUEST, CLIENT_RESPONSE, ProtocolInfo
 from .sessions import TransactionSession
 
-__all__ = ["Directory", "ReplicaNode", "ClientNode", "ReplicatedSystem"]
+__all__ = ["Directory", "ReplicaNode", "BlockingPolicy", "ClientNode",
+           "ReplicatedSystem", "WAIT", "RESEND", "GIVE_UP"]
 
 
 class Directory:
@@ -162,19 +163,81 @@ class ReplicaNode:
         return f"<ReplicaNode {self.name} {'crashed' if self.crashed else 'up'}>"
 
 
+# What a retry policy may answer when an attempt went silent (each paired
+# with an argument): keep waiting and ask again in ``seconds``; resend the
+# same request id after ``seconds``; or give up with ``reason``.
+WAIT, RESEND, GIVE_UP = "wait", "resend", "give_up"
+
+
+class BlockingPolicy:
+    """The paper's blocking database client (Section 4.1) as a retry policy.
+
+    A live server that still is the right target is never re-sent to; a
+    dead or deposed one is re-resolved, at most ``max_retries`` times.
+
+    A retry policy is duck-typed — ``repro.resilience`` supplies the other
+    one.  It carries two values, ``timeout`` (how long an attempt may stay
+    silent before :meth:`on_silence` is asked; ``None``: never) and
+    ``budget`` (a per-request deadline budget the edge stamps on every
+    submit and arms no attempt timer past; ``None``: the client blocks),
+    and answers three questions.
+    """
+
+    budget = None
+
+    def __init__(self, timeout: Optional[float], max_retries: int) -> None:
+        self.timeout = timeout
+        self.max_retries = max_retries
+
+    def allow(self, replica: str) -> bool:
+        """May ``replica`` be tried now?"""
+        return True
+
+    def on_silence(self, client: "ClientNode", entry: dict) -> Tuple[str, Any]:
+        """An attempt went silent: ``(WAIT | RESEND, seconds)`` or
+        ``(GIVE_UP, reason)``."""
+        system = client.system
+        # A client can tell a dead server from a slow one (its connection
+        # breaks), so re-submission — which risks executing the request
+        # twice — only happens when the contacted server actually failed
+        # or a failover moved the primary elsewhere.  A merely slow server
+        # (lock queues, blocking 2PC) keeps the client waiting: the
+        # blocking behaviour the paper says databases accept.
+        if client.policy != "all":
+            target = entry["last_targets"][0]
+            if (
+                not system.replicas[target].crashed
+                and client._targets(entry)[0] == target
+            ):
+                return WAIT, self.timeout
+        entry["retries"] += 1
+        if entry["retries"] > self.max_retries:
+            return GIVE_UP, "client gave up"
+        if system.observer is not None:
+            system.observer.metrics.inc("requests.resubmitted")
+        return RESEND, 0.0
+
+    def on_reply(self, entry: dict, message: Message) -> Optional[Tuple[str, Any]]:
+        """A reply came back: ``None`` reports it, an :meth:`on_silence`
+        answer retries the same request id instead."""
+        return None
+
+
 class ClientNode:
-    """A client of the replicated service.
+    """A client of the replicated service: the one client edge.
 
     ``submit`` returns a future resolving to a :class:`Result`.  Routing
     follows the protocol's client policy:
 
     * ``"all"`` — send to every replica, keep the first response (the
       distributed-systems style; masks replica failures entirely).
-    * ``"primary"`` — send to the directory's current primary; on timeout,
-      re-resolve and retry (the database hot-standby style; failures are
-      visible as latency).
-    * ``"local"`` — stick to one home replica; on timeout, reconnect to the
-      next live replica and re-submit, as Section 4.1 describes.
+    * ``"primary"`` — send to the directory's current primary (the
+      database hot-standby style; failures are visible as latency).
+    * ``"local"`` — stick to one home replica and reconnect to the next
+      one when the retry policy refuses it, as Section 4.1 describes.
+
+    What happens when a replica is silent, down or answers with an abort
+    is the ``retry`` policy's decision (see :class:`BlockingPolicy`).
     """
 
     def __init__(
@@ -183,13 +246,15 @@ class ClientNode:
         name: str,
         policy: str,
         home: str,
-        timeout: Optional[float],
+        retry: Any,
     ) -> None:
         self.system = system
         self.name = name
         self.policy = policy
         self.home = home
-        self.timeout = timeout
+        self.retry = retry
+        self.timeout = retry.timeout
+        self._allow = retry.allow
         self.node = Node(system.sim, system.net, name)
         self.node.on(CLIENT_RESPONSE, self._on_response)
         self._pending: Dict[str, dict] = {}
@@ -209,17 +274,22 @@ class ClientNode:
         no longer wants the answer; it rides the message envelope so
         replicas can shed expired work, and the system's admission
         controller (when configured) refuses arrivals already past it.
+        A retry policy with a ``budget`` caps it at that much from now.
         """
         if isinstance(operations, Operation):
             operations = [operations]
         request = Request.make(
             tuple(operations), client=self.name, sequence=next(self._sequence)
         )
+        now = self.system.sim.now
+        budget = self.retry.budget
+        if budget is not None and (deadline is None or deadline > now + budget):
+            deadline = now + budget
         future = self.system.sim.future(label=f"result:{request.request_id}")
         entry = {
             "request": request,
             "future": future,
-            "submitted_at": self.system.sim.now,
+            "submitted_at": now,
             "retries": 0,
             "timer": None,
             "deadline": deadline,
@@ -256,19 +326,48 @@ class ClientNode:
     # -- routing ----------------------------------------------------------------
 
     def _targets(self, entry: dict) -> List[str]:
+        """The replicas to try now; empty when the policy refuses them all."""
+        allow = self._allow
         if self.policy == "all":
-            return list(self.system.replica_names)
+            return [name for name in self.system.replica_names if allow(name)]
         if self.policy == "primary":
             if entry["request"].read_only and self.system.info.reads_anywhere:
-                return [self.home]
-            return [self.system.directory.primary]
-        return [self.home]
+                return [self.home] if allow(self.home) else []
+            primary = self.system.directory.primary
+            return [primary] if allow(primary) else []
+        if allow(self.home):
+            return [self.home]
+        # The policy has given up on the home replica.  Any replica accepts
+        # requests under these techniques, so the client reconnects to the
+        # next live one the policy lets through; the reconnect is sticky.
+        names = self.system.replica_names
+        start = names.index(self.home)
+        for offset in range(1, len(names)):
+            candidate = names[(start + offset) % len(names)]
+            if not self.system.replicas[candidate].crashed and allow(candidate):
+                self.home = candidate
+                return [candidate]
+        return []
 
     def _dispatch(self, entry: dict) -> None:
         request = entry["request"]
-        targets = self._targets(entry)
-        entry["last_targets"] = targets
-        deadline = entry.get("deadline")
+        if (
+            self.policy == "local"
+            and self.system.replicas[self.home].crashed
+            and (entry["retries"] or self.retry.budget is not None)
+        ):
+            # Reconnect (Section 4.1): the connection to a crashed home is
+            # broken, so a local client fails over to the next live replica
+            # (primaries are re-resolved from the directory).  A blocking
+            # client finds out when an attempt has gone silent; one on a
+            # deadline budget does not spend a timeout on it.
+            self.home = self.system.next_live_replica(self.home)
+        targets = entry["last_targets"] = self._targets(entry)
+        if not targets:
+            # Nobody may be tried: this attempt is silent from the start.
+            self._on_timeout(request.request_id)
+            return
+        deadline = entry["deadline"]
         observer = self.system.observer
         if observer is not None:
             # Dispatch inside the root span's context so the outgoing
@@ -277,8 +376,11 @@ class ClientNode:
                 self._send_request(targets, request, deadline=deadline)
         else:
             self._send_request(targets, request, deadline=deadline)
-        if self.timeout is not None:
-            entry["timer"] = self.node.after(self.timeout, self._on_timeout, request.request_id)
+        wait = self.timeout
+        if wait is not None:
+            if self.retry.budget is not None:
+                wait = min(wait, max(deadline - self.system.sim.now, 0.0))
+            entry["timer"] = self.node.after(wait, self._on_timeout, request.request_id)
 
     def _send_request(self, targets: List[str], request: Request,
                       deadline: Optional[float] = None) -> None:
@@ -296,8 +398,30 @@ class ClientNode:
                     deadline=deadline,
                 )
 
-    def _shed(self, entry: dict, reason: str) -> None:
-        """Refuse an arrival at the admission edge; resolves its future."""
+    # -- outcomes ---------------------------------------------------------------
+
+    def _on_timeout(self, request_id: str) -> None:
+        entry = self._pending.get(request_id)
+        if entry is not None:
+            self._act(entry, *self.retry.on_silence(self, entry))
+
+    def _act(self, entry: dict, verdict: str, argument: Any) -> None:
+        """Carry out a retry policy's answer on the entry's one timer."""
+        if verdict == WAIT:
+            entry["timer"] = self.node.after(
+                argument, self._on_timeout, entry["request"].request_id
+            )
+        elif verdict == RESEND:
+            if argument > 0:
+                # Every path that settles the entry cancels this timer.
+                entry["timer"] = self.node.after(argument, self._dispatch, entry)
+            else:
+                self._dispatch(entry)
+        else:
+            self._give_up(entry, argument)
+
+    def _give_up(self, entry: dict, reason: str) -> None:
+        """Resolve with an abort no server sent (shed, or the policy gave up)."""
         self._pending.pop(entry["request"].request_id, None)
         if entry["timer"] is not None:
             entry["timer"].cancel()
@@ -305,48 +429,18 @@ class ClientNode:
                               reason=reason, server="")
         entry["future"].set_result(result)
 
-    def _on_timeout(self, request_id: str) -> None:
-        entry = self._pending.get(request_id)
-        if entry is None:
-            return
-        # A client can tell a dead server from a slow one (its connection
-        # breaks), so re-submission — which risks executing the request
-        # twice — only happens when the contacted server actually failed
-        # or a failover moved the primary elsewhere.  A merely slow server
-        # (lock queues, blocking 2PC) keeps the client waiting: the
-        # blocking behaviour the paper says databases accept.
-        if self.policy != "all":
-            target = entry.get("last_targets", [None])[0]
-            target_alive = (
-                target is not None and not self.system.replicas[target].crashed
-            )
-            current_target = self._targets(entry)[0]
-            if target_alive and current_target == target:
-                entry["timer"] = self.node.after(
-                    self.timeout, self._on_timeout, request_id
-                )
-                return
-        entry["retries"] += 1
-        if entry["retries"] > self.system.max_client_retries:
-            self._pending.pop(request_id, None)
-            result = self._finish(entry, committed=False, values=[],
-                                  reason="client gave up", server="")
-            entry["future"].set_result(result)
-            return
-        if self.system.observer is not None:
-            self.system.observer.metrics.inc("requests.resubmitted")
-        # Reconnect: primaries are re-resolved from the directory; local
-        # clients fail over to the next live replica.
-        if self.policy == "local" and self.system.replicas[self.home].crashed:
-            self.home = self.system.next_live_replica(self.home)
-        self._dispatch(entry)
-
     def _on_response(self, message: Message) -> None:
-        entry = self._pending.pop(message["request_id"], None)
+        request_id = message["request_id"]
+        entry = self._pending.pop(request_id, None)
         if entry is None:
             return  # duplicate response (e.g. active replication's n replies)
         if entry["timer"] is not None:
             entry["timer"].cancel()
+        again = self.retry.on_reply(entry, message)
+        if again is not None:
+            self._pending[request_id] = entry
+            self._act(entry, *again)
+            return
         result = self._finish(
             entry,
             committed=message["committed"],
@@ -464,7 +558,6 @@ class ReplicatedSystem:
         self.injector = FailureInjector(self.sim, self.net, trace=self.trace)
         self.replica_names = [f"r{i}" for i in range(replicas)]
         self.directory = Directory(self.replica_names)
-        self.max_client_retries = max_client_retries
         self.config = dict(config or {})
         # Admission control at the system edge (open-loop workloads): when
         # absent, submits dispatch directly and nothing changes in the
@@ -483,11 +576,12 @@ class ReplicatedSystem:
 
         if client_timeout is None and self.info.client_policy != "all":
             client_timeout = 120.0
+        blocking = BlockingPolicy(client_timeout, max_client_retries)
         self.clients: List[ClientNode] = []
         for i in range(clients):
             home = self.replica_names[i % replicas]
             self.clients.append(
-                ClientNode(self, f"c{i}", self.info.client_policy, home, client_timeout)
+                ClientNode(self, f"c{i}", self.info.client_policy, home, blocking)
             )
 
     # -- convenience -----------------------------------------------------------

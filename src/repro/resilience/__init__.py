@@ -21,13 +21,14 @@ from .campaign import (
     run_campaign,
     run_matrix,
 )
-from .client import ResilientClient
+from .edge import RetryingPolicy, retrying_client
 from .retry import RetryPolicy
 
 __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
-    "ResilientClient",
+    "RetryingPolicy",
+    "retrying_client",
     "FaultAction",
     "ChaosCampaign",
     "CampaignReport",

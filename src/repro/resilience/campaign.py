@@ -7,8 +7,8 @@ frozen data: composing a new scenario means writing a tuple, not code, and
 the same campaign runs unchanged against every replication technique.
 
 :func:`run_campaign` drives one ``(campaign, technique, seed)`` cell:
-it builds a :class:`~repro.core.system.ReplicatedSystem`, attaches
-:class:`~repro.resilience.client.ResilientClient` edges, schedules the
+it builds a :class:`~repro.core.system.ReplicatedSystem`, attaches client
+edges with the :class:`~repro.resilience.edge.RetryingPolicy`, schedules the
 campaign through the :class:`~repro.failures.FailureInjector`, runs a
 closed-loop counter workload, and then asserts the technique's *declared*
 guarantee:
@@ -35,10 +35,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.operations import Operation, Result
 from ..core.protocols import REGISTRY
-from ..core.system import ReplicatedSystem
+from ..core.system import ClientNode, ReplicatedSystem
 from ..analysis import counter_check
 from ..failures import FailureInjector
-from .client import ResilientClient
+from .edge import retrying_client
 from .retry import RetryPolicy
 
 __all__ = [
@@ -80,7 +80,7 @@ class FaultAction:
     ========== ==================================== =====================
 
     Partition groups may contain the :data:`CLIENTS` placeholder, which
-    expands to every attached resilient client.
+    expands to every attached client edge.
     """
 
     kind: str
@@ -272,7 +272,7 @@ def run_campaign(
     """Run one campaign against one technique and judge the outcome.
 
     The workload is a closed loop per client: counter increments with
-    think time, each driven through the resilient edge.  A definitive
+    think time, each driven through a retrying edge.  A definitive
     abort (lock timeout, deadlock, certification conflict — outcomes the
     edge *knows* had no effect) is resubmitted as a fresh request, the
     way an application-level retry would; an indeterminate outcome is
@@ -283,7 +283,7 @@ def run_campaign(
         fd_interval=2.0, fd_timeout=8.0, observe=observe,
     )
     edges = [
-        ResilientClient(
+        retrying_client(
             system, index=i, request_timeout=request_timeout,
             deadline=deadline, retry=retry,
         )
@@ -293,7 +293,7 @@ def run_campaign(
 
     results: List[Result] = []
 
-    def load(edge: ResilientClient):
+    def load(edge: ClientNode):
         # Per-client named stream: think times never perturb the main
         # workload stream or other clients' draws.
         rng = system.sim.stream(f"campaign.load.{edge.name}")
@@ -344,7 +344,7 @@ def run_campaign(
         retries=sum(r.retries for r in results),
         breaker_trips=sum(
             sum(1 for _, state in breaker.transitions if state == "open")
-            for edge in edges for breaker in edge.breakers.values()
+            for edge in edges for breaker in edge.retry.breakers.values()
         ),
         converged=converged,
         violations=list(violations),

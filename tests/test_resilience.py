@@ -22,8 +22,8 @@ from repro.resilience import (
     ChaosCampaign,
     CircuitBreaker,
     FaultAction,
-    ResilientClient,
     RetryPolicy,
+    retrying_client,
     run_campaign,
 )
 from repro.sim import Simulator
@@ -253,7 +253,7 @@ class TestInjectorValidation:
 class TestResilientClient:
     def test_clean_run_commits_without_retries(self):
         system = ReplicatedSystem("active", replicas=3, clients=0, seed=1)
-        edge = ResilientClient(system, index=0)
+        edge = retrying_client(system, index=0)
         future = edge.submit(Operation.update("x", "add", 1))
         result = system.sim.run_until_done(future)
         assert result.committed and result.retries == 0
@@ -263,7 +263,7 @@ class TestResilientClient:
 
     def test_retryable_classification(self):
         system = ReplicatedSystem("active", replicas=3, clients=0, seed=1)
-        edge = ResilientClient(system, index=0)
+        edge = retrying_client(system, index=0).retry
         assert edge._retryable("not primary (primary is r1)")
         assert edge._retryable("deadline exceeded at server")
         assert not edge._retryable("lock timeout")
@@ -271,7 +271,7 @@ class TestResilientClient:
 
     def test_deadline_budget_yields_indeterminate(self):
         system = ReplicatedSystem("active", replicas=3, clients=0, seed=2)
-        edge = ResilientClient(
+        edge = retrying_client(
             system, index=0, request_timeout=20.0, deadline=120.0
         )
         # Cut the client off from every replica before it sends.
@@ -294,7 +294,7 @@ class TestResilientClient:
 
     def test_retries_reuse_the_same_request_id(self):
         system = ReplicatedSystem("active", replicas=3, clients=0, seed=3)
-        edge = ResilientClient(system, index=0, request_timeout=15.0)
+        edge = retrying_client(system, index=0, request_timeout=15.0)
         # The first attempt goes silent by construction — the client is
         # cut off for longer than one request_timeout — and the retries
         # then face 60% loss everywhere.

@@ -146,14 +146,14 @@ class TestIdempotentFailover:
         idempotency key against the promoted primary.  The duplicate-reply
         cache (replicated with the decision) must make the retry
         exactly-once — the counter ends exact, never double-applied."""
-        from repro.resilience import ResilientClient
+        from repro.resilience import retrying_client
 
         system = ReplicatedSystem(
             "eager_primary", replicas=3, clients=0, seed=0,
             fd_interval=2.0, fd_timeout=8.0,
         )
         edges = [
-            ResilientClient(system, index=i, request_timeout=30.0, deadline=400.0)
+            retrying_client(system, index=i, request_timeout=30.0, deadline=400.0)
             for i in range(2)
         ]
         system.injector.crash_at(32.0, "r0")
