@@ -232,9 +232,12 @@ class ClientNode:
     * ``"all"`` — send to every replica, keep the first response (the
       distributed-systems style; masks replica failures entirely).
     * ``"primary"`` — send to the directory's current primary (the
-      database hot-standby style; failures are visible as latency).
+      database hot-standby style; failures are visible as latency);
+      read-only requests go the ``"local"`` way where the technique lets
+      any site serve them.
     * ``"local"`` — stick to one home replica and reconnect to the next
-      one when the retry policy refuses it, as Section 4.1 describes.
+      live one when it is down or the retry policy refuses it, as
+      Section 4.1 describes.
 
     What happens when a replica is silent, down or answers with an abort
     is the ``retry`` policy's decision (see :class:`BlockingPolicy`).
@@ -325,21 +328,25 @@ class ClientNode:
 
     # -- routing ----------------------------------------------------------------
 
+    def _routes_home(self, entry: dict) -> bool:
+        """Does this request go to the client's home replica?"""
+        if self.policy == "primary":
+            return entry["request"].read_only and self.system.info.reads_anywhere
+        return self.policy == "local"
+
     def _targets(self, entry: dict) -> List[str]:
         """The replicas to try now; empty when the policy refuses them all."""
         allow = self._allow
         if self.policy == "all":
             return [name for name in self.system.replica_names if allow(name)]
-        if self.policy == "primary":
-            if entry["request"].read_only and self.system.info.reads_anywhere:
-                return [self.home] if allow(self.home) else []
+        if not self._routes_home(entry):
             primary = self.system.directory.primary
             return [primary] if allow(primary) else []
         if allow(self.home):
             return [self.home]
         # The policy has given up on the home replica.  Any replica accepts
-        # requests under these techniques, so the client reconnects to the
-        # next live one the policy lets through; the reconnect is sticky.
+        # a request routed this way, so the client reconnects to the next
+        # live one the policy lets through; the reconnect is sticky.
         names = self.system.replica_names
         start = names.index(self.home)
         for offset in range(1, len(names)):
@@ -352,12 +359,12 @@ class ClientNode:
     def _dispatch(self, entry: dict) -> None:
         request = entry["request"]
         if (
-            self.policy == "local"
-            and self.system.replicas[self.home].crashed
+            self.system.replicas[self.home].crashed
             and (entry["retries"] or self.retry.budget is not None)
+            and self._routes_home(entry)
         ):
             # Reconnect (Section 4.1): the connection to a crashed home is
-            # broken, so a local client fails over to the next live replica
+            # broken, so the client fails over to the next live replica
             # (primaries are re-resolved from the directory).  A blocking
             # client finds out when an attempt has gone silent; one on a
             # deadline budget does not spend a timeout on it.

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Operation, ReplicatedSystem, ReplicationError
 from repro.core.system import Directory
+from repro.resilience import retrying_client
 
 
 class TestBuilder:
@@ -90,6 +91,23 @@ class TestClientRouting:
         assert result.committed
         assert result.server == "r1"
         assert result.retries == 1
+
+    @pytest.mark.parametrize("retrying", [False, True])
+    @pytest.mark.parametrize("protocol", ["eager_primary", "lazy_primary"])
+    def test_read_reconnects_when_its_home_replica_is_down(self, protocol, retrying):
+        """Primary-copy reads may run at any site: a crashed home replica is
+        a reason to reconnect, not to resend to it until the client gives up."""
+        system = ReplicatedSystem(protocol, replicas=3, clients=2, seed=1,
+                                  client_timeout=20.0)
+        assert system.execute([Operation.write("x", 1)]).committed
+        system.settle(50)
+        client = retrying_client(system, index=1) if retrying else system.clients[1]
+        assert client.home == "r1"
+        system.replicas["r1"].node.crash()
+        result = system.sim.run_until_done(client.submit(Operation.read("x")))
+        assert result.committed and result.values == [1]
+        assert result.server == "r2"
+        assert result.completed_at - result.submitted_at < 30.0
 
 
 class TestSystemHelpers:
