@@ -19,7 +19,7 @@ guarantee:
   budget), and converge;
 * **weak** (lazy) techniques must converge after the faults heal —
   transient divergence and lost unshipped commits are their documented
-  price.
+  price, reported as ``lost_updates`` and never as a violation.
 
 Every cell is deterministic: the workload, retry jitter and fault plane
 draw from named simulator streams, so the same seed produces the same
@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.operations import Operation, Result
 from ..core.protocols import REGISTRY
 from ..core.system import ClientNode, ReplicatedSystem
-from ..analysis import counter_check
+from ..analysis import counter_check, expected_counters
 from ..failures import FailureInjector
 from .edge import retrying_client
 from .retry import RetryPolicy
@@ -236,6 +236,10 @@ class CampaignReport:
     retries: int = 0
     breaker_trips: int = 0
     converged: bool = False
+    # Committed increments missing from the live replica that holds the
+    # fewest: the price a weak technique may pay, a violation for a strong one.
+    lost_updates: int = 0
+    # Breaches of the technique's declared guarantee; non-empty means FAIL.
     violations: List[str] = field(default_factory=list)
     passed: bool = False
     finished_at: float = 0.0
@@ -249,7 +253,7 @@ class CampaignReport:
             f"{self.definitive_aborts} aborted, "
             f"{self.indeterminate} indeterminate, {self.retries} retries, "
             f"{self.breaker_trips} breaker trips, "
-            f"converged={self.converged}"
+            f"converged={self.converged}, lost_updates={self.lost_updates}"
         )
         if self.violations:
             line += f"; violations: {'; '.join(self.violations)}"
@@ -329,8 +333,24 @@ def run_campaign(
         if not r.committed and r.reason in INDETERMINATE_REASONS
     ]
     stores = {name: system.store_of(name) for name in system.live_replicas()}
-    violations = counter_check(committed, stores, strict=False)
     converged = system.converged()
+    lost_updates = max(
+        [0] + [
+            expected - (store.read(item) or 0)
+            for item, expected in expected_counters(committed).items()
+            for store in stores.values()
+        ]
+    )
+    violations = [] if converged else [
+        f"live replicas diverge after heal: {system.divergent_replicas()}"
+    ]
+    if system.info.consistency == "strong":
+        # The strong guarantee: every request settles definitively within
+        # its budget, committed increments land exactly once everywhere.
+        # The lazy one is weaker by design: convergence after heal.
+        violations += counter_check(committed, stores, strict=False)
+        if indeterminate:
+            violations.append(f"indeterminate outcomes: {len(indeterminate)}")
 
     report = CampaignReport(
         campaign=campaign.name,
@@ -347,18 +367,11 @@ def run_campaign(
             for edge in edges for breaker in edge.retry.breakers.values()
         ),
         converged=converged,
-        violations=list(violations),
+        lost_updates=lost_updates,
+        violations=violations,
+        passed=not violations,
         finished_at=system.sim.now,
     )
-    if system.info.consistency == "strong":
-        # The strong guarantee: every request settles definitively within
-        # its budget, committed increments land exactly once everywhere.
-        report.passed = (
-            not violations and converged and not indeterminate
-        )
-    else:
-        # The lazy guarantee is weaker by design: convergence after heal.
-        report.passed = converged
 
     if observe and artifact_dir is not None:
         from ..obs import write_artifacts

@@ -338,6 +338,16 @@ class TestCampaignEngine:
         assert report.passed, report.summary()
         assert report.consistency == "strong"
         assert report.indeterminate == 0 and not report.violations
+        assert report.lost_updates == 0
+
+    def test_strong_cell_that_breaks_its_guarantee_fails_with_violations(self):
+        report = run_campaign(
+            "eager_primary", CAMPAIGNS["primary_crash_mid_2pc"],
+            deadline=8.0, request_timeout=5.0, observe=False,
+        )
+        assert not report.passed and report.indeterminate == 1
+        assert report.violations == ["indeterminate outcomes: 1"]
+        assert report.summary().startswith("FAIL")
 
     def test_lazy_cell_converges_after_heal(self):
         report = run_campaign(
@@ -346,6 +356,9 @@ class TestCampaignEngine:
         assert report.passed, report.summary()
         assert report.consistency != "strong"
         assert report.converged
+        # Lost unshipped commits are the lazy price: a number, not a violation.
+        assert report.lost_updates == 4 and not report.violations
+        assert "violations" not in report.summary()
 
     def test_same_seed_same_report(self):
         cells = [
