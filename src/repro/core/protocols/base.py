@@ -15,7 +15,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from ...db import TransactionManager, TransactionUpdates, UpdateRecord
 from ...db.storage import DataStore
-from ...errors import TransactionAborted
+from ...errors import NodeCrashed, TransactionAborted
 from ...net import Message
 from ..operations import Operation, Request, apply_update
 from ..phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseTracer
@@ -196,6 +196,27 @@ class ReplicaProtocol:
 
     def peers(self) -> List[str]:
         return [name for name in self.group if name != self.replica.name]
+
+    def state_wire(self) -> list:
+        """The whole store as ``[item, value, version]`` rows."""
+        return [
+            [item, versioned.value, versioned.version]
+            for item, versioned in self.store.items()
+        ]
+
+    def pull_state(self, call: Any) -> Generator:
+        """Process: await ``call`` — a ``Node.call`` whose reply carries a
+        peer's :meth:`state_wire` — and install whatever is newer (versions
+        make the merge idempotent).  An unreachable peer leaves this replica
+        as stale as it was; anything else that goes wrong is a bug and
+        surfaces.  The call is made by the caller, where the message-flow
+        analysis can read its type."""
+        try:
+            reply = yield call
+        except (TimeoutError, NodeCrashed):
+            return
+        for item, value, version in reply["state"]:
+            self.store.write_versioned(item, value, version)
 
     def busy_elsewhere(self, request: Request) -> bool:
         """Is another replica's execution of ``request`` in flight here?

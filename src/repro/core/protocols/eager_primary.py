@@ -409,17 +409,12 @@ class EagerPrimaryCopy(ReplicaProtocol):
         directory = self.replica.system.directory
         if directory.primary == self.replica.name:
             return  # nothing newer exists anywhere
-        try:
-            reply = yield self.replica.node.call(
-                directory.primary, SYNC, timeout=60.0
-            )
-        except Exception:  # noqa: BLE001 - primary unreachable; stay stale
-            return
-        for item, value, version in reply["state"]:
-            self.store.write_versioned(item, value, version)
+        yield from self.pull_state(
+            self.replica.node.call(directory.primary, SYNC, timeout=60.0)
+        )
 
     def _on_sync_request(self, message: Message) -> None:
-        self.replica.node.reply(message, state=self._state_wire())
+        self.replica.node.reply(message, state=self.state_wire())
 
     def _on_peer_restored(self, peer: str) -> None:
         """Primary-side rejoin: push state when a suspected peer proves alive.
@@ -430,14 +425,8 @@ class EagerPrimaryCopy(ReplicaProtocol):
         it; later commits include the peer in the 2PC again.
         """
         if self.is_primary:
-            self.replica.node.send(peer, SYNC_PUSH, state=self._state_wire())
+            self.replica.node.send(peer, SYNC_PUSH, state=self.state_wire())
 
     def _on_sync_push(self, message: Message) -> None:
         for item, value, version in message["state"]:
             self.store.write_versioned(item, value, version)
-
-    def _state_wire(self) -> list:
-        return [
-            [item, versioned.value, versioned.version]
-            for item, versioned in self.store.items()
-        ]

@@ -539,21 +539,12 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         for peer in self.peers():
             if self.replica.detector.is_suspected(peer):
                 continue
-            try:
-                reply = yield self.replica.node.call(peer, SYNC, timeout=60.0)
-            except (TimeoutError, NodeCrashed):
-                continue
-            for item, value, version in reply["state"]:
-                self.store.write_versioned(item, value, version)
+            yield from self.pull_state(
+                self.replica.node.call(peer, SYNC, timeout=60.0)
+            )
 
     def _on_sync_request(self, message: Message) -> None:
-        self.replica.node.reply(
-            message,
-            state=[
-                [item, versioned.value, versioned.version]
-                for item, versioned in self.store.items()
-            ],
-        )
+        self.replica.node.reply(message, state=self.state_wire())
 
     def _on_decision(self, txn_id: str, commit: bool) -> None:
         workspace = self._workspaces.pop(txn_id, None)

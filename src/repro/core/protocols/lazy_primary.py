@@ -193,19 +193,12 @@ class LazyPrimaryCopy(ReplicaProtocol):
         directory = self.replica.system.directory
         if directory.primary == self.replica.name:
             return
-        try:
-            reply = yield self.replica.node.call(directory.primary, SYNC, timeout=60.0)
-        except Exception:  # noqa: BLE001 - primary unreachable; stay stale
-            return
-        for item, value, version in reply["state"]:
-            self.store.write_versioned(item, value, version)
+        yield from self.pull_state(
+            self.replica.node.call(directory.primary, SYNC, timeout=60.0)
+        )
 
     def _on_sync_request(self, message) -> None:
-        state = [
-            [item, versioned.value, versioned.version]
-            for item, versioned in self.store.items()
-        ]
-        self.replica.node.reply(message, state=state)
+        self.replica.node.reply(message, state=self.state_wire())
 
     def _on_peer_restored(self, peer: str) -> None:
         """Re-ship the whole log to a peer that was presumed dead.
