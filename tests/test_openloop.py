@@ -4,14 +4,21 @@ import json
 
 import pytest
 
-from repro import DB_TECHNIQUES, DS_TECHNIQUES
+from repro import DB_TECHNIQUES, DS_TECHNIQUES, ReplicatedSystem
 from repro.core import AdmissionConfig
 from repro.core.admission import (
     SHED_DEADLINE_QUEUED,
     SHED_QUEUE_FULL,
 )
 from repro.obs import write_artifacts
-from repro.workload import ArrivalSpec, run_openloop
+from repro.resilience import retrying_client
+from repro.workload import (
+    ArrivalSpec,
+    OpenLoopEngine,
+    WorkloadGenerator,
+    WorkloadSpec,
+    run_openloop,
+)
 
 ALL_TECHNIQUES = DS_TECHNIQUES + DB_TECHNIQUES
 
@@ -93,6 +100,38 @@ class TestOpenLoopEngine:
             for name in ("active", "certification", "lazy_primary")
         }
         assert len(offered) == 1
+
+    @pytest.mark.parametrize("technique", ["eager_primary", "active"])
+    def test_retrying_edges_drain_through_a_crash(self, technique):
+        """Edges with the retrying policy behind admission control and
+        per-arrival deadlines, through a crash and recovery of r0 (the
+        primary under eager_primary): every arrival is accounted for and
+        answered by its deadline."""
+        system = ReplicatedSystem(
+            technique, replicas=3, clients=0, seed=3,
+            admission=AdmissionConfig(rate=2.0, burst=4, queue_capacity=4),
+        )
+        edges = [
+            retrying_client(system, index=i, request_timeout=15.0, deadline=150.0)
+            for i in range(3)
+        ]
+        system.injector.crash_at(40.0, "r0")
+        system.injector.recover_at(120.0, "r0")
+        engine = OpenLoopEngine(
+            system,
+            WorkloadGenerator(WorkloadSpec(items=8, read_fraction=0.3), seed=3),
+            ArrivalSpec(process="poisson", rate=1.5, duration=200.0, clients=50,
+                        deadline_budget=100.0),
+        )
+        summary = engine.run(settle=400)
+        assert engine.in_flight == 0
+        assert summary.offered == summary.committed + summary.aborted + summary.shed
+        assert summary.offered > 250 and summary.shed > 0
+        results = [r for edge in edges for r in edge.results]
+        assert len(results) == summary.offered
+        assert sum(r.retries for r in results) > 0, "the crash must force retries"
+        assert all(r.completed_at - r.submitted_at <= 100.0 + 1e-6 for r in results)
+        assert system.converged(), system.divergent_replicas()
 
     def test_sustains_100k_logical_clients(self):
         # Acceptance bar: one deterministic run carries a 10^5+ logical

@@ -15,6 +15,7 @@ import pytest
 
 from repro import Operation, ReplicatedSystem
 from repro.analysis import counter_check
+from repro.core.protocols import REGISTRY
 from repro.errors import NetworkError
 from repro.net import ConstantLatency, Network, Node
 from repro.resilience import (
@@ -27,6 +28,7 @@ from repro.resilience import (
     run_campaign,
 )
 from repro.sim import Simulator
+from repro.workload import ClosedLoopDriver, WorkloadGenerator, WorkloadSpec
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +263,37 @@ class TestResilientClient:
         for name in system.replica_names:
             assert system.store_of(name).read("x") == 1
 
+    @pytest.mark.parametrize("technique", sorted(REGISTRY))
+    def test_fault_free_run_is_the_blocking_run(self, technique):
+        """Nothing fails, so nothing may differ: same verdicts, values and
+        timings, same stores, and not one message more than the blocking
+        policy sends."""
+
+        def run(retrying):
+            system = ReplicatedSystem(
+                technique, replicas=3, clients=0 if retrying else 2, seed=5
+            )
+            if retrying:
+                for index in range(2):
+                    retrying_client(system, index=index)
+            generator = WorkloadGenerator(
+                WorkloadSpec(items=6, read_fraction=0.3), seed=5
+            )
+            ClosedLoopDriver(
+                system, generator, requests_per_client=10, think_time=3.0
+            ).run(settle=300)
+            verdicts = [
+                (r.committed, r.reason, r.values, r.submitted_at,
+                 r.completed_at, r.server, r.retries)
+                for client in system.clients for r in client.results
+            ]
+            stores = [system.store_of(n).digest() for n in system.replica_names]
+            return verdicts, stores, dict(system.net.stats.by_type)
+
+        blocking, retrying = run(False), run(True)
+        assert len(blocking[0]) == 20 and any(v[0] for v in blocking[0])
+        assert retrying == blocking
+
     def test_retryable_classification(self):
         system = ReplicatedSystem("active", replicas=3, clients=0, seed=1)
         edge = retrying_client(system, index=0).retry
@@ -309,6 +342,29 @@ class TestResilientClient:
         system.settle(300)
         stores = {n: system.store_of(n) for n in system.live_replicas()}
         assert not counter_check([result], stores, strict=False)
+
+    def test_abort_between_attempts_keeps_the_scheduled_resend(self):
+        """A tainted abort that lands during a backoff asks for the resend
+        that is already scheduled: it neither counts as another retry nor
+        pushes the resend out by a longer backoff."""
+        system = ReplicatedSystem("active", replicas=3, clients=0, seed=1)
+        edge = retrying_client(system, index=0, request_timeout=10.0)
+        system.injector.partition_at(0.0, [edge.name], list(system.replica_names))
+        system.injector.heal_at(10.5)
+        future = edge.submit(Operation.update("x", "add", 1))
+        (request_id,) = edge._pending
+
+        def late_abort():  # from the attempt that went silent at t=10
+            system.net.send("r0", edge.name, "client.response", payload=dict(
+                request_id=request_id, committed=False, values=[],
+                reason="lock timeout", server="r0",
+            ))
+
+        system.sim.schedule_at(10.6, late_abort)
+        result = system.sim.run_until_done(future)
+        assert result.committed and result.retries == 1
+        assert system.net.stats.by_type["client.request"] == 6
+        assert result.completed_at < 10.0 + 5.0 + 7.0  # one backoff, one round
 
 
 # ---------------------------------------------------------------------------
