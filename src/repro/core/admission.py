@@ -159,7 +159,7 @@ class AdmissionController:
         self.shed += 1
         self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
         self._observe("ts.shed")
-        client._give_up(entry, reason)
+        client._settle(entry, False, [], reason, "")
 
     def _schedule_drain(self) -> None:
         if self._drain_timer is not None or not self._queue:

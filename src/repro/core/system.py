@@ -247,13 +247,12 @@ class ClientNode:
         self,
         system: "ReplicatedSystem",
         name: str,
-        policy: str,
         home: str,
         retry: Any,
     ) -> None:
         self.system = system
         self.name = name
-        self.policy = policy
+        self.policy = system.info.client_policy
         self.home = home
         self.retry = retry
         self.timeout = retry.timeout
@@ -342,25 +341,22 @@ class ClientNode:
         if not self._routes_home(entry):
             primary = self.system.directory.primary
             return [primary] if allow(primary) else []
-        if allow(self.home):
-            return [self.home]
-        # The policy has given up on the home replica.  Any replica accepts
-        # a request routed this way, so the client reconnects to the next
-        # live one the policy lets through; the reconnect is sticky.
-        names = self.system.replica_names
-        start = names.index(self.home)
-        for offset in range(1, len(names)):
-            candidate = names[(start + offset) % len(names)]
-            if not self.system.replicas[candidate].crashed and allow(candidate):
-                self.home = candidate
-                return [candidate]
-        return []
+        if not allow(self.home):
+            # The policy has given up on the home replica.  Any replica
+            # accepts a request routed this way, so the client reconnects to
+            # the next live one the policy lets through; the reconnect is
+            # sticky.
+            candidate = self.system.next_live_replica(self.home, allow)
+            if candidate == self.home:
+                return []
+            self.home = candidate
+        return [self.home]
 
     def _dispatch(self, entry: dict) -> None:
         request = entry["request"]
         if (
-            self.system.replicas[self.home].crashed
-            and (entry["retries"] or self.retry.budget is not None)
+            (entry["retries"] or self.retry.budget is not None)
+            and self.system.replicas[self.home].crashed
             and self._routes_home(entry)
         ):
             # Reconnect (Section 4.1): the connection to a crashed home is
@@ -414,50 +410,38 @@ class ClientNode:
 
     def _act(self, entry: dict, verdict: str, argument: Any) -> None:
         """Carry out a retry policy's answer on the entry's one timer."""
+        if entry["timer"] is not None:
+            entry["timer"].cancel()
         if verdict == WAIT:
             entry["timer"] = self.node.after(
                 argument, self._on_timeout, entry["request"].request_id
             )
-        elif verdict == RESEND:
-            if argument > 0:
-                # Every path that settles the entry cancels this timer.
-                entry["timer"] = self.node.after(argument, self._dispatch, entry)
-            else:
-                self._dispatch(entry)
+        elif verdict == GIVE_UP:
+            self._settle(entry, False, [], argument, "")
+        elif argument > 0:
+            # Settling the entry cancels this timer, so it only ever fires
+            # for a request that is still pending.
+            entry["timer"] = self.node.after(argument, self._dispatch, entry)
         else:
-            self._give_up(entry, argument)
-
-    def _give_up(self, entry: dict, reason: str) -> None:
-        """Resolve with an abort no server sent (shed, or the policy gave up)."""
-        self._pending.pop(entry["request"].request_id, None)
-        if entry["timer"] is not None:
-            entry["timer"].cancel()
-        result = self._finish(entry, committed=False, values=[],
-                              reason=reason, server="")
-        entry["future"].set_result(result)
+            self._dispatch(entry)
 
     def _on_response(self, message: Message) -> None:
-        request_id = message["request_id"]
-        entry = self._pending.pop(request_id, None)
+        entry = self._pending.get(message["request_id"])
         if entry is None:
             return  # duplicate response (e.g. active replication's n replies)
-        if entry["timer"] is not None:
-            entry["timer"].cancel()
         again = self.retry.on_reply(entry, message)
         if again is not None:
-            self._pending[request_id] = entry
             self._act(entry, *again)
             return
-        result = self._finish(
-            entry,
-            committed=message["committed"],
-            values=message["values"],
-            reason=message["reason"],
-            server=message["server"],
-        )
-        entry["future"].set_result(result)
+        self._settle(entry, message["committed"], message["values"],
+                     message["reason"], message["server"])
 
-    def _finish(self, entry: dict, committed, values, reason, server) -> Result:
+    def _settle(self, entry: dict, committed, values, reason, server) -> None:
+        """Resolve the request: with a server's reply, or with an abort no
+        server sent (shed at admission, or the retry policy gave up)."""
+        del self._pending[entry["request"].request_id]
+        if entry["timer"] is not None:
+            entry["timer"].cancel()
         result = Result(
             request_id=entry["request"].request_id,
             committed=committed,
@@ -474,7 +458,7 @@ class ClientNode:
             self.system.observer.on_request_complete(
                 result.request_id, committed, reason=reason, retries=result.retries
             )
-        return result
+        entry["future"].set_result(result)
 
     def __repr__(self) -> str:
         return f"<ClientNode {self.name} policy={self.policy} home={self.home}>"
@@ -587,9 +571,7 @@ class ReplicatedSystem:
         self.clients: List[ClientNode] = []
         for i in range(clients):
             home = self.replica_names[i % replicas]
-            self.clients.append(
-                ClientNode(self, f"c{i}", self.info.client_policy, home, blocking)
-            )
+            self.clients.append(ClientNode(self, f"c{i}", home, blocking))
 
     # -- convenience -----------------------------------------------------------
 
@@ -630,12 +612,18 @@ class ReplicatedSystem:
     def store_of(self, name: str):
         return self.replicas[name].tm.store
 
-    def next_live_replica(self, after: str) -> str:
+    def next_live_replica(
+        self, after: str, allow: Optional[Callable[[str], bool]] = None
+    ) -> str:
+        """The first live replica (that ``allow`` lets through) in ring
+        order after ``after``; ``after`` itself when there is none."""
         names = self.replica_names
         start = (names.index(after) + 1) % len(names) if after in names else 0
         for offset in range(len(names)):
             candidate = names[(start + offset) % len(names)]
-            if not self.replicas[candidate].crashed:
+            if not self.replicas[candidate].crashed and (
+                allow is None or allow(candidate)
+            ):
                 return candidate
         return after
 

@@ -5,20 +5,13 @@ does when a replica is silent, down or answers with an abort is decided
 by the retry policy it is built with.  ``core`` supplies the paper's
 blocking database client, which waits forever for a slow server;
 :class:`RetryingPolicy` is the production-style alternative that retries
-through message loss, duplication and gray failure:
-
-* **retry with exponential backoff + jitter** — deterministic: all
-  randomness draws from the client's named simulator stream, so same-seed
-  runs are byte-identical (see :class:`~repro.resilience.retry.RetryPolicy`);
-* **per-request deadline budgets** — the absolute give-up time rides on
-  the :class:`~repro.net.Message` envelope, and servers shed requests
-  whose budget already expired instead of working for an absent client;
-* **per-node circuit breakers** — closed/open/half-open with an obs
-  gauge (see :class:`~repro.resilience.breaker.CircuitBreaker`);
-* **idempotency keys** — retries resend the *same* request id, and the
-  server-side duplicate-reply cache (``ReplicaNode.reply_cache``) replays
-  the committed answer instead of re-executing, making retries
-  exactly-once even across a primary failover.
+through message loss, duplication and gray failure and gives up
+definitively when its deadline budget is exhausted.  Retries resend the
+*same* request id, and the server-side duplicate-reply cache
+(``ReplicaNode.reply_cache``) replays the committed answer instead of
+re-executing, which makes them exactly-once even across a primary
+failover.  See ``docs/resilience.md`` for the question-by-question
+comparison of the two policies.
 
 Outcome taxonomy: a reply with ``committed=True`` or a definitive abort
 (lock timeout, deadlock, 2PC no-vote, certification conflict) finishes
@@ -191,9 +184,6 @@ def retrying_client(system: Any, index: int = 0, **knobs: Any) -> ClientNode:
     """
     name = f"rc{index}"
     home = system.replica_names[index % len(system.replica_names)]
-    client = ClientNode(
-        system, name, system.info.client_policy, home,
-        RetryingPolicy(system, name, **knobs),
-    )
+    client = ClientNode(system, name, home, RetryingPolicy(system, name, **knobs))
     system.clients.append(client)
     return client
