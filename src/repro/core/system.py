@@ -256,7 +256,6 @@ class ClientNode:
         self.home = home
         self.retry = retry
         self.timeout = retry.timeout
-        self._allow = retry.allow
         self.node = Node(system.sim, system.net, name)
         self.node.on(CLIENT_RESPONSE, self._on_response)
         self._pending: Dict[str, dict] = {}
@@ -335,7 +334,7 @@ class ClientNode:
 
     def _targets(self, entry: dict) -> List[str]:
         """The replicas to try now; empty when the policy refuses them all."""
-        allow = self._allow
+        allow = self.retry.allow
         if self.policy == "all":
             return [name for name in self.system.replica_names if allow(name)]
         if not self._routes_home(entry):
