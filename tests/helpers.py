@@ -63,20 +63,21 @@ class GroupHarness:
         return [n for n in self.names if not self.nodes[n].crashed]
 
 
-def contended_run(technique: str, seed: int):
+def contended_run(technique: str, seed: int, ops_per_transaction: int = 3):
     """Multi-operation transactions on a hot set, open loop, run to drain.
 
-    Three operations per transaction, 70 % writes, 70 % of accesses on 4 of
-    20 items, one arrival per time unit for 300: transactions hold locks
-    while they wait for the next one, so upgrades, local deadlocks and
-    victim aborts all occur — what one-operation workloads never exercise.
+    Three operations per transaction unless told otherwise, 70 % writes,
+    70 % of accesses on 4 of 20 items, one arrival per time unit for 300:
+    transactions hold locks while they wait for the next one, so upgrades,
+    local deadlocks and victim aborts all occur — what one-operation
+    workloads never exercise.
     Raises ``SimulationError`` if a client is never answered (heartbeats
     keep the event queue alive, so the run hits the event cap).
     """
     system = ReplicatedSystem(technique, replicas=3, clients=4, seed=seed)
     generator = WorkloadGenerator(
         WorkloadSpec(items=20, hot_fraction=0.2, hot_access_probability=0.7,
-                     ops_per_transaction=3, read_fraction=0.3),
+                     ops_per_transaction=ops_per_transaction, read_fraction=0.3),
         seed=seed,
     )
     arrival = ArrivalSpec(process="poisson", rate=1.0, duration=300.0, clients=1000)

@@ -1,7 +1,13 @@
 """Tests for the simulation-time trace log."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from helpers import contended_run
+from repro import REGISTRY
 from repro.sim import Simulator, TraceLog
 
 
@@ -112,3 +118,46 @@ class TestSubscriberIsolation:
         trace.record("cat", "src")
         assert len(trace.subscriber_errors) == 1  # not called again
         assert len(seen) == 2
+
+
+# ---------------------------------------------------------------------------
+# Golden: what a reader gets back is pinned across commits
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "tracelog_golden.json"
+TECHNIQUES = sorted(REGISTRY)
+
+
+def _read_side_digest(technique, ops_per_transaction):
+    """sha256 over every event a contended seed-7 run left in the log."""
+    system, _, _ = contended_run(technique, 7, ops_per_transaction)
+    events = system.trace.events
+    digest = hashlib.sha256(repr(events).encode())
+    # TraceEvent.__repr__ sorts the payload; the order a reader iterates
+    # ``data`` in is pinned beside it.
+    digest.update(repr([list(event.data) for event in events]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("ops_per_transaction", [1, 3])
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_events_match_cross_commit_golden(technique, ops_per_transaction):
+    """Same events, same order, same ``data`` key order as the recording
+    commit read: ``tests/data/tracelog_golden.json`` was written at the
+    last commit that stored ``TraceEvent`` objects, with
+
+        PYTHONPATH=src:tests python tests/test_tracing.py
+
+    Regenerate it only for a deliberate change to what is narrated.
+    """
+    golden = json.loads(GOLDEN.read_text())
+    assert (_read_side_digest(technique, ops_per_transaction)
+            == golden[f"{technique}/{ops_per_transaction}"])
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(
+        {f"{technique}/{ops}": _read_side_digest(technique, ops)
+         for technique in TECHNIQUES for ops in (1, 3)},
+        indent=1, sort_keys=True) + "\n")
