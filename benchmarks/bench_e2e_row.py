@@ -11,13 +11,22 @@ counts, the ``sim_digest`` and the whole per-layer ledger — not the raw
 repeats or the span tables, which stay in the result file.  The
 trajectory is append-only: a PR number that already has a row is
 refused.
+
+Rows are taken on a shared host on different days, so each one also
+stores ``calibration_s``: the median of five timings of a fixed
+pure-Python loop (:func:`calibration_loop`), taken when the row is
+appended.  Two rows' host metrics compare after dividing by it; rows
+from before it existed have none and stay valid.
 """
 
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import os
+import statistics
+import time
 
 TRAJECTORY = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_e2e.json"
@@ -32,6 +41,29 @@ def empty_trajectory() -> dict:
         "command": "python benchmarks/e2e/run.py --repeats 5 --traced",
         "rows": {},
     }
+
+
+def calibration_loop() -> int:
+    """A fixed amount of the interpreter work a simulation is made of:
+    heap pushes and pops, dict writes, tuple builds, a method call each."""
+    heap: list = []
+    table: dict = {}
+    for i in range(300_000):
+        heapq.heappush(heap, ((i * 7919) % 1009, i))
+        table[i & 1023] = (i, "x")
+        if i & 1:
+            heapq.heappop(heap)
+    return len(heap) + len(table)
+
+
+def calibration_s(samples: int = 5) -> float:
+    """Median wall seconds of :func:`calibration_loop` on this host, now."""
+    timings = []
+    for _ in range(samples):
+        started = time.perf_counter()
+        calibration_loop()
+        timings.append(time.perf_counter() - started)
+    return statistics.median(timings)
 
 
 def row_of(results: dict, note: str) -> dict:
@@ -50,7 +82,8 @@ def row_of(results: dict, note: str) -> dict:
             "per_layer": result.get("per_layer", {}),
         }
     return {"note": note, "seed": results["seed"], "seconds": results["seconds"],
-            "repeats": results["repeats"], "workloads": workloads}
+            "repeats": results["repeats"], "calibration_s": calibration_s(),
+            "workloads": workloads}
 
 
 def main() -> None:

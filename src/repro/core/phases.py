@@ -52,6 +52,9 @@ END = "END"
 
 PHASE_ORDER = (RE, SC, EX, AC, END)
 
+# The schema of a phase record: the one keys tuple every phase row shares.
+_PHASE_KEYS = ("request", "phase", "mechanism")
+
 
 @dataclass(frozen=True)
 class PhaseStep:
@@ -174,7 +177,7 @@ class PhaseTracer:
         """Report that ``source`` entered ``phase`` on behalf of a request."""
         if phase not in PHASE_ORDER:
             raise ValueError(f"unknown phase {phase!r}")
-        self.trace.record("phase", source, request=request_id, phase=phase, mechanism=mechanism)
+        self.trace.append("phase", source, _PHASE_KEYS, (request_id, phase, mechanism))
         if self.obs is not None:
             self.obs.on_phase(source, request_id, phase, mechanism)
 

@@ -119,7 +119,7 @@ class ReplicaProtocol:
         # plus server-side dedup is exactly-once execution.
         cached = self.replica.cached_reply(request.idempotency_key)
         if cached is not None:
-            self.respond(message.src, request, committed=True, values=cached)
+            self.respond(message.src, request, committed=True, values=list(cached))
             return
         # Deadline budget: if the client has already given up on this
         # envelope there is no point acquiring locks or running a
@@ -160,8 +160,9 @@ class ReplicaProtocol:
         duplicate-reply cache keyed by the request's idempotency key, so a
         retried request is answered without re-execution.
         """
+        values = list(values) if values else []  # the one copy: the wire's
         if committed:
-            self.replica.remember_reply(request.idempotency_key, list(values or []))
+            self.replica.remember_reply(request.idempotency_key, values)
         self._serving.pop(request.request_id, None)
         self.phase(request.request_id, END)
         self.replica.node.send(
@@ -169,7 +170,7 @@ class ReplicaProtocol:
             CLIENT_RESPONSE,
             request_id=request.request_id,
             committed=committed,
-            values=list(values or []),
+            values=values,
             reason=reason,
             server=self.replica.name,
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..db import TransactionManager
 from ..errors import ReplicationError
@@ -124,14 +124,16 @@ class ReplicaNode:
         # exactly-once (aborts are not cached: retrying them should rerun).
         # Survives crashes deliberately — it models durable server state,
         # like the applied-transaction log a recovering replica replays.
-        self.reply_cache: Dict[str, List[Any]] = {}
+        # Kept for the life of the run, so the values are a tuple: one of
+        # plain values is nothing the cyclic collector has to walk.
+        self.reply_cache: Dict[str, Tuple[Any, ...]] = {}
 
-    def remember_reply(self, idem_key: str, values: List[Any]) -> None:
+    def remember_reply(self, idem_key: str, values: Sequence[Any]) -> None:
         """Record the committed reply for ``idem_key`` (first write wins)."""
         if idem_key not in self.reply_cache:
-            self.reply_cache[idem_key] = list(values)
+            self.reply_cache[idem_key] = tuple(values)
 
-    def cached_reply(self, idem_key: str) -> Optional[List[Any]]:
+    def cached_reply(self, idem_key: str) -> Optional[Tuple[Any, ...]]:
         """The committed values previously replied for ``idem_key``, if any."""
         return self.reply_cache.get(idem_key)
 

@@ -180,6 +180,37 @@ class TestIdempotentFailover:
         assert system.converged(), system.divergent_replicas()
 
 
+    @pytest.mark.parametrize("technique", ["active", "certification", "lazy_primary"])
+    def test_duplicate_is_answered_with_the_remembered_values(self, technique):
+        """The cache keeps the values as a tuple, the first ones written;
+        a duplicate of the request gets them back as the list a reply
+        carries, and nothing is executed again."""
+        from repro.core.operations import Request
+
+        system = ReplicatedSystem(technique, replicas=3, seed=4)
+        assert system.execute([Operation.write("x", 5)]).committed
+        request = Request.make([Operation.read("x")], client="probe", sequence=1)
+        probe = Node(system.sim, system.net, "probe")
+        replies = []
+        probe.on("client.response", replies.append)
+
+        def ask_twice():
+            for _ in range(2):
+                probe.send("r0", "client.request", request=request.as_wire())
+                yield system.sim.timeout(50.0)
+
+        system.sim.run_until_done(system.sim.spawn(ask_twice()))
+        r0 = system.replica("r0")
+        assert r0.cached_reply(request.idempotency_key) == (5,)
+        r0.remember_reply(request.idempotency_key, [6])  # first write wins
+        assert r0.cached_reply(request.idempotency_key) == (5,)
+        from_r0 = [reply for reply in replies if reply["server"] == "r0"]
+        assert [reply["values"] for reply in from_r0] == [[5], [5]]
+        assert all(reply["committed"] for reply in from_r0)
+        phases = system.tracer.observed_sequence(request.request_id, source="r0")
+        assert phases.count("EX") == 1 and phases.count("END") == 2
+
+
 class TestDSMultiOperationRequests:
     """Multi-operation requests through the DS techniques: the whole
     request is one atomic state-machine command (all ops or none,

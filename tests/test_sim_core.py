@@ -278,12 +278,17 @@ class TestCombinators:
 
 
 class TestRunawayGuard:
-    def test_max_events_guard_trips(self, sim):
+    @pytest.mark.parametrize("drive", [
+        lambda sim: sim.run(max_events=100),
+        lambda sim: sim.run_until_done(sim.future(), max_events=100),
+    ], ids=["run", "run_until_done"])
+    def test_max_events_guard_trips(self, sim, drive):
         def rearm():
             sim.schedule(0.1, rearm)
         sim.schedule(0.1, rearm)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
+        with pytest.raises(SimulationError, match="exceeded 100 events"):
+            drive(sim)
+        assert sim.events_processed == 101
 
 
 class TestControl:
@@ -360,12 +365,20 @@ class TestHeapCompaction:
         sim.run()
         assert seen == list(range(200))
 
-    def test_cancelled_events_do_not_count_as_processed(self, sim):
+    @pytest.mark.parametrize("drive", [
+        lambda sim, last: sim.run(),
+        lambda sim, last: sim.run_until_done(last),
+    ], ids=["run", "run_until_done"])
+    def test_cancelled_events_do_not_count_as_processed(self, sim, drive):
+        """Timer entries and timeout-slot entries, live and dead, through
+        either loop: only what fired is counted, nothing dead is left."""
         sim.schedule(1.0, lambda: None)
         dead = sim.schedule(2.0, lambda: None)
         dead.cancel()
-        sim.run()
-        assert sim.events_processed == 1
+        last = sim._timeout_future(3.0)
+        drive(sim, last)
+        assert sim.events_processed == 2
+        assert sim.dead_events == 0 and sim.pending_events == 0
 
 
 class TestTimeoutFastPath:
@@ -441,3 +454,39 @@ class TestStopReset:
         sim.schedule(1.0, seen.append, 1)
         sim.run()
         assert seen == [1]
+
+    def test_run_until_done_returns_after_the_resolving_event(self, sim):
+        fired = []
+        future = sim.future()
+        sim.schedule(1.0, fired.append, "before")
+        sim.schedule(2.0, future.set_result, "done")
+        sim.schedule(2.0, fired.append, "same instant, later")
+        assert sim.run_until_done(future) == "done"
+        assert fired == ["before"] and sim.now == 2.0
+        assert sim.events_processed == 2 and sim.pending_events == 1
+
+    def test_someone_elses_stop_does_not_end_run_until_done(self, sim):
+        future = sim.future()
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, future.set_result, "done")
+        assert sim.run_until_done(future) == "done"
+
+    def test_abandoned_wait_does_not_stop_a_later_run(self, sim):
+        """A run_until_done that raised leaves its stop on the future; when
+        that future resolves later it must end nobody's run."""
+        abandoned = sim.future()
+        tick = sim.schedule(0.5, lambda: None)
+        with pytest.raises(SimulationError, match="exceeded 0 events"):
+            sim.run_until_done(abandoned, max_events=0)
+        assert tick.cancelled  # it fired
+        fired = []
+        sim.schedule(1.0, abandoned.set_result, None)
+        sim.schedule(2.0, fired.append, "after")
+        sim.run()
+        assert fired == ["after"]
+
+    def test_tick_hook_fires_under_run_until_done(self, sim):
+        boundaries = []
+        sim.set_tick_hook(1.0, boundaries.append)
+        assert sim.run_until_done(sim._timeout_future(2.5, "late")) == "late"
+        assert boundaries == [1.0, 2.0]

@@ -1,14 +1,26 @@
 """Tests for the simulation-time trace log."""
 
+import gc
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import contended_run
-from repro import REGISTRY
-from repro.sim import Simulator, TraceLog
+from repro import REGISTRY, Operation, ReplicatedSystem
+from repro.core.phases import PhaseTracer
+from repro.sim import Simulator, TraceLog, tracing
+from repro.workload.openloop import ArrivalSpec, run_openloop
+
+# The two ways a record gets in: by keyword, and positionally the way the
+# phase tracer writes.  Both leave the same kind of row.
+WRITERS = {
+    "keyword": lambda trace, i: trace.record("cat", "src", i=i),
+    "positional": lambda trace, i: trace.append("cat", "src", ("i",), (i,)),
+}
 
 
 class TestTraceLog:
@@ -19,10 +31,14 @@ class TestTraceLog:
         sim.run()
         assert trace.events[0].time == 5.0
 
-    def test_record_without_sim_defaults_to_zero(self):
+    @pytest.mark.parametrize("write", [
+        lambda trace: trace.record("cat", "src"),
+        lambda trace: PhaseTracer(trace).record("src", "req", "RE"),
+    ], ids=["keyword", "phase"])
+    def test_record_without_sim_defaults_to_zero(self, write):
         trace = TraceLog()
-        event = trace.record("cat", "src")
-        assert event.time == 0.0
+        assert write(trace) is None  # the log keeps a row, hands nothing back
+        assert trace.events[-1].time == 0.0
 
     def test_select_filters_by_category_source_and_payload(self):
         trace = TraceLog()
@@ -78,13 +94,37 @@ class TestRingBuffer:
         assert len(trace) == 100
         assert trace.dropped_events == 0
 
-    def test_bound_discards_oldest(self):
+    @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
+    def test_bound_discards_oldest(self, write):
         trace = TraceLog(max_events=5)
+        seen = []
+        trace.subscribe(seen.append)
         for i in range(12):
-            trace.record("cat", "src", i=i)
+            write(trace, i)
         assert len(trace) == 5
         assert [e.data["i"] for e in trace] == [7, 8, 9, 10, 11]
         assert trace.dropped_events == 7
+        # The subscriber saw every record, dropped or kept, and every way
+        # of reading agrees on what is left.
+        assert [e.data["i"] for e in seen] == list(range(12))
+        assert trace.events == trace.select() == list(trace) == seen[-5:]
+        assert trace.count() == 5
+
+    def test_bound_over_a_run(self):
+        """``trace_max_events=N``: N records left, the newest, in order."""
+        bound = 40
+        system = ReplicatedSystem("active", replicas=3, seed=5,
+                                  trace_max_events=bound)
+        seen = []
+        system.trace.subscribe(seen.append)
+        for i in range(6):
+            assert system.execute([Operation.write("x", i)]).committed
+        trace = system.trace
+        assert len(seen) > 2 * bound
+        assert len(trace) == bound
+        assert trace.dropped_events == len(seen) - bound
+        assert trace.events == trace.select() == list(trace) == seen[-bound:]
+        assert trace.count("phase") == len(trace.select(category="phase")) > 0
 
     def test_bound_applies_to_queries(self):
         trace = TraceLog(max_events=3)
@@ -109,15 +149,100 @@ class TestSubscriberIsolation:
         seen = []
         trace.subscribe(broken)
         trace.subscribe(seen.append)
-        event = trace.record("cat", "src")
+        trace.record("cat", "src")
+        event = trace.events[-1]
         # The event made it into the log and to the healthy subscriber.
-        assert trace.events == [event]
+        assert len(trace) == 1
         assert seen == [event]
         # The broken subscriber was detached and its error recorded.
         assert len(trace.subscriber_errors) == 1
         trace.record("cat", "src")
         assert len(trace.subscriber_errors) == 1  # not called again
         assert len(seen) == 2
+
+
+# ---------------------------------------------------------------------------
+# Rows: the filters decide on the stored row, a reader gets the event
+# ---------------------------------------------------------------------------
+
+_VALUES = st.one_of(st.none(), st.integers(0, 2), st.sampled_from(["a", "b"]))
+_PAYLOADS = st.dictionaries(st.sampled_from(["x", "y", "z"]), _VALUES)
+_RECORDS = st.lists(st.tuples(
+    st.sampled_from(["phase", "fd", "abcast"]), st.sampled_from(["r0", "r1"]),
+    _PAYLOADS,
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=_RECORDS,
+    bound=st.one_of(st.none(), st.integers(1, 6)),
+    category=st.one_of(st.none(), st.sampled_from(["phase", "fd", "gone"])),
+    source=st.one_of(st.none(), st.sampled_from(["r0", "r1", "gone"])),
+    filters=_PAYLOADS,
+)
+def test_select_and_count_equal_filtering_the_events_by_hand(
+        records, bound, category, source, filters):
+    trace = TraceLog(max_events=bound)
+    for record_category, record_source, data in records:
+        trace.record(record_category, record_source, **data)
+
+    def by_hand(source):
+        return [
+            event for event in trace.events
+            if (category is None or event.category == category)
+            and (source is None or event.source == source)
+            and all(event.data.get(key) == value for key, value in filters.items())
+        ]
+
+    assert trace.select(category, source, **filters) == by_hand(source)
+    assert trace.count(category, **filters) == len(by_hand(None))
+    kept = records if bound is None else records[-bound:]
+    assert [(e.category, e.source, e.data) for e in trace] == kept
+    assert all(list(e.data) == list(data) for e, (_, _, data) in zip(trace, kept))
+
+
+@pytest.mark.parametrize("technique", ["active", "lazy_primary"])
+def test_an_unread_log_is_rows_the_collector_does_not_walk(technique, monkeypatch):
+    """Rate 5.0 for 100 at seed 7: 482 requests, 7308 / 1672 records.
+
+    Nobody reads the log during an unobserved run, so no ``TraceEvent`` is
+    built; what the run retains for it (allocations made in the two files
+    that write it) stays under 140 bytes a record — 213 with an event, its
+    ``__dict__`` and its payload dict per record — and after a collection
+    no phase row is on the collector's lists.
+    """
+    built = []
+
+    class CountedEvent(tracing.TraceEvent):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(tracing, "TraceEvent", CountedEvent)
+    written_in = [tracemalloc.Filter(True, "*/repro/sim/tracing.py"),
+                  tracemalloc.Filter(True, "*/repro/core/phases.py")]
+    tracemalloc.start()
+    try:
+        system, _, summary = run_openloop(
+            technique, seed=7,
+            arrival=ArrivalSpec(process="poisson", rate=5.0, duration=100.0),
+        )
+        snapshot = tracemalloc.take_snapshot().filter_traces(written_in)
+    finally:
+        tracemalloc.stop()
+    trace = system.trace
+    assert summary.offered == 482 and len(trace) > 1500
+    assert not built
+    retained = sum(stat.size for stat in snapshot.statistics("filename"))
+    assert retained / len(trace) <= 140
+    gc.collect()
+    phase_rows = [row for row in trace._rows if row[1] == "phase"]
+    assert len(phase_rows) > 1000
+    assert not any(gc.is_tracked(row) for row in phase_rows)
+    assert len(trace.select(category="phase", source="nobody")) == 0 and not built
+    assert trace.count("phase") == len(phase_rows) and not built
+    assert len(trace.events) == len(trace) == len(built)
 
 
 # ---------------------------------------------------------------------------
