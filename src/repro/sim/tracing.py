@@ -150,15 +150,12 @@ class TraceLog:
                 continue
             if source is not None and row[2] != source:
                 continue
-            if filters:
-                keys = row[3]
-                for key, wanted in filters:
-                    # A key the record lacks reads as None, as data.get did.
-                    found = row[4 + keys.index(key)] if key in keys else None
-                    if found != wanted:
-                        break
-                else:
-                    yield row
+            keys = row[3]
+            for key, wanted in filters:
+                # A key the record lacks reads as None, as data.get did.
+                found = row[4 + keys.index(key)] if key in keys else None
+                if found != wanted:
+                    break
             else:
                 yield row
 

@@ -278,16 +278,19 @@ class TestCombinators:
 
 
 class TestRunawayGuard:
-    @pytest.mark.parametrize("drive", [
-        lambda sim: sim.run(max_events=100),
-        lambda sim: sim.run_until_done(sim.future(), max_events=100),
-    ], ids=["run", "run_until_done"])
-    def test_max_events_guard_trips(self, sim, drive):
+    def test_max_events_guard_trips(self, sim):
+        def rearm():
+            sim.schedule(0.1, rearm)
+        sim.schedule(0.1, rearm)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=100)
+
+    def test_max_events_guard_trips_in_run_until_done(self, sim):
         def rearm():
             sim.schedule(0.1, rearm)
         sim.schedule(0.1, rearm)
         with pytest.raises(SimulationError, match="exceeded 100 events"):
-            drive(sim)
+            sim.run_until_done(sim.future(), max_events=100)
         assert sim.events_processed == 101
 
 
@@ -365,18 +368,20 @@ class TestHeapCompaction:
         sim.run()
         assert seen == list(range(200))
 
-    @pytest.mark.parametrize("drive", [
-        lambda sim, last: sim.run(),
-        lambda sim, last: sim.run_until_done(last),
-    ], ids=["run", "run_until_done"])
-    def test_cancelled_events_do_not_count_as_processed(self, sim, drive):
-        """Timer entries and timeout-slot entries, live and dead, through
-        either loop: only what fired is counted, nothing dead is left."""
+    def test_cancelled_events_do_not_count_as_processed(self, sim):
         sim.schedule(1.0, lambda: None)
         dead = sim.schedule(2.0, lambda: None)
         dead.cancel()
-        last = sim._timeout_future(3.0)
-        drive(sim, last)
+        sim.run()
+        assert sim.events_processed == 1
+
+    def test_run_until_done_skips_cancelled_entries(self, sim):
+        """Timer entries and a timeout-slot entry, live and dead: only
+        what fired is counted and nothing dead is left behind."""
+        sim.schedule(1.0, lambda: None)
+        dead = sim.schedule(2.0, lambda: None)
+        dead.cancel()
+        sim.run_until_done(sim._timeout_future(3.0))
         assert sim.events_processed == 2
         assert sim.dead_events == 0 and sim.pending_events == 0
 

@@ -31,14 +31,14 @@ class TestTraceLog:
         sim.run()
         assert trace.events[0].time == 5.0
 
-    @pytest.mark.parametrize("write", [
-        lambda trace: trace.record("cat", "src"),
-        lambda trace: PhaseTracer(trace).record("src", "req", "RE"),
-    ], ids=["keyword", "phase"])
-    def test_record_without_sim_defaults_to_zero(self, write):
+    def test_record_without_sim_defaults_to_zero(self):
         trace = TraceLog()
-        assert write(trace) is None  # the log keeps a row, hands nothing back
+        # The log keeps a row and hands nothing back, by keyword ...
+        assert trace.record("cat", "src") is None
         assert trace.events[-1].time == 0.0
+        # ... and positionally, the way the phase tracer writes.
+        assert PhaseTracer(trace).record("src", "req", "RE") is None
+        assert trace.events[-1].time == 0.0 and len(trace) == 2
 
     def test_select_filters_by_category_source_and_payload(self):
         trace = TraceLog()
@@ -94,16 +94,22 @@ class TestRingBuffer:
         assert len(trace) == 100
         assert trace.dropped_events == 0
 
+    def test_bound_discards_oldest(self):
+        trace = TraceLog(max_events=5)
+        for i in range(12):
+            trace.record("cat", "src", i=i)
+        assert len(trace) == 5
+        assert [e.data["i"] for e in trace] == [7, 8, 9, 10, 11]
+        assert trace.dropped_events == 7
+
     @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
-    def test_bound_discards_oldest(self, write):
+    def test_bound_is_kept_over_rows(self, write):
         trace = TraceLog(max_events=5)
         seen = []
         trace.subscribe(seen.append)
         for i in range(12):
             write(trace, i)
-        assert len(trace) == 5
-        assert [e.data["i"] for e in trace] == [7, 8, 9, 10, 11]
-        assert trace.dropped_events == 7
+        assert len(trace) == 5 and trace.dropped_events == 7
         # The subscriber saw every record, dropped or kept, and every way
         # of reading agrees on what is left.
         assert [e.data["i"] for e in seen] == list(range(12))
