@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ...db import TransactionManager, TransactionUpdates, UpdateRecord
 from ...db.storage import DataStore
@@ -119,7 +119,7 @@ class ReplicaProtocol:
         # plus server-side dedup is exactly-once execution.
         cached = self.replica.cached_reply(request.idempotency_key)
         if cached is not None:
-            self.respond(message.src, request, committed=True, values=list(cached))
+            self.respond(message.src, request, committed=True, values=cached)
             return
         # Deadline budget: if the client has already given up on this
         # envelope there is no point acquiring locks or running a
@@ -151,7 +151,7 @@ class ReplicaProtocol:
         client: str,
         request: Request,
         committed: bool,
-        values: Optional[List[Any]] = None,
+        values: Optional[Sequence[Any]] = None,
         reason: str = "",
     ) -> None:
         """Send the END-phase response back to the client.

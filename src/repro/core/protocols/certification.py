@@ -179,7 +179,7 @@ class CertificationReplication(ReplicaProtocol):
                 client = self._local_clients.pop(rid, None)
                 self._local_values.pop(rid, None)
                 if client is not None:
-                    self.respond(client, request, committed=True, values=list(cached))
+                    self.respond(client, request, committed=True, values=cached)
             return
         self.phase(rid, AC, "certification")
         writeset = [UpdateRecord.from_wire(wire) for wire in body["writeset"]]

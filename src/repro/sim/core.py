@@ -464,7 +464,6 @@ class Simulator:
         self._sequence = 0
         self._anonymous = 0
         self._stopped = False
-        self._awaited: Optional[Future] = None  # what run_until_done waits for
         self._dead = 0  # cancelled timers still sitting in the heap
         self.events_processed = 0
         self.rng = random.Random(seed)
@@ -695,15 +694,38 @@ class Simulator:
         instead of hanging.
         """
         self._stopped = False
-        # The body of `step()` is inlined here: this loop dispatches every
-        # event of every simulation (`run_until_done` runs it too), and the
-        # per-event method call plus re-fetching attributes measurably slows
-        # long runs.  `_compact` mutates the queue list in place, so the
-        # local binding stays valid.
+        self._dispatch(until, None, max_events)
+        if until is not None and self._now < until:
+            self._now = until
+
+    def run_until_done(self, future: Future, max_events: int = 10_000_000) -> Any:
+        """Run the simulation until ``future`` resolves; return its result."""
+        self._dispatch(None, future, max_events)
+        if not future._done:
+            raise SimulationError(
+                f"event queue drained before {future!r} resolved"
+            )
+        return future.result
+
+    def _dispatch(
+        self, until: Optional[float], awaited: Optional[Future], max_events: int
+    ) -> None:
+        """The event loop of :meth:`run` (ends at :meth:`stop`) and of
+        :meth:`run_until_done` (ends once ``awaited`` has resolved, and
+        ignores :meth:`stop`); either ends when the queue drains or the
+        next event lies past ``until``.
+
+        The body of `step()` is inlined here: this loop dispatches every
+        event of every simulation, and the per-event method call plus
+        re-fetching attributes measurably slows long runs.  `_compact`
+        mutates the queue list in place, so the local binding stays valid.
+        """
         queue = self._queue
         pop = heapq.heappop
         events = 0
-        while queue and not self._stopped:
+        while queue:
+            if self._stopped if awaited is None else awaited._done:
+                return
             time = queue[0][0]
             if until is not None and time > until:
                 self._now = until
@@ -720,35 +742,6 @@ class Simulator:
             events += 1
             if events > max_events:
                 raise SimulationError(f"exceeded {max_events} events; likely livelock")
-        if until is not None and self._now < until:
-            self._now = until
-
-    def run_until_done(self, future: Future, max_events: int = 10_000_000) -> Any:
-        """Run the simulation until ``future`` resolves; return its result.
-
-        This is :meth:`run` with a stop hung on the future, so it returns
-        after the event that resolved it.  A :meth:`stop` from anywhere
-        else does not end it.
-        """
-        if not future._done:
-            future.add_callback(self._stop_if_awaited)
-            self._awaited = future
-            try:
-                while not future._done:
-                    if not self._queue:
-                        raise SimulationError(
-                            f"event queue drained before {future!r} resolved"
-                        )
-                    self.run(max_events=max_events)
-            finally:
-                self._awaited = None
-        return future.result
-
-    def _stop_if_awaited(self, future: Future) -> None:
-        # A call that ended in an exception leaves this hung on its future;
-        # it must not stop a later run that waits for something else.
-        if future is self._awaited:
-            self._stopped = True
 
     def stop(self) -> None:
         """Make the current :meth:`run` return after the current event."""
