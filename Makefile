@@ -7,14 +7,14 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check lint typecheck test baseline catalog catalog-check \
-	waitgraph waitgraph-check interference interference-check \
-	observe bench-json bench-e2e chaos profile phasecost phasecost-check \
+.PHONY: check lint typecheck test baseline artifacts artifacts-check \
+	observe bench-json bench-e2e chaos profile \
 	sweep sweep-smoke figures-check
 
-# The catalog, wait-graph, interference and phasecost freshness gates run
-# once, inside `test` (test_committed_*_is_fresh and friends); their
-# `*-check` targets below stay for hand use.
+# The freshness gates of the generated files under docs/ run once, inside
+# `test` (the test_*_is_fresh tests call repro.artifacts.check on the
+# session's one parse of the tree); `artifacts-check` is the same check
+# by hand.
 check: lint typecheck figures-check test chaos
 
 lint:
@@ -76,16 +76,6 @@ PROFILE_SEED ?= 7
 profile:
 	$(PYTHON) -m repro profile --all --seed $(PROFILE_SEED) --out $(PROFILE_OUT)
 
-# Regenerate the phase cost catalog (docs/phasecost.md + .json) — the
-# measured five-phase cost matrix for all ten techniques, from live
-# observed runs; `phasecost-check` fails when the checked-in copy is
-# stale.
-phasecost:
-	$(PYTHON) -m repro phasecost
-
-phasecost-check:
-	$(PYTHON) -m repro phasecost --check
-
 # Open-loop seed x rate x technique sweep fanned across CPU cores:
 # writes the merged byte-deterministic sweep.json plus the saturation
 # table (goodput and p99 vs offered load, knee marked) for all ten
@@ -117,32 +107,18 @@ bench-e2e:
 	$(PYTHON) benchmarks/e2e/compare.py benchmarks/e2e/baseline.json \
 		$(BENCH_E2E_OUT)/results.json
 
-# Regenerate the protocol message catalog (docs/messages.md + .json)
-# from the M4xx message-flow graph; `catalog-check` fails when the
-# checked-in copy is stale.
-catalog:
-	$(PYTHON) -m repro.lint src/repro --write-catalog docs/messages.md
+# Every generated, freshness-gated file under docs/ — the message
+# catalog, the wait graph (+ per-technique DOT), the interference
+# catalog, the phase cost matrix — through the one registry in
+# src/repro/artifacts.py.  `make artifacts` regenerates them (after any
+# edit under src/repro); `artifacts-check` exits 1 naming each missing,
+# stale or orphaned file.  One entry only: `python -m repro artifacts
+# [--check] NAME`.
+artifacts:
+	$(PYTHON) -m repro artifacts
 
-catalog-check:
-	$(PYTHON) -m repro.lint src/repro --check-catalog docs/messages.md
-
-# Regenerate the wait graph (docs/waitgraph.md + .json + per-technique
-# DOT files in docs/waitgraph/) from the W5xx wait-graph analysis;
-# `waitgraph-check` fails when the checked-in copies are stale.
-waitgraph:
-	$(PYTHON) -m repro.lint src/repro --write-waitgraph docs/waitgraph.md
-
-waitgraph-check:
-	$(PYTHON) -m repro.lint src/repro --check-waitgraph docs/waitgraph.md
-
-# Regenerate the interference catalog (docs/interference.md + .json) —
-# per-handler replica-state read/write sets and atomicity windows from
-# the R6xx analysis; `interference-check` fails when stale.
-interference:
-	$(PYTHON) -m repro.lint src/repro --write-interference docs/interference.md
-
-interference-check:
-	$(PYTHON) -m repro.lint src/repro --check-interference docs/interference.md
+artifacts-check:
+	$(PYTHON) -m repro artifacts --check
 
 # Grandfather the current findings (use sparingly; the tree ships clean).
 baseline:

@@ -27,10 +27,12 @@ Commands
     byte-deterministic ``profile_<tech>_seed<seed>.json`` plus a
     Perfetto-loadable counter track of the run's windowed time series;
     prints the phase cost matrix.  See docs/observability.md.
-``phasecost [--check] [--docs DIR]``
+``artifacts [--check] [--docs DIR] [NAME ...]``
     Regenerate (or, with ``--check``, verify the freshness of) the
-    committed phase cost catalog ``docs/phasecost.{md,json}`` covering
-    all ten techniques; ``make check`` runs the check form.
+    generated files under ``docs/`` — ``messages``, ``waitgraph``,
+    ``interference``, ``phasecost``; all four by default — through the
+    one registry in :mod:`repro.artifacts`.  ``--check`` exits 1 naming
+    each missing, stale or orphaned file.
 ``sweep [--smoke] [--technique NAME] [--seeds CSV] [--rates CSV] [--jobs N]``
     Fan the open-loop seed×rate×technique matrix across CPU cores,
     merge the per-cell rows into one byte-deterministic JSON and print
@@ -251,19 +253,34 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_phasecost(args: argparse.Namespace) -> int:
-    from .profiling import check_phasecost, write_phasecost
+def cmd_artifacts(args: argparse.Namespace) -> int:
+    from . import artifacts
 
-    if args.check:
-        problems = check_phasecost(args.docs)
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        if not problems:
-            print(f"phase cost catalog in {args.docs}/ is fresh")
-        return 1 if problems else 0
-    for path in write_phasecost(args.docs):
-        print(f"wrote {path}")
-    return 0
+    names = args.names or list(artifacts.ENTRIES)
+    for name in names:
+        if name not in artifacts.ENTRIES:
+            print(f"unknown artifact {name!r}; one of: "
+                  f"{', '.join(artifacts.ENTRIES)}", file=sys.stderr)
+            return 2
+    try:
+        if not args.check:
+            for path in artifacts.write(names, args.docs):
+                print(f"wrote {path}")
+            return 0
+        problems = artifacts.check(names, args.docs)
+    except (OSError, ValueError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    for _name, path, state in problems:
+        print(f"{path}: {state}", file=sys.stderr)
+    stale = sorted({name for name, _path, _state in problems})
+    for name in names:
+        if name not in stale:
+            print(f"{name}: up to date in {args.docs}/")
+    if stale:
+        print(f"regenerate with: python -m repro artifacts --docs {args.docs} "
+              f"{' '.join(stale)}", file=sys.stderr)
+    return 1 if stale else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -357,11 +374,13 @@ def main(argv=None) -> int:
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--out", default="benchmarks/output/profile",
                     help="directory receiving profile and counter artifacts")
-    sp = sub.add_parser("phasecost", help="(re)generate docs/phasecost.{md,json}")
+    sp = sub.add_parser("artifacts", help="(re)generate the gated files in docs/")
+    sp.add_argument("names", nargs="*", metavar="NAME",
+                    help="artifact to build (default: every registered one)")
     sp.add_argument("--check", action="store_true",
                     help="verify freshness instead of writing")
     sp.add_argument("--docs", default="docs",
-                    help="directory holding the committed catalog")
+                    help="directory holding the committed files")
     sp = sub.add_parser("sweep", help="open-loop seed x rate x technique sweep")
     sp.add_argument("--technique", action="append",
                     help="technique name (repeatable; default: all ten)")
@@ -389,7 +408,7 @@ def main(argv=None) -> int:
     return {"list": cmd_list, "figures": cmd_figures,
             "compare": cmd_compare, "run": cmd_run,
             "observe": cmd_observe, "chaos": cmd_chaos,
-            "profile": cmd_profile, "phasecost": cmd_phasecost,
+            "profile": cmd_profile, "artifacts": cmd_artifacts,
             "sweep": cmd_sweep}[args.command](args)
 
 

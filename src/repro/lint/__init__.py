@@ -49,8 +49,9 @@ Programmatic use::
 Command line::
 
     python -m repro.lint [paths] [--format text|json|sarif] [--select/--ignore RULE]
-    python -m repro.lint [paths] --write-catalog docs/messages.md
-    python -m repro.lint [paths] --write-waitgraph docs/waitgraph.md
+
+(the generated catalogs are written by ``python -m repro artifacts``,
+:mod:`repro.artifacts`, which sits above this package).
 
 The package is self-contained (stdlib ``ast`` only) and sits outside the
 runtime layer DAG: nothing in ``repro``'s runtime imports it, and it

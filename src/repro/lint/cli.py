@@ -13,7 +13,7 @@ from typing import List, Optional
 
 from .config import DEFAULT_BASELINE, FAMILY_PREFIXES
 from .diagnostics import Baseline, render_json, render_sarif, render_text
-from .engine import collect_files, parse_file, run_lint
+from .engine import run_lint
 from .registry import all_rules
 
 
@@ -58,218 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--write-catalog", metavar="FILE",
-        help="generate the protocol message catalog (markdown at FILE, "
-             "JSON next to it) from the message-flow graph and exit",
-    )
-    parser.add_argument(
-        "--check-catalog", metavar="FILE",
-        help="verify the generated catalog at FILE (and its JSON sibling) "
-             "is up to date with the code; exit 1 when stale",
-    )
-    parser.add_argument(
-        "--write-waitgraph", metavar="FILE",
-        help="generate the wait graph (markdown at FILE, JSON next to it, "
-             "per-technique DOT files in a 'waitgraph' sibling directory) "
-             "and exit",
-    )
-    parser.add_argument(
-        "--check-waitgraph", metavar="FILE",
-        help="verify the generated wait graph at FILE (JSON sibling and "
-             "DOT directory included) is up to date; exit 1 when stale",
-    )
-    parser.add_argument(
-        "--write-interference", metavar="FILE",
-        help="generate the interference catalog (markdown at FILE, JSON "
-             "next to it) from the R6xx read/write-set analysis and exit",
-    )
-    parser.add_argument(
-        "--check-interference", metavar="FILE",
-        help="verify the generated interference catalog at FILE (and its "
-             "JSON sibling) is up to date with the code; exit 1 when stale",
-    )
-    parser.add_argument(
         "--only-family", action="append", default=None, metavar="FAMILY",
         help="only run these rule families (repeatable, comma-separated "
              f"ok; one of {', '.join(sorted(FAMILY_PREFIXES))})",
     )
     return parser
-
-
-def _json_sibling(markdown_path: str) -> str:
-    stem, _ = os.path.splitext(markdown_path)
-    return stem + ".json"
-
-
-def _catalog_mode(args: argparse.Namespace) -> int:
-    """Generate or verify the protocol message catalog."""
-    from .msgflow import (
-        build_catalog,
-        render_catalog_json,
-        render_catalog_markdown,
-    )
-
-    contexts = []
-    for path in collect_files(args.paths):
-        context, error = parse_file(path)
-        if error is not None:
-            print(error.render(), file=sys.stderr)
-            return 2
-        contexts.append(context)
-    catalog = build_catalog(contexts)
-    markdown = render_catalog_markdown(catalog)
-    payload = render_catalog_json(catalog)
-
-    if args.write_catalog:
-        json_path = _json_sibling(args.write_catalog)
-        with open(args.write_catalog, "w", encoding="utf-8") as handle:
-            handle.write(markdown)
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        print(f"wrote {args.write_catalog} and {json_path} "
-              f"({len(catalog['types'])} message types, "
-              f"{len(catalog['broadcast_bindings'])} bindings)")
-        return 0
-
-    target = args.check_catalog
-    json_path = _json_sibling(target)
-    stale = []
-    for path, expected in ((target, markdown), (json_path, payload)):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                current = handle.read()
-        except FileNotFoundError:
-            stale.append(f"{path}: missing")
-            continue
-        if current != expected:
-            stale.append(f"{path}: out of date")
-    if stale:
-        for entry in stale:
-            print(entry, file=sys.stderr)
-        print(f"regenerate with: python -m repro.lint "
-              f"{' '.join(args.paths)} --write-catalog {target}",
-              file=sys.stderr)
-        return 1
-    print(f"catalog up to date: {target}, {json_path}")
-    return 0
-
-
-def _waitgraph_mode(args: argparse.Namespace) -> int:
-    """Generate or verify the wait graph (markdown + JSON + DOT files)."""
-    from .waitgraph import (
-        build_waitgraph_artifact,
-        render_waitgraph_dot,
-        render_waitgraph_json,
-        render_waitgraph_markdown,
-    )
-
-    contexts = []
-    for path in collect_files(args.paths):
-        context, error = parse_file(path)
-        if error is not None:
-            print(error.render(), file=sys.stderr)
-            return 2
-        contexts.append(context)
-    artifact = build_waitgraph_artifact(contexts)
-    target = args.write_waitgraph or args.check_waitgraph
-    json_path = _json_sibling(target)
-    dot_dir = os.path.join(os.path.dirname(target) or ".", "waitgraph")
-    expected = {
-        target: render_waitgraph_markdown(artifact),
-        json_path: render_waitgraph_json(artifact),
-    }
-    for technique in artifact["techniques"]:
-        name = technique["technique"]
-        expected[os.path.join(dot_dir, f"{name}.dot")] = render_waitgraph_dot(
-            artifact, name
-        )
-
-    if args.write_waitgraph:
-        os.makedirs(dot_dir, exist_ok=True)
-        for path, content in expected.items():
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(content)
-        for name in os.listdir(dot_dir):
-            stale_path = os.path.join(dot_dir, name)
-            if name.endswith(".dot") and stale_path not in expected:
-                os.remove(stale_path)
-        print(f"wrote {target}, {json_path} and "
-              f"{len(artifact['techniques'])} DOT file(s) in {dot_dir}/ "
-              f"({artifact['summary']['blocking_sites']} blocking sites)")
-        return 0
-
-    stale = []
-    for path, content in sorted(expected.items()):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                current = handle.read()
-        except FileNotFoundError:
-            stale.append(f"{path}: missing")
-            continue
-        if current != content:
-            stale.append(f"{path}: out of date")
-    if stale:
-        for entry in stale:
-            print(entry, file=sys.stderr)
-        print(f"regenerate with: python -m repro.lint "
-              f"{' '.join(args.paths)} --write-waitgraph {target}",
-              file=sys.stderr)
-        return 1
-    print(f"wait graph up to date: {target}, {json_path}, {dot_dir}/")
-    return 0
-
-
-def _interference_mode(args: argparse.Namespace) -> int:
-    """Generate or verify the interference catalog (markdown + JSON)."""
-    from .interference import (
-        build_interference_artifact,
-        render_interference_json,
-        render_interference_markdown,
-    )
-
-    contexts = []
-    for path in collect_files(args.paths):
-        context, error = parse_file(path)
-        if error is not None:
-            print(error.render(), file=sys.stderr)
-            return 2
-        contexts.append(context)
-    artifact = build_interference_artifact(contexts)
-    markdown = render_interference_markdown(artifact)
-    payload = render_interference_json(artifact)
-
-    if args.write_interference:
-        json_path = _json_sibling(args.write_interference)
-        with open(args.write_interference, "w", encoding="utf-8") as handle:
-            handle.write(markdown)
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        print(f"wrote {args.write_interference} and {json_path} "
-              f"({artifact['summary']['handlers']} handlers, "
-              f"{artifact['summary']['windows']} windows)")
-        return 0
-
-    target = args.check_interference
-    json_path = _json_sibling(target)
-    stale = []
-    for path, expected in ((target, markdown), (json_path, payload)):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                current = handle.read()
-        except FileNotFoundError:
-            stale.append(f"{path}: missing")
-            continue
-        if current != expected:
-            stale.append(f"{path}: out of date")
-    if stale:
-        for entry in stale:
-            print(entry, file=sys.stderr)
-        print(f"regenerate with: python -m repro.lint "
-              f"{' '.join(args.paths)} --write-interference {target}",
-              file=sys.stderr)
-        return 1
-    print(f"interference catalog up to date: {target}, {json_path}")
-    return 0
 
 
 def _split_rules(values: Optional[List[str]]) -> Optional[List[str]]:
@@ -290,27 +83,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{entry.id}  {entry.name:28s} [{entry.severity}] "
                   f"{entry.summary}")
         return 0
-
-    if args.write_catalog or args.check_catalog:
-        try:
-            return _catalog_mode(args)
-        except FileNotFoundError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    if args.write_waitgraph or args.check_waitgraph:
-        try:
-            return _waitgraph_mode(args)
-        except FileNotFoundError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    if args.write_interference or args.check_interference:
-        try:
-            return _interference_mode(args)
-        except FileNotFoundError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
 
     try:
         select = _split_rules(args.select)

@@ -27,7 +27,8 @@ from typing import Any, Dict
 # ``ALLOWED_DEPS[p]`` lists every package that modules inside ``p`` may
 # import from.  A package never appears in its own entry (intra-package
 # imports are always legal), and ``lint`` is deliberately standalone so the
-# tooling can never deadlock on the code it checks.
+# tooling can never deadlock on the code it checks; ``artifacts`` sits
+# above it and ``profiling``, and nothing imports it back.
 
 ALLOWED_DEPS = {
     "errors": frozenset(),
@@ -58,6 +59,9 @@ ALLOWED_DEPS = {
         {"errors", "sim", "net", "failures", "groupcomm", "db", "core", "analysis"}
     ),
     "lint": frozenset(),
+    # The artifact registry (a top-level module, not a package): the one
+    # place that joins the tooling to the runtime, above both.
+    "artifacts": frozenset({"lint", "profiling"}),
 }
 
 # Top-level modules of the ``repro`` package itself (``__init__``,

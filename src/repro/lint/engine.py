@@ -18,7 +18,10 @@ from .config import DEFAULT_BASELINE
 from .diagnostics import Baseline, Diagnostic, suppressed
 from .registry import Rule, selected_rules
 
-__all__ = ["FileContext", "run_lint", "collect_files", "parse_file"]
+__all__ = [
+    "FileContext", "run_lint", "lint_parsed", "parse_paths",
+    "collect_files", "parse_file",
+]
 
 
 @dataclass
@@ -116,6 +119,21 @@ def parse_file(path: str) -> Tuple[Optional[FileContext], Optional[Diagnostic]]:
     ), None
 
 
+def parse_paths(
+    paths: Sequence[str],
+) -> Tuple[List[FileContext], List[Diagnostic]]:
+    """Parse every ``.py`` file under ``paths``: contexts plus E001 errors."""
+    contexts: List[FileContext] = []
+    errors: List[Diagnostic] = []
+    for path in collect_files(paths):
+        context, error = parse_file(path)
+        if context is not None:
+            contexts.append(context)
+        elif error is not None:
+            errors.append(error)
+    return contexts, errors
+
+
 def run_lint(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
@@ -128,16 +146,20 @@ def run_lint(
     exists; pass ``baseline=None`` to disable) are applied before the
     list is returned, so a non-empty result means actionable findings.
     """
-    rules = selected_rules(select, ignore)
-    contexts: List[FileContext] = []
-    diagnostics: List[Diagnostic] = []
-    for path in collect_files(paths):
-        context, error = parse_file(path)
-        if error is not None:
-            diagnostics.append(error)
-        else:
-            contexts.append(context)
+    contexts, errors = parse_paths(paths)
+    return lint_parsed(contexts, errors, select, ignore, baseline)
 
+
+def lint_parsed(
+    contexts: List[FileContext],
+    errors: Sequence[Diagnostic] = (),
+    select: Optional[Iterable[str]] = None,
+    ignore: Optional[Iterable[str]] = None,
+    baseline: Optional[str] = DEFAULT_BASELINE,
+) -> List[Diagnostic]:
+    """:func:`run_lint` over what :func:`parse_paths` already returned."""
+    rules = selected_rules(select, ignore)
+    diagnostics: List[Diagnostic] = list(errors)
     lines_by_path = {ctx.path: ctx.lines for ctx in contexts}
     if any(enabled.scope == "project" for enabled in rules):
         # One ProgramIndex serves every whole-program pass (M4xx, W5xx,

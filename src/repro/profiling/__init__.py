@@ -6,8 +6,8 @@ critical path and a five-phase attribution of its response time;
 :func:`~repro.profiling.runner.profile_run` aggregates those into a
 per-technique phase cost matrix plus windowed telemetry, and
 :mod:`~repro.profiling.catalog` renders the matrix for all ten
-techniques into ``docs/phasecost.{md,json}`` (freshness-gated by
-``make phasecost-check``).
+techniques into ``docs/phasecost.{md,json}`` (written and
+freshness-gated through :mod:`repro.artifacts`).
 
 Layering: sits beside ``viz`` at the top of the DAG — it may import the
 whole library but nothing imports it back.
@@ -15,10 +15,8 @@ whole library but nothing imports it back.
 
 from .catalog import (
     build_catalog,
-    check_phasecost,
     render_catalog_json,
     render_catalog_markdown,
-    write_phasecost,
 )
 from .runner import (
     dominant_phase_for,
@@ -31,10 +29,8 @@ from .runner import (
 
 __all__ = [
     "build_catalog",
-    "check_phasecost",
     "render_catalog_json",
     "render_catalog_markdown",
-    "write_phasecost",
     "dominant_phase_for",
     "matrix_for",
     "profile_json",

@@ -4,16 +4,15 @@ The paper classifies techniques by *which* phases they use; the catalog
 reports what each phase measurably *costs* under the standard workload —
 sim-time share of summed response time, message count and byte count per
 phase, plus the critical-path kind split (blocked / execution /
-transit).  ``docs/phasecost.{md,json}`` are generated artifacts,
-freshness-gated by ``make phasecost-check``: a protocol change that
-shifts where latency goes fails the gate until the catalog is
-regenerated and the diff reviewed.
+transit).  ``docs/phasecost.{md,json}`` are generated artifacts, written
+and freshness-gated through :mod:`repro.artifacts` (entry
+``phasecost``): a protocol change that shifts where latency goes fails
+the gate until the catalog is regenerated and the diff reviewed.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, List
 
 from ..core.protocols import DB_TECHNIQUES, DS_TECHNIQUES
@@ -24,8 +23,6 @@ __all__ = [
     "build_catalog",
     "render_catalog_markdown",
     "render_catalog_json",
-    "write_phasecost",
-    "check_phasecost",
 ]
 
 # The catalog's fixed experiment: the CLI's standard run shape, pinned so
@@ -38,9 +35,6 @@ CATALOG_PARAMS = {
     "think_time": 10.0,
     "settle": 500.0,
 }
-
-MD_NAME = "phasecost.md"
-JSON_NAME = "phasecost.json"
 
 
 def build_catalog() -> Dict:
@@ -140,40 +134,3 @@ def render_catalog_markdown(catalog: Dict) -> str:
 def render_catalog_json(catalog: Dict) -> str:
     """Machine-readable catalog (pretty-printed, sorted, byte-stable)."""
     return json.dumps(catalog, sort_keys=True, indent=2) + "\n"
-
-
-def write_phasecost(docs_dir: str) -> List[str]:
-    """Generate ``docs/phasecost.{md,json}``; returns the written paths."""
-    catalog = build_catalog()
-    os.makedirs(docs_dir, exist_ok=True)
-    md_path = os.path.join(docs_dir, MD_NAME)
-    json_path = os.path.join(docs_dir, JSON_NAME)
-    with open(md_path, "w") as handle:
-        handle.write(render_catalog_markdown(catalog))
-    with open(json_path, "w") as handle:
-        handle.write(render_catalog_json(catalog))
-    return [md_path, json_path]
-
-
-def check_phasecost(docs_dir: str) -> List[str]:
-    """Compare the committed catalog against a fresh build.
-
-    Returns a list of human-readable problems (empty = fresh).  Used by
-    ``make phasecost-check`` inside ``make check`` and by the tests.
-    """
-    catalog = build_catalog()
-    expected = {
-        MD_NAME: render_catalog_markdown(catalog),
-        JSON_NAME: render_catalog_json(catalog),
-    }
-    problems = []
-    for name, content in expected.items():
-        path = os.path.join(docs_dir, name)
-        if not os.path.exists(path):
-            problems.append(f"{path} is missing; run `make phasecost`")
-            continue
-        with open(path) as handle:
-            committed = handle.read()
-        if committed != content:
-            problems.append(f"{path} is stale; run `make phasecost`")
-    return problems

@@ -7,9 +7,9 @@ module holds the artifact to that claim in the directions the linter
 cannot check on its own:
 
 * **freshness** — the committed files equal what the pass regenerates
-  from today's sources (the test-suite mirror of ``make
-  interference-check``), byte for byte, and a second independent rebuild
-  produces identical bytes (determinism);
+  from today's sources (``make artifacts-check``, through the same
+  ``repro.artifacts.check``), byte for byte, and a second rebuild from
+  scratch produces identical bytes (determinism);
 * **coverage** — every registered technique appears with a
   ``client.request`` entry, and the per-class write sets span the whole
   protocol registry;
@@ -22,14 +22,12 @@ cannot check on its own:
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
 
-from repro import Operation, ReplicatedSystem
+from repro import Operation, ReplicatedSystem, artifacts
 from repro.core.protocols import REGISTRY
-from repro.lint.engine import collect_files, parse_file
 from repro.lint.interference import (
     INTERFERENCE_HEADER,
     build_interference_artifact,
@@ -43,40 +41,19 @@ MARKDOWN = REPO / "docs" / "interference.md"
 JSON_PATH = REPO / "docs" / "interference.json"
 
 
-def _contexts():
-    contexts = []
-    for path in collect_files(["src/repro"]):
-        context, error = parse_file(path)
-        assert error is None, f"unparseable source: {error}"
-        contexts.append(context)
-    return contexts
-
-
-def _build():
-    cwd = os.getcwd()
-    os.chdir(REPO)
-    try:
-        return build_interference_artifact(_contexts())
-    finally:
-        os.chdir(cwd)
-
-
 @pytest.fixture(scope="module")
-def artifact():
-    return _build()
+def artifact(source_contexts):
+    return build_interference_artifact(source_contexts)
 
 
 # ---------------------------------------------------------------------------
 # Freshness and determinism
 # ---------------------------------------------------------------------------
 
-def test_committed_catalog_is_fresh(artifact):
-    assert MARKDOWN.read_text() == render_interference_markdown(artifact), (
-        "docs/interference.md is stale — run `make interference`"
-    )
-    assert JSON_PATH.read_text() == render_interference_json(artifact), (
-        "docs/interference.json is stale — run `make interference`"
-    )
+def test_committed_catalog_is_fresh(source_contexts):
+    assert artifacts.check(
+        ["interference"], str(REPO / "docs"), source_contexts
+    ) == [], "run `make artifacts`"
 
 
 def test_generated_header_is_present():
@@ -85,8 +62,10 @@ def test_generated_header_is_present():
     assert "Do not edit by hand" in INTERFERENCE_HEADER
 
 
-def test_rebuild_is_byte_deterministic(artifact):
-    again = _build()
+def test_rebuild_is_byte_deterministic(artifact, source_contexts):
+    # A new list is a new key for the per-run caches: index and graphs
+    # are built again from scratch.
+    again = build_interference_artifact(list(source_contexts))
     assert render_interference_markdown(again) == \
         render_interference_markdown(artifact)
     assert render_interference_json(again) == render_interference_json(artifact)

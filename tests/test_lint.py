@@ -11,6 +11,7 @@ import pytest
 
 from repro.lint import Baseline, Diagnostic, all_rules, run_lint
 from repro.lint.cli import main as lint_main
+from repro.lint.engine import lint_parsed
 
 REPO = Path(__file__).resolve().parent.parent
 BASELINE = REPO / "lint-baseline.txt"
@@ -845,8 +846,10 @@ def test_cli_sarif_carries_same_findings_as_json(tmp_path, capsys):
     assert {r["ruleId"] for r in run["results"]} <= declared
 
 
-def test_cli_catalog_write_and_check(tmp_path, capsys):
-    source = {
+def test_cli_catalog_write_and_check(tmp_path, capsys, monkeypatch):
+    from repro.__main__ import main as repro_main
+
+    tree(tmp_path, {
         "src/repro/core/flow.py":
             "class Widget:\n"
             "    def __init__(self, node):\n"
@@ -856,12 +859,14 @@ def test_cli_catalog_write_and_check(tmp_path, capsys):
             "        self.node.send('peer', 'flow.request', item=1)\n"
             "    def _on_req(self, message):\n"
             "        print(message['item'])\n",
-    }
-    paths = tree(tmp_path, source)
-    markdown = tmp_path / "messages.md"
-    assert lint_main(paths + ["--write-catalog", str(markdown)]) == 0
+    })
+    # The command reads src/repro under the working directory.
+    monkeypatch.chdir(tmp_path)
+    command = ["artifacts", "messages", "--docs", "out"]
+    assert repro_main(command) == 0
     capsys.readouterr()
-    sibling = tmp_path / "messages.json"
+    markdown = tmp_path / "out" / "messages.md"
+    sibling = tmp_path / "out" / "messages.json"
     assert markdown.exists() and sibling.exists()
     assert "flow.request" in markdown.read_text()
     payload = json.loads(sibling.read_text())
@@ -872,18 +877,19 @@ def test_cli_catalog_write_and_check(tmp_path, capsys):
     assert record["required_reads"] == ["item"]
 
     # Fresh catalog: check mode passes.
-    assert lint_main(paths + ["--check-catalog", str(markdown)]) == 0
-    capsys.readouterr()
+    assert repro_main(command + ["--check"]) == 0
+    assert "messages: up to date" in capsys.readouterr().out
 
     # Source drifts: check mode fails and names the stale files.
     flow = tmp_path / "src" / "repro" / "core" / "flow.py"
     flow.write_text(
         flow.read_text().replace("item=1", "item=1, extra=2")
     )
-    assert lint_main(paths + ["--check-catalog", str(markdown)]) == 1
+    assert repro_main(command + ["--check"]) == 1
     stderr = capsys.readouterr().err
-    assert "out of date" in stderr
-    assert "--write-catalog" in stderr
+    assert "out/messages.md: stale" in stderr
+    assert "out/messages.json: stale" in stderr
+    assert "python -m repro artifacts --docs out messages" in stderr
 
 
 # ---------------------------------------------------------------------------
@@ -1416,9 +1422,9 @@ def test_diagnostic_fingerprint_ignores_line_numbers():
 # The shipped tree is clean
 # ---------------------------------------------------------------------------
 
-def test_shipped_tree_is_clean_modulo_baseline():
+def test_shipped_tree_is_clean_modulo_baseline(source_contexts):
     baseline = str(BASELINE) if BASELINE.exists() else None
-    found = run_lint([str(REPO / "src" / "repro")], baseline=baseline)
+    found = lint_parsed(source_contexts, baseline=baseline)
     assert found == [], "\n".join(d.render() for d in found)
 
 

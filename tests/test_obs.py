@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro import REGISTRY, Operation, ReplicatedSystem
-from repro.lint.engine import collect_files, parse_file
 from repro.lint.msgflow import build_catalog, pattern_matches
 from repro.lint.symeval import WILDCARD
 from repro.obs import (
@@ -96,18 +95,8 @@ def runs():
 
 
 @pytest.fixture(scope="module")
-def catalog():
-    cwd = os.getcwd()
-    os.chdir(REPO)
-    try:
-        contexts = []
-        for path in collect_files(["src/repro"]):
-            context, error = parse_file(path)
-            assert error is None, f"unparseable source: {error}"
-            contexts.append(context)
-        return build_catalog(contexts)
-    finally:
-        os.chdir(cwd)
+def catalog(source_contexts):
+    return build_catalog(source_contexts)
 
 
 def _is_subsequence(needle, haystack):

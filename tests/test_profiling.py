@@ -9,8 +9,9 @@ Four layers of guarantees:
   the critical path never exceeds the response window, and the
   critical-path kinds tile it exactly.
 * **Catalog freshness** — the committed ``docs/phasecost.{md,json}``
-  match a fresh build (the test-suite twin of ``make phasecost-check``),
-  and the renderers are pure functions of the catalog.
+  match a fresh build (``make artifacts-check``, through the same
+  ``repro.artifacts.check``), and the renderers are pure functions of
+  the catalog.
 * **Satellites** — trace-ring overflow surfaces as a gauge in the
   metrics report (S1); error and chaos paths never leak open or
   mislabelled spans, enforced at export time (S2); span context survives
@@ -25,19 +26,17 @@ from pathlib import Path
 
 import pytest
 
-from repro import REGISTRY, Operation, ReplicatedSystem
+from repro import REGISTRY, Operation, ReplicatedSystem, artifacts
 from repro.errors import ReplicationError, SimulationError
 from repro.net.node import _with_span_context
 from repro.obs import Observer, PHASES, SpanTracer, assert_no_open_spans
 from repro.profiling import (
     build_catalog,
-    check_phasecost,
     profile_json,
     profile_run,
     render_catalog_json,
     render_catalog_markdown,
 )
-from repro.profiling.catalog import JSON_NAME, MD_NAME
 from repro.sim import Simulator
 
 REPO = Path(__file__).resolve().parent.parent
@@ -68,6 +67,15 @@ def profile_pairs():
 def catalog():
     """One catalog build at the pinned params, shared by the doc tests."""
     return build_catalog()
+
+
+@pytest.fixture
+def built_once(catalog, monkeypatch):
+    """The registry's ``phasecost`` entry builds from the shared catalog
+    (ten observed runs) instead of running them again."""
+    import repro.profiling.catalog as catalog_module
+
+    monkeypatch.setattr(catalog_module, "build_catalog", lambda: catalog)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +160,11 @@ def test_profile_run_rejects_unknown_technique():
 # Catalog freshness and rendering
 # ---------------------------------------------------------------------------
 
-def test_phasecost_docs_are_fresh(catalog):
+def test_phasecost_docs_are_fresh(built_once, source_contexts):
     """The committed docs/phasecost.{md,json} match a fresh build."""
-    docs = REPO / "docs"
-    assert (docs / MD_NAME).read_text() == render_catalog_markdown(catalog)
-    assert (docs / JSON_NAME).read_text() == render_catalog_json(catalog)
+    assert artifacts.check(
+        ["phasecost"], str(REPO / "docs"), source_contexts
+    ) == [], "run `make artifacts`"
 
 
 def test_catalog_covers_every_technique(catalog):
@@ -173,20 +181,25 @@ def test_catalog_renderers_are_pure(catalog):
 
 
 def test_check_phasecost_reports_missing_and_stale(
-    catalog, tmp_path, monkeypatch
+    catalog, built_once, tmp_path
 ):
-    import repro.profiling.catalog as catalog_module
+    def check():
+        return [
+            (os.path.basename(path), state)
+            for _name, path, state in artifacts.check(
+                ["phasecost"], str(tmp_path), []
+            )
+        ]
 
-    monkeypatch.setattr(catalog_module, "build_catalog", lambda: catalog)
-    problems = check_phasecost(str(tmp_path))
-    assert len(problems) == 2
-    assert all("missing" in p for p in problems)
-    (tmp_path / MD_NAME).write_text(render_catalog_markdown(catalog))
-    (tmp_path / JSON_NAME).write_text("{}\n")
-    problems = check_phasecost(str(tmp_path))
-    assert len(problems) == 1 and "stale" in problems[0]
-    (tmp_path / JSON_NAME).write_text(render_catalog_json(catalog))
-    assert check_phasecost(str(tmp_path)) == []
+    assert check() == [("phasecost.json", "missing"),
+                       ("phasecost.md", "missing")]
+    (tmp_path / "phasecost.md").write_text(render_catalog_markdown(catalog))
+    (tmp_path / "phasecost.json").write_text("{}\n")
+    assert check() == [("phasecost.json", "stale")]
+    assert artifacts.write(["phasecost"], str(tmp_path), []) == [
+        str(tmp_path / "phasecost.md"), str(tmp_path / "phasecost.json")
+    ]
+    assert check() == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ future join.  This module holds it to that claim in the directions the
 linter cannot check on its own:
 
 * **freshness** — the committed artifact files equal what the pass
-  regenerates from today's sources (the test-suite mirror of
-  ``make waitgraph-check``), byte for byte, and a second independent
-  rebuild produces identical bytes (determinism);
+  regenerates from today's sources (``make artifacts-check``, through
+  the same ``repro.artifacts.check``), byte for byte, and a second
+  rebuild from scratch produces identical bytes (determinism);
 * **coverage** — seeded workloads of all ten registered techniques run
   with the observer attached; every *recorded* lock acquisition must
   match a static lock site the analysis extracted, and every blocking
@@ -18,13 +18,11 @@ linter cannot check on its own:
   here as an uncovered acquisition or call.
 """
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro import REGISTRY
-from repro.lint.engine import collect_files, parse_file
+from repro import REGISTRY, artifacts
 from repro.lint.msgflow import pattern_matches
 from repro.lint.symeval import WILDCARD
 from repro.lint.waitgraph import (
@@ -47,25 +45,11 @@ def _matches(rendered: str, concrete: str) -> bool:
     return pattern_matches(rendered.replace("*", WILDCARD), concrete)
 
 
-def _contexts():
-    contexts = []
-    for path in collect_files(["src/repro"]):
-        context, error = parse_file(path)
-        assert error is None, f"unparseable source: {error}"
-        contexts.append(context)
-    return contexts
-
-
 @pytest.fixture(scope="module")
-def graph_and_artifact():
+def graph_and_artifact(source_contexts):
     """The wait graph and its artifact, with repo-relative locations."""
-    cwd = os.getcwd()
-    os.chdir(REPO)
-    try:
-        contexts = _contexts()
-        return build_waitgraph(contexts), build_waitgraph_artifact(contexts)
-    finally:
-        os.chdir(cwd)
+    return (build_waitgraph(source_contexts),
+            build_waitgraph_artifact(source_contexts))
 
 
 @pytest.fixture(scope="module")
@@ -82,28 +66,23 @@ def artifact(graph_and_artifact):
 # Freshness and determinism: committed files == regenerated, byte for byte
 # ---------------------------------------------------------------------------
 
-def test_committed_json_waitgraph_is_fresh(artifact):
-    committed = (REPO / "docs" / "waitgraph.json").read_text()
-    assert committed == render_waitgraph_json(artifact), (
-        "docs/waitgraph.json is stale; run `make waitgraph`"
-    )
+def _problems(source_contexts, suffix):
+    found = artifacts.check(["waitgraph"], str(REPO / "docs"), source_contexts)
+    return [problem for problem in found if problem[1].endswith(suffix)]
 
 
-def test_committed_markdown_waitgraph_is_fresh(artifact):
-    committed = (REPO / "docs" / "waitgraph.md").read_text()
-    assert committed == render_waitgraph_markdown(artifact), (
-        "docs/waitgraph.md is stale; run `make waitgraph`"
-    )
+def test_committed_json_waitgraph_is_fresh(source_contexts):
+    assert _problems(source_contexts, ".json") == [], "run `make artifacts`"
 
 
-def test_committed_dot_files_are_fresh(artifact):
-    names = [t["technique"] for t in artifact["techniques"]]
-    assert names, "no techniques in the wait graph"
-    for name in names:
-        committed = (REPO / "docs" / "waitgraph" / f"{name}.dot").read_text()
-        assert committed == render_waitgraph_dot(artifact, name), (
-            f"docs/waitgraph/{name}.dot is stale; run `make waitgraph`"
-        )
+def test_committed_markdown_waitgraph_is_fresh(source_contexts):
+    assert _problems(source_contexts, ".md") == [], "run `make artifacts`"
+
+
+def test_committed_dot_files_are_fresh(artifact, source_contexts):
+    assert artifact["techniques"], "no techniques in the wait graph"
+    # Orphans too: a DOT file for a technique that no longer exists.
+    assert _problems(source_contexts, ".dot") == [], "run `make artifacts`"
 
 
 def test_waitgraph_is_generated_not_hand_written():
@@ -111,16 +90,13 @@ def test_waitgraph_is_generated_not_hand_written():
     assert "Generated by" in text and "Do not edit by hand" in text
 
 
-def test_regeneration_is_deterministic(artifact):
-    # A second rebuild from independently re-parsed sources must produce
-    # the same bytes: the artifact may not depend on dict iteration
-    # order, object identity, or anything else that varies across runs.
-    cwd = os.getcwd()
-    os.chdir(REPO)
-    try:
-        again = build_waitgraph_artifact(_contexts())
-    finally:
-        os.chdir(cwd)
+def test_regeneration_is_deterministic(artifact, source_contexts):
+    # A second rebuild — new program index, new graphs (the per-run
+    # caches are keyed on the identity of the context list) — must
+    # produce the same bytes: the artifact may not depend on dict
+    # iteration order, object identity, or anything else that varies
+    # across runs.
+    again = build_waitgraph_artifact(list(source_contexts))
     assert render_waitgraph_json(again) == render_waitgraph_json(artifact)
     assert render_waitgraph_markdown(again) == render_waitgraph_markdown(artifact)
     for technique in artifact["techniques"]:
