@@ -69,10 +69,10 @@ from .waitgraph import (
     _concrete,
     _finding,
     _handler_regs,
-    _location,
     _method_key,
     _protocol_techniques,
     _self_chain,
+    _site_anchors,
     build_waitgraph,
 )
 
@@ -683,8 +683,8 @@ def _payload_mutations(info: FuncInfo, entry: Entry) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 INTERFERENCE_HEADER = (
-    "<!-- Generated by `python -m repro.lint --write-interference "
-    "docs/interference.md` (make interference). Do not edit by hand. -->"
+    "<!-- Generated by `python -m repro artifacts interference` "
+    "(make artifacts). Do not edit by hand. -->"
 )
 
 
@@ -692,9 +692,14 @@ def build_interference_artifact(contexts: Sequence) -> Dict[str, Any]:
     """The read/write-set catalog as JSON-able data, fully sorted."""
     graph = build_waitgraph(contexts)
     assert graph.index is not None
+    at = _site_anchors(graph)
 
     techniques: List[Dict[str, Any]] = []
     for technique, cls, entries, _seen in _technique_entries(graph):
+        # ``handle_request`` entries are anchored at their def.
+        at.update(graph.index.anchors(
+            e for e in entries if isinstance(e.node, ast.FunctionDef)
+        ))
         wmap = _write_map(graph, entries)
         handlers: List[Dict[str, Any]] = []
         for entry in entries:
@@ -704,7 +709,7 @@ def build_interference_artifact(contexts: Sequence) -> Dict[str, Any]:
                 for position, (kind, payload, _key) in enumerate(path):
                     if kind != "wait":
                         continue
-                    location = _location(payload.file, payload.node)
+                    location = at[id(payload.node)]
                     window = windows.setdefault(location, {
                         "at": location,
                         "kind": payload.kind,
@@ -732,7 +737,7 @@ def build_interference_artifact(contexts: Sequence) -> Dict[str, Any]:
             handlers.append({
                 "handler": entry.label,
                 "trigger": entry.trigger,
-                "at": _location(entry.file, entry.node),
+                "at": at[id(entry.node)],
                 "reads": sorted(
                     _qualified(f, n) for f, n in reads
                 ),

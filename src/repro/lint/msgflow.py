@@ -178,6 +178,9 @@ class MessageGraph:
     bindings: Dict[Tuple[str, str], List[Binding]] = field(default_factory=dict)
     index: Optional[ProgramIndex] = None
 
+    def all_bindings(self) -> List[Binding]:
+        return [v for variants in self.bindings.values() for v in variants]
+
     def sends_for_binding(self, owner: str, attr: str) -> List[BroadcastSend]:
         """Broadcasts through ``self.attr`` of ``owner`` (or a subclass),
         plus class-level self-sends of the bound primitive class."""
@@ -781,18 +784,19 @@ def check_reply_correlation(contexts) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 CATALOG_HEADER = (
-    "<!-- Generated by `python -m repro.lint --write-catalog docs/messages.md` "
-    "(make catalog). Do not edit by hand. -->"
+    "<!-- Generated by `python -m repro artifacts messages` "
+    "(make artifacts). Do not edit by hand. -->"
 )
-
-
-def _location(path: str, node: ast.AST) -> str:
-    return f"{path}:{getattr(node, 'lineno', 0)}"
 
 
 def build_catalog(contexts: Sequence) -> Dict[str, Any]:
     """The whole message graph as JSON-able data, deterministically sorted."""
     graph = build_graph(contexts)
+    assert graph.index is not None
+    at = graph.index.anchors(
+        graph.sends, graph.replies, graph.handlers, graph.broadcast_sends,
+        graph.all_bindings(),
+    )
     types: Dict[str, Dict[str, Any]] = {}
 
     def entry(pattern: str) -> Dict[str, Any]:
@@ -807,7 +811,7 @@ def build_catalog(contexts: Sequence) -> Dict[str, Any]:
         for pattern in send.patterns:
             record = entry(pattern)
             record["senders"].append({
-                "at": _location(send.file, send.node), "kind": send.kind,
+                "at": at[id(send.node)], "kind": send.kind,
                 "keys": sorted(send.keys), "open": send.open,
             })
             record["payload_keys"] |= set(send.keys)
@@ -818,7 +822,7 @@ def build_catalog(contexts: Sequence) -> Dict[str, Any]:
         for pattern in reg.patterns:
             record = entry(pattern)
             record["handlers"].append({
-                "at": _location(reg.file, reg.node),
+                "at": at[id(reg.node)],
                 "handler": reg.callback.label,
                 "default": reg.wildcard,
             })
@@ -832,7 +836,7 @@ def build_catalog(contexts: Sequence) -> Dict[str, Any]:
         record["layer"] = "node"
         for reply in graph.replies:
             record["senders"].append({
-                "at": _location(reply.file, reply.node), "kind": "reply",
+                "at": at[id(reply.node)], "kind": "reply",
                 "keys": sorted(reply.keys), "open": reply.open,
             })
             record["payload_keys"] |= set(reply.keys)
@@ -856,7 +860,7 @@ def build_catalog(contexts: Sequence) -> Dict[str, Any]:
             broadcasts.append({
                 "binding": f"{owner}.{attr}",
                 "primitive": variant.primitive,
-                "at": _location(variant.file, variant.node),
+                "at": at[id(variant.node)],
                 "scopes": sorted(render_pattern(s) for s in variant.scopes),
                 "callbacks": [
                     {
@@ -871,14 +875,17 @@ def build_catalog(contexts: Sequence) -> Dict[str, Any]:
                 "mtypes": sorted({
                     render_pattern(p) for s in sends for p in s.patterns
                 }),
-                "sends": [
-                    {
-                        "at": _location(s.file, s.node),
-                        "mtype": _display(s.patterns),
-                        "keys": sorted(s.keys), "open": s.open,
-                    }
-                    for s in sorted(sends, key=lambda s: (s.file, s.node.lineno))
-                ],
+                "sends": sorted(
+                    (
+                        {
+                            "at": at[id(s.node)],
+                            "mtype": _display(s.patterns),
+                            "keys": sorted(s.keys), "open": s.open,
+                        }
+                        for s in sends
+                    ),
+                    key=lambda s: (s["at"], s["mtype"]),
+                ),
             })
 
     return {

@@ -29,6 +29,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -169,6 +170,8 @@ class ProgramIndex:
         self.ctor_calls: Dict[str, List[Tuple[ast.Call, "Scope"]]] = {}
         self._param_cache: Dict[Tuple[str, str], FrozenSet[str]] = {}
         self._param_stack: Set[Tuple[str, str]] = set()
+        self._trees = {ctx.path: ctx.tree for ctx in contexts}
+        self._def_ranges: Dict[str, List[Tuple[int, int, str]]] = {}
         for ctx in contexts:
             self._index_file(ctx)
         self._link_subclasses()
@@ -261,6 +264,55 @@ class ProgramIndex:
                 visit(child, cls, func)
 
         visit(ctx.tree, None, None)
+
+    # -- anchors ----------------------------------------------------------
+
+    def anchors(self, *kinds: Iterable[Any]) -> Dict[int, str]:
+        """``id(site.node) -> anchor`` as the generated catalogs print it.
+
+        An anchor is ``path::Qualified.name`` of the innermost def or
+        class enclosing the site (the def itself, when the site is one),
+        plus ``#k`` for the k-th site (k > 1) of its kind in that
+        definition, in source order.  Each argument is every site of one
+        kind — objects with ``file`` and ``node`` — so passing the same
+        lists gives the same anchors in every catalog.  No line numbers:
+        an edit elsewhere in the file moves nothing.
+        """
+        out: Dict[int, str] = {}
+        for sites in kinds:
+            groups: Dict[str, Dict[int, ast.AST]] = {}
+            for site in sites:
+                line = site.node.lineno
+                inside = [d for d in self._defs(site.file) if d[0] <= line <= d[1]]
+                # Nested definitions start later: the innermost is the max.
+                base = f"{site.file}::{max(inside)[2]}" if inside else site.file
+                groups.setdefault(base, {})[id(site.node)] = site.node
+            for base, members in groups.items():
+                ordered = sorted(
+                    members.values(), key=lambda n: (n.lineno, n.col_offset)
+                )
+                for k, node in enumerate(ordered, 1):
+                    out[id(node)] = base if k == 1 else f"{base}#{k}"
+        return out
+
+    def _defs(self, path: str) -> List[Tuple[int, int, str]]:
+        """(first line, last line, qualified name) of every def and class."""
+        found = self._def_ranges.get(path)
+        if found is None:
+            found = self._def_ranges[path] = []
+
+            def visit(node: ast.AST, prefix: str) -> None:
+                for child in ast.iter_child_nodes(node):
+                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                          ast.ClassDef)):
+                        name = prefix + child.name
+                        found.append((child.lineno, child.end_lineno or 0, name))
+                        visit(child, name + ".")
+                    else:
+                        visit(child, prefix)
+
+            visit(self._trees[path], "")
+        return found
 
     # -- lookups ----------------------------------------------------------
 

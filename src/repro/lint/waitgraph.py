@@ -984,13 +984,9 @@ def check_blocking_under_locks(contexts) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 WAITGRAPH_HEADER = (
-    "<!-- Generated by `python -m repro.lint --write-waitgraph "
-    "docs/waitgraph.md` (make waitgraph). Do not edit by hand. -->"
+    "<!-- Generated by `python -m repro artifacts waitgraph` "
+    "(make artifacts). Do not edit by hand. -->"
 )
-
-
-def _location(path: str, node: ast.AST) -> str:
-    return f"{path}:{getattr(node, 'lineno', 0)}"
 
 
 def _protocol_techniques(graph: WaitGraph) -> List[Tuple[str, ClassInfo]]:
@@ -1031,10 +1027,20 @@ def _serving_handlers(graph: WaitGraph, site: WaitSite) -> List[str]:
     })
 
 
-def _site_record(graph: WaitGraph, site: WaitSite) -> Dict[str, Any]:
+def _site_anchors(graph: WaitGraph) -> Dict[int, str]:
+    """Anchors of every handler registration, binding and wait site."""
+    assert graph.index is not None and graph.message_graph is not None
+    return graph.index.anchors(
+        graph.message_graph.handlers, graph.message_graph.all_bindings(),
+        graph.sites,
+    )
+
+
+def _site_record(graph: WaitGraph, site: WaitSite,
+                 at: Dict[int, str]) -> Dict[str, Any]:
     info = graph.funcs.get(site.func_key)
     return {
-        "at": _location(site.file, site.node),
+        "at": at[id(site.node)],
         "in": info.label if info else site.func_key,
         "kind": site.kind,
         "timed": site.timed,
@@ -1048,6 +1054,7 @@ def build_waitgraph_artifact(contexts: Sequence) -> Dict[str, Any]:
     """The wait graph as JSON-able data, deterministically sorted."""
     graph = build_waitgraph(contexts)
     assert graph.index is not None
+    at = _site_anchors(graph)
 
     techniques: List[Dict[str, Any]] = []
     for technique, cls in _protocol_techniques(graph):
@@ -1073,12 +1080,12 @@ def build_waitgraph_artifact(contexts: Sequence) -> Dict[str, Any]:
                         sorted(render_pattern(p) for p in reg.patterns)
                     ),
                     "handler": reg.callback.label,
-                    "at": _location(reg.file, reg.node),
+                    "at": at[id(reg.node)],
                 })
         handlers.sort(key=lambda h: (h["type"], h["at"]))
 
         waits = [
-            _site_record(graph, site)
+            _site_record(graph, site, at)
             for info in reach for site in info.waits
         ]
         waits.sort(key=lambda w: (w["at"], w["kind"]))
@@ -1106,7 +1113,7 @@ def build_waitgraph_artifact(contexts: Sequence) -> Dict[str, Any]:
                 regs[i][0].callback.label,
                 _display(site.patterns),
                 regs[j][0].callback.label,
-                _location(site.file, site.node),
+                at[id(site.node)],
             )
             for i, targets in edges.items()
             for j, site in targets
@@ -1125,7 +1132,7 @@ def build_waitgraph_artifact(contexts: Sequence) -> Dict[str, Any]:
                     sorted(render_pattern(p) for p in reg.patterns)
                 ),
                 "handler": reg.callback.label,
-                "at": _location(reg.file, reg.node),
+                "at": at[id(reg.node)],
             }
             for reg, _key in _handler_regs(graph)
         ],

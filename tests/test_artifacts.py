@@ -142,3 +142,73 @@ def test_import_repro_imports_what_it_did_before():
     ).stdout
     expected = (REPO / "tests" / "data" / "import_repro_modules.txt").read_text()
     assert listing == expected
+
+
+# ---------------------------------------------------------------------------
+# Anchor stability
+# ---------------------------------------------------------------------------
+
+EDITED = "src/repro/core/protocols/eager_primary.py"
+LINT_DERIVED = ("messages", "waitgraph", "interference")
+
+
+def _render(contexts):
+    files = {}
+    for name in LINT_DERIVED:
+        files.update(artifacts.ENTRIES[name](contexts))
+    return files
+
+
+def _anchors(text):
+    return sorted(re.findall(r'"at": "([^"]+)"', text))
+
+
+@pytest.fixture
+def edited(source_contexts, tmp_path, monkeypatch):
+    """The shipped tree with an edited copy of one file in place of the
+    original: only the copy is parsed again (under ``tmp_path``, at the
+    same relative path), the other 97 contexts are the session's."""
+    def build(edit):
+        copy = tmp_path / EDITED
+        copy.parent.mkdir(parents=True, exist_ok=True)
+        copy.write_text(edit((REPO / EDITED).read_text()))
+        monkeypatch.chdir(tmp_path)
+        context, error = parse_file(EDITED)
+        assert error is None, error
+        assert [c.path for c in source_contexts].count(EDITED) == 1
+        return [context if c.path == EDITED else c for c in source_contexts]
+
+    return build
+
+
+def test_no_gated_file_carries_a_line_number(source_contexts):
+    for rel, content in _render(source_contexts).items():
+        assert not re.search(r"\.py:[0-9]+", content), rel
+
+
+def test_an_inserted_line_changes_no_generated_file(source_contexts, edited):
+    shifted = edited(lambda text: "# an unrelated comment\n" + text)
+    assert _render(shifted) == _render(source_contexts)
+
+
+def test_moving_a_send_changes_exactly_its_anchor(source_contexts, edited):
+    send = "self.replica.node.send(peer, SYNC_PUSH, state=self.state_wire())"
+    landing = "    def _on_sync_push(self, message: Message) -> None:\n"
+
+    def move(text):
+        assert text.count(send) == 1 and text.count(landing) == 1
+        text = text.replace(send, "self._push_state(peer)")
+        return text.replace(
+            landing,
+            f"    def _push_state(self, peer):\n        {send}\n\n" + landing,
+        )
+
+    before, after = _render(source_contexts), _render(edited(move))
+    old = _anchors(before["messages.json"])
+    new = _anchors(after["messages.json"])
+    site = EDITED + "::EagerPrimaryCopy."
+    old.remove(site + "_on_peer_restored")
+    new.remove(site + "_push_state")
+    assert old == new
+    for name in ("waitgraph.json", "interference.json"):
+        assert _anchors(after[name]) == _anchors(before[name]), name
