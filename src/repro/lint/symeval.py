@@ -33,6 +33,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -146,6 +147,18 @@ def _base_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _def_ranges(node: ast.AST, prefix: str) -> Iterator[Tuple[int, int, str]]:
+    """(first line, last line, qualified name) of every def and class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = prefix + child.name
+            yield child.lineno, child.end_lineno or 0, name
+            yield from _def_ranges(child, name + ".")
+        else:
+            yield from _def_ranges(child, prefix)
+
+
 def _relative_base(module: str, is_package: bool, level: int) -> Optional[str]:
     """Resolve the package a relative import of ``level`` dots targets."""
     parts = module.split(".") if module else []
@@ -171,7 +184,7 @@ class ProgramIndex:
         self._param_cache: Dict[Tuple[str, str], FrozenSet[str]] = {}
         self._param_stack: Set[Tuple[str, str]] = set()
         self._trees = {ctx.path: ctx.tree for ctx in contexts}
-        self._def_ranges: Dict[str, List[Tuple[int, int, str]]] = {}
+        self._defs: Dict[str, List[Tuple[int, int, str]]] = {}
         for ctx in contexts:
             self._index_file(ctx)
         self._link_subclasses()
@@ -274,45 +287,29 @@ class ProgramIndex:
         class enclosing the site (the def itself, when the site is one),
         plus ``#k`` for the k-th site (k > 1) of its kind in that
         definition, in source order.  Each argument is every site of one
-        kind — objects with ``file`` and ``node`` — so passing the same
-        lists gives the same anchors in every catalog.  No line numbers:
-        an edit elsewhere in the file moves nothing.
+        kind — objects with ``file`` and ``node`` — so the same lists get
+        the same anchors in every catalog.  No line numbers: an edit
+        elsewhere in the file moves nothing.
         """
         out: Dict[int, str] = {}
         for sites in kinds:
-            groups: Dict[str, Dict[int, ast.AST]] = {}
-            for site in sites:
-                line = site.node.lineno
-                inside = [d for d in self._defs(site.file) if d[0] <= line <= d[1]]
+            nodes = {id(site.node): (site.file, site.node) for site in sites}
+            count: Dict[str, int] = {}
+            for path, node in sorted(
+                nodes.values(),
+                key=lambda pair: (pair[0], pair[1].lineno, pair[1].col_offset),
+            ):
+                if path not in self._defs:
+                    self._defs[path] = list(_def_ranges(self._trees[path], ""))
+                inside = [d for d in self._defs[path]
+                          if d[0] <= node.lineno <= d[1]]
                 # Nested definitions start later: the innermost is the max.
-                base = f"{site.file}::{max(inside)[2]}" if inside else site.file
-                groups.setdefault(base, {})[id(site.node)] = site.node
-            for base, members in groups.items():
-                ordered = sorted(
-                    members.values(), key=lambda n: (n.lineno, n.col_offset)
+                base = f"{path}::{max(inside)[2]}" if inside else path
+                count[base] = count.get(base, 0) + 1
+                out[id(node)] = (
+                    base if count[base] == 1 else f"{base}#{count[base]}"
                 )
-                for k, node in enumerate(ordered, 1):
-                    out[id(node)] = base if k == 1 else f"{base}#{k}"
         return out
-
-    def _defs(self, path: str) -> List[Tuple[int, int, str]]:
-        """(first line, last line, qualified name) of every def and class."""
-        found = self._def_ranges.get(path)
-        if found is None:
-            found = self._def_ranges[path] = []
-
-            def visit(node: ast.AST, prefix: str) -> None:
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                          ast.ClassDef)):
-                        name = prefix + child.name
-                        found.append((child.lineno, child.end_lineno or 0, name))
-                        visit(child, name + ".")
-                    else:
-                        visit(child, prefix)
-
-            visit(self._trees[path], "")
-        return found
 
     # -- lookups ----------------------------------------------------------
 

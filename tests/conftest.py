@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.artifacts import parse_sources
+from repro import artifacts
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -20,6 +20,23 @@ def source_contexts():
     cwd = os.getcwd()
     os.chdir(REPO)
     try:
-        return parse_sources()
+        return artifacts.parse_sources()
     finally:
         os.chdir(cwd)
+
+
+@pytest.fixture(scope="session")
+def stale_docs(source_contexts):
+    """``stale_docs(name, suffix="")``: what ``artifacts.check`` holds
+    against the committed ``docs/`` files of entry ``name`` whose path
+    ends in ``suffix``.  One check per entry per session."""
+    checked = {}
+
+    def problems(name, suffix=""):
+        if name not in checked:
+            checked[name] = artifacts.check(
+                [name], str(REPO / "docs"), source_contexts
+            )
+        return [p for p in checked[name] if p[1].endswith(suffix)]
+
+    return problems

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import Operation, ReplicatedSystem, artifacts
+from repro import Operation, ReplicatedSystem
 from repro.core.protocols import REGISTRY
 from repro.lint.interference import (
     INTERFERENCE_HEADER,
@@ -50,10 +50,8 @@ def artifact(source_contexts):
 # Freshness and determinism
 # ---------------------------------------------------------------------------
 
-def test_committed_catalog_is_fresh(source_contexts):
-    assert artifacts.check(
-        ["interference"], str(REPO / "docs"), source_contexts
-    ) == [], "run `make artifacts`"
+def test_committed_catalog_is_fresh(stale_docs):
+    assert stale_docs("interference") == [], "run `make artifacts`"
 
 
 def test_generated_header_is_present():

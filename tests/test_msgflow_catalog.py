@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import REGISTRY, ReplicatedSystem, artifacts
+from repro import REGISTRY, ReplicatedSystem
 from repro.lint.msgflow import build_catalog, pattern_matches
 from repro.lint.symeval import WILDCARD
 from repro.net.network import Network
@@ -51,17 +51,12 @@ def catalog(source_contexts):
 # Freshness: committed files == regenerated catalog
 # ---------------------------------------------------------------------------
 
-def _problems(source_contexts, suffix):
-    found = artifacts.check(["messages"], str(REPO / "docs"), source_contexts)
-    return [problem for problem in found if problem[1].endswith(suffix)]
+def test_committed_json_catalog_is_fresh(stale_docs):
+    assert stale_docs("messages", ".json") == [], "run `make artifacts`"
 
 
-def test_committed_json_catalog_is_fresh(source_contexts):
-    assert _problems(source_contexts, ".json") == [], "run `make artifacts`"
-
-
-def test_committed_markdown_catalog_is_fresh(source_contexts):
-    assert _problems(source_contexts, ".md") == [], "run `make artifacts`"
+def test_committed_markdown_catalog_is_fresh(stale_docs):
+    assert stale_docs("messages", ".md") == [], "run `make artifacts`"
 
 
 def test_catalog_is_generated_not_hand_written():

@@ -160,11 +160,9 @@ def test_profile_run_rejects_unknown_technique():
 # Catalog freshness and rendering
 # ---------------------------------------------------------------------------
 
-def test_phasecost_docs_are_fresh(built_once, source_contexts):
+def test_phasecost_docs_are_fresh(built_once, stale_docs):
     """The committed docs/phasecost.{md,json} match a fresh build."""
-    assert artifacts.check(
-        ["phasecost"], str(REPO / "docs"), source_contexts
-    ) == [], "run `make artifacts`"
+    assert stale_docs("phasecost") == [], "run `make artifacts`"
 
 
 def test_catalog_covers_every_technique(catalog):

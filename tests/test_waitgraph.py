@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import REGISTRY, artifacts
+from repro import REGISTRY
 from repro.lint.msgflow import pattern_matches
 from repro.lint.symeval import WILDCARD
 from repro.lint.waitgraph import (
@@ -66,23 +66,18 @@ def artifact(graph_and_artifact):
 # Freshness and determinism: committed files == regenerated, byte for byte
 # ---------------------------------------------------------------------------
 
-def _problems(source_contexts, suffix):
-    found = artifacts.check(["waitgraph"], str(REPO / "docs"), source_contexts)
-    return [problem for problem in found if problem[1].endswith(suffix)]
+def test_committed_json_waitgraph_is_fresh(stale_docs):
+    assert stale_docs("waitgraph", ".json") == [], "run `make artifacts`"
 
 
-def test_committed_json_waitgraph_is_fresh(source_contexts):
-    assert _problems(source_contexts, ".json") == [], "run `make artifacts`"
+def test_committed_markdown_waitgraph_is_fresh(stale_docs):
+    assert stale_docs("waitgraph", ".md") == [], "run `make artifacts`"
 
 
-def test_committed_markdown_waitgraph_is_fresh(source_contexts):
-    assert _problems(source_contexts, ".md") == [], "run `make artifacts`"
-
-
-def test_committed_dot_files_are_fresh(artifact, source_contexts):
+def test_committed_dot_files_are_fresh(artifact, stale_docs):
     assert artifact["techniques"], "no techniques in the wait graph"
     # Orphans too: a DOT file for a technique that no longer exists.
-    assert _problems(source_contexts, ".dot") == [], "run `make artifacts`"
+    assert stale_docs("waitgraph", ".dot") == [], "run `make artifacts`"
 
 
 def test_waitgraph_is_generated_not_hand_written():
