@@ -38,6 +38,11 @@ from .sessions import TransactionSession
 __all__ = ["Directory", "ReplicaNode", "BlockingPolicy", "ClientNode",
            "ReplicatedSystem", "WAIT", "RESEND", "GIVE_UP"]
 
+# How long a transaction waits for a lock at a site before it aborts.
+# Every site's own bound; eager_ue_locking's remote lock requests carry
+# their own, the technique's ``lock_timeout`` option.
+SITE_LOCK_TIMEOUT = 60.0
+
 
 class Directory:
     """Naming service: which replicas exist and which is the primary.
@@ -91,13 +96,12 @@ class ReplicaNode:
         name: str,
         fd_interval: float,
         fd_timeout: float,
-        lock_timeout: Optional[float],
     ) -> None:
         self.system = system
         self.name = name
         self.node = _HostNode(system.sim, system.net, name, self)
         self.tm = TransactionManager(
-            system.sim, site=name, lock_timeout=lock_timeout, obs=system.observer
+            system.sim, site=name, lock_timeout=SITE_LOCK_TIMEOUT, obs=system.observer
         )
         self.transport = ReliableTransport(self.node)
         self.detector = FailureDetector(
@@ -513,7 +517,6 @@ class ReplicatedSystem:
         loss_rate: float = 0.0,
         fd_interval: float = 2.0,
         fd_timeout: float = 8.0,
-        lock_timeout: Optional[float] = 60.0,
         client_timeout: Optional[float] = None,
         max_client_retries: int = 10,
         config: Optional[dict] = None,
@@ -561,7 +564,7 @@ class ReplicatedSystem:
         self.replicas: Dict[str, ReplicaNode] = {}
         for name in self.replica_names:
             self.replicas[name] = ReplicaNode(
-                self, name, fd_interval, fd_timeout, lock_timeout
+                self, name, fd_interval, fd_timeout
             )
         for name, replica in self.replicas.items():
             replica.protocol = self.protocol_cls(replica, self.replica_names, self.config)
