@@ -481,7 +481,7 @@ class ReplicatedSystem:
         ``"certification"``.
     replicas, clients:
         How many replica sites and client processes to build.
-    seed, latency, loss_rate:
+    seed, latency:
         Simulation determinism and network model.
     fd_interval, fd_timeout:
         Failure-detection aggressiveness.
@@ -514,7 +514,6 @@ class ReplicatedSystem:
         clients: int = 1,
         seed: Optional[int] = 0,
         latency: Optional[LatencyModel] = None,
-        loss_rate: float = 0.0,
         fd_interval: float = 2.0,
         fd_timeout: float = 8.0,
         client_timeout: Optional[float] = None,
@@ -546,7 +545,6 @@ class ReplicatedSystem:
         self.net = Network(
             self.sim,
             latency=latency if latency is not None else ConstantLatency(1.0),
-            loss_rate=loss_rate,
             trace=None,
             obs=self.observer,
         )
