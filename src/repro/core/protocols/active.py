@@ -28,8 +28,6 @@ passive replication.
 * ``abcast`` — ``"consensus"`` (default; crash-tolerant Chandra–Toueg
   reduction) or ``"sequencer"`` (cheap fixed sequencer for failure-free
   experiments).
-* ``inject_fallback`` — how long a non-injector waits before injecting a
-  client request itself (default 30 time units).
 """
 
 from __future__ import annotations
@@ -68,9 +66,12 @@ class ActiveReplication(ReplicaProtocol):
         supports_multi_op=True,
     )
 
+    # How long a non-injector waits before injecting a client request
+    # itself.
+    INJECT_FALLBACK = 30.0
+
     def __init__(self, replica, group, config) -> None:
         super().__init__(replica, group, config)
-        self.fallback = float(config.get("inject_fallback", 30.0))
         flavour = config.get("abcast", "consensus")
         if flavour == "sequencer":
             self.abcast = SequencerAtomicBroadcast(
@@ -99,7 +100,9 @@ class ActiveReplication(ReplicaProtocol):
         if self._am_injector():
             self._inject(rid)
         else:
-            self.replica.node.after(self.fallback, self._inject_if_pending, rid)
+            self.replica.node.after(
+                ActiveReplication.INJECT_FALLBACK, self._inject_if_pending, rid
+            )
 
     def _am_injector(self) -> bool:
         for name in self.group:

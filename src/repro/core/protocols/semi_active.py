@@ -68,9 +68,12 @@ class SemiActiveReplication(ReplicaProtocol):
         supports_multi_op=True,
     )
 
+    # How long a non-injector waits before injecting a client request
+    # itself (as in active replication).
+    INJECT_FALLBACK = 30.0
+
     def __init__(self, replica, group, config) -> None:
         super().__init__(replica, group, config)
-        self.fallback = float(config.get("inject_fallback", 30.0))
         flavour = config.get("abcast", "consensus")
         if flavour == "sequencer":
             self.abcast = SequencerAtomicBroadcast(
@@ -126,7 +129,9 @@ class SemiActiveReplication(ReplicaProtocol):
         if self._am_injector():
             self._inject(rid)
         else:
-            self.replica.node.after(self.fallback, self._inject_if_pending, rid)
+            self.replica.node.after(
+                SemiActiveReplication.INJECT_FALLBACK, self._inject_if_pending, rid
+            )
 
     def _am_injector(self) -> bool:
         for name in self.group:
