@@ -9,7 +9,7 @@ the Section 6 performance study — prints it, and writes it under
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import List
 
 import pytest
 
@@ -47,20 +47,15 @@ def run_single_request(
     operations: List[Operation],
     replicas: int = 3,
     seed: int = 1,
-    config: Optional[dict] = None,
     settle: float = 300.0,
     observe: bool = True,
-    **system_kwargs,
 ):
     """Build a system, execute one request, let background work finish.
 
     Observed by default so every figure benchmark can drop its trace
     beside its text output (pass the system to :func:`report`).
     """
-    system = ReplicatedSystem(
-        protocol, replicas=replicas, seed=seed, config=config,
-        observe=observe, **system_kwargs
-    )
+    system = ReplicatedSystem(protocol, replicas=replicas, seed=seed, observe=observe)
     result = system.execute(operations)
     system.settle(settle)
     return system, result

@@ -48,6 +48,7 @@ from typing import Any, Callable, Dict, Optional
 if __name__ == "__main__":  # direct script run: make src/ importable
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro import RunSpec
 from repro.net import Network, Node
 from repro.net.latency import ConstantLatency
 from repro.sim import Simulator
@@ -178,10 +179,10 @@ def bench_soak(technique: str) -> Dict[str, float]:
     """The real Section 6 soak row for one technique, timed end to end."""
     start = time.perf_counter()
     system, driver, summary = run_workload(
-        technique, spec=SOAK_SPEC, replicas=5, clients=4,
-        requests_per_client=30, seed=101, think_time=8.0, retry_aborts=True,
-        settle=600.0, config={"abcast": "sequencer"},
-        system_kwargs={"trace_max_events": 200_000},
+        RunSpec(technique, replicas=5, clients=4, seed=101,
+                trace_max_events=200_000, abcast="sequencer"),
+        SOAK_SPEC, requests_per_client=30, think_time=8.0, retry_aborts=True,
+        settle=600.0,
     )
     wall = time.perf_counter() - start
     events = system.sim.events_processed

@@ -16,7 +16,7 @@ def run_one(flavour, crash=False, seed=41):
     system = ReplicatedSystem(
         "active", replicas=3, clients=1, seed=seed,
         fd_interval=2.0, fd_timeout=6.0,
-        config={"abcast": flavour},
+        abcast=flavour,
     )
     if crash:
         # r0 is both round-0 consensus coordinator and the sequencer.

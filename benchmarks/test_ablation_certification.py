@@ -17,7 +17,7 @@ from repro import Operation, ReplicatedSystem
 def run_one(mode, seed=47):
     system = ReplicatedSystem(
         "certification", replicas=3, clients=2, seed=seed,
-        config={"certification_mode": mode, "abcast": "sequencer"},
+        certification_mode=mode, abcast="sequencer",
     )
 
     def hot_writer():

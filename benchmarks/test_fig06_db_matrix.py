@@ -20,7 +20,7 @@ def behavioural_probe():
         # Laziness: immediately after the response, do all replicas
         # already hold the write?
         system = ReplicatedSystem(name, replicas=3, seed=3,
-                                  config={"propagation_delay": 50.0})
+                                  propagation_delay=50.0)
         result = system.execute([Operation.write("probe", "v")])
         assert result.committed
         fresh_everywhere = all(

@@ -10,7 +10,7 @@ from repro import AC, END, EX, RE, Operation, ReplicatedSystem
 
 def scenario():
     system = ReplicatedSystem(
-        "lazy_primary", replicas=3, seed=1, config={"propagation_delay": 30.0}
+        "lazy_primary", replicas=3, seed=1, propagation_delay=30.0
     )
     result = system.execute([Operation.write("x", "fresh")])
     # Capture the staleness window before letting propagation finish.

@@ -12,7 +12,7 @@ from repro import AC, END, EX, RE, Operation, ReplicatedSystem
 def scenario():
     system = ReplicatedSystem(
         "lazy_ue", replicas=3, clients=2, seed=1,
-        config={"propagation_delay": 20.0},
+        propagation_delay=20.0,
     )
     f0 = system.client(0).submit([Operation.write("x", "from-r0")])
     f1 = system.client(1).submit([Operation.write("x", "from-r1")])

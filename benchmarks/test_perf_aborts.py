@@ -13,6 +13,7 @@ This is the classic optimistic-vs-pessimistic crossover.
 """
 
 from conftest import format_rows, report
+from repro import RunSpec
 from repro.workload import WorkloadSpec, run_workload
 
 CONTENTION = [32, 8, 2, 1]  # items: fewer items = hotter
@@ -25,8 +26,10 @@ def sweep():
             spec = WorkloadSpec(items=items, read_fraction=0.0,
                                 ops_per_transaction=2)
             system, driver, summary = run_workload(
-                name, spec=spec, replicas=3, clients=4, requests_per_client=6,
-                seed=13, settle=500.0, config={"abcast": "sequencer"},
+                RunSpec(name, replicas=3, clients=4, seed=13, abcast="sequencer"),
+                spec,
+                requests_per_client=6,
+                settle=500.0,
             )
             table[(name, items)] = summary
     return table

@@ -43,7 +43,7 @@ def run_one(protocol, replicas=3):
     system = ReplicatedSystem(
         protocol, replicas=replicas, clients=3, seed=51,
         latency=wan_latency(replicas, 3),
-        config={"abcast": "sequencer", "propagation_delay": 10.0},
+        abcast="sequencer", propagation_delay=10.0,
     )
     driver = ClosedLoopDriver(
         system, WorkloadGenerator(SPEC, seed=51),

@@ -9,6 +9,7 @@ broadcast costs O(n^2) dissemination.
 """
 
 from conftest import format_rows, report
+from repro import RunSpec
 from repro.analysis import messages_per_request
 from repro.workload import WorkloadSpec, run_workload
 
@@ -25,9 +26,11 @@ def sweep():
     rows = {}
     for name in TECHNIQUES:
         system, driver, summary = run_workload(
-            name, spec=SPEC, replicas=3, clients=1, requests_per_client=10,
-            seed=33, think_time=20.0, settle=400.0,
-            config={"abcast": "sequencer"},
+            RunSpec(name, replicas=3, clients=1, seed=33, abcast="sequencer"),
+            SPEC,
+            requests_per_client=10,
+            think_time=20.0,
+            settle=400.0,
         )
         rows[name] = messages_per_request(system.net.stats, summary.requests)
     return rows

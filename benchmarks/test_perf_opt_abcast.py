@@ -15,7 +15,7 @@ the result's own caveat).
 
 from conftest import format_rows, report
 from repro import Operation, ReplicatedSystem
-from repro.net import UniformLatency
+from repro.net import ConstantLatency, UniformLatency
 
 PROCESSING = [2.0, 4.0, 8.0]
 
@@ -23,12 +23,8 @@ PROCESSING = [2.0, 4.0, 8.0]
 def run_one(optimistic, processing_time, jitter, seed=61, concurrent=False):
     system = ReplicatedSystem(
         "certification", replicas=3, clients=2, seed=seed,
-        latency=UniformLatency(0.3, 3.5) if jitter else None,
-        config={
-            "abcast": "sequencer",
-            "optimistic": optimistic,
-            "processing_time": processing_time,
-        },
+        latency=UniformLatency(0.3, 3.5) if jitter else ConstantLatency(1.0),
+        abcast="sequencer", optimistic=optimistic, processing_time=processing_time,
     )
     results = []
 

@@ -15,6 +15,7 @@ the most coordination; active/semi-* pay the ordering protocol.
 import os
 
 from conftest import OUTPUT_DIR, format_rows, report
+from repro import RunSpec
 from repro.obs import write_artifacts
 from repro.profiling import dominant_phase_for
 from repro.workload import WorkloadSpec, run_workload
@@ -32,11 +33,11 @@ def sweep():
     rows = {}
     dominant = {}
     for name in TECHNIQUES:
-        config = {"abcast": "sequencer"}  # identical, cheap ordering for all
         system, driver, summary = run_workload(
-            name, spec=SPEC, replicas=3, clients=2, requests_per_client=10,
-            seed=21, think_time=10.0, settle=300.0, config=config,
-            observe=True,
+            # Identical, cheap ordering for all.
+            RunSpec(name, replicas=3, clients=2, seed=21, observe=True,
+                    abcast="sequencer"),
+            SPEC, requests_per_client=10, think_time=10.0, settle=300.0,
         )
         dominant[name] = dominant_phase_for(
             system.observer, (r.request_id for r in driver.results)

@@ -9,6 +9,7 @@ copies afterwards.
 """
 
 from conftest import format_rows, report
+from repro import RunSpec
 from repro.analysis import messages_per_request
 from repro.workload import WorkloadSpec, run_workload
 
@@ -22,9 +23,11 @@ def sweep():
     for name in TECHNIQUES:
         for n in SIZES:
             system, driver, summary = run_workload(
-                name, spec=SPEC, replicas=n, clients=1, requests_per_client=8,
-                seed=5, think_time=15.0, settle=300.0,
-                config={"abcast": "sequencer"},
+                RunSpec(name, replicas=n, clients=1, seed=5, abcast="sequencer"),
+                SPEC,
+                requests_per_client=8,
+                think_time=15.0,
+                settle=300.0,
             )
             table[(name, n)] = (
                 summary.latency.mean,

@@ -9,7 +9,7 @@ that catches slow corruption the single-shot benchmarks cannot.
 """
 
 from conftest import format_rows, report
-from repro import DB_TECHNIQUES, DS_TECHNIQUES
+from repro import DB_TECHNIQUES, DS_TECHNIQUES, RunSpec
 from repro.analysis import counter_check, messages_per_request
 from repro.workload import WorkloadSpec, run_workload
 
@@ -23,13 +23,13 @@ def sweep():
     rows = {}
     for name in DS_TECHNIQUES + DB_TECHNIQUES:
         system, driver, summary = run_workload(
-            name, spec=SPEC, replicas=5, clients=4, requests_per_client=30,
-            seed=101, think_time=8.0, retry_aborts=True, settle=600.0,
-            config={"abcast": "sequencer"},
             # Soak runs generate the longest traces; bound the structured
             # log so memory stays flat (the summaries are already computed
             # from results, not the trace).
-            system_kwargs={"trace_max_events": 200_000},
+            RunSpec(name, replicas=5, clients=4, seed=101,
+                    trace_max_events=200_000, abcast="sequencer"),
+            SPEC, requests_per_client=30, think_time=8.0, retry_aborts=True,
+            settle=600.0,
         )
         committed = [r for r in driver.results if r.committed]
         stores = {n: system.store_of(n) for n in system.live_replicas()}

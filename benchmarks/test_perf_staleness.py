@@ -8,7 +8,7 @@ transactions must be undone") as conflict probability rises.
 """
 
 from conftest import format_rows, report
-from repro import Operation, ReplicatedSystem
+from repro import Operation, ReplicatedSystem, RunSpec
 from repro.analysis import StalenessProbe
 from repro.profiling import dominant_phase_for
 from repro.workload import WorkloadSpec, run_workload
@@ -19,7 +19,7 @@ DELAYS = [5.0, 20.0, 60.0]
 def staleness_of(protocol, delay):
     system = ReplicatedSystem(
         protocol, replicas=3, seed=23, observe=True,
-        config={"propagation_delay": delay} if protocol != "eager_primary" else None,
+        propagation_delay=delay,
     )
     probe = StalenessProbe(system, "x")
     probe.every(2.0, 400.0)
@@ -43,8 +43,10 @@ def staleness_of(protocol, delay):
 def undone_at_conflict(items):
     spec = WorkloadSpec(items=items, read_fraction=0.0)
     system, driver, summary = run_workload(
-        "lazy_ue", spec=spec, replicas=3, clients=3, requests_per_client=6,
-        seed=29, settle=600.0, config={"propagation_delay": 15.0},
+        RunSpec("lazy_ue", replicas=3, clients=3, seed=29, propagation_delay=15.0),
+        spec,
+        requests_per_client=6,
+        settle=600.0,
     )
     assert system.converged(), "lazy UE must still converge"
     return sum(system.protocol_at(n).undone_transactions for n in system.replica_names)

@@ -24,7 +24,7 @@ def main() -> None:
     latency = PerLinkLatency(default=ConstantLatency(1.0))
     system = ReplicatedSystem(
         "lazy_ue", replicas=3, clients=3, seed=5,
-        latency=latency, config={"propagation_delay": 10.0},
+        latency=latency, propagation_delay=10.0,
         client_timeout=None,
     )
     # r2 is the laptop: 25x slower link to everyone (set after the

@@ -21,31 +21,29 @@ from repro.viz import render_figure, render_phase_timeline
 
 TIMELINE_FIGURES = [
     ("Figure 2: Active replication", "active",
-     [Operation.update("x", "add", 1)], {}),
+     [Operation.update("x", "add", 1)]),
     ("Figure 3: Passive replication", "passive",
-     [Operation.update("x", "random_token")], {}),
+     [Operation.update("x", "random_token")]),
     ("Figure 4: Semi-active replication", "semi_active",
-     [Operation.update("x", "random_token")], {}),
+     [Operation.update("x", "random_token")]),
     ("Figure 7: Eager primary copy", "eager_primary",
-     [Operation.update("x", "add", 1)], {}),
+     [Operation.update("x", "add", 1)]),
     ("Figure 8: Eager update everywhere (distributed locking)",
-     "eager_ue_locking", [Operation.update("x", "add", 1)], {}),
+     "eager_ue_locking", [Operation.update("x", "add", 1)]),
     ("Figure 9: Eager update everywhere (ABCAST)", "eager_ue_abcast",
-     [Operation.update("x", "add", 1)], {}),
+     [Operation.update("x", "add", 1)]),
     ("Figure 10: Lazy primary copy", "lazy_primary",
-     [Operation.write("x", 1)], {}),
+     [Operation.write("x", 1)]),
     ("Figure 11: Lazy update everywhere", "lazy_ue",
-     [Operation.write("x", 1)], {}),
+     [Operation.write("x", 1)]),
     ("Figure 12: Eager primary copy (3-operation transaction)",
      "eager_primary",
-     [Operation.write("x", 1), Operation.write("y", 2), Operation.write("z", 3)],
-     {}),
+     [Operation.write("x", 1), Operation.write("y", 2), Operation.write("z", 3)]),
     ("Figure 13: Eager UE locking (3-operation transaction)",
      "eager_ue_locking",
-     [Operation.write("x", 1), Operation.write("y", 2), Operation.write("z", 3)],
-     {}),
+     [Operation.write("x", 1), Operation.write("y", 2), Operation.write("z", 3)]),
     ("Figure 14: Certification-based replication", "certification",
-     [Operation.update("x", "add", 1)], {}),
+     [Operation.update("x", "add", 1)]),
 ]
 
 
@@ -62,8 +60,8 @@ def main() -> None:
     ))
     print()
 
-    for title, technique, operations, config in TIMELINE_FIGURES:
-        system = ReplicatedSystem(technique, replicas=3, seed=1, config=config)
+    for title, technique, operations in TIMELINE_FIGURES:
+        system = ReplicatedSystem(technique, replicas=3, seed=1)
         result = system.execute(operations)
         system.settle(400)
         descriptor = system.info.descriptor_for(len(operations))

@@ -15,7 +15,7 @@ prints their metrics snapshots side by side — the same workload seen as
 counters and latency histograms rather than one summary row.
 """
 
-from repro import DB_TECHNIQUES, DS_TECHNIQUES
+from repro import DB_TECHNIQUES, DS_TECHNIQUES, RunSpec
 from repro.analysis import counter_check, messages_per_request
 from repro.workload import WorkloadSpec, run_workload
 
@@ -35,9 +35,11 @@ def main() -> None:
 
     for name in DS_TECHNIQUES + DB_TECHNIQUES:
         system, driver, summary = run_workload(
-            name, spec=spec, replicas=3, clients=2, requests_per_client=10,
-            seed=99, think_time=10.0, settle=500.0,
-            config={"abcast": "sequencer"},
+            RunSpec(name, replicas=3, clients=2, seed=99, abcast="sequencer"),
+            spec,
+            requests_per_client=10,
+            think_time=10.0,
+            settle=500.0,
         )
         msgs = messages_per_request(system.net.stats, summary.requests)
         committed = [r for r in driver.results if r.committed]
@@ -74,9 +76,12 @@ def compare_metrics(left: str, right: str, spec: WorkloadSpec) -> None:
     snapshots = {}
     for name in (left, right):
         system, _driver, _summary = run_workload(
-            name, spec=spec, replicas=3, clients=2, requests_per_client=10,
-            seed=99, think_time=10.0, settle=500.0,
-            config={"abcast": "sequencer"}, observe=True,
+            RunSpec(name, replicas=3, clients=2, seed=99, observe=True,
+                    abcast="sequencer"),
+            spec,
+            requests_per_client=10,
+            think_time=10.0,
+            settle=500.0,
         )
         system.observer.finalize()
         snapshots[name] = system.observer.metrics.snapshot()

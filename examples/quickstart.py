@@ -11,16 +11,19 @@ Run:  python examples/quickstart.py [technique]
 
 import sys
 
-from repro import DB_TECHNIQUES, DS_TECHNIQUES, Operation, ReplicatedSystem
+from repro import DB_TECHNIQUES, DS_TECHNIQUES, Operation, ReplicatedSystem, RunSpec
 
 TECHNIQUE = sys.argv[1] if len(sys.argv) > 1 else "passive"
 
 
 def main() -> None:
     print(f"available techniques: {DS_TECHNIQUES + DB_TECHNIQUES}")
-    print(f"running quickstart under: {TECHNIQUE}\n")
+    # Everything about the run, technique options included, in one spec;
+    # describe() prints it as one line.
+    spec = RunSpec(TECHNIQUE, replicas=3, clients=1, seed=42)
+    print(f"running quickstart under: {spec.describe()}\n")
 
-    system = ReplicatedSystem(TECHNIQUE, replicas=3, clients=1, seed=42)
+    system = ReplicatedSystem(spec)
 
     # A blind write, a functional update, a multi-operation transaction
     # and a read — the request shapes of Sections 2.2 and 5.

@@ -41,6 +41,7 @@ from .core import (
     ReplicatedSystem,
     Request,
     Result,
+    RunSpec,
 )
 from .errors import (
     ConsistencyViolation,
@@ -58,6 +59,7 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "ReplicatedSystem",
+    "RunSpec",
     "Operation",
     "Request",
     "Result",

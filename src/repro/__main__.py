@@ -47,10 +47,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import DB_TECHNIQUES, DS_TECHNIQUES, REGISTRY
 from .analysis import counter_check, messages_per_request
-from .workload import WorkloadSpec, run_workload
+from .profiling import STANDARD_LOOP, STANDARD_SPEC
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -82,14 +83,16 @@ def cmd_figures(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _standard(name: str, args: argparse.Namespace):
+    """The standard experiment for technique ``name``, with the command
+    line's replicas, seed and requests per client."""
+    spec = replace(STANDARD_SPEC, technique=name, replicas=args.replicas, seed=args.seed)
+    return spec, replace(STANDARD_LOOP, requests_per_client=args.requests)
+
+
 def _run_one(name: str, args: argparse.Namespace, observe: bool = False):
-    spec = WorkloadSpec(items=8, read_fraction=0.0)
-    return run_workload(
-        name, spec=spec, replicas=args.replicas, clients=2,
-        requests_per_client=args.requests, seed=args.seed,
-        think_time=10.0, settle=500.0, config={"abcast": "sequencer"},
-        observe=observe,
-    )
+    spec, loop = _standard(name, args)
+    return loop.run(replace(spec, observe=observe))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -234,10 +237,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print("profile: give a technique or --all", file=sys.stderr)
         return 2
     for name in techniques:
-        system, _driver, profile = profile_run(
-            name, seed=args.seed, replicas=args.replicas,
-            requests_per_client=args.requests,
-        )
+        system, _driver, profile = profile_run(*_standard(name, args))
         stem = os.path.join(args.out, f"profile_{name}_seed{args.seed}")
         path = write_profile(profile, f"{stem}.json")
         counters = write_counter_track(
@@ -327,6 +327,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _standard_options(parser: argparse.ArgumentParser) -> None:
+    """--replicas, --requests, --seed: the standard experiment's by default."""
+    parser.add_argument("--replicas", type=int, default=STANDARD_SPEC.replicas)
+    parser.add_argument("--requests", type=int, default=STANDARD_LOOP.requests_per_client)
+    parser.add_argument("--seed", type=int, default=STANDARD_SPEC.seed)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -347,9 +354,7 @@ def main(argv=None) -> int:
         sp = sub.add_parser(command)
         if command in ("run", "observe"):
             sp.add_argument("technique")
-        sp.add_argument("--replicas", type=int, default=3)
-        sp.add_argument("--requests", type=int, default=10)
-        sp.add_argument("--seed", type=int, default=7)
+        _standard_options(sp)
         if command == "observe":
             sp.add_argument("--out", default="benchmarks/output",
                             help="directory receiving the run artifacts")
@@ -369,9 +374,7 @@ def main(argv=None) -> int:
     sp.add_argument("technique", nargs="?", default=None)
     sp.add_argument("--all", action="store_true",
                     help="profile every implemented technique")
-    sp.add_argument("--replicas", type=int, default=3)
-    sp.add_argument("--requests", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=7)
+    _standard_options(sp)
     sp.add_argument("--out", default="benchmarks/output/profile",
                     help="directory receiving profile and counter artifacts")
     sp = sub.add_parser("artifacts", help="(re)generate the gated files in docs/")

@@ -5,6 +5,7 @@ from .admission import AdmissionConfig, AdmissionController
 from .operations import Operation, Request, Result
 from .phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseStep, PhaseTracer
 from .protocols import DB_TECHNIQUES, DS_TECHNIQUES, REGISTRY
+from .spec import RunSpec
 from .system import ClientNode, Directory, ReplicaNode, ReplicatedSystem
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "DS_TECHNIQUES",
     "DB_TECHNIQUES",
     "ReplicatedSystem",
+    "RunSpec",
     "ReplicaNode",
     "ClientNode",
     "Directory",

@@ -22,12 +22,6 @@ The determinism requirement is real, not stylised: submit an operation
 using the ``random_token`` update function and the replicas genuinely
 diverge (each draws from its own RNG) — the failure mode that motivates
 passive replication.
-
-``config`` options:
-
-* ``abcast`` — ``"consensus"`` (default; crash-tolerant Chandra–Toueg
-  reduction) or ``"sequencer"`` (cheap fixed sequencer for failure-free
-  experiments).
 """
 
 from __future__ import annotations
@@ -70,10 +64,9 @@ class ActiveReplication(ReplicaProtocol):
     # itself.
     INJECT_FALLBACK = 30.0
 
-    def __init__(self, replica, group, config) -> None:
-        super().__init__(replica, group, config)
-        flavour = config.get("abcast", "consensus")
-        if flavour == "sequencer":
+    def __init__(self, replica, group, spec) -> None:
+        super().__init__(replica, group, spec)
+        if spec.abcast == "sequencer":
             self.abcast = SequencerAtomicBroadcast(
                 replica.node, replica.transport, group, self._on_deliver,
                 trace=replica.system.trace,

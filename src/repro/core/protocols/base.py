@@ -21,6 +21,7 @@ from ..operations import Operation, Request, apply_update
 from ..phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseTracer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..spec import RunSpec
     from ..system import ReplicaNode
 
 __all__ = [
@@ -78,8 +79,9 @@ class ReplicaProtocol:
     """Base class for per-replica protocol instances.
 
     Subclasses receive the hosting :class:`ReplicaNode` (which carries the
-    transaction manager, transport, detector and tracer) plus the replica
-    group, and register any message handlers they need in ``__init__``.
+    transaction manager, transport, detector and tracer), the replica
+    group and the run's :class:`~repro.core.spec.RunSpec` (their options),
+    and register any message handlers they need in ``__init__``.
     """
 
     info: ProtocolInfo
@@ -90,10 +92,9 @@ class ReplicaProtocol:
     # lets a retry through instead of swallowing it forever.
     _SERVING_TTL = 90.0
 
-    def __init__(self, replica: "ReplicaNode", group: List[str], config: dict) -> None:
+    def __init__(self, replica: "ReplicaNode", group: List[str], spec: "RunSpec") -> None:
         self.replica = replica
         self.group = list(group)
-        self.config = dict(config)
         # request_id -> admission time of the execution currently running
         # here.  Guards against a client retry re-entering handle_request
         # while the first execution is still in flight (which would start

@@ -25,21 +25,6 @@ Mechanics:
   writesets are applied, failing transactions abort everywhere without
   any extra message round.
 * END: the delegate reports commit or abort to the client.
-
-``config`` options:
-
-* ``abcast`` — ``"consensus"`` (default) or ``"sequencer"``.
-* ``certification_mode`` — ``"read"`` (backward validation, default) or
-  ``"write"`` (first-committer-wins ablation).
-* ``processing_time`` — simulated cost of the validation/apply work on
-  the reply path (default 0: the pure protocol skeleton).
-* ``optimistic`` — use :class:`~repro.groupcomm.OptimisticAtomicBroadcast`
-  ([KPAS99a], the DRAGON result the paper's introduction describes):
-  sites start the certification work at *tentative* delivery, overlapping
-  it with the ordering protocol; when the final order confirms the
-  tentative one (the common LAN case), the reply goes out without paying
-  ``processing_time`` again — the group-communication overhead is hidden
-  behind transaction processing.
 """
 
 from __future__ import annotations
@@ -89,22 +74,20 @@ class CertificationReplication(ReplicaProtocol):
         reads_anywhere=True,
     )
 
-    def __init__(self, replica, group, config) -> None:
-        super().__init__(replica, group, config)
-        mode = config.get("certification_mode", "read")
-        self.certifier = Certifier(self.store, mode=mode)
-        self.processing_time = float(config.get("processing_time", 0.0))
-        self.optimistic = bool(config.get("optimistic", False))
-        flavour = config.get("abcast", "consensus")
+    def __init__(self, replica, group, spec) -> None:
+        super().__init__(replica, group, spec)
+        self.certifier = Certifier(self.store, mode=spec.certification_mode)
+        self.processing_time = float(spec.processing_time)
+        self.optimistic = bool(spec.optimistic)
         if self.optimistic:
             self.abcast = OptimisticAtomicBroadcast(
                 replica.node, replica.transport, group, replica.detector,
                 opt_deliver=self._on_tentative,
                 final_deliver=self._on_final_optimistic,
-                flavour=flavour, trace=replica.system.trace,
+                flavour=spec.abcast, trace=replica.system.trace,
                 channel_prefix="cert",
             )
-        elif flavour == "sequencer":
+        elif spec.abcast == "sequencer":
             self.abcast = SequencerAtomicBroadcast(
                 replica.node, replica.transport, group, self._on_deliver,
                 trace=replica.system.trace, channel_prefix="cert",

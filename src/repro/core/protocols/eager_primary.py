@@ -32,8 +32,6 @@ the new primary"), updates the directory, resolves in-doubt 2PC
 transactions cooperatively (commit if any peer saw commit, else abort) and
 takes over.  Clients notice the failure (timeout) and re-submit — database
 failover is explicitly *not* transparent.
-
-``config`` options: none.
 """
 
 from __future__ import annotations
@@ -95,8 +93,8 @@ class EagerPrimaryCopy(ReplicaProtocol):
         supports_sessions=True,
     )
 
-    def __init__(self, replica, group, config) -> None:
-        super().__init__(replica, group, config)
+    def __init__(self, replica, group, spec) -> None:
+        super().__init__(replica, group, spec)
         self.coordinator = TwoPhaseCoordinator(replica.node, trace=replica.system.trace)
         self.participant = TwoPhaseParticipant(
             replica.node, self._on_prepare, self._on_decision

@@ -29,9 +29,6 @@ Mechanics:
 
 Read-only transactions execute locally at the delegate without
 broadcasting.
-
-``config`` options: ``abcast`` — ``"consensus"`` (default) or
-``"sequencer"``.
 """
 
 from __future__ import annotations
@@ -75,10 +72,9 @@ class EagerUpdateEverywhereAbcast(ReplicaProtocol):
         reads_anywhere=True,
     )
 
-    def __init__(self, replica, group, config) -> None:
-        super().__init__(replica, group, config)
-        flavour = config.get("abcast", "consensus")
-        if flavour == "sequencer":
+    def __init__(self, replica, group, spec) -> None:
+        super().__init__(replica, group, spec)
+        if spec.abcast == "sequencer":
             self.abcast = SequencerAtomicBroadcast(
                 replica.node, replica.transport, group, self._on_deliver,
                 trace=replica.system.trace, channel_prefix="ueab",

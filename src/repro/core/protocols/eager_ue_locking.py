@@ -28,17 +28,6 @@ are broken by **lock-wait timeouts** (each remote lock request carries
 one), aborting the younger transaction system-wide.  The abort-rate
 benchmark measures how quickly this degrades under contention compared
 with certification.
-
-``config`` options:
-
-* ``lock_timeout`` — remote lock wait bound (default 40 time units).
-* ``write_quorum`` — number of sites locked/written per update (default:
-  all live sites, i.e. read-one/write-all).  Section 5.4.1: "The use of
-  quorums is orthogonal to this discussion.  Quorums only determine how
-  many sites and which of them need to be contacted" — setting a quorum
-  W with 2W > n keeps the exact same phase structure while writes touch
-  only W sites; reads then contact R = n - W + 1 sites and take the
-  highest-versioned copy (Gifford-style weighted voting).
 """
 
 from __future__ import annotations
@@ -100,10 +89,10 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         supports_sessions=True,
     )
 
-    def __init__(self, replica, group, config) -> None:
-        super().__init__(replica, group, config)
-        self.lock_timeout = float(config.get("lock_timeout", 40.0))
-        self.write_quorum = config.get("write_quorum")
+    def __init__(self, replica, group, spec) -> None:
+        super().__init__(replica, group, spec)
+        self.lock_timeout = float(spec.lock_timeout)
+        self.write_quorum = spec.write_quorum
         if self.write_quorum is not None:
             if not len(group) // 2 < self.write_quorum <= len(group):
                 raise ValueError(

@@ -17,12 +17,6 @@ Mechanics:
   primary's commit order — no reconciliation needed.
 * Read-only transactions run at any replica and may observe **stale**
   data; the staleness benchmark quantifies the window.
-
-``config`` options:
-
-* ``propagation_delay`` — how long after commit updates ship (default 20).
-* ``batch_interval`` — if set, ship the accumulated WAL tail on this
-  period instead of per-transaction timers.
 """
 
 from __future__ import annotations
@@ -68,10 +62,10 @@ class LazyPrimaryCopy(ReplicaProtocol):
         reads_anywhere=True,
     )
 
-    def __init__(self, replica, group, config) -> None:
-        super().__init__(replica, group, config)
-        self.propagation_delay = float(config.get("propagation_delay", 20.0))
-        self.batch_interval: Optional[float] = config.get("batch_interval")
+    def __init__(self, replica, group, spec) -> None:
+        super().__init__(replica, group, spec)
+        self.propagation_delay = float(spec.propagation_delay)
+        self.batch_interval: Optional[float] = spec.batch_interval
         self._shipped_lsn: Dict[str, int] = {peer: 0 for peer in self.peers()}
         replica.node.on(APPLY, self._on_apply)
         replica.node.on(SYNC, self._on_sync_request)

@@ -20,17 +20,6 @@ Mechanics:
   converge to identical values once propagation quiesces.  Transactions
   whose writes lost are counted as *undone* — the reconciliation casualty
   figure the benchmarks report.
-
-``config`` options:
-
-* ``propagation_delay`` — delay between commit and broadcast (default 20).
-* ``reconciliation`` — ``"lww"`` (default), ``"priority"``, or
-  ``"abcast"``: the paper's own suggestion for the simple model — "a
-  straightforward solution ... is to run an Atomic Broadcast and
-  determine the after-commit-order according to the order of the atomic
-  broadcast".  Writesets are applied in ABCAST delivery order at every
-  site, which converges without any timestamp scheme.
-* ``priorities`` — site -> rank map for the ``"priority"`` policy.
 """
 
 from __future__ import annotations
@@ -75,16 +64,16 @@ class LazyUpdateEverywhere(ReplicaProtocol):
         reads_anywhere=True,
     )
 
-    def __init__(self, replica, group, config) -> None:
-        super().__init__(replica, group, config)
-        self.propagation_delay = float(config.get("propagation_delay", 20.0))
-        self.policy = config.get("reconciliation", "lww")
+    def __init__(self, replica, group, spec) -> None:
+        super().__init__(replica, group, spec)
+        self.propagation_delay = float(spec.propagation_delay)
+        self.policy = spec.reconciliation
         self.reconciler = None
         self._abcast = None
         self._overwritten_by_order: set = set()
         self._last_writer: Dict[str, object] = {}
         if self.policy == "priority":
-            self.reconciler = SitePriority(self.store, config.get("priorities", {}))
+            self.reconciler = SitePriority(self.store, dict(spec.priorities))
         elif self.policy == "lww":
             self.reconciler = LastWriterWins(self.store)
         elif self.policy == "abcast":

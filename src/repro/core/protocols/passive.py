@@ -20,8 +20,6 @@ Faithful points:
 * Exactly-once across failover: the primary's response values travel with
   the vscast update, so a backup promoted to primary answers re-submitted
   requests from its result cache instead of re-executing them.
-
-``config`` options: none.
 """
 
 from __future__ import annotations
@@ -61,8 +59,8 @@ class PassiveReplication(ReplicaProtocol):
         supports_multi_op=True,
     )
 
-    def __init__(self, replica, group, config) -> None:
-        super().__init__(replica, group, config)
+    def __init__(self, replica, group, spec) -> None:
+        super().__init__(replica, group, spec)
         self.results_cache: Dict[str, list] = {}
         replica.node.on("passive.forward", self._on_forward)
         self.view_group = ViewSyncGroup(

@@ -72,10 +72,9 @@ class SemiActiveReplication(ReplicaProtocol):
     # itself (as in active replication).
     INJECT_FALLBACK = 30.0
 
-    def __init__(self, replica, group, config) -> None:
-        super().__init__(replica, group, config)
-        flavour = config.get("abcast", "consensus")
-        if flavour == "sequencer":
+    def __init__(self, replica, group, spec) -> None:
+        super().__init__(replica, group, spec)
+        if spec.abcast == "sequencer":
             self.abcast = SequencerAtomicBroadcast(
                 replica.node, replica.transport, group, self._on_deliver,
                 trace=replica.system.trace, channel_prefix="sa.ab",

@@ -62,8 +62,8 @@ class SemiPassiveReplication(ReplicaProtocol):
         supports_multi_op=True,
     )
 
-    def __init__(self, replica, group, config) -> None:
-        super().__init__(replica, group, config)
+    def __init__(self, replica, group, spec) -> None:
+        super().__init__(replica, group, spec)
         self.consensus = DeferredConsensus(
             replica.node,
             replica.transport,

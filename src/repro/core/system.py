@@ -19,21 +19,23 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
+from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..db import TransactionManager
 from ..errors import ReplicationError
 from ..failures import FailureDetector, FailureInjector
 from ..groupcomm import ReliableTransport
-from ..net import ConstantLatency, LatencyModel, Message, Network, Node
+from ..net import Message, Network, Node
 from ..obs import Observer
 from ..sim import Future, Simulator, TraceLog
-from .admission import AdmissionConfig, AdmissionController
+from .admission import AdmissionController
 from .operations import Operation, Request, Result
 from .phases import PhaseTracer, RE
 from .protocols import REGISTRY
 from .protocols.base import CLIENT_REQUEST, CLIENT_RESPONSE, ProtocolInfo
 from .sessions import TransactionSession
+from .spec import RunSpec
 
 __all__ = ["Directory", "ReplicaNode", "BlockingPolicy", "ClientNode",
            "ReplicatedSystem", "WAIT", "RESEND", "GIVE_UP"]
@@ -90,13 +92,7 @@ class ReplicaNode:
     message handlers against ``self.node``.
     """
 
-    def __init__(
-        self,
-        system: "ReplicatedSystem",
-        name: str,
-        fd_interval: float,
-        fd_timeout: float,
-    ) -> None:
+    def __init__(self, system: "ReplicatedSystem", name: str) -> None:
         self.system = system
         self.name = name
         self.node = _HostNode(system.sim, system.net, name, self)
@@ -107,8 +103,8 @@ class ReplicaNode:
         self.detector = FailureDetector(
             self.node,
             system.replica_names,
-            interval=fd_interval,
-            timeout=fd_timeout,
+            interval=system.spec.fd_interval,
+            timeout=system.spec.fd_timeout,
             trace=system.trace,
         )
         self.detector.on_restore(self.transport.resend_unacked)
@@ -118,7 +114,7 @@ class ReplicaNode:
         # crc32, not hash(): str hashing is salted per process, which would
         # give two invocations of the same seed different replica streams.
         self.rng = random.Random(
-            (system.seed or 0) * 10007 + zlib.crc32(name.encode("utf-8")) % 99991
+            (system.spec.seed or 0) * 10007 + zlib.crc32(name.encode("utf-8")) % 99991
         )
         self.tracer = system.tracer
         self.protocol = None  # set by ReplicatedSystem
@@ -319,7 +315,7 @@ class ClientNode:
         """
         if not self.system.info.supports_sessions:
             raise ReplicationError(
-                f"{self.system.protocol_name} does not support interactive "
+                f"{self.system.spec.technique} does not support interactive "
                 "sessions (no per-operation coordination loop)"
             )
         if server is None:
@@ -472,68 +468,25 @@ class ClientNode:
 class ReplicatedSystem:
     """A complete replicated service running one technique.
 
-    Parameters
-    ----------
-    protocol:
-        Registry name: ``"active"``, ``"passive"``, ``"semi_active"``,
-        ``"semi_passive"``, ``"eager_primary"``, ``"eager_ue_locking"``,
-        ``"eager_ue_abcast"``, ``"lazy_primary"``, ``"lazy_ue"``,
-        ``"certification"``.
-    replicas, clients:
-        How many replica sites and client processes to build.
-    seed, latency:
-        Simulation determinism and network model.
-    fd_interval, fd_timeout:
-        Failure-detection aggressiveness.
-    client_timeout:
-        Client retry timeout; defaults to None for transparent (policy
-        ``"all"``) techniques and 120 time units otherwise.
-    config:
-        Protocol-specific options (documented per protocol class).
-    observe:
-        When true, build a :class:`~repro.obs.Observer` and thread it
-        through the network, phase tracer and transaction managers: every
-        client request opens a root span, and message flights, handler
-        invocations, phases and lock waits become child spans.  Metrics
-        accumulate in ``system.observer.metrics``.  Off by default — an
-        unobserved run takes the exact same scheduling decisions.
-    trace_max_events:
-        Optional ring-buffer bound on the structured trace log (oldest
-        events are discarded past the bound); ``None`` keeps everything.
-    admission:
-        Optional :class:`~repro.core.admission.AdmissionConfig`: gate
-        every client submit through token-bucket throttling, a bounded
-        leveling queue and deadline shedding (see docs/workloads.md).
-        ``None`` (the default) leaves submits ungated.
+    Built from one :class:`~repro.core.spec.RunSpec` (``system.spec``),
+    or from a technique name plus RunSpec's fields as keywords:
+    ``ReplicatedSystem("active", replicas=3)`` is
+    ``ReplicatedSystem(RunSpec("active", replicas=3))``; keywords given
+    beside a spec override its fields.  With ``spec.observe``, metrics
+    accumulate in ``system.observer.metrics``.
     """
 
-    def __init__(
-        self,
-        protocol: str,
-        replicas: int = 3,
-        clients: int = 1,
-        seed: Optional[int] = 0,
-        latency: Optional[LatencyModel] = None,
-        fd_interval: float = 2.0,
-        fd_timeout: float = 8.0,
-        client_timeout: Optional[float] = None,
-        max_client_retries: int = 10,
-        config: Optional[dict] = None,
-        observe: bool = False,
-        trace_max_events: Optional[int] = None,
-        admission: Optional[AdmissionConfig] = None,
-    ) -> None:
-        if protocol not in REGISTRY:
-            raise ReplicationError(
-                f"unknown protocol {protocol!r}; available: {sorted(REGISTRY)}"
-            )
-        self.protocol_name = protocol
-        self.protocol_cls = REGISTRY[protocol]
+    def __init__(self, spec: Union[RunSpec, str], **fields: Any) -> None:
+        if isinstance(spec, str):
+            spec = RunSpec(spec, **fields)
+        elif fields:
+            spec = replace(spec, **fields)
+        self.spec = spec
+        self.protocol_cls = REGISTRY[spec.technique]
         self.info: ProtocolInfo = self.protocol_cls.info
-        self.seed = seed
-        self.sim = Simulator(seed=seed)
-        self.trace = TraceLog(self.sim, max_events=trace_max_events)
-        self.observer: Optional[Observer] = Observer(self.sim) if observe else None
+        self.sim = Simulator(seed=spec.seed)
+        self.trace = TraceLog(self.sim, max_events=spec.trace_max_events)
+        self.observer: Optional[Observer] = Observer(self.sim) if spec.observe else None
         if self.observer is not None:
             self.observer.attach(self.trace)
             # Windowed telemetry: sample gauges (breaker states, derived
@@ -542,37 +495,31 @@ class ReplicatedSystem:
             # so observation stays neutral to the run.
             self.observer.attach_sampler(self.sim)
         self.tracer = PhaseTracer(self.trace, obs=self.observer)
-        self.net = Network(
-            self.sim,
-            latency=latency if latency is not None else ConstantLatency(1.0),
-            trace=None,
-            obs=self.observer,
-        )
+        self.net = Network(self.sim, latency=spec.latency, trace=None, obs=self.observer)
         self.injector = FailureInjector(self.sim, self.net, trace=self.trace)
-        self.replica_names = [f"r{i}" for i in range(replicas)]
+        self.replica_names = [f"r{i}" for i in range(spec.replicas)]
         self.directory = Directory(self.replica_names)
-        self.config = dict(config or {})
         # Admission control at the system edge (open-loop workloads): when
         # absent, submits dispatch directly and nothing changes in the
         # event schedule of existing closed-loop runs.
         self.admission: Optional[AdmissionController] = (
-            AdmissionController(self, admission) if admission is not None else None
+            AdmissionController(self, spec.admission)
+            if spec.admission is not None else None
         )
 
         self.replicas: Dict[str, ReplicaNode] = {}
         for name in self.replica_names:
-            self.replicas[name] = ReplicaNode(
-                self, name, fd_interval, fd_timeout
-            )
+            self.replicas[name] = ReplicaNode(self, name)
         for name, replica in self.replicas.items():
-            replica.protocol = self.protocol_cls(replica, self.replica_names, self.config)
+            replica.protocol = self.protocol_cls(replica, self.replica_names, spec)
 
+        client_timeout = spec.client_timeout
         if client_timeout is None and self.info.client_policy != "all":
             client_timeout = 120.0
-        blocking = BlockingPolicy(client_timeout, max_client_retries)
+        blocking = BlockingPolicy(client_timeout, spec.max_client_retries)
         self.clients: List[ClientNode] = []
-        for i in range(clients):
-            home = self.replica_names[i % replicas]
+        for i in range(spec.clients):
+            home = self.replica_names[i % spec.replicas]
             self.clients.append(ClientNode(self, f"c{i}", home, blocking))
 
     # -- convenience -----------------------------------------------------------
@@ -655,6 +602,6 @@ class ReplicatedSystem:
 
     def __repr__(self) -> str:
         return (
-            f"<ReplicatedSystem {self.protocol_name} replicas={len(self.replicas)} "
+            f"<ReplicatedSystem {self.spec.technique} replicas={len(self.replicas)} "
             f"clients={len(self.clients)} t={self.sim.now:.1f}>"
         )

@@ -27,7 +27,18 @@ class LatencyModel:
         raise NotImplementedError
 
 
-class ConstantLatency(LatencyModel):
+class _ByValue(LatencyModel):
+    """A model fixed by its constructor arguments, compared and hashed by
+    them: two run specifications naming equal models are equal."""
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, tuple(vars(self).items())))
+
+
+class ConstantLatency(_ByValue):
     """Every message takes exactly ``delay`` time units."""
 
     def __init__(self, delay: float = 1.0) -> None:
@@ -42,7 +53,7 @@ class ConstantLatency(LatencyModel):
         return f"ConstantLatency({self.delay})"
 
 
-class UniformLatency(LatencyModel):
+class UniformLatency(_ByValue):
     """Delay drawn uniformly from ``[low, high]``."""
 
     def __init__(self, low: float = 0.5, high: float = 1.5) -> None:
@@ -58,7 +69,7 @@ class UniformLatency(LatencyModel):
         return f"UniformLatency({self.low}, {self.high})"
 
 
-class ExponentialLatency(LatencyModel):
+class ExponentialLatency(_ByValue):
     """``base`` plus an exponential tail with the given ``mean``.
 
     Models a LAN with occasional queueing: most messages arrive near

@@ -19,6 +19,9 @@ from .catalog import (
     render_catalog_markdown,
 )
 from .runner import (
+    STANDARD_LOOP,
+    STANDARD_SPEC,
+    ClosedLoop,
     dominant_phase_for,
     matrix_for,
     profile_json,
@@ -28,6 +31,9 @@ from .runner import (
 )
 
 __all__ = [
+    "ClosedLoop",
+    "STANDARD_SPEC",
+    "STANDARD_LOOP",
     "build_catalog",
     "render_catalog_json",
     "render_catalog_markdown",

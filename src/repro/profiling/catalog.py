@@ -13,11 +13,12 @@ the gate until the catalog is regenerated and the diff reviewed.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Dict, List
 
 from ..core.protocols import DB_TECHNIQUES, DS_TECHNIQUES
 from ..obs import KINDS, PHASES
-from .runner import profile_run
+from .runner import STANDARD_LOOP, STANDARD_SPEC, profile_run
 
 __all__ = [
     "build_catalog",
@@ -25,23 +26,12 @@ __all__ = [
     "render_catalog_json",
 ]
 
-# The catalog's fixed experiment: the CLI's standard run shape, pinned so
-# the committed numbers mean one reproducible thing.
-CATALOG_PARAMS = {
-    "seed": 7,
-    "replicas": 3,
-    "clients": 2,
-    "requests_per_client": 10,
-    "think_time": 10.0,
-    "settle": 500.0,
-}
-
-
 def build_catalog() -> Dict:
-    """Run every technique under the pinned experiment; collect matrices."""
+    """Run every technique under the standard experiment, pinned so the
+    committed numbers mean one reproducible thing; collect matrices."""
     techniques: Dict[str, Dict] = {}
     for name in DS_TECHNIQUES + DB_TECHNIQUES:
-        _system, _driver, profile = profile_run(name, **CATALOG_PARAMS)
+        _system, _driver, profile = profile_run(replace(STANDARD_SPEC, technique=name))
         techniques[name] = {
             "title": profile["title"],
             "figure": profile["figure"],
@@ -50,7 +40,8 @@ def build_catalog() -> Dict:
             "summary": profile["summary"],
             "matrix": profile["matrix"],
         }
-    return {"params": dict(CATALOG_PARAMS), "techniques": techniques}
+    # The run parameters are the same for every technique.
+    return {"params": profile["params"], "techniques": techniques}
 
 
 def _pct(share: float) -> str:
@@ -59,7 +50,8 @@ def _pct(share: float) -> str:
 
 def render_catalog_markdown(catalog: Dict) -> str:
     """The human-facing catalog: summary table + one matrix per technique."""
-    params = catalog["params"]
+    # What profile_run runs: the standard experiment, observed.
+    spec, loop = replace(STANDARD_SPEC, observe=True), STANDARD_LOOP
     lines: List[str] = [
         "# Phase cost matrix",
         "",
@@ -70,11 +62,10 @@ def render_catalog_markdown(catalog: Dict) -> str:
         "`python -m repro artifacts phasecost` — do not edit by hand; `make",
         "artifacts-check` fails if this file disagrees with the code.",
         "",
-        # profile_run's configuration: sequencer ABCAST, one time unit a hop.
-        "Experiment: seed={seed}, {replicas} replicas, {clients} clients x "
-        "{requests_per_client} update requests, think_time={think_time:g}, "
-        "settle={settle:g}, abcast=sequencer, "
-        "ConstantLatency(1.0).".format(**params),
+        f"Experiment: `{spec.describe()}`, each technique in place of "
+        f"`{spec.technique}`; every client submits "
+        f"{loop.requests_per_client} requests from `{loop.workload!r}`, "
+        f"think_time={loop.think_time!r}, settle={loop.settle!r}.",
         "",
         "Time is summed simulated time on the phase timeline of each",
         "committed or aborted request (phases tile the response window, so",

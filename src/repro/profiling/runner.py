@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..analysis import messages_per_request
-from ..core.protocols import REGISTRY
+from ..core.spec import RunSpec
 from ..obs import phase_matrix, request_profile
 from ..workload import WorkloadSpec, run_workload
 
 __all__ = [
+    "ClosedLoop",
+    "STANDARD_SPEC",
+    "STANDARD_LOOP",
     "profile_run",
     "profiles_for",
     "matrix_for",
@@ -27,6 +31,34 @@ __all__ = [
     "profile_json",
     "write_profile",
 ]
+
+
+@dataclass(frozen=True)
+class ClosedLoop:
+    """A closed-loop workload shape: each client submits
+    ``requests_per_client`` transactions from ``workload``, thinking
+    ``think_time`` after each reply; then the run settles for ``settle``."""
+
+    workload: WorkloadSpec
+    requests_per_client: int
+    think_time: float
+    settle: float
+
+    def run(self, spec: RunSpec) -> Tuple[Any, Any, Any]:
+        """Drive the system ``spec`` describes: ``(system, driver, summary)``."""
+        return run_workload(
+            spec, self.workload, requests_per_client=self.requests_per_client,
+            think_time=self.think_time, settle=self.settle,
+        )
+
+
+# The standard experiment behind ``python -m repro run|compare|observe|
+# profile`` and the phase cost catalog, with any technique for ``active``.
+STANDARD_SPEC = RunSpec("active", clients=2, seed=7, abcast="sequencer")
+STANDARD_LOOP = ClosedLoop(
+    WorkloadSpec(items=8, read_fraction=0.0),
+    requests_per_client=10, think_time=10.0, settle=500.0,
+)
 
 
 def profiles_for(observer: Any, request_ids: Iterable[str]) -> List[Dict]:
@@ -56,51 +88,30 @@ def dominant_phase_for(observer: Any, request_ids: Iterable[str]) -> str:
     return matrix_for(observer, request_ids)["dominant_phase"]
 
 
-def profile_run(
-    technique: str,
-    seed: int = 7,
-    replicas: int = 3,
-    clients: int = 2,
-    requests_per_client: int = 10,
-    think_time: float = 10.0,
-    settle: float = 500.0,
-    spec: Optional[WorkloadSpec] = None,
-    config: Optional[dict] = None,
-) -> Tuple[Any, Any, Dict]:
-    """Drive one observed run and build its profile document.
+def profile_run(spec: RunSpec, loop: ClosedLoop = STANDARD_LOOP) -> Tuple[Any, Any, Dict]:
+    """Drive one observed run of ``spec`` and build its profile document.
 
     Returns ``(system, driver, profile)`` so callers can keep digging
     into the observer; the profile dict alone is what the exporters
-    serialise.  Parameters default to the CLI's standard experiment (the
-    same shape ``python -m repro observe`` runs).
+    serialise.
     """
-    if technique not in REGISTRY:
-        raise ValueError(
-            f"unknown technique {technique!r}; available: {sorted(REGISTRY)}"
-        )
-    spec = spec if spec is not None else WorkloadSpec(items=8, read_fraction=0.0)
-    config = dict(config) if config is not None else {"abcast": "sequencer"}
-    system, driver, summary = run_workload(
-        technique, spec=spec, replicas=replicas, clients=clients,
-        requests_per_client=requests_per_client, seed=seed,
-        think_time=think_time, settle=settle, config=config, observe=True,
-    )
+    system, driver, summary = loop.run(replace(spec, observe=True))
     observer = system.observer
     profiles = profiles_for(observer, (r.request_id for r in driver.results))
     info = system.info
     profile = {
-        "technique": technique,
+        "technique": spec.technique,
         "title": info.title,
         "figure": info.figure,
         "phase_row": " ".join(info.descriptor.phase_names()),
         "consistency": info.consistency,
         "params": {
-            "seed": seed,
-            "replicas": replicas,
-            "clients": clients,
-            "requests_per_client": requests_per_client,
-            "think_time": think_time,
-            "settle": settle,
+            "seed": spec.seed,
+            "replicas": spec.replicas,
+            "clients": spec.clients,
+            "requests_per_client": loop.requests_per_client,
+            "think_time": loop.think_time,
+            "settle": loop.settle,
         },
         "summary": {
             "requests": summary.requests,

@@ -6,12 +6,11 @@ network fault plane (drop, duplicate, jitter, slow).  Campaigns are plain
 frozen data: composing a new scenario means writing a tuple, not code, and
 the same campaign runs unchanged against every replication technique.
 
-:func:`run_campaign` drives one ``(campaign, technique, seed)`` cell:
-it builds a :class:`~repro.core.system.ReplicatedSystem`, attaches client
-edges with the :class:`~repro.resilience.edge.RetryingPolicy`, schedules the
-campaign through the :class:`~repro.failures.FailureInjector`, runs a
-closed-loop counter workload, and then asserts the technique's *declared*
-guarantee:
+:func:`run_campaign` drives one ``(campaign, RunSpec)`` cell: it builds
+the system the spec describes, attaches client edges with the
+:class:`~repro.resilience.edge.RetryingPolicy`, schedules the campaign
+through the :class:`~repro.failures.FailureInjector`, runs a closed-loop
+counter workload, and then asserts the technique's *declared* guarantee:
 
 * **strong** techniques must keep exactly-once counters (every committed
   increment visible exactly once at every live replica), finish every
@@ -35,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.operations import Operation, Result
 from ..core.protocols import REGISTRY
+from ..core.spec import RunSpec
 from ..core.system import ClientNode, ReplicatedSystem
 from ..analysis import counter_check, expected_counters
 from ..failures import FailureInjector
@@ -261,37 +261,32 @@ class CampaignReport:
 
 
 def run_campaign(
-    technique: str,
+    spec: RunSpec,
     campaign: ChaosCampaign,
-    seed: int = 0,
-    clients: int = 2,
     requests_per_client: int = 6,
     deadline: float = 400.0,
     request_timeout: float = 30.0,
     retry: Optional[RetryPolicy] = None,
-    observe: bool = True,
     artifact_dir: Optional[str] = None,
     settle_time: float = 600.0,
 ) -> CampaignReport:
-    """Run one campaign against one technique and judge the outcome.
+    """Run one campaign against the system ``spec`` describes and judge
+    the outcome.
 
-    The workload is a closed loop per client: counter increments with
-    think time, each driven through a retrying edge.  A definitive
+    ``spec.clients`` client edges with the retrying policy each run a
+    closed loop: counter increments with think time.  A definitive
     abort (lock timeout, deadlock, certification conflict — outcomes the
     edge *knows* had no effect) is resubmitted as a fresh request, the
     way an application-level retry would; an indeterminate outcome is
     never resubmitted, because doing so could double-apply.
     """
-    system = ReplicatedSystem(
-        technique, replicas=3, clients=0, seed=seed,
-        fd_interval=2.0, fd_timeout=8.0, observe=observe,
-    )
+    system = ReplicatedSystem(spec, clients=0)
     edges = [
         retrying_client(
             system, index=i, request_timeout=request_timeout,
             deadline=deadline, retry=retry,
         )
-        for i in range(clients)
+        for i in range(spec.clients)
     ]
     campaign.schedule(system.injector, clients=[edge.name for edge in edges])
 
@@ -354,9 +349,9 @@ def run_campaign(
 
     report = CampaignReport(
         campaign=campaign.name,
-        technique=technique,
+        technique=spec.technique,
         consistency=system.info.consistency,
-        seed=seed,
+        seed=spec.seed,
         requests=len(results),
         committed=len(committed),
         definitive_aborts=len(results) - len(committed) - len(indeterminate),
@@ -373,16 +368,16 @@ def run_campaign(
         finished_at=system.sim.now,
     )
 
-    if observe and artifact_dir is not None:
+    if spec.observe and artifact_dir is not None:
         from ..obs import write_artifacts
 
         stem = os.path.join(
-            artifact_dir, f"{campaign.name}--{technique}--seed{seed}"
+            artifact_dir, f"{campaign.name}--{spec.technique}--seed{spec.seed}"
         )
         node_order = list(system.replica_names) + [e.name for e in edges]
         written = write_artifacts(
             system.observer, stem, node_order=node_order,
-            title=f"{campaign.name}/{technique}",
+            title=f"{campaign.name}/{spec.technique}",
         )
         # Record basenames, not paths: the report itself is an evidence
         # artifact, and same-seed runs must be byte-identical no matter
@@ -409,7 +404,8 @@ def run_matrix(
     """Run campaigns x techniques; returns one report per cell.
 
     Defaults to every named campaign against every registered technique —
-    the full robustness matrix behind ``make chaos``.
+    the full robustness matrix behind ``make chaos``.  Each cell is three
+    replicas and two retrying client edges at ``seed``.
     """
     campaign_names = list(campaigns) if campaigns else sorted(CAMPAIGNS)
     technique_names = list(techniques) if techniques else list(REGISTRY)
@@ -423,8 +419,8 @@ def run_matrix(
         for technique in technique_names:
             reports.append(
                 run_campaign(
-                    technique, CAMPAIGNS[campaign_name], seed=seed,
-                    observe=observe, artifact_dir=artifact_dir, **kwargs,
+                    RunSpec(technique, clients=2, seed=seed, observe=observe),
+                    CAMPAIGNS[campaign_name], artifact_dir=artifact_dir, **kwargs,
                 )
             )
     return reports

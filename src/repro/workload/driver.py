@@ -13,6 +13,7 @@ from typing import Callable, List, Optional
 
 from ..analysis.metrics import WorkloadSummary, summarize
 from ..core.operations import Result
+from ..core.spec import RunSpec
 from ..core.system import ReplicatedSystem
 from .generator import WorkloadGenerator, WorkloadSpec
 
@@ -108,37 +109,25 @@ class ClosedLoopDriver:
 
 
 def run_workload(
-    protocol: str,
-    spec: Optional[WorkloadSpec] = None,
-    replicas: int = 3,
-    clients: int = 2,
+    spec: RunSpec,
+    workload: Optional[WorkloadSpec] = None,
     requests_per_client: int = 15,
-    seed: int = 7,
     think_time: float = 0.0,
     retry_aborts: bool = False,
     settle: float = 300.0,
-    system_kwargs: Optional[dict] = None,
-    config: Optional[dict] = None,
-    observe: bool = False,
 ) -> tuple:
-    """One-call experiment: build system, drive workload, summarize.
+    """One-call experiment: build the system ``spec`` describes, drive the
+    workload from every client, summarize.
 
     Returns ``(system, driver, summary)`` so callers can inspect stores,
-    traces and network statistics afterwards.  With ``observe=True`` the
-    system carries a :class:`~repro.obs.Observer`; export its spans and
-    metrics via :func:`repro.obs.write_artifacts`.
+    traces and network statistics afterwards.  The workload generator
+    draws from ``spec.seed``.  With ``spec.observe`` the system carries a
+    :class:`~repro.obs.Observer`; export its spans and metrics via
+    :func:`repro.obs.write_artifacts`.
     """
-    spec = spec if spec is not None else WorkloadSpec()
-    system = ReplicatedSystem(
-        protocol,
-        replicas=replicas,
-        clients=clients,
-        seed=seed,
-        config=config,
-        observe=observe,
-        **(system_kwargs or {}),
-    )
-    generator = WorkloadGenerator(spec, seed=seed)
+    workload = workload if workload is not None else WorkloadSpec()
+    system = ReplicatedSystem(spec)
+    generator = WorkloadGenerator(workload, seed=spec.seed)
     driver = ClosedLoopDriver(
         system,
         generator,

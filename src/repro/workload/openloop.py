@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..analysis.metrics import WorkloadSummary, summarize
-from ..core.admission import AdmissionConfig
 from ..core.operations import Result
+from ..core.spec import RunSpec
 from ..core.system import ReplicatedSystem
 from .generator import WorkloadGenerator, WorkloadSpec
 
@@ -249,37 +249,22 @@ class OpenLoopEngine:
 
 
 def run_openloop(
-    protocol: str,
-    spec: Optional[WorkloadSpec] = None,
+    spec: RunSpec,
+    workload: Optional[WorkloadSpec] = None,
     arrival: Optional[ArrivalSpec] = None,
-    replicas: int = 3,
-    clients: int = 4,
-    seed: int = 7,
-    admission: Optional[AdmissionConfig] = None,
     settle: float = 300.0,
-    system_kwargs: Optional[dict] = None,
-    config: Optional[dict] = None,
-    observe: bool = False,
 ) -> tuple:
-    """One-call open-loop experiment: build system, play arrivals, summarize.
+    """One-call open-loop experiment: build the system ``spec`` describes,
+    play arrivals, summarize.
 
-    Returns ``(system, engine, summary)``.  ``clients`` is the number of
-    *physical* client edges; the logical population lives in
-    ``arrival.clients``.
+    Returns ``(system, engine, summary)``.  ``spec.clients`` is the number
+    of *physical* client edges; the logical population lives in
+    ``arrival.clients``.  The workload generator draws from ``spec.seed``.
     """
-    spec = spec if spec is not None else WorkloadSpec()
+    workload = workload if workload is not None else WorkloadSpec()
     arrival = arrival if arrival is not None else ArrivalSpec()
-    system = ReplicatedSystem(
-        protocol,
-        replicas=replicas,
-        clients=clients,
-        seed=seed,
-        config=config,
-        observe=observe,
-        admission=admission,
-        **(system_kwargs or {}),
-    )
-    generator = WorkloadGenerator(spec, seed=seed)
+    system = ReplicatedSystem(spec)
+    generator = WorkloadGenerator(workload, seed=spec.seed)
     engine = OpenLoopEngine(system, generator, arrival)
     summary = engine.run(settle=settle)
     return system, engine, summary

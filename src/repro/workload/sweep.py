@@ -28,6 +28,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.admission import AdmissionConfig
 from ..core.protocols import DB_TECHNIQUES, DS_TECHNIQUES
+from ..core.spec import RunSpec
 from .generator import WorkloadSpec
 from .openloop import ArrivalSpec, run_openloop
 
@@ -79,60 +80,44 @@ class SweepConfig:
     queue_capacity: int = 256
     deadline_budget: Optional[float] = None
 
-    def cells(self) -> List[Dict[str, Any]]:
+    def cells(self) -> List[Tuple[RunSpec, WorkloadSpec, ArrivalSpec]]:
         """One picklable work item per (technique, seed, rate)."""
-        shared = asdict(self)
-        shared.pop("techniques")
-        shared.pop("seeds")
-        shared.pop("rates")
+        workload = WorkloadSpec(
+            items=self.items, read_fraction=self.read_fraction,
+            hot_fraction=self.hot_fraction,
+            hot_access_probability=self.hot_access_probability,
+        )
+        admission = None
+        if self.admission_rate > 0:
+            admission = AdmissionConfig(rate=self.admission_rate, burst=self.admission_burst,
+                                        queue_capacity=self.queue_capacity)
         return [
-            dict(shared, technique=technique, seed=seed, rate=rate)
+            (
+                RunSpec(technique, replicas=self.replicas, clients=self.edges,
+                        seed=seed, admission=admission),
+                workload,
+                ArrivalSpec(process=self.process, rate=rate, duration=self.duration,
+                            clients=self.clients, deadline_budget=self.deadline_budget),
+            )
             for technique in self.techniques
             for seed in self.seeds
             for rate in self.rates
         ]
 
 
-def run_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
+def run_cell(cell: Tuple[RunSpec, WorkloadSpec, ArrivalSpec]) -> Dict[str, Any]:
     """Run one sweep cell; returns a JSON-safe row.
 
     Module-level (not a closure) so ``multiprocessing`` can import it by
-    reference in worker processes under both fork and spawn.
+    reference in worker processes under both fork and spawn; the cell's
+    three specs reach the worker pickled.
     """
-    spec = WorkloadSpec(
-        items=cell["items"],
-        read_fraction=cell["read_fraction"],
-        hot_fraction=cell["hot_fraction"],
-        hot_access_probability=cell["hot_access_probability"],
-    )
-    arrival = ArrivalSpec(
-        process=cell["process"],
-        rate=cell["rate"],
-        duration=cell["duration"],
-        clients=cell["clients"],
-        deadline_budget=cell["deadline_budget"],
-    )
-    admission = None
-    if cell["admission_rate"] > 0:
-        admission = AdmissionConfig(
-            rate=cell["admission_rate"],
-            burst=cell["admission_burst"],
-            queue_capacity=cell["queue_capacity"],
-        )
-    system, engine, summary = run_openloop(
-        cell["technique"],
-        spec=spec,
-        arrival=arrival,
-        replicas=cell["replicas"],
-        clients=cell["edges"],
-        seed=cell["seed"],
-        admission=admission,
-        settle=200.0,
-    )
-    row = {
-        "technique": cell["technique"],
-        "seed": cell["seed"],
-        "rate": cell["rate"],
+    spec, workload, arrival = cell
+    system, engine, summary = run_openloop(spec, workload, arrival, settle=200.0)
+    return {
+        "technique": spec.technique,
+        "seed": spec.seed,
+        "rate": arrival.rate,
         "summary": summary.row(),
         "offered_load": round(summary.offered_load, 6),
         "goodput": round(summary.goodput, 6),
@@ -141,7 +126,6 @@ def run_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
         "engine": engine.stats(),
         "converged": system.converged(),
     }
-    return row
 
 
 def merge_rows(rows: Iterable[Dict[str, Any]],

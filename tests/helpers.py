@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional
 
-from repro.core.system import ReplicatedSystem
+from repro.core import ReplicatedSystem, RunSpec
 from repro.failures import FailureDetector
 from repro.net import ConstantLatency, Network, Node, UniformLatency
 from repro.groupcomm import ReliableTransport
@@ -63,8 +63,10 @@ class GroupHarness:
         return [n for n in self.names if not self.nodes[n].crashed]
 
 
-def contended_run(technique: str, seed: int, ops_per_transaction: int = 3):
-    """Multi-operation transactions on a hot set, open loop, run to drain.
+def contended_run(spec: RunSpec, ops_per_transaction: int = 3):
+    """Multi-operation transactions on a hot set against the system
+    ``spec`` describes (the tests use four client edges), open loop, run
+    to drain.
 
     Three operations per transaction unless told otherwise, 70 % writes,
     70 % of accesses on 4 of 20 items, one arrival per time unit for 300:
@@ -74,11 +76,11 @@ def contended_run(technique: str, seed: int, ops_per_transaction: int = 3):
     Raises ``SimulationError`` if a client is never answered (heartbeats
     keep the event queue alive, so the run hits the event cap).
     """
-    system = ReplicatedSystem(technique, replicas=3, clients=4, seed=seed)
+    system = ReplicatedSystem(spec)
     generator = WorkloadGenerator(
         WorkloadSpec(items=20, hot_fraction=0.2, hot_access_probability=0.7,
                      ops_per_transaction=ops_per_transaction, read_fraction=0.3),
-        seed=seed,
+        seed=spec.seed,
     )
     arrival = ArrivalSpec(process="poisson", rate=1.0, duration=300.0, clients=1000)
     engine = OpenLoopEngine(system, generator, arrival)
@@ -89,7 +91,7 @@ def contended_run(technique: str, seed: int, ops_per_transaction: int = 3):
 def contended_digest(technique: str, seed: int) -> str:
     """Committed count and a sha256 over every result, ``net.stats`` and the
     stores of :func:`contended_run`."""
-    system, engine, summary = contended_run(technique, seed)
+    system, engine, summary = contended_run(RunSpec(technique, clients=4, seed=seed))
     stats = system.net.stats
     digest = hashlib.sha256()
     digest.update(repr([

@@ -67,7 +67,7 @@ def mini(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(
         catalog_module, "build_catalog",
-        lambda: {"params": catalog_module.CATALOG_PARAMS, "techniques": {}},
+        lambda: {"params": {}, "techniques": {}},
     )
     return tmp_path
 

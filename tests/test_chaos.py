@@ -16,10 +16,10 @@ SEEDS = [1, 2, 3]
 
 
 def run_chaos(protocol, seed, replicas=3, crash_victim="r0", recover=False,
-              requests=8, config=None, client_retries=True):
+              requests=8, client_retries=True, **options):
     system = ReplicatedSystem(
         protocol, replicas=replicas, clients=2, seed=seed,
-        fd_interval=2.0, fd_timeout=8.0, client_timeout=40.0, config=config,
+        fd_interval=2.0, fd_timeout=8.0, client_timeout=40.0, **options,
     )
     rng = system.sim.rng
     crash_time = rng.uniform(20.0, 150.0)
@@ -85,7 +85,7 @@ class TestStrongTechniquesUnderChaos:
     def test_eager_ue_locking_under_secondary_crash(self, seed):
         system, results = run_chaos(
             "eager_ue_locking", seed, crash_victim="r2",
-            config={"lock_timeout": 25.0},
+            lock_timeout=25.0,
         )
         committed = [r for r in results if r.committed]
         stores = {n: system.store_of(n) for n in system.live_replicas()}
@@ -98,14 +98,14 @@ class TestWeakTechniquesUnderChaos:
     def test_lazy_ue_converges_despite_crash(self, seed):
         system, results = run_chaos(
             "lazy_ue", seed, crash_victim="r2",
-            config={"propagation_delay": 15.0},
+            propagation_delay=15.0,
         )
         assert system.converged(), system.divergent_replicas()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_lazy_primary_survivors_converge(self, seed):
         system, results = run_chaos(
-            "lazy_primary", seed, config={"propagation_delay": 10.0},
+            "lazy_primary", seed, propagation_delay=10.0,
         )
         assert system.converged(), system.divergent_replicas()
 
@@ -215,7 +215,7 @@ class TestPartitionsAndHealing:
     def test_lazy_ue_partition_heal_reconciles(self):
         system = ReplicatedSystem(
             "lazy_ue", replicas=3, clients=3, seed=4,
-            config={"propagation_delay": 8.0},
+            propagation_delay=8.0,
         )
         system.injector.partition_at(10.0, ["r0", "c0"], ["r1", "r2", "c1", "c2"])
         system.injector.heal_at(150.0)

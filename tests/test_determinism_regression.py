@@ -10,22 +10,18 @@ through a helper — shows up here as a diff.
 
 import pytest
 
-from repro import REGISTRY
+from repro import REGISTRY, RunSpec
 from repro.workload import WorkloadSpec, run_workload
 
 
 def _run(technique: str, seed: int):
     spec = WorkloadSpec(items=6, read_fraction=0.3, ops_per_transaction=2)
     system, driver, summary = run_workload(
-        technique,
-        spec=spec,
-        replicas=3,
-        clients=2,
+        RunSpec(technique, replicas=3, clients=2, seed=seed, abcast="sequencer"),
+        spec,
         requests_per_client=3,
-        seed=seed,
         think_time=5.0,
         settle=300.0,
-        config={"abcast": "sequencer"},
     )
     trace = [
         (

@@ -21,8 +21,8 @@ from repro import AC, END, EX, RE, SC, Operation, ReplicatedSystem
 from repro.core.protocols import REGISTRY
 
 
-def outcomes(protocol, seed=77, config=None):
-    system = ReplicatedSystem(protocol, replicas=3, seed=seed, config=config)
+def outcomes(protocol, seed=77, **options):
+    system = ReplicatedSystem(protocol, replicas=3, seed=seed, **options)
     trace = []
     for i in range(4):
         result = system.execute([Operation.update(f"k{i % 2}", "add", 1)])
@@ -78,8 +78,8 @@ class TestActiveVsEagerUEAbcast:
         assert REGISTRY["eager_ue_abcast"].info.client_policy == "local"
 
     def test_same_replica_state_on_same_workload(self):
-        _trace_a, state_a = outcomes("active", config={"abcast": "sequencer"})
-        _trace_b, state_b = outcomes("eager_ue_abcast", config={"abcast": "sequencer"})
+        _trace_a, state_a = outcomes("active", abcast="sequencer")
+        _trace_b, state_b = outcomes("eager_ue_abcast", abcast="sequencer")
         assert state_a == state_b
 
     def test_both_require_determinism(self):

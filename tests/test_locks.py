@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import contended_run
+from repro.core import RunSpec
 from repro.db import LockManager, READ, WRITE
 from repro.db import locks as locks_module
 from repro.errors import SimulationError, TransactionAborted
@@ -320,11 +321,12 @@ class TestDeterministicOrder:
         code = (
             "import sys\n"
             "from helpers import contended_digest\n"
-            "from repro.core.protocols import REGISTRY\n"
+            "from repro.core import REGISTRY, RunSpec\n"
             "from repro.resilience import CAMPAIGNS, run_campaign\n"
             "for technique in REGISTRY:\n"
             "    print(technique, contended_digest(technique, 7))\n"
-            "report = run_campaign('eager_ue_locking',\n"
+            "report = run_campaign(\n"
+            "    RunSpec('eager_ue_locking', clients=2, seed=0, observe=True),\n"
             "    CAMPAIGNS['partition_during_view_change'], artifact_dir=sys.argv[1])\n"
             "assert report.breaker_trips == 1\n"
             "print(open(sys.argv[1] + '/' + report.artifacts['report']).read())\n"
@@ -357,7 +359,9 @@ class TestContendedTransactions:
         and the run spun on heartbeats to the event cap.
         """
         try:
-            system, engine, summary = contended_run("eager_primary", seed)
+            system, engine, summary = contended_run(
+                RunSpec("eager_primary", clients=4, seed=seed)
+            )
         except SimulationError as error:
             pytest.fail(f"a client was never answered: {error}")
         assert summary.committed + summary.aborted == summary.offered > 250

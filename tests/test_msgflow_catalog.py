@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import REGISTRY, ReplicatedSystem
+from repro import REGISTRY, ReplicatedSystem, RunSpec
 from repro.lint.msgflow import build_catalog, pattern_matches
 from repro.lint.symeval import WILDCARD
 from repro.net.network import Network
@@ -131,15 +131,11 @@ def _assert_covered(label, catalog, wire):
 @pytest.mark.parametrize("technique", sorted(REGISTRY))
 def test_catalog_covers_dynamic_traffic(technique, catalog, wire):
     run_workload(
-        technique,
-        spec=WorkloadSpec(items=6, read_fraction=0.3, ops_per_transaction=2),
-        replicas=3,
-        clients=2,
+        RunSpec(technique, replicas=3, clients=2, seed=1301, abcast="sequencer"),
+        WorkloadSpec(items=6, read_fraction=0.3, ops_per_transaction=2),
         requests_per_client=3,
-        seed=1301,
         think_time=5.0,
         settle=300.0,
-        config={"abcast": "sequencer"},
     )
     _assert_covered(technique, catalog, wire)
 

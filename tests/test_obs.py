@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import REGISTRY, Operation, ReplicatedSystem
+from repro import REGISTRY, Operation, ReplicatedSystem, RunSpec
 from repro.lint.msgflow import build_catalog, pattern_matches
 from repro.lint.symeval import WILDCARD
 from repro.obs import (
@@ -56,16 +56,12 @@ SPECS = {
 
 def _observed_run(technique: str):
     system, driver, summary = run_workload(
-        technique,
-        spec=SPECS.get(technique, SPEC),
-        replicas=3,
-        clients=2,
+        RunSpec(technique, replicas=3, clients=2, seed=1301, observe=True,
+                abcast="sequencer"),
+        SPECS.get(technique, SPEC),
         requests_per_client=2,
-        seed=1301,
         think_time=5.0,
         settle=300.0,
-        config={"abcast": "sequencer"},
-        observe=True,
     )
     system.observer.finalize()
     return system, driver
@@ -325,7 +321,7 @@ class TestZeroCostWhenDisabled:
         for observe in (False, True):
             system = ReplicatedSystem(
                 technique, replicas=3, seed=11, observe=observe,
-                config={"abcast": "sequencer"},
+                abcast="sequencer",
             )
             result = system.execute(
                 [Operation.write("x", 1), Operation.read("x")]

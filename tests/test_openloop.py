@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import DB_TECHNIQUES, DS_TECHNIQUES, ReplicatedSystem
+from repro import DB_TECHNIQUES, DS_TECHNIQUES, ReplicatedSystem, RunSpec
 from repro.core import AdmissionConfig
 from repro.core.admission import (
     SHED_DEADLINE_QUEUED,
@@ -66,10 +66,10 @@ class TestArrivalSpec:
 class TestOpenLoopEngine:
     def test_deterministic_process_paces_arrivals(self):
         system, engine, summary = run_openloop(
-            "active",
+            RunSpec("active", clients=4, seed=1),
             arrival=ArrivalSpec(process="deterministic", rate=0.5,
                                 duration=100.0, clients=1_000),
-            seed=1, settle=50.0,
+            settle=50.0,
         )
         # Fixed gaps of 2.0 inside a 100-unit horizon: 49 arrivals (the
         # first fires after one full gap, the horizon is open-ended).
@@ -81,10 +81,10 @@ class TestOpenLoopEngine:
 
     def test_served_plus_shed_equals_submitted(self):
         system, engine, summary = run_openloop(
-            "lazy_primary",
+            RunSpec("lazy_primary", clients=4, seed=2,
+                    admission=AdmissionConfig(rate=0.1, burst=2.0, queue_capacity=4)),
             arrival=ArrivalSpec(rate=0.3, duration=200.0, clients=5_000),
-            admission=AdmissionConfig(rate=0.1, burst=2.0, queue_capacity=4),
-            seed=2, settle=100.0,
+            settle=100.0,
         )
         assert len(engine.results) + len(engine.shed_results) == engine.submitted
         assert summary.offered == engine.submitted
@@ -95,8 +95,11 @@ class TestOpenLoopEngine:
         # offered count must not change with protocol-internal randomness.
         arrival = ArrivalSpec(rate=0.2, duration=200.0, clients=2_000)
         offered = {
-            run_openloop(name, arrival=arrival, replicas=2, seed=4,
-                         settle=100.0)[1].submitted
+            run_openloop(
+                RunSpec(name, replicas=2, clients=4, seed=4),
+                arrival=arrival,
+                settle=100.0,
+            )[1].submitted
             for name in ("active", "certification", "lazy_primary")
         }
         assert len(offered) == 1
@@ -138,11 +141,11 @@ class TestOpenLoopEngine:
         # client population (no per-client process) with the admission
         # edge absorbing the overload.
         system, engine, summary = run_openloop(
-            "active",
+            RunSpec("active", clients=4, seed=11,
+                    admission=AdmissionConfig(rate=1.0, burst=8.0, queue_capacity=64)),
             arrival=ArrivalSpec(process="deterministic", rate=400.0,
                                 duration=300.0, clients=1_000_000),
-            admission=AdmissionConfig(rate=1.0, burst=8.0, queue_capacity=64),
-            seed=11, settle=50.0,
+            settle=50.0,
         )
         stats = engine.stats()
         assert summary.offered == 120_000
@@ -164,8 +167,9 @@ class TestSameSeedByteIdentical:
 
         def one(tag):
             system, engine, summary = run_openloop(
-                technique, arrival=arrival, replicas=2, seed=13,
-                settle=100.0, observe=True,
+                RunSpec(technique, replicas=2, clients=4, seed=13, observe=True),
+                arrival=arrival,
+                settle=100.0,
             )
             stem = str(tmp_path / f"{technique}-{tag}")
             node_order = system.replica_names + [c.name for c in system.clients]
@@ -185,11 +189,11 @@ class TestSameSeedByteIdentical:
 class TestAdmissionControl:
     def test_queue_full_sheds(self):
         system, engine, summary = run_openloop(
-            "active",
+            RunSpec("active", clients=4, seed=5,
+                    admission=AdmissionConfig(rate=0.1, burst=1.0, queue_capacity=3)),
             arrival=ArrivalSpec(process="deterministic", rate=2.0,
                                 duration=100.0, clients=1_000),
-            admission=AdmissionConfig(rate=0.1, burst=1.0, queue_capacity=3),
-            seed=5, settle=100.0,
+            settle=100.0,
         )
         reasons = system.admission.shed_by_reason
         assert reasons.get(SHED_QUEUE_FULL, 0) > 0
@@ -197,23 +201,22 @@ class TestAdmissionControl:
 
     def test_queued_deadline_expiry_sheds(self):
         system, engine, summary = run_openloop(
-            "active",
+            RunSpec("active", clients=4, seed=6,
+                    admission=AdmissionConfig(rate=0.05, burst=1.0, queue_capacity=1_000)),
             arrival=ArrivalSpec(process="deterministic", rate=1.0,
                                 duration=50.0, clients=1_000,
                                 deadline_budget=15.0),
-            admission=AdmissionConfig(rate=0.05, burst=1.0,
-                                      queue_capacity=1_000),
-            seed=6, settle=200.0,
+            settle=200.0,
         )
         reasons = system.admission.shed_by_reason
         assert reasons.get(SHED_DEADLINE_QUEUED, 0) > 0
 
     def test_conservation_invariant_holds(self):
         system, engine, _ = run_openloop(
-            "certification",
+            RunSpec("certification", clients=4, seed=7,
+                    admission=AdmissionConfig(rate=0.2, burst=2.0, queue_capacity=6)),
             arrival=ArrivalSpec(rate=0.5, duration=150.0, clients=3_000),
-            admission=AdmissionConfig(rate=0.2, burst=2.0, queue_capacity=6),
-            seed=7, settle=200.0,
+            settle=200.0,
         )
         snap = system.admission.snapshot()
         assert snap["offered"] == (
@@ -223,11 +226,11 @@ class TestAdmissionControl:
 
     def test_shed_results_carry_shed_reason(self):
         system, engine, _ = run_openloop(
-            "active",
+            RunSpec("active", clients=4, seed=8,
+                    admission=AdmissionConfig(rate=0.1, burst=1.0, queue_capacity=2)),
             arrival=ArrivalSpec(process="deterministic", rate=2.0,
                                 duration=60.0, clients=500),
-            admission=AdmissionConfig(rate=0.1, burst=1.0, queue_capacity=2),
-            seed=8, settle=100.0,
+            settle=100.0,
         )
         assert engine.shed_results
         for result in engine.shed_results:
@@ -236,11 +239,11 @@ class TestAdmissionControl:
 
     def test_observer_records_edge_series(self):
         system, engine, _ = run_openloop(
-            "active",
+            RunSpec("active", clients=4, seed=9, observe=True,
+                    admission=AdmissionConfig(rate=0.2, burst=2.0, queue_capacity=2)),
             arrival=ArrivalSpec(process="deterministic", rate=1.0,
                                 duration=80.0, clients=500),
-            admission=AdmissionConfig(rate=0.2, burst=2.0, queue_capacity=2),
-            seed=9, settle=100.0, observe=True,
+            settle=100.0,
         )
         series = system.observer.metrics.series_snapshot()
         assert "ts.offered" in series
@@ -250,11 +253,11 @@ class TestAdmissionControl:
 
     def test_rates_helper_reports_per_unit_rate(self):
         system, engine, _ = run_openloop(
-            "active",
+            RunSpec("active", clients=4, seed=9, observe=True,
+                    admission=AdmissionConfig(rate=0.2, burst=2.0, queue_capacity=2)),
             arrival=ArrivalSpec(process="deterministic", rate=1.0,
                                 duration=80.0, clients=500),
-            admission=AdmissionConfig(rate=0.2, burst=2.0, queue_capacity=2),
-            seed=9, settle=100.0, observe=True,
+            settle=100.0,
         )
         series = system.observer.metrics.series_snapshot()["ts.offered"]
         for (t_rate, rate), (t_count, count) in zip(series.rates(),
@@ -264,10 +267,10 @@ class TestAdmissionControl:
 
     def test_no_admission_means_no_gating(self):
         system, engine, summary = run_openloop(
-            "active",
+            RunSpec("active", clients=4, seed=10),
             arrival=ArrivalSpec(process="deterministic", rate=1.0,
                                 duration=60.0, clients=500),
-            seed=10, settle=100.0,
+            settle=100.0,
         )
         assert system.admission is None
         assert summary.offered == summary.requests

@@ -5,7 +5,7 @@ from helpers import GroupHarness
 
 from repro import Operation, ReplicatedSystem
 from repro.groupcomm import OptimisticAtomicBroadcast
-from repro.net import UniformLatency
+from repro.net import ConstantLatency, UniformLatency
 
 
 def attach(h, flavour="sequencer"):
@@ -95,12 +95,8 @@ class TestOptimisticCertification:
         # ordering protocol has real latency to hide the processing behind.
         system = ReplicatedSystem(
             "certification", replicas=3, clients=2, seed=seed,
-            latency=UniformLatency(0.5, 2.5) if jitter else None,
-            config={
-                "abcast": flavour,
-                "optimistic": optimistic,
-                "processing_time": processing_time,
-            },
+            latency=UniformLatency(0.5, 2.5) if jitter else ConstantLatency(1.0),
+            abcast=flavour, optimistic=optimistic, processing_time=processing_time,
         )
         results = []
 
@@ -164,8 +160,7 @@ class TestOptimisticCertification:
     def test_conflicting_transactions_still_resolved(self):
         system = ReplicatedSystem(
             "certification", replicas=3, clients=2, seed=5,
-            config={"abcast": "sequencer", "optimistic": True,
-                    "processing_time": 3.0},
+            abcast="sequencer", optimistic=True, processing_time=3.0,
         )
         f0 = system.client(0).submit([Operation.update("hot", "add", 1)])
         f1 = system.client(1).submit([Operation.update("hot", "add", 1)])

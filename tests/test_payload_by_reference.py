@@ -19,7 +19,7 @@ from functools import lru_cache
 import pytest
 
 from helpers import contended_run
-from repro import REGISTRY
+from repro import REGISTRY, RunSpec
 from repro.core.operations import Operation, Request
 from repro.db import Stamp, TransactionUpdates, UpdateRecord
 from repro.net.network import Network
@@ -94,7 +94,9 @@ def _codec_calls():
 @lru_cache(maxsize=None)
 def _watched_contended_run(technique, ops_per_transaction):
     with _payload_watch() as (mutated, deliveries), _codec_calls() as calls:
-        system, _engine, summary = contended_run(technique, 7, ops_per_transaction)
+        system, _engine, summary = contended_run(
+            RunSpec(technique, clients=4, seed=7), ops_per_transaction
+        )
     assert system.observer is None and summary.committed > 0
     return mutated, sum(deliveries.values()), calls
 
@@ -116,8 +118,8 @@ def test_no_marshalling_when_unobserved(technique, ops_per_transaction):
 
 def test_payloads_never_mutated_under_duplication():
     with _payload_watch() as (mutated, deliveries):
-        report = run_campaign("certification", CAMPAIGNS["group_loss_under_load"],
-                              seed=0, observe=False)
+        report = run_campaign(RunSpec("certification", clients=2, seed=0),
+                              CAMPAIGNS["group_loss_under_load"])
     assert report.passed
     assert max(deliveries.values()) > 1  # the duplicate fault fired
     assert mutated == []

@@ -22,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,8 @@ from repro.errors import ReplicationError, SimulationError
 from repro.net.node import _with_span_context
 from repro.obs import Observer, PHASES, SpanTracer, assert_no_open_spans
 from repro.profiling import (
+    STANDARD_LOOP,
+    STANDARD_SPEC,
     build_catalog,
     profile_json,
     profile_run,
@@ -44,12 +47,14 @@ REPO = Path(__file__).resolve().parent.parent
 TECHNIQUES = sorted(REGISTRY)
 
 # A lighter experiment than the committed catalog's (4 requests/client,
-# shorter settle) — determinism and the accounting invariants do not
-# depend on the run length, and the fixture drives 2 runs x 10 techniques.
-PARAMS = dict(
-    seed=3, replicas=3, clients=2, requests_per_client=4,
-    think_time=10.0, settle=300.0,
-)
+# shorter settle, seed 3) — determinism and the accounting invariants do
+# not depend on the run length, and the fixture drives 2 runs x 10
+# techniques.
+LOOP = replace(STANDARD_LOOP, requests_per_client=4, settle=300.0)
+
+
+def _spec(technique, seed=3):
+    return replace(STANDARD_SPEC, technique=technique, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +62,8 @@ def profile_pairs():
     """Two same-seed profiles per technique, for determinism + invariants."""
     pairs = {}
     for name in TECHNIQUES:
-        _, _, first = profile_run(name, **PARAMS)
-        _, _, second = profile_run(name, **PARAMS)
+        _, _, first = profile_run(_spec(name), LOOP)
+        _, _, second = profile_run(_spec(name), LOOP)
         pairs[name] = (first, second)
     return pairs
 
@@ -88,9 +93,8 @@ def test_profile_byte_identical_same_seed(profile_pairs):
 
 
 def test_profile_depends_on_seed():
-    _, _, first = profile_run("eager_ue_locking", **PARAMS)
-    params = dict(PARAMS, seed=PARAMS["seed"] + 1)
-    _, _, other = profile_run("eager_ue_locking", **params)
+    _, _, first = profile_run(_spec("eager_ue_locking"), LOOP)
+    _, _, other = profile_run(_spec("eager_ue_locking", seed=4), LOOP)
     # Not merely the embedded params: the measured requests differ.
     assert first["requests"] != other["requests"]
 
@@ -152,8 +156,8 @@ def test_profile_carries_timeseries(profile_pairs):
 
 
 def test_profile_run_rejects_unknown_technique():
-    with pytest.raises(ValueError, match="unknown technique"):
-        profile_run("no_such_technique")
+    with pytest.raises(ReplicationError, match="unknown technique"):
+        profile_run(_spec("no_such_technique"))
 
 
 # ---------------------------------------------------------------------------

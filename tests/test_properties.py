@@ -26,7 +26,7 @@ workloads = st.lists(
 def run_updates(protocol, updates, seed, clients=2):
     system = ReplicatedSystem(
         protocol, replicas=3, clients=clients, seed=seed,
-        config={"abcast": "sequencer"},
+        abcast="sequencer",
     )
     results = []
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AC, END, EX, RE, SC, Operation, ReplicatedSystem
+from repro import AC, END, EX, RE, SC, Operation, ReplicatedSystem, RunSpec
 from repro.analysis import (
     check_one_copy_serializable,
     counter_check,
@@ -136,7 +136,7 @@ class TestEagerUELocking:
         # concurrently: a distributed deadlock no single site can see.
         system = ReplicatedSystem(
             "eager_ue_locking", replicas=2, clients=2, seed=3,
-            config={"lock_timeout": 25.0},
+            lock_timeout=25.0,
         )
         f1 = system.client(0).submit(
             [Operation.update("a", "add", 1), Operation.update("b", "add", 1)]
@@ -156,8 +156,10 @@ class TestEagerUELocking:
     def test_concurrent_counter_increments_are_serializable(self):
         spec = WorkloadSpec(items=3, read_fraction=0.0, ops_per_transaction=2)
         system, driver, summary = run_workload(
-            "eager_ue_locking", spec=spec, replicas=3, clients=3,
-            requests_per_client=6, seed=9, settle=400.0,
+            RunSpec("eager_ue_locking", replicas=3, clients=3, seed=9),
+            spec,
+            requests_per_client=6,
+            settle=400.0,
         )
         stores = {n: system.store_of(n) for n in system.live_replicas()}
         assert not counter_check(
@@ -170,8 +172,10 @@ class TestEagerUEAbcast:
     def test_total_order_execution_converges(self):
         spec = WorkloadSpec(items=3, read_fraction=0.0, ops_per_transaction=2)
         system, driver, summary = run_workload(
-            "eager_ue_abcast", spec=spec, replicas=3, clients=3,
-            requests_per_client=6, seed=4, settle=400.0,
+            RunSpec("eager_ue_abcast", replicas=3, clients=3, seed=4),
+            spec,
+            requests_per_client=6,
+            settle=400.0,
         )
         assert summary.abort_rate == 0.0, "conservative execution never aborts"
         assert system.converged()
@@ -197,7 +201,7 @@ class TestEagerUEAbcast:
 class TestLazyPrimary:
     def test_response_precedes_propagation(self):
         system = ReplicatedSystem("lazy_primary", replicas=3, seed=1,
-                                  config={"propagation_delay": 30.0})
+                                  propagation_delay=30.0)
         result = system.execute([Operation.write("x", "fresh")])
         assert result.committed
         # At response time, secondaries are still stale: weak consistency.
@@ -215,7 +219,7 @@ class TestLazyPrimary:
 
     def test_stale_reads_at_secondaries(self):
         system = ReplicatedSystem("lazy_primary", replicas=3, clients=2, seed=2,
-                                  config={"propagation_delay": 50.0})
+                                  propagation_delay=50.0)
         system.execute([Operation.write("x", "v1")])
         stale = system.execute([Operation.read("x")], client=1)  # home r1
         assert stale.committed and stale.value is None, "secondary must be stale"
@@ -225,7 +229,7 @@ class TestLazyPrimary:
 
     def test_batched_propagation(self):
         system = ReplicatedSystem("lazy_primary", replicas=2, seed=3,
-                                  config={"batch_interval": 40.0})
+                                  batch_interval=40.0)
         drive(system, 3, gap=5.0)
         assert system.store_of("r1").read("x") is None
         system.settle(300)
@@ -233,7 +237,7 @@ class TestLazyPrimary:
 
     def test_fifo_apply_preserves_primary_commit_order(self):
         system = ReplicatedSystem("lazy_primary", replicas=2, seed=4,
-                                  config={"propagation_delay": 10.0})
+                                  propagation_delay=10.0)
         drive(system, 5, gap=3.0, ops_factory=lambda i: [Operation.write("x", i)])
         system.settle(300)
         assert system.store_of("r1").read("x") == 4
@@ -249,7 +253,7 @@ class TestLazyUE:
 
     def test_conflicting_sites_converge_by_lww(self):
         system = ReplicatedSystem("lazy_ue", replicas=3, clients=3, seed=2,
-                                  config={"propagation_delay": 15.0})
+                                  propagation_delay=15.0)
         futures = [
             system.client(i).submit([Operation.write("x", f"from-r{i}")])
             for i in range(3)
@@ -262,7 +266,7 @@ class TestLazyUE:
 
     def test_undone_transactions_are_counted(self):
         system = ReplicatedSystem("lazy_ue", replicas=2, clients=2, seed=3,
-                                  config={"propagation_delay": 15.0})
+                                  propagation_delay=15.0)
         f0 = system.client(0).submit([Operation.write("x", "a")])
         f1 = system.client(1).submit([Operation.write("x", "b")])
         system.sim.run_until_done(system.sim.all_of([f0, f1]))
@@ -275,11 +279,8 @@ class TestLazyUE:
     def test_site_priority_reconciliation(self):
         system = ReplicatedSystem(
             "lazy_ue", replicas=2, clients=2, seed=4,
-            config={
-                "reconciliation": "priority",
-                "priorities": {"r0": 10, "r1": 1},
-                "propagation_delay": 10.0,
-            },
+            reconciliation="priority", priorities={"r0": 10, "r1": 1},
+            propagation_delay=10.0,
         )
         f0 = system.client(0).submit([Operation.write("x", "primary-site")])
         f1 = system.client(1).submit([Operation.write("x", "edge-site")])
@@ -321,8 +322,10 @@ class TestCertification:
     def test_all_sites_certify_identically(self):
         spec = WorkloadSpec(items=3, read_fraction=0.2, ops_per_transaction=2)
         system, driver, summary = run_workload(
-            "certification", spec=spec, replicas=3, clients=3,
-            requests_per_client=6, seed=3, settle=400.0,
+            RunSpec("certification", replicas=3, clients=3, seed=3),
+            spec,
+            requests_per_client=6,
+            settle=400.0,
         )
         certified = [system.protocol_at(n).certifier for n in system.replica_names]
         outcomes = {(c.certified, c.rejected) for c in certified}
@@ -351,8 +354,11 @@ class TestCertification:
     def test_serializable_history_with_retries(self):
         spec = WorkloadSpec(items=4, read_fraction=0.0, ops_per_transaction=1)
         system, driver, summary = run_workload(
-            "certification", spec=spec, replicas=3, clients=3,
-            requests_per_client=5, seed=6, retry_aborts=True, settle=400.0,
+            RunSpec("certification", replicas=3, clients=3, seed=6),
+            spec,
+            requests_per_client=5,
+            retry_aborts=True,
+            settle=400.0,
         )
         stores = {n: system.store_of(n) for n in system.live_replicas()}
         committed = [r for r in driver.results if r.committed]
@@ -366,7 +372,7 @@ class TestLazyUEAbcastOrdering:
     def test_concurrent_conflicts_converge_without_timestamps(self):
         system = ReplicatedSystem(
             "lazy_ue", replicas=3, clients=3, seed=6,
-            config={"reconciliation": "abcast", "propagation_delay": 12.0},
+            reconciliation="abcast", propagation_delay=12.0,
         )
         futures = [
             system.client(i).submit([Operation.write("x", f"from-r{i}")])
@@ -380,9 +386,11 @@ class TestLazyUEAbcastOrdering:
     def test_all_sites_apply_same_order(self):
         spec = WorkloadSpec(items=2, read_fraction=0.0)
         system, driver, summary = run_workload(
-            "lazy_ue", spec=spec, replicas=3, clients=3, requests_per_client=6,
-            seed=7, settle=600.0,
-            config={"reconciliation": "abcast", "propagation_delay": 10.0},
+            RunSpec("lazy_ue", replicas=3, clients=3, seed=7,
+                    propagation_delay=10.0, reconciliation="abcast"),
+            spec,
+            requests_per_client=6,
+            settle=600.0,
         )
         assert system.converged(), system.divergent_replicas()
 
@@ -394,7 +402,7 @@ class TestLazyUEAbcastOrdering:
         for seed in range(6):
             system = ReplicatedSystem(
                 "lazy_ue", replicas=2, clients=2, seed=seed,
-                config={"reconciliation": "abcast", "propagation_delay": 10.0},
+                reconciliation="abcast", propagation_delay=10.0,
             )
             def submit_pair():
                 f0 = system.client(0).submit([Operation.write("x", "first")])
@@ -416,4 +424,4 @@ class TestLazyUEAbcastOrdering:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             ReplicatedSystem("lazy_ue", replicas=2, seed=1,
-                             config={"reconciliation": "vector-clocks"})
+                             reconciliation="vector-clocks")

@@ -66,7 +66,7 @@ class TestActive:
 
     def test_sequencer_variant_works(self):
         system = ReplicatedSystem("active", replicas=4, seed=1,
-                                  config={"abcast": "sequencer"})
+                                  abcast="sequencer")
         results = drive_updates(system, 4, gap=10.0)
         assert all(r.committed for r in results)
         system.settle(100)

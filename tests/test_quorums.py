@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro import Operation, ReplicatedSystem
+from repro import Operation, ReplicatedSystem, RunSpec
 from repro.analysis import counter_check
 from repro.workload import WorkloadSpec, run_workload
 
@@ -11,7 +11,7 @@ from repro.workload import WorkloadSpec, run_workload
 def quorum_system(replicas=5, write_quorum=3, clients=1, seed=1, **kwargs):
     return ReplicatedSystem(
         "eager_ue_locking", replicas=replicas, clients=clients, seed=seed,
-        config={"write_quorum": write_quorum, "lock_timeout": 30.0}, **kwargs,
+        write_quorum=write_quorum, lock_timeout=30.0, **kwargs,
     )
 
 
@@ -63,9 +63,12 @@ class TestQuorumWrites:
     def test_counter_oracle_under_quorum_contention(self):
         spec = WorkloadSpec(items=3, read_fraction=0.0)
         system, driver, summary = run_workload(
-            "eager_ue_locking", spec=spec, replicas=5, clients=3,
-            requests_per_client=6, seed=9, retry_aborts=True, settle=400.0,
-            config={"write_quorum": 3, "lock_timeout": 30.0},
+            RunSpec("eager_ue_locking", replicas=5, clients=3, seed=9,
+                    lock_timeout=30.0, write_quorum=3),
+            spec,
+            requests_per_client=6,
+            retry_aborts=True,
+            settle=400.0,
         )
         committed = [r for r in driver.results if r.committed]
         # The freshest copy (any read quorum's max version) must equal the

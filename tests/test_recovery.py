@@ -70,7 +70,7 @@ class TestLazyPrimaryRecovery:
     def test_recovered_secondary_resyncs_missed_shipments(self):
         system = ReplicatedSystem("lazy_primary", replicas=3, seed=4,
                                   fd_interval=2.0, fd_timeout=8.0,
-                                  config={"propagation_delay": 5.0})
+                                  propagation_delay=5.0)
         system.injector.crash_at(30.0, "r2")
         system.injector.recover_at(150.0, "r2")
         results = drive(system, 6, gap=25.0)
@@ -80,7 +80,7 @@ class TestLazyPrimaryRecovery:
 
     def test_recovery_without_reachable_primary_stays_stale(self):
         system = ReplicatedSystem("lazy_primary", replicas=2, seed=5,
-                                  config={"propagation_delay": 5.0})
+                                  propagation_delay=5.0)
         system.execute([Operation.write("x", "v1")])
         system.settle(100)
         system.replicas["r1"].node.crash()

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro import Operation, ReplicatedSystem
+from repro import Operation, ReplicatedSystem, RunSpec
 from repro.analysis import counter_check
 from repro.core.protocols import REGISTRY
 from repro.errors import NetworkError
@@ -389,7 +389,7 @@ class TestCampaignEngine:
 
     def test_strong_cell_passes_its_guarantee(self):
         report = run_campaign(
-            "active", CAMPAIGNS["group_loss_under_load"], observe=False
+            RunSpec("active", clients=2), CAMPAIGNS["group_loss_under_load"]
         )
         assert report.passed, report.summary()
         assert report.consistency == "strong"
@@ -398,8 +398,8 @@ class TestCampaignEngine:
 
     def test_strong_cell_that_breaks_its_guarantee_fails_with_violations(self):
         report = run_campaign(
-            "eager_primary", CAMPAIGNS["primary_crash_mid_2pc"],
-            deadline=8.0, request_timeout=5.0, observe=False,
+            RunSpec("eager_primary", clients=2), CAMPAIGNS["primary_crash_mid_2pc"],
+            deadline=8.0, request_timeout=5.0,
         )
         assert not report.passed and report.indeterminate == 1
         assert report.violations == ["indeterminate outcomes: 1"]
@@ -407,7 +407,7 @@ class TestCampaignEngine:
 
     def test_lazy_cell_converges_after_heal(self):
         report = run_campaign(
-            "lazy_ue", CAMPAIGNS["partition_during_view_change"], observe=False
+            RunSpec("lazy_ue", clients=2), CAMPAIGNS["partition_during_view_change"]
         )
         assert report.passed, report.summary()
         assert report.consistency != "strong"
@@ -419,8 +419,8 @@ class TestCampaignEngine:
     def test_same_seed_same_report(self):
         cells = [
             run_campaign(
-                "eager_primary", CAMPAIGNS["primary_crash_mid_2pc"],
-                seed=0, observe=False,
+                RunSpec("eager_primary", clients=2, seed=0),
+                CAMPAIGNS["primary_crash_mid_2pc"],
             )
             for _ in range(2)
         ]

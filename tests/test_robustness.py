@@ -219,7 +219,7 @@ class TestDSMultiOperationRequests:
     @pytest.mark.parametrize("protocol", ["active", "semi_active", "semi_passive"])
     def test_multi_op_atomic_everywhere(self, protocol):
         system = ReplicatedSystem(protocol, replicas=3, seed=5,
-                                  config={"abcast": "sequencer"})
+                                  abcast="sequencer")
         result = system.execute([
             Operation.update("a", "add", -10),
             Operation.update("b", "add", 10),

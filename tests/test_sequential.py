@@ -80,7 +80,7 @@ class TestLazyPrimaryIsSequentialNotLinearizable:
     def build_history(self):
         system = ReplicatedSystem(
             "lazy_primary", replicas=2, clients=2, seed=3,
-            config={"propagation_delay": 60.0},
+            propagation_delay=60.0,
         )
         results = []
 

@@ -1,6 +1,7 @@
 """Tests for the seed-sweep runner: cells, merge determinism, saturation."""
 
 import json
+import pickle
 import random
 
 from repro.workload import SweepConfig
@@ -39,12 +40,13 @@ class TestCells:
         assert len(TINY.cells()) == 2 * 2 * 2
 
     def test_cells_are_picklable_plain_dicts(self):
+        # A cell reaches a worker process pickled: (RunSpec, WorkloadSpec,
+        # ArrivalSpec), each frozen and compared by value.
         for cell in TINY.cells():
-            json.dumps(cell)  # plain scalars only
+            assert pickle.loads(pickle.dumps(cell)) == cell
 
     def test_run_cell_returns_json_safe_row(self):
-        cell = dict(TINY.cells()[0])
-        row = run_cell(cell)
+        row = run_cell(TINY.cells()[0])
         json.dumps(row)
         assert row["technique"] == "active"
         assert row["summary"]["requests"] > 0
@@ -130,7 +132,7 @@ class TestSaturation:
 class TestWriteSweep:
     def test_writes_json_and_table(self, tmp_path):
         merged = merge_rows(
-            [run_cell(dict(TINY.cells()[0]))], TINY
+            [run_cell(TINY.cells()[0])], TINY
         )
         paths = write_sweep(merged, str(tmp_path / "out"))
         doc = json.load(open(paths["json"]))

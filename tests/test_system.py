@@ -36,7 +36,7 @@ class TestBuilder:
         assert run() == run()
 
     def test_config_passed_to_protocols(self):
-        system = ReplicatedSystem("lazy_primary", config={"propagation_delay": 77.0})
+        system = ReplicatedSystem("lazy_primary", propagation_delay=77.0)
         assert system.protocol_at("r0").propagation_delay == 77.0
 
 
@@ -118,7 +118,7 @@ class TestSystemHelpers:
 
     def test_converged_ignores_crashed_by_default(self):
         system = ReplicatedSystem("lazy_primary", replicas=3,
-                                  config={"propagation_delay": 5.0})
+                                  propagation_delay=5.0)
         system.execute([Operation.write("x", 1)])
         system.replicas["r2"].node.crash()  # r2 may be stale forever
         system.settle(300)
@@ -126,7 +126,7 @@ class TestSystemHelpers:
 
     def test_divergent_replicas_reports_values(self):
         system = ReplicatedSystem("lazy_primary", replicas=2,
-                                  config={"propagation_delay": 1000.0})
+                                  propagation_delay=1000.0)
         system.execute([Operation.write("x", 1)])
         report = system.divergent_replicas()
         assert set(report) == {"r0", "r1"}

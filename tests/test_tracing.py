@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import contended_run
-from repro import REGISTRY, Operation, ReplicatedSystem
+from repro import REGISTRY, Operation, ReplicatedSystem, RunSpec
 from repro.core.phases import PhaseTracer
 from repro.sim import Simulator, TraceLog, tracing
 from repro.workload.openloop import ArrivalSpec, run_openloop
@@ -231,7 +231,7 @@ def test_an_unread_log_is_rows_the_collector_does_not_walk(technique, monkeypatc
     tracemalloc.start()
     try:
         system, _, summary = run_openloop(
-            technique, seed=7,
+            RunSpec(technique, clients=4, seed=7),
             arrival=ArrivalSpec(process="poisson", rate=5.0, duration=100.0),
         )
         snapshot = tracemalloc.take_snapshot().filter_traces(written_in)
@@ -261,7 +261,7 @@ TECHNIQUES = sorted(REGISTRY)
 
 def _read_side_digest(technique, ops_per_transaction):
     """sha256 over every event a contended seed-7 run left in the log."""
-    system, _, _ = contended_run(technique, 7, ops_per_transaction)
+    system, _, _ = contended_run(RunSpec(technique, clients=4, seed=7), ops_per_transaction)
     events = system.trace.events
     digest = hashlib.sha256(repr(events).encode())
     # TraceEvent.__repr__ sorts the payload; the order a reader iterates

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import REGISTRY
+from repro import REGISTRY, RunSpec
 from repro.lint.msgflow import pattern_matches
 from repro.lint.symeval import WILDCARD
 from repro.lint.waitgraph import (
@@ -169,16 +169,12 @@ def test_static_graph_covers_recorded_blocking(
     technique, graph, artifact, called_types
 ):
     system, _driver, _summary = run_workload(
-        technique,
-        spec=WorkloadSpec(items=6, read_fraction=0.3, ops_per_transaction=2),
-        replicas=3,
-        clients=2,
+        RunSpec(technique, replicas=3, clients=2, seed=1301, observe=True,
+                abcast="sequencer"),
+        WorkloadSpec(items=6, read_fraction=0.3, ops_per_transaction=2),
         requests_per_client=3,
-        seed=1301,
         think_time=5.0,
         settle=300.0,
-        config={"abcast": "sequencer"},
-        observe=True,
     )
     observer = system.observer
     assert observer is not None

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import RunSpec
 from repro.workload import ClosedLoopDriver, WorkloadGenerator, WorkloadSpec, run_workload
 
 
@@ -165,8 +166,10 @@ class TestZipfMonotonicity:
 class TestDriver:
     def test_driver_completes_budget(self):
         system, driver, summary = run_workload(
-            "lazy_ue", spec=WorkloadSpec(items=5), replicas=2, clients=2,
-            requests_per_client=5, seed=1, settle=200.0,
+            RunSpec("lazy_ue", replicas=2, clients=2, seed=1),
+            WorkloadSpec(items=5),
+            requests_per_client=5,
+            settle=200.0,
         )
         assert summary.requests == 10
         assert len(driver.results) == 10
@@ -174,8 +177,11 @@ class TestDriver:
     def test_retry_aborts_resubmits(self):
         spec = WorkloadSpec(items=1, read_fraction=0.0)
         system, driver, summary = run_workload(
-            "certification", spec=spec, replicas=2, clients=3,
-            requests_per_client=4, seed=2, retry_aborts=True, settle=300.0,
+            RunSpec("certification", replicas=2, clients=3, seed=2),
+            spec,
+            requests_per_client=4,
+            retry_aborts=True,
+            settle=300.0,
         )
         # With one hot item, raw certification aborts are guaranteed; the
         # driver hides them by retrying.
@@ -188,8 +194,11 @@ class TestDriver:
         # per-attempt abort rate existed at all.
         spec = WorkloadSpec(items=1, read_fraction=0.0)
         system, driver, summary = run_workload(
-            "certification", spec=spec, replicas=2, clients=3,
-            requests_per_client=4, seed=2, retry_aborts=True, settle=300.0,
+            RunSpec("certification", replicas=2, clients=3, seed=2),
+            spec,
+            requests_per_client=4,
+            retry_aborts=True,
+            settle=300.0,
         )
         assert driver.extra_attempts > 0
         assert len(driver.attempts) == driver.extra_attempts
@@ -208,8 +217,11 @@ class TestDriver:
         # earlier attempt and the think-time between them.
         spec = WorkloadSpec(items=1, read_fraction=0.0)
         system, driver, summary = run_workload(
-            "certification", spec=spec, replicas=2, clients=3,
-            requests_per_client=4, seed=2, retry_aborts=True, settle=300.0,
+            RunSpec("certification", replicas=2, clients=3, seed=2),
+            spec,
+            requests_per_client=4,
+            retry_aborts=True,
+            settle=300.0,
         )
         raw = {r.request_id: r for c in system.clients for r in c.results}
         spanned = [
@@ -221,16 +233,28 @@ class TestDriver:
             assert result.latency > raw[result.request_id].latency
 
     def test_think_time_spreads_submissions(self):
-        fast = run_workload("lazy_ue", replicas=2, clients=1,
-                            requests_per_client=5, seed=3, settle=0.0)[2]
-        slow = run_workload("lazy_ue", replicas=2, clients=1,
-                            requests_per_client=5, seed=3, think_time=50.0,
-                            settle=0.0)[2]
+        fast = run_workload(
+            RunSpec("lazy_ue", replicas=2, clients=1, seed=3),
+            requests_per_client=5,
+            settle=0.0,
+        )[2]
+        slow = run_workload(
+            RunSpec("lazy_ue", replicas=2, clients=1, seed=3),
+            requests_per_client=5,
+            think_time=50.0,
+            settle=0.0,
+        )[2]
         assert slow.duration > fast.duration
 
     def test_same_seed_same_summary(self):
-        s1 = run_workload("eager_primary", replicas=3, clients=2,
-                          requests_per_client=5, seed=11, settle=100.0)[2]
-        s2 = run_workload("eager_primary", replicas=3, clients=2,
-                          requests_per_client=5, seed=11, settle=100.0)[2]
+        s1 = run_workload(
+            RunSpec("eager_primary", replicas=3, clients=2, seed=11),
+            requests_per_client=5,
+            settle=100.0,
+        )[2]
+        s2 = run_workload(
+            RunSpec("eager_primary", replicas=3, clients=2, seed=11),
+            requests_per_client=5,
+            settle=100.0,
+        )[2]
         assert s1.row() == s2.row()
