@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from repro import REGISTRY, ReplicatedSystem, RunSpec
 from repro.core import AdmissionConfig
 from repro.core.spec import ABCAST_FLAVOURS
-from repro.errors import ReplicationError
 from repro.net import ConstantLatency, ExponentialLatency, UniformLatency
 
 
@@ -36,10 +35,6 @@ class TestValidation:
         with pytest.raises(TypeError, match="abcsat"):
             ReplicatedSystem(RunSpec("active"), abcsat="sequencer")
 
-    def test_unknown_technique_rejected(self):
-        with pytest.raises(ReplicationError, match="unknown technique"):
-            RunSpec("paxos-deluxe")
-
 
 class TestSystemFromSpec:
     def test_keyword_form_builds_the_same_spec(self):
@@ -49,12 +44,6 @@ class TestSystemFromSpec:
                                   propagation_delay=5.0)
         assert system.spec == spec
         assert ReplicatedSystem(spec).spec is spec
-
-    def test_protocols_read_their_options_from_the_spec(self):
-        system = ReplicatedSystem(RunSpec("eager_ue_locking", lock_timeout=25.0,
-                                          write_quorum=2))
-        protocol = system.protocol_at("r1")
-        assert (protocol.lock_timeout, protocol.write_quorum) == (25.0, 2)
 
     def test_priorities_map_is_kept_hashable(self):
         spec = RunSpec("lazy_ue", reconciliation="priority",
