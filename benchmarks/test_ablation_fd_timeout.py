@@ -46,7 +46,7 @@ def run_one(protocol, fd_timeout, seed=31):
         # Redundant executions: every coordinator that evaluated its thunk,
         # minus the 10 winning evaluations the requests actually needed.
         executed = sum(
-            len(system.protocol_at(n).consensus._computed)
+            system.protocol_at(n).consensus.executions
             for n in system.replica_names
         )
         reconfig_cost = max(0, executed - 10)

@@ -116,6 +116,12 @@ class ConsensusAtomicBroadcast:
     Tolerates crashes of any minority of the group, including mid-broadcast
     sender crashes, and works with the unreliable failure detector (wrong
     suspicions cost extra rounds, never safety).
+
+    State is kept only for what is not settled yet: disseminated messages
+    waiting to be ordered, decisions waiting for the ones before them, and
+    the uids ordered before their dissemination reached this node (until
+    it does).  No uid is in two decided batches — see :meth:`_apply_ready`
+    — so delivered uids need not be remembered.
     """
 
     def __init__(
@@ -134,7 +140,9 @@ class ConsensusAtomicBroadcast:
         self.deliver = deliver
         self.trace = trace
         self._unordered: Dict[str, Tuple[str, str, dict]] = {}
+        # Ordered (and delivered) before their dissemination arrived here.
         self._delivered: Set[str] = set()
+        self._delivered_count = 0
         self._next_instance = 0       # next instance this node may propose
         self._proposed_instance = -1  # last instance this node proposed for
         self._apply_cursor = 0        # next decision to apply
@@ -157,7 +165,10 @@ class ConsensusAtomicBroadcast:
 
     def _on_disseminate(self, _origin: str, _mtype: str, body: dict) -> None:
         uid = body["uid"]
-        if uid in self._delivered or uid in self._unordered:
+        if uid in self._delivered:
+            # Reliable broadcast delivers each uid once per node: this is
+            # the last this node hears of it.
+            self._delivered.discard(uid)
             return
         self._unordered[uid] = (body["origin"], body["m"], body["body"])
         self._maybe_propose()
@@ -184,15 +195,23 @@ class ConsensusAtomicBroadcast:
         self._apply_ready()
 
     def _apply_ready(self) -> None:
+        """Deliver decided batches in instance order.
+
+        No uid is in two decided batches, so none is delivered twice: a
+        decided batch is some member's proposal, and a member proposes
+        instance j only with the apply cursor at j, from messages not in
+        any batch below j (applying a batch takes its uids out of
+        ``_unordered``, and ``_delivered`` keeps a uid ordered ahead of its
+        dissemination out of it).
+        """
         while self._apply_cursor in self._decisions:
             batch = self._decisions.pop(self._apply_cursor)
             self._apply_cursor += 1
             self._next_instance = max(self._next_instance, self._apply_cursor)
             for uid, origin, mtype, body in batch:
-                self._unordered.pop(uid, None)
-                if uid in self._delivered:
-                    continue
-                self._delivered.add(uid)
+                if self._unordered.pop(uid, None) is None:
+                    self._delivered.add(uid)
+                self._delivered_count += 1
                 if self.trace is not None:
                     self.trace.record(
                         "abcast", self.node.name,
@@ -204,5 +223,5 @@ class ConsensusAtomicBroadcast:
     def __repr__(self) -> str:
         return (
             f"<ConsensusAtomicBroadcast@{self.node.name} "
-            f"delivered={len(self._delivered)} unordered={len(self._unordered)}>"
+            f"delivered={self._delivered_count} unordered={len(self._unordered)}>"
         )

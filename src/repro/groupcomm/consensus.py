@@ -23,11 +23,19 @@ Algorithm sketch (per instance, per round ``r`` with coordinator
 
 Safety holds regardless of failure-detector behaviour; liveness needs the
 detector to eventually stop suspecting some correct process.
+
+A process keeps book-keeping only for instances it has not decided.  When
+the decision arrives, the instance's estimates, proposals, replies and
+waiters are dropped and only the key is remembered as decided, so a late
+``estimate``/``propose``/``reply`` or a second ``decide`` for it is
+discarded instead of opening the instance again.  A process that missed a
+decision learns it from the decision's reliable broadcast, never from a
+peer's consensus state.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import ProcessInterrupted
 from ..failures import FailureDetector
@@ -36,7 +44,7 @@ from ..sim import Future, TraceLog
 from .channels import ReliableTransport
 from .rbcast import ReliableBroadcast
 
-__all__ = ["Consensus"]
+__all__ = ["Consensus", "ALREADY_DECIDED"]
 
 ESTIMATE = "ct.estimate"
 PROPOSE = "ct.propose"
@@ -45,15 +53,13 @@ DECIDE_CHANNEL = "ct.decide"
 
 
 class _Instance:
-    """Book-keeping for one consensus instance at one process."""
+    """Book-keeping for one undecided consensus instance at one process."""
 
-    def __init__(self) -> None:
+    def __init__(self, decided_future: Future) -> None:
         self.round = 0
         self.estimate: Any = None
         self.estimate_ts = -1
         self.proposed = False
-        self.decided = False
-        self.decision: Any = None
         # round -> accumulated protocol state
         self.estimates: Dict[int, List[Tuple[int, str, Any]]] = {}
         self.proposals: Dict[int, Any] = {}
@@ -62,7 +68,7 @@ class _Instance:
         self.estimate_waiters: Dict[int, Future] = {}
         self.proposal_waiters: Dict[int, Future] = {}
         self.reply_waiters: Dict[int, Future] = {}
-        self.decided_future: Optional[Future] = None
+        self.decided_future = decided_future
 
 
 class Consensus:
@@ -76,7 +82,8 @@ class Consensus:
         The node's failure detector (provides coordinator suspicion).
     on_decide:
         Upcall ``on_decide(instance, value)``, invoked exactly once per
-        instance at every member that delivers the decision.
+        instance at every member that delivers the decision, after the
+        instance's state has been dropped; the value is not kept.
     """
 
     def __init__(
@@ -95,7 +102,8 @@ class Consensus:
         self.detector = detector
         self.on_decide = on_decide
         self.trace = trace
-        self._instances: Dict[Any, _Instance] = {}
+        self._instances: Dict[Any, _Instance] = {}  # undecided only
+        self._decided: Set[Any] = set()
         p = channel_prefix
         self._types = {
             "estimate": f"{p}.estimate",
@@ -119,33 +127,30 @@ class Consensus:
         """Propose ``value`` for ``instance``; returns a decision future.
 
         Proposing twice for the same instance is a no-op (the first value
-        stands); the same decision future is returned.
+        stands); the same decision future is returned.  Proposing for an
+        instance this process has already decided opens nothing: the
+        returned future is already resolved with :data:`ALREADY_DECIDED`,
+        since the value itself went out through ``on_decide`` and is not
+        kept.
         """
         state = self._state(instance)
-        if state.decided_future is None:
-            state.decided_future = self.node.sim.future(label=f"decide:{instance}")
-        if state.proposed:
-            return state.decided_future
-        state.proposed = True
-        state.estimate = value
-        state.estimate_ts = 0
-        if not state.decided:
+        if state is None:
+            future = self.node.sim.future(label=f"decide:{instance}")
+            future.set_result(ALREADY_DECIDED)
+            return future
+        if not state.proposed:
+            state.proposed = True
+            state.estimate = value
+            state.estimate_ts = 0
             self.node.spawn(self._run(instance, state), name=f"{self.node.name}-ct-{instance}")
         return state.decided_future
-
-    def decision_of(self, instance: Any) -> Optional[Any]:
-        """The decided value, or None if this instance is still open."""
-        state = self._instances.get(instance)
-        if state is None or not state.decided:
-            return None
-        return state.decision
 
     # -- the round loop -------------------------------------------------------
 
     def _run(self, instance: Any, state: _Instance):
         sim = self.node.sim
         try:
-            while not state.decided:
+            while not state.decided_future.done:
                 r = state.round
                 coordinator = self.group[r % len(self.group)]
                 self.transport.send(
@@ -262,17 +267,24 @@ class Consensus:
 
     # -- message handlers ---------------------------------------------------------
 
-    def _state(self, instance: Any) -> _Instance:
+    def _state(self, instance: Any) -> Optional[_Instance]:
+        """The open instance's book-keeping, made on first contact.
+
+        None once the instance is decided here: late traffic for it is
+        dropped, and nothing is made again.
+        """
         state = self._instances.get(instance)
         if state is None:
-            state = _Instance()
+            if instance in self._decided:
+                return None
+            state = _Instance(self.node.sim.future(label=f"decide:{instance}"))
             self._instances[instance] = state
-        if state.decided_future is None:
-            state.decided_future = self.node.sim.future(label=f"decide:{instance}")
         return state
 
     def _on_estimate(self, src: str, payload: dict) -> None:
         state = self._state(payload["instance"])
+        if state is None:
+            return
         r = payload["round"]
         bucket = state.estimates.setdefault(r, [])
         bucket.append((payload["ts"], src, payload["value"]))
@@ -283,6 +295,8 @@ class Consensus:
 
     def _on_propose(self, src: str, payload: dict) -> None:
         state = self._state(payload["instance"])
+        if state is None:
+            return
         r = payload["round"]
         state.proposals[r] = payload["value"]
         waiter = state.proposal_waiters.pop(r, None)
@@ -291,6 +305,8 @@ class Consensus:
 
     def _on_reply(self, src: str, payload: dict) -> None:
         state = self._state(payload["instance"])
+        if state is None:
+            return
         r = payload["round"]
         bucket = state.replies.setdefault(r, [])
         bucket.append(payload["ack"])
@@ -300,19 +316,21 @@ class Consensus:
             waiter.set_result(list(bucket))
 
     def _on_decide_msg(self, origin: str, mtype: str, body: dict) -> None:
-        state = self._state(body["instance"])
-        if state.decided:
-            return
-        state.decided = True
-        state.decision = body["value"]
+        instance = body["instance"]
+        if instance in self._decided:
+            return  # a later round's coordinator decided it too
+        self._decided.add(instance)
+        # The instance's state goes here; its round loop, if one runs,
+        # still holds it and ends when the decision future resolves.
+        state = self._instances.pop(instance, None)
         if self.trace is not None:
             self.trace.record(
                 "consensus", self.node.name,
-                instance=body["instance"], round=state.round,
+                instance=instance, round=state.round if state is not None else 0,
             )
-        if not state.decided_future.done:
+        if state is not None:
             state.decided_future.set_result(body["value"])
-        self.on_decide(body["instance"], body["value"])
+        self.on_decide(instance, body["value"])
 
     def _suspicion(self, peer: str) -> Tuple[Future, Callable[[str], None]]:
         """Future resolving when the failure detector suspects ``peer``.
@@ -331,9 +349,15 @@ class Consensus:
         return future, listener
 
 
-class _DecidedSentinel:
+class _Sentinel:
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<DECIDED>"
+        return f"<{self.name}>"
 
 
-_DECIDED = _DecidedSentinel()
+_DECIDED = _Sentinel("DECIDED")  # a round's wait lost the race to the decision
+ALREADY_DECIDED = _Sentinel("ALREADY_DECIDED")  # what ``propose`` resolves to late

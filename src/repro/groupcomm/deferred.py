@@ -15,6 +15,10 @@ propose its own update.  Thus exactly the processes that act as
 coordinators pay the execution cost, and no view-synchronous membership is
 needed — the property the paper highlights: aggressive suspicion timeouts
 without paying a reconfiguration cost for wrong suspicions.
+
+Like its base class, a process keeps the thunk and its computed value only
+while the instance is undecided; both go when the decision arrives.  How
+often this process evaluated a thunk is the counter ``executions``.
 """
 
 from __future__ import annotations
@@ -44,18 +48,26 @@ class DeferredConsensus(Consensus):
     """Chandra–Toueg consensus whose initial values are computed lazily.
 
     Use :meth:`propose_deferred` instead of :meth:`propose`.  The supplied
-    ``compute`` callback is invoked at most once per process, and only when
-    this process coordinates a round whose estimates are all still unset.
+    ``compute`` callback is invoked at most once per process and instance,
+    and only when this process coordinates a round whose estimates are all
+    still unset; ``executions`` counts those invocations.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
+        # Undecided instances only, like ``_instances``.
         self._compute: Dict[Any, Callable[[], Any]] = {}
         self._computed: Dict[Any, Any] = {}
+        self.executions = 0
 
     def propose_deferred(self, instance: Any, compute: Callable[[], Any]) -> Future:
-        """Participate in ``instance``, computing a value only if needed."""
-        self._compute[instance] = compute
+        """Participate in ``instance``, computing a value only if needed.
+
+        For an instance already decided here nothing is registered; the
+        future is :meth:`propose`'s, resolved with ``ALREADY_DECIDED``.
+        """
+        if instance not in self._decided:
+            self._compute[instance] = compute
         return self.propose(instance, _UNSET)
 
     def _choose_estimate(self, instance: Any, estimates: List[Tuple[int, str, Any]]) -> Any:
@@ -68,9 +80,11 @@ class DeferredConsensus(Consensus):
             # API); fall back to the raw estimates.
             return super()._choose_estimate(instance, estimates)
         if instance not in self._computed:
+            self.executions += 1
             self._computed[instance] = compute()
         return self._computed[instance]
 
-    def executed_locally(self, instance: Any) -> bool:
-        """Whether this process evaluated its thunk (acted as coordinator)."""
-        return instance in self._computed
+    def _on_decide_msg(self, origin: str, mtype: str, body: dict) -> None:
+        self._compute.pop(body["instance"], None)
+        self._computed.pop(body["instance"], None)
+        super()._on_decide_msg(origin, mtype, body)

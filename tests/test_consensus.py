@@ -3,6 +3,7 @@
 from helpers import GroupHarness
 
 from repro.groupcomm import Consensus, DeferredConsensus
+from repro.groupcomm.consensus import ALREADY_DECIDED
 
 
 def attach(h, cls=Consensus):
@@ -70,13 +71,14 @@ class TestConsensusBasics:
         assert all(decisions[name]["x"] == "first" for name in h.names)
 
     def test_decision_of_accessor(self):
+        # The decision future is how a proposer reads the decided value;
+        # the instance itself keeps nothing once decided.
         h = GroupHarness(3)
         cons, _ = attach(h)
-        assert cons["n0"].decision_of("i") is None
-        for name in h.names:
-            cons[name].propose("i", 42)
+        futures = {name: cons[name].propose("i", 42) for name in h.names}
+        assert not futures["n0"].done
         h.run(until=500)
-        assert cons["n0"].decision_of("i") == 42
+        assert futures["n0"].result == 42
 
 
 class TestConsensusUnderFailures:
@@ -157,6 +159,60 @@ class TestSuspicionListeners:
             assert len(h.detectors[name]._suspect_listeners) == registered[name]
 
 
+class TestDecidedInstancesForgotten:
+    def test_only_undecided_instances_are_kept(self):
+        # The TestSuspicionListeners run: 200 instances, wrong suspicions
+        # and extra rounds.  A decided instance leaves nothing behind.
+        h = GroupHarness(3, seed=3, jitter=True, fd_interval=1.0, fd_timeout=1.5)
+        cons, decisions = attach(h)
+        proposed = 0
+        for _wave in range(20):
+            for _ in range(10):
+                for name in h.names:
+                    cons[name].propose(proposed, f"{name}:{proposed}")
+                proposed += 1
+            h.run(until=h.sim.now + 40)
+            for name in h.names:
+                live = proposed - len(decisions[name])
+                kept = len(cons[name]._instances)
+                assert kept <= live, f"{name}: {kept} instances kept for {live} live"
+        h.run(until=h.sim.now + 2000)
+        assert sum(h.detectors[n].wrong_suspicions for n in h.names) > 0
+        for name in h.names:
+            assert len(decisions[name]) == 200
+            assert cons[name]._instances == {}
+
+    def test_late_traffic_for_a_decided_instance_opens_nothing(self):
+        h = GroupHarness(3)
+        cons, decisions = attach(h)
+        for name in h.names:
+            cons[name].propose("i", name)
+        h.run(until=500)
+        decided = dict(decisions["n0"])
+        assert "i" in decided and cons["n0"]._instances == {}
+        # A straggler of a later round, as a wrongly suspecting peer sends.
+        h.transports["n1"].send("n0", "ct.estimate", instance="i", round=4, ts=0, value="late")
+        h.transports["n1"].send("n0", "ct.propose", instance="i", round=4, value="late")
+        h.transports["n1"].send("n0", "ct.reply", instance="i", round=4, ack=True)
+        h.run(until=600)
+        assert cons["n0"]._instances == {}
+        assert decisions["n0"] == decided
+
+    def test_propose_after_decision_returns_a_resolved_marker(self):
+        h = GroupHarness(3)
+        cons, decisions = attach(h)
+        for name in h.names:
+            cons[name].propose("i", name)
+        h.run(until=500)
+        decided = dict(decisions["n0"])
+        late = cons["n0"].propose("i", "again")
+        assert late.done and late.result is ALREADY_DECIDED
+        assert cons["n0"]._instances == {}
+        assert all(p.name != "n0-ct-i" or p.done for p in h.nodes["n0"]._processes)
+        h.run(until=600)
+        assert decisions["n0"] == decided
+
+
 class TestDeferredConsensus:
     def test_only_coordinator_computes_in_failure_free_run(self):
         h = GroupHarness(3)
@@ -210,3 +266,22 @@ class TestDeferredConsensus:
         for name in h.names:
             assert len(decisions[name]) == 20
             assert all(isinstance(value, str) for value in decisions[name].values())
+
+    def test_thunks_are_dropped_on_decision(self):
+        h = GroupHarness(3)
+        cons, decisions = attach(h, cls=DeferredConsensus)
+        for instance in range(10):
+            for name in h.names:
+                cons[name].propose_deferred(
+                    instance, lambda n=name, i=instance: f"update-{i}-by-{n}"
+                )
+        h.run(until=1000)
+        for name in h.names:
+            assert len(decisions[name]) == 10
+            assert cons[name]._compute == {} and cons[name]._computed == {}
+            assert cons[name]._instances == {}
+        # Failure-free: the round-0 coordinator executes every instance.
+        assert {n: cons[n].executions for n in h.names} == {"n0": 10, "n1": 0, "n2": 0}
+        # A late proposal for a decided instance registers no thunk.
+        cons["n1"].propose_deferred(0, lambda: "never")
+        assert cons["n1"]._compute == {}
