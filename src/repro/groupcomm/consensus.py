@@ -12,7 +12,7 @@ Algorithm sketch (per instance, per round ``r`` with coordinator
 ``group[r mod n]``):
 
 1. every process sends its current *estimate* (with the round that last
-   adopted it) to the coordinator;
+   adopted it, -1 for its own initial value) to the coordinator;
 2. the coordinator gathers a majority of estimates, picks the one with the
    highest adoption round, and proposes it to all;
 3. each process either *acks* the proposal (adopting it) or, upon
@@ -31,6 +31,14 @@ waiters are dropped and only the key is remembered as decided, so a late
 discarded instead of opening the instance again.  A process that missed a
 decision learns it from the decision's reliable broadcast, never from a
 peer's consensus state.
+
+A crash ends a process's round loops but not its book-keeping, and the
+transport still delivers what the loops sent before it.  One retry
+interval after recovering, a process resumes each instance it proposed for
+that retransmission has not decided by then, in the round it stopped in:
+a peer may be waiting on it as that round's coordinator, and it is no
+longer suspected.  A resumed loop does not send again what it sent in
+that round before the crash.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from ..errors import ProcessInterrupted
 from ..failures import FailureDetector
 from ..net import Node
-from ..sim import Future, TraceLog
+from ..sim import Future, Process, TraceLog
 from .channels import ReliableTransport
 from .rbcast import ReliableBroadcast
 
@@ -58,8 +66,15 @@ class _Instance:
     def __init__(self, decided_future: Future) -> None:
         self.round = 0
         self.estimate: Any = None
+        # The round the estimate was adopted in; -1 until one is adopted,
+        # so a value adopted in round 0 (and maybe decided) outranks every
+        # value never adopted.
         self.estimate_ts = -1
-        self.proposed = False
+        self.loop: Optional[Process] = None  # the round loop, once proposed
+        # the last round each of this process's messages went out in
+        self.estimate_sent = -1
+        self.proposal_sent = -1
+        self.reply_sent = -1
         # round -> accumulated protocol state
         self.estimates: Dict[int, List[Tuple[int, str, Any]]] = {}
         self.proposals: Dict[int, Any] = {}
@@ -116,6 +131,7 @@ class Consensus:
         self._decider = ReliableBroadcast(
             node, transport, group, self._on_decide_msg, channel=f"{p}.decide"
         )
+        node.add_recover_hook(self._on_recover)
 
     @property
     def majority(self) -> int:
@@ -138,12 +154,23 @@ class Consensus:
             future = self.node.sim.future(label=f"decide:{instance}")
             future.set_result(ALREADY_DECIDED)
             return future
-        if not state.proposed:
-            state.proposed = True
+        if state.loop is None:
             state.estimate = value
-            state.estimate_ts = 0
-            self.node.spawn(self._run(instance, state), name=f"{self.node.name}-ct-{instance}")
+            state.loop = self.node.spawn(
+                self._run(instance, state), name=f"{self.node.name}-ct-{instance}"
+            )
         return state.decided_future
+
+    def _on_recover(self) -> None:
+        self.node.after(self.transport.retry_interval, self._resume)
+
+    def _resume(self) -> None:
+        """Restart the round loops a crash ended, for instances still open."""
+        for instance, state in self._instances.items():
+            if state.loop is not None and state.loop.done:
+                state.loop = self.node.spawn(
+                    self._run(instance, state), name=f"{self.node.name}-ct-{instance}"
+                )
 
     # -- the round loop -------------------------------------------------------
 
@@ -153,19 +180,26 @@ class Consensus:
             while not state.decided_future.done:
                 r = state.round
                 coordinator = self.group[r % len(self.group)]
-                self.transport.send(
-                    coordinator,
-                    self._types["estimate"],
-                    instance=instance,
-                    round=r,
-                    ts=state.estimate_ts,
-                    value=state.estimate,
-                )
-                if coordinator == self.node.name:
+                # A resumed loop skips the sends it made in this round
+                # before the crash: a second estimate or reply from one
+                # process would count twice towards a majority, and a
+                # second proposal could differ from the first.
+                if state.estimate_sent < r:
+                    state.estimate_sent = r
+                    self.transport.send(
+                        coordinator,
+                        self._types["estimate"],
+                        instance=instance,
+                        round=r,
+                        ts=state.estimate_ts,
+                        value=state.estimate,
+                    )
+                if coordinator == self.node.name and state.proposal_sent < r:
                     outcome = yield self._race(state, self._await_estimates(state, r))
                     if outcome is _DECIDED:
                         break
                     proposal = self._choose_estimate(instance, outcome)
+                    state.proposal_sent = r
                     for member in self.group:
                         self.transport.send(
                             member,
@@ -197,13 +231,15 @@ class Consensus:
                     ack = True
                 else:
                     ack = False
-                self.transport.send(
-                    coordinator,
-                    self._types["reply"],
-                    instance=instance,
-                    round=r,
-                    ack=ack,
-                )
+                if state.reply_sent < r:
+                    state.reply_sent = r
+                    self.transport.send(
+                        coordinator,
+                        self._types["reply"],
+                        instance=instance,
+                        round=r,
+                        ack=ack,
+                    )
                 if coordinator == self.node.name:
                     outcome = yield self._race(state, self._await_replies(state, r))
                     if outcome is _DECIDED:
@@ -214,7 +250,7 @@ class Consensus:
                         )
                 state.round = r + 1
         except ProcessInterrupted:
-            return  # node crashed; instance dies with it
+            return  # node crashed; _resume restarts the loop after recovery
 
     def _choose_estimate(self, instance: Any, estimates: List[Tuple[int, str, Any]]) -> Any:
         """Pick the estimate adopted most recently; break ties by name.

@@ -1,6 +1,7 @@
 """Tests for atomic broadcast: total order, atomicity, crash tolerance."""
 
 from helpers import GroupHarness
+from hypothesis import given, settings, strategies as st
 
 from repro.groupcomm import ConsensusAtomicBroadcast, SequencerAtomicBroadcast
 
@@ -125,3 +126,88 @@ class TestConsensusAbcast:
         got = orders(h)
         assert_total_order(got)
         assert len(max(got.values(), key=len)) == 10
+
+
+class TestConsensusAbcastRetention:
+    """Exactly-once total order while only unsettled uids are remembered."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        members=st.sampled_from([3, 4]),
+        loss_rate=st.sampled_from([0.0, 0.1, 0.3]),
+        duplicate=st.sampled_from([0.0, 0.3]),
+        jitter=st.sampled_from([0.0, 3.0]),
+        # Whole instants for sends and half instants for the crash: a
+        # member crashing in the very instant it broadcasts loses its own
+        # copy (reliable broadcast relays to everyone but the origin), and
+        # that is the sender-crash case test_atomicity covers.
+        sends=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 120)),
+                       min_size=1, max_size=20),
+        # From shorter than failure detection (timeout 6 at interval 2) to
+        # far longer: a coordinator back before it is suspected is waited
+        # for, and must resume the rounds its crash ended.
+        crash=st.tuples(st.integers(0, 3), st.integers(0, 120), st.integers(1, 40)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exactly_once_same_order_after_any_fault_schedule(
+        self, seed, members, loss_rate, duplicate, jitter, sends, crash
+    ):
+        h = GroupHarness(members, seed=seed, loss_rate=loss_rate, fd_interval=2.0,
+                         fd_timeout=6.0, retry_interval=2.0)
+        for name in h.names:
+            if duplicate:
+                h.net.set_fault(name, "duplicate", duplicate)
+            if jitter:
+                h.net.set_fault(name, "jitter", jitter)
+        ab = attach_ct(h)
+        uid_of = {}
+        ordered = {name: set() for name in h.names}
+        arrived = {name: set() for name in h.names}
+
+        def check(name):
+            early = ab[name]._delivered
+            assert early <= ordered[name] - arrived[name], (name, early)
+
+        def watch(name):
+            sink, disseminate = h.sink(name), ab[name]._rb.deliver
+
+            def deliver(origin, mtype, body):
+                sink(origin, mtype, body)
+                ordered[name].add(uid_of[body["tag"]])
+                check(name)
+
+            def on_disseminate(origin, mtype, body):
+                arrived[name].add(body["uid"])
+                disseminate(origin, mtype, body)
+                check(name)
+
+            ab[name].deliver = deliver
+            ab[name]._rb.deliver = on_disseminate
+
+        for name in h.names:
+            watch(name)
+
+        def send(name):
+            # A crashed process takes no steps, so it broadcasts nothing.
+            if not h.nodes[name].crashed:
+                tag = len(uid_of)
+                uid_of[tag] = ab[name].abcast("op", tag=tag)
+
+        for pick, at in sends:
+            h.sim.schedule_at(float(at), send, h.names[pick % members])
+        pick, at, length = crash
+        victim = h.nodes[h.names[pick % members]]
+        h.sim.schedule_at(at + 0.5, victim.crash)
+        h.sim.schedule_at(at + 0.5 + length, victim.recover)
+        h.run(until=200.0)
+        h.net.loss_rate = 0.0
+        h.net.clear_faults()
+        h.run(until=600.0)
+
+        got = orders(h)
+        reference = sorted(uid_of)
+        for name in h.names:
+            assert sorted(got[name]) == reference, f"{name}: {got[name]}"
+            assert got[name] == got[h.names[0]], f"{name} diverges"
+            assert ab[name]._delivered == set(), name
+            assert ab[name]._unordered == {}, name

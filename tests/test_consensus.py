@@ -120,6 +120,40 @@ class TestConsensusUnderFailures:
             assert len(decided) <= 1, f"seed {seed}: disagreement {decided}"
             assert decided, f"seed {seed}: nothing decided"
 
+    def test_value_adopted_in_round_zero_outranks_initial_values(self):
+        # n0 proposes "x" in round 0, n1 adopts it and n0 decides it; the
+        # decision then cannot reach n1.  n2 missed round 0, so round 1's
+        # coordinator n1 holds its own adopted "x" and n2's initial "y",
+        # and must keep "x": an adopted value has to outrank every value
+        # never adopted, or the tie goes to the larger name, n2's.
+        h = GroupHarness(3)
+        cons, decisions = attach(h)
+        for name, value in (("n0", "x"), ("n1", "x"), ("n2", "y")):
+            cons[name].propose("i", value)
+        h.net.partition(["n0", "n1"], ["n2"])
+        h.sim.schedule_at(3.5, h.net.partition, ["n0"], ["n1", "n2"])
+        h.sim.schedule_at(60.0, h.net.heal)
+        h.run(until=500)
+        assert {name: decisions[name].get("i") for name in h.names} == {
+            "n0": "x", "n1": "x", "n2": "x",
+        }
+
+    def test_coordinator_back_before_suspected_resumes_its_round(self):
+        # n0 coordinates round 0 and crashes before its peers' estimates
+        # arrive; it is back before anyone suspects it, so they wait for
+        # its proposal.  The crash ended its round loop: the recovered
+        # process must run that round again or the instance never ends.
+        h = GroupHarness(3, fd_interval=2.0, fd_timeout=8.0, retry_interval=2.0)
+        cons, decisions = attach(h)
+        for name in h.names:
+            cons[name].propose("i", name)
+        h.sim.schedule_at(0.5, h.nodes["n0"].crash)
+        h.sim.schedule_at(1.5, h.nodes["n0"].recover)
+        h.run(until=500)
+        decided = {decisions[name].get("i") for name in h.names}
+        assert len(decided) == 1 and None not in decided, decided
+        assert sum(h.detectors[n].wrong_suspicions for n in h.names) == 0
+
     def test_late_proposer_still_learns_decision(self):
         h = GroupHarness(3)
         cons, decisions = attach(h)
