@@ -88,10 +88,11 @@ sweep:
 sweep-smoke:
 	$(PYTHON) -m repro sweep --smoke --out $(SWEEP_OUT)
 
-# Kernel & network hot-path microbenchmarks: writes the perf-trajectory
-# file BENCH_kernel.json at the repo root (measured figures + recorded
-# pre-optimization baseline + per-workload speedups).  Not part of
-# `check` — wall-clock results belong in an artifact, not a gate.
+# Kernel & network hot-path microbenchmarks: appends one row (measured
+# figures + per-workload speedups over the recorded pre-optimization
+# baseline + calibration_s) to the append-only perf trajectory
+# BENCH_kernel.json at the repo root.  Not part of `check` — wall-clock
+# results belong in an artifact, not a gate.
 bench-json:
 	$(PYTHON) benchmarks/perf_kernel.py --json BENCH_kernel.json --repeats 5
 

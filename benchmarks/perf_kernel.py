@@ -21,9 +21,12 @@ fabric under workloads shaped like the Section 6 performance study:
   technique: kernel + protocols + workload driver, end to end.
 
 ``python benchmarks/perf_kernel.py --json BENCH_kernel.json`` (or
-``make bench-json``) writes the trajectory file: the measured figures
-next to the recorded pre-optimization baseline
-(``benchmarks/kernel_baseline.json``) and the speedup per workload.
+``make bench-json``) appends one row to the trajectory file: the
+measured figures, the speedup per workload against the recorded
+pre-optimization baseline (``benchmarks/kernel_baseline.json``, copied
+into the file once) and ``calibration_s``, the host's speed when the row
+was taken (:func:`bench_e2e_row.calibration_s`), so that rows from
+different hosts and days compare.  Earlier rows are never rewritten.
 ``--record-baseline`` rewrites the baseline file instead — only done
 once, on the commit *before* a round of kernel work, so every later run
 has a fixed reference point.
@@ -48,6 +51,7 @@ from typing import Any, Callable, Dict, Optional
 if __name__ == "__main__":  # direct script run: make src/ importable
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from bench_e2e_row import calibration_s
 from repro import RunSpec
 from repro.net import Network, Node
 from repro.net.latency import ConstantLatency
@@ -245,7 +249,6 @@ def trajectory(results: Dict[str, Dict[str, float]],
                baseline: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """Combine measured figures with the recorded baseline into one doc."""
     doc: Dict[str, Any] = {
-        "schema": 1,
         "unit": "per wall-clock second, best of N repeats",
         "python": platform.python_version(),
         "workloads": results,
@@ -280,10 +283,41 @@ def trajectory(results: Dict[str, Dict[str, float]],
     return doc
 
 
+def append_row(path: str, doc: Dict[str, Any], note: str) -> int:
+    """Append ``doc`` as the next row of the trajectory file at ``path``.
+
+    The baseline goes into the file once, beside the rows; a row keeps the
+    rest of ``doc`` plus ``note`` and ``calibration_s``.  Returns the
+    number of rows now in the file.
+    """
+    history: Dict[str, Any] = {
+        "schema": 2,
+        "what": "kernel & network micro-benchmarks, best of N repeats per "
+                "workload; append-only, one row per run",
+        "command": "python benchmarks/perf_kernel.py --json BENCH_kernel.json",
+        "rows": [],
+    }
+    if os.path.exists(path):
+        with open(path) as handle:
+            history = json.load(handle)
+    row = {key: value for key, value in doc.items() if key != "baseline"}
+    if "baseline" in doc:
+        history.setdefault("baseline", doc["baseline"])
+    row["note"] = note
+    row["calibration_s"] = calibration_s()
+    history["rows"].append(row)
+    with open(path, "w") as handle:
+        json.dump(history, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    return len(history["rows"])
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", metavar="PATH",
-                        help="write the trajectory JSON to PATH")
+                        help="append this run as a row of the trajectory at PATH")
+    parser.add_argument("--note", default="",
+                        help="with --json: one line on what the row measures")
     parser.add_argument("--record-baseline", action="store_true",
                         help="rewrite benchmarks/kernel_baseline.json "
                              "with this run's figures")
@@ -304,12 +338,10 @@ def main(argv: Optional[list] = None) -> int:
         print(f"baseline recorded -> {BASELINE_PATH}")
 
     doc = trajectory(results, load_baseline())
-    text = json.dumps(doc, indent=1, sort_keys=True)
+    print(json.dumps(doc, indent=1, sort_keys=True))
     if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(text + "\n")
-        print(f"trajectory -> {args.json}")
-    print(text)
+        rows = append_row(args.json, doc, args.note)
+        print(f"row {rows} appended -> {args.json}")
     return 0
 
 

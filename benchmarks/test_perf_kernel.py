@@ -5,7 +5,8 @@ workload (timer churn, RPC round trips, broadcast fan-out, the two soak
 rows), prints the figures next to the recorded pre-optimization baseline
 and asserts the simulated executions still look right (event/message
 counts, timeout hygiene).  ``make bench-json`` runs the same harness
-from the command line and writes ``BENCH_kernel.json`` at the repo root.
+from the command line and appends a row to ``BENCH_kernel.json`` at the
+repo root.
 
 Wall-clock thresholds are deliberately absent — CI machines vary too
 much for hard time limits; the trajectory file is the artefact, and the
@@ -13,8 +14,11 @@ recorded baseline in ``benchmarks/kernel_baseline.json`` is the fixed
 reference point for speedup claims.
 """
 
+import json
+
+import perf_kernel
 from conftest import format_rows, report
-from perf_kernel import WORKLOADS, load_baseline, run_benchmarks, trajectory
+from perf_kernel import append_row, load_baseline, run_benchmarks, trajectory
 
 
 def test_perf_kernel(once):
@@ -52,3 +56,22 @@ def test_perf_kernel(once):
             table,
         ),
     )
+
+
+def test_json_appends_a_row_and_keeps_the_rest(tmp_path, monkeypatch):
+    monkeypatch.setattr(perf_kernel, "calibration_s", lambda: 0.25)
+    path = str(tmp_path / "BENCH_kernel.json")
+    baseline = {"workloads": {"rpc": {"wall_s": 2.0}}}
+    first = {"baseline": baseline, "workloads": {"rpc": {"wall_s": 1.0}}}
+    assert append_row(path, first, "one") == 1
+    with open(path) as handle:
+        before = json.load(handle)
+    second = {"baseline": {"workloads": {}}, "workloads": {"rpc": {"wall_s": 0.5}}}
+    assert append_row(path, second, "two") == 2
+    with open(path) as handle:
+        after = json.load(handle)
+    assert after["rows"][0] == before["rows"][0]
+    assert after["rows"][1] == {
+        "workloads": {"rpc": {"wall_s": 0.5}}, "note": "two", "calibration_s": 0.25,
+    }
+    assert after["baseline"] == baseline  # recorded once, never replaced
