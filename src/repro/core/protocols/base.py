@@ -36,6 +36,11 @@ __all__ = [
 
 CLIENT_REQUEST = "client.request"
 CLIENT_RESPONSE = "client.response"
+STATE_PULL = "state.pull"
+STATE_PUSH = "state.push"
+
+# How long a restarted replica waits for one peer's state.
+STATE_PULL_TIMEOUT = 60.0
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,8 @@ class ReplicaProtocol:
         # host crash.
         self._serving: Dict[str, float] = {}
         replica.node.on(CLIENT_REQUEST, self._on_client_request)
+        replica.node.on(STATE_PULL, self._on_state_pull)
+        replica.node.on(STATE_PUSH, self._on_state_push)
 
     # -- to implement ------------------------------------------------------
 
@@ -199,26 +206,33 @@ class ReplicaProtocol:
     def peers(self) -> List[str]:
         return [name for name in self.group if name != self.replica.name]
 
-    def state_wire(self) -> list:
-        """The whole store as ``[item, value, version]`` rows."""
-        return [
-            [item, versioned.value, versioned.version]
-            for item, versioned in self.store.items()
-        ]
+    # -- state transfer: a peer's DataStore.digest() into DataStore.install() --
 
-    def pull_state(self, call: Any) -> Generator:
-        """Process: await ``call`` — a ``Node.call`` whose reply carries a
-        peer's :meth:`state_wire` — and install whatever is newer (versions
-        make the merge idempotent).  An unreachable peer leaves this replica
-        as stale as it was; anything else that goes wrong is a bug and
-        surfaces.  The call is made by the caller, where the message-flow
-        analysis can read its type."""
-        try:
-            reply = yield call
-        except (TimeoutError, NodeCrashed):
-            return
-        for item, value, version in reply["state"]:
-            self.store.write_versioned(item, value, version)
+    def catch_up(self, peers: Sequence[str]) -> Generator:
+        """Process: pull each of ``peers``' state in turn, skipping this
+        replica and suspected peers, and install whatever is newer.  An
+        unreachable peer leaves this replica as stale as it was; anything
+        else that goes wrong is a bug and surfaces."""
+        for peer in peers:
+            if peer == self.replica.name or self.replica.detector.is_suspected(peer):
+                continue
+            try:
+                reply = yield self.replica.node.call(
+                    peer, STATE_PULL, timeout=STATE_PULL_TIMEOUT
+                )
+            except (TimeoutError, NodeCrashed):
+                continue
+            self.store.install(reply["state"])
+
+    def push_state(self, peer: str) -> None:
+        """Send this replica's state to ``peer`` unasked."""
+        self.replica.node.send(peer, STATE_PUSH, state=self.store.digest())
+
+    def _on_state_pull(self, message: Message) -> None:
+        self.replica.node.reply(message, state=self.store.digest())
+
+    def _on_state_push(self, message: Message) -> None:
+        self.store.install(message["state"])
 
     def busy_elsewhere(self, request: Request) -> bool:
         """Is another replica's execution of ``request`` in flight here?

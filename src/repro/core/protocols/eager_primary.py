@@ -50,8 +50,6 @@ __all__ = ["EagerPrimaryCopy"]
 
 OP_APPLY = "ep.op_apply"
 QUERY_INDOUBT = "ep.indoubt_query"
-SYNC = "ep.sync"
-SYNC_PUSH = "ep.sync_push"
 
 
 class EagerPrimaryCopy(ReplicaProtocol):
@@ -103,8 +101,6 @@ class EagerPrimaryCopy(ReplicaProtocol):
         self._decided: Dict[str, bool] = {}
         replica.node.on(OP_APPLY, self._on_op_apply)
         replica.node.on(QUERY_INDOUBT, self._on_indoubt_query)
-        replica.node.on(SYNC, self._on_sync_request)
-        replica.node.on(SYNC_PUSH, self._on_sync_push)
         replica.node.on(S_BEGIN, self._on_session_begin)
         replica.node.on(S_OP, self._on_session_op)
         replica.node.on(S_COMMIT, self._on_session_commit)
@@ -401,18 +397,10 @@ class EagerPrimaryCopy(ReplicaProtocol):
         the 2PC participant set.
         """
         self._workspaces.clear()
-        self.replica.node.spawn(self._resync(), name=f"{self.replica.name}-resync")
-
-    def _resync(self):
-        directory = self.replica.system.directory
-        if directory.primary == self.replica.name:
-            return  # nothing newer exists anywhere
-        yield from self.pull_state(
-            self.replica.node.call(directory.primary, SYNC, timeout=60.0)
+        self.replica.node.spawn(
+            self.catch_up([self.replica.system.directory.primary]),
+            name=f"{self.replica.name}-resync",
         )
-
-    def _on_sync_request(self, message: Message) -> None:
-        self.replica.node.reply(message, state=self.state_wire())
 
     def _on_peer_restored(self, peer: str) -> None:
         """Primary-side rejoin: push state when a suspected peer proves alive.
@@ -423,8 +411,4 @@ class EagerPrimaryCopy(ReplicaProtocol):
         it; later commits include the peer in the 2PC again.
         """
         if self.is_primary:
-            self.replica.node.send(peer, SYNC_PUSH, state=self.state_wire())
-
-    def _on_sync_push(self, message: Message) -> None:
-        for item, value, version in message["state"]:
-            self.store.write_versioned(item, value, version)
+            self.push_state(peer)

@@ -46,7 +46,6 @@ __all__ = ["EagerUpdateEverywhereLocking"]
 
 LOCK = "ueld.lock"
 BUFFER = "ueld.buffer"
-SYNC = "ueld.sync"
 CATCHUP = "ueld.catchup"
 
 
@@ -105,7 +104,6 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         self._workspaces: Dict[str, List[tuple]] = {}
         replica.node.on(LOCK, self._on_lock_request)
         replica.node.on(BUFFER, self._on_buffer)
-        replica.node.on(SYNC, self._on_sync_request)
         replica.node.on(CATCHUP, self._on_catchup)
         replica.detector.on_suspect(self._on_peer_suspected)
         replica.node.on(S_BEGIN, self._on_session_begin)
@@ -457,14 +455,10 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
             if site != self.replica.name and site not in quorum
         ]
         for site in excluded:
-            self.replica.node.send(
-                site, CATCHUP, txn=txn_id,
-                state=[[item, value, version] for item, value, version in workspace],
-            )
+            self.replica.node.send(site, CATCHUP, txn=txn_id, state=workspace)
 
     def _on_catchup(self, message: Message) -> None:
-        for item, value, version in message["state"]:
-            self.store.write_versioned(item, value, version)
+        self.store.install(message["state"])
         # The catch-up carries a committed transaction: remember it under
         # its request id so a client retry re-homed here is deduplicated.
         self.replica.remember_reply(message["txn"].rsplit("@", 1)[0], [])
@@ -521,19 +515,8 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         self._workspaces.clear()
         self._sessions.clear()
         self.replica.node.spawn(
-            self._resync(), name=f"{self.replica.name}-resync"
+            self.catch_up(self.peers()), name=f"{self.replica.name}-resync"
         )
-
-    def _resync(self):
-        for peer in self.peers():
-            if self.replica.detector.is_suspected(peer):
-                continue
-            yield from self.pull_state(
-                self.replica.node.call(peer, SYNC, timeout=60.0)
-            )
-
-    def _on_sync_request(self, message: Message) -> None:
-        self.replica.node.reply(message, state=self.state_wire())
 
     def _on_decision(self, txn_id: str, commit: bool) -> None:
         workspace = self._workspaces.pop(txn_id, None)
@@ -547,6 +530,5 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
                 # the delegate crashed is deduplicated, not re-executed.
                 # The delegate itself caches real values via respond().
                 self.replica.remember_reply(txn_id.rsplit("@", 1)[0], [])
-            for item, value, version in workspace:
-                self.store.write_versioned(item, value, version)
+            self.store.install(workspace)
         self.tm.locks.release_all(txn_id)

@@ -32,7 +32,6 @@ from .base import ProtocolInfo, ReplicaProtocol, run_transaction
 __all__ = ["LazyPrimaryCopy"]
 
 APPLY = "lp.apply"
-SYNC = "lp.sync"
 
 
 class LazyPrimaryCopy(ReplicaProtocol):
@@ -68,7 +67,6 @@ class LazyPrimaryCopy(ReplicaProtocol):
         self.batch_interval: Optional[float] = spec.batch_interval
         self._shipped_lsn: Dict[str, int] = {peer: 0 for peer in self.peers()}
         replica.node.on(APPLY, self._on_apply)
-        replica.node.on(SYNC, self._on_sync_request)
         replica.detector.on_suspect(self._on_suspect)
         replica.detector.on_restore(self._on_peer_restored)
         if self.batch_interval is not None:
@@ -179,18 +177,10 @@ class LazyPrimaryCopy(ReplicaProtocol):
         resynchronises by full state pull — the lazy analogue of restoring
         a replica from a backup before resuming log apply.
         """
-        self.replica.node.spawn(self._resync(), name=f"{self.replica.name}-resync")
-
-    def _resync(self):
-        directory = self.replica.system.directory
-        if directory.primary == self.replica.name:
-            return
-        yield from self.pull_state(
-            self.replica.node.call(directory.primary, SYNC, timeout=60.0)
+        self.replica.node.spawn(
+            self.catch_up([self.replica.system.directory.primary]),
+            name=f"{self.replica.name}-resync",
         )
-
-    def _on_sync_request(self, message) -> None:
-        self.replica.node.reply(message, state=self.state_wire())
 
     def _on_peer_restored(self, peer: str) -> None:
         """Re-ship the whole log to a peer that was presumed dead.

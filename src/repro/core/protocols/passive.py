@@ -92,19 +92,12 @@ class PassiveReplication(ReplicaProtocol):
         self.replica.system.directory.set_primary(view.members[0])
 
     def _state_snapshot(self):
-        return {
-            "store": [
-                [item, versioned.value, versioned.version]
-                for item, versioned in self.store.items()
-            ],
-            "results": dict(self.results_cache),
-        }
+        return {"store": self.store.digest(), "results": dict(self.results_cache)}
 
     def _state_install(self, state) -> None:
         if state is None:
             return
-        for item, value, version in state["store"]:
-            self.store.write_versioned(item, value, version)
+        self.store.install(state["store"])
         self.results_cache.update(state["results"])
 
     # -- request path ------------------------------------------------------------

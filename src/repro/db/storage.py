@@ -10,7 +10,7 @@ snapshots provide the *shadow copies* of Sections 5.2 and 5.4.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["Versioned", "DataStore"]
 
@@ -67,6 +67,12 @@ class DataStore:
         if version >= self.version(item):
             self._items[item] = Versioned(value, version)
 
+    def install(self, rows: Iterable[Tuple[str, Any, int]]) -> None:
+        """Merge ``(item, value, version)`` rows — a peer's :meth:`digest`
+        or a committed writeset — through :meth:`write_versioned`."""
+        for item, value, version in rows:
+            self.write_versioned(item, value, version)
+
     def delete(self, item: str) -> None:
         self._items.pop(item, None)
 
@@ -82,7 +88,8 @@ class DataStore:
         return item in self._items
 
     def digest(self) -> Tuple[Tuple[str, Any, int], ...]:
-        """Canonical representation of the full state, for convergence checks."""
+        """The full state as ``(item, value, version)`` rows in item order:
+        what convergence checks compare and state transfer ships."""
         return tuple(
             (item, versioned.value, versioned.version)
             for item, versioned in sorted(self._items.items())

@@ -66,6 +66,42 @@ class TestEagerPrimaryRecovery:
         assert proto._workspaces == {}
 
 
+class TestEagerUELockingRecovery:
+    def test_catch_up_after_suspected_outage(self):
+        # r2 is down long enough to be suspected: the majority keeps
+        # committing without it, and the after-images shipped to it as
+        # the excluded member are lost.  Only the pull on restart can
+        # bring it back, so no write happens after it recovers.
+        system = ReplicatedSystem("eager_ue_locking", replicas=3, seed=6,
+                                  fd_interval=2.0, fd_timeout=8.0)
+        system.injector.crash_at(5.0, "r2")
+        system.injector.recover_at(400.0, "r2")
+        results = drive(system, 4, gap=25.0)
+        assert all(r.committed for r in results)
+        system.run(until=399.0)
+        assert system.store_of("r2").read("x") is None
+        system.settle(300)
+        assert system.store_of("r2").read("x") == 4
+        assert system.store_of("r2").digest() == system.store_of("r0").digest()
+
+
+class TestPassiveRecovery:
+    def test_rejoin_installs_store_and_results(self):
+        system = ReplicatedSystem("passive", replicas=3, seed=7,
+                                  fd_interval=2.0, fd_timeout=8.0)
+        system.injector.crash_at(5.0, "r2")
+        system.injector.recover_at(150.0, "r2")
+        results = drive(system, 3, gap=25.0)
+        assert all(r.committed for r in results)
+        system.settle(300)
+        backup = system.protocol_at("r2")
+        assert backup.view_group.member and "r2" in backup.view_group.view.members
+        assert system.store_of("r2").digest() == system.store_of("r0").digest()
+        assert system.store_of("r2").read("x") == 3
+        for result in results:
+            assert backup.results_cache[result.request_id] == result.values
+
+
 class TestLazyPrimaryRecovery:
     def test_recovered_secondary_resyncs_missed_shipments(self):
         system = ReplicatedSystem("lazy_primary", replicas=3, seed=4,

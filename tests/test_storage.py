@@ -31,6 +31,19 @@ class TestBasics:
         assert store.read("x") == "new"
         assert store.version("x") == 5
 
+    def test_install_merges_digest_rows_and_ignores_a_lower_version(self):
+        donor, target = DataStore(), DataStore()
+        donor.write("x", "a")
+        donor.write("y", "b")
+        donor.write("y", "c")
+        target.write_versioned("x", "newer", 4)
+        target.install(donor.digest())
+        assert target.read_versioned("x") == Versioned("newer", 4)
+        assert target.read_versioned("y") == Versioned("c", 2)
+        before = target.digest()
+        target.install(donor.digest())
+        assert target.digest() == before
+
     def test_delete(self):
         store = DataStore()
         store.write("x", 1)
