@@ -395,8 +395,14 @@ class EagerPrimaryCopy(ReplicaProtocol):
         primary's state and installs everything newer than its own copies
         — the hot-standby resynchronisation step that precedes rejoining
         the 2PC participant set.
+
+        Open sessions are volatile too: the crash aborted their
+        transactions, so they are aborted at the secondaries as well, and
+        a later commit answers False instead of committing there alone.
         """
         self._workspaces.clear()
+        for sid in list(self._sessions):
+            self._session_cleanup(sid, commit=False)
         self.replica.node.spawn(
             self.catch_up([self.replica.system.directory.primary]),
             name=f"{self.replica.name}-resync",

@@ -56,6 +56,32 @@ class TestEagerPrimaryRecovery:
         # The old primary resynced and then kept receiving 2PC updates.
         assert system.store_of("r0").read("x") == 8
 
+    def test_session_open_across_a_restart_is_aborted_everywhere(self):
+        # The primary restarts inside the detector timeout, so nobody
+        # suspects it; the crash aborted the session's transaction there.
+        system = ReplicatedSystem("eager_primary", replicas=3, seed=1,
+                                  fd_interval=2.0, fd_timeout=8.0)
+        primary = system.replicas["r0"].node
+
+        def work():
+            session = system.client(0).session()
+            yield session.begin()
+            yield session.write("x", 42)
+            primary.crash()
+            yield system.sim.timeout(2.0)
+            primary.recover()
+            yield system.sim.timeout(1.0)
+            asked = system.sim.now
+            committed = yield session.commit()
+            return committed, system.sim.now - asked
+
+        committed, waited = system.sim.run_until_done(system.sim.spawn(work()))
+        assert committed is False
+        assert waited < 10.0, "answered at once, not by the call timeout"
+        system.settle(200)
+        assert system.converged()
+        assert [system.store_of(n).read("x") for n in system.replica_names] == [None] * 3
+
     def test_in_flight_workspace_cleared_on_recovery(self):
         system = ReplicatedSystem("eager_primary", replicas=3, seed=3)
         proto = system.protocol_at("r2")
