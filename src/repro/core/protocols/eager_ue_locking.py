@@ -47,6 +47,7 @@ __all__ = ["EagerUpdateEverywhereLocking"]
 LOCK = "ueld.lock"
 BUFFER = "ueld.buffer"
 CATCHUP = "ueld.catchup"
+RESTARTED = "ueld.restarted"
 
 
 class EagerUpdateEverywhereLocking(ReplicaProtocol):
@@ -105,7 +106,8 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         replica.node.on(LOCK, self._on_lock_request)
         replica.node.on(BUFFER, self._on_buffer)
         replica.node.on(CATCHUP, self._on_catchup)
-        replica.detector.on_suspect(self._on_peer_suspected)
+        replica.detector.on_suspect(self._release_delegate)
+        replica.transport.on(RESTARTED, self._on_peer_restarted)
         replica.node.on(S_BEGIN, self._on_session_begin)
         replica.node.on(S_OP, self._on_session_op)
         replica.node.on(S_COMMIT, self._on_session_commit)
@@ -475,8 +477,9 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
 
     # -- failure handling ---------------------------------------------------------
 
-    def _on_peer_suspected(self, peer: str) -> None:
-        """Abort a suspected delegate's *unprepared* transactions locally.
+    def _release_delegate(self, peer: str) -> None:
+        """Abort a suspected or restarted delegate's *unprepared*
+        transactions locally.
 
         A delegate that crashes mid-round can never send its abort
         decisions, so the locks it was granted here would wedge this copy
@@ -489,6 +492,10 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         already *prepared* here stay blocked — that is 2PC's documented
         blocking behaviour, repaired by the termination protocol once the
         coordinator's journal is reachable again.
+
+        A delegate that restarts before anyone suspects it says so itself
+        (:meth:`_on_peer_restarted`): its transactions died with it just
+        the same.
         """
         suffix = f"@{peer}"
         candidates = set(self._workspaces) | self.tm.locks.holding_transactions()
@@ -499,6 +506,9 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
                 continue
             self._workspaces.pop(txn_id, None)
             self.tm.locks.release_all(txn_id)
+
+    def _on_peer_restarted(self, peer: str, payload: dict) -> None:
+        self._release_delegate(peer)
 
     # -- recovery -----------------------------------------------------------------
 
@@ -511,9 +521,15 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         including us — so the local copies may be arbitrarily stale.  Pull
         every live peer's store and install whatever is newer (versions
         make the merge idempotent) before serving delegates again.
+
+        Every peer is told of the restart over the reliable transport, so
+        that a lost notice cannot leave the locks this site's dead
+        transactions hold there in place for ever.
         """
         self._workspaces.clear()
         self._sessions.clear()
+        for peer in self.peers():
+            self.replica.transport.send(peer, RESTARTED)
         self.replica.node.spawn(
             self.catch_up(self.peers()), name=f"{self.replica.name}-resync"
         )

@@ -110,6 +110,43 @@ class TestEagerUELockingRecovery:
         assert system.store_of("r2").read("x") == 4
         assert system.store_of("r2").digest() == system.store_of("r0").digest()
 
+    @staticmethod
+    def _assert_unwedged(system):
+        for name in system.replica_names:
+            held = system.replicas[name].tm.locks.holding_transactions()
+            assert not held, f"{name} still holds {sorted(held)}"
+        later = system.execute([Operation.write("x", 2)], client=1)
+        assert later.committed, later.reason
+
+    @pytest.mark.parametrize("crash_at", [3.5, 4.5, 5.5, 6.5])
+    def test_restart_before_suspicion_releases_remote_locks(self, crash_at):
+        # r0 is back within the detector timeout, so nobody suspects it:
+        # only its restart notice can release what its dead write holds.
+        system = ReplicatedSystem("eager_ue_locking", replicas=3, clients=2,
+                                  seed=1, fd_interval=2.0, fd_timeout=8.0)
+        system.injector.crash_at(crash_at, "r0")
+        system.injector.recover_at(crash_at + 2.0, "r0")
+        system.submit([Operation.write("x", 1)], client=0)
+        system.settle(1500)
+        self._assert_unwedged(system)
+
+    def test_restart_before_suspicion_releases_a_sessions_remote_locks(self):
+        system = ReplicatedSystem("eager_ue_locking", replicas=3, clients=2,
+                                  seed=1, fd_interval=2.0, fd_timeout=8.0)
+        delegate = system.replicas["r0"].node
+
+        def work():
+            session = system.client(0).session()
+            yield session.begin()
+            yield session.write("x", 1)
+            delegate.crash()
+            yield system.sim.timeout(2.0)
+            delegate.recover()
+
+        system.sim.run_until_done(system.sim.spawn(work()))
+        system.settle(1500)
+        self._assert_unwedged(system)
+
 
 class TestPassiveRecovery:
     def test_rejoin_installs_store_and_results(self):
