@@ -206,7 +206,7 @@ class ReplicaProtocol:
     def peers(self) -> List[str]:
         return [name for name in self.group if name != self.replica.name]
 
-    # -- state transfer: a peer's DataStore.digest() into DataStore.install() --
+    # -- state transfer: the store's digest() rows and the reply cache ---------
 
     def catch_up(self, peers: Sequence[str]) -> Generator:
         """Process: pull each of ``peers``' state in turn, skipping this
@@ -222,17 +222,27 @@ class ReplicaProtocol:
                 )
             except (TimeoutError, NodeCrashed):
                 continue
-            self.store.install(reply["state"])
+            self._install_state(reply)
 
     def push_state(self, peer: str) -> None:
         """Send this replica's state to ``peer`` unasked."""
-        self.replica.node.send(peer, STATE_PUSH, state=self.store.digest())
+        self.replica.node.send(peer, STATE_PUSH, state=self.store.digest(),
+                               replies=tuple(self.replica.reply_cache.items()))
 
     def _on_state_pull(self, message: Message) -> None:
-        self.replica.node.reply(message, state=self.store.digest())
+        self.replica.node.reply(message, state=self.store.digest(),
+                                replies=tuple(self.replica.reply_cache.items()))
 
     def _on_state_push(self, message: Message) -> None:
+        self._install_state(message)
+
+    def _install_state(self, message: Message) -> None:
+        """Merge a peer's rows (the newer version wins) and its committed
+        replies (this replica's own entry wins): a retry of a request the
+        peer committed is answered from the cache here, not re-executed."""
         self.store.install(message["state"])
+        for key, values in message["replies"]:
+            self.replica.remember_reply(key, values)
 
     def busy_elsewhere(self, request: Request) -> bool:
         """Is another replica's execution of ``request`` in flight here?

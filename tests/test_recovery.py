@@ -3,6 +3,8 @@
 import pytest
 
 from repro import Operation, ReplicatedSystem
+from repro.core.operations import Request
+from repro.core.protocols.base import CLIENT_REQUEST
 
 
 def drive(system, n, gap=25.0, client=0):
@@ -146,6 +148,42 @@ class TestEagerUELockingRecovery:
         system.sim.run_until_done(system.sim.spawn(work()))
         system.settle(1500)
         self._assert_unwedged(system)
+
+
+class TestStateTransferCarriesReplies:
+    """A caught-up replica answers a retry of what it missed from its
+    duplicate-reply cache instead of executing it again."""
+
+    @staticmethod
+    def _committed_while_r2_down(technique):
+        system = ReplicatedSystem(technique, replicas=3, seed=1,
+                                  fd_interval=2.0, fd_timeout=8.0)
+        system.injector.crash_at(5.0, "r2")
+        system.injector.recover_at(100.0, "r2")
+
+        def work():
+            yield system.sim.timeout(20.0)
+            return (yield system.client(0).submit([Operation.update("x", "add", 1)]))
+
+        result = system.sim.run_until_done(system.sim.spawn(work()))
+        assert result.committed and result.server == "r0"
+        system.settle(300)
+        assert system.store_of("r2").read("x") == 1
+        return system, result
+
+    @pytest.mark.parametrize("technique", ["eager_primary", "eager_ue_locking"])
+    def test_caught_up_replica_holds_the_committed_reply(self, technique):
+        system, result = self._committed_while_r2_down(technique)
+        key = result.request_id
+        assert system.replicas["r2"].cached_reply(key) == tuple(result.values)
+
+    def test_retry_at_the_caught_up_replica_is_not_executed_again(self):
+        system, result = self._committed_while_r2_down("eager_ue_locking")
+        client = system.client(0)
+        client.node.send("r2", CLIENT_REQUEST,
+                         request=Request(result.request_id, result.operations))
+        system.settle(300)
+        assert [system.store_of(n).read("x") for n in system.replica_names] == [1] * 3
 
 
 class TestPassiveRecovery:
