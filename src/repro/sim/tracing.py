@@ -8,9 +8,10 @@ render and validate those records against the paper's diagrams.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from itertools import islice, starmap
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "TraceLog"]
 
@@ -42,30 +43,32 @@ class TraceEvent:
         return f"[{self.time:9.3f}] {self.category}/{self.source}: {items}"
 
 
-def _event(row: tuple) -> TraceEvent:
-    """The event a stored row stands for (see :class:`TraceLog`)."""
-    return TraceEvent(row[0], row[1], row[2], dict(zip(row[3], row[4:])))
-
-
 class TraceLog:
     """Append-only log of timestamped records with query helpers.
 
-    A record is stored as one flat tuple row, ``(time, category, source,
-    keys, *values)``, where ``keys`` names the values and is one shared
-    tuple per record schema.  Rows of strings and numbers hold nothing
-    the cyclic collector has to follow, so it drops them from its lists
-    the first time it meets them: a long run's log costs memory, not
-    collection time.  :class:`TraceEvent` is the read-side type — the
-    queries (iteration, :attr:`events`, :meth:`select`, :meth:`dump`)
-    build one per row they return, and so does a record while a
-    subscriber is attached; nothing else constructs one.
+    The log is three columns, not one object per record: an ``array('d')``
+    of times, an ``array('H')`` of schema ids — a schema is a record's
+    ``(category, keys)``, numbered the first time it is written (at most
+    65 536 of them) — and one
+    flat list that gets ``source, *values`` per record.  A record costs
+    about 45 bytes (a phase record: one double, one short, four list
+    slots) and allocates no object the cyclic collector tracks, so a long
+    run's log costs neither collection time nor collections.
+    :class:`TraceEvent` is the read-side type — the queries (iteration,
+    :attr:`events`, :meth:`select`, :meth:`dump`) build one per record
+    they return, ``data`` in the order the record was written, and so
+    does a record while a subscriber is attached; nothing else constructs
+    one.
 
     ``max_events`` turns the log into a ring buffer: once the bound is
     reached the oldest records are discarded (``dropped_events`` counts
     them), which keeps long soak runs at constant memory.  ``None``
-    (default) keeps every record.
+    (default) keeps every record.  A discard moves a head cursor; the
+    columns are compacted once ``max_events`` discarded records sit
+    before it, so a discard costs O(1) amortised and the columns never
+    hold more than twice the bound.
 
-    Subscribers are *isolated*: the row is appended to the log before
+    Subscribers are *isolated*: the record is appended to the log before
     any subscriber runs, and a subscriber that raises is unsubscribed and
     its exception recorded in ``subscriber_errors`` — one broken observer
     cannot corrupt the log or starve other subscribers.
@@ -76,9 +79,15 @@ class TraceLog:
             raise ValueError(f"max_events must be positive, got {max_events}")
         self._sim = sim
         self.max_events = max_events
-        self._rows: Deque[tuple] = deque(maxlen=max_events)
-        # keys tuple -> the one instance every row of that schema shares.
-        self._schemas: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self._times = array("d")
+        self._schema_ids = array("H")
+        self._fields: List[Any] = []
+        # The oldest kept record, and the offset of its source in _fields:
+        # what lies before them has been discarded but not yet compacted.
+        self._head = self._fields_head = 0
+        # Schema id -> (category, keys), and back.
+        self._schemas: List[Tuple[str, Tuple[str, ...]]] = []
+        self._schema_id: Dict[Tuple[str, Tuple[str, ...]], int] = {}
         # A tuple, replaced (never mutated) by subscribe() and on eviction:
         # append() iterates it as is, with no per-record snapshot copy.
         self._subscribers: Tuple[Callable[[TraceEvent], None], ...] = ()
@@ -88,12 +97,10 @@ class TraceLog:
     def record(self, category: str, source: str, **data: Any) -> None:
         """Append a record stamped with the current simulated time.
 
-        Returns nothing: the log keeps a row, not an object to hand back.
-        Read the record through the queries (``trace.events[-1]``).
+        Returns nothing: the log keeps columns, not an object to hand
+        back.  Read the record through the queries (``trace.events[-1]``).
         """
-        keys = tuple(data)
-        self.append(category, source, self._schemas.setdefault(keys, keys),
-                    tuple(data.values()))
+        self.append(category, source, tuple(data), tuple(data.values()))
 
     def append(
         self, category: str, source: str, keys: Tuple[str, ...], values: tuple
@@ -105,15 +112,27 @@ class TraceLog:
         record goes through here: time stamp, ring-buffer accounting,
         the append, the subscriber fan-out.
         """
+        if len(values) != len(keys):
+            # The flat field column is only readable if every record of a
+            # schema is exactly as wide as its keys.
+            raise ValueError(f"{len(values)} values for keys {keys!r}")
         sim = self._sim
-        row = (0.0 if sim is None else sim.now, category, source, keys) + values
-        rows = self._rows
-        if len(rows) == self.max_events:  # never true of an unbounded log
-            self.dropped_events += 1
-        rows.append(row)
+        now = 0.0 if sim is None else sim.now
+        schema = self._schema_id.get((category, keys))
+        if schema is None:
+            schema = self._schema_id[category, keys] = len(self._schemas)
+            self._schemas.append((category, keys))
+        bound = self.max_events
+        if bound is not None and len(self._times) - self._head == bound:
+            self._discard_oldest()
+        self._schema_ids.append(schema)  # first: past 65 535 it raises
+        self._times.append(now)
+        fields = self._fields
+        fields.append(source)
+        fields += values
         subscribers = self._subscribers
         if subscribers:
-            event = _event(row)
+            event = TraceEvent(now, category, source, dict(zip(keys, values)))
             for subscriber in subscribers:
                 try:
                     subscriber(event)
@@ -123,6 +142,17 @@ class TraceLog:
                         s for s in self._subscribers if s != subscriber
                     )
 
+    def _discard_oldest(self) -> None:
+        head = self._head
+        self._fields_head += 1 + len(self._schemas[self._schema_ids[head]][1])
+        self._head = head = head + 1
+        self.dropped_events += 1
+        if head == self.max_events:
+            del self._times[:head]
+            del self._schema_ids[:head]
+            del self._fields[:self._fields_head]
+            self._head = self._fields_head = 0
+
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Invoke ``callback`` for every subsequently recorded event."""
         self._subscribers += (callback,)
@@ -130,34 +160,66 @@ class TraceLog:
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._times) - self._head
+
+    def _records(self) -> Iterator[Tuple[float, int, int]]:
+        """``(time, schema id, offset of the source in _fields)`` of every
+        kept record, oldest first."""
+        schemas = self._schemas
+        at = self._fields_head
+        head, stop = self._head, len(self._times)
+        for time, schema in zip(islice(self._times, head, stop),
+                                islice(self._schema_ids, head, stop)):
+            yield time, schema, at
+            at += 1 + len(schemas[schema][1])
+
+    def _event_at(self, time: float, schema: int, at: int) -> TraceEvent:
+        category, keys = self._schemas[schema]
+        fields = self._fields
+        values = fields[at + 1:at + 1 + len(keys)]
+        return TraceEvent(time, category, fields[at], dict(zip(keys, values)))
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return map(_event, self._rows)
+        return starmap(self._event_at, self._records())
 
     @property
     def events(self) -> List[TraceEvent]:
         """All recorded events in insertion (time) order, built afresh."""
-        return list(map(_event, self._rows))
+        return list(self)
 
     def _matching(
         self, category: Optional[str], source: Optional[str], data_filters: dict
-    ) -> Iterator[tuple]:
-        """Rows passing the filters; no event is built to decide."""
-        filters = tuple(data_filters.items())
-        for row in self._rows:
-            if category is not None and row[1] != category:
+    ) -> Iterator[Tuple[float, int, int]]:
+        """Records passing the filters; no event is built to decide.
+
+        The category, and a filter on a key the schema lacks (which reads
+        as None, as ``data.get`` did), are decided once per schema.
+        """
+        checks_of: Dict[int, List[Tuple[int, Any]]] = {}
+        for schema, (schema_category, keys) in enumerate(self._schemas):
+            if category is not None and schema_category != category:
                 continue
-            if source is not None and row[2] != source:
-                continue
-            keys = row[3]
-            for key, wanted in filters:
-                # A key the record lacks reads as None, as data.get did.
-                found = row[4 + keys.index(key)] if key in keys else None
-                if found != wanted:
+            checks = []
+            for key, wanted in data_filters.items():
+                if key in keys:
+                    checks.append((1 + keys.index(key), wanted))
+                elif wanted is not None:
                     break
             else:
-                yield row
+                checks_of[schema] = checks
+        fields = self._fields
+        for record in self._records():
+            checks = checks_of.get(record[1])
+            if checks is None:
+                continue
+            at = record[2]
+            if source is not None and fields[at] != source:
+                continue
+            for offset, wanted in checks:
+                if fields[at + offset] != wanted:
+                    break
+            else:
+                yield record
 
     def select(
         self,
@@ -170,19 +232,27 @@ class TraceLog:
         ``data_filters`` match against the event payload: an event is kept
         only if ``event.data[key] == value`` for every filter.
         """
-        return list(map(_event, self._matching(category, source, data_filters)))
+        return list(starmap(self._event_at,
+                            self._matching(category, source, data_filters)))
 
-    def count(self, category: Optional[str] = None, **data_filters: Any) -> int:
-        """Number of events matching the filters."""
-        return sum(1 for _ in self._matching(category, None, data_filters))
+    def count(
+        self,
+        category: Optional[str] = None,
+        source: Optional[str] = None,
+        **data_filters: Any,
+    ) -> int:
+        """Number of events :meth:`select` would return, none of them built."""
+        return sum(1 for _ in self._matching(category, source, data_filters))
 
     def clear(self) -> None:
         """Discard all recorded events (subscribers are kept)."""
-        self._rows.clear()
+        del self._times[:], self._schema_ids[:], self._fields[:]
+        self._head = self._fields_head = 0
 
     def dump(self, limit: Optional[int] = None) -> str:
-        """Human-readable rendering of the trace, newest last."""
-        rows = list(self._rows)
+        """Human-readable rendering of the trace (the newest ``limit``
+        records, if given), newest last."""
+        records = self._records()
         if limit is not None:
-            rows = rows[-limit:]
-        return "\n".join(repr(_event(row)) for row in rows)
+            records = islice(records, max(len(self) - limit, 0), None)
+        return "\n".join(repr(self._event_at(*record)) for record in records)

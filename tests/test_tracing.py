@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import contended_run
 from repro import REGISTRY, Operation, ReplicatedSystem, RunSpec
 from repro.core.phases import PhaseTracer
-from repro.sim import Simulator, TraceLog, tracing
+from repro.sim import Simulator, TraceEvent, TraceLog, tracing
 from repro.workload.openloop import ArrivalSpec, run_openloop
 
 # The two ways a record gets in: by keyword, and positionally the way the
-# phase tracer writes.  Both leave the same kind of row.
+# phase tracer writes.  Both leave the same kind of record.
 WRITERS = {
     "keyword": lambda trace, i: trace.record("cat", "src", i=i),
     "positional": lambda trace, i: trace.append("cat", "src", ("i",), (i,)),
@@ -33,12 +34,19 @@ class TestTraceLog:
 
     def test_record_without_sim_defaults_to_zero(self):
         trace = TraceLog()
-        # The log keeps a row and hands nothing back, by keyword ...
+        # The log keeps a record and hands nothing back, by keyword ...
         assert trace.record("cat", "src") is None
         assert trace.events[-1].time == 0.0
         # ... and positionally, the way the phase tracer writes.
         assert PhaseTracer(trace).record("src", "req", "RE") is None
         assert trace.events[-1].time == 0.0 and len(trace) == 2
+
+    def test_append_rejects_values_its_keys_do_not_name(self):
+        trace = TraceLog()
+        with pytest.raises(ValueError):
+            trace.append("cat", "src", ("i",), (1, 2))
+        trace.record("cat", "src", i=3)
+        assert [event.data for event in trace] == [{"i": 3}]
 
     def test_select_filters_by_category_source_and_payload(self):
         trace = TraceLog()
@@ -78,6 +86,8 @@ class TestTraceLog:
         for i in range(10):
             trace.record("cat", "src", i=i)
         assert len(trace.dump(limit=3).splitlines()) == 3
+        assert trace.dump(limit=3).splitlines()[-1].endswith("i=9")
+        assert trace.dump(limit=0) == ""
 
     def test_iteration_in_order(self):
         trace = TraceLog()
@@ -168,15 +178,16 @@ class TestSubscriberIsolation:
 
 
 # ---------------------------------------------------------------------------
-# Rows: the filters decide on the stored row, a reader gets the event
+# Records: the filters decide on the stored columns, a reader gets the event
 # ---------------------------------------------------------------------------
 
 _VALUES = st.one_of(st.none(), st.integers(0, 2), st.sampled_from(["a", "b"]))
 _PAYLOADS = st.dictionaries(st.sampled_from(["x", "y", "z"]), _VALUES)
-_RECORDS = st.lists(st.tuples(
+_RECORD = st.tuples(
     st.sampled_from(["phase", "fd", "abcast"]), st.sampled_from(["r0", "r1"]),
     _PAYLOADS,
-))
+)
+_RECORDS = st.lists(_RECORD)
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,10 +213,54 @@ def test_select_and_count_equal_filtering_the_events_by_hand(
         ]
 
     assert trace.select(category, source, **filters) == by_hand(source)
+    assert trace.count(category, source=source, **filters) == len(by_hand(source))
     assert trace.count(category, **filters) == len(by_hand(None))
     kept = records if bound is None else records[-bound:]
     assert [(e.category, e.source, e.data) for e in trace] == kept
     assert all(list(e.data) == list(data) for e, (_, _, data) in zip(trace, kept))
+
+
+class _Clock:
+    now = 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=st.lists(_RECORD, min_size=40, max_size=80),
+    bound=st.integers(1, 8),
+    clear_at=st.one_of(st.none(), st.integers(0, 79)),
+)
+def test_a_bounded_log_reads_like_a_deque_across_compactions(records, bound, clear_at):
+    """40+ records through a bound of at most 8 discard past the compaction
+    point (every ``bound`` discards) at least four times; after every step
+    each reader agrees with a ``deque(maxlen=bound)`` of the events."""
+    clock = _Clock()
+    trace = TraceLog(clock, max_events=bound)
+    reference = deque(maxlen=bound)
+    dropped = 0
+    for step, (category, source, data) in enumerate(records):
+        if step == clear_at:
+            trace.clear()
+            reference.clear()
+        clock.now = float(step)
+        if step % 2:
+            trace.record(category, source, **data)
+        else:
+            trace.append(category, source, tuple(data), tuple(data.values()))
+        dropped += len(reference) == bound
+        reference.append(TraceEvent(clock.now, category, source, data))
+        expected = list(reference)
+        assert list(trace) == trace.events == trace.select() == expected
+        assert [list(e.data) for e in trace] == [list(e.data) for e in expected]
+        assert trace.count() == len(trace) == len(expected)
+        assert trace.count("phase") == sum(e.category == "phase" for e in expected)
+        assert trace.dropped_events == dropped
+
+
+def _tracked_objects_owned(trace):
+    """gc-tracked objects among the log's storage and what it holds."""
+    storage = [value for name, value in vars(trace).items() if name != "_sim"]
+    return sum(map(gc.is_tracked, storage + gc.get_referents(*storage)))
 
 
 @pytest.mark.parametrize("technique", ["active", "lazy_primary"])
@@ -214,9 +269,9 @@ def test_an_unread_log_is_rows_the_collector_does_not_walk(technique, monkeypatc
 
     Nobody reads the log during an unobserved run, so no ``TraceEvent`` is
     built; what the run retains for it (allocations made in the two files
-    that write it) stays under 140 bytes a record — 213 with an event, its
-    ``__dict__`` and its payload dict per record — and after a collection
-    no phase row is on the collector's lists.
+    that write it) stays under 56 bytes a record — 104 with a tuple row,
+    213 with an event, its ``__dict__`` and its payload dict per record —
+    and a record adds no object the collector tracks to what the log owns.
     """
     built = []
 
@@ -241,14 +296,20 @@ def test_an_unread_log_is_rows_the_collector_does_not_walk(technique, monkeypatc
     assert summary.offered == 482 and len(trace) > 1500
     assert not built
     retained = sum(stat.size for stat in snapshot.statistics("filename"))
-    assert retained / len(trace) <= 140
-    gc.collect()
-    phase_rows = [row for row in trace._rows if row[1] == "phase"]
-    assert len(phase_rows) > 1000
-    assert not any(gc.is_tracked(row) for row in phase_rows)
+    assert retained / len(trace) <= 56
+    phase_records = trace.count("phase")
+    assert phase_records > 1000 and not built
     assert len(trace.select(category="phase", source="nobody")) == 0 and not built
-    assert trace.count("phase") == len(phase_rows) and not built
     assert len(trace.events) == len(trace) == len(built)
+    assert sum(event.category == "phase" for event in trace) == phase_records
+    # More records, more than a young collection's worth: what the log owns
+    # gains no tracked object.
+    gc.collect()
+    owned = _tracked_objects_owned(trace)
+    tracer = PhaseTracer(trace)
+    for i in range(2000):
+        tracer.record("r0", f"more-{i}", "RE")
+    assert _tracked_objects_owned(trace) <= owned
 
 
 # ---------------------------------------------------------------------------
