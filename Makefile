@@ -101,8 +101,12 @@ bench-json:
 # per-layer ledger, then the verdict against the recorded seed-7 baseline
 # (exit 1 on any `worse`).  ~3 min; not part of `check`.  The medians of
 # a PR that claims a gain go into BENCH_e2e.json as that PR's row.
+# `src` is byte-compiled first: under PYTHONDONTWRITEBYTECODE=1 a stale
+# cache is never rewritten, so every child would recompile each edited
+# module and bill it to `setup_s`.
 BENCH_E2E_OUT ?= benchmarks/output/e2e
 bench-e2e:
+	$(PYTHON) -m compileall -q src
 	$(PYTHON) benchmarks/e2e/run.py --repeats 5 --traced \
 		--out $(BENCH_E2E_OUT)/results.json
 	$(PYTHON) benchmarks/e2e/compare.py benchmarks/e2e/baseline.json \
