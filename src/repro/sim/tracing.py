@@ -49,8 +49,8 @@ class TraceLog:
     The log is three columns, not one object per record: an ``array('d')``
     of times, an ``array('H')`` of schema ids — a schema is a record's
     ``(category, keys)``, numbered the first time it is written (at most
-    65 536 of them) — and one
-    flat list that gets ``source, *values`` per record.  A record costs
+    65 536 of them) — and one flat list that gets ``source, *values`` per
+    record.  A record costs
     about 45 bytes (a phase record: one double, one short, four list
     slots) and allocates no object the cyclic collector tracks, so a long
     run's log costs neither collection time nor collections.
@@ -193,7 +193,8 @@ class TraceLog:
         """Records passing the filters; no event is built to decide.
 
         The category, and a filter on a key the schema lacks (which reads
-        as None, as ``data.get`` did), are decided once per schema.
+        as None, like ``event.data.get(key)``), are decided once per
+        schema.
         """
         checks_of: Dict[int, List[Tuple[int, Any]]] = {}
         for schema, (schema_category, keys) in enumerate(self._schemas):
