@@ -13,17 +13,21 @@ Three formats, all byte-deterministic for a given span set:
 * **Plain-text metrics report** — :meth:`MetricsRegistry.report`,
   written beside the traces by :func:`write_artifacts`.
 
-Both JSON formats come out of one generator each, a bounded chunk of
-spans at a time: :func:`write_artifacts` streams the pieces to the file,
-the string-returning functions join the very same pieces.
+Both JSON formats come out of one renderer, a bounded chunk of spans at
+a time: each span's attrs are encoded once, and the same ``"key":value``
+fragments fill its JSONL ``attrs`` and its Chrome ``args``.  The text
+is the one a sorted-keys ``json`` encoding of the documents would give;
+:func:`write_artifacts` writes both files in one pass over the spans,
+the string-returning functions join the very same chunks.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ReplicationError
 from .observer import Observer
@@ -57,40 +61,195 @@ def assert_no_open_spans(observer: Observer) -> None:
 # Simulated-time unit -> Chrome microseconds (1 unit rendered as 1 ms).
 _TS_SCALE = 1000.0
 
-# The one encoder every exported JSON byte goes through.
+# What the renderer does not format itself goes through this encoder;
+# the renderer's own text is what it would have produced.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# Spans per piece: enough to make the per-``encode`` overhead vanish, few
-# enough that a piece's event dicts (~3 k, half a megabyte of text) die
-# before the cyclic GC promotes them and runs a full collection.
+# Spans per chunk: one write to each file, and the lifetime of the
+# renderer's memos.  Simulated times and names repeat within a chunk, so
+# its memos hit; dropped at the chunk's end, they never hold more than a
+# chunk's distinct values, whatever the length of the run.
 _CHUNK_SPANS = 1024
 
+# Chrome ``args`` keys every span carries besides its attrs (an attr of
+# the same name wins).
+_FIXED_ARGS = ("parent_id", "span_id", "status", "trace_id")
 
-def _track_order(spans: Sequence[Span], node_order: Optional[Sequence[str]]) -> List[str]:
-    """Deterministic tid assignment: declared node order, then the rest."""
-    seen = {span.source for span in spans}
-    ordered = [name for name in (node_order or []) if name in seen]
-    ordered += sorted(seen - set(ordered))
-    return ordered
-
-
-def _chunks(spans: Sequence[Span]) -> Iterator[Sequence[Span]]:
-    for at in range(0, len(spans), _CHUNK_SPANS):
-        yield spans[at:at + _CHUNK_SPANS]
+_INF = float("inf")
+_int_text = int.__repr__
 
 
-def _trace_pieces(
-    spans: Sequence[Span],
-    node_order: Optional[Sequence[str]],
-    process_name: str,
-) -> Iterator[str]:
-    """The Chrome trace document, piece by piece.
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
 
-    Each chunk of spans becomes its events and one ``encode`` of that
-    list; the brackets come off so the pieces join into the single
-    ``traceEvents`` array without the whole list ever existing.
+
+def _text(value: Any) -> str:
+    """JSON text of one value: exact atoms directly, the rest by ``_ENCODER``."""
+    cls = value.__class__
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return _int_text(value)
+    if cls is float:
+        return _float_text(value)
+    if value is None:
+        return "null"
+    if cls is bool:
+        return "true" if value else "false"
+    return _ENCODER.encode(value)
+
+
+def _args_order(names: Tuple[str, ...]) -> Optional[Callable[[list], tuple]]:
+    """Where a span with these sorted attr names finds its ``args`` entries.
+
+    The getter picks from the attr fragments followed by the fragments of
+    :data:`_FIXED_ARGS`, in sorted key order, an attr shadowing the fixed
+    key of its name.  ``None`` when a name is not a ``str``: such attrs
+    are encoded whole.
     """
-    tracks = _track_order(spans, node_order)
+    if any(name.__class__ is not str for name in names):
+        return None
+    slots = {name: at for at, name in enumerate(names)}
+    for at, name in enumerate(_FIXED_ARGS):
+        slots.setdefault(name, len(names) + at)
+    return itemgetter(*[slots[name] for name in sorted(slots)])
+
+
+class _Memo(dict):
+    """A dict that fills a missing entry with ``make(key)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
+def _render(
+    spans: Sequence[Span], tids: Optional[Dict[str, str]], jsonl: bool
+) -> Tuple[str, str]:
+    """One chunk of spans as Chrome trace events and as JSONL lines.
+
+    The events (when ``tids``, each node's tid as text, is given) come
+    comma-joined with a leading comma, ready to follow the previous piece
+    of the ``traceEvents`` array; the lines (when ``jsonl``) end in
+    newlines.  Strings, floats and ``"key":"value"`` fragments are
+    memoised for the chunk only.
+    """
+    strings = _Memo(encode_basestring_ascii)
+    floats = _Memo(_float_text)
+    keys = _Memo(lambda key: strings[key] + ":")
+    pairs = _Memo(lambda pair: keys[pair[0]] + strings[pair[1]])
+    orders = _Memo(_args_order)
+
+    def text(value: Any) -> str:
+        # Memo keys are exact strs and non-zero floats only: 1, 1.0 and
+        # True, or 0.0 and -0.0, are equal keys with different texts.
+        cls = value.__class__
+        if cls is str:
+            return strings[value]
+        if cls is float and value:
+            return floats[value]
+        return _text(value)
+
+    events: List[str] = []
+    lines: List[str] = []
+    for span in spans:
+        attrs = span.attrs
+        names = sorted(attrs)
+        order = orders[tuple(names)]
+        span_id = _text(span.span_id)
+        parent_id = _text(span.parent_id)
+        status = text(span.status)
+        trace_id = text(span.trace_id)
+        name = text(span.name)
+        category = text(span.category)
+        if order is None:
+            attrs_text = _ENCODER.encode(attrs) if jsonl else ""
+            if tids is not None:
+                args = {"span_id": span.span_id, "parent_id": span.parent_id,
+                        "trace_id": span.trace_id, "status": span.status}
+                args.update(attrs)
+                args_text = _ENCODER.encode(args)
+        else:
+            fragments = []
+            for key in names:
+                value = attrs[key]
+                fragments.append(pairs[key, value] if value.__class__ is str
+                                 else keys[key] + text(value))
+            attrs_text = "{" + ",".join(fragments) + "}"
+            if tids is not None:
+                fragments += ('"parent_id":' + parent_id, '"span_id":' + span_id,
+                              '"status":' + status, '"trace_id":' + trace_id)
+                args_text = "{" + ",".join(order(fragments)) + "}"
+        if jsonl:
+            lines.append(
+                f'{{"attrs":{attrs_text},"category":{category},'
+                f'"end":{text(span.end)},"kind":{text(span.kind)},'
+                f'"name":{name},"parent_id":{parent_id},'
+                f'"source":{text(span.source)},"span_id":{span_id},'
+                f'"start":{text(span.start)},"status":{status},'
+                f'"trace_id":{trace_id}}}\n'
+            )
+        if tids is None:
+            continue
+        tid = tids[span.source]
+        start = span.start * _TS_SCALE
+        ts = text(start)
+        if span.kind == INSTANT:
+            events.append(
+                f'{{"args":{args_text},"cat":{category},"name":{name},'
+                f'"ph":"i","pid":0,"s":"t","tid":{tid},"ts":{ts}}}'
+            )
+            continue
+        end = (span.end if span.end is not None else span.start) * _TS_SCALE
+        events.append(
+            f'{{"args":{args_text},"cat":{category},"dur":{text(end - start)},'
+            f'"name":{name},"ph":"X","pid":0,"tid":{tid},"ts":{ts}}}'
+        )
+        if span.category == "message" and span.status == "ok":
+            # Flow arrow from the send on the source track to the
+            # arrival on the destination track.
+            dst = attrs.get("dst")
+            if dst in tids:
+                events.append(
+                    f'{{"cat":"message","id":{span_id},"name":"flight",'
+                    f'"ph":"s","pid":0,"tid":{tid},"ts":{ts}}}'
+                )
+                events.append(
+                    f'{{"bp":"e","cat":"message","id":{span_id},'
+                    f'"name":"flight","ph":"f","pid":0,"tid":{tids[dst]},'
+                    f'"ts":{text(end)}}}'
+                )
+    return ("," + ",".join(events) if events else "", "".join(lines))
+
+
+def _chunks(
+    spans: Sequence[Span], tids: Optional[Dict[str, str]], jsonl: bool
+) -> Iterator[Tuple[str, str]]:
+    for at in range(0, len(spans), _CHUNK_SPANS):
+        yield _render(spans[at:at + _CHUNK_SPANS], tids, jsonl)
+
+
+def _tracks(
+    spans: Sequence[Span], node_order: Optional[Sequence[str]], process_name: str
+) -> Tuple[Dict[str, str], str]:
+    """Deterministic tid per node (declared order, then the rest), as
+    text, and the document's head: its opening and the track metadata
+    events."""
+    seen = {span.source for span in spans}
+    tracks = [name for name in (node_order or []) if name in seen]
+    tracks += sorted(seen - set(tracks))
     tid_of = {name: index for index, name in enumerate(tracks)}
     events: List[Dict[str, Any]] = [
         {"ph": "M", "pid": 0, "tid": 0, "name": "process_name",
@@ -102,64 +261,11 @@ def _trace_pieces(
         events.append({"ph": "M", "pid": 0, "tid": tid_of[name],
                        "name": "thread_sort_index",
                        "args": {"sort_index": tid_of[name]}})
-    yield '{"displayTimeUnit":"ms","traceEvents":['
-    yield _ENCODER.encode(events)[1:-1]
-    for chunk in _chunks(spans):
-        events = []
-        for span in chunk:
-            args = {"span_id": span.span_id, "parent_id": span.parent_id,
-                    "trace_id": span.trace_id, "status": span.status}
-            args.update(span.attrs)
-            tid = tid_of[span.source]
-            start = span.start * _TS_SCALE
-            if span.kind == INSTANT:
-                events.append({"ph": "i", "pid": 0, "tid": tid, "ts": start,
-                               "s": "t", "name": span.name,
-                               "cat": span.category, "args": args})
-                continue
-            end = (span.end if span.end is not None else span.start) * _TS_SCALE
-            events.append({"ph": "X", "pid": 0, "tid": tid, "ts": start,
-                           "dur": end - start, "name": span.name,
-                           "cat": span.category, "args": args})
-            if span.category == "message" and span.status == "ok":
-                # Flow arrow from the send on the source track to the
-                # arrival on the destination track.
-                dst = span.attrs.get("dst")
-                if dst in tid_of:
-                    events.append({"ph": "s", "pid": 0, "tid": tid,
-                                   "ts": start, "id": span.span_id,
-                                   "name": "flight", "cat": "message"})
-                    events.append({"ph": "f", "pid": 0, "tid": tid_of[dst],
-                                   "ts": end, "id": span.span_id, "bp": "e",
-                                   "name": "flight", "cat": "message"})
-        yield "," + _ENCODER.encode(events)[1:-1]
-    yield "]}\n"
+    head = '{"displayTimeUnit":"ms","traceEvents":[' + _ENCODER.encode(events)[1:-1]
+    return {name: _int_text(tid) for name, tid in tid_of.items()}, head
 
 
-def _jsonl_pieces(spans: Sequence[Span]) -> Iterator[str]:
-    """The JSONL export, a chunk of whole lines at a time.
-
-    One ``encode`` per span: attrs may nest anything, so where one
-    record ends cannot be recovered from the text of an encoded list.
-    """
-    encode = _ENCODER.encode
-    for chunk in _chunks(sorted(spans, key=attrgetter("span_id"))):
-        yield "".join([
-            encode({
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "trace_id": span.trace_id,
-                "name": span.name,
-                "category": span.category,
-                "kind": span.kind,
-                "source": span.source,
-                "start": span.start,
-                "end": span.end,
-                "status": span.status,
-                "attrs": span.attrs,
-            }) + "\n"
-            for span in chunk
-        ])
+_TRACE_TAIL = "]}\n"
 
 
 def chrome_trace(
@@ -168,12 +274,17 @@ def chrome_trace(
     process_name: str = "repro",
 ) -> str:
     """Render spans as Chrome trace-event JSON (Perfetto-loadable)."""
-    return "".join(_trace_pieces(spans, node_order, process_name))
+    tids, head = _tracks(spans, node_order, process_name)
+    pieces = [head]
+    pieces += [events for events, _ in _chunks(spans, tids, False)]
+    pieces.append(_TRACE_TAIL)
+    return "".join(pieces)
 
 
 def spans_jsonl(spans: Sequence[Span]) -> str:
     """One JSON object per span, in span-id order, keys sorted."""
-    return "".join(_jsonl_pieces(spans))
+    ordered = sorted(spans, key=attrgetter("span_id"))
+    return "".join([lines for _, lines in _chunks(ordered, None, True)])
 
 
 def write_artifacts(
@@ -186,8 +297,10 @@ def write_artifacts(
 
     ``stem`` is a path without extension; the files written are
     ``<stem>.trace.json``, ``<stem>.spans.jsonl`` and
-    ``<stem>.metrics.txt``.  The two JSON files are streamed piece by
-    piece, never held as one string.  Returns format -> path.
+    ``<stem>.metrics.txt``.  The two JSON files are written together,
+    chunk by chunk, in one pass over the spans: span ids are list
+    positions, so the list is already in the JSONL's id order.  Returns
+    format -> path.
     """
     observer.finalize()
     assert_no_open_spans(observer)
@@ -200,10 +313,13 @@ def write_artifacts(
         "metrics": f"{stem}.metrics.txt",
     }
     spans = observer.tracer.spans
-    with open(paths["trace"], "w") as handle:
-        handle.writelines(_trace_pieces(spans, node_order, title))
-    with open(paths["spans"], "w") as handle:
-        handle.writelines(_jsonl_pieces(spans))
+    tids, head = _tracks(spans, node_order, title)
+    with open(paths["trace"], "w") as trace, open(paths["spans"], "w") as jsonl:
+        trace.write(head)
+        for events, lines in _chunks(spans, tids, True):
+            trace.write(events)
+            jsonl.write(lines)
+        trace.write(_TRACE_TAIL)
     with open(paths["metrics"], "w") as handle:
         handle.write(observer.metrics.report(title=title))
     return paths

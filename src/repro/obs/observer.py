@@ -27,6 +27,7 @@ Causality model (one root per client request):
 
 from __future__ import annotations
 
+from dataclasses import fields
 from itertools import chain
 from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
@@ -421,6 +422,14 @@ def _txn_trace(txn: object) -> str:
 # inside the container loop, without a call.
 _FIXED_SIZE = {bool: 1, type(None): 1, int: 8, float: 8}
 
+# Immutable leaf types: an object holding only these (and tuples and
+# frozen objects of them) has one wire form for its whole life.
+_ATOMS = frozenset({str, bytes, bool, type(None), int, float})
+
+# Instance attribute under which an object travelling as itself keeps
+# its wire size, once the size can no longer change.
+_WIRE_SIZE = "_obs_wire_size"
+
 
 def _approx_size(value: Any) -> int:
     """Deterministic wire-size estimate of a payload, in bytes.
@@ -428,9 +437,9 @@ def _approx_size(value: Any) -> int:
     An accounting convention, not a codec: strings count their length,
     numbers a fixed word, containers recurse with small framing.  An
     object with an ``as_wire()`` (a request or a writeset travelling as
-    itself) counts as its plain-data form.  Other objects count a flat
-    16 — never ``str()`` them, the default repr embeds ``id()`` and would
-    vary run to run.
+    itself) counts as its plain-data form (see :func:`_wire_size`).
+    Other objects count a flat 16 — never ``str()`` them, the default
+    repr embeds ``id()`` and would vary run to run.
 
     One call per container, not per key and value: leaves of the exact
     common types are sized in the loop, and only containers and subclass
@@ -449,8 +458,7 @@ def _approx_size(value: Any) -> int:
     elif isinstance(value, (str, bytes)):
         return len(value)
     else:
-        as_wire = getattr(value, "as_wire", None)
-        return 16 if as_wire is None else _approx_size(as_wire())
+        return _wire_size(value)
     for item in items:
         cls = item.__class__
         if cls is str:
@@ -459,6 +467,45 @@ def _approx_size(value: Any) -> int:
             fixed = _FIXED_SIZE.get(cls)
             size += fixed if fixed is not None else _approx_size(item)
     return size
+
+
+def _wire_size(value: Any) -> int:
+    """Size of an object that is no container: its ``as_wire()`` form, or 16.
+
+    A request is sized once per envelope it travels in, and a broadcast
+    sends it in many.  So the size is kept on the object, but only when
+    :func:`_immutable` says its wire form cannot change; an object with a
+    mutable leaf (a list argument, say) is sized every time.
+    """
+    as_wire = getattr(value, "as_wire", None)
+    if as_wire is None:
+        return 16
+    state = getattr(value, "__dict__", None)
+    if state is not None:
+        size = state.get(_WIRE_SIZE)
+        if size is not None:
+            return size
+    size = _approx_size(as_wire())
+    if state is not None and _immutable(value):
+        state[_WIRE_SIZE] = size
+    return size
+
+
+def _immutable(value: Any) -> bool:
+    """Whether nothing reachable from ``value`` can change.
+
+    True of an exact atom, a tuple of immutable values, and a frozen
+    dataclass whose fields are immutable values.
+    """
+    cls = value.__class__
+    if cls in _ATOMS:
+        return True
+    if cls is tuple:
+        return all(map(_immutable, value))
+    params = getattr(cls, "__dataclass_params__", None)
+    return params is not None and params.frozen and all(
+        _immutable(getattr(value, field.name)) for field in fields(value)
+    )
 
 
 def _payload_trace_hint(payload: Any, depth: int = 5) -> Optional[str]:

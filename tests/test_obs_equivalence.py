@@ -6,14 +6,17 @@ definitions live on here as oracles:
 
 * ``_approx_size`` against the one-call-per-value recursive definition;
 * ``_approx_size`` and ``_payload_trace_hint`` on a request or writeset
-  travelling as itself against the same on its ``as_wire()`` form;
-* ``chrome_trace`` / ``spans_jsonl`` against a list-building,
-  ``json.dumps``-per-document rendering, including at the chunk
-  boundaries of the streaming encoder.
+  travelling as itself against the same on its ``as_wire()`` form, also
+  when the size is read a second time;
+* ``chrome_trace`` / ``spans_jsonl`` and the files ``write_artifacts``
+  writes against a list-building, ``json.dumps``-per-document rendering,
+  including at the chunk boundaries of the renderer.
 """
 
 import enum
 import json
+import os
+import tempfile
 from collections import OrderedDict, namedtuple
 from contextlib import contextmanager
 
@@ -22,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.operations import UPDATE_FUNCTIONS, Operation, Request
 from repro.db import Stamp, TransactionUpdates, UpdateRecord
-from repro.obs import Span, chrome_trace, export, spans_jsonl
+from repro.obs import Observer, Span, chrome_trace, export, spans_jsonl, write_artifacts
 from repro.obs.observer import _approx_size, _payload_trace_hint
 
 
@@ -131,8 +134,22 @@ _WIRE_TYPES = st.one_of(
 def test_approx_size_of_object_equals_its_wire_form(value):
     # Payloads carry these objects by reference; the byte count is the one
     # their plain-data form would have had, alone and inside a container.
-    assert _approx_size(value) == _approx_size(value.as_wire())
+    # The second sizing may read a size kept from the first.
+    wire_size = _approx_size(value.as_wire())
+    assert _approx_size(value) == _approx_size(value) == wire_size
     assert _approx_size({"k": [value]}) == _approx_size({"k": [value.as_wire()]})
+
+
+def test_approx_size_follows_a_mutable_argument():
+    # A list argument can grow between two sends of the same request, so
+    # a size kept from the first send would be wrong at the second.
+    values = [1]
+    request = Request.make(Operation.write("x", values), client="c0", sequence=1)
+    before = _approx_size(request)
+    assert before == _approx_size(request.as_wire())
+    values.append("eleven")
+    after = _approx_size(request)
+    assert after == _approx_size(request.as_wire()) == before + len("eleven")
 
 
 def test_payload_trace_hint_reads_requests_and_writesets():
@@ -231,16 +248,34 @@ _TEXT = st.one_of(
 )
 _NUMBERS = st.one_of(
     st.booleans(), st.integers(), st.floats(),
+    st.integers(min_value=2**64, max_value=10**30).flatmap(
+        lambda big: st.sampled_from([big, -big])),
     st.sampled_from([True, 1, -0.0, 1e-07, 1e16, float("inf"),
-                     float("-inf"), float("nan")]),
+                     float("-inf"), float("nan"), 5e-324, -2.5e-310,
+                     10**30, _Level.LOW]),
 )
 _ATTR_VALUES = st.recursive(
-    st.one_of(st.none(), _TEXT, _NUMBERS, st.sampled_from(_NODES)),
+    st.one_of(st.none(), _TEXT, _NUMBERS, st.sampled_from(_NODES),
+              st.sampled_from([_Name("named"), _Name("r0")])),
     lambda children: st.one_of(
         st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
         st.dictionaries(st.sampled_from(["attrs", "a"]), children, max_size=2),
     ),
     max_leaves=6,
+)
+# Attr names: the ones the renderer treats specially (the flow arrow's
+# ``dst``, the four Chrome ``args`` keys an attr shadows) and any text.
+_ATTR_NAMES = st.one_of(
+    st.sampled_from(["dst", "type", "bytes",
+                     "span_id", "parent_id", "trace_id", "status"]),
+    _TEXT,
+)
+# Names that are no exact ``str``: the encoder converts some of them, and
+# sorting them beside text raises.
+_ODD_NAMES = st.one_of(
+    st.integers(), st.none(), st.booleans(), st.floats(allow_nan=False),
+    st.sampled_from([_Level.LOW, _Name("named"), _Name("status"), (1, "x")]),
 )
 _TIMES = st.floats(min_value=-1e6, max_value=1e6)
 
@@ -249,13 +284,14 @@ _TIMES = st.floats(min_value=-1e6, max_value=1e6)
 def _span_lists(draw, max_size=12):
     count = draw(st.integers(min_value=0, max_value=max_size))
     ids = draw(st.permutations(range(1, count + 1)))
+    odd_names = draw(st.booleans())
     spans = []
     for span_id in ids:
-        attrs = draw(st.dictionaries(
-            st.one_of(st.sampled_from(["dst", "type", "bytes"]), _TEXT),
-            _ATTR_VALUES, max_size=4,
-        ))
-        if isinstance(attrs.get("dst"), (list, dict)):
+        names = _ATTR_NAMES
+        if odd_names and draw(st.integers(min_value=0, max_value=3)) == 0:
+            names = st.one_of(_ATTR_NAMES, _ODD_NAMES)
+        attrs = draw(st.dictionaries(names, _ATTR_VALUES, max_size=4))
+        if isinstance(attrs.get("dst"), (list, dict, tuple)):
             # The flow-arrow lookup needs a hashable destination.
             attrs["dst"] = draw(st.sampled_from(_NODES))
         spans.append(Span(
@@ -282,15 +318,48 @@ def _chunk_spans(count):
         export._CHUNK_SPANS = saved
 
 
+def _outcome(render, *args, **kwargs):
+    """What ``render`` returns, or the type of the exception it raises."""
+    try:
+        return render(*args, **kwargs)
+    except Exception as error:
+        return type(error)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_span_lists(), st.sampled_from([None, ["c0", "r0"], _NODES]), _TEXT)
 def test_exporters_equal_json_dumps_rendering(spans, order, title):
-    # A four-span chunk makes the generated lists straddle several.
+    # A four-span chunk makes the generated lists straddle several.  Attrs
+    # a JSON encoder refuses make both sides raise the same way.
     with _chunk_spans(4):
-        trace = chrome_trace(spans, node_order=order, process_name=title)
-        jsonl = spans_jsonl(spans)
-    assert trace == _reference_chrome_trace(spans, order, title)
-    assert jsonl == _reference_spans_jsonl(spans)
+        trace = _outcome(chrome_trace, spans, node_order=order, process_name=title)
+        jsonl = _outcome(spans_jsonl, spans)
+    assert trace == _outcome(_reference_chrome_trace, spans, order, title)
+    assert jsonl == _outcome(_reference_spans_jsonl, spans)
+
+
+def _written_texts(observer, order, title):
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_artifacts(observer, os.path.join(directory, "run"),
+                                node_order=order, title=title)
+        with open(paths["trace"]) as trace, open(paths["spans"]) as jsonl:
+            return trace.read(), jsonl.read()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_span_lists(), st.sampled_from([None, ["c0", "r0"], _NODES]), _TEXT)
+def test_write_artifacts_writes_the_reference_texts(spans, order, title):
+    # The files are written in one pass over the tracer's spans, whose ids
+    # are their positions: renumber the generated spans so.
+    observer = Observer()
+    for position, span in enumerate(spans, start=1):
+        span.span_id = position
+    observer.tracer.spans = spans
+    observer.finalize()
+    expected = _outcome(lambda: (_reference_chrome_trace(spans, order, title),
+                                 _reference_spans_jsonl(spans)))
+    with _chunk_spans(4):
+        assert _outcome(_written_texts, observer, order, title) == expected
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -301,6 +370,26 @@ def test_exporters_at_chunk_boundary(offset):
              _NODES[n % 3], n * 0.1, n * 0.1 + 1.0, "span", "ok",
              {"dst": _NODES[(n + 1) % 3], "msg_id": n})
         for n in range(1, count + 1)
+    ]
+    assert chrome_trace(spans, node_order=_NODES) == \
+        _reference_chrome_trace(spans, node_order=_NODES)
+    assert spans_jsonl(spans) == _reference_spans_jsonl(spans)
+
+
+def test_exporters_keep_equal_values_of_different_texts_apart():
+    # The renderer memoises texts within a chunk.  Values that compare
+    # equal but print differently, side by side in one chunk, must each
+    # keep their own text.
+    values = [0.0, -0.0, 1, True, 1.0, _Level.LOW, "r0", _Name("r0"),
+              5e-324, 0, False, None]
+    spans = [
+        Span(n, None, "t", "msg:x", "message", "r0", value, -value,
+             "span", "ok", {"v": value, "w": [value], "dst": "r1"})
+        for n, value in enumerate([0.0, -0.0, 0, 1.0, 1, True], start=1)
+    ] + [
+        Span(n, n - 1, "t", "phase", "phase", "r1", 1.0, 2.0, "instant", "ok",
+             {"v": value, "status": value})
+        for n, value in enumerate(values, start=7)
     ]
     assert chrome_trace(spans, node_order=_NODES) == \
         _reference_chrome_trace(spans, node_order=_NODES)
