@@ -34,6 +34,7 @@ def test_perf_kernel(once):
 
     for name in ("soak_active", "soak_eager_ue_locking"):
         assert results[name]["events"] > 0, name
+    assert results["export"]["spans"] > 0, results["export"]
 
     doc = trajectory(results, load_baseline())
     table = []
