@@ -1,6 +1,6 @@
 """Resilient client edge and composable chaos campaigns.
 
-This package is the repo's robustness layer (ROADMAP item 5): a
+This package is the repo's robustness layer: a
 production-style client stub — deterministic retry with backoff and
 jitter, per-request deadline budgets, per-node circuit breakers,
 idempotency keys with server-side duplicate-reply caching — plus a
