@@ -13,25 +13,31 @@ Three formats, all byte-deterministic for a given span set:
 * **Plain-text metrics report** — :meth:`MetricsRegistry.report`,
   written beside the traces by :func:`write_artifacts`.
 
-Both JSON formats come out of one renderer, a bounded chunk of spans at
-a time: each span's attrs are encoded once, and the same ``"key":value``
-fragments fill its JSONL ``attrs`` and its Chrome ``args``.  The text
-is the one a sorted-keys ``json`` encoding of the documents would give;
-:func:`write_artifacts` writes both files in one pass over the spans,
-the string-returning functions join the very same chunks.
+Both JSON formats come out of one renderer, fed :data:`~repro.obs.spans.Row`
+tuples a bounded chunk at a time: each span's attrs are encoded once,
+in an order worked out once per keys tuple, and the same ``"key":value``
+fragments fill its JSONL ``attrs`` and its Chrome ``args``.  The text is the one a sorted-keys ``json`` encoding of
+the documents would give.  :func:`write_artifacts` reads the rows
+straight from the tracer's columns and writes both files in one pass,
+building no :class:`~repro.obs.spans.Span`; the string-returning
+functions take the rows from a span list and join the very same chunks.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet, Any, Callable, Dict, Iterable, Iterator, List, Optional,
+    Sequence, Tuple,
+)
 
 from ..errors import ReplicationError
 from .observer import Observer
-from .spans import INSTANT, Span
+from .spans import INSTANT, Row, Span
 from .timeseries import counter_trace
 
 __all__ = [
@@ -78,6 +84,9 @@ _FIXED_ARGS = ("parent_id", "span_id", "status", "trace_id")
 _INF = float("inf")
 _int_text = int.__repr__
 
+# A span's fields but its attrs, in slot order.
+_FIELDS = attrgetter(*Span.__slots__[:-1])
+
 
 def _float_text(value: float) -> str:
     if value != value:
@@ -105,20 +114,36 @@ def _text(value: Any) -> str:
     return _ENCODER.encode(value)
 
 
-def _args_order(names: Tuple[str, ...]) -> Optional[Callable[[list], tuple]]:
-    """Where a span with these sorted attr names finds its ``args`` entries.
+def _shape(
+    attr_keys: Tuple[Any, ...], pairs: Dict[str, Dict[str, str]],
+    key_texts: Dict[str, str],
+) -> Optional[Tuple[list, Callable[[list], tuple], Optional[int]]]:
+    """How a span whose attrs have these keys renders them.
 
-    The getter picks from the attr fragments followed by the fragments of
-    :data:`_FIXED_ARGS`, in sorted key order, an attr shadowing the fixed
-    key of its name.  ``None`` when a name is not a ``str``: such attrs
-    are encoded whole.
+    ``None`` when a key is not a ``str``: such attrs are encoded whole.
+    Otherwise, in sorted key order, each key's ``"key":"value"`` memo,
+    its ``"key":`` text and the position of its value; the getter that
+    picks the ``args`` entries from the attr fragments followed by the
+    fragments of :data:`_FIXED_ARGS`, in sorted key order, an attr
+    shadowing the fixed key of its name; and the position of the ``dst``
+    value, if there is one.
     """
+    names = sorted(attr_keys)
     if any(name.__class__ is not str for name in names):
         return None
+    position = {name: at for at, name in enumerate(attr_keys)}
     slots = {name: at for at, name in enumerate(names)}
     for at, name in enumerate(_FIXED_ARGS):
         slots.setdefault(name, len(names) + at)
-    return itemgetter(*[slots[name] for name in sorted(slots)])
+    order = itemgetter(*[slots[name] for name in sorted(slots)])
+    steps = [(pairs[name], key_texts[name], position[name]) for name in names]
+    return steps, order, position.get("dst")
+
+
+def _span_rows(spans: Iterable[Span]) -> List[Row]:
+    """The rows of a list of :class:`Span`."""
+    return [(*_FIELDS(span), tuple(span.attrs), tuple(span.attrs.values()))
+            for span in spans]
 
 
 class _Memo(dict):
@@ -136,21 +161,22 @@ class _Memo(dict):
 
 
 def _render(
-    spans: Sequence[Span], tids: Optional[Dict[str, str]], jsonl: bool
+    rows: Sequence[Row], tids: Optional[Dict[str, str]], jsonl: bool
 ) -> Tuple[str, str]:
-    """One chunk of spans as Chrome trace events and as JSONL lines.
+    """One chunk of span rows as Chrome trace events and as JSONL lines.
 
     The events (when ``tids``, each node's tid as text, is given) come
     comma-joined with a leading comma, ready to follow the previous piece
     of the ``traceEvents`` array; the lines (when ``jsonl``) end in
-    newlines.  Strings, floats and ``"key":"value"`` fragments are
-    memoised for the chunk only.
+    newlines.  Strings, floats, ``"key":"value"`` fragments and the
+    shape of each keys tuple are memoised for the chunk only.
     """
     strings = _Memo(encode_basestring_ascii)
     floats = _Memo(_float_text)
     keys = _Memo(lambda key: strings[key] + ":")
-    pairs = _Memo(lambda pair: keys[pair[0]] + strings[pair[1]])
-    orders = _Memo(_args_order)
+    # key -> (str value -> '"key":"value"')
+    pairs = _Memo(lambda key: _Memo(lambda value: keys[key] + strings[value]))
+    shapes = _Memo(lambda attr_keys: _shape(attr_keys, pairs, keys))
 
     def text(value: Any) -> str:
         # Memo keys are exact strs and non-zero floats only: 1, 1.0 and
@@ -164,90 +190,105 @@ def _render(
 
     events: List[str] = []
     lines: List[str] = []
-    for span in spans:
-        attrs = span.attrs
-        names = sorted(attrs)
-        order = orders[tuple(names)]
-        span_id = _text(span.span_id)
-        parent_id = _text(span.parent_id)
-        status = text(span.status)
-        trace_id = text(span.trace_id)
-        name = text(span.name)
-        category = text(span.category)
-        if order is None:
+    for (span_id, parent_id, trace_id, name, category, source, start, end,
+         kind, status, attr_keys, attr_values) in rows:
+        shape = shapes[attr_keys]
+        # The fields a span always has, exact strs and ints as a rule,
+        # formatted without a call where they are.
+        span_id_text = (_int_text(span_id) if span_id.__class__ is int
+                        else _text(span_id))
+        parent_id_text = (_int_text(parent_id) if parent_id.__class__ is int
+                          else _text(parent_id))
+        status_text = strings[status] if status.__class__ is str else _text(status)
+        trace_id_text = (strings[trace_id] if trace_id.__class__ is str
+                         else _text(trace_id))
+        name_text = strings[name] if name.__class__ is str else _text(name)
+        category_text = (strings[category] if category.__class__ is str
+                         else _text(category))
+        if shape is None:
+            attrs = dict(zip(attr_keys, attr_values))
             attrs_text = _ENCODER.encode(attrs) if jsonl else ""
             if tids is not None:
-                args = {"span_id": span.span_id, "parent_id": span.parent_id,
-                        "trace_id": span.trace_id, "status": span.status}
+                args = {"span_id": span_id, "parent_id": parent_id,
+                        "trace_id": trace_id, "status": status}
                 args.update(attrs)
                 args_text = _ENCODER.encode(args)
         else:
+            steps, order, dst_at = shape
             fragments = []
-            for key in names:
-                value = attrs[key]
-                fragments.append(pairs[key, value] if value.__class__ is str
-                                 else keys[key] + text(value))
+            for pair, key_text, at in steps:
+                value = attr_values[at]
+                fragments.append(pair[value] if value.__class__ is str
+                                 else key_text + text(value))
             attrs_text = "{" + ",".join(fragments) + "}"
             if tids is not None:
-                fragments += ('"parent_id":' + parent_id, '"span_id":' + span_id,
-                              '"status":' + status, '"trace_id":' + trace_id)
+                fragments += ('"parent_id":' + parent_id_text,
+                              '"span_id":' + span_id_text,
+                              '"status":' + status_text,
+                              '"trace_id":' + trace_id_text)
                 args_text = "{" + ",".join(order(fragments)) + "}"
         if jsonl:
             lines.append(
-                f'{{"attrs":{attrs_text},"category":{category},'
-                f'"end":{text(span.end)},"kind":{text(span.kind)},'
-                f'"name":{name},"parent_id":{parent_id},'
-                f'"source":{text(span.source)},"span_id":{span_id},'
-                f'"start":{text(span.start)},"status":{status},'
-                f'"trace_id":{trace_id}}}\n'
+                f'{{"attrs":{attrs_text},"category":{category_text},'
+                f'"end":{text(end)},"kind":{text(kind)},'
+                f'"name":{name_text},"parent_id":{parent_id_text},'
+                f'"source":{text(source)},"span_id":{span_id_text},'
+                f'"start":{text(start)},"status":{status_text},'
+                f'"trace_id":{trace_id_text}}}\n'
             )
         if tids is None:
             continue
-        tid = tids[span.source]
-        start = span.start * _TS_SCALE
-        ts = text(start)
-        if span.kind == INSTANT:
+        tid = tids[source]
+        ts_start = start * _TS_SCALE
+        ts = text(ts_start)
+        if kind == INSTANT:
             events.append(
-                f'{{"args":{args_text},"cat":{category},"name":{name},'
+                f'{{"args":{args_text},"cat":{category_text},"name":{name_text},'
                 f'"ph":"i","pid":0,"s":"t","tid":{tid},"ts":{ts}}}'
             )
             continue
-        end = (span.end if span.end is not None else span.start) * _TS_SCALE
+        ts_end = (end if end is not None else start) * _TS_SCALE
         events.append(
-            f'{{"args":{args_text},"cat":{category},"dur":{text(end - start)},'
-            f'"name":{name},"ph":"X","pid":0,"tid":{tid},"ts":{ts}}}'
+            f'{{"args":{args_text},"cat":{category_text},'
+            f'"dur":{text(ts_end - ts_start)},'
+            f'"name":{name_text},"ph":"X","pid":0,"tid":{tid},"ts":{ts}}}'
         )
-        if span.category == "message" and span.status == "ok":
+        if category == "message" and status == "ok":
             # Flow arrow from the send on the source track to the
             # arrival on the destination track.
-            dst = attrs.get("dst")
+            if shape is None:
+                dst = attrs.get("dst")
+            else:
+                dst = attr_values[dst_at] if dst_at is not None else None
             if dst in tids:
                 events.append(
-                    f'{{"cat":"message","id":{span_id},"name":"flight",'
+                    f'{{"cat":"message","id":{span_id_text},"name":"flight",'
                     f'"ph":"s","pid":0,"tid":{tid},"ts":{ts}}}'
                 )
                 events.append(
-                    f'{{"bp":"e","cat":"message","id":{span_id},'
+                    f'{{"bp":"e","cat":"message","id":{span_id_text},'
                     f'"name":"flight","ph":"f","pid":0,"tid":{tids[dst]},'
-                    f'"ts":{text(end)}}}'
+                    f'"ts":{text(ts_end)}}}'
                 )
     return ("," + ",".join(events) if events else "", "".join(lines))
 
 
 def _chunks(
-    spans: Sequence[Span], tids: Optional[Dict[str, str]], jsonl: bool
+    rows: Iterable[Row], tids: Optional[Dict[str, str]], jsonl: bool
 ) -> Iterator[Tuple[str, str]]:
-    for at in range(0, len(spans), _CHUNK_SPANS):
-        yield _render(spans[at:at + _CHUNK_SPANS], tids, jsonl)
+    rows = iter(rows)
+    chunk = list(islice(rows, _CHUNK_SPANS))
+    while chunk:
+        yield _render(chunk, tids, jsonl)
+        chunk = list(islice(rows, _CHUNK_SPANS))
 
 
 def _tracks(
-    spans: Sequence[Span], node_order: Optional[Sequence[str]], process_name: str
+    seen: AbstractSet[str], node_order: Optional[Sequence[str]], process_name: str
 ) -> Tuple[Dict[str, str], str]:
-    """Deterministic tid per node (declared order, then the rest), as
-    text, and the document's head: its opening and the track metadata
-    events."""
-    seen = {span.source for span in spans}
+    """Deterministic tid per node of ``seen`` (declared order, then the
+    rest), as text, and the document's head: its opening and the track
+    metadata events."""
     tracks = [name for name in (node_order or []) if name in seen]
     tracks += sorted(seen - set(tracks))
     tid_of = {name: index for index, name in enumerate(tracks)}
@@ -274,9 +315,10 @@ def chrome_trace(
     process_name: str = "repro",
 ) -> str:
     """Render spans as Chrome trace-event JSON (Perfetto-loadable)."""
-    tids, head = _tracks(spans, node_order, process_name)
+    rows = _span_rows(spans)
+    tids, head = _tracks({row[5] for row in rows}, node_order, process_name)
     pieces = [head]
-    pieces += [events for events, _ in _chunks(spans, tids, False)]
+    pieces += [events for events, _ in _chunks(rows, tids, False)]
     pieces.append(_TRACE_TAIL)
     return "".join(pieces)
 
@@ -284,7 +326,7 @@ def chrome_trace(
 def spans_jsonl(spans: Sequence[Span]) -> str:
     """One JSON object per span, in span-id order, keys sorted."""
     ordered = sorted(spans, key=attrgetter("span_id"))
-    return "".join([lines for _, lines in _chunks(ordered, None, True)])
+    return "".join([lines for _, lines in _chunks(_span_rows(ordered), None, True)])
 
 
 def write_artifacts(
@@ -298,8 +340,8 @@ def write_artifacts(
     ``stem`` is a path without extension; the files written are
     ``<stem>.trace.json``, ``<stem>.spans.jsonl`` and
     ``<stem>.metrics.txt``.  The two JSON files are written together,
-    chunk by chunk, in one pass over the spans: span ids are list
-    positions, so the list is already in the JSONL's id order.  Returns
+    chunk by chunk, in one pass over the tracer's rows: span ids are
+    positions, so the rows are already in the JSONL's id order.  Returns
     format -> path.
     """
     observer.finalize()
@@ -312,11 +354,11 @@ def write_artifacts(
         "spans": f"{stem}.spans.jsonl",
         "metrics": f"{stem}.metrics.txt",
     }
-    spans = observer.tracer.spans
-    tids, head = _tracks(spans, node_order, title)
+    tracer = observer.tracer
+    tids, head = _tracks(tracer.sources(), node_order, title)
     with open(paths["trace"], "w") as trace, open(paths["spans"], "w") as jsonl:
         trace.write(head)
-        for events, lines in _chunks(spans, tids, True):
+        for events, lines in _chunks(tracer.rows(), tids, True):
             trace.write(events)
             jsonl.write(lines)
         trace.write(_TRACE_TAIL)

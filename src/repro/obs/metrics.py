@@ -16,6 +16,7 @@ report stays grep-able.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .timeseries import DEFAULT_BUCKET_WIDTH, TimeSeries
@@ -64,16 +65,17 @@ class Gauge:
 class Histogram:
     """Distribution of observed values.
 
-    Observations are retained (simulated runs are small) so the snapshot
-    can report exact nearest-rank quantiles instead of bucket
-    approximations; the summary matches ``analysis.LatencyStats``
-    semantics so benchmark rows and metrics reports agree.
+    Observations are retained, as floats in an ``array('d')`` (8 bytes
+    each, no object per sample), so the snapshot can report exact
+    nearest-rank quantiles instead of bucket approximations; the summary
+    matches ``analysis.LatencyStats`` semantics so benchmark rows and
+    metrics reports agree.
     """
 
     __slots__ = ("values",)
 
     def __init__(self) -> None:
-        self.values: List[float] = []
+        self.values = array("d")
 
     def observe(self, value: float) -> None:
         self.values.append(value)

@@ -6,14 +6,17 @@ and guard every hook with a ``None`` check, which keeps instrumentation
 zero-cost when disabled and keeps the architecture acyclic (``obs`` may
 depend on ``sim``/``net``; nothing below ``core`` depends on ``obs``).
 The hooks below are therefore the whole contract between the
-observability layer and the system it watches.
+observability layer and the system it watches.  A span crosses it as
+its id: the request, lock-wait and phase hooks return one, the lock
+hooks take one back, and a message carries its flight's in
+``span_id``.
 
 Causality model (one root per client request):
 
 * ``on_request_submit`` opens the root span; the client pushes it while
   dispatching, so the outgoing ``client.request`` messages are children.
 * ``on_message_send`` opens a flight span under the current context and
-  stamps its id onto the envelope; ``on_message_deliver`` /
+  stamps its id onto the envelope (``message.span_id``); ``on_message_deliver`` /
   ``on_message_drop`` close it.
 * ``handler_context`` brackets a receiving node's handler with a span
   parented under the flight span — re-entering the request's causal tree
@@ -32,7 +35,7 @@ from itertools import chain
 from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from .metrics import InstrumentFamily, MetricsRegistry
-from .spans import Span, SpanTracer
+from .spans import SpanTracer
 
 __all__ = ["Observer", "abort_reason_label"]
 
@@ -50,6 +53,29 @@ _ABORT_KEYWORDS = (
     ("vote", "vote-no"),
     ("client abort", "client"),
 )
+
+
+# Attr keys of the per-message, per-handler and per-phase spans: one
+# tuple per shape, so no attrs dict is built per span.
+_FLIGHT_KEYS = ("type", "src", "dst", "msg_id")
+_SIZED_FLIGHT_KEYS = _FLIGHT_KEYS + ("bytes",)
+_INNER_FLIGHT_KEYS = _SIZED_FLIGHT_KEYS + ("inner",)
+_HANDLE_KEYS = ("type", "src")
+_PHASE_KEYS = ("request", "mechanism")
+
+
+class _Prefixed(dict):
+    """``key -> prefix + key``, each name built once (``msg:<type>``)."""
+
+    __slots__ = ("_prefix",)
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self._prefix = prefix
+
+    def __missing__(self, key: str) -> str:
+        name = self[key] = f"{self._prefix}{key}"
+        return name
 
 
 def abort_reason_label(reason: str) -> str:
@@ -72,8 +98,11 @@ class Observer:
     def __init__(self, clock: Any = None) -> None:
         self.tracer = SpanTracer(clock)
         self.metrics = MetricsRegistry()
-        self._open_requests: Dict[str, Span] = {}
-        self._open_phases: Dict[Tuple[str, object], Span] = {}
+        # Span ids of the open request and phase spans.
+        self._open_requests: Dict[str, int] = {}
+        self._open_phases: Dict[Tuple[str, object], int] = {}
+        self._flight_names = _Prefixed("msg:")
+        self._handle_names = _Prefixed("handle:")
         self._completed_at: Dict[str, float] = {}
         self.lock_sequence: List[Tuple[str, str, str, str]] = []
         self.attr_writes: Dict[str, set] = {}
@@ -102,7 +131,7 @@ class Observer:
 
     # -- client request lifecycle (called from repro.core) -----------------
 
-    def on_request_submit(self, request_id: str, client: str) -> Span:
+    def on_request_submit(self, request_id: str, client: str) -> int:
         span = self.tracer.start(
             "request", "request", client,
             trace_id=str(request_id), parent_id=None, use_context=False,
@@ -121,19 +150,20 @@ class Observer:
         status = "ok" if committed else "aborted"
         self.tracer.finish(span, status=status, committed=committed,
                            reason=reason, retries=retries)
-        self._completed_at[str(request_id)] = span.end
+        start, end = self.tracer.interval(span)
+        self._completed_at[str(request_id)] = end
         self.metrics.inc("requests.committed" if committed else "requests.aborted")
         if retries:
             self.metrics.inc("requests.retries", amount=retries)
         now = self.tracer.now
         if committed:
-            self.metrics.observe("request.latency", span.duration)
+            self.metrics.observe("request.latency", end - start)
             self.metrics.sample("ts.completions", now)
-            self.metrics.sample("ts.response_time", now, span.duration)
+            self.metrics.sample("ts.response_time", now, end - start)
         else:
             self.metrics.sample("ts.aborts", now)
 
-    def request_context(self, request_id: str) -> ContextManager[Optional[Span]]:
+    def request_context(self, request_id: str) -> ContextManager[Optional[int]]:
         """Causal context of a request's root span (client-side dispatch)."""
         return self.tracer.context(self._open_requests.get(str(request_id)))
 
@@ -151,72 +181,79 @@ class Observer:
         """
         payload = message.payload
         mtype = message.type
-        attrs = {"type": mtype, "src": message.src, "dst": message.dst,
-                 "msg_id": message.msg_id}
-        inner = None
+        src = message.src
         if isinstance(payload, dict):
             inner = payload.get("inner_type")
-            attrs["bytes"] = size = _approx_size(payload)
+            size = _approx_size(payload)
             self._bytes[None].value += size
-        if isinstance(inner, str):
-            attrs["inner"] = inner
-            self._sent_by_inner[inner].value += 1
+            if isinstance(inner, str):
+                keys: Tuple[str, ...] = _INNER_FLIGHT_KEYS
+                values: tuple = (mtype, src, message.dst, message.msg_id, size, inner)
+                self._sent_by_inner[inner].value += 1
+            else:
+                keys = _SIZED_FLIGHT_KEYS
+                values = (mtype, src, message.dst, message.msg_id, size)
+        else:
+            keys = _FLIGHT_KEYS
+            values = (mtype, src, message.dst, message.msg_id)
         tracer = self.tracer
         parent = tracer.current
-        span = tracer.record(
-            f"msg:{mtype}", "message", message.src,
+        message.span_id = tracer.record(
+            self._flight_names[mtype], "message", src,
             None if parent is not None else _payload_trace_hint(payload),
-            parent, attrs,
+            parent, keys, values,
         )
-        message.span_id = span.span_id
         self._sent[None].value += 1
         self._sent_by_type[mtype].value += 1
-        self._ts_messages[None].observe(span.start)
+        self._ts_messages[None].observe(tracer.now)
 
     def on_message_deliver(self, message: Any) -> None:
-        span = self.tracer.get(message.span_id)
+        span = message.span_id
         if span is not None:
             self.tracer.finish(span, status="ok")
-            self._flight_time[None].observe(span.end - span.start)
+            start, end = self.tracer.interval(span)
+            self._flight_time[None].observe(end - start)
         self._delivered[None].value += 1
 
     def on_message_drop(self, message: Any, cause: str) -> None:
-        span = self.tracer.get(message.span_id)
-        if span is not None:
-            self.tracer.finish(span, status=f"dropped:{cause}")
+        if message.span_id is not None:
+            self.tracer.finish(message.span_id, status=f"dropped:{cause}")
         self.metrics.inc("messages.dropped", label=cause)
 
     def handler_context(
         self, node_name: str, message: Any
-    ) -> ContextManager[Optional[Span]]:
+    ) -> ContextManager[Optional[int]]:
         """Bracket a handler invocation with a span under the flight span."""
-        flight = self.tracer.get(message.span_id)
-        if flight is None:
-            return self.tracer.context(None)
-        return self.tracer.span(
-            f"handle:{message.type}", "handle", node_name,
-            trace_id=flight.trace_id, parent_id=flight.span_id,
-            type=message.type, src=message.src,
+        tracer = self.tracer
+        flight = message.span_id
+        trace_id = tracer.trace_of(flight)
+        if trace_id is None:
+            return tracer.context(None)
+        mtype = message.type
+        return tracer.record_scope(
+            self._handle_names[mtype], "handle", node_name, trace_id, flight,
+            _HANDLE_KEYS, (mtype, message.src),
         )
 
     # -- phases (called from repro.core.phases) ------------------------------
 
     def on_phase(
         self, source: str, request_id: object, phase: str, mechanism: str = ""
-    ) -> Span:
+    ) -> int:
         """Open a phase span; the previous phase of (source, request) ends."""
         key = (source, request_id)
         tracer = self.tracer
         previous = self._open_phases.pop(key, None)
         if previous is not None:
             tracer.finish(previous)
-            took = previous.end - previous.start
-            self._phase_latency[previous.name].observe(took)
-            self._ts_phase_time[previous.name].observe(previous.end, took)
+            start, end = tracer.interval(previous)
+            name = tracer.name_of(previous)
+            self._phase_latency[name].observe(end - start)
+            self._ts_phase_time[name].observe(end, end - start)
         trace_id = str(request_id)
         span = tracer.record(
             phase, "phase", source, trace_id, tracer.current,
-            {"request": trace_id, "mechanism": mechanism},
+            _PHASE_KEYS, (trace_id, mechanism),
         )
         self._open_phases[key] = span
         self._phases_entered[phase].value += 1
@@ -225,9 +262,8 @@ class Observer:
             # A replica applying after the client already got its answer:
             # lazy propagation.  The gap is the staleness window this
             # update was invisible for — replication lag, as a series.
-            self.metrics.sample(
-                "ts.replication_lag", span.start, span.start - completed
-            )
+            now = tracer.now
+            self.metrics.sample("ts.replication_lag", now, now - completed)
         return span
 
     # -- locks (called from repro.db.locks, duck-typed) ----------------------
@@ -242,18 +278,18 @@ class Observer:
         self.lock_sequence.append((site, str(txn), item, mode))
         self._lock_requests[mode].value += 1
 
-    def on_lock_wait(self, site: str, txn: object, item: str, mode: str) -> Span:
+    def on_lock_wait(self, site: str, txn: object, item: str, mode: str) -> int:
         return self.tracer.start(
             f"lock-wait:{item}", "lock", site, trace_id=_txn_trace(txn),
             txn=str(txn), item=item, mode=mode,
         )
 
-    def on_lock_granted(self, span: Optional[Span], waited: float) -> None:
+    def on_lock_granted(self, span: Optional[int], waited: float) -> None:
         if span is not None:
             self.tracer.finish(span, status="ok")
         self._lock_wait_time[None].observe(waited)
 
-    def on_lock_failed(self, span: Optional[Span], cause: str) -> None:
+    def on_lock_failed(self, span: Optional[int], cause: str) -> None:
         if span is not None:
             self.tracer.finish(span, status=f"aborted:{cause}")
         self.metrics.inc("lock.aborted_waits", label=cause)
@@ -399,7 +435,7 @@ class Observer:
             self.tracer.finish(self._open_requests[request_id], status="unanswered")
         self._open_requests.clear()
         force_closed = self.tracer.finalize()
-        self.metrics.set("spans.recorded", float(len(self.tracer.spans)))
+        self.metrics.set("spans.recorded", float(len(self.tracer)))
         self.metrics.set("spans.force_closed", float(force_closed))
         if self._trace_log is not None:
             # Ring-buffer overflow is silent at drop time by design (the

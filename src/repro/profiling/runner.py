@@ -69,7 +69,7 @@ def profiles_for(observer: Any, request_ids: Iterable[str]) -> List[Dict]:
     healthy run) are skipped rather than fabricated.
     """
     observer.finalize()
-    spans = observer.tracer.spans
+    spans = list(observer.tracer.spans)  # built once, scanned per request
     out = []
     for request_id in sorted(str(r) for r in request_ids):
         profile = request_profile(spans, request_id)

@@ -43,7 +43,7 @@ def add_phase(tracer, clock, time, phase, trace_id="r1", source="n0"):
     clock.now = time
     span = tracer.start(phase, "phase", source, trace_id=trace_id,
                         use_context=False)
-    span.end = time  # tiles only need the entry instant
+    tracer.finish(span)  # tiles only need the entry instant
     return span
 
 
@@ -127,10 +127,10 @@ def test_timeline_span_id_breaks_same_instant_ties():
     ex = add_phase(tracer, clock, 2.0, "EX")
     end = add_phase(tracer, clock, 2.0, "END")
     timeline = PhaseTimeline(tracer.spans, "r1")
-    assert sc.span_id < msg.span_id < ex.span_id < end.span_id
-    assert timeline.phase_at(2.0, msg.span_id) == "SC"
-    assert timeline.phase_at(2.0, end.span_id + 1) == "END"
-    assert timeline.phase_at(1.0, msg.span_id) == "RE"
+    assert sc < msg < ex < end
+    assert timeline.phase_at(2.0, msg) == "SC"
+    assert timeline.phase_at(2.0, end + 1) == "END"
+    assert timeline.phase_at(1.0, msg) == "RE"
     # Without a span id the tie collapses to the last record (fine for
     # time attribution — the ambiguous interval is zero-width).
     assert timeline.phase_at(2.0) == "END"
@@ -150,15 +150,15 @@ def build_request_tree(tracer, clock):
     root = tracer.start("request", "request", "c0", trace_id="r1",
                         use_context=False)
     flight = tracer.start("msg:client.request", "message", "c0",
-                          trace_id="r1", parent_id=root.span_id)
+                          trace_id="r1", parent_id=root)
     clock.now = 1.0
     tracer.finish(flight)
     handle = tracer.start("handle:client.request", "handle", "n0",
-                          trace_id="r1", parent_id=flight.span_id)
+                          trace_id="r1", parent_id=flight)
     clock.now = 2.0
     tracer.finish(handle)
     response = tracer.start("msg:client.response", "message", "n0",
-                            trace_id="r1", parent_id=handle.span_id)
+                            trace_id="r1", parent_id=handle)
     clock.now = 3.0
     tracer.finish(response)
     clock.now = 5.0
@@ -170,9 +170,9 @@ def test_critical_path_tiles_the_response_window():
     tracer, clock = make_tracer()
     root = build_request_tree(tracer, clock)
     found, segments = critical_path(tracer.spans, "r1")
-    assert found is root
-    assert segments[0].start == root.start
-    assert segments[-1].end == root.end
+    assert found.span_id == root
+    assert segments[0].start == found.start
+    assert segments[-1].end == found.end
     for left, right in zip(segments, segments[1:]):
         assert left.end == right.start
     assert sum(s.duration for s in segments) == pytest.approx(5.0)
@@ -191,15 +191,15 @@ def test_critical_path_adopts_orphan_subtrees():
     anchor = add_phase(tracer, clock, 3.0, "AC")
     clock.now = 3.0
     orphan = tracer.start("msg:apply", "message", "n1", trace_id="r1",
-                          parent_id=anchor.span_id)
+                          parent_id=anchor)
     clock.now = 4.0
     tracer.finish(orphan)
     _, segments = critical_path(tracer.spans, "r1")
     assert sum(s.duration for s in segments) == pytest.approx(5.0)
     by_id = {s.span_id: s for s in segments}
-    assert by_id[orphan.span_id].kind == "transit"
-    assert by_id[orphan.span_id].start == 3.0
-    assert by_id[orphan.span_id].end == 4.0
+    assert by_id[orphan].kind == "transit"
+    assert by_id[orphan].start == 3.0
+    assert by_id[orphan].end == 4.0
 
 
 def test_critical_path_without_root_or_width():
@@ -210,7 +210,7 @@ def test_critical_path_without_root_or_width():
                         use_context=False)
     tracer.finish(root)  # zero-width request
     found, segments = critical_path(tracer.spans, "r1")
-    assert found is root and segments == []
+    assert found.span_id == root and segments == []
 
 
 def test_critical_path_clamps_child_overreach():
@@ -220,11 +220,11 @@ def test_critical_path_clamps_child_overreach():
     root = build_request_tree(tracer, clock)
     clock.now = 4.0
     late = tracer.start("msg:propagate", "message", "n0", trace_id="r1",
-                        parent_id=root.span_id)
+                        parent_id=root)
     clock.now = 50.0
     tracer.finish(late)
     _, segments = critical_path(tracer.spans, "r1")
-    assert segments[-1].end == root.end == 5.0
+    assert segments[-1].end == tracer.get(root).end == 5.0
     assert sum(s.duration for s in segments) == pytest.approx(5.0)
 
 

@@ -3,7 +3,7 @@
 Three layers of guarantees:
 
 * **Unit** — span tracer causality, metrics registry snapshots, the
-  exporters' shapes.
+  exporters' shapes, and what a recorded span costs in memory.
 * **Neutrality** — observing a run changes nothing: same seed, same
   results, same store contents, with and without the observer.
 * **Regression, per technique** — the same seed twice produces
@@ -13,18 +13,24 @@ Three layers of guarantees:
   the dynamic span world and the static message-flow world agree.
 """
 
+import gc
 import hashlib
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import REGISTRY, Operation, ReplicatedSystem, RunSpec
 from repro.lint.msgflow import build_catalog, pattern_matches
 from repro.lint.symeval import WILDCARD
+from repro.net.message import Message
 from repro.obs import (
+    Histogram,
     MetricsRegistry,
     Observer,
     SpanTracer,
@@ -34,7 +40,7 @@ from repro.obs import (
     write_artifacts,
     write_counter_track,
 )
-from repro.workload import WorkloadSpec, run_workload
+from repro.workload import ArrivalSpec, WorkloadSpec, run_openloop, run_workload
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -117,19 +123,20 @@ class TestSpanTracer:
         clock.now = 2.0
         b = tracer.start("b", "cat", "n1")
         tracer.finish(a)
-        assert (a.span_id, b.span_id) == (1, 2)
-        assert a.start == 0.0 and a.end == 2.0 and a.duration == 2.0
+        assert (a, b) == (1, 2)
+        span = tracer.get(a)
+        assert span.start == 0.0 and span.end == 2.0 and span.duration == 2.0
 
     def test_context_stack_sets_parent_and_trace(self):
         tracer = SpanTracer(FakeClock())
         root = tracer.start("root", "request", "c0", trace_id="req-1",
                             use_context=False)
         with tracer.context(root):
-            child = tracer.start("child", "message", "c0")
-        assert child.parent_id == root.span_id
+            child = tracer.get(tracer.start("child", "message", "c0"))
+        assert child.parent_id == root
         assert child.trace_id == "req-1"
         # Outside the context: no parent inherited.
-        orphan = tracer.start("orphan", "message", "c0")
+        orphan = tracer.get(tracer.start("orphan", "message", "c0"))
         assert orphan.parent_id is None and orphan.trace_id == ""
 
     def test_explicit_parent_wins_over_context(self):
@@ -137,8 +144,8 @@ class TestSpanTracer:
         a = tracer.start("a", "cat", "n", trace_id="t1", use_context=False)
         b = tracer.start("b", "cat", "n", trace_id="t2", use_context=False)
         with tracer.context(a):
-            child = tracer.start("c", "cat", "n", parent_id=b.span_id)
-        assert child.parent_id == b.span_id
+            child = tracer.get(tracer.start("c", "cat", "n", parent_id=b))
+        assert child.parent_id == b
         assert child.trace_id == "t2"
 
     def test_finalize_bounds_open_spans(self):
@@ -149,26 +156,28 @@ class TestSpanTracer:
         done = tracer.start("done", "phase", "r0")
         tracer.finish(done)
         tracer.finalize()
-        assert span.end == 7.0 and span.status == "open"
-        assert done.status == "ok"
+        assert tracer.get(span).end == 7.0 and tracer.get(span).status == "open"
+        assert tracer.get(done).status == "ok"
 
     def test_instant_is_point_event(self):
         tracer = SpanTracer(FakeClock())
-        span = tracer.instant("tick", "gc", "r0")
+        span = tracer.get(tracer.instant("tick", "gc", "r0"))
         assert span.kind == "instant" and span.start == span.end
 
     def test_span_scope_closes_and_tags_errors(self):
         clock = FakeClock()
         tracer = SpanTracer(clock)
         with tracer.span("work", "handle", "r0", trace_id="t", kind_of="x") as span:
-            assert tracer.current is span and span.end is None
+            assert tracer.current == span and tracer.get(span).end is None
             clock.now = 3.0
         assert tracer.current is None
-        assert (span.end, span.status, span.attrs) == (3.0, "ok", {"kind_of": "x"})
+        done = tracer.get(span)
+        assert (done.end, done.status, done.attrs) == (3.0, "ok", {"kind_of": "x"})
         with pytest.raises(KeyError):
             with tracer.span("boom", "handle", "r0") as failed:
                 raise KeyError("x")
         assert tracer.current is None
+        failed = tracer.get(failed)
         assert failed.end == 3.0 and failed.status == "error:KeyError"
         with tracer.context(None) as nothing:
             assert nothing is None and tracer.current is None
@@ -178,14 +187,15 @@ class TestSpanTracer:
         first = tracer.start("a", "cat", "n")
         second = tracer.start("b", "cat", "n")
         tracer.finish(second)
-        assert tracer.get(1) is first and tracer.get(2) is second
+        assert tracer.get(1).span_id == first and tracer.get(2).span_id == second
+        assert tracer.get(1) is not tracer.get(1)  # a fresh snapshot each time
         assert tracer.get(None) is None and tracer.get(0) is None
         assert tracer.get(3) is None
-        assert tracer.open_spans() == [first]
+        assert [span.span_id for span in tracer.open_spans()] == [first]
         assert tracer.finalize() == 1 and tracer.finalize() == 0
         assert tracer.open_spans() == []
         late = tracer.start("late", "cat", "n")   # a hook firing after finalize
-        assert tracer.open_spans() == [late]
+        assert [span.span_id for span in tracer.open_spans()] == [late]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +226,18 @@ class TestMetrics:
         assert hist["p50"] == 50.0
         assert hist["p95"] == 95.0
         assert hist["p99"] == 99.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_histogram_summary_equals_list_summary(self, values):
+        # Samples are kept as doubles in an array; the summary is the one
+        # the same code gives over a list of the float objects.
+        histogram = Histogram()
+        for value in values:
+            histogram.observe(value)
+        as_list = Histogram.summary(SimpleNamespace(values=list(values)))
+        assert histogram.summary() == as_list
+        assert repr(histogram.summary()) == repr(as_list)
 
     def test_report_is_deterministic_text(self):
         registry = MetricsRegistry()
@@ -257,12 +279,11 @@ class TestExporters:
         tracer = SpanTracer(clock)
         root = tracer.start("request", "request", "c0", trace_id="req-1",
                             use_context=False)
-        msg = tracer.start("msg:ping", "message", "c0", parent_id=root.span_id,
+        msg = tracer.start("msg:ping", "message", "c0", parent_id=root,
                            type="ping", src="c0", dst="r0", msg_id=1)
         clock.now = 1.0
         tracer.finish(msg)
-        handler = tracer.start("on:ping", "handler", "r0",
-                               parent_id=msg.span_id)
+        handler = tracer.start("on:ping", "handler", "r0", parent_id=msg)
         tracer.finish(handler)
         tracer.finish(root)
         return tracer
@@ -299,6 +320,73 @@ class TestExporters:
         assert Path(paths["trace"]).read_text() == chrome_trace(
             spans, process_name="metrics")
         assert Path(paths["spans"]).read_text() == spans_jsonl(spans)
+
+
+# ---------------------------------------------------------------------------
+# Budget: what a recorded span costs
+# ---------------------------------------------------------------------------
+
+_OBS_FILES = os.path.join("repro", "obs", "")
+
+
+def _tracked_owned(tracer):
+    """gc-tracked objects reachable from the tracer's state, its clock and
+    every class aside.  An untracked container holds no tracked object,
+    so the walk only descends into tracked ones."""
+    seen = set()
+    pending = [value for name, value in vars(tracer).items() if name != "_clock"]
+    while pending:
+        item = pending.pop()
+        if id(item) in seen or not gc.is_tracked(item) or isinstance(item, type):
+            continue
+        seen.add(id(item))
+        pending += gc.get_referents(item)
+    return len(seen)
+
+
+class TestSpanStoreBudget:
+    """A span is a row of columns: ~100 bytes, no object the collector
+    tracks.  One observed open-loop run of a few hundred requests."""
+
+    @pytest.fixture(scope="class")
+    def measured(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            system, _, summary = run_openloop(
+                RunSpec("active", replicas=3, clients=4, seed=7, observe=True),
+                WorkloadSpec(read_fraction=0.5, items=16),
+                ArrivalSpec(rate=2.0, duration=150.0),
+            )
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        owned = sum(
+            stat.size for stat in snapshot.statistics("filename")
+            if _OBS_FILES in stat.traceback[0].filename
+        )
+        return system, summary, owned
+
+    def test_bytes_per_span_within_budget(self, measured):
+        system, summary, owned = measured
+        spans = len(system.observer.tracer)
+        assert summary.offered >= 200 and spans > 10_000
+        assert owned / spans <= 128, f"{owned / spans:.0f} bytes a span"
+
+    def test_message_spans_add_no_tracked_object(self, measured):
+        system, _, _ = measured
+        observer = system.observer
+        tracer = observer.tracer
+        gc.collect()
+        spans, before = len(tracer), _tracked_owned(tracer)
+        for sequence in range(2000):
+            message = Message(src="r0", dst="r1", type="rt.data",
+                              payload={"seq": sequence}, msg_id=sequence)
+            observer.on_message_send(message)
+            observer.on_message_deliver(message)
+        gc.collect()
+        assert len(tracer) == spans + 2000
+        assert _tracked_owned(tracer) <= before
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ definitions live on here as oracles:
   when the size is read a second time;
 * ``chrome_trace`` / ``spans_jsonl`` and the files ``write_artifacts``
   writes against a list-building, ``json.dumps``-per-document rendering,
-  including at the chunk boundaries of the renderer.
+  including at the chunk boundaries of the renderer;
+* the span tracer's columns against a reference tracer that keeps one
+  :class:`Span` object per span, read back after every step of random
+  recording programs.
 """
 
 import enum
@@ -19,13 +22,17 @@ import os
 import tempfile
 from collections import OrderedDict, namedtuple
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.operations import UPDATE_FUNCTIONS, Operation, Request
 from repro.db import Stamp, TransactionUpdates, UpdateRecord
-from repro.obs import Observer, Span, chrome_trace, export, spans_jsonl, write_artifacts
+from repro.obs import (
+    Observer, Span, SpanTracer, chrome_trace, export, spans_jsonl, write_artifacts,
+)
+from repro.obs import spans as span_store
 from repro.obs.observer import _approx_size, _payload_trace_hint
 
 
@@ -346,16 +353,47 @@ def _written_texts(observer, order, title):
             return trace.read(), jsonl.read()
 
 
+@st.composite
+def _recorded_spans(draw, max_size=12):
+    """``(fields, finish)`` per span for a tracer's recording API: the
+    fields of :func:`_span_lists` with a parent among the earlier spans,
+    and the ``(end, status, attrs)`` to finish it with, or ``None``."""
+    spans = []
+    for span in draw(_span_lists(max_size)):
+        span.parent_id = draw(st.one_of(
+            st.none(), st.integers(min_value=1, max_value=len(spans) or 1)))
+        if not spans:
+            span.parent_id = None
+        finish = None
+        if span.end is not None:
+            finish = (span.end, span.status, draw(st.dictionaries(
+                st.sampled_from(["dst", "bytes", "z"]), _ATTR_VALUES,
+                max_size=2)))
+        spans.append((span, finish))
+    return spans
+
+
 @settings(max_examples=100, deadline=None)
-@given(_span_lists(), st.sampled_from([None, ["c0", "r0"], _NODES]), _TEXT)
-def test_write_artifacts_writes_the_reference_texts(spans, order, title):
-    # The files are written in one pass over the tracer's spans, whose ids
-    # are their positions: renumber the generated spans so.
-    observer = Observer()
-    for position, span in enumerate(spans, start=1):
-        span.span_id = position
-    observer.tracer.spans = spans
-    observer.finalize()
+@given(_recorded_spans(), st.sampled_from([None, ["c0", "r0"], _NODES]), _TEXT)
+def test_write_artifacts_writes_the_reference_texts(recorded, order, title):
+    # The same recording calls fill the observer's tracer and a reference
+    # tracer of Span objects; the files must hold what the reference
+    # renderers make of the reference's spans.
+    clock = SimpleNamespace(now=0.0)
+    observer = Observer(clock)
+    reference = _ReferenceTracer(clock)
+    for tracer in (observer.tracer, reference):
+        for span, _ in recorded:
+            clock.now = span.start
+            tracer.record(span.name, span.category, span.source, span.trace_id,
+                          span.parent_id, tuple(span.attrs),
+                          tuple(span.attrs.values()), span.kind)
+        for span_id, (_, finish) in enumerate(recorded, start=1):
+            if finish is not None:
+                clock.now, status, attrs = finish
+                tracer.finish(span_id, status, **attrs)
+    reference.finalize()
+    spans = reference.spans
     expected = _outcome(lambda: (_reference_chrome_trace(spans, order, title),
                                  _reference_spans_jsonl(spans)))
     with _chunk_spans(4):
@@ -399,3 +437,212 @@ def test_exporters_keep_equal_values_of_different_texts_apart():
 def test_exporters_on_empty_span_list():
     assert chrome_trace([]) == _reference_chrome_trace([])
     assert spans_jsonl([]) == _reference_spans_jsonl([]) == ""
+
+
+# ---------------------------------------------------------------------------
+# (c) the span store
+# ---------------------------------------------------------------------------
+
+class _ReferenceTracer:
+    """The tracer as one :class:`Span` object per span, in a list.
+
+    Same recording API by id, each call on the object itself: a finished
+    span's end and status are set on it and its attrs dict is updated in
+    place.
+    """
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.spans = []
+        self.stack = []
+        self.finalized = False
+
+    def record(self, name, category, source, trace_id, parent, keys, values,
+               kind="span"):
+        if trace_id is None:
+            trace_id = self.spans[parent - 1].trace_id if parent else ""
+        now = self.clock.now
+        self.spans.append(Span(
+            len(self.spans) + 1, parent, trace_id, name, category, source, now,
+            now if kind == "instant" else None, kind, "ok", dict(zip(keys, values)),
+        ))
+        return len(self.spans)
+
+    def parent(self, parent_id, use_context):
+        if parent_id is not None and 0 < parent_id <= len(self.spans):
+            return parent_id
+        return self.stack[-1] if use_context and self.stack else None
+
+    def finish(self, span_id, status=None, **attrs):
+        span = self.spans[span_id - 1]
+        if span.end is None:
+            span.end = self.clock.now
+        if status is not None:
+            span.status = status
+        span.attrs.update(attrs)
+
+    def for_trace(self, trace_id):
+        return sorted((s for s in self.spans if s.trace_id == trace_id),
+                      key=lambda s: (s.start, s.span_id))
+
+    def finalize(self):
+        if self.finalized:
+            return 0
+        self.finalized = True
+        horizon = self.clock.now
+        stragglers = []
+        for span in self.spans:
+            if span.start > horizon:
+                horizon = span.start
+            if span.end is None:
+                stragglers.append(span)
+            elif span.end > horizon:
+                horizon = span.end
+        for span in stragglers:
+            span.end = horizon
+            if span.status == "ok":
+                span.status = "open"
+        return len(stragglers)
+
+
+def _fields(span):
+    """Every field of a span, attrs in their order; ``None`` stays ``None``."""
+    if span is None:
+        return None
+    return (span.span_id, span.parent_id, span.trace_id, span.name,
+            span.category, span.source, span.start, span.end, span.kind,
+            span.status, list(span.attrs.items()))
+
+
+_PROGRAM_TIMES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, 7.0, 1e9])
+_PROGRAM_TEXT = st.sampled_from(["a", "b", "msg:x", "phase"])
+_PROGRAM_TRACES = ["", "t1", "t2"]
+_PROGRAM_ATTRS = st.dictionaries(
+    st.sampled_from(["type", "src", "k", "request"]),
+    st.one_of(st.none(), st.integers(-3, 300), st.text(max_size=3),
+              st.floats(allow_nan=False), st.booleans()),
+    max_size=3,
+)
+_OPENS = st.tuples(
+    st.sampled_from(["start", "start", "instant"]), _PROGRAM_TEXT,
+    st.sampled_from(["phase", "message", "gc"]), st.sampled_from(["r0", "r1"]),
+    st.one_of(st.none(), st.sampled_from(_PROGRAM_TRACES)),
+    st.one_of(st.none(), st.integers(0, 8)), st.booleans(), _PROGRAM_ATTRS,
+)
+_RECORDS = st.tuples(
+    st.just("record"), st.integers(0, 8), _PROGRAM_TEXT,
+    st.sampled_from(["phase", "message"]), st.sampled_from(["r0", "r1"]),
+    st.one_of(st.none(), st.sampled_from(_PROGRAM_TRACES)),
+    st.sampled_from(["span", "instant"]), _PROGRAM_ATTRS,
+)
+_FINISHES = st.tuples(
+    st.just("finish"), st.integers(1, 8),
+    st.one_of(st.none(), st.sampled_from(["ok", "aborted", "open"])),
+    _PROGRAM_ATTRS,
+)
+# Recording steps drawn most often.  A span-taking step names its span
+# by a number the program maps onto the spans recorded so far.
+_STEPS = st.one_of(
+    _OPENS, _RECORDS, _OPENS, _RECORDS, _FINISHES, _FINISHES,
+    st.tuples(st.just("clock"), _PROGRAM_TIMES),
+    st.tuples(st.just("push"), st.integers(1, 8)),
+    st.just(("pop",)),
+    st.just(("finalize",)),
+)
+
+
+def _run_step(step, tracer, reference, clock):
+    """Apply one step to both tracers; what each returned."""
+    kind, args = step[0], step[1:]
+    if kind == "clock":
+        clock.now = args[0]
+        return None, None
+    if kind in ("start", "instant"):
+        name, category, source, trace_id, parent_id, use_context, attrs = args
+        if kind == "start":
+            got = tracer.start(name, category, source, trace_id, parent_id,
+                               use_context, **attrs)
+        else:
+            got = tracer.instant(name, category, source, trace_id, parent_id,
+                                 **attrs)
+        parent = reference.parent(parent_id, use_context or kind == "instant")
+        return got, reference.record(name, category, source, trace_id, parent,
+                                     tuple(attrs), tuple(attrs.values()),
+                                     "span" if kind == "start" else "instant")
+    if kind == "finalize":
+        return tracer.finalize(), reference.finalize()
+    if kind == "pop":
+        if reference.stack:
+            tracer.pop()
+            reference.stack.pop()
+        return None, None
+    if not reference.spans:
+        return None, None
+    span_id = (args[0] - 1) % len(reference.spans) + 1 if args[0] else None
+    if kind == "record":
+        name, category, source, trace_id, span_kind, attrs = args[1:]
+        record = (name, category, source, trace_id, span_id, tuple(attrs),
+                  tuple(attrs.values()), span_kind)
+        return tracer.record(*record), reference.record(*record)
+    if kind == "finish":
+        status, attrs = args[1:]
+        for repeat in (status, None):
+            # Twice, as a hook may: the second moves no end.
+            tracer.finish(span_id, repeat, **attrs)
+            reference.finish(span_id, repeat, **attrs)
+        return None, None
+    tracer.push(span_id)
+    reference.stack.append(span_id)
+    return None, None
+
+
+@contextmanager
+def _small_blocks():
+    """Mark the flat attr values every 2 spans and read 3 spans a block,
+    so short programs cross both boundaries."""
+    saved = span_store._MARK_EVERY, span_store._BLOCK
+    span_store._MARK_EVERY, span_store._BLOCK = 2, 3
+    try:
+        yield
+    finally:
+        span_store._MARK_EVERY, span_store._BLOCK = saved
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_STEPS, min_size=8, max_size=40))
+def test_span_columns_read_back_what_was_recorded(program):
+    with _small_blocks():
+        _check_program(program)
+
+
+def _check_program(program):
+    clock = SimpleNamespace(now=0.0)
+    tracer = SpanTracer(clock)
+    reference = _ReferenceTracer(clock)
+    for step in program:
+        got, expected = _run_step(step, tracer, reference, clock)
+        assert got == expected, step
+        spans = list(tracer.spans)
+        assert [_fields(s) for s in spans] == [_fields(s) for s in reference.spans]
+        assert len(tracer) == len(tracer.spans) == len(reference.spans)
+        assert tracer.current == (reference.stack[-1] if reference.stack else None)
+        for span_id in range(-1, len(reference.spans) + 2):
+            wanted = reference.spans[span_id - 1] if 0 < span_id <= len(spans) else None
+            assert _fields(tracer.get(span_id)) == _fields(wanted)
+        open_now = [s for s in reference.spans if s.end is None]
+        assert [_fields(s) for s in tracer.open_spans()] == \
+            [_fields(s) for s in open_now]
+        for trace_id in _PROGRAM_TRACES:
+            assert [_fields(s) for s in tracer.for_trace(trace_id)] == \
+                [_fields(s) for s in reference.for_trace(trace_id)]
+            for source in (None, "r0"):
+                assert tracer.phase_sequence(trace_id, source) == [
+                    s.name for s in reference.for_trace(trace_id)
+                    if s.category == "phase" and source in (None, s.source)
+                ]
+    assert [_fields(s) for s in tracer.spans[1:-1]] == \
+        [_fields(s) for s in reference.spans[1:-1]]
+    assert [_fields(s) for s in tracer.spans[::-2]] == \
+        [_fields(s) for s in reference.spans[::-2]]
+    if reference.spans:
+        assert _fields(tracer.spans[-1]) == _fields(reference.spans[-1])

@@ -299,8 +299,8 @@ def test_span_contextmanager_tags_errors():
     with pytest.raises(ValueError):
         with tracer.span("work", "handle", "n0", trace_id="r1") as span:
             raise ValueError("boom")
-    assert span.end is not None
-    assert span.status == "error:ValueError"
+    assert tracer.get(span).end is not None
+    assert tracer.get(span).status == "error:ValueError"
     assert tracer.current is None  # the context stack unwound
 
 
@@ -311,7 +311,7 @@ def test_assert_no_open_spans_raises_on_leak():
     leaked = observer.tracer.start("zombie", "handle", "n0", trace_id="r1")
     with pytest.raises(ReplicationError, match="still open"):
         assert_no_open_spans(observer)
-    assert leaked.end is None  # the check reports, it does not repair
+    assert observer.tracer.get(leaked).end is None  # it reports, it does not repair
 
 
 def test_crash_closes_phase_spans_and_leaks_nothing():
