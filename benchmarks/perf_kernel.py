@@ -19,9 +19,13 @@ fabric under workloads shaped like the Section 6 performance study:
 * ``soak`` — events/sec and messages/sec of the real soak workload
   (same spec as ``benchmarks/test_perf_soak.py``) for one DS and one DB
   technique: kernel + protocols + workload driver, end to end.
+* ``record`` — the ``soak_active`` run with ``observe=True``, timed end
+  to end: ``spans``, ``wall_s`` and ``record_ratio``, that wall over the
+  unobserved ``soak_active`` run made in the same repeat (the recording
+  half of the observation budget).
 * ``export`` — ``write_artifacts`` of the ``soak_active`` run recorded
-  with ``observe=True``, the export alone: ``us_per_span``.  It has no
-  pre-optimization baseline, so no speedup.
+  with ``observe=True``, the export alone: ``us_per_span``.  ``record``
+  and ``export`` have no pre-optimization baseline, so no speedup.
 
 ``python benchmarks/perf_kernel.py --json BENCH_kernel.json`` (or
 ``make bench-json``) appends one row to the trajectory file: the
@@ -212,11 +216,33 @@ def bench_soak(technique: str) -> Dict[str, float]:
     }
 
 
+def bench_record() -> Dict[str, float]:
+    """The observed ``soak_active`` run against the unobserved one.
+
+    Both runs are made here, one after the other, so the ratio compares
+    two walls taken on the same host in the same moment.
+    """
+    start = time.perf_counter()
+    _soak("active")
+    unobserved = time.perf_counter() - start
+    # The observed run is the one ``export`` writes out: recorded afresh
+    # here and kept, so ``export`` need not make one more.
+    _observed_soak.cache_clear()
+    start = time.perf_counter()
+    system = _observed_soak()
+    wall = time.perf_counter() - start
+    return {
+        "spans": len(system.observer.tracer),
+        "wall_s": round(wall, 4),
+        "record_ratio": round(wall / unobserved, 3),
+    }
+
+
 @functools.lru_cache(maxsize=1)
 def _observed_soak() -> Any:
-    """The observed ``soak_active`` system, recorded once and kept for the
-    life of the process, so that each repeat of ``export`` costs one
-    export and not one more run."""
+    """The observed ``soak_active`` system, kept for the life of the
+    process (or until the next ``record`` repeat), so that each repeat of
+    ``export`` costs one export and not one more run."""
     return _soak("active", observe=True)
 
 
@@ -228,7 +254,7 @@ def bench_export() -> Dict[str, float]:
     ``ds_abcast_observed`` workload times both together.
     """
     system = _observed_soak()
-    spans = len(system.observer.tracer.spans)
+    spans = len(system.observer.tracer)
     with tempfile.TemporaryDirectory() as directory:
         start = time.perf_counter()
         write_artifacts(system.observer, os.path.join(directory, "soak_active"),
@@ -250,6 +276,7 @@ for _technique in SOAK_TECHNIQUES:
     WORKLOADS[f"soak_{_technique}"] = (
         lambda technique=_technique: bench_soak(technique)
     )
+WORKLOADS["record"] = bench_record
 WORKLOADS["export"] = bench_export
 
 

@@ -2,9 +2,9 @@
 
 Pytest wrapper around :mod:`benchmarks.perf_kernel`: runs every kernel
 workload (timer churn, RPC round trips, broadcast fan-out, the two soak
-rows), prints the figures next to the recorded pre-optimization baseline
-and asserts the simulated executions still look right (event/message
-counts, timeout hygiene).  ``make bench-json`` runs the same harness
+rows, the observed soak run and its export), prints the figures next to
+the recorded pre-optimization baseline and asserts the simulated
+executions still look right (event/message counts, timeout hygiene).  ``make bench-json`` runs the same harness
 from the command line and appends a row to ``BENCH_kernel.json`` at the
 repo root.
 
@@ -35,6 +35,9 @@ def test_perf_kernel(once):
     for name in ("soak_active", "soak_eager_ue_locking"):
         assert results[name]["events"] > 0, name
     assert results["export"]["spans"] > 0, results["export"]
+    # The recording workload observes the very run the export writes out.
+    assert results["record"]["spans"] == results["export"]["spans"], results
+    assert results["record"]["record_ratio"] > 0, results["record"]
 
     doc = trajectory(results, load_baseline())
     table = []
