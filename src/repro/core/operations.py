@@ -117,23 +117,20 @@ class Operation:
 class Request:
     """A client-submitted transaction: an id plus its operations.
 
-    ``idem_key`` is the request's idempotency key: two submissions that
-    share it are *the same logical request*, and a server that already
-    answered one must replay its cached reply instead of re-executing
-    (see the duplicate-reply cache in :mod:`repro.core.system`).  It
-    defaults to the request id, which is what a retrying client resends.
+    The request id is also the request's idempotency key: a retrying
+    client resends the same id, and a server that already answered it
+    replays the committed reply instead of executing again (see
+    ``ReplicaNode.reply_cache`` in :mod:`repro.core.system`).
     """
 
     request_id: str
     operations: Tuple[Operation, ...]
-    idem_key: Optional[str] = None
 
     @staticmethod
     def make(
         operations,
         client: str = "client",
         sequence: Optional[int] = None,
-        idem_key: Optional[str] = None,
     ) -> "Request":
         """Build a request with id ``{client}-r{sequence}``.
 
@@ -148,13 +145,7 @@ class Request:
         return Request(
             request_id=f"{client}-r{sequence}",
             operations=tuple(operations),
-            idem_key=idem_key,
         )
-
-    @property
-    def idempotency_key(self) -> str:
-        """The effective dedup key (explicit ``idem_key`` or the id)."""
-        return self.idem_key if self.idem_key is not None else self.request_id
 
     @property
     def read_only(self) -> bool:
@@ -165,20 +156,16 @@ class Request:
         return all(op.deterministic for op in self.operations)
 
     def as_wire(self) -> dict:
-        wire = {
+        return {
             "request_id": self.request_id,
             "operations": [op.as_wire() for op in self.operations],
         }
-        if self.idem_key is not None:
-            wire["idem_key"] = self.idem_key
-        return wire
 
     @staticmethod
     def from_wire(data: dict) -> "Request":
         return Request(
             request_id=data["request_id"],
             operations=tuple(Operation.from_wire(o) for o in data["operations"]),
-            idem_key=data.get("idem_key"),
         )
 
 

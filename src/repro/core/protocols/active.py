@@ -26,7 +26,7 @@ passive replication.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict
 
 from ...groupcomm import ConsensusAtomicBroadcast, SequencerAtomicBroadcast
 from ..operations import Request
@@ -76,7 +76,6 @@ class ActiveReplication(ReplicaProtocol):
                 replica.node, replica.transport, group, replica.detector,
                 self._on_deliver, trace=replica.system.trace,
             )
-        self._executed: Set[str] = set()
         self._awaiting_order: Dict[str, tuple] = {}
         # If the replica responsible for injecting requests is suspected,
         # take over its pending work at detection time instead of waiting
@@ -87,7 +86,7 @@ class ActiveReplication(ReplicaProtocol):
 
     def handle_request(self, request: Request, client: str) -> None:
         rid = request.request_id
-        if rid in self._executed or rid in self._awaiting_order:
+        if rid in self._awaiting_order:
             return
         self._awaiting_order[rid] = (request, client)
         if self._am_injector():
@@ -106,7 +105,7 @@ class ActiveReplication(ReplicaProtocol):
         return False
 
     def _inject_if_pending(self, rid: str) -> None:
-        if rid in self._awaiting_order and rid not in self._executed:
+        if rid in self._awaiting_order:
             self._inject(rid)
 
     def _inject_all_pending(self) -> None:
@@ -124,9 +123,8 @@ class ActiveReplication(ReplicaProtocol):
     def _on_deliver(self, origin: str, mtype: str, body: dict) -> None:
         request = body["request"]
         rid = request.request_id
-        if rid in self._executed:
+        if self.replica.cached_reply(rid) is not None:
             return  # a second replica also injected it; ignore duplicates
-        self._executed.add(rid)
         self._awaiting_order.pop(rid, None)
         self.phase(rid, SC, "abcast")
         self.phase(rid, EX)

@@ -121,11 +121,11 @@ class ReplicaProtocol:
     def _on_client_request(self, message: Message) -> None:
         request = message["request"]
         # Duplicate-reply cache: a request this replica already committed
-        # (same idempotency key — a client retry or a duplicated packet)
-        # is answered from the cache, never re-executed.  This is what
-        # keeps counters exact under retry storms: at-least-once delivery
-        # plus server-side dedup is exactly-once execution.
-        cached = self.replica.cached_reply(request.idempotency_key)
+        # (same request id — a client retry or a duplicated packet) is
+        # answered from the cache, never re-executed.  This is what keeps
+        # counters exact under retry storms: at-least-once delivery plus
+        # server-side dedup is exactly-once execution.
+        cached = self.replica.cached_reply(request.request_id)
         if cached is not None:
             self.respond(message.src, request, committed=True, values=cached)
             return
@@ -165,12 +165,12 @@ class ReplicaProtocol:
         """Send the END-phase response back to the client.
 
         Committed replies are remembered in the hosting replica's
-        duplicate-reply cache keyed by the request's idempotency key, so a
-        retried request is answered without re-execution.
+        duplicate-reply cache keyed by the request id, so a retried
+        request is answered without re-execution.
         """
         values = list(values) if values else []  # the one copy: the wire's
         if committed:
-            self.replica.remember_reply(request.idempotency_key, values)
+            self.replica.remember_reply(request.request_id, values)
         self._serving.pop(request.request_id, None)
         self.phase(request.request_id, END)
         self.replica.node.send(
@@ -241,8 +241,8 @@ class ReplicaProtocol:
         replies (this replica's own entry wins): a retry of a request the
         peer committed is answered from the cache here, not re-executed."""
         self.store.install(message["state"])
-        for key, values in message["replies"]:
-            self.replica.remember_reply(key, values)
+        for rid, values in message["replies"]:
+            self.replica.remember_reply(rid, values)
 
     def busy_elsewhere(self, request: Request) -> bool:
         """Is another replica's execution of ``request`` in flight here?

@@ -105,7 +105,9 @@ class CertificationReplication(ReplicaProtocol):
         # duplicated delivery of one broadcast certifies once, while a
         # client retry (a *new* optimistic execution of the same request
         # after an abort) gets a fresh certification instead of being
-        # silently swallowed at every replica.
+        # silently swallowed at every replica.  It dedups a broadcast,
+        # not a request, so it is not the replica's reply_cache: an
+        # aborted request has no entry there and must be certified again.
         self._exec_seq = itertools.count(1)
         # Speculative-processing pipeline (optimistic mode): work started
         # at tentative delivery, consumed at final delivery.
@@ -152,7 +154,7 @@ class CertificationReplication(ReplicaProtocol):
         if exec_id in self._certified:
             return
         self._certified.add(exec_id)
-        cached = self.replica.cached_reply(request.idempotency_key)
+        cached = self.replica.cached_reply(rid)
         if cached is not None:
             # An earlier attempt of this request already committed; this
             # broadcast is a retry that raced the first commit's delivery.
@@ -175,9 +177,7 @@ class CertificationReplication(ReplicaProtocol):
             # (it would certify cleanly and double-apply).  Non-delegates
             # never saw the read values, so they cache an empty value list
             # — the retrying client still gets its committed verdict.
-            self.replica.remember_reply(
-                request.idempotency_key, self._local_values.get(rid, [])
-            )
+            self.replica.remember_reply(rid, self._local_values.get(rid, []))
         if body["delegate"] != self.replica.name:
             return
         client = self._local_clients.pop(rid, None)

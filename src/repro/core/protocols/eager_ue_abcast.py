@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, Set
 
 from ...groupcomm import ConsensusAtomicBroadcast, SequencerAtomicBroadcast
 from ..operations import Request
@@ -85,7 +84,6 @@ class EagerUpdateEverywhereAbcast(ReplicaProtocol):
                 self._on_deliver, trace=replica.system.trace,
                 channel_prefix="ueab",
             )
-        self._executed: Set[str] = set()
 
     # -- delegate side ------------------------------------------------------
 
@@ -106,9 +104,8 @@ class EagerUpdateEverywhereAbcast(ReplicaProtocol):
     def _on_deliver(self, origin: str, mtype: str, body: dict) -> None:
         request = body["request"]
         rid = request.request_id
-        if rid in self._executed:
-            return
-        self._executed.add(rid)
+        if self.replica.cached_reply(rid) is not None:
+            return  # a retry that was broadcast again already ran here
         self.phase(rid, SC, "abcast")
         self.phase(rid, EX)
         # Deterministic execution: every replica derives the same RNG from
@@ -120,7 +117,7 @@ class EagerUpdateEverywhereAbcast(ReplicaProtocol):
         # duplicate-reply cache with the same values: a client retry that
         # lands on a *different* replica (the delegate crashed) is answered
         # from cache instead of re-abcast — exactly-once across failover.
-        self.replica.remember_reply(request.idempotency_key, values)
+        self.replica.remember_reply(rid, values)
         if body["delegate"] == self.replica.name:
             # Only the delegate answers — the client knows one server.
             self.respond(body["client"], request, committed=True, values=values)

@@ -18,13 +18,12 @@ Faithful points:
   directory flips to the new primary (the first member of the new view)
   and the client re-submits.
 * Exactly-once across failover: the primary's response values travel with
-  the vscast update, so a backup promoted to primary answers re-submitted
-  requests from its result cache instead of re-executing them.
+  the vscast update and every member records them in its replica's
+  ``reply_cache``, so a backup promoted to primary answers re-submitted
+  requests from that table instead of re-executing them.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from ...errors import TransactionAborted
 from ...groupcomm import View, ViewSyncGroup
@@ -61,7 +60,6 @@ class PassiveReplication(ReplicaProtocol):
 
     def __init__(self, replica, group, spec) -> None:
         super().__init__(replica, group, spec)
-        self.results_cache: Dict[str, list] = {}
         replica.node.on("passive.forward", self._on_forward)
         self.view_group = ViewSyncGroup(
             replica.node,
@@ -92,22 +90,26 @@ class PassiveReplication(ReplicaProtocol):
         self.replica.system.directory.set_primary(view.members[0])
 
     def _state_snapshot(self):
-        return {"store": self.store.digest(), "results": dict(self.results_cache)}
+        return {"store": self.store.digest(),
+                "replies": tuple(self.replica.reply_cache.items())}
 
     def _state_install(self, state) -> None:
         if state is None:
             return
         self.store.install(state["store"])
-        self.results_cache.update(state["results"])
+        for rid, values in state["replies"]:
+            self.replica.remember_reply(rid, values)
 
     # -- request path ------------------------------------------------------------
 
     def handle_request(self, request: Request, client: str) -> None:
         rid = request.request_id
-        if rid in self.results_cache:
-            # Re-submitted after failover; the update already reached us
-            # view-synchronously, so answer from the cache.
-            self.respond(client, request, committed=True, values=self.results_cache[rid])
+        cached = self.replica.cached_reply(rid)
+        if cached is not None:
+            # A forwarded re-submission (the base class answers the ones
+            # that come straight from a client): the update already
+            # reached us view-synchronously, so answer from the table.
+            self.respond(client, request, committed=True, values=cached)
             return
         # A primary deposed during the lock waits still commits locally,
         # but the view-synchronous broadcast fences the update: a vscast
@@ -141,7 +143,7 @@ class PassiveReplication(ReplicaProtocol):
             "apply", request_id=rid, updates=updates, values=values
         )
         # The local vscast delivery is synchronous, so by the time we get
-        # here the result cache already holds rid; respond to the client.
+        # here the reply table already holds rid; respond to the client.
         self.respond(client, request, committed=True, values=values)
 
     # -- backup path --------------------------------------------------------------
@@ -150,9 +152,9 @@ class PassiveReplication(ReplicaProtocol):
         if mtype != "apply":
             return
         rid = body["request_id"]
-        if rid in self.results_cache:
+        if self.replica.cached_reply(rid) is not None:
             return
-        self.results_cache[rid] = body["values"]
+        self.replica.remember_reply(rid, body["values"])
         if origin != self.replica.name:
             # Backups record their part of the Agreement Coordination
             # phase and install the primary's after-images.
@@ -170,7 +172,7 @@ class PassiveReplication(ReplicaProtocol):
         The surviving members excluded this replica via a view change when
         it crashed, so membership does not come back for free: the
         restarted backup asks to join, and the lowest-ranked survivor
-        transfers current state (store + result cache) with the INSTALL
+        transfers current state (store + reply table) with the INSTALL
         message — without this, a recovered backup would serve from a
         stale store forever.
         """

@@ -29,8 +29,7 @@ choice or none did, so the decision point is unambiguous).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from ...db import TransactionUpdates, UpdateRecord
 from ...groupcomm import ConsensusAtomicBroadcast, SequencerAtomicBroadcast, View, ViewSyncGroup
@@ -90,12 +89,13 @@ class SemiActiveReplication(ReplicaProtocol):
             self._on_vs_deliver, on_view_change=self._on_view_change,
             trace=replica.system.trace,
         )
-        self._executed: Set[str] = set()
         self._awaiting_order: Dict[str, tuple] = {}
         # Take over a suspected injector's pending requests immediately.
         replica.detector.on_suspect(lambda _peer: self._inject_all_pending())
-        self._queue: Deque[tuple] = deque()
-        self._executor_busy = False
+        # Delivered and not yet answered, in delivery order: rid ->
+        # (request, client).  The first entry is the one executing, and
+        # it leaves only once its reply is in the replica's reply_cache.
+        self._queue: Dict[str, tuple] = {}
         self._choices: Dict[Tuple[str, int], int] = {}
         self._choice_waiters: Dict[Tuple[str, int], object] = {}
         self._blocked_on: Optional[Tuple[str, int]] = None
@@ -122,7 +122,7 @@ class SemiActiveReplication(ReplicaProtocol):
 
     def handle_request(self, request: Request, client: str) -> None:
         rid = request.request_id
-        if rid in self._executed or rid in self._awaiting_order:
+        if rid in self._awaiting_order or rid in self._queue:
             return
         self._awaiting_order[rid] = (request, client)
         if self._am_injector():
@@ -141,7 +141,7 @@ class SemiActiveReplication(ReplicaProtocol):
         return False
 
     def _inject_if_pending(self, rid: str) -> None:
-        if rid in self._awaiting_order and rid not in self._executed:
+        if rid in self._awaiting_order:
             self._inject(rid)
 
     def _inject_all_pending(self) -> None:
@@ -159,19 +159,17 @@ class SemiActiveReplication(ReplicaProtocol):
     def _on_deliver(self, origin: str, mtype: str, body: dict) -> None:
         request = body["request"]
         rid = request.request_id
-        if rid in self._executed:
-            return
-        self._executed.add(rid)
+        if rid in self._queue or self.replica.cached_reply(rid) is not None:
+            return  # a second injector's copy: queued, executing or answered
         self._awaiting_order.pop(rid, None)
         self.phase(rid, SC, "abcast")
-        self._queue.append((request, body["client"]))
-        self._pump()
+        self._queue[rid] = (request, body["client"])
+        if len(self._queue) == 1:
+            self._pump()
 
     def _pump(self) -> None:
-        if self._executor_busy or not self._queue:
-            return
-        self._executor_busy = True
-        request, client = self._queue.popleft()
+        """Start executing the head of the queue."""
+        request, client = next(iter(self._queue.values()))
         self.replica.node.spawn(
             self._execute(request, client), name=f"sa-exec-{request.request_id}"
         )
@@ -205,8 +203,9 @@ class SemiActiveReplication(ReplicaProtocol):
             records.append(UpdateRecord(op.item, new_value, version))
             values.append(None if op.kind == "write" else new_value)
         self.respond(client, request, committed=True, values=values)
-        self._executor_busy = False
-        self._pump()
+        del self._queue[rid]
+        if self._queue:
+            self._pump()
 
     # -- non-deterministic choices --------------------------------------------------------
 

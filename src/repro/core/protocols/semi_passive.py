@@ -83,7 +83,7 @@ class SemiPassiveReplication(ReplicaProtocol):
         )
         self._pending: List[tuple] = []       # (request, client) FIFO
         self._pending_ids: Set[str] = set()
-        self._done: Dict[str, dict] = {}
+        self._coordinated = 0                  # slots executed here
         self._slot = 0                         # next slot to decide
         self._proposed_slot = -1
         self._decisions_buffer: Dict[int, dict] = {}
@@ -99,7 +99,7 @@ class SemiPassiveReplication(ReplicaProtocol):
 
     def _enqueue(self, request: Request, client: str) -> bool:
         rid = request.request_id
-        if rid in self._done or rid in self._pending_ids:
+        if rid in self._pending_ids or self.replica.cached_reply(rid) is not None:
             return False
         self._pending.append((request, client))
         self._pending_ids.add(rid)
@@ -120,7 +120,8 @@ class SemiPassiveReplication(ReplicaProtocol):
         technique: execution happens at most at the (few) coordinators
         that actually run a round.
         """
-        while self._pending and self._pending[0][0].request_id in self._done:
+        while (self._pending
+               and self.replica.cached_reply(self._pending[0][0].request_id) is not None):
             self._pending.pop(0)
         if not self._pending:
             return {"empty": True}
@@ -155,9 +156,10 @@ class SemiPassiveReplication(ReplicaProtocol):
             return
         request = decision["request"]
         rid = request.request_id
-        if rid in self._done:
+        if self.replica.cached_reply(rid) is not None:
             return
-        self._done[rid] = decision
+        if decision["executor"] == self.replica.name:
+            self._coordinated += 1
         self._pending_ids.discard(rid)
         self._pending = [
             entry for entry in self._pending if entry[0].request_id != rid
@@ -173,6 +175,4 @@ class SemiPassiveReplication(ReplicaProtocol):
 
     def executed_slots(self) -> int:
         """How many slots this replica executed as coordinator."""
-        return sum(
-            1 for d in self._done.values() if d["executor"] == self.replica.name
-        )
+        return self._coordinated

@@ -118,24 +118,28 @@ class ReplicaNode:
         )
         self.tracer = system.tracer
         self.protocol = None  # set by ReplicatedSystem
-        # Duplicate-reply cache: idempotency key -> values of the committed
-        # reply.  A retried request whose key is here is answered from the
-        # cache instead of re-executed, which is what makes client retries
-        # exactly-once (aborts are not cached: retrying them should rerun).
+        # The exactly-once table, and the only record of what this replica
+        # already did: request id -> values of the committed reply.  A
+        # retried request whose id is here is answered from the table
+        # instead of re-executed, which is what makes client retries
+        # exactly-once (aborts are not kept: retrying them should rerun).
+        # Protocols that order requests drop a second delivery of an id
+        # that is here, and passive backups fill it from the primary's
+        # updates, so a promoted primary answers a retry from it too.
         # Survives crashes deliberately — it models durable server state,
         # like the applied-transaction log a recovering replica replays.
         # Kept for the life of the run, so the values are a tuple: one of
         # plain values is nothing the cyclic collector has to walk.
         self.reply_cache: Dict[str, Tuple[Any, ...]] = {}
 
-    def remember_reply(self, idem_key: str, values: Sequence[Any]) -> None:
-        """Record the committed reply for ``idem_key`` (first write wins)."""
-        if idem_key not in self.reply_cache:
-            self.reply_cache[idem_key] = tuple(values)
+    def remember_reply(self, request_id: str, values: Sequence[Any]) -> None:
+        """Record the committed reply for ``request_id`` (first write wins)."""
+        if request_id not in self.reply_cache:
+            self.reply_cache[request_id] = tuple(values)
 
-    def cached_reply(self, idem_key: str) -> Optional[Tuple[Any, ...]]:
-        """The committed values previously replied for ``idem_key``, if any."""
-        return self.reply_cache.get(idem_key)
+    def cached_reply(self, request_id: str) -> Optional[Tuple[Any, ...]]:
+        """The committed values previously replied for ``request_id``, if any."""
+        return self.reply_cache.get(request_id)
 
     @property
     def crashed(self) -> bool:

@@ -118,12 +118,12 @@ class Future:
     exception inside the waiting process.
     """
 
-    __slots__ = ("sim", "_done", "_result", "_exception", "_callbacks", "label")
+    __slots__ = ("sim", "_settled", "_result", "_exception", "_callbacks", "label")
 
     def __init__(self, sim: "Simulator", label: str = "") -> None:
         self.sim = sim
         self.label = label
-        self._done = False
+        self._settled = False
         self._result: Any = None
         self._exception: Optional[BaseException] = None
         self._callbacks: List[Callable[["Future"], None]] = []
@@ -132,12 +132,12 @@ class Future:
 
     @property
     def done(self) -> bool:
-        return self._done
+        return self._settled
 
     @property
     def result(self) -> Any:
         """The resolved value.  Raises if pending or failed."""
-        if not self._done:
+        if not self._settled:
             raise SimulationError(f"future {self.label!r} is not resolved yet")
         if self._exception is not None:
             raise self._exception
@@ -145,13 +145,13 @@ class Future:
 
     @property
     def exception(self) -> Optional[BaseException]:
-        if not self._done:
+        if not self._settled:
             raise SimulationError(f"future {self.label!r} is not resolved yet")
         return self._exception
 
     @property
     def failed(self) -> bool:
-        return self._done and self._exception is not None
+        return self._settled and self._exception is not None
 
     # -- resolution ------------------------------------------------------
 
@@ -169,7 +169,7 @@ class Future:
         Useful when several events race to complete the same future, e.g.
         the first reply from a set of replicas.
         """
-        if self._done:
+        if self._settled:
             return False
         self.set_result(value)
         return True
@@ -183,15 +183,15 @@ class Future:
         teardown :meth:`repro.net.Node.call` attaches to its reply future —
         fire immediately instead of leaking until their backstop timer.
         """
-        if self._done:
+        if self._settled:
             return False
         self.set_exception(Cancelled(reason if reason is not None else self.label))
         return True
 
     def _resolve(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self._done:
+        if self._settled:
             raise SimulationError(f"future {self.label!r} resolved twice")
-        self._done = True
+        self._settled = True
         self._result = value
         self._exception = exc
         callbacks = self._callbacks
@@ -204,14 +204,14 @@ class Future:
 
     def add_callback(self, callback: Callable[["Future"], None]) -> None:
         """Invoke ``callback(self)`` when resolved (immediately if done)."""
-        if self._done:
+        if self._settled:
             callback(self)
         else:
             self._callbacks.append(callback)
 
     def __repr__(self) -> str:
         state = "pending"
-        if self._done:
+        if self._settled:
             state = "failed" if self._exception is not None else "done"
         return f"<Future {self.label!r} {state}>"
 
@@ -258,7 +258,7 @@ class _TimeoutSlot:
 
     def _fire(self) -> None:
         future = self.future
-        if not future._done:
+        if not future._settled:
             future._resolve(self.value, None)
 
 
@@ -400,7 +400,7 @@ class _AnyOfWaiter:
 
     def __call__(self, future: Future) -> None:
         combined = self.combined
-        if combined._done:
+        if combined._settled:
             return
         if future._exception is not None:
             combined.set_exception(future._exception)
@@ -431,7 +431,7 @@ class _AllOfWaiter:
     def __call__(self, future: Future) -> None:
         state = self.state
         combined = state.combined
-        if combined._done:
+        if combined._settled:
             return
         if future._exception is not None:
             combined.set_exception(future._exception)
@@ -701,7 +701,7 @@ class Simulator:
     def run_until_done(self, future: Future, max_events: int = 10_000_000) -> Any:
         """Run the simulation until ``future`` resolves; return its result."""
         self._dispatch(None, future, max_events)
-        if not future._done:
+        if not future._settled:
             raise SimulationError(
                 f"event queue drained before {future!r} resolved"
             )
@@ -724,7 +724,7 @@ class Simulator:
         pop = heapq.heappop
         events = 0
         while queue:
-            if self._stopped if awaited is None else awaited._done:
+            if self._stopped if awaited is None else awaited._settled:
                 return
             time = queue[0][0]
             if until is not None and time > until:

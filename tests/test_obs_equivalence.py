@@ -126,8 +126,7 @@ _OPERATIONS = st.one_of(
 _RECORDS = st.builds(UpdateRecord, _ITEMS, _VALUES, st.integers())
 _WIRE_TYPES = st.one_of(
     _OPERATIONS,
-    st.builds(Request, st.text(max_size=8), st.lists(_OPERATIONS, max_size=3).map(tuple),
-              st.one_of(st.none(), st.text(max_size=8))),
+    st.builds(Request, st.text(max_size=8), st.lists(_OPERATIONS, max_size=3).map(tuple)),
     _RECORDS,
     st.builds(TransactionUpdates, st.text(max_size=8),
               st.lists(_RECORDS, max_size=3).map(tuple), st.integers()),

@@ -4,6 +4,8 @@ import pytest
 
 from repro import AC, END, EX, RE, SC, Operation, ReplicatedSystem
 from repro.analysis import check_linearizable, history_from_results
+from repro.core.operations import Request
+from repro.net import Node
 
 
 def drive_updates(system, n, gap=25.0, item="x", client=0, func="add", arg=1):
@@ -142,9 +144,38 @@ class TestPassive:
         assert result.retries >= 1
         assert result.server == "r1"
 
+    def test_backups_hold_the_primary_replies(self):
+        # Every member records the values the vscast update carries, so a
+        # backup can answer a retry before it is ever promoted.
+        system = ReplicatedSystem("passive", replicas=3, seed=1)
+        results = drive_updates(system, 3)
+        system.settle(100)
+        for name in ("r1", "r2"):
+            for result in results:
+                cached = system.replica(name).cached_reply(result.request_id)
+                assert cached == tuple(result.values), (name, result.request_id)
+
+    def test_forward_of_an_applied_request_is_answered_from_the_table(self):
+        # A backup with a stale directory forwards straight into the
+        # primary's handle_request, past the client path's cache check.
+        system = ReplicatedSystem("passive", replicas=3, seed=1)
+        result = system.execute([Operation.update("x", "add", 7)])
+        assert result.committed and result.server == "r0"
+        probe = Node(system.sim, system.net, "probe")
+        replies = []
+        probe.on("client.response", replies.append)
+        probe.send("r0", "passive.forward",
+                   request=Request(result.request_id, result.operations),
+                   client="probe")
+        system.settle(100)
+        assert [(r["committed"], r["values"]) for r in replies] == [(True, [7])]
+        assert all(system.store_of(n).read("x") == 7 for n in system.replica_names)
+        phases = system.tracer.observed_sequence(result.request_id, source="r0")
+        assert phases.count(EX) == 1 and phases.count(END) == 2
+
     def test_exactly_once_across_failover(self):
         # Even when the primary dies right after executing, re-submission
-        # must not double-apply (result cache travels with the vscast).
+        # must not double-apply (the reply travels with the vscast).
         for crash_at in (30.5, 31.5, 32.5):
             system = ReplicatedSystem("passive", replicas=3, seed=5,
                                       fd_interval=2.0, fd_timeout=6.0,
@@ -202,6 +233,44 @@ class TestSemiActive:
         live = system.live_replicas()
         digests = {system.store_of(n).values_digest() for n in live}
         assert len(digests) == 1
+
+    def test_second_delivery_while_waiting_on_the_choice_executes_once(self):
+        # r0 and r1 both inject the request, and the leader r0 crashes
+        # after ABCAST delivers it there but before its executor makes the
+        # choice.  r1's copy is then delivered while the followers still
+        # wait for the next leader's choice: it is in no reply table yet,
+        # and must be dropped because the first copy is executing.
+        system = ReplicatedSystem("semi_active", replicas=3, seed=1)
+        probe = Node(system.sim, system.net, "probe")
+        replies = []
+        probe.on("client.response", replies.append)
+        request = Request.make(
+            [Operation.update("y", "add", 1), Operation.update("x", "random_token")],
+            client="probe", sequence=1,
+        )
+        rid = request.request_id
+        follower = system.protocol_at("r1")
+        blocked_at_delivery = []
+        deliver = follower.abcast.deliver
+
+        def spy(origin, mtype, body):
+            blocked_at_delivery.append(follower._blocked_on)
+            deliver(origin, mtype, body)
+
+        follower.abcast.deliver = spy
+        for name in ("r0", "r1"):
+            system.protocol_at(name).abcast.abcast("request", request=request, client="probe")
+        while rid not in system.protocol_at("r0")._queue:
+            assert system.sim.step()
+        system.replica("r0").node.crash()
+        system.settle(300)
+        assert blocked_at_delivery == [None, (rid, 1)]
+        for name in ("r1", "r2"):
+            phases = system.tracer.observed_sequence(rid, source=name)
+            assert phases == [SC, EX, AC, END], (name, phases)
+            assert system.store_of(name).read("y") == 1
+        assert [reply["server"] for reply in replies] == ["r1", "r2"]
+        assert system.converged()
 
 
 class TestSemiPassive:

@@ -200,7 +200,8 @@ class TestPassiveRecovery:
         assert system.store_of("r2").digest() == system.store_of("r0").digest()
         assert system.store_of("r2").read("x") == 3
         for result in results:
-            assert backup.results_cache[result.request_id] == result.values
+            cached = system.replica("r2").cached_reply(result.request_id)
+            assert cached == tuple(result.values)
 
 
 class TestLazyPrimaryRecovery:

@@ -180,7 +180,10 @@ class TestIdempotentFailover:
         assert system.converged(), system.divergent_replicas()
 
 
-    @pytest.mark.parametrize("technique", ["active", "certification", "lazy_primary"])
+    @pytest.mark.parametrize("technique", [
+        "active", "certification", "lazy_primary",
+        "passive", "semi_active", "semi_passive", "eager_ue_abcast",
+    ])
     def test_duplicate_is_answered_with_the_remembered_values(self, technique):
         """The cache keeps the values as a tuple, the first ones written;
         a duplicate of the request gets them back as the list a reply
@@ -201,9 +204,9 @@ class TestIdempotentFailover:
 
         system.sim.run_until_done(system.sim.spawn(ask_twice()))
         r0 = system.replica("r0")
-        assert r0.cached_reply(request.idempotency_key) == (5,)
-        r0.remember_reply(request.idempotency_key, [6])  # first write wins
-        assert r0.cached_reply(request.idempotency_key) == (5,)
+        assert r0.cached_reply(request.request_id) == (5,)
+        r0.remember_reply(request.request_id, [6])  # first write wins
+        assert r0.cached_reply(request.request_id) == (5,)
         from_r0 = [reply for reply in replies if reply["server"] == "r0"]
         assert [reply["values"] for reply in from_r0] == [[5], [5]]
         assert all(reply["committed"] for reply in from_r0)
