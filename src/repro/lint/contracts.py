@@ -34,24 +34,9 @@ from .config import (
     PROTOCOL_INFO_TYPE,
     RESPOND_EMITS,
 )
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, finding
 from .registry import rule
-
-
-def _finding(ctx_path: str, node: ast.AST, message: str) -> Diagnostic:
-    return Diagnostic(
-        file=ctx_path, line=getattr(node, "lineno", 0), rule="",
-        severity="", message=message, col=getattr(node, "col_offset", 0),
-    )
-
-
-def _base_name(node: ast.AST) -> Optional[str]:
-    """Simple name of a base-class expression (last dotted segment)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+from .symeval import simple_name
 
 
 @dataclass
@@ -68,7 +53,7 @@ def _collect_classes(contexts: Sequence) -> Dict[str, _ClassRecord]:
     for ctx in contexts:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
-                bases = [b for b in map(_base_name, node.bases) if b]
+                bases = [b for b in map(simple_name, node.bases) if b]
                 # First definition wins; duplicate simple names across the
                 # tree are rare and a later one shadowing the first would
                 # only weaken, never wrongly add, findings.
@@ -135,7 +120,7 @@ def _phase_of(node: ast.AST) -> Optional[str]:
 
 def _call_named(node: ast.AST, name: str) -> Optional[ast.Call]:
     if isinstance(node, ast.Call):
-        func = _base_name(node.func)
+        func = simple_name(node.func)
         if func == name:
             return node
     return None
@@ -240,7 +225,7 @@ def check_protocol_info(contexts) -> Iterator[Diagnostic]:
             continue
         if any(_find_info_assign(a.node) is not None for a in record.ancestors):
             continue
-        yield _finding(
+        yield finding(
             record.path, record.node,
             f"protocol class {record.name} declares no "
             f"'{PROTOCOL_INFO_NAME} = {PROTOCOL_INFO_TYPE}(...)' (and "
@@ -268,7 +253,7 @@ def check_handle_request_shape(contexts) -> Iterator[Diagnostic]:
                     if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)) and inner is not stmt:
                         continue
                     if isinstance(inner, (ast.Yield, ast.YieldFrom)) and _owning_function(stmt, inner) is stmt:
-                        yield _finding(
+                        yield finding(
                             record.path, inner,
                             f"{record.name}.handle_request contains "
                             f"'yield': the dispatcher calls it "
@@ -322,14 +307,14 @@ def check_phase_rows(contexts) -> Iterator[Diagnostic]:
             effective.add(RESPOND_EMITS)
         for phase in sorted(effective - declared, key=PHASES.index):
             node = emitted.get(phase, record.node)
-            yield _finding(
+            yield finding(
                 record.path, node,
                 f"{record.name} emits phase {phase} but its ProtocolInfo "
                 f"phase row declares only "
                 f"{', '.join(p for p in PHASES if p in declared)}",
             )
         for phase in sorted(declared - effective, key=PHASES.index):
-            yield _finding(
+            yield finding(
                 record.path, record.node,
                 f"{record.name} declares phase {phase} in its ProtocolInfo "
                 f"but no code path emits it (self.phase/respond)",
@@ -353,7 +338,7 @@ def check_phase_literals(contexts) -> Iterator[Diagnostic]:
                 detail = f"name {arg.id!r}"
             else:
                 detail = "a dynamic expression"
-            yield _finding(
+            yield finding(
                 path, node,
                 f"{record.name} calls self.phase with {detail}; expected "
                 f"one of {', '.join(PHASES)}",

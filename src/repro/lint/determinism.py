@@ -31,17 +31,10 @@ from .config import (
     RANDOM_ALLOWED_ATTRS,
     RANDOM_MODULE,
 )
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, finding
 from .registry import rule
 
 ORDER_SENSITIVE_CONSUMERS = frozenset({"list", "tuple", "enumerate", "iter"})
-
-
-def _finding(ctx, node: ast.AST, message: str) -> Diagnostic:
-    return Diagnostic(
-        file=ctx.path, line=getattr(node, "lineno", 0), rule="",
-        severity="", message=message, col=getattr(node, "col_offset", 0),
-    )
 
 
 def _in_scope(ctx) -> bool:
@@ -98,8 +91,8 @@ def check_global_random(ctx) -> Iterator[Diagnostic]:
             and path[0] in aliases
             and path[1] not in RANDOM_ALLOWED_ATTRS
         ):
-            yield _finding(
-                ctx, node,
+            yield finding(
+                ctx.path, node,
                 f"call to module-level random.{path[1]}() shares global RNG "
                 f"state; use a seeded random.Random threaded from Simulator",
             )
@@ -119,8 +112,8 @@ def check_from_random_import(ctx) -> Iterator[Diagnostic]:
         if isinstance(node, ast.ImportFrom) and node.module == RANDOM_MODULE:
             for alias in node.names:
                 if alias.name not in RANDOM_ALLOWED_ATTRS:
-                    yield _finding(
-                        ctx, node,
+                    yield finding(
+                        ctx.path, node,
                         f"from random import {alias.name} pulls in global-RNG "
                         f"state; import random.Random and seed it",
                     )
@@ -146,8 +139,8 @@ def check_wall_clock(ctx) -> Iterator[Diagnostic]:
             forbidden = NONDETERMINISTIC_CALLS[node.module]
             for alias in node.names:
                 if alias.name in forbidden or "*" in forbidden:
-                    yield _finding(
-                        ctx, node,
+                    yield finding(
+                        ctx.path, node,
                         f"from {node.module} import {alias.name} imports a "
                         f"nondeterministic source; use simulated time/seeded RNG",
                     )
@@ -158,8 +151,8 @@ def check_wall_clock(ctx) -> Iterator[Diagnostic]:
             continue
         attrs = watched.get(path[0])
         if attrs is not None and (path[-1] in attrs or "*" in attrs):
-            yield _finding(
-                ctx, node,
+            yield finding(
+                ctx.path, node,
                 f"call to {'.'.join(path)}() reads wall-clock/entropy; "
                 f"use sim.now or a seeded random.Random",
             )
@@ -182,8 +175,8 @@ def check_id_calls(ctx) -> Iterator[Diagnostic]:
             and isinstance(node.func, ast.Name)
             and node.func.id == "id"
         ):
-            yield _finding(
-                ctx, node,
+            yield finding(
+                ctx.path, node,
                 "id() yields run-dependent values; derive identity from a "
                 "deterministic counter",
             )
@@ -217,8 +210,8 @@ def check_hash_calls(ctx) -> Iterator[Diagnostic]:
             line = node.lineno
             if any(start <= line <= stop for start, stop in dunder_spans):
                 continue
-            yield _finding(
-                ctx, node,
+            yield finding(
+                ctx.path, node,
                 "hash() is salted per process (PYTHONHASHSEED); use a stable "
                 "digest (zlib.crc32) for seeds and orderings",
             )
@@ -265,8 +258,8 @@ def check_module_counters(ctx) -> Iterator[Diagnostic]:
     for stmt in shared_assigns(ctx.tree.body):
         value = stmt.value
         if value is not None and is_count_call(value):
-            yield _finding(
-                ctx, stmt,
+            yield finding(
+                ctx.path, stmt,
                 "itertools.count() bound at import time carries state across "
                 "runs; make the counter per-instance or thread it from the "
                 "Simulator",
@@ -514,16 +507,16 @@ def check_unordered_iteration(ctx) -> Iterator[Diagnostic]:
                 if isinstance(node, (ast.For, ast.AsyncFor)) and is_set_expr(
                     node.iter, tracked
                 ):
-                    yield _finding(
-                        ctx, node,
+                    yield finding(
+                        ctx.path, node,
                         f"for-loop iterates {_describe(node.iter)} (a set) in "
                         f"nondeterministic order; wrap it in sorted(...)",
                     )
                 if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
                     for gen in node.generators:
                         if is_set_expr(gen.iter, tracked):
-                            yield _finding(
-                                ctx, node,
+                            yield finding(
+                                ctx.path, node,
                                 f"comprehension iterates {_describe(gen.iter)} "
                                 f"(a set) in nondeterministic order; wrap it "
                                 f"in sorted(...)",
@@ -533,8 +526,8 @@ def check_unordered_iteration(ctx) -> Iterator[Diagnostic]:
                     if name in ORDER_SENSITIVE_CONSUMERS and node.args and is_set_expr(
                         node.args[0], tracked
                     ):
-                        yield _finding(
-                            ctx, node,
+                        yield finding(
+                            ctx.path, node,
                             f"{name}() materialises {_describe(node.args[0])} "
                             f"(a set) in nondeterministic order; wrap it in "
                             f"sorted(...)",
@@ -546,8 +539,8 @@ def check_unordered_iteration(ctx) -> Iterator[Diagnostic]:
                     and node.args
                     and is_set_expr(node.args[0], tracked)
                 ):
-                    yield _finding(
-                        ctx, node,
+                    yield finding(
+                        ctx.path, node,
                         f"str.join() over {_describe(node.args[0])} (a set) "
                         f"concatenates in nondeterministic order; wrap it in "
                         f"sorted(...)",

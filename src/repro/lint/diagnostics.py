@@ -24,6 +24,7 @@ from .config import NOQA_MARKER
 __all__ = [
     "Diagnostic",
     "Baseline",
+    "finding",
     "find_noqa",
     "render_text",
     "render_json",
@@ -62,6 +63,14 @@ class Diagnostic:
 
     def render(self) -> str:
         return f"{self.file}:{self.line}:{self.col}: {self.rule} {self.message}"
+
+
+def finding(path: str, node: object, message: str) -> Diagnostic:
+    """A finding at ``node``'s position; the engine stamps rule and severity."""
+    return Diagnostic(
+        file=path, line=getattr(node, "lineno", 0), rule="",
+        severity="", message=message, col=getattr(node, "col_offset", 0),
+    )
 
 
 def find_noqa(line: str) -> Optional[frozenset]:

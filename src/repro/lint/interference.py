@@ -56,7 +56,7 @@ from .config import (
     MESSAGE_MUTATORS,
     PROTOCOL_BASE,
 )
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, finding
 from .registry import rule
 from .symeval import ClassInfo, render_pattern
 from .waitgraph import (
@@ -67,7 +67,6 @@ from .waitgraph import (
     WaitSite,
     _chain_str,
     _concrete,
-    _finding,
     _handler_regs,
     _method_key,
     _protocol_techniques,
@@ -425,7 +424,7 @@ def _stale_in_func(info: FuncInfo, family: str,
             *(wmap[(family, a)] for a in writable)
         ))
         attr_list = ", ".join(f"self.{a}" for a in writable)
-        yield _finding(
+        yield finding(
             info.file, node,
             f"'{var}' snapshots {attr_list} at line {snap_line} and is "
             f"still used here, after the blocking wait at line "
@@ -479,7 +478,7 @@ def _scan_guard_path(
         if marker in reported:
             return
         reported.add(marker)
-        yield _finding(
+        yield finding(
             guard_file, guard,
             f"guard 'self.{name}' checked here is not re-validated after "
             f"the blocking wait at {site.file}:{site.node.lineno} before "
@@ -562,7 +561,7 @@ def check_conflicting_writes(contexts) -> Iterator[Diagnostic]:
             reported.add(marker)
             windowed.sort(key=lambda pair: (pair[0], pair[1].lineno))
             file, node = windowed[0]
-            yield _finding(
+            yield finding(
                 file, node,
                 f"'{name}' is rebound by {len(labels)} concurrently-"
                 f"dispatchable handlers ({', '.join(labels)}) with no "
@@ -667,7 +666,7 @@ def _payload_mutations(info: FuncInfo, entry: Entry) -> Iterator[Diagnostic]:
                 and _param_root(node.func.value, param):
             how = f"{node.func.attr}()"
         if how is not None:
-            yield _finding(
+            yield finding(
                 info.file, node,
                 f"handler {entry.label} mutates its received payload "
                 f"'{param}' via {how}; delivery aliases payloads across "

@@ -19,15 +19,8 @@ import ast
 from typing import Iterator, List, Optional, Tuple
 
 from .config import ALLOWED_DEPS, TOP_LEVEL_MAY_IMPORT_ANYTHING
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, finding
 from .registry import rule
-
-
-def _finding(ctx, node: ast.AST, message: str) -> Diagnostic:
-    return Diagnostic(
-        file=ctx.path, line=getattr(node, "lineno", 0), rule="",
-        severity="", message=message, col=getattr(node, "col_offset", 0),
-    )
 
 
 def _imported_repro_modules(ctx) -> List[Tuple[ast.AST, str]]:
@@ -100,15 +93,15 @@ def check_upward_imports(ctx) -> Iterator[Diagnostic]:
             # Importing bare ``repro`` (or its dunder modules) from inside
             # a layer re-enters the top-level re-exports: upward by
             # definition.
-            yield _finding(
-                ctx, node,
+            yield finding(
+                ctx.path, node,
                 f"module {ctx.module} (layer '{ctx.package}') imports the "
                 f"top-level repro package; import the owning layer directly",
             )
             continue
         if target_package not in allowed:
-            yield _finding(
-                ctx, node,
+            yield finding(
+                ctx.path, node,
                 f"module {ctx.module} (layer '{ctx.package}') imports "
                 f"{target} (layer '{target_package}'), which the import DAG "
                 f"forbids; allowed: "
@@ -127,8 +120,8 @@ def check_undeclared_package(ctx) -> Iterator[Diagnostic]:
     if ctx.module is None or ctx.package is None:
         return
     if ctx.package != "" and ctx.package not in ALLOWED_DEPS:
-        yield _finding(
-            ctx, ctx.tree,
+        yield finding(
+            ctx.path, ctx.tree,
             f"package '{ctx.package}' is not declared in "
             f"repro.lint.config.ALLOWED_DEPS; add it to the import DAG",
         )
@@ -138,8 +131,8 @@ def check_undeclared_package(ctx) -> Iterator[Diagnostic]:
     for node, target in _imported_repro_modules(ctx):
         target_package = _package_of_target(target)
         if target_package and target_package not in ALLOWED_DEPS:
-            yield _finding(
-                ctx, node,
+            yield finding(
+                ctx.path, node,
                 f"import of {target}: package '{target_package}' is not "
                 f"declared in repro.lint.config.ALLOWED_DEPS",
             )

@@ -56,18 +56,21 @@ from .config import (
     SEND_METHODS,
     TRANSPORT_RECEIVER_HINT,
 )
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, finding
 from .registry import rule
 from .symeval import (
     WILDCARD,
     ClassInfo,
     ProgramIndex,
     Scope,
+    all_wild,
     evaluate,
     pattern_matches,
     patterns_unify,
     program_index,
     render_pattern,
+    render_patterns,
+    simple_name,
 )
 
 __all__ = [
@@ -203,16 +206,6 @@ class MessageGraph:
 # ---------------------------------------------------------------------------
 # Extraction
 # ---------------------------------------------------------------------------
-
-def _receiver_name(func: ast.Attribute) -> Optional[str]:
-    """Last dotted segment of the receiver (``self.node.send`` -> ``node``)."""
-    value = func.value
-    if isinstance(value, ast.Name):
-        return value.id
-    if isinstance(value, ast.Attribute):
-        return value.attr
-    return None
-
 
 def _layer_of(receiver: Optional[str]) -> str:
     if receiver and TRANSPORT_RECEIVER_HINT in receiver:
@@ -394,7 +387,7 @@ class _Extractor:
     def _call(self, call: ast.Call, cls: Optional[ClassInfo],
               func: Optional[FuncNode]) -> None:
         attr = call.func.attr
-        receiver = _receiver_name(call.func)
+        receiver = simple_name(call.func.value)
         if attr in SEND_METHODS:
             self._send(call, cls, func, attr, receiver)
         elif attr == "reply" and call.args:
@@ -472,7 +465,7 @@ def _collect_bindings(index: ProgramIndex, graph: MessageGraph) -> None:
             for value, method in assignments:
                 if not isinstance(value, ast.Call):
                     continue
-                name = _simple_name(value.func)
+                name = simple_name(value.func)
                 spec = PRIMITIVE_SPECS.get(name or "")
                 if spec is None or name is None:
                     continue
@@ -484,14 +477,6 @@ def _collect_bindings(index: ProgramIndex, graph: MessageGraph) -> None:
                     callbacks=_binding_callbacks(value, spec, info, index),
                 )
                 graph.bindings.setdefault((info.name, attr), []).append(binding)
-
-
-def _simple_name(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
 
 
 def _binding_scopes(call: ast.Call, primitive: str, spec: dict,
@@ -557,17 +542,6 @@ def build_graph(contexts: Sequence) -> MessageGraph:
     return graph
 
 
-def _finding(path: str, node: ast.AST, message: str) -> Diagnostic:
-    return Diagnostic(
-        file=path, line=getattr(node, "lineno", 0), rule="",
-        severity="", message=message, col=getattr(node, "col_offset", 0),
-    )
-
-
-def _all_wild(patterns: FrozenSet[str]) -> bool:
-    return all(set(p) <= {WILDCARD} for p in patterns)
-
-
 def _resolvable_sends(graph: MessageGraph) -> List[SendSite]:
     """Send sites whose type resolved at least partially.
 
@@ -577,11 +551,7 @@ def _resolvable_sends(graph: MessageGraph) -> List[SendSite]:
     rules against the shim would only unify with everything and mute
     the family.
     """
-    return [send for send in graph.sends if not _all_wild(send.patterns)]
-
-
-def _display(patterns: FrozenSet[str]) -> str:
-    return ", ".join(sorted(render_pattern(p) for p in patterns))
+    return [send for send in graph.sends if not all_wild(send.patterns)]
 
 
 # ---------------------------------------------------------------------------
@@ -604,28 +574,28 @@ def check_undeliverable(contexts) -> Iterator[Diagnostic]:
         pattern for reg in graph.handlers for pattern in reg.patterns
     ]
     for send in graph.sends:
-        if _all_wild(send.patterns):
+        if all_wild(send.patterns):
             continue
         if patterns_unify(send.patterns, handler_patterns):
             continue
-        yield _finding(
+        yield finding(
             send.file, send.node,
-            f"message type '{_display(send.patterns)}' is sent here but no "
+            f"message type '{render_patterns(send.patterns)}' is sent here but no "
             f"handler is registered for it anywhere in the program",
         )
     for (owner, attr), variants in sorted(graph.bindings.items()):
         sends = _binding_sends(graph, owner, attr)
         for send in sends:
-            if send.attr is None or _all_wild(send.patterns):
+            if send.attr is None or all_wild(send.patterns):
                 continue
             if _accepted_by_some_variant(send, variants):
                 continue
             callback_names = ", ".join(
                 cb.label for v in variants for cb in v.callbacks
             ) or "<none>"
-            yield _finding(
+            yield finding(
                 send.file, send.node,
-                f"broadcast mtype '{_display(send.patterns)}' on "
+                f"broadcast mtype '{render_patterns(send.patterns)}' on "
                 f"{owner}.{attr} is never accepted by its deliver "
                 f"callback ({callback_names})",
             )
@@ -662,20 +632,20 @@ def check_dead_handlers(contexts) -> Iterator[Diagnostic]:
         pattern for send in _resolvable_sends(graph) for pattern in send.patterns
     ]
     for reg in graph.handlers:
-        if reg.wildcard or _all_wild(reg.patterns):
+        if reg.wildcard or all_wild(reg.patterns):
             continue
         if patterns_unify(reg.patterns, send_patterns):
             continue
-        yield _finding(
+        yield finding(
             reg.file, reg.node,
             f"handler registered for message type "
-            f"'{_display(reg.patterns)}' but nothing in the program sends "
+            f"'{render_patterns(reg.patterns)}' but nothing in the program sends "
             f"it",
         )
     for (owner, attr), variants in sorted(graph.bindings.items()):
         sends = _binding_sends(graph, owner, attr)
         sent = [p for s in sends for p in s.patterns]
-        has_wild_send = any(_all_wild(s.patterns) for s in sends)
+        has_wild_send = any(all_wild(s.patterns) for s in sends)
         for variant in variants:
             for callback in variant.callbacks:
                 if callback.accepted is None:
@@ -684,7 +654,7 @@ def check_dead_handlers(contexts) -> Iterator[Diagnostic]:
                     if has_wild_send or patterns_unify([mtype], sent):
                         continue
                     where = callback.guard_node or variant.node
-                    yield _finding(
+                    yield finding(
                         variant.file, where,
                         f"deliver callback {callback.label} guards for "
                         f"mtype '{mtype}' but nothing broadcasts it on "
@@ -716,10 +686,10 @@ def check_payload_schemas(contexts) -> Iterator[Diagnostic]:
         for key, read in sorted(callback.required.items()):
             if key in sent_keys:
                 continue
-            yield _finding(
+            yield finding(
                 reg.file, read,
                 f"handler {callback.label} for "
-                f"'{_display(reg.patterns)}' reads payload key '{key}' "
+                f"'{render_patterns(reg.patterns)}' reads payload key '{key}' "
                 f"which no send site of that type provides (guaranteed "
                 f"KeyError on delivery)",
             )
@@ -735,7 +705,7 @@ def check_payload_schemas(contexts) -> Iterator[Diagnostic]:
                 for key, read in sorted(callback.required.items()):
                     if key in sent_keys:
                         continue
-                    yield _finding(
+                    yield finding(
                         variant.file, read,
                         f"deliver callback {callback.label} reads body "
                         f"key '{key}' which no broadcast on "
@@ -770,10 +740,10 @@ def check_reply_correlation(contexts) -> Iterator[Diagnostic]:
                 continue
             if any(send.kind == "call" for send in matching):
                 continue
-            yield _finding(
+            yield finding(
                 reply.file, reply.node,
                 f"reply in handler {reg.callback.label} for "
-                f"'{_display(reg.patterns)}', but every send of that type "
+                f"'{render_patterns(reg.patterns)}', but every send of that type "
                 f"is fire-and-forget (no .call creates the reply future); "
                 f"the reply is silently dropped",
             )
@@ -879,7 +849,7 @@ def build_catalog(contexts: Sequence) -> Dict[str, Any]:
                     (
                         {
                             "at": at[id(s.node)],
-                            "mtype": _display(s.patterns),
+                            "mtype": render_patterns(s.patterns),
                             "keys": sorted(s.keys), "open": s.open,
                         }
                         for s in sends

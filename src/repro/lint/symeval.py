@@ -52,7 +52,10 @@ __all__ = [
     "patterns_unify",
     "program_index",
     "unify",
+    "all_wild",
     "render_pattern",
+    "render_patterns",
+    "simple_name",
 ]
 
 # Placeholder for an unresolvable fragment inside a pattern.  NUL cannot
@@ -117,6 +120,14 @@ def render_pattern(pattern: str) -> str:
     return _normalise(pattern).replace(WILDCARD, "*")
 
 
+def render_patterns(patterns: FrozenSet[str]) -> str:
+    return ", ".join(sorted(render_pattern(p) for p in patterns))
+
+
+def all_wild(patterns: FrozenSet[str]) -> bool:
+    return all(set(p) <= {WILDCARD} for p in patterns)
+
+
 # ---------------------------------------------------------------------------
 # Program index
 # ---------------------------------------------------------------------------
@@ -139,7 +150,8 @@ class ClassInfo:
     )
 
 
-def _base_name(node: ast.AST) -> Optional[str]:
+def simple_name(node: ast.AST) -> Optional[str]:
+    """Last dotted segment of a name (``self.node.send`` -> ``send``)."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
@@ -226,7 +238,7 @@ class ProgramIndex:
     def _index_class(self, node: ast.ClassDef, module: str, path: str) -> None:
         info = ClassInfo(
             name=node.name, module=module, path=path, node=node,
-            bases=[b for b in map(_base_name, node.bases) if b],
+            bases=[b for b in map(simple_name, node.bases) if b],
         )
         for item in node.body:
             if isinstance(item, ast.Assign):
@@ -268,7 +280,7 @@ class ProgramIndex:
             elif isinstance(node, ast.FunctionDef):
                 func = node
             if isinstance(node, ast.Call):
-                name = _base_name(node.func)
+                name = simple_name(node.func)
                 if name in self.classes:
                     self.ctor_calls.setdefault(name, []).append(
                         (node, Scope(self, module, cls, func))

@@ -80,7 +80,7 @@ from .config import (
     TXN_LOCK_METHODS,
     TXN_RECEIVER_NAMES,
 )
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, finding
 from .msgflow import FuncNode, HandlerReg, MessageGraph, build_graph
 from .registry import rule
 from .symeval import (
@@ -88,9 +88,12 @@ from .symeval import (
     ClassInfo,
     ProgramIndex,
     Scope,
+    all_wild,
     evaluate,
     patterns_unify,
     render_pattern,
+    render_patterns,
+    simple_name,
 )
 
 __all__ = [
@@ -187,23 +190,6 @@ class WaitGraph:
 # Extraction
 # ---------------------------------------------------------------------------
 
-def _simple_name(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _receiver_name(func: ast.Attribute) -> Optional[str]:
-    value = func.value
-    if isinstance(value, ast.Name):
-        return value.id
-    if isinstance(value, ast.Attribute):
-        return value.attr
-    return None
-
-
 def _has_timeout(call: ast.Call) -> bool:
     """A ``timeout=`` kwarg (or an opaque ``**splat``) bounds the wait."""
     for keyword in call.keywords:
@@ -249,7 +235,7 @@ def _attr_classes(
     for info in index.mro(cls):
         for value, _method in info.attr_exprs.get(receiver.attr, ()):
             if isinstance(value, ast.Call):
-                name = _simple_name(value.func)
+                name = simple_name(value.func)
                 target = index.classes.get(name or "")
                 if target is not None and target not in out:
                     out.append(target)
@@ -444,7 +430,7 @@ class _WaitExtractor:
             method = owner.methods.get(attr)
             if method is not None:
                 for dec in method.decorator_list:
-                    name = _simple_name(dec)
+                    name = simple_name(dec)
                     if name in ("property", "cached_property",
                                 "setter", "getter", "deleter"):
                         return False
@@ -467,7 +453,7 @@ class _WaitExtractor:
         if not isinstance(func, ast.Attribute):
             return events
         attr = func.attr
-        receiver = _receiver_name(func)
+        receiver = simple_name(func.value)
 
         site: Optional[WaitSite] = None
         if attr == "call" and len(call.args) >= 2 \
@@ -631,21 +617,6 @@ def build_waitgraph(contexts: Sequence) -> WaitGraph:
     return graph
 
 
-def _finding(path: str, node: ast.AST, message: str) -> Diagnostic:
-    return Diagnostic(
-        file=path, line=getattr(node, "lineno", 0), rule="",
-        severity="", message=message, col=getattr(node, "col_offset", 0),
-    )
-
-
-def _all_wild(patterns: FrozenSet[str]) -> bool:
-    return all(set(p) <= {WILDCARD} for p in patterns)
-
-
-def _display(patterns: FrozenSet[str]) -> str:
-    return ", ".join(sorted(render_pattern(p) for p in patterns))
-
-
 # ---------------------------------------------------------------------------
 # Path expansion (shared by W503/W504 and the artifact)
 # ---------------------------------------------------------------------------
@@ -717,16 +688,16 @@ def check_untimed_blocking(contexts) -> Iterator[Diagnostic]:
         if site.timed:
             continue
         if site.kind == CALL:
-            yield _finding(
+            yield finding(
                 site.file, site.node,
-                f"blocking call of '{_display(site.patterns)}' has no "
+                f"blocking call of '{render_patterns(site.patterns)}' has no "
                 f"timeout=; a crash of the callee leaves this process "
                 f"blocked forever",
             )
         elif site.kind == LOCK:
-            yield _finding(
+            yield finding(
                 site.file, site.node,
-                f"lock acquisition of '{_display(site.patterns)}' has no "
+                f"lock acquisition of '{render_patterns(site.patterns)}' has no "
                 f"timeout=; distributed deadlocks are invisible to the "
                 f"local wait-for graph and only a lock-wait timeout "
                 f"breaks them",
@@ -757,7 +728,7 @@ def _wait_edges(
     edges: Dict[int, List[Tuple[int, WaitSite]]] = {}
     for i, (_reg, key) in enumerate(regs):
         for site in graph.closure_waits(key):
-            if site.kind != CALL or _all_wild(site.patterns):
+            if site.kind != CALL or all_wild(site.patterns):
                 continue
             for j, (other, _other_key) in enumerate(regs):
                 if patterns_unify(site.patterns, other.patterns):
@@ -851,12 +822,12 @@ def check_wait_cycles(contexts) -> Iterator[Diagnostic]:
         inner.sort(key=lambda e: (e[2].file, e[2].node.lineno))
         description = "; ".join(
             f"{regs[i][0].callback.label} awaits "
-            f"'{_display(site.patterns)}' served by "
+            f"'{render_patterns(site.patterns)}' served by "
             f"{regs[j][0].callback.label}"
             for i, j, site in inner
         )
         first = inner[0][2]
-        yield _finding(
+        yield finding(
             first.file, first.node,
             f"static distributed deadlock: {description} — every handler "
             f"in the cycle blocks on a reply the others cannot produce "
@@ -935,7 +906,7 @@ def check_lock_order(contexts) -> Iterator[Diagnostic]:
             continue
         reported.add(unordered)
         fwd, rev = conflict
-        yield _finding(
+        yield finding(
             fwd[1].file, fwd[1].node,
             f"lock-order inversion: this path acquires '{a}' then '{b}' "
             f"(in {fwd[4]}), but {rev[4]} acquires '{b}' then '{a}'; two "
@@ -968,9 +939,9 @@ def check_blocking_under_locks(contexts) -> Iterator[Diagnostic]:
                       and holding is not None
                       and id(site.node) not in reported):
                     reported.add(id(site.node))
-                    yield _finding(
+                    yield finding(
                         site.file, site.node,
-                        f"blocking call of '{_display(site.patterns)}' "
+                        f"blocking call of '{render_patterns(site.patterns)}' "
                         f"while holding the lock acquired at "
                         f"{holding.file}:{holding.node.lineno} has no "
                         f"timeout=; a callee crash leaves the lock held "
@@ -1017,7 +988,7 @@ def _protocol_techniques(graph: WaitGraph) -> List[Tuple[str, ClassInfo]]:
 
 
 def _serving_handlers(graph: WaitGraph, site: WaitSite) -> List[str]:
-    if site.kind != CALL or _all_wild(site.patterns):
+    if site.kind != CALL or all_wild(site.patterns):
         return []
     assert graph.message_graph is not None
     return sorted({
@@ -1111,7 +1082,7 @@ def build_waitgraph_artifact(contexts: Sequence) -> Dict[str, Any]:
         {
             (
                 regs[i][0].callback.label,
-                _display(site.patterns),
+                render_patterns(site.patterns),
                 regs[j][0].callback.label,
                 at[id(site.node)],
             )
