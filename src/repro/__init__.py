@@ -9,7 +9,7 @@ update-everywhere (distributed locking, atomic broadcast and
 certification variants) from the database community — on top of fully
 implemented substrates: a deterministic discrete-event simulator, a
 lossy/partitionable network, heartbeat failure detection, a group
-communication stack (reliable/FIFO/causal broadcast, Chandra-Toueg
+communication stack (reliable broadcast, Chandra-Toueg
 consensus, atomic broadcast, view synchrony) and a transactional storage
 engine (strict 2PL, WAL, 2PC, certification, reconciliation).
 

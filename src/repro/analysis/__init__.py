@@ -1,6 +1,6 @@
 """Consistency oracles and metrics for replicated executions."""
 
-from .convergence import StalenessProbe, assert_converged, divergence_report
+from .convergence import StalenessProbe
 from .history import History, Invocation, history_from_results
 from .linearizability import LinearizabilityReport, check_linearizable
 from .metrics import LatencyStats, WorkloadSummary, messages_per_request, summarize
@@ -23,8 +23,6 @@ __all__ = [
     "expected_counters",
     "serialization_graph",
     "check_one_copy_serializable",
-    "assert_converged",
-    "divergence_report",
     "StalenessProbe",
     "LatencyStats",
     "WorkloadSummary",

@@ -9,30 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import ConsistencyViolation
-
-__all__ = ["assert_converged", "divergence_report", "StalenessProbe"]
-
-
-def divergence_report(system) -> Dict[str, List[str]]:
-    """Items on which live replicas disagree, with the differing values."""
-    names = system.live_replicas()
-    all_items: set = set()
-    for name in names:
-        all_items.update(item for item, _v in system.store_of(name).items())
-    report: Dict[str, List[str]] = {}
-    for item in sorted(all_items):
-        values = {name: system.store_of(name).read(item) for name in names}
-        if len({repr(v) for v in values.values()}) > 1:
-            report[item] = [f"{name}={value!r}" for name, value in values.items()]
-    return report
-
-
-def assert_converged(system, values_only: bool = True) -> None:
-    """Raise :class:`ConsistencyViolation` if live replicas diverge."""
-    if not system.converged(values_only=values_only):
-        report = divergence_report(system)
-        raise ConsistencyViolation(f"replicas diverge: {report}")
+__all__ = ["StalenessProbe"]
 
 
 class StalenessProbe:

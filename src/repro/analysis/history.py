@@ -35,13 +35,6 @@ class Invocation:
     client: str = ""
     committed: bool = True
 
-    def overlaps(self, other: "Invocation") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def precedes(self, other: "Invocation") -> bool:
-        """Real-time order: this response happened before that invocation."""
-        return self.end <= other.start
-
     def __repr__(self) -> str:
         return (
             f"<Inv {self.request_id} {self.kind}({self.item})"

@@ -235,9 +235,3 @@ class CertificationReplication(ReplicaProtocol):
         else:
             remaining = self.processing_time
         self._certify_and_reply(body, extra_delay=remaining)
-
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def abort_rate(self) -> float:
-        return self.certifier.abort_rate

@@ -191,10 +191,3 @@ class LazyPrimaryCopy(ReplicaProtocol):
         if self.is_primary and peer in self._shipped_lsn:
             self._shipped_lsn[peer] = 0
             self._ship_tail()
-
-    # -- introspection -----------------------------------------------------------
-
-    def replication_lag(self) -> Dict[str, int]:
-        """Per-secondary count of not-yet-shipped WAL entries."""
-        last = self.tm.wal.last_lsn() + 1
-        return {peer: last - lsn for peer, lsn in self._shipped_lsn.items()}

@@ -499,7 +499,7 @@ class ReplicatedSystem:
             # so observation stays neutral to the run.
             self.observer.attach_sampler(self.sim)
         self.tracer = PhaseTracer(self.trace, obs=self.observer)
-        self.net = Network(self.sim, latency=spec.latency, trace=None, obs=self.observer)
+        self.net = Network(self.sim, latency=spec.latency, obs=self.observer)
         self.injector = FailureInjector(self.sim, self.net, trace=self.trace)
         self.replica_names = [f"r{i}" for i in range(spec.replicas)]
         self.directory = Directory(self.replica_names)

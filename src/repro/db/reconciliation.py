@@ -22,7 +22,7 @@ as the price of weak consistency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from .storage import DataStore
 
@@ -33,7 +33,8 @@ __all__ = ["Stamp", "LastWriterWins", "SitePriority"]
 class Stamp:
     """Total-order stamp for a write.
 
-    Ordered by ``(commit time, site name, per-site sequence)``.  The
+    Ordered by :attr:`sort_key`, ``(commit time, site name, per-site
+    sequence)``.  The
     sequence number breaks ties between commits a site performs at the
     same instant, making the order total — without it, two same-time
     same-site writes would be incomparable and sites could diverge.
@@ -54,9 +55,6 @@ class Stamp:
     @staticmethod
     def from_wire(data: list) -> "Stamp":
         return Stamp(time=data[0], site=data[1], txn_id=data[2], seq=data[3])
-
-    def __lt__(self, other: "Stamp") -> bool:
-        return self.sort_key < other.sort_key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Stamp):
@@ -100,9 +98,6 @@ class LastWriterWins:
 
     def _beats(self, challenger: Stamp, incumbent: Stamp, item: str) -> bool:
         return challenger.sort_key > incumbent.sort_key
-
-    def winner_of(self, item: str) -> Optional[Stamp]:
-        return self._winners.get(item)
 
     @property
     def undone_count(self) -> int:

@@ -10,7 +10,7 @@ snapshots provide the *shadow copies* of Sections 5.2 and 5.4.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Versioned", "DataStore"]
 
@@ -77,9 +77,6 @@ class DataStore:
         self._items.pop(item, None)
 
     # -- iteration and digests ----------------------------------------------
-
-    def items(self) -> Iterator[Tuple[str, Versioned]]:
-        return iter(sorted(self._items.items()))
 
     def __len__(self) -> int:
         return len(self._items)

@@ -115,10 +115,6 @@ class Transaction:
         if self.status != ACTIVE:
             raise TransactionAborted(self.txn_id, f"transaction is {self.status}")
 
-    @property
-    def writeset(self) -> List[str]:
-        return list(self.write_order)
-
     def __repr__(self) -> str:
         return f"<Transaction {self.txn_id} {self.status}>"
 

@@ -39,6 +39,10 @@ PREPARE = "2pc.prepare"
 DECISION = "2pc.decision"
 STATUS = "2pc.status"
 
+# How long an in-doubt participant waits before asking the coordinator's
+# decision journal, and how long it waits for that answer.
+DECISION_TIMEOUT = 30.0
+
 
 class TwoPhaseCoordinator:
     """Coordinator side of 2PC, one instance per node.
@@ -137,13 +141,11 @@ class TwoPhaseParticipant:
         on_prepare: Callable[[Any, str], bool],
         on_decision: Callable[[Any, bool], None],
         trace: Optional[TraceLog] = None,
-        decision_timeout: float = 30.0,
     ) -> None:
         self.node = node
         self.on_prepare = on_prepare
         self.on_decision = on_decision
         self.trace = trace
-        self.decision_timeout = decision_timeout
         self.in_doubt: Dict[Any, float] = {}
         self.terminations = 0
         node.on(PREPARE, self._on_prepare_msg)
@@ -170,12 +172,12 @@ class TwoPhaseParticipant:
         """
         sim = self.node.sim
         while txn_id in self.in_doubt:
-            yield sim.timeout(self.decision_timeout)
+            yield sim.timeout(DECISION_TIMEOUT)
             if txn_id not in self.in_doubt:
                 return
             try:
                 reply = yield self.node.call(
-                    coordinator, STATUS, timeout=self.decision_timeout,
+                    coordinator, STATUS, timeout=DECISION_TIMEOUT,
                     txn=txn_id,
                 )
             except (TimeoutError, NodeCrashed):

@@ -7,10 +7,11 @@ behaviour faithfully:
 
 * every monitored node emits heartbeats each ``interval``;
 * a peer is **suspected** when no heartbeat arrived for ``timeout``;
-* a heartbeat from a suspected peer **rehabilitates** it and, in adaptive
-  mode, increases that peer's timeout — the classic eventually-perfect
-  (diamond-P style) construction, strong enough to stand in for the
-  eventually-strong detector that Chandra–Toueg consensus requires.
+* a heartbeat from a suspected peer **rehabilitates** it and increases
+  that peer's timeout by :data:`TIMEOUT_BACKOFF` — the classic
+  eventually-perfect (diamond-P style) construction, strong enough to
+  stand in for the eventually-strong detector that Chandra–Toueg
+  consensus requires.
 
 Small timeouts give fast crash detection but frequent wrong suspicions —
 exactly the trade-off the paper's semi-passive discussion (Section 3.5)
@@ -28,6 +29,10 @@ __all__ = ["FailureDetector"]
 
 HEARTBEAT = "fd.heartbeat"
 
+# Added to a peer's timeout at each wrong suspicion of it, so suspicions
+# of live peers eventually stop.
+TIMEOUT_BACKOFF = 10.0
+
 
 class FailureDetector:
     """Per-node failure-detector module.
@@ -44,9 +49,6 @@ class FailureDetector:
         Heartbeat emission period.
     timeout:
         Initial silence threshold before suspecting a peer.
-    adaptive:
-        When true, each wrong suspicion increases the victim's timeout by
-        ``backoff``, so suspicions of live peers eventually stop.
     """
 
     def __init__(
@@ -55,15 +57,11 @@ class FailureDetector:
         peers: List[str],
         interval: float = 5.0,
         timeout: float = 20.0,
-        adaptive: bool = True,
-        backoff: float = 10.0,
         trace: Optional[TraceLog] = None,
     ) -> None:
         self.node = node
         self.peers = [p for p in peers if p != node.name]
         self.interval = interval
-        self.adaptive = adaptive
-        self.backoff = backoff
         self.trace = trace
         self.suspected: Set[str] = set()
         self.wrong_suspicions = 0
@@ -112,8 +110,7 @@ class FailureDetector:
         if peer in self.suspected:
             self.suspected.discard(peer)
             self.wrong_suspicions += 1
-            if self.adaptive:
-                self._timeouts[peer] = self._timeouts.get(peer, 0.0) + self.backoff
+            self._timeouts[peer] = self._timeouts.get(peer, 0.0) + TIMEOUT_BACKOFF
             if self.trace is not None:
                 self.trace.record("fd", self.node.name, action="restore", peer=peer)
             for listener in self._restore_listeners:

@@ -58,9 +58,6 @@ class View:
     view_id: int
     members: Tuple[str, ...]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.members
-
     def __repr__(self) -> str:
         return f"View({self.view_id}, {list(self.members)})"
 

@@ -177,14 +177,6 @@ PRIMITIVE_SPECS: Dict[str, Dict[str, Any]] = {
         "send": "broadcast", "deliver": (3,), "deliver_kwargs": ("deliver",),
         "channel_param": "channel", "channel_is_prefix": False,
     },
-    "FifoBroadcast": {
-        "send": "broadcast", "deliver": (3,), "deliver_kwargs": ("deliver",),
-        "channel_param": "channel", "channel_is_prefix": False,
-    },
-    "CausalBroadcast": {
-        "send": "broadcast", "deliver": (3,), "deliver_kwargs": ("deliver",),
-        "channel_param": "channel", "channel_is_prefix": False,
-    },
     "SequencerAtomicBroadcast": {
         "send": "abcast", "deliver": (3,), "deliver_kwargs": ("deliver",),
         "channel_param": "channel_prefix", "channel_is_prefix": True,

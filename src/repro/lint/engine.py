@@ -35,10 +35,6 @@ class FileContext:
     lines: List[str]
     is_package: bool = False  # True for __init__.py (module names a package)
 
-    @property
-    def in_repro(self) -> bool:
-        return self.module is not None
-
 
 def _module_of(path: str) -> Tuple[Optional[str], Optional[str], bool]:
     """Map a file path onto (module, first-level package) within ``repro``.

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from .config import DEFAULT_HELP_URI, FAMILY_HELP_URIS
 
-__all__ = ["Rule", "rule", "all_rules", "get_rule", "selected_rules"]
+__all__ = ["Rule", "rule", "all_rules", "selected_rules"]
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,6 @@ def rule(rule_id: str, name: str, severity: str = "error", scope: str = "file"):
 
 def all_rules() -> List[Rule]:
     return [_REGISTRY[key] for key in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    return _REGISTRY[rule_id]
 
 
 def selected_rules(

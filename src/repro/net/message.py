@@ -9,7 +9,7 @@ library while the ``type`` field keeps dispatch explicit.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["Message"]
 
@@ -72,15 +72,6 @@ class Message:
 
     def __getitem__(self, key: str) -> Any:
         return self.payload[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.payload
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.payload.get(key, default)
-
-    def keys(self) -> Iterator[str]:
-        return iter(self.payload.keys())
 
     def __repr__(self) -> str:
         return (

@@ -26,7 +26,7 @@ from collections import Counter
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, TYPE_CHECKING
 
 from ..errors import NetworkError, SimulationError
-from ..sim import Simulator, TraceLog
+from ..sim import Simulator
 from .latency import ConstantLatency, LatencyModel
 from .message import Message
 
@@ -60,9 +60,6 @@ class NetworkStats:
         """Total sends whose message type starts with ``prefix``."""
         return sum(count for mtype, count in self.by_type.items() if mtype.startswith(prefix))
 
-    def reset(self) -> None:
-        self.__init__()
-
     def __repr__(self) -> str:
         return (
             f"<NetworkStats sent={self.sent} delivered={self.delivered} "
@@ -86,8 +83,6 @@ class Network:
     fifo:
         When true (default), each directed link is FIFO: a message can
         never overtake an earlier message on the same link.
-    trace:
-        Optional :class:`TraceLog` receiving a ``message`` event per send.
     obs:
         Optional observer (duck-typed, see :mod:`repro.obs`): opens a
         flight span per send and closes it at delivery or drop.  The
@@ -101,7 +96,6 @@ class Network:
         latency: Optional[LatencyModel] = None,
         loss_rate: float = 0.0,
         fifo: bool = True,
-        trace: Optional[TraceLog] = None,
         obs: Optional[Any] = None,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
@@ -110,7 +104,6 @@ class Network:
         self.latency = latency if latency is not None else ConstantLatency(1.0)
         self.loss_rate = loss_rate
         self.fifo = fifo
-        self.trace = trace
         self.obs = obs
         self.stats = NetworkStats()
         self._nodes: Dict[str, "Node"] = {}
@@ -146,10 +139,6 @@ class Network:
             return self._nodes[name]
         except KeyError:
             raise NetworkError(f"unknown node {name!r}") from None
-
-    @property
-    def node_names(self) -> List[str]:
-        return list(self._nodes)
 
     # -- partitions ------------------------------------------------------------
 
@@ -222,17 +211,6 @@ class Network:
             (self._fault_drop, self._fault_dup, self._fault_jitter, self._fault_slow)
         )
 
-    def active_faults(self, node: str) -> Dict[str, float]:
-        """The faults currently armed on ``node`` (kind -> value)."""
-        found = {}
-        for kind, table in (
-            ("drop", self._fault_drop), ("duplicate", self._fault_dup),
-            ("jitter", self._fault_jitter), ("slow", self._fault_slow),
-        ):
-            if node in table:
-                found[kind] = table[node]
-        return found
-
     def _same_side(self, a: str, b: str) -> bool:
         group_of = self._group_of
         if group_of is None:
@@ -270,8 +248,6 @@ class Network:
         message.deadline = deadline
         self.stats.sent += 1
         self.stats.by_type[type] += 1
-        if self.trace is not None:
-            self.trace.record("message", src, dst=dst, type=type, msg_id=message.msg_id)
         if self.obs is not None:
             self.obs.on_message_send(message)
         self._route(message)

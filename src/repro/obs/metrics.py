@@ -132,12 +132,11 @@ class InstrumentFamily(dict):
 class MetricsRegistry:
     """All instruments of one observed run."""
 
-    def __init__(self, series_width: float = DEFAULT_BUCKET_WIDTH) -> None:
+    def __init__(self) -> None:
         self._counters: Dict[Tuple[str, str], Counter] = {}
         self._gauges: Dict[Tuple[str, str], Gauge] = {}
         self._histograms: Dict[Tuple[str, str], Histogram] = {}
         self._series: Dict[Tuple[str, str], TimeSeries] = {}
-        self.series_width = series_width
 
     # -- instrument access -------------------------------------------------
 
@@ -153,14 +152,14 @@ class MetricsRegistry:
     def series(self, name: str, label: Optional[str] = None) -> TimeSeries:
         """The windowed time series for ``(name, label)``.
 
-        All series of one registry share ``series_width`` so their
+        All series share :data:`DEFAULT_BUCKET_WIDTH` so their
         buckets align — a throughput dent and a breaker state flip in
         the same bucket are the same moment of the run.
         """
         key = _key(name, label)
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = TimeSeries(self.series_width)
+            series = self._series[key] = TimeSeries(DEFAULT_BUCKET_WIDTH)
         return series
 
     # -- one-call helpers ----------------------------------------------------

@@ -35,14 +35,13 @@ from itertools import chain
 from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from .metrics import InstrumentFamily, MetricsRegistry
+from .timeseries import DEFAULT_BUCKET_WIDTH
 from .spans import SpanTracer
 
 __all__ = ["Observer", "abort_reason_label"]
 
 # Trace-log categories bridged into instant group-communication events.
-_GC_CATEGORIES = frozenset(
-    {"abcast", "rbcast", "fifo", "causal", "optab", "consensus", "view"}
-)
+_GC_CATEGORIES = frozenset({"abcast", "rbcast", "optab", "consensus", "view"})
 
 _ABORT_KEYWORDS = (
     ("deadlock", "deadlock"),
@@ -337,7 +336,7 @@ class Observer:
         self._trace_log = trace_log
         trace_log.subscribe(self._on_trace_event)
 
-    def attach_sampler(self, sim: Any, width: Optional[float] = None) -> None:
+    def attach_sampler(self, sim: Any) -> None:
         """Sample gauges at every bucket boundary via the sim tick hook.
 
         Event-fed series carry their own timestamps; *state* (breaker
@@ -347,10 +346,7 @@ class Observer:
         a run does not perturb it (the neutrality test's contract).
         """
         self._sampled_sim = sim
-        sim.set_tick_hook(
-            width if width is not None else self.metrics.series_width,
-            self._on_tick,
-        )
+        sim.set_tick_hook(DEFAULT_BUCKET_WIDTH, self._on_tick)
 
     def _on_tick(self, boundary: float) -> None:
         """Record every gauge's current value into its ``sample.*`` series."""
@@ -361,7 +357,7 @@ class Observer:
 
     def _on_trace_event(self, event: Any) -> None:
         category = event.category
-        if category in ("phase", "message"):
+        if category == "phase":
             return  # natively instrumented as real spans
         if category in _GC_CATEGORIES:
             mtype = event.data.get("mtype", event.data.get("action", ""))

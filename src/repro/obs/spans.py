@@ -326,36 +326,19 @@ class SpanTracer:
         """Make ``span_id`` the causal parent for the enclosed block."""
         return _Scope(self, span_id)
 
-    def span(
-        self,
-        name: str,
-        category: str,
-        source: str,
-        trace_id: Optional[str] = None,
-        parent_id: Optional[int] = None,
-        use_context: bool = True,
-        **attrs: Any,
+    def record_scope(
+        self, name: str, category: str, source: str, trace_id: Optional[str],
+        parent: Optional[int], keys: Tuple[str, ...], values: Sequence[Any],
     ) -> "_Scope":
-        """Start a span, make it current, finish it on exit.
+        """Record a span, make it current, finish it on exit.
 
-        The arguments are those of :meth:`start`; the parent is taken
-        when the scope is made.  An exception escaping the block (a
+        The arguments are those of :meth:`record`; the span is recorded
+        when the block is entered.  An exception escaping the block (a
         handler interrupted by a node crash, an unknown-destination
         raise) still closes the span, but tagged
         ``error:<ExceptionType>`` instead of ``ok`` — error paths must
         never leave a span open or mislabelled as clean.
         """
-        return self.record_scope(
-            name, category, source, trace_id, self._parent(parent_id, use_context),
-            tuple(attrs), tuple(attrs.values()),
-        )
-
-    def record_scope(
-        self, name: str, category: str, source: str, trace_id: Optional[str],
-        parent: Optional[int], keys: Tuple[str, ...], values: Sequence[Any],
-    ) -> "_Scope":
-        """Positional form of :meth:`span`, as :meth:`record` is of
-        :meth:`start`: the span is recorded when the block is entered."""
         return _Scope(self, None, (name, category, source, trace_id, parent,
                                    keys, values))
 
@@ -521,7 +504,7 @@ class _Spans(SequenceABC):
 
 
 class _Scope:
-    """The ``with`` block of :meth:`SpanTracer.context` and ``.span``.
+    """The ``with`` block of :meth:`SpanTracer.context` and ``.record_scope``.
 
     Keeps ``span`` on the context stack for the block (``None``: nothing
     happens).  Given ``start`` — the arguments of :meth:`SpanTracer.record`

@@ -41,6 +41,11 @@ _ROUTING_PREFIXES = ("not primary", "deadline exceeded")
 # the deadline; within this much of it the budget counts as spent.
 _DEADLINE_EPS = 1e-9
 
+# Circuit-breaker tuning, applied per replica: consecutive failures that
+# open a breaker, and how long it stays open.
+BREAKER_THRESHOLD = 3
+BREAKER_RESET = 45.0
+
 
 class RetryingPolicy:
     """Retrying, breaker-guarded, deadline-budgeted retry policy.
@@ -62,8 +67,6 @@ class RetryingPolicy:
     retry:
         The :class:`RetryPolicy`; defaults are sized for the default
         one-unit-latency network.
-    breaker_threshold / breaker_reset:
-        Circuit-breaker tuning, applied per replica.
     """
 
     def __init__(
@@ -73,8 +76,6 @@ class RetryingPolicy:
         request_timeout: float = 30.0,
         deadline: float = 400.0,
         retry: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 3,
-        breaker_reset: float = 45.0,
     ) -> None:
         self.system = system
         self.timeout = request_timeout
@@ -86,8 +87,8 @@ class RetryingPolicy:
         self.breakers: Dict[str, CircuitBreaker] = {
             replica: CircuitBreaker(
                 system.sim,
-                failure_threshold=breaker_threshold,
-                reset_timeout=breaker_reset,
+                failure_threshold=BREAKER_THRESHOLD,
+                reset_timeout=BREAKER_RESET,
                 name=f"{name}->{replica}",
                 obs=system.observer,
             )

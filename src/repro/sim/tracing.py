@@ -25,7 +25,7 @@ class TraceEvent:
     time:
         Simulated time at which the event was recorded.
     category:
-        Free-form grouping key, e.g. ``"phase"``, ``"message"``, ``"crash"``.
+        Free-form grouping key, e.g. ``"phase"``, ``"fd"``, ``"fault"``.
     source:
         Identifier of the component that recorded the event (node name,
         protocol name, ...).

@@ -19,6 +19,9 @@ from .generator import WorkloadGenerator, WorkloadSpec
 
 __all__ = ["ClosedLoopDriver", "run_workload"]
 
+# Resubmissions of one aborted transaction under ``retry_aborts``.
+MAX_RETRIES = 20
+
 
 class ClosedLoopDriver:
     """Drives every client of a system through a fixed request budget.
@@ -36,8 +39,9 @@ class ClosedLoopDriver:
         Pause between a response and the next submission.
     retry_aborts:
         Re-submit aborted transactions (fresh request id) until they
-        commit, counting the extra attempts; how interactive database
-        clients behave under deadlock/certification aborts.
+        commit, at most :data:`MAX_RETRIES` times, counting the extra
+        attempts; how interactive database clients behave under
+        deadlock/certification aborts.
     """
 
     def __init__(
@@ -47,14 +51,12 @@ class ClosedLoopDriver:
         requests_per_client: int = 20,
         think_time: float = 0.0,
         retry_aborts: bool = False,
-        max_retries: int = 20,
     ) -> None:
         self.system = system
         self.generator = generator
         self.requests_per_client = requests_per_client
         self.think_time = think_time
         self.retry_aborts = retry_aborts
-        self.max_retries = max_retries
         self.results: List[Result] = []
         # Intermediate aborted attempts under ``retry_aborts``.  These used
         # to be dropped on the floor — ``extra_attempts`` was a bare
@@ -92,7 +94,7 @@ class ClosedLoopDriver:
             while (
                 self.retry_aborts
                 and not result.committed
-                and attempts < self.max_retries
+                and attempts < MAX_RETRIES
             ):
                 attempts += 1
                 self.attempts.append(result)

@@ -105,10 +105,6 @@ class WorkloadGenerator:
                 ops.append(self._update(item))
         return ops
 
-    def next_update_transaction(self) -> List[Operation]:
-        """A transaction of updates only (used by convergence oracles)."""
-        return [self._update(self.pick_item()) for _ in range(self.spec.ops_per_transaction)]
-
     def unique_write(self, item: Optional[str] = None) -> Operation:
         """A blind write with a globally unique value (traceable oracle)."""
         return Operation.write(item or self.pick_item(), f"v{next(self._unique_values)}")

@@ -1,10 +1,8 @@
-"""Tests for reliable, FIFO and causal broadcast."""
+"""Tests for reliable broadcast."""
 
-import pytest
 from helpers import GroupHarness
-from hypothesis import given, settings, strategies as st
 
-from repro.groupcomm import CausalBroadcast, FifoBroadcast, ReliableBroadcast, VectorClock
+from repro.groupcomm import ReliableBroadcast
 
 
 def attach_rb(h, relay=True):
@@ -14,20 +12,6 @@ def attach_rb(h, relay=True):
             h.nodes[name], h.transports[name], h.names, h.sink(name), relay=relay
         )
     return layers
-
-
-def attach_fifo(h):
-    return {
-        name: FifoBroadcast(h.nodes[name], h.transports[name], h.names, h.sink(name))
-        for name in h.names
-    }
-
-
-def attach_causal(h):
-    return {
-        name: CausalBroadcast(h.nodes[name], h.transports[name], h.names, h.sink(name))
-        for name in h.names
-    }
 
 
 class TestReliableBroadcast:
@@ -83,121 +67,3 @@ class TestReliableBroadcast:
         h2.run(until=100)
         without_relay = h2.net.stats.by_type["rt.data"]
         assert with_relay > without_relay
-
-
-class TestFifoBroadcast:
-    def test_per_sender_order_preserved(self):
-        h = GroupHarness(3, jitter=True, seed=11)
-        fifo = attach_fifo(h)
-        for i in range(20):
-            fifo["n0"].broadcast("evt", seq=i)
-        h.run(until=500)
-        for name in h.names:
-            seqs = [body["seq"] for origin, _, body in h.delivered[name] if origin == "n0"]
-            assert seqs == list(range(20))
-
-    def test_interleaved_senders_each_fifo(self):
-        h = GroupHarness(3, jitter=True, seed=13)
-        fifo = attach_fifo(h)
-        for i in range(10):
-            fifo["n0"].broadcast("evt", seq=i)
-            fifo["n1"].broadcast("evt", seq=i)
-        h.run(until=500)
-        for name in h.names:
-            for origin in ("n0", "n1"):
-                seqs = [b["seq"] for o, _, b in h.delivered[name] if o == origin]
-                assert seqs == list(range(10))
-
-
-class TestCausalBroadcast:
-    def test_causal_chain_never_inverted(self):
-        # n0 broadcasts A; n1, upon delivering A, broadcasts B.
-        # No member may deliver B before A.
-        for seed in range(6):
-            h = GroupHarness(3, jitter=True, seed=seed)
-            cb = attach_causal(h)
-            replied = []
-
-            def on_deliver_n1(origin, mtype, body, _cb=None):
-                h.delivered["n1"].append((origin, mtype, body))
-                if mtype == "A" and not replied:
-                    replied.append(True)
-                    cb["n1"].broadcast("B")
-
-            cb["n1"].deliver = on_deliver_n1
-            cb["n0"].broadcast("A")
-            h.run(until=300)
-            for name in h.names:
-                types = [mtype for _, mtype, _ in h.delivered[name]]
-                assert types.index("A") < types.index("B"), f"seed {seed}, {name}: {types}"
-
-    def test_own_messages_deliver_in_send_order(self):
-        h = GroupHarness(2)
-        cb = attach_causal(h)
-        cb["n0"].broadcast("evt", i=0)
-        cb["n0"].broadcast("evt", i=1)
-        h.run(until=100)
-        assert [b["i"] for _, _, b in h.delivered["n0"]] == [0, 1]
-        assert [b["i"] for _, _, b in h.delivered["n1"]] == [0, 1]
-
-    def test_concurrent_messages_all_delivered(self):
-        h = GroupHarness(4, jitter=True, seed=3)
-        cb = attach_causal(h)
-        for name in h.names:
-            cb[name].broadcast("evt", frm=name)
-        h.run(until=300)
-        for name in h.names:
-            assert len(h.delivered[name]) == 4
-
-
-class TestVectorClock:
-    def test_increment_and_get(self):
-        vc = VectorClock.zero(["a", "b"]).increment("a")
-        assert vc.get("a") == 1 and vc.get("b") == 0
-
-    def test_merge_is_pointwise_max(self):
-        x = VectorClock({"a": 3, "b": 1})
-        y = VectorClock({"a": 2, "b": 5, "c": 1})
-        merged = x.merge(y)
-        assert merged.as_dict() == {"a": 3, "b": 5, "c": 1}
-
-    def test_ordering(self):
-        low = VectorClock({"a": 1, "b": 1})
-        high = VectorClock({"a": 2, "b": 1})
-        assert low < high and not high <= low
-
-    def test_concurrency_detection(self):
-        x = VectorClock({"a": 2, "b": 0})
-        y = VectorClock({"a": 0, "b": 2})
-        assert x.concurrent_with(y) and y.concurrent_with(x)
-
-    def test_missing_entries_read_as_zero(self):
-        assert VectorClock({}).get("ghost") == 0
-        assert VectorClock({"a": 0}) == VectorClock({})
-
-    @given(
-        st.dictionaries(st.sampled_from("abcd"), st.integers(0, 5)),
-        st.dictionaries(st.sampled_from("abcd"), st.integers(0, 5)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_is_upper_bound(self, d1, d2):
-        x, y = VectorClock(d1), VectorClock(d2)
-        merged = x.merge(y)
-        assert x <= merged and y <= merged
-
-    @given(
-        st.dictionaries(st.sampled_from("abcd"), st.integers(0, 5)),
-        st.dictionaries(st.sampled_from("abcd"), st.integers(0, 5)),
-        st.dictionaries(st.sampled_from("abcd"), st.integers(0, 5)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_commutative_associative(self, d1, d2, d3):
-        x, y, z = VectorClock(d1), VectorClock(d2), VectorClock(d3)
-        assert x.merge(y) == y.merge(x)
-        assert x.merge(y).merge(z) == x.merge(y.merge(z))
-
-    @given(st.dictionaries(st.sampled_from("abcd"), st.integers(0, 5)), st.sampled_from("abcd"))
-    @settings(max_examples=60, deadline=None)
-    def test_increment_strictly_dominates(self, d, member):
-        vc = VectorClock(d)
-        assert vc < vc.increment(member)

@@ -51,3 +51,22 @@ def test_cli_list_and_run():
     )
     assert completed.returncode == 0
     assert "Lazy update everywhere" in completed.stdout
+
+
+def test_cli_compare_in_process(capsys):
+    from repro import DB_TECHNIQUES, DS_TECHNIQUES
+    from repro.__main__ import main
+
+    assert main(["compare", "--requests", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == DS_TECHNIQUES + DB_TECHNIQUES
+    assert all(row.split()[5] == "True" for row in rows), rows
+
+
+def test_cli_figures_in_process(capsys):
+    from repro.__main__ import main
+
+    assert main(["figures"]) == 0
+    out = capsys.readouterr().out
+    for figure in range(1, 17):
+        assert f"Figure {figure}:" in out, f"figure {figure} missing"

@@ -7,15 +7,14 @@ from repro.net import ConstantLatency, Network, Node, UniformLatency
 from repro.sim import Simulator
 
 
-def build(n=3, seed=1, interval=2.0, timeout=8.0, adaptive=True, jitter=False):
+def build(n=3, seed=1, interval=2.0, timeout=8.0, jitter=False):
     sim = Simulator(seed=seed)
     latency = UniformLatency(0.5, 3.0) if jitter else ConstantLatency(1.0)
     net = Network(sim, latency=latency)
     names = [f"n{i}" for i in range(n)]
     nodes = {name: Node(sim, net, name) for name in names}
     detectors = {
-        name: FailureDetector(nodes[name], names, interval=interval,
-                              timeout=timeout, adaptive=adaptive)
+        name: FailureDetector(nodes[name], names, interval=interval, timeout=timeout)
         for name in names
     }
     return sim, net, nodes, detectors
@@ -74,22 +73,13 @@ class TestWrongSuspicionsAndRecovery:
         assert detectors["n0"].wrong_suspicions >= 1
 
     def test_adaptive_timeout_grows_after_wrong_suspicion(self):
-        sim, net, nodes, detectors = build(adaptive=True)
+        sim, net, nodes, detectors = build()
         before = detectors["n0"]._timeouts["n1"]
         net.partition(["n0"], ["n1", "n2"])
         sim.run(until=60)
         net.heal()
         sim.run(until=120)
         assert detectors["n0"]._timeouts["n1"] > before
-
-    def test_non_adaptive_keeps_timeout(self):
-        sim, net, nodes, detectors = build(adaptive=False)
-        before = detectors["n0"]._timeouts["n1"]
-        net.partition(["n0"], ["n1", "n2"])
-        sim.run(until=60)
-        net.heal()
-        sim.run(until=120)
-        assert detectors["n0"]._timeouts["n1"] == before
 
     def test_recovered_node_resumes_heartbeats_and_is_unsuspected(self):
         sim, net, nodes, detectors = build()

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import REGISTRY, Operation, ReplicatedSystem, RunSpec
+from repro.db import WRITE, LockManager
 from repro.lint.msgflow import build_catalog, pattern_matches
 from repro.lint.symeval import WILDCARD
 from repro.net.message import Message
@@ -40,6 +41,7 @@ from repro.obs import (
     write_artifacts,
     write_counter_track,
 )
+from repro.sim import Simulator
 from repro.workload import ArrivalSpec, WorkloadSpec, run_openloop, run_workload
 
 REPO = Path(__file__).resolve().parent.parent
@@ -167,14 +169,15 @@ class TestSpanTracer:
     def test_span_scope_closes_and_tags_errors(self):
         clock = FakeClock()
         tracer = SpanTracer(clock)
-        with tracer.span("work", "handle", "r0", trace_id="t", kind_of="x") as span:
+        with tracer.record_scope("work", "handle", "r0", "t", None,
+                                 ("kind_of",), ("x",)) as span:
             assert tracer.current == span and tracer.get(span).end is None
             clock.now = 3.0
         assert tracer.current is None
         done = tracer.get(span)
         assert (done.end, done.status, done.attrs) == (3.0, "ok", {"kind_of": "x"})
         with pytest.raises(KeyError):
-            with tracer.span("boom", "handle", "r0") as failed:
+            with tracer.record_scope("boom", "handle", "r0", None, None, (), ()) as failed:
                 raise KeyError("x")
         assert tracer.current is None
         failed = tracer.get(failed)
@@ -261,6 +264,17 @@ class TestMetrics:
         assert snap["counters"] == {"lock.requests{X}": 2}
         assert list(snap["histograms"]) == ["lock.hold_time"]
         assert observer.metrics.counter("lock.requests", "X").value == 2
+
+    def test_detected_deadlock_counts_under_observation(self):
+        sim = Simulator(seed=1)
+        observer = Observer(sim)
+        locks = LockManager(sim, name="site", obs=observer)
+        locks.acquire("t1", "x", WRITE)
+        locks.acquire("t2", "y", WRITE)
+        locks.acquire("t1", "y", WRITE)
+        locks.acquire("t2", "x", WRITE)  # closes the cycle
+        assert locks.deadlocks_detected == 1
+        assert observer.metrics.snapshot()["counters"]["lock.deadlocks"] == 1
 
     def test_abort_reason_labels_bounded(self):
         assert abort_reason_label("transaction r0:t3: deadlock victim") == "deadlock"

@@ -297,7 +297,7 @@ class Clock:
 def test_span_contextmanager_tags_errors():
     tracer = SpanTracer(Clock())
     with pytest.raises(ValueError):
-        with tracer.span("work", "handle", "n0", trace_id="r1") as span:
+        with tracer.record_scope("work", "handle", "n0", "r1", None, (), ()) as span:
             raise ValueError("boom")
     assert tracer.get(span).end is not None
     assert tracer.get(span).status == "error:ValueError"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProcessInterrupted, SimulationError
+from repro.errors import Cancelled, ProcessInterrupted, SimulationError
 from repro.sim import Simulator, Timeout
 
 
@@ -197,6 +197,22 @@ class TestProcess:
         sim.run()
         handle.interrupt("late")
         assert handle.result == 1
+
+    def test_cancel_interrupts_at_the_yield_point(self, sim):
+        def proc():
+            try:
+                yield sim.timeout(100.0)
+            except Cancelled as exc:
+                return ("cancelled", exc.reason, sim.now)
+        handle = sim.spawn(proc(), name="worker")
+        named = sim.spawn(proc(), name="worker")
+        sim.schedule(5.0, handle.cancel, "stop")
+        sim.schedule(6.0, named.cancel)
+        sim.run()
+        # The generator itself returns: the process is not failed from outside.
+        assert handle.result == ("cancelled", "stop", 5.0)
+        assert named.result == ("cancelled", "worker", 6.0)
+        assert handle.cancel() is False
 
     def test_yielding_garbage_fails_process(self, sim):
         def proc():
