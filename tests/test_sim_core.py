@@ -204,15 +204,15 @@ class TestProcess:
                 yield sim.timeout(100.0)
             except Cancelled as exc:
                 return ("cancelled", exc.reason, sim.now)
-        handle = sim.spawn(proc(), name="worker")
-        named = sim.spawn(proc(), name="worker")
-        sim.schedule(5.0, handle.cancel, "stop")
-        sim.schedule(6.0, named.cancel)
+        first = sim.spawn(proc(), name="worker")
+        second = sim.spawn(proc(), name="worker")
+        sim.schedule(5.0, first.cancel, "stop")
+        sim.schedule(6.0, second.cancel)  # no reason: the process name
         sim.run()
         # The generator itself returns: the process is not failed from outside.
-        assert handle.result == ("cancelled", "stop", 5.0)
-        assert named.result == ("cancelled", "worker", 6.0)
-        assert handle.cancel() is False
+        assert first.result == ("cancelled", "stop", 5.0)
+        assert second.result == ("cancelled", "worker", 6.0)
+        assert first.cancel() is False
 
     def test_yielding_garbage_fails_process(self, sim):
         def proc():
