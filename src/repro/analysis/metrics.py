@@ -146,27 +146,40 @@ def summarize(
     attempt — previously they vanished from the summary entirely).
     ``offered``/``shed`` carry the open-loop edge accounting; ``offered``
     defaults to the number of results, the closed-loop identity.
+
+    Each result is read once and dropped, so summarizing a
+    :class:`~repro.core.operations.ResultStore` builds one ``Result`` at
+    a time, not all of them at once.
     """
-    results = list(results)
-    extras = list(extra_attempts)
-    committed = [r for r in results if r.committed]
+    requests = retries = 0
+    latencies: List[float] = []
+    first_submitted = math.inf
+    last_completed = -math.inf
+    for result in results:
+        requests += 1
+        retries += result.retries
+        if result.committed:
+            latencies.append(result.latency)
+        if result.submitted_at < first_submitted:
+            first_submitted = result.submitted_at
+        if result.completed_at > last_completed:
+            last_completed = result.completed_at
+    extras = 0
+    for result in extra_attempts:
+        extras += 1
+        retries += result.retries + 1
     if duration is None:
-        duration = (
-            max((r.completed_at for r in results), default=0.0)
-            - min((r.submitted_at for r in results), default=0.0)
-        )
+        duration = last_completed - first_submitted if requests else 0.0
     return WorkloadSummary(
-        requests=len(results),
-        committed=len(committed),
-        aborted=len(results) - len(committed),
-        latency=LatencyStats.of(r.latency for r in committed),
+        requests=requests,
+        committed=len(latencies),
+        aborted=requests - len(latencies),
+        latency=LatencyStats.of(latencies),
         duration=duration,
-        retries=sum(r.retries for r in results)
-        + sum(r.retries for r in extras)
-        + len(extras),
-        offered=len(results) if offered is None else offered,
+        retries=retries,
+        offered=requests if offered is None else offered,
         shed=shed,
-        attempts=len(results) + len(extras),
+        attempts=requests + extras,
     )
 
 

@@ -14,16 +14,20 @@ covered here:
 * :class:`Request` — what a client submits: one or more operations plus an
   id, i.e. a transaction.
 * :class:`Result` — what comes back: commit verdict, read values, timing.
+* :class:`ResultStore` — the results a client or driver keeps, as columns.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["Operation", "Request", "Result", "apply_update", "UPDATE_FUNCTIONS"]
+__all__ = ["Operation", "Request", "Result", "ResultStore", "apply_update",
+           "UPDATE_FUNCTIONS"]
 
 # Fallback id source for ad-hoc Request.make() calls (tests, examples).
 # Simulation runs must pass an explicit ``sequence`` instead: a module
@@ -195,3 +199,124 @@ class Result:
     def __repr__(self) -> str:
         verdict = "committed" if self.committed else f"aborted({self.reason})"
         return f"<Result {self.request_id} {verdict} latency={self.latency:.2f}>"
+
+
+# Exact types whose equal values are interchangeable: ``1 == 1.0 == True``,
+# but two equal ints, strs or Nones cannot be told apart.
+_ATOMS = (int, str, type(None))
+
+
+def _result(request_id: str, committed: int, values: Tuple[Any, ...],
+            reason: str, submitted_at: float, completed_at: float,
+            server: str, retries: int,
+            operations: Tuple[Operation, ...]) -> Result:
+    return Result(request_id, committed == 1, list(values), reason,
+                  submitted_at, completed_at, server, retries, operations)
+
+
+class ResultStore(SequenceABC):
+    """Finished requests, as columns; :class:`Result` is built on access.
+
+    A client, the closed-loop driver and the open-loop engine each keep
+    every answered request until the run ends.  The store keeps no object
+    per request, but one entry a request in each column:
+
+    * the submit and completion times in ``array('d')``, the retries in
+      ``array('I')`` and the verdict in a ``bytearray``;
+    * the request id, reason and server as references to the strings;
+    * the values as a tuple, and the operations tuple.
+
+    A values tuple, operations tuple or reason equal to one already kept
+    is replaced by it when everything it holds is an int, str or
+    ``None``, so a run's few distinct ones are each kept once.  (Server
+    names are the replicas' own strings already.)
+
+    Reading builds a fresh :class:`Result`: ``store[0] is store[0]`` is
+    false, ``store[0] == store[0]`` holds, and a store equals a list of
+    the same results.  :meth:`append` is the only way to change it.
+    """
+
+    __slots__ = ("_ids", "_committed", "_values", "_reasons", "_submitted",
+                 "_completed", "_servers", "_retries", "_operations",
+                 "_shared")
+
+    def __init__(self, results: Iterable[Result] = ()) -> None:
+        self._ids: List[str] = []
+        self._committed = bytearray()
+        self._values: List[Tuple[Any, ...]] = []
+        self._reasons: List[str] = []
+        self._submitted = array("d")
+        self._completed = array("d")
+        self._servers: List[str] = []
+        self._retries = array("I")
+        self._operations: List[Tuple[Operation, ...]] = []
+        self._shared: Dict[Any, Any] = {}
+        for result in results:
+            self.append(result)
+
+    def append(self, result: Result) -> None:
+        shared = self._shared
+        values = tuple(result.values)
+        for value in values:
+            if type(value) not in _ATOMS:
+                break
+        else:
+            values = shared.setdefault(values, values)
+        operations = tuple(result.operations)
+        for op in operations:
+            if type(op.item) is not str or type(op.argument) not in _ATOMS:
+                break
+        else:
+            operations = shared.setdefault(operations, operations)
+        reason = result.reason
+        if type(reason) is str:
+            reason = shared.setdefault(reason, reason)
+        self._ids.append(result.request_id)
+        self._committed.append(1 if result.committed else 0)
+        self._values.append(values)
+        self._reasons.append(reason)
+        self._submitted.append(result.submitted_at)
+        self._completed.append(result.completed_at)
+        self._servers.append(result.server)
+        self._retries.append(result.retries)
+        self._operations.append(operations)
+
+    def _columns(self) -> tuple:
+        return (self._ids, self._committed, self._values, self._reasons,
+                self._submitted, self._completed, self._servers,
+                self._retries, self._operations)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index: Any) -> Any:
+        # Indexing the range of positions checks and resolves the index.
+        positions = range(len(self._ids))[index]
+        if isinstance(positions, range):
+            return list(map(_result, *(
+                [column[position] for position in positions]
+                for column in self._columns()
+            )))
+        return _result(*(column[positions] for column in self._columns()))
+
+    def __iter__(self) -> Iterator[Result]:
+        # map() over the live columns sees what is appended while it runs.
+        return map(_result, *self._columns())
+
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, (list, ResultStore)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __add__(self, other: Any) -> "ResultStore":
+        if not isinstance(other, (list, ResultStore)):
+            return NotImplemented
+        joined = ResultStore(self)
+        for result in other:
+            joined.append(result)
+        return joined
+
+    def __repr__(self) -> str:
+        return f"<ResultStore {len(self)} results>"

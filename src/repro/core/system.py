@@ -30,7 +30,7 @@ from ..net import Message, Network, Node
 from ..obs import Observer
 from ..sim import Future, Simulator, TraceLog
 from .admission import AdmissionController
-from .operations import Operation, Request, Result
+from .operations import Operation, Request, Result, ResultStore
 from .phases import PhaseTracer, RE
 from .protocols import REGISTRY
 from .protocols.base import CLIENT_REQUEST, CLIENT_RESPONSE, ProtocolInfo
@@ -266,7 +266,7 @@ class ClientNode:
         self.node.on(CLIENT_RESPONSE, self._on_response)
         self._pending: Dict[str, dict] = {}
         self._sequence = itertools.count(1)
-        self.results: List[Result] = []
+        self.results = ResultStore()
 
     # -- public API -----------------------------------------------------------
 

@@ -32,7 +32,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.operations import Operation, Result
+from ..core.operations import Operation, ResultStore
 from ..core.protocols import REGISTRY
 from ..core.spec import RunSpec
 from ..core.system import ClientNode, ReplicatedSystem
@@ -290,7 +290,7 @@ def run_campaign(
     ]
     campaign.schedule(system.injector, clients=[edge.name for edge in edges])
 
-    results: List[Result] = []
+    results = ResultStore()
 
     def load(edge: ClientNode):
         # Per-client named stream: think times never perturb the main

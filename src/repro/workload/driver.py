@@ -9,10 +9,10 @@ and throughput directly comparable across techniques.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, List, Optional
+from typing import Optional
 
 from ..analysis.metrics import WorkloadSummary, summarize
-from ..core.operations import Result
+from ..core.operations import ResultStore
 from ..core.spec import RunSpec
 from ..core.system import ReplicatedSystem
 from .generator import WorkloadGenerator, WorkloadSpec
@@ -57,12 +57,12 @@ class ClosedLoopDriver:
         self.requests_per_client = requests_per_client
         self.think_time = think_time
         self.retry_aborts = retry_aborts
-        self.results: List[Result] = []
+        self.results = ResultStore()
         # Intermediate aborted attempts under ``retry_aborts``.  These used
         # to be dropped on the floor — ``extra_attempts`` was a bare
         # counter that never reached the summary, so ``retries`` and the
         # per-attempt abort rate under-reported whenever retries happened.
-        self.attempts: List[Result] = []
+        self.attempts = ResultStore()
 
     @property
     def extra_attempts(self) -> int:

@@ -8,10 +8,9 @@ separates locking from certification behaviour).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..core.operations import Operation
 
@@ -59,15 +58,21 @@ class WorkloadGenerator:
     """Draws transactions matching a :class:`WorkloadSpec`.
 
     Deterministic given the seed/rng, so two techniques benchmarked with
-    the same seed see byte-identical workloads.
+    the same seed see byte-identical workloads.  Operations are frozen, so
+    every draw of the same (kind, item) hands out the same one, from
+    tables built here.
     """
 
     def __init__(self, spec: WorkloadSpec, rng: Optional[random.Random] = None,
                  seed: int = 0) -> None:
         self.spec = spec
-        self._unique_values = itertools.count(1)
         self.rng = rng if rng is not None else random.Random(seed)
         self._names = [f"{spec.item_prefix}{i}" for i in range(spec.items)]
+        self._reads = [Operation.read(name) for name in self._names]
+        self._updates = [
+            Operation.update(name, spec.update_func, spec.update_argument)
+            for name in self._names
+        ]
         # Half-up rounding, not ``int()`` truncation: ``0.29 * 100`` is
         # 28.999... in binary floating point, and truncating it silently
         # shrinks the hot set below the spec'd share (28 instead of 29).
@@ -85,12 +90,15 @@ class WorkloadGenerator:
     # -- item selection ---------------------------------------------------
 
     def pick_item(self) -> str:
+        return self._names[self._pick()]
+
+    def _pick(self) -> int:
         spec = self.spec
         if self._weights is not None:
-            return self.rng.choices(self._names, weights=self._weights, k=1)[0]
+            return self.rng.choices(range(spec.items), weights=self._weights, k=1)[0]
         if self.hot_set_size > 0 and self.rng.random() < spec.hot_access_probability:
-            return self._names[self.rng.randrange(self.hot_set_size)]
-        return self._names[self.rng.randrange(spec.items)]
+            return self.rng.randrange(self.hot_set_size)
+        return self.rng.randrange(spec.items)
 
     # -- transaction drawing -------------------------------------------------
 
@@ -98,16 +106,9 @@ class WorkloadGenerator:
         """One transaction: ``ops_per_transaction`` operations."""
         ops = []
         for _ in range(self.spec.ops_per_transaction):
-            item = self.pick_item()
+            index = self._pick()
             if self.rng.random() < self.spec.read_fraction:
-                ops.append(Operation.read(item))
+                ops.append(self._reads[index])
             else:
-                ops.append(self._update(item))
+                ops.append(self._updates[index])
         return ops
-
-    def unique_write(self, item: Optional[str] = None) -> Operation:
-        """A blind write with a globally unique value (traceable oracle)."""
-        return Operation.write(item or self.pick_item(), f"v{next(self._unique_values)}")
-
-    def _update(self, item: str) -> Operation:
-        return Operation.update(item, self.spec.update_func, self.spec.update_argument)

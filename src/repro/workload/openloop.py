@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..analysis.metrics import WorkloadSummary, summarize
-from ..core.operations import Result
+from ..core.operations import Result, ResultStore
 from ..core.spec import RunSpec
 from ..core.system import ReplicatedSystem
 from .generator import WorkloadGenerator, WorkloadSpec
@@ -140,12 +140,14 @@ class OpenLoopEngine:
         self.arrival = arrival
         self._gap_rng = system.sim.stream("openloop.arrivals")
         self._client_rng = system.sim.stream("openloop.clients")
-        self.results: List[Result] = []
-        self.shed_results: List[Result] = []
+        self.results = ResultStore()
+        self.shed_results = ResultStore()
         self.submitted = 0
         self.in_flight = 0
         self.max_in_flight = 0
-        self._touched: set = set()
+        # One bit per logical client, set on its first arrival.
+        self._touched = bytearray((arrival.clients + 7) // 8)
+        self._logical_clients = 0
         self._started_at = 0.0
         self._arrivals_done = False
         self._drained = None
@@ -167,7 +169,10 @@ class OpenLoopEngine:
     def _arrive(self) -> None:
         sim = self.system.sim
         client_id = self._client_rng.randrange(self.arrival.clients)
-        self._touched.add(client_id)
+        byte, bit = client_id >> 3, 1 << (client_id & 7)
+        if not self._touched[byte] & bit:
+            self._touched[byte] |= bit
+            self._logical_clients += 1
         edge = self.system.clients[client_id % len(self.system.clients)]
         deadline = None
         if self.arrival.deadline_budget is not None:
@@ -238,7 +243,7 @@ class OpenLoopEngine:
         """Engine-side accounting next to the admission snapshot."""
         row: Dict[str, Any] = {
             "submitted": self.submitted,
-            "logical_clients": len(self._touched),
+            "logical_clients": self._logical_clients,
             "max_in_flight": self.max_in_flight,
             "served": len(self.results),
             "shed": len(self.shed_results),

@@ -58,11 +58,6 @@ class TestWorkloadGenerator:
         top = sum(1 for p in picks if p in ("item0", "item1", "item2"))
         assert top > 150
 
-    def test_unique_writes_are_unique(self):
-        generator = WorkloadGenerator(WorkloadSpec(), seed=4)
-        values = {generator.unique_write().argument for _ in range(50)}
-        assert len(values) == 50
-
     @given(st.floats(0, 1), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
     def test_mix_ratio_roughly_respected(self, read_fraction, ops):
