@@ -293,10 +293,7 @@ class ResultStore(SequenceABC):
         # Indexing the range of positions checks and resolves the index.
         positions = range(len(self._ids))[index]
         if isinstance(positions, range):
-            return list(map(_result, *(
-                [column[position] for position in positions]
-                for column in self._columns()
-            )))
+            return [self[position] for position in positions]
         return _result(*(column[positions] for column in self._columns()))
 
     def __iter__(self) -> Iterator[Result]:
