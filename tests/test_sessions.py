@@ -93,6 +93,33 @@ class TestSessionLifecycle:
         assert snapshots["after"] == "pending"
 
 
+    @pytest.mark.parametrize("secondaries_live", [True, False],
+                             ids=["live_secondaries", "no_live_secondaries"])
+    def test_commit_by_a_deposed_primary_is_refused(self, secondaries_live):
+        """A primary deposed between a session's write and its commit
+        must not commit it.  With live secondaries their prepare fence
+        refuses the round; with none left (a partition cut them off) only
+        the primary's own check before 2PC stands between the write and a
+        commit at the deposed primary alone."""
+        system = ReplicatedSystem("eager_primary", replicas=3, seed=1)
+        if not secondaries_live:
+            system.net.partition(["r0", "c0"], ["r1", "r2"])
+            system.run(until=60.0)
+            system.directory.set_primary("r0")
+        session = system.client(0).session()
+
+        def work():
+            yield session.begin()
+            yield session.write("x", 7)
+            system.directory.set_primary("r1")
+            return (yield session.commit())
+
+        assert run(system.sim, work()) is False
+        system.net.heal()
+        system.settle(300)
+        for name in system.replica_names:
+            assert system.store_of(name).read("x") is None, name
+
 class TestSessionConflicts:
     def test_two_sessions_serialise_on_conflicting_item(self, system):
         s1 = system.client(0).session()
