@@ -5,13 +5,19 @@ instantiated once per replica node.  The subclass declares a
 :class:`ProtocolInfo` (its row in the paper's classification figures) and
 implements ``handle_request``; everything else — client messaging, phase
 tracing, local transaction execution — is provided here.
+
+The techniques with a per-operation loop (Figures 12 and 13) implement
+one set of transaction steps (``txn_begin``, ``txn_op``, ``txn_commit``,
+``txn_abort``), and two drivers here run them: ``run_steps`` serves a
+one-shot request inside one process, and the ``session.*`` handlers
+serve an interactive session (Section 5), one client round trip a step.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ...db import TransactionManager, TransactionUpdates, UpdateRecord
 from ...db.storage import DataStore
@@ -19,6 +25,7 @@ from ...errors import NodeCrashed, TransactionAborted
 from ...net import Message
 from ..operations import Operation, Request, apply_update
 from ..phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseTracer
+from ..sessions import ABORT as S_ABORT, BEGIN as S_BEGIN, COMMIT as S_COMMIT, OP as S_OP
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..spec import RunSpec
@@ -30,6 +37,7 @@ __all__ = [
     "run_transaction",
     "apply_request_to_store",
     "optimistic_execute",
+    "undecided_elsewhere",
     "CLIENT_REQUEST",
     "CLIENT_RESPONSE",
 ]
@@ -109,12 +117,116 @@ class ReplicaProtocol:
         replica.node.on(CLIENT_REQUEST, self._on_client_request)
         replica.node.on(STATE_PULL, self._on_state_pull)
         replica.node.on(STATE_PUSH, self._on_state_push)
+        if self.info.supports_sessions:
+            # session id -> what txn_begin returned, while the session is open
+            self._sessions: Dict[str, Any] = {}
+            replica.node.on(S_BEGIN, self._on_session_begin)
+            replica.node.on(S_OP, self._on_session_op)
+            replica.node.on(S_COMMIT, self._on_session_commit)
+            replica.node.on(S_ABORT, self._on_session_abort)
 
     # -- to implement ------------------------------------------------------
 
     def handle_request(self, request: Request, client: str) -> None:
         """Process a client request arriving at this replica."""
         raise NotImplementedError
+
+    # -- transaction steps (techniques with ``supports_sessions``) -----------
+
+    # What a failing ``txn_op`` raises; each one aborts the transaction.
+    txn_failures: Tuple[type, ...] = (TransactionAborted,)
+
+    def txn_begin(self, tid: str) -> Tuple[Any, str]:
+        """Open transaction ``tid``: ``(state, "")``, or ``(None, reason)``
+        to refuse it.  ``state`` is handed to every later step."""
+        raise NotImplementedError
+
+    def txn_op(self, state: Any, tid: str, op: Operation) -> Generator:
+        """Process step: run ``op`` and return its client-visible value."""
+        raise NotImplementedError
+
+    def txn_commit(self, state: Any, tid: str) -> Generator:
+        """Process step: end the transaction; return ``(committed, reason)``."""
+        raise NotImplementedError
+
+    def txn_abort(self, state: Any, tid: str) -> None:
+        """Roll the transaction back everywhere it ran."""
+        raise NotImplementedError
+
+    def run_steps(self, request: Request, client: str) -> Generator:
+        """Process: a one-shot request as one transaction — begin, each
+        operation, commit — answered through :meth:`respond`."""
+        rid = request.request_id
+        state, reason = self.txn_begin(rid)
+        if state is None:
+            self.respond(client, request, committed=False, reason=reason)
+            return
+        values: List[Any] = []
+        try:
+            for op in request.operations:
+                values.append((yield from self.txn_op(state, rid, op)))
+        except self.txn_failures as exc:
+            self.txn_abort(state, rid)
+            self.respond(client, request, committed=False, reason=str(exc))
+            return
+        committed, reason = yield from self.txn_commit(state, rid)
+        self.respond(client, request, committed,
+                     values=values if committed else None, reason=reason)
+
+    # -- interactive sessions (Section 5): the client drives the steps -------
+
+    def _on_session_begin(self, message: Message) -> None:
+        sid = message["session"]
+        state, reason = self.txn_begin(sid)
+        if state is not None:
+            self._sessions[sid] = state
+            self.phase(sid, RE)
+        self.replica.node.reply(message, ok=state is not None, reason=reason)
+
+    def _on_session_op(self, message: Message) -> None:
+        self.replica.node.spawn(
+            self._session_op(message), name=f"session-op-{message['session']}"
+        )
+
+    def _session_op(self, message: Message) -> Generator:
+        sid = message["session"]
+        state = self._sessions.get(sid)
+        value, reason = None, "no such session"
+        if state is not None:
+            op = Operation(message["kind"], message["item"],
+                           argument=message["argument"], func=message["func"])
+            try:
+                value, reason = (yield from self.txn_op(state, sid, op)), ""
+            except self.txn_failures as exc:
+                reason = str(exc)
+                self._abort_session(sid)
+        self.replica.node.reply(message, ok=not reason, reason=reason, value=value)
+
+    def _on_session_commit(self, message: Message) -> None:
+        self.replica.node.spawn(
+            self._session_commit(message),
+            name=f"session-commit-{message['session']}",
+        )
+
+    def _session_commit(self, message: Message) -> Generator:
+        sid = message["session"]
+        state = self._sessions.pop(sid, None)
+        committed = False
+        if state is not None:
+            committed, _reason = yield from self.txn_commit(state, sid)
+            self.phase(sid, END)
+        self.replica.node.reply(message, committed=committed)
+
+    def _on_session_abort(self, message: Message) -> None:
+        self._abort_session(message["session"])
+        self.replica.node.reply(message, ok=True)
+
+    def _abort_session(self, sid: str) -> None:
+        """Close session ``sid`` and roll its transaction back, unless it
+        is already closed."""
+        state = self._sessions.pop(sid, None)
+        if state is not None:
+            self.txn_abort(state, sid)
 
     # -- common helpers -------------------------------------------------------
 
@@ -258,6 +370,17 @@ class ReplicaProtocol:
 
     def on_recover(self) -> None:
         """Hook: the hosting replica restarted."""
+
+
+def undecided_elsewhere(workspaces: Iterable[str], request_id: str, site: str) -> bool:
+    """Is a 2PC workspace over ``request_id`` buffered here for a site
+    other than ``site``?  Its round is prepared but undecided here, so
+    re-admitting a retry of the request could double-apply it."""
+    own_suffix = f"@{site}"
+    return any(
+        txn.rsplit("@", 1)[0] == request_id and not txn.endswith(own_suffix)
+        for txn in workspaces
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,15 +36,15 @@ failover is explicitly *not* transparent.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from ...db import TwoPhaseCoordinator, TwoPhaseParticipant
+from ...db.transactions import ACTIVE
 from ...errors import TransactionAborted
 from ...net import Message
 from ..operations import Operation, Request, apply_update
 from ..phases import AC, END, EX, RE, PhaseDescriptor, PhaseStep
-from ..sessions import ABORT as S_ABORT, BEGIN as S_BEGIN, COMMIT as S_COMMIT, OP as S_OP
-from .base import ProtocolInfo, ReplicaProtocol
+from .base import ProtocolInfo, ReplicaProtocol, undecided_elsewhere
 
 __all__ = ["EagerPrimaryCopy"]
 
@@ -101,11 +101,6 @@ class EagerPrimaryCopy(ReplicaProtocol):
         self._decided: Dict[str, bool] = {}
         replica.node.on(OP_APPLY, self._on_op_apply)
         replica.node.on(QUERY_INDOUBT, self._on_indoubt_query)
-        replica.node.on(S_BEGIN, self._on_session_begin)
-        replica.node.on(S_OP, self._on_session_op)
-        replica.node.on(S_COMMIT, self._on_session_commit)
-        replica.node.on(S_ABORT, self._on_session_abort)
-        self._sessions: Dict[str, dict] = {}
         replica.detector.on_suspect(self._on_suspect)
         replica.detector.on_restore(self._on_peer_restored)
 
@@ -131,177 +126,72 @@ class EagerPrimaryCopy(ReplicaProtocol):
             values = [self.store.read(op.item) for op in request.operations]
             self.respond(client, request, committed=True, values=values)
             return
-        # The success path re-fences this check at _execute's 2PC
-        # boundary; the only unfenced effect after it is the abort-path
-        # failure reply, which exercises no primary authority.
-        if not self.is_primary:  # repro: noqa R602
-            self.respond(
-                client, request, committed=False,
-                reason=f"not primary (primary is {self.replica.system.directory.primary})",
-            )
-            return
         self.replica.node.spawn(
-            self._execute(request, client), name=f"ep-{request.request_id}"
+            self.run_steps(request, client), name=f"ep-{request.request_id}"
         )
 
-    def _execute(self, request: Request, client: str):
-        rid = request.request_id
-        txn = self.tm.begin(f"{rid}@primary")
-        values: List[Any] = []
-        secondaries = self._live_peers()
-        try:
-            for op in request.operations:
-                self.phase(rid, EX)
-                if op.kind == "read":
-                    values.append((yield txn.read(op.item)))
-                    continue
-                if op.kind == "write":
-                    new_value = op.argument
-                else:
-                    current = yield txn.read(op.item)
-                    new_value = apply_update(op.func, current, op.argument, self.rng)
-                yield txn.write(op.item, new_value)
-                values.append(None if op.kind == "write" else new_value)
-                # Per-operation change propagation (Figure 12's EX/AC loop).
-                self.phase(rid, AC, "propagation")
-                for secondary in secondaries:
-                    self.replica.node.send(
-                        secondary, OP_APPLY, txn=rid, item=op.item, value=new_value
-                    )
-        except TransactionAborted as exc:
-            txn.abort()
-            for secondary in secondaries:
-                self.replica.node.send(secondary, "2pc.decision", txn=rid, commit=False)
-            self.respond(client, request, committed=False, reason=str(exc))
-            return
-        # Final Agreement Coordination: two-phase commit.  A primary that
-        # was deposed while executing (false suspicion flipped the
-        # directory) must not start the round: participants would fence
-        # its prepares anyway, and aborting here releases locks sooner
-        # and gives the client a retryable routing miss.
-        if not self.is_primary:
-            txn.abort()
-            for secondary in secondaries:
-                self.replica.node.send(secondary, "2pc.decision", txn=rid, commit=False)
-            self.respond(
-                client, request, committed=False,
-                reason=f"not primary (primary is {self.replica.system.directory.primary})",
+    def _not_primary(self) -> str:
+        return f"not primary (primary is {self.replica.system.directory.primary})"
+
+    # -- transaction steps: Figure 12 --------------------------------------------
+
+    def txn_begin(self, tid: str):
+        # The commit step re-fences this check at its 2PC boundary; the
+        # only unfenced effect after it is the abort-path failure reply,
+        # which exercises no primary authority.
+        if not self.is_primary:  # repro: noqa R602
+            return None, self._not_primary()
+        return (self.tm.begin(f"{tid}@primary"), self._live_peers()), ""
+
+    def txn_op(self, state, tid: str, op: Operation):
+        """One EX/AC round of Figure 12: run ``op`` at the primary, then
+        propagate its after-image to the secondaries' workspaces."""
+        txn, secondaries = state
+        self.phase(tid, EX)
+        if op.kind == "read":
+            return (yield txn.read(op.item))
+        if op.kind == "write":
+            new_value = op.argument
+        else:
+            current = yield txn.read(op.item)
+            new_value = apply_update(op.func, current, op.argument, self.rng)
+        yield txn.write(op.item, new_value)
+        if txn.status != ACTIVE:
+            # A session abort rolled the transaction back while the write
+            # waited: propagate nothing.
+            raise TransactionAborted(tid, "session closed")
+        self.phase(tid, AC, "propagation")
+        for secondary in secondaries:
+            self.replica.node.send(
+                secondary, OP_APPLY, txn=tid, item=op.item, value=new_value
             )
-            return
-        self.phase(rid, AC, "2pc")
-        committed = yield self.coordinator.run(rid, secondaries, local_vote=True)
+        return None if op.kind == "write" else new_value
+
+    def txn_commit(self, state, tid: str):
+        """Final Agreement Coordination: two-phase commit."""
+        txn, secondaries = state
+        # A primary that was deposed while executing (false suspicion
+        # flipped the directory) must not start the round: participants
+        # would fence its prepares, but only live ones; aborting here
+        # releases locks sooner and gives the client a retryable routing
+        # miss.
+        if not self.is_primary:
+            self.txn_abort(state, tid)
+            return False, self._not_primary()
+        self.phase(tid, AC, "2pc")
+        committed = yield self.coordinator.run(tid, secondaries, local_vote=True)
         if committed:
             txn.commit()
-            self._decided[rid] = True
-            self.respond(client, request, committed=True, values=values)
         else:
             txn.abort()
-            self._decided[rid] = False
-            self.respond(client, request, committed=False, reason="2pc abort")
+        self._decided[tid] = committed
+        return committed, "" if committed else "2pc abort"
 
-    # -- interactive sessions (Section 5) --------------------------------------------
-
-    def _on_session_begin(self, message: Message) -> None:
-        sid = message["session"]
-        if not self.is_primary:
-            self.replica.node.reply(
-                message, ok=False,
-                reason=f"not primary (primary is {self.replica.system.directory.primary})",
-            )
-            return
-        txn = self.tm.begin(f"{sid}@primary")
-        self._sessions[sid] = {
-            "txn": txn,
-            "secondaries": self._live_peers(),
-        }
-        self.phase(sid, RE)
-        self.replica.node.reply(message, ok=True, reason="")
-
-    def _on_session_op(self, message: Message) -> None:
-        self.replica.node.spawn(
-            self._session_op(message), name=f"ep-sess-op-{message['session']}"
-        )
-
-    def _session_op(self, message: Message):
-        sid = message["session"]
-        state = self._sessions.get(sid)
-        if state is None:
-            self.replica.node.reply(message, ok=False, reason="no such session",
-                                    value=None)
-            return
-        txn = state["txn"]
-        op = Operation(message["kind"], message["item"],
-                       argument=message["argument"], func=message["func"])
-        try:
-            self.phase(sid, EX)
-            if op.kind == "read":
-                value = yield txn.read(op.item)
-            else:
-                if op.kind == "write":
-                    value = op.argument
-                else:
-                    current = yield txn.read(op.item)
-                    value = apply_update(op.func, current, op.argument, self.rng)
-                yield txn.write(op.item, value)
-                # The lock waits above are suspension points: a
-                # concurrent session abort may have cleaned this session
-                # up (rolling its transaction back) while we were
-                # parked.  Re-read the session instead of trusting the
-                # pre-wait snapshot before propagating the write.
-                state = self._sessions.get(sid)
-                if state is None:
-                    self.replica.node.reply(message, ok=False,
-                                            reason="session closed",
-                                            value=None)
-                    return
-                # Per-operation change propagation, exactly as in the
-                # one-shot multi-operation path (Figure 12's EX/AC loop).
-                self.phase(sid, AC, "propagation")
-                for secondary in state["secondaries"]:
-                    self.replica.node.send(
-                        secondary, OP_APPLY, txn=sid, item=op.item, value=value
-                    )
-        except TransactionAborted as exc:
-            self._session_cleanup(sid, commit=False)
-            self.replica.node.reply(message, ok=False, reason=str(exc), value=None)
-            return
-        self.replica.node.reply(message, ok=True, reason="",
-                                value=None if op.kind == "write" else value)
-
-    def _on_session_commit(self, message: Message) -> None:
-        self.replica.node.spawn(
-            self._session_commit(message), name=f"ep-sess-commit-{message['session']}"
-        )
-
-    def _session_commit(self, message: Message):
-        sid = message["session"]
-        state = self._sessions.get(sid)
-        if state is None:
-            self.replica.node.reply(message, committed=False)
-            return
-        self.phase(sid, AC, "2pc")
-        committed = yield self.coordinator.run(sid, state["secondaries"],
-                                               local_vote=True)
-        self._session_cleanup(sid, commit=committed)
-        self.phase(sid, END)
-        self.replica.node.reply(message, committed=committed)
-
-    def _on_session_abort(self, message: Message) -> None:
-        self._session_cleanup(message["session"], commit=False)
-        self.replica.node.reply(message, ok=True)
-
-    def _session_cleanup(self, sid: str, commit: bool) -> None:
-        state = self._sessions.pop(sid, None)
-        if state is None:
-            return
-        if commit:
-            state["txn"].commit()
-        else:
-            state["txn"].abort()
-            for secondary in state["secondaries"]:
-                self.replica.node.send(secondary, "2pc.decision",
-                                       txn=sid, commit=False)
-        self._decided[sid] = commit
+    def txn_abort(self, state, tid: str) -> None:
+        txn, secondaries = state
+        txn.abort()
+        for secondary in secondaries:
+            self.replica.node.send(secondary, "2pc.decision", txn=tid, commit=False)
 
     # -- secondary side -----------------------------------------------------------
 
@@ -323,15 +213,7 @@ class EagerPrimaryCopy(ReplicaProtocol):
         return txn_id in self._workspaces
 
     def busy_elsewhere(self, request: Request) -> bool:
-        # A workspace buffered for another site's transaction over this
-        # request means a 2PC is prepared-but-undecided here; re-admitting
-        # the retry (e.g. after promotion) could double-apply.
-        rid = request.request_id
-        own_suffix = f"@{self.replica.name}"
-        return any(
-            txn.rsplit("@", 1)[0] == rid and not txn.endswith(own_suffix)
-            for txn in self._workspaces
-        )
+        return undecided_elsewhere(self._workspaces, request.request_id, self.replica.name)
 
     def _on_decision(self, txn_id: str, commit: bool) -> None:
         self._decided[txn_id] = commit
@@ -402,7 +284,7 @@ class EagerPrimaryCopy(ReplicaProtocol):
         """
         self._workspaces.clear()
         for sid in list(self._sessions):
-            self._session_cleanup(sid, commit=False)
+            self._abort_session(sid)
         self.replica.node.spawn(
             self.catch_up([self.replica.system.directory.primary]),
             name=f"{self.replica.name}-resync",

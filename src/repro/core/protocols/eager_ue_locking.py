@@ -32,15 +32,14 @@ with certification.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from ...db import READ, WRITE, TwoPhaseCoordinator, TwoPhaseParticipant
 from ...errors import NodeCrashed, TransactionAborted
 from ...net import Message
 from ..operations import Operation, Request, apply_update
 from ..phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseStep
-from ..sessions import ABORT as S_ABORT, BEGIN as S_BEGIN, COMMIT as S_COMMIT, OP as S_OP
-from .base import ProtocolInfo, ReplicaProtocol
+from .base import ProtocolInfo, ReplicaProtocol, undecided_elsewhere
 
 __all__ = ["EagerUpdateEverywhereLocking"]
 
@@ -108,11 +107,6 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         replica.node.on(CATCHUP, self._on_catchup)
         replica.detector.on_suspect(self._release_delegate)
         replica.transport.on(RESTARTED, self._on_peer_restarted)
-        replica.node.on(S_BEGIN, self._on_session_begin)
-        replica.node.on(S_OP, self._on_session_op)
-        replica.node.on(S_COMMIT, self._on_session_commit)
-        replica.node.on(S_ABORT, self._on_session_abort)
-        self._sessions: Dict[str, dict] = {}
 
     # -- delegate side ------------------------------------------------------
 
@@ -124,7 +118,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
             )
             return
         self.replica.node.spawn(
-            self._execute(request, client), name=f"ueld-{request.request_id}"
+            self.run_steps(request, client), name=f"ueld-{request.request_id}"
         )
 
     def _execute_read_only(self, request: Request, client: str):
@@ -169,16 +163,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         return max(n_live, len(self.group) // 2 + 1)
 
     def busy_elsewhere(self, request: Request) -> bool:
-        # A buffered workspace for rid@<other-delegate> means that
-        # delegate's 2PC over this request has prepared here but not yet
-        # decided; admitting a retry now would race a second execution
-        # against the undecided first one.
-        rid = request.request_id
-        own_suffix = f"@{self.replica.name}"
-        return any(
-            txn.rsplit("@", 1)[0] == rid and not txn.endswith(own_suffix)
-            for txn in self._workspaces
-        )
+        return undecided_elsewhere(self._workspaces, request.request_id, self.replica.name)
 
     def _quorum_sites(self, count: int) -> List[str]:
         """``count`` sites starting at this replica, skipping suspected ones."""
@@ -195,7 +180,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         read_quorum = len(self.group) - (self.write_quorum or len(self.group)) + 1
         sites = self._quorum_sites(read_quorum)
         # Same fixed global acquisition order as writes (see
-        # _perform_operation): read and write quorums intersect, so an
+        # txn_op): read and write quorums intersect, so an
         # unordered read could form the second edge of a distributed
         # deadlock cycle just as easily.
         replies = []
@@ -210,58 +195,39 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         best = max(replies, key=lambda r: (r["version"], r["site"]))
         return best["version"], best["value"]
 
-    def _execute(self, request: Request, client: str):
-        rid = request.request_id
-        txn_id = f"{rid}@{self.replica.name}"
-        quorum_size = self._write_quorum_size()
-        values: List[Any] = []
-        touched: List[str] = [self.replica.name]
-        try:
-            quorum = self._quorum_sites(quorum_size)
-            touched = list(quorum)
-            for op in request.operations:
-                values.append(
-                    (yield from self._perform_operation(rid, txn_id, op, quorum))
-                )
-        except (TransactionAborted, TimeoutError, NodeCrashed) as exc:
-            yield from self._abort_everywhere(txn_id, touched)
-            self.respond(client, request, committed=False, reason=str(exc))
-            return
-        # AC: two-phase commit across the quorum (this site included; it
-        # participates through its local workspace/locks like the others).
-        self.phase(rid, AC, "2pc")
-        committed = yield self.coordinator.run(
-            txn_id, [n for n in quorum if n != self.replica.name], local_vote=True
-        )
-        if committed:
-            workspace = list(self._workspaces.get(txn_id, []))
-            self._on_decision(txn_id, True)
-            self._propagate_to_excluded(txn_id, quorum, workspace)
-            self.respond(client, request, committed=True, values=values)
-        else:
-            self._on_decision(txn_id, False)
-            self.respond(client, request, committed=False, reason="2pc abort")
+    # -- transaction steps: Figure 13 --------------------------------------------
 
-    def _perform_operation(self, rid: str, txn_id: str, op: Operation, quorum):
+    # A lock call to a crashed or silent site fails the operation too.
+    txn_failures = (TransactionAborted, TimeoutError, NodeCrashed)
+
+    def txn_begin(self, tid: str):
+        try:
+            quorum = self._quorum_sites(self._write_quorum_size())
+        except TransactionAborted as exc:
+            return None, str(exc)
+        return (f"{tid}@{self.replica.name}", quorum), ""
+
+    def txn_op(self, state, tid: str, op: Operation):
         """One SC/EX round of Figure 13: lock, compute, buffer at the quorum.
 
         Generator; returns the operation's client-visible value (None for
         blind writes).  Raises :class:`TransactionAborted` on lock denial.
         """
+        txn_id, quorum = state
         if op.kind == "read":
-            self.phase(rid, SC, "locks")
+            self.phase(tid, SC, "locks")
             if self.write_quorum is None:
                 yield self.tm.locks.acquire(
                     txn_id, op.item, READ, timeout=self.lock_timeout
                 )
-                self.phase(rid, EX)
+                self.phase(tid, EX)
                 return self._workspace_read(txn_id, op.item)[1]
             workspace = self._workspace_lookup(txn_id, op.item)
             if workspace is None:
                 _v, value = yield from self._quorum_read(txn_id, op.item)
             else:
                 value = workspace[1]
-            self.phase(rid, EX)
+            self.phase(tid, EX)
             return value
         # SC: write lock at the whole write quorum — acquired sequentially
         # in a fixed global site order.  Parallel acquisition in ring
@@ -271,7 +237,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         # under sustained retry load they livelock indefinitely.  With a
         # total order the first site arbitrates: the loser waits there
         # holding nothing else, and the winner's round runs unobstructed.
-        self.phase(rid, SC, "locks")
+        self.phase(tid, SC, "locks")
         replies = []
         for site in sorted(quorum):
             reply = yield self.replica.node.call(
@@ -286,7 +252,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         # The current value/version come from the transaction's own
         # workspace or from the highest-versioned quorum copy (the
         # write quorum intersects every earlier write quorum).
-        self.phase(rid, EX)
+        self.phase(tid, EX)
         workspace = self._workspace_lookup(txn_id, op.item)
         if workspace is not None:
             current_version, current = workspace
@@ -305,82 +271,27 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
             )
         return None if op.kind == "write" else new_value
 
-    # -- interactive sessions (Section 5) ----------------------------------------
-
-    def _on_session_begin(self, message: Message) -> None:
-        sid = message["session"]
-        try:
-            quorum = self._quorum_sites(self._write_quorum_size())
-        except TransactionAborted as exc:
-            self.replica.node.reply(message, ok=False, reason=str(exc))
-            return
-        self._sessions[sid] = {
-            "txn_id": f"{sid}@{self.replica.name}",
-            "quorum": quorum,
-        }
-        self.phase(sid, RE)
-        self.replica.node.reply(message, ok=True, reason="")
-
-    def _on_session_op(self, message: Message) -> None:
-        self.replica.node.spawn(
-            self._session_op(message), name=f"ueld-sess-op-{message['session']}"
-        )
-
-    def _session_op(self, message: Message):
-        sid = message["session"]
-        state = self._sessions.get(sid)
-        if state is None:
-            self.replica.node.reply(message, ok=False, reason="no such session",
-                                    value=None)
-            return
-        op = Operation(message["kind"], message["item"],
-                       argument=message["argument"], func=message["func"])
-        try:
-            value = yield from self._perform_operation(
-                sid, state["txn_id"], op, state["quorum"]
-            )
-        except (TransactionAborted, TimeoutError, NodeCrashed) as exc:
-            self._sessions.pop(sid, None)
-            yield from self._abort_everywhere(state["txn_id"], state["quorum"])
-            self.replica.node.reply(message, ok=False, reason=str(exc), value=None)
-            return
-        self.replica.node.reply(message, ok=True, reason="", value=value)
-
-    def _on_session_commit(self, message: Message) -> None:
-        self.replica.node.spawn(
-            self._session_commit(message),
-            name=f"ueld-sess-commit-{message['session']}",
-        )
-
-    def _session_commit(self, message: Message):
-        sid = message["session"]
-        state = self._sessions.pop(sid, None)
-        if state is None:
-            self.replica.node.reply(message, committed=False)
-            return
-        self.phase(sid, AC, "2pc")
+    def txn_commit(self, state, tid: str):
+        txn_id, quorum = state
+        # AC: two-phase commit across the quorum (this site included; it
+        # participates through its local workspace/locks like the others).
+        self.phase(tid, AC, "2pc")
         committed = yield self.coordinator.run(
-            state["txn_id"],
-            [n for n in state["quorum"] if n != self.replica.name],
-            local_vote=True,
+            txn_id, [n for n in quorum if n != self.replica.name], local_vote=True
         )
-        workspace = list(self._workspaces.get(state["txn_id"], []))
-        self._on_decision(state["txn_id"], committed)
-        if committed:
-            self._propagate_to_excluded(state["txn_id"], state["quorum"], workspace)
-        self.phase(sid, END)
-        self.replica.node.reply(message, committed=committed)
+        workspace = list(self._workspaces.get(txn_id, []))
+        self._on_decision(txn_id, committed)
+        if not committed:
+            return False, "2pc abort"
+        self._propagate_to_excluded(txn_id, quorum, workspace)
+        return True, ""
 
-    def _on_session_abort(self, message: Message) -> None:
-        sid = message["session"]
-        state = self._sessions.pop(sid, None)
-        if state is not None:
-            for site in state["quorum"]:
-                if site != self.replica.name:
-                    self.replica.node.send(site, "2pc.decision",
-                                           txn=state["txn_id"], commit=False)
-            self._on_decision(state["txn_id"], False)
-        self.replica.node.reply(message, ok=True)
+    def txn_abort(self, state, tid: str) -> None:
+        txn_id, quorum = state
+        for site in quorum:
+            if site != self.replica.name:
+                self.replica.node.send(site, "2pc.decision", txn=txn_id, commit=False)
+        self._on_decision(txn_id, False)
 
     def _workspace_lookup(self, txn_id: str, item: str):
         for buffered_item, value, version in reversed(self._workspaces.get(txn_id, [])):
@@ -400,14 +311,6 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         if self.write_quorum is not None:
             for site in self.peers():
                 self.replica.node.send(site, "2pc.decision", txn=txn_id, commit=False)
-
-    def _abort_everywhere(self, txn_id: str, sites: List[str]):
-        for site in sites:
-            if site != self.replica.name:
-                self.replica.node.send(site, "2pc.decision", txn=txn_id, commit=False)
-        self._on_decision(txn_id, False)
-        return
-        yield  # pragma: no cover - makes this a generator for yield from
 
     # -- participant side ---------------------------------------------------------
 

@@ -18,7 +18,10 @@ then commits:
 The per-operation Server Coordination / Execution loops of Figures 12 and
 13 run *while the client is still deciding what to do next* — which is
 the whole point of the Section 5 model.  Supported by the protocols whose
-figures show the loop: ``eager_primary`` and ``eager_ue_locking``.
+figures show the loop: ``eager_primary`` and ``eager_ue_locking``.  This
+is the client half; the server half, ``ReplicaProtocol``'s ``session.*``
+handlers, runs one transaction step per message: the same begin, op and
+commit steps a one-shot request runs in one process.
 """
 
 from __future__ import annotations

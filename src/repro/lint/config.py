@@ -124,6 +124,11 @@ PROTOCOL_BASE = "ReplicaProtocol"
 PROTOCOL_INFO_NAME = "info"
 PROTOCOL_INFO_TYPE = "ProtocolInfo"
 
+# The virtual entry every technique serves: ``_on_client_request`` is
+# registered on the base class, so subclass ``handle_request`` bodies
+# join the dispatchable set as entries of their own.
+REQUEST_ENTRY = "handle_request"
+
 # Methods of the shared base whose bodies emit phases on behalf of every
 # subclass: the dispatcher records RE before calling ``handle_request``,
 # and ``respond`` records END before answering the client.

@@ -48,13 +48,14 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .config import (
     MAX_WAIT_DEPTH,
     MAX_WAIT_PATHS,
     MESSAGE_MUTATORS,
     PROTOCOL_BASE,
+    REQUEST_ENTRY,
 )
 from .diagnostics import Diagnostic, finding
 from .registry import rule
@@ -71,6 +72,7 @@ from .waitgraph import (
     _method_key,
     _protocol_techniques,
     _self_chain,
+    _serves,
     _site_anchors,
     build_waitgraph,
 )
@@ -80,12 +82,6 @@ __all__ = [
     "render_interference_json",
     "render_interference_markdown",
 ]
-
-# The virtual entry every technique serves: ``_on_client_request`` is
-# registered on the base class, so subclass ``handle_request`` bodies
-# must join the dispatchable set explicitly.
-REQUEST_ENTRY = "handle_request"
-
 
 # ---------------------------------------------------------------------------
 # Dispatchable entries
@@ -102,6 +98,7 @@ class Entry:
     file: str
     node: ast.AST            # registration (or def) node, for locations
     payload: Optional[str]   # received-payload parameter name (R604)
+    requires: FrozenSet[str] = frozenset()   # ProtocolInfo flags (msgflow)
 
 
 def _params(node: Optional[ast.AST]) -> List[str]:
@@ -121,18 +118,18 @@ def _entries(graph: WaitGraph) -> List[Entry]:
     out: List[Entry] = []
     seen: Set[Tuple[str, str]] = set()
 
-    def add(label: str, key: str, trigger: str, file: str,
-            node: ast.AST, payload: Optional[str]) -> None:
+    def add(label: str, key: str, trigger: str, file: str, node: ast.AST,
+            payload: Optional[str], requires: FrozenSet[str] = frozenset()) -> None:
         marker = (key, trigger)
         if marker not in seen:
             seen.add(marker)
-            out.append(Entry(label, key, trigger, file, node, payload))
+            out.append(Entry(label, key, trigger, file, node, payload, requires))
 
     for reg, key in _handler_regs(graph):
         params = _params(reg.callback.node)
         trigger = ", ".join(sorted(render_pattern(p) for p in reg.patterns))
         add(reg.callback.label, key, trigger, reg.file, reg.node,
-            params[-1] if params else None)
+            params[-1] if params else None, reg.requires)
 
     for owner_attr in sorted(graph.message_graph.bindings):
         for binding in graph.message_graph.bindings[owner_attr]:
@@ -180,9 +177,11 @@ def _technique_entries(
         )
         seen: Set[str] = set()
         for key in own:
-            for info in graph.closure(key):
+            for info in graph.closure(key, cls):
                 seen.add(info.key)
-        entries = [e for e in all_entries if e.key in seen]
+        entries = [
+            e for e in all_entries if e.key in seen and _serves(cls, e.requires)
+        ]
         out.append((technique, cls, entries, seen))
     return out
 
@@ -209,12 +208,15 @@ def _qualified(family: str, name: str) -> str:
 # the right class family after inlining.
 XEvent = Tuple[str, Any, str]
 
-_EVENT_CACHE: List[Tuple[WaitGraph, Dict[str, Optional[List[List[XEvent]]]]]] = []
+_EVENT_CACHE: List[
+    Tuple[WaitGraph, Dict[Tuple[str, str], Optional[List[List[XEvent]]]]]
+] = []
 
 
-def _expand_events(graph: WaitGraph, key: str,
+def _expand_events(graph: WaitGraph, key: str, within: Optional[ClassInfo],
                    depth: int = 0) -> List[List[XEvent]]:
-    """Full event sequences through ``key`` with callees inlined.
+    """Full event sequences through ``key`` with callees inlined (calls
+    on ``self`` bound to ``within``'s methods).
 
     The wait-graph expansion keeps only wait sites; this one keeps every
     event kind, under the same memoisation, depth and path caps.
@@ -222,22 +224,25 @@ def _expand_events(graph: WaitGraph, key: str,
     if not _EVENT_CACHE or _EVENT_CACHE[0][0] is not graph:
         _EVENT_CACHE[:] = [(graph, {})]
     cache = _EVENT_CACHE[0][1]
-    if key in cache:
-        cached = cache[key]
+    slot = (key, within.name if within is not None else "")
+    if slot in cache:
+        cached = cache[slot]
         return cached if cached is not None else [[]]
     if depth > MAX_WAIT_DEPTH:
         return [[]]
     info = graph.funcs.get(key)
     if info is None:
         return [[]]
-    cache[key] = None  # in progress: recursion expands to nothing
+    cache[slot] = None  # in progress: recursion expands to nothing
     out: List[List[XEvent]] = []
     for template in info.templates or [[]]:
         paths: List[List[XEvent]] = [[]]
         for event in template:
             kind = event[0]
             if kind == "callee":
-                sub = _expand_events(graph, event[1], depth + 1)
+                sub = _expand_events(
+                    graph, graph.bind(event[1], within), within, depth + 1
+                )
                 if len(paths) * len(sub) > MAX_WAIT_PATHS:
                     flat = [e for sub_path in sub for e in sub_path]
                     paths = [p + flat for p in paths]
@@ -259,7 +264,7 @@ def _expand_events(graph: WaitGraph, key: str,
                         marked.add(marker)
                         merged.append(stamped)
             out = [merged]
-    cache[key] = out
+    cache[slot] = out
     return out
 
 
@@ -285,24 +290,24 @@ def _func_accesses(
 
 
 def _closure_sets(
-    graph: WaitGraph, key: str
+    graph: WaitGraph, key: str, within: ClassInfo
 ) -> Tuple[Set[Tuple[str, str]], Set[Tuple[str, str, str]]]:
     """An entry's read/write sets over its whole call closure."""
     reads: Set[Tuple[str, str]] = set()
     writes: Set[Tuple[str, str, str]] = set()
-    for info in graph.closure(key):
+    for info in graph.closure(key, within):
         func_reads, func_writes = _func_accesses(graph, info)
         reads |= func_reads
         writes |= func_writes
     return reads, writes
 
 
-def _write_map(graph: WaitGraph,
-               entries: Sequence[Entry]) -> Dict[Tuple[str, str], Set[str]]:
+def _write_map(graph: WaitGraph, entries: Sequence[Entry],
+               within: ClassInfo) -> Dict[Tuple[str, str], Set[str]]:
     """(family, attr) -> labels of the entries whose closures write it."""
     out: Dict[Tuple[str, str], Set[str]] = {}
     for entry in entries:
-        _reads, writes = _closure_sets(graph, entry.key)
+        _reads, writes = _closure_sets(graph, entry.key, within)
         for family, name, _via in writes:
             out.setdefault((family, name), set()).add(entry.label)
     return out
@@ -327,11 +332,11 @@ def check_stale_reads(contexts) -> Iterator[Diagnostic]:
     """
     graph = build_waitgraph(contexts)
     reported: Set[Tuple[str, str, int]] = set()
-    for _technique, _cls, entries, _seen in _technique_entries(graph):
-        wmap = _write_map(graph, entries)
+    for _technique, cls, entries, _seen in _technique_entries(graph):
+        wmap = _write_map(graph, entries, cls)
         keys = sorted({
             info.key for entry in entries
-            for info in graph.closure(entry.key)
+            for info in graph.closure(entry.key, cls)
         })
         for key in keys:
             info = graph.funcs[key]
@@ -454,9 +459,9 @@ def check_guard_revalidation(contexts) -> Iterator[Diagnostic]:
     """
     graph = build_waitgraph(contexts)
     reported: Set[Tuple[str, str, int, str, int]] = set()
-    for _technique, _cls, entries, _seen in _technique_entries(graph):
+    for _technique, cls, entries, _seen in _technique_entries(graph):
         for entry in entries:
-            for path in _expand_events(graph, entry.key):
+            for path in _expand_events(graph, entry.key, cls):
                 yield from _scan_guard_path(graph, path, reported)
 
 
@@ -536,8 +541,8 @@ def check_conflicting_writes(contexts) -> Iterator[Diagnostic]:
     """
     graph = build_waitgraph(contexts)
     reported: Set[Tuple[str, str, Tuple[str, ...]]] = set()
-    for _technique, _cls, entries, _seen in _technique_entries(graph):
-        writers = _rebind_map(graph, entries)
+    for _technique, cls, entries, _seen in _technique_entries(graph):
+        writers = _rebind_map(graph, entries, cls)
         for family, name in sorted(writers):
             records = writers[(family, name)]
             if len(records) < 2:
@@ -572,12 +577,12 @@ def check_conflicting_writes(contexts) -> Iterator[Diagnostic]:
 
 
 def _rebind_map(
-    graph: WaitGraph, entries: Sequence[Entry]
+    graph: WaitGraph, entries: Sequence[Entry], within: ClassInfo
 ) -> Dict[Tuple[str, str], Dict[str, Dict[str, Any]]]:
     """(family, attr) -> entry label -> rebinding-write evidence."""
     writers: Dict[Tuple[str, str], Dict[str, Dict[str, Any]]] = {}
     for entry in entries:
-        for path in _expand_events(graph, entry.key):
+        for path in _expand_events(graph, entry.key, within):
             held: Set[str] = set()
             waited = False
             for kind, payload, owner_key in path:
@@ -698,12 +703,12 @@ def build_interference_artifact(contexts: Sequence) -> Dict[str, Any]:
         at.update(graph.index.anchors(
             e for e in entries if isinstance(e.node, ast.FunctionDef)
         ))
-        wmap = _write_map(graph, entries)
+        wmap = _write_map(graph, entries, cls)
         handlers: List[Dict[str, Any]] = []
         for entry in entries:
-            reads, writes = _closure_sets(graph, entry.key)
+            reads, writes = _closure_sets(graph, entry.key, cls)
             windows: Dict[str, Dict[str, Any]] = {}
-            for path in _expand_events(graph, entry.key):
+            for path in _expand_events(graph, entry.key, cls):
                 for position, (kind, payload, _key) in enumerate(path):
                     if kind != "wait":
                         continue

@@ -52,6 +52,7 @@ from .config import (
     NETWORK_RECEIVER_NAMES,
     NETWORK_SEND_KWARGS,
     PRIMITIVE_SPECS,
+    PROTOCOL_INFO_NAME,
     REPLY_TYPE_NAME,
     SEND_METHODS,
     TRANSPORT_RECEIVER_HINT,
@@ -136,6 +137,8 @@ class HandlerReg:
     callback: CallbackInfo
     wildcard: bool             # on_default: catches every type
     layer: str
+    # ProtocolInfo flags it is made under (``if self.info.<flag>:``).
+    requires: FrozenSet[str] = frozenset()
 
 
 @dataclass
@@ -357,6 +360,16 @@ def _resolve_callback(
     return info
 
 
+def _info_flag(test: ast.expr) -> Optional[str]:
+    """``flag`` when ``test`` reads ``self.info.<flag>``."""
+    if isinstance(test, ast.Attribute) and isinstance(test.value, ast.Attribute) \
+            and test.value.attr == PROTOCOL_INFO_NAME \
+            and isinstance(test.value.value, ast.Name) \
+            and test.value.value.id == "self":
+        return test.attr
+    return None
+
+
 class _Extractor:
     """One walk over a file, tracking the enclosing class and function."""
 
@@ -370,22 +383,31 @@ class _Extractor:
         self._visit(self.ctx.tree, None, None)
 
     def _visit(self, node: ast.AST, cls: Optional[ClassInfo],
-               func: Optional[FuncNode]) -> None:
+               func: Optional[FuncNode],
+               requires: FrozenSet[str] = frozenset()) -> None:
         if isinstance(node, ast.ClassDef):
             cls, func = self.index.classes.get(node.name), None
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             func = node
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            self._call(node, cls, func)
+            self._call(node, cls, func, requires)
+        if isinstance(node, ast.If):
+            flag = _info_flag(node.test)
+            if flag is not None:
+                for child in node.body:
+                    self._visit(child, cls, func, requires | {flag})
+                for child in node.orelse:
+                    self._visit(child, cls, func, requires)
+                return
         for child in ast.iter_child_nodes(node):
-            self._visit(child, cls, func)
+            self._visit(child, cls, func, requires)
 
     def _scope(self, cls: Optional[ClassInfo], func: Optional[FuncNode]) -> Scope:
         scoped = func if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
         return Scope(self.index, self.module, cls, scoped)
 
     def _call(self, call: ast.Call, cls: Optional[ClassInfo],
-              func: Optional[FuncNode]) -> None:
+              func: Optional[FuncNode], requires: FrozenSet[str]) -> None:
         attr = call.func.attr
         receiver = simple_name(call.func.value)
         if attr in SEND_METHODS:
@@ -400,7 +422,7 @@ class _Extractor:
             callback = _resolve_callback(call.args[1], cls, self.index)
             self.graph.handlers.append(HandlerReg(
                 self.ctx.path, call, patterns, callback,
-                wildcard=False, layer=_layer_of(receiver),
+                wildcard=False, layer=_layer_of(receiver), requires=requires,
             ))
         elif attr == "on_default" and len(call.args) == 1:
             callback = _resolve_callback(call.args[0], cls, self.index)

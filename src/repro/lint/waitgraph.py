@@ -77,6 +77,7 @@ from .config import (
     NETWORK_RECEIVER_NAMES,
     PROTOCOL_BASE,
     PROTOCOL_INFO_NAME,
+    REQUEST_ENTRY,
     TXN_LOCK_METHODS,
     TXN_RECEIVER_NAMES,
 )
@@ -165,8 +166,35 @@ class WaitGraph:
     message_graph: Optional[MessageGraph] = None
     index: Optional[ProgramIndex] = None
 
-    def closure(self, key: str) -> List[FuncInfo]:
-        """``key``'s function plus everything reachable via its calls."""
+    def bind(self, key: str, within: Optional[ClassInfo]) -> str:
+        """The function a call of ``key`` runs on an instance of ``within``.
+
+        A method called on ``self`` dispatches on the instance: where
+        ``within`` (a technique class) overrides it, the override runs.
+        This is how the base class's drivers reach each technique's
+        transaction steps.  ``handle_request`` is not rebound: it is a
+        dispatchable entry of its own (interference.py).
+        """
+        info = self.funcs.get(key)
+        if within is None or info is None or info.cls is None \
+                or self.index is None:
+            return key
+        name = getattr(info.node, "name", "")
+        if name == REQUEST_ENTRY or info.cls.methods.get(name) is not info.node:
+            return key  # the entry, or a nested function
+        mro = self.index.mro(within)
+        if not any(owner is info.cls for owner in mro):
+            return key
+        for owner in mro:
+            method = owner.methods.get(name)
+            if method is not None:
+                return _method_key(owner, method)
+        return key
+
+    def closure(self, key: str,
+                within: Optional[ClassInfo] = None) -> List[FuncInfo]:
+        """``key``'s function plus everything reachable via its calls,
+        with calls on ``self`` bound to ``within``'s methods."""
         out: List[FuncInfo] = []
         seen: Set[str] = set()
         stack = [key]
@@ -179,11 +207,14 @@ class WaitGraph:
             if info is None:
                 continue
             out.append(info)
-            stack.extend(reversed(info.callees))
+            stack.extend(
+                self.bind(callee, within) for callee in reversed(info.callees)
+            )
         return out
 
-    def closure_waits(self, key: str) -> List[WaitSite]:
-        return [site for info in self.closure(key) for site in info.waits]
+    def closure_waits(self, key: str,
+                      within: Optional[ClassInfo] = None) -> List[WaitSite]:
+        return [site for info in self.closure(key, within) for site in info.waits]
 
 
 # ---------------------------------------------------------------------------
@@ -719,15 +750,42 @@ def _handler_regs(graph: WaitGraph) -> List[Tuple[HandlerReg, str]]:
     return out
 
 
+def _serves(cls: ClassInfo, requires: FrozenSet[str]) -> bool:
+    """Does technique ``cls`` make a registration conditional on the
+    ProtocolInfo flags ``requires``?  A flag its ``info`` does not set
+    to ``True`` is unset."""
+    assign = cls.consts.get(PROTOCOL_INFO_NAME)
+    keywords = {kw.arg: kw.value for kw in getattr(assign, "keywords", [])}
+    return all(
+        isinstance(value, ast.Constant) and value.value is True
+        for value in (keywords.get(flag) for flag in requires)
+    )
+
+
 def _wait_edges(
     graph: WaitGraph,
 ) -> Tuple[List[Tuple[HandlerReg, str]], Dict[int, List[Tuple[int, WaitSite]]]]:
     """The handler-level wait graph: ``edges[i]`` holds ``(j, site)`` when
     handler ``i``'s closure blocks on a type handler ``j`` serves."""
+    assert graph.index is not None
     regs = _handler_regs(graph)
+    techniques = [cls for _technique, cls in _protocol_techniques(graph)]
     edges: Dict[int, List[Tuple[int, WaitSite]]] = {}
-    for i, (_reg, key) in enumerate(regs):
-        for site in graph.closure_waits(key):
+    for i, (reg, key) in enumerate(regs):
+        # A handler a technique inherits runs as that technique: its
+        # calls on ``self`` bind to each such class in turn.
+        owner = graph.funcs[key].cls
+        runs_as: List[Optional[ClassInfo]] = [
+            cls for cls in techniques
+            if owner is not None and _serves(cls, reg.requires)
+            and any(ancestor is owner for ancestor in graph.index.mro(cls))
+        ]
+        sites = {
+            id(site.node): site
+            for within in runs_as or [None]
+            for site in graph.closure_waits(key, within)
+        }
+        for site in sites.values():
             if site.kind != CALL or all_wild(site.patterns):
                 continue
             for j, (other, _other_key) in enumerate(regs):
@@ -1037,7 +1095,7 @@ def build_waitgraph_artifact(contexts: Sequence) -> Dict[str, Any]:
         reach: List[FuncInfo] = []
         seen: Set[str] = set()
         for key in own_keys:
-            for info in graph.closure(key):
+            for info in graph.closure(key, cls):
                 if info.key not in seen:
                     seen.add(info.key)
                     reach.append(info)
@@ -1045,7 +1103,7 @@ def build_waitgraph_artifact(contexts: Sequence) -> Dict[str, Any]:
 
         handlers = []
         for reg, key in _handler_regs(graph):
-            if key in seen:
+            if key in seen and _serves(cls, reg.requires):
                 handlers.append({
                     "type": ", ".join(
                         sorted(render_pattern(p) for p in reg.patterns)
@@ -1062,9 +1120,10 @@ def build_waitgraph_artifact(contexts: Sequence) -> Dict[str, Any]:
         waits.sort(key=lambda w: (w["at"], w["kind"]))
 
         calls = sorted({
-            (info.key, callee)
-            for info in reach for callee in info.callees
-            if callee in seen
+            (info.key, bound)
+            for info in reach
+            for bound in (graph.bind(callee, cls) for callee in info.callees)
+            if bound in seen
         })
         techniques.append({
             "technique": technique,

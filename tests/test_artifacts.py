@@ -190,23 +190,22 @@ def test_an_inserted_line_changes_no_generated_file(source_contexts, edited):
 
 
 def test_moving_a_send_changes_exactly_its_anchor(source_contexts, edited):
-    send = ('self.replica.node.send(secondary, "2pc.decision",\n'
-            '                                       txn=sid, commit=False)')
+    send = 'self.replica.node.send(secondary, "2pc.decision", txn=tid, commit=False)'
     landing = "    def _on_op_apply(self, message: Message) -> None:\n"
 
     def move(text):
         assert text.count(send) == 1 and text.count(landing) == 1
-        text = text.replace(send, "self._send_abort(secondary, sid)")
+        text = text.replace(send, "self._send_abort(secondary, tid)")
         return text.replace(
             landing,
-            f"    def _send_abort(self, secondary, sid):\n        {send}\n\n" + landing,
+            f"    def _send_abort(self, secondary, tid):\n        {send}\n\n" + landing,
         )
 
     before, after = _render(source_contexts), _render(edited(move))
     old = _anchors(before["messages.json"])
     new = _anchors(after["messages.json"])
     site = EDITED + "::EagerPrimaryCopy."
-    old.remove(site + "_session_cleanup")
+    old.remove(site + "txn_abort")
     new.remove(site + "_send_abort")
     assert old == new
     for name in ("waitgraph.json", "interference.json"):
