@@ -179,10 +179,10 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         """Read-lock R sites; return the highest-versioned (version, value)."""
         read_quorum = len(self.group) - (self.write_quorum or len(self.group)) + 1
         sites = self._quorum_sites(read_quorum)
-        # Same fixed global acquisition order as writes (see
-        # txn_op): read and write quorums intersect, so an
-        # unordered read could form the second edge of a distributed
-        # deadlock cycle just as easily.
+        # Same fixed global acquisition order as writes (see txn_op):
+        # read and write quorums intersect, so an unordered read could
+        # form the second edge of a distributed deadlock cycle just as
+        # easily.
         replies = []
         for site in sorted(sites):
             reply = yield self.replica.node.call(

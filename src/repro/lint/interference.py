@@ -455,7 +455,8 @@ def check_guard_revalidation(contexts) -> Iterator[Diagnostic]:
     a deposed primary keeps acting on its old role: exactly the split-
     brain window primary-copy fencing exists to close.  Re-validate the
     predicate after the last wait before the effect (the fenced
-    ``_execute`` shape), or justify with a ``# repro: noqa R602``.
+    ``EagerPrimaryCopy.txn_commit`` shape), or justify with a
+    ``# repro: noqa R602``.
     """
     graph = build_waitgraph(contexts)
     reported: Set[Tuple[str, str, int, str, int]] = set()
