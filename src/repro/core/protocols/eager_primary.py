@@ -171,10 +171,10 @@ class EagerPrimaryCopy(ReplicaProtocol):
         """Final Agreement Coordination: two-phase commit."""
         txn, secondaries = state
         # A primary that was deposed while executing (false suspicion
-        # flipped the directory) must not start the round: participants
-        # would fence its prepares, but only live ones; aborting here
-        # releases locks sooner and gives the client a retryable routing
-        # miss.
+        # flipped the directory) must not start the round.  Secondaries
+        # would fence its prepares, but with none left alive it would
+        # commit alone; aborting here also releases locks sooner and
+        # gives the client a retryable routing miss.
         if not self.is_primary:
             self.txn_abort(state, tid)
             return False, self._not_primary()
