@@ -1,13 +1,14 @@
 # Tier-1 verification: the linter runs before the test suite so that
-# nondeterminism/layering/contract violations fail fast with file:line
-# diagnostics instead of surfacing as a flaky trace diff mid-pytest.
+# nondeterminism, message-flow, wait and interference violations fail
+# fast with file:line diagnostics instead of surfacing as a flaky trace
+# diff mid-pytest.
 # `typecheck` is skipped gracefully when mypy is not installed (the CI
 # image installs it; the minimal dev container may not).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check lint typecheck test baseline artifacts artifacts-check \
+.PHONY: check lint typecheck test artifacts artifacts-check \
 	observe bench-json bench-e2e chaos profile \
 	sweep sweep-smoke figures-check
 
@@ -124,7 +125,3 @@ artifacts:
 
 artifacts-check:
 	$(PYTHON) -m repro artifacts --check
-
-# Grandfather the current findings (use sparingly; the tree ships clean).
-baseline:
-	$(PYTHON) -m repro.lint src/repro --write-baseline

@@ -39,7 +39,7 @@ once, on the commit *before* a round of kernel work, so every later run
 has a fixed reference point.
 
 Wall-clock timing lives here, outside ``src/repro`` — the library
-itself must stay free of real time (repro.lint D103); the simulated
+itself must stay free of real time, so a seed fixes every run; the simulated
 executions these benchmarks time are fully deterministic, only their
 duration varies by machine.
 """

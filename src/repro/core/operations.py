@@ -19,22 +19,14 @@ covered here:
 
 from __future__ import annotations
 
-import itertools
 import random
 from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
 __all__ = ["Operation", "Request", "Result", "ResultStore", "apply_update",
            "UPDATE_FUNCTIONS"]
-
-# Fallback id source for ad-hoc Request.make() calls (tests, examples).
-# Simulation runs must pass an explicit ``sequence`` instead: a module
-# counter carries state across runs in the same interpreter, so ids would
-# depend on execution history rather than the seed.
-_request_counter = itertools.count(1)  # repro: noqa D107
-
 
 def _set(current: Any, argument: Any, rng: random.Random) -> Any:
     return argument
@@ -134,18 +126,17 @@ class Request:
     def make(
         operations,
         client: str = "client",
-        sequence: Optional[int] = None,
+        *,
+        sequence: int,
     ) -> "Request":
         """Build a request with id ``{client}-r{sequence}``.
 
-        Callers owning a per-client counter (see ``core.system.Client``)
-        should pass ``sequence`` so ids are deterministic per run; without
-        it a process-global fallback counter is used.
+        The caller owns the per-client counter (see
+        ``core.system.ClientNode``), so ids depend on the run alone,
+        never on what ran before it in the same interpreter.
         """
         if isinstance(operations, Operation):
             operations = (operations,)
-        if sequence is None:
-            sequence = next(_request_counter)
         return Request(
             request_id=f"{client}-r{sequence}",
             operations=tuple(operations),

@@ -1,9 +1,9 @@
 """The linter's single data file: every project-specific constant.
 
-Rules read their policy from here so that adjusting the architecture —
-adding a package, moving one between layers, widening the deterministic
-core — is a one-file change reviewed next to the DAG it alters, never a
-code change inside a rule.
+Rules read their policy from here so that adjusting what they know of
+the tree — widening the deterministic core, teaching the extractors a
+new send method, lock manager or broadcast primitive — is a one-file
+change, never a code change inside a rule.
 """
 
 from __future__ import annotations
@@ -11,65 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 # ---------------------------------------------------------------------------
-# Layering (rules L201/L202)
-# ---------------------------------------------------------------------------
-# The import DAG of ``repro``'s first-level packages, exactly as drawn in
-# docs/internals.md:
-#
-#     errors -> sim -> net -> failures -> {groupcomm, db} -> core
-#            -> {analysis, workload, viz}
-#
-# with the observability layer slotted between ``net`` and ``core``:
-# ``obs`` may depend on ``sim``/``net``; ``core`` (and the entry points
-# above it) may depend on ``obs``; the layers *below* ``core`` hold only
-# duck-typed, optional observer references — never the import.
-#
-# ``ALLOWED_DEPS[p]`` lists every package that modules inside ``p`` may
-# import from.  A package never appears in its own entry (intra-package
-# imports are always legal), and ``lint`` is deliberately standalone so the
-# tooling can never deadlock on the code it checks; ``artifacts`` sits
-# above it and ``profiling``, and nothing imports it back.
-
-ALLOWED_DEPS = {
-    "errors": frozenset(),
-    "sim": frozenset({"errors"}),
-    "net": frozenset({"errors", "sim"}),
-    "obs": frozenset({"errors", "sim", "net"}),
-    "failures": frozenset({"errors", "sim", "net"}),
-    "groupcomm": frozenset({"errors", "sim", "net", "failures"}),
-    "db": frozenset({"errors", "sim", "net", "failures"}),
-    "core": frozenset(
-        {"errors", "sim", "net", "obs", "failures", "groupcomm", "db"}
-    ),
-    "analysis": frozenset(
-        {"errors", "sim", "net", "failures", "groupcomm", "db", "core"}
-    ),
-    "resilience": frozenset(
-        {"errors", "sim", "net", "obs", "failures", "groupcomm", "db", "core",
-         "analysis"}
-    ),
-    "workload": frozenset(
-        {"errors", "sim", "net", "failures", "groupcomm", "db", "core", "analysis"}
-    ),
-    "profiling": frozenset(
-        {"errors", "sim", "net", "obs", "failures", "groupcomm", "db", "core",
-         "analysis", "workload"}
-    ),
-    "viz": frozenset(
-        {"errors", "sim", "net", "failures", "groupcomm", "db", "core", "analysis"}
-    ),
-    "lint": frozenset(),
-    # The artifact registry (a top-level module, not a package): the one
-    # place that joins the tooling to the runtime, above both.
-    "artifacts": frozenset({"lint", "profiling"}),
-}
-
-# Top-level modules of the ``repro`` package itself (``__init__``,
-# ``__main__``) re-export everything; they sit above the DAG.
-TOP_LEVEL_MAY_IMPORT_ANYTHING = True
-
-# ---------------------------------------------------------------------------
-# Determinism (rules D101-D106)
+# Determinism (rules D104-D107)
 # ---------------------------------------------------------------------------
 # Packages whose code must be bit-for-bit reproducible given a seed.  The
 # analysis/workload/viz layers consume traces after the fact and are
@@ -88,24 +30,6 @@ DETERMINISTIC_PACKAGES = frozenset(
 # orchestrates OS processes around *finished* runs.
 DETERMINISTIC_MODULES = frozenset({"repro.workload.openloop"})
 
-# ``random.<fn>()`` calls share the interpreter-global Mersenne state; any
-# one of them desynchronises every seeded run.  Constructing a seeded
-# ``random.Random`` is the sanctioned alternative, so the class name is
-# exempt.
-RANDOM_MODULE = "random"
-RANDOM_ALLOWED_ATTRS = frozenset({"Random", "SystemRandom"})
-
-# Wall-clock and entropy sources.  Keys are ``module`` names as imported,
-# values the forbidden attributes (``"*"`` = everything in the module).
-NONDETERMINISTIC_CALLS = {
-    "time": frozenset({"time", "time_ns", "monotonic", "monotonic_ns",
-                       "perf_counter", "perf_counter_ns"}),
-    "datetime": frozenset({"now", "utcnow", "today"}),
-    "os": frozenset({"urandom", "getrandom"}),
-    "uuid": frozenset({"uuid1", "uuid4"}),
-    "secrets": frozenset({"*"}),
-}
-
 # Builtins that consume an iterable without depending on its order; a set
 # flowing into one of these is harmless.
 ORDER_INSENSITIVE_CONSUMERS = frozenset(
@@ -113,30 +37,20 @@ ORDER_INSENSITIVE_CONSUMERS = frozenset(
 )
 
 # ---------------------------------------------------------------------------
-# Protocol contracts (rules P301-P304)
+# Replication techniques
 # ---------------------------------------------------------------------------
-# The five generic phases of the paper's functional model (Figure 1).
-PHASES = ("RE", "SC", "EX", "AC", "END")
-
 # Class whose subclasses constitute replication techniques, and the class
 # attribute carrying their classification row.
 PROTOCOL_BASE = "ReplicaProtocol"
 PROTOCOL_INFO_NAME = "info"
-PROTOCOL_INFO_TYPE = "ProtocolInfo"
 
 # The virtual entry every technique serves: ``_on_client_request`` is
 # registered on the base class, so subclass ``handle_request`` bodies
 # join the dispatchable set as entries of their own.
 REQUEST_ENTRY = "handle_request"
 
-# Methods of the shared base whose bodies emit phases on behalf of every
-# subclass: the dispatcher records RE before calling ``handle_request``,
-# and ``respond`` records END before answering the client.
-BASE_EMITS = frozenset({"RE"})
-RESPOND_EMITS = "END"
-
 # ---------------------------------------------------------------------------
-# Message flow (rules M401-M404)
+# Message flow (rule M402)
 # ---------------------------------------------------------------------------
 # Point-to-point send methods and the positional index of their
 # message-type argument.  ``Node.send/send_many/call`` and
@@ -206,7 +120,7 @@ BROADCAST_METHODS = frozenset(
 )
 
 # ---------------------------------------------------------------------------
-# Wait graph (rules W501-W504)
+# Wait graph (rule W501)
 # ---------------------------------------------------------------------------
 # Receiver names (last dotted segment) that denote a 2PL lock manager, so
 # ``self.tm.locks.acquire(txn, item, mode, ...)`` is recognised wherever
@@ -233,14 +147,14 @@ COORDINATOR_RUN_METHOD = "run"
 # but carries no timeout of its own.
 JOIN_METHODS = frozenset({"all_of", "any_of"})
 
-# Widening caps for the path-sensitive lock-order expansion: a function
+# Widening caps for the path-sensitive event expansion: a function
 # whose branch product exceeds MAX_WAIT_PATHS collapses to one
 # linearised path; closure inlining stops at MAX_WAIT_DEPTH.
 MAX_WAIT_PATHS = 32
 MAX_WAIT_DEPTH = 12
 
 # ---------------------------------------------------------------------------
-# Interference (rules R601-R604)
+# Interference (rules R601, R602, R604)
 # ---------------------------------------------------------------------------
 # Replica-state accesses are dotted ``self.…`` attribute chains truncated
 # to this many segments (``self.replica.node.name`` records as
@@ -250,8 +164,8 @@ ACCESS_DEPTH = 2
 
 # Container methods whose call mutates the receiver in place.  A call of
 # one of these on a ``self.…`` chain counts as a write to that attribute
-# in the read/write-set catalog (but not as a *rebinding* write, which is
-# what the R603 lost-update check keys on).
+# in the read/write-set catalog (but not as a *rebinding* write, so it
+# stays out of the per-class write sets).
 MUTATOR_METHODS = frozenset({
     "append", "appendleft", "add", "clear", "discard", "extend", "insert",
     "pop", "popitem", "popleft", "remove", "setdefault", "update",
@@ -286,22 +200,13 @@ MESSAGE_MUTATORS = frozenset({"clear", "pop", "popitem", "setdefault", "update"}
 # rule's documentation section.
 FAMILY_HELP_URIS = {
     "D": "docs/linting.md#determinism-d1xx",
-    "L": "docs/linting.md#layering-l2xx",
-    "P": "docs/linting.md#protocol-contract-p3xx",
     "M": "docs/linting.md#message-flow-m4xx",
     "W": "docs/linting.md#wait-graph-w5xx",
     "R": "docs/linting.md#interference-r6xx",
 }
 DEFAULT_HELP_URI = "docs/linting.md"
 
-# Lint-family codes accepted by the CLI ``--only-family`` filter, mapped
-# to the rule-id prefixes they select.
-FAMILY_PREFIXES = {
-    "D1": "D1", "L2": "L2", "P3": "P3", "M4": "M4", "W5": "W5", "R6": "R6",
-}
-
 # ---------------------------------------------------------------------------
 # Suppression
 # ---------------------------------------------------------------------------
 NOQA_MARKER = "repro: noqa"
-DEFAULT_BASELINE = "lint-baseline.txt"

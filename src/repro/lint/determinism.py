@@ -5,31 +5,26 @@ bit-for-bit reproducible.  These rules forbid, inside the deterministic
 core packages (:data:`~repro.lint.config.DETERMINISTIC_PACKAGES`), the
 constructs that silently break that guarantee:
 
-* the interpreter-global ``random`` API (D101/D102) — seeded
-  ``random.Random`` instances threaded from the :class:`Simulator` are
-  the sanctioned source of randomness;
-* wall-clock and entropy reads (D103) — simulated time comes from
-  ``sim.now``;
 * ``id()`` (D104) and builtin ``hash()`` on non-dunder paths (D105) —
   both vary across interpreter invocations (CPython salts string
   hashing), so any name, seed or ordering derived from them differs
   between two runs of the same seed;
 * iterating a ``set`` where order can escape (D106) — wrap the iterable
-  in ``sorted(...)`` or use an order-insensitive consumer.
+  in ``sorted(...)`` or use an order-insensitive consumer;
+* an ``itertools.count()`` bound at import time (D107) — every run in
+  the interpreter shares it, so the ids it hands out depend on the runs
+  that came before.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set
 
 from .config import (
     DETERMINISTIC_MODULES,
     DETERMINISTIC_PACKAGES,
-    NONDETERMINISTIC_CALLS,
     ORDER_INSENSITIVE_CONSUMERS,
-    RANDOM_ALLOWED_ATTRS,
-    RANDOM_MODULE,
 )
 from .diagnostics import Diagnostic, finding
 from .registry import rule
@@ -65,97 +60,6 @@ def _import_aliases(tree: ast.Module, module: str) -> Set[str]:
                 if alias.name == module or alias.name.startswith(module + "."):
                     aliases.add((alias.asname or alias.name).split(".")[0])
     return aliases
-
-
-@rule("D101", "global-random-call")
-def check_global_random(ctx) -> Iterator[Diagnostic]:
-    """Call into the module-level ``random`` API inside the deterministic core.
-
-    ``random.random()``, ``random.shuffle()`` etc. share one global
-    Mersenne state: a single call desynchronises every seeded component
-    in the process.  Construct a seeded ``random.Random`` (allowed) and
-    thread it from the Simulator instead.
-    """
-    if not _in_scope(ctx):
-        return
-    aliases = _import_aliases(ctx.tree, RANDOM_MODULE)
-    if not aliases:
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        path = _dotted(node.func)
-        if (
-            path
-            and len(path) == 2
-            and path[0] in aliases
-            and path[1] not in RANDOM_ALLOWED_ATTRS
-        ):
-            yield finding(
-                ctx.path, node,
-                f"call to module-level random.{path[1]}() shares global RNG "
-                f"state; use a seeded random.Random threaded from Simulator",
-            )
-
-
-@rule("D102", "from-random-import")
-def check_from_random_import(ctx) -> Iterator[Diagnostic]:
-    """``from random import <function>`` inside the deterministic core.
-
-    Importing ``randint``/``choice``/... by name hides the global-state
-    dependency from D101's call check; only ``Random`` itself may be
-    imported this way.
-    """
-    if not _in_scope(ctx):
-        return
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom) and node.module == RANDOM_MODULE:
-            for alias in node.names:
-                if alias.name not in RANDOM_ALLOWED_ATTRS:
-                    yield finding(
-                        ctx.path, node,
-                        f"from random import {alias.name} pulls in global-RNG "
-                        f"state; import random.Random and seed it",
-                    )
-
-
-@rule("D103", "wall-clock")
-def check_wall_clock(ctx) -> Iterator[Diagnostic]:
-    """Wall-clock or OS-entropy read inside the deterministic core.
-
-    ``time.time()``, ``datetime.now()``, ``os.urandom()``, ``uuid.uuid4()``
-    and the ``secrets`` module make a run depend on when/where it
-    executes.  Simulated time is ``sim.now``; entropy comes from the
-    seeded RNG.
-    """
-    if not _in_scope(ctx):
-        return
-    watched: Dict[str, Set[str]] = {}
-    for module, attrs in NONDETERMINISTIC_CALLS.items():
-        for alias in _import_aliases(ctx.tree, module):
-            watched.setdefault(alias, set()).update(attrs)
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom) and node.module in NONDETERMINISTIC_CALLS:
-            forbidden = NONDETERMINISTIC_CALLS[node.module]
-            for alias in node.names:
-                if alias.name in forbidden or "*" in forbidden:
-                    yield finding(
-                        ctx.path, node,
-                        f"from {node.module} import {alias.name} imports a "
-                        f"nondeterministic source; use simulated time/seeded RNG",
-                    )
-        if not isinstance(node, ast.Call):
-            continue
-        path = _dotted(node.func)
-        if not path or len(path) < 2:
-            continue
-        attrs = watched.get(path[0])
-        if attrs is not None and (path[-1] in attrs or "*" in attrs):
-            yield finding(
-                ctx.path, node,
-                f"call to {'.'.join(path)}() reads wall-clock/entropy; "
-                f"use sim.now or a seeded random.Random",
-            )
 
 
 @rule("D104", "id-based-identity")

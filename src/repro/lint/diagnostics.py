@@ -1,29 +1,23 @@
-"""Diagnostic records, suppression comments, and the baseline file.
+"""Diagnostic records, suppression comments and output formats.
 
 A :class:`Diagnostic` is one finding: file, line, rule id, severity and a
-human message.  Two mechanisms silence a finding without fixing it:
-
-* an inline ``# repro: noqa RULE`` (or bare ``# repro: noqa``) comment on
-  the flagged line, for deliberate one-off exceptions, and
-* the checked-in baseline file, which grandfathers existing findings so
-  the linter can gate new code while old debt is paid down incrementally.
-
-Baseline entries are fingerprints (``path::rule::message``) rather than
-line numbers, so unrelated edits that shift code do not invalidate them.
+human message.  An inline ``# repro: noqa RULE`` (or bare
+``# repro: noqa``) comment on the flagged line silences a finding
+without fixing it, for deliberate one-off exceptions; it is the only
+suppression there is.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from .config import NOQA_MARKER
 
 __all__ = [
     "Diagnostic",
-    "Baseline",
     "finding",
     "find_noqa",
     "render_text",
@@ -46,10 +40,6 @@ class Diagnostic:
     severity: str  # "error" | "warning"
     message: str
     col: int = 0
-
-    def fingerprint(self) -> str:
-        """Line-number-free identity used by the baseline file."""
-        return f"{self.file}::{self.rule}::{self.message}"
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -96,60 +86,6 @@ def suppressed(diagnostic: Diagnostic, lines: Sequence[str]) -> bool:
     if rules is None:
         return False
     return not rules or diagnostic.rule in rules
-
-
-class Baseline:
-    """Multiset of grandfathered fingerprints backed by a text file.
-
-    The file holds one fingerprint per line (sorted; duplicates are
-    meaningful — three identical findings need three entries).  Lines that
-    are blank or start with ``#`` are ignored.
-    """
-
-    def __init__(self, entries: Optional[Iterable[str]] = None) -> None:
-        self._counts: Dict[str, int] = {}
-        for entry in entries or ():
-            self._counts[entry] = self._counts.get(entry, 0) + 1
-
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        entries: List[str] = []
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                for raw in handle:
-                    line = raw.rstrip("\n")
-                    if line and not line.startswith("#"):
-                        entries.append(line)
-        except FileNotFoundError:
-            pass
-        return cls(entries)
-
-    @classmethod
-    def from_diagnostics(cls, diagnostics: Iterable[Diagnostic]) -> "Baseline":
-        return cls(d.fingerprint() for d in diagnostics)
-
-    def save(self, path: str) -> None:
-        lines = ["# repro.lint baseline — regenerate with: "
-                 "python -m repro.lint --write-baseline"]
-        for entry, count in sorted(self._counts.items()):
-            lines.extend([entry] * count)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-
-    def filter(self, diagnostics: Iterable[Diagnostic]) -> List[Diagnostic]:
-        """Diagnostics not covered by the baseline (multiset semantics)."""
-        remaining = dict(self._counts)
-        kept: List[Diagnostic] = []
-        for diagnostic in diagnostics:
-            key = diagnostic.fingerprint()
-            if remaining.get(key, 0) > 0:
-                remaining[key] -= 1
-            else:
-                kept.append(diagnostic)
-        return kept
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())
 
 
 def render_text(diagnostics: Sequence[Diagnostic]) -> str:

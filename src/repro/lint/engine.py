@@ -14,8 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .config import DEFAULT_BASELINE
-from .diagnostics import Baseline, Diagnostic, suppressed
+from .diagnostics import Diagnostic, suppressed
 from .registry import Rule, selected_rules
 
 __all__ = [
@@ -134,16 +133,14 @@ def run_lint(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    baseline: Optional[str] = DEFAULT_BASELINE,
 ) -> List[Diagnostic]:
     """Lint ``paths`` and return the surviving diagnostics, sorted.
 
-    Inline ``# repro: noqa`` comments and the baseline file (when it
-    exists; pass ``baseline=None`` to disable) are applied before the
-    list is returned, so a non-empty result means actionable findings.
+    Inline ``# repro: noqa`` comments are applied before the list is
+    returned, so a non-empty result means actionable findings.
     """
     contexts, errors = parse_paths(paths)
-    return lint_parsed(contexts, errors, select, ignore, baseline)
+    return lint_parsed(contexts, errors, select, ignore)
 
 
 def lint_parsed(
@@ -151,7 +148,6 @@ def lint_parsed(
     errors: Sequence[Diagnostic] = (),
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    baseline: Optional[str] = DEFAULT_BASELINE,
 ) -> List[Diagnostic]:
     """:func:`run_lint` over what :func:`parse_paths` already returned."""
     rules = selected_rules(select, ignore)
@@ -175,8 +171,6 @@ def lint_parsed(
         d for d in diagnostics
         if not suppressed(d, lines_by_path.get(d.file, ()))
     ]
-    if baseline is not None:
-        diagnostics = Baseline.load(baseline).filter(diagnostics)
     diagnostics.sort(key=lambda d: (d.file, d.line, d.col, d.rule))
     return diagnostics
 
@@ -196,9 +190,7 @@ def _run_rule(enabled: Rule, args: tuple) -> List[Diagnostic]:
 
 # Importing the rule modules registers every rule; keep these imports at
 # the bottom so the modules can import FileContext for annotations.
-from . import contracts as _contracts  # noqa: E402,F401
 from . import determinism as _determinism  # noqa: E402,F401
-from . import layering as _layering  # noqa: E402,F401
 from . import msgflow as _msgflow  # noqa: E402,F401
 from . import waitgraph as _waitgraph  # noqa: E402,F401
 from . import interference as _interference  # noqa: E402,F401

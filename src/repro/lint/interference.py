@@ -4,9 +4,9 @@ The paper's replication techniques interleave at *blocking points*: a
 handler that yields on a ``node.call``, a lock acquisition, a 2PC vote
 or a future join suspends mid-flight, and every other dispatchable
 handler on the same replica may run before it resumes.  The W5xx pass
-(:mod:`.waitgraph`) proves those suspensions deadlock-free; this pass
-asks the complementary question — **what state can change while a
-handler is suspended, and does the code notice?**
+(:mod:`.waitgraph`) extracts those suspensions; this pass asks **what
+state can change while a handler is suspended, and does the code
+notice?**
 
 For every dispatchable entry point (a registered message handler, a
 broadcast deliver callback, or a technique's ``handle_request``) the
@@ -14,7 +14,8 @@ pass computes replica-state **read and write sets** — ``self.*``
 attribute chains truncated to ``ACCESS_DEPTH`` and attributed to the
 owning class family — over the entry's whole call closure, reusing the
 event templates the wait-graph extractor already records.  Each wait
-site then opens an **atomicity window**; four rules read the windows:
+site then opens an **atomicity window**; three rules read the windows
+and the payloads:
 
 * **R601** — stale-read window: a local variable snapshots a ``self``
   attribute before a blocking wait and is still used after resumption,
@@ -24,9 +25,6 @@ site then opens an **atomicity window**; four rules read the windows:
   externally-visible effect (a reply, a commit, a 2PC round).  The
   primary-fencing pattern — re-checking ``is_primary`` after lock
   acquisition, before the voting round — is the positive shape.
-* **R603** — conflicting unsynchronized writes: two dispatchable
-  handlers rebind the same attribute with no common lock, and at least
-  one write lands after a blocking wait (a lost-update window).
 * **R604** — payload mutation: a handler mutates the message or body it
   received.  Payloads travel by reference, so every recipient of a
   group send holds the sender's objects and the mutation leaks into
@@ -61,13 +59,11 @@ from .diagnostics import Diagnostic, finding
 from .registry import rule
 from .symeval import ClassInfo, render_pattern
 from .waitgraph import (
-    LOCK,
     TWO_PC,
     FuncInfo,
     WaitGraph,
     WaitSite,
     _chain_str,
-    _concrete,
     _handler_regs,
     _method_key,
     _protocol_techniques,
@@ -522,94 +518,6 @@ def _scan_guard_path(
                 yield from report(name, f"{label}()", owner_file,
                                   node.lineno)
             pending.clear()
-
-
-# ---------------------------------------------------------------------------
-# R603 — conflicting unsynchronized writes
-# ---------------------------------------------------------------------------
-
-@rule("R603", "conflicting-unsynchronized-writes", scope="project")
-def check_conflicting_writes(contexts) -> Iterator[Diagnostic]:
-    """Two handlers rebind the same attribute across an open window.
-
-    An attribute rebound by two or more concurrently-dispatchable
-    handlers with no common lock item is a race the cooperative
-    scheduler only hides until a write lands *after* a blocking wait:
-    then read-modify-write interleaves with a concurrent dispatch and
-    one update is lost.  Container mutations stay out of scope (they
-    merge rather than overwrite); writes protected by a shared concrete
-    lock item on every path stay silent.
-    """
-    graph = build_waitgraph(contexts)
-    reported: Set[Tuple[str, str, Tuple[str, ...]]] = set()
-    for _technique, cls, entries, _seen in _technique_entries(graph):
-        writers = _rebind_map(graph, entries, cls)
-        for family, name in sorted(writers):
-            records = writers[(family, name)]
-            if len(records) < 2:
-                continue
-            windowed = [
-                site for record in records.values()
-                for site in record["windowed"]
-            ]
-            if not windowed:
-                continue
-            common: Optional[Set[str]] = None
-            for record in records.values():
-                locks = record["locks"] or set()
-                common = set(locks) if common is None else common & locks
-            if common:
-                continue
-            labels = tuple(sorted(records))
-            marker = (family, name, labels)
-            if marker in reported:
-                continue
-            reported.add(marker)
-            windowed.sort(key=lambda pair: (pair[0], pair[1].lineno))
-            file, node = windowed[0]
-            yield finding(
-                file, node,
-                f"'{name}' is rebound by {len(labels)} concurrently-"
-                f"dispatchable handlers ({', '.join(labels)}) with no "
-                f"common lock; this write follows a blocking wait, so a "
-                f"concurrent dispatch during the window is overwritten "
-                f"on resumption",
-            )
-
-
-def _rebind_map(
-    graph: WaitGraph, entries: Sequence[Entry], within: ClassInfo
-) -> Dict[Tuple[str, str], Dict[str, Dict[str, Any]]]:
-    """(family, attr) -> entry label -> rebinding-write evidence."""
-    writers: Dict[Tuple[str, str], Dict[str, Dict[str, Any]]] = {}
-    for entry in entries:
-        for path in _expand_events(graph, entry.key, within):
-            held: Set[str] = set()
-            waited = False
-            for kind, payload, owner_key in path:
-                if kind == "wait":
-                    waited = True
-                    if payload.kind == LOCK:
-                        held |= {
-                            p for p in payload.patterns if _concrete(p)
-                        }
-                elif kind == "write":
-                    name, node, via = payload
-                    if via != "=":
-                        continue
-                    owner = graph.funcs[owner_key]
-                    family = _family(graph, owner.cls)
-                    record = writers.setdefault((family, name), {}).setdefault(
-                        entry.label,
-                        {"windowed": [], "locks": None},
-                    )
-                    if waited:
-                        record["windowed"].append((owner.file, node))
-                    record["locks"] = (
-                        set(held) if record["locks"] is None
-                        else record["locks"] & held
-                    )
-    return writers
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ deep inside a trace, so this pass checks it statically:
   friends) are modelled as *bindings*: a constructor call couples a
   broadcast method to a deliver callback, giving each binding its own
   little type namespace of ``mtype`` strings;
-* four rules read the graph: undeliverable message types (M401), dead
-  handlers (M402), payload keys read but never sent (M403), and
-  ``reply`` outside a ``call`` exchange (M404);
+* one rule reads the graph: dead handlers (M402), registered for a
+  type nothing sends;
 * :func:`build_catalog` emits the whole graph as the generated protocol
   message catalog (``docs/messages.md`` + JSON).
 
@@ -112,7 +111,6 @@ class ReplySite:
     node: ast.Call
     keys: Tuple[str, ...]
     open: bool
-    func: Optional[FuncNode]   # enclosing function (for M404 correlation)
 
 
 @dataclass
@@ -415,7 +413,7 @@ class _Extractor:
         elif attr == "reply" and call.args:
             keys, is_open = _payload_kwargs(call, frozenset())
             self.graph.replies.append(
-                ReplySite(self.ctx.path, call, keys, is_open, func)
+                ReplySite(self.ctx.path, call, keys, is_open)
             )
         elif attr == "on" and len(call.args) == 2:
             patterns = evaluate(call.args[0], self._scope(cls, func))
@@ -550,8 +548,9 @@ _CACHE: List[Tuple[Any, MessageGraph]] = []
 def build_graph(contexts: Sequence) -> MessageGraph:
     """Build (or reuse) the message graph for this set of file contexts.
 
-    The four M4xx rules run against one invocation's context list, so a
-    single-slot identity cache makes the whole family one pass.
+    M402, the wait-graph pass and the catalog run against one
+    invocation's context list, so a single-slot identity cache makes
+    them one extraction.
     """
     if _CACHE and _CACHE[0][0] is contexts:
         return _CACHE[0][1]
@@ -580,64 +579,8 @@ def _resolvable_sends(graph: MessageGraph) -> List[SendSite]:
 # The rules
 # ---------------------------------------------------------------------------
 
-@rule("M401", "undeliverable-message", scope="project")
-def check_undeliverable(contexts) -> Iterator[Diagnostic]:
-    """Message type is sent but no handler anywhere could receive it.
-
-    A send whose resolved type unifies with no ``.on`` registration (and
-    no ``on_default``) in the whole program is dispatched into
-    ``Node._dispatch``'s missing-handler error — or silently dropped at
-    the transport layer.  Group-communication bindings are checked the
-    same way: a broadcast ``mtype`` the binding's deliver callback
-    guards out is delivered to nobody.
-    """
-    graph = build_graph(contexts)
-    handler_patterns = [
-        pattern for reg in graph.handlers for pattern in reg.patterns
-    ]
-    for send in graph.sends:
-        if all_wild(send.patterns):
-            continue
-        if patterns_unify(send.patterns, handler_patterns):
-            continue
-        yield finding(
-            send.file, send.node,
-            f"message type '{render_patterns(send.patterns)}' is sent here but no "
-            f"handler is registered for it anywhere in the program",
-        )
-    for (owner, attr), variants in sorted(graph.bindings.items()):
-        sends = _binding_sends(graph, owner, attr)
-        for send in sends:
-            if send.attr is None or all_wild(send.patterns):
-                continue
-            if _accepted_by_some_variant(send, variants):
-                continue
-            callback_names = ", ".join(
-                cb.label for v in variants for cb in v.callbacks
-            ) or "<none>"
-            yield finding(
-                send.file, send.node,
-                f"broadcast mtype '{render_patterns(send.patterns)}' on "
-                f"{owner}.{attr} is never accepted by its deliver "
-                f"callback ({callback_names})",
-            )
-
-
 def _binding_sends(graph: MessageGraph, owner: str, attr: str) -> List[BroadcastSend]:
     return graph.sends_for_binding(owner, attr)
-
-
-def _accepted_by_some_variant(send: BroadcastSend,
-                              variants: List[Binding]) -> bool:
-    for variant in variants:
-        if not variant.callbacks:
-            return True  # callback unresolved: assume it accepts
-        for callback in variant.callbacks:
-            if callback.node is None or callback.accepted is None:
-                return True
-            if patterns_unify(send.patterns, callback.accepted):
-                return True
-    return False
 
 
 @rule("M402", "dead-handler", scope="project")
@@ -682,93 +625,6 @@ def check_dead_handlers(contexts) -> Iterator[Diagnostic]:
                         f"mtype '{mtype}' but nothing broadcasts it on "
                         f"{owner}.{attr}",
                     )
-
-
-@rule("M403", "payload-key-never-sent", scope="project")
-def check_payload_schemas(contexts) -> Iterator[Diagnostic]:
-    """Handler reads a payload key that no matching send site provides.
-
-    A key read unconditionally (``msg["k"]`` or single-argument
-    ``msg.pop("k")``) but present in no unifying send's kwargs is a
-    guaranteed ``KeyError`` on every delivery.  Sends with a ``**splat``
-    make the type's schema open and mute the check for it.
-    """
-    graph = build_graph(contexts)
-    for reg in graph.handlers:
-        callback = reg.callback
-        if callback.node is None or not callback.required:
-            continue
-        matching = [
-            send for send in _resolvable_sends(graph)
-            if patterns_unify(send.patterns, reg.patterns)
-        ]
-        if not matching or any(send.open for send in matching):
-            continue
-        sent_keys = {key for send in matching for key in send.keys}
-        for key, read in sorted(callback.required.items()):
-            if key in sent_keys:
-                continue
-            yield finding(
-                reg.file, read,
-                f"handler {callback.label} for "
-                f"'{render_patterns(reg.patterns)}' reads payload key '{key}' "
-                f"which no send site of that type provides (guaranteed "
-                f"KeyError on delivery)",
-            )
-    for (owner, attr), variants in sorted(graph.bindings.items()):
-        sends = _binding_sends(graph, owner, attr)
-        if not sends or any(s.open for s in sends):
-            continue
-        sent_keys = {key for s in sends for key in s.keys}
-        for variant in variants:
-            for callback in variant.callbacks:
-                if callback.node is None:
-                    continue
-                for key, read in sorted(callback.required.items()):
-                    if key in sent_keys:
-                        continue
-                    yield finding(
-                        variant.file, read,
-                        f"deliver callback {callback.label} reads body "
-                        f"key '{key}' which no broadcast on "
-                        f"{owner}.{attr} provides",
-                    )
-
-
-@rule("M404", "reply-without-call", severity="warning", scope="project")
-def check_reply_correlation(contexts) -> Iterator[Diagnostic]:
-    """``reply`` in a handler whose message type is never sent via ``call``.
-
-    ``Node.reply`` answers into the ``reply_to`` future that only
-    ``Node.call`` creates; if every send site of the handled type is
-    fire-and-forget ``send``, the reply is silently dropped by the
-    dispatcher's unmatched-reply path.
-    """
-    graph = build_graph(contexts)
-    by_func = {}
-    for reg in graph.handlers:
-        if reg.callback.node is not None:
-            by_func.setdefault(id(reg.callback.node), []).append(reg)
-    for reply in graph.replies:
-        if reply.func is None:
-            continue
-        registrations = by_func.get(id(reply.func), [])
-        for reg in registrations:
-            matching = [
-                send for send in _resolvable_sends(graph)
-                if patterns_unify(send.patterns, reg.patterns)
-            ]
-            if not matching:
-                continue
-            if any(send.kind == "call" for send in matching):
-                continue
-            yield finding(
-                reply.file, reply.node,
-                f"reply in handler {reg.callback.label} for "
-                f"'{render_patterns(reg.patterns)}', but every send of that type "
-                f"is fire-and-forget (no .call creates the reply future); "
-                f"the reply is silently dropped",
-            )
 
 
 # ---------------------------------------------------------------------------

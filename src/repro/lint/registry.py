@@ -3,8 +3,9 @@
 Every rule is a function decorated with :func:`rule`; the decorator
 records its id, one-line summary, severity and scope.  ``file`` rules run
 once per parsed file; ``project`` rules run once per lint invocation with
-every file in hand (the protocol-contract family resolves class
-hierarchies across modules, so it needs the whole picture).
+every file in hand (the message-flow, wait-graph and interference
+passes resolve names and class hierarchies across modules, so they need
+the whole picture).
 
 ``python -m repro.lint --list-rules`` prints this registry, which makes
 the decorated docstring the rule's user-facing documentation.

@@ -3,8 +3,8 @@
 The paper's functional model distinguishes replication techniques by
 *where they block*: which phase holds locks, waits on 2PC votes, or
 awaits a group-communication round.  Nothing at runtime verifies that
-those blocking structures are deadlock-free — a chaos run just hangs —
-so this pass checks them statically.
+every such wait can end — a chaos run just hangs — so this pass
+extracts them statically.
 
 Every blocking point in the tree is extracted into a per-handler **wait
 graph**:
@@ -21,20 +21,11 @@ graph**:
 
 Graph nodes are functions (handlers, their spawned generators, shared
 helpers); edges are "this function's closure blocks awaiting a message
-another handler serves, or a lock another path releases".  Four rules
-read the graph:
+another handler serves".  One rule reads the graph:
 
 * **W501** — blocking call or lock acquisition with no ``timeout=``: a
   crash of the callee (or a distributed deadlock) leaves the caller
   blocked forever.
-* **W502** — cross-node wait cycle: handler A awaits a reply whose
-  serving handler transitively awaits a type A serves — a static
-  distributed deadlock.
-* **W503** — lock-order inversion: two code paths acquire the same two
-  concrete items in conflicting orders.
-* **W504** — blocking call made while holding locks, without a timeout:
-  lock starvation under crash (the locks are held until the call that
-  can never return returns).
 
 :func:`build_waitgraph_artifact` emits the graph as the generated wait
 graph (``docs/waitgraph.md`` + JSON + one DOT file per technique).
@@ -426,10 +417,10 @@ class _WaitExtractor:
             chain = _self_chain(node.target)
             if chain is not None:
                 # ``self.x += 1`` reads then rebinds x within a single
-                # statement: no suspension point fits between, so the
-                # write is tagged "aug" — R603 ignores it (it cannot
-                # lose an update under cooperative scheduling) while the
-                # runtime write sets keep it (it calls __setattr__).
+                # statement: no suspension point fits between, so it
+                # cannot lose an update under cooperative scheduling.
+                # The write is tagged "aug"; the per-class write sets
+                # keep it (it calls __setattr__).
                 name = _chain_str(chain)
                 out.append(("read", (name, node)))
                 out.append(("write", (name, node, "aug")))
@@ -633,7 +624,6 @@ def build_waitgraph(contexts: Sequence) -> WaitGraph:
     """Build (or reuse) the wait graph for this set of file contexts."""
     if _CACHE and _CACHE[0][0] is contexts:
         return _CACHE[0][1]
-    _EXPANSION_CACHES.clear()
     message_graph = build_graph(contexts)
     graph = WaitGraph(message_graph=message_graph, index=message_graph.index)
     assert graph.index is not None
@@ -646,54 +636,6 @@ def build_waitgraph(contexts: Sequence) -> WaitGraph:
     graph.sites.sort(key=lambda s: (s.file, s.node.lineno, s.node.col_offset))
     _CACHE[:] = [(contexts, graph)]
     return graph
-
-
-# ---------------------------------------------------------------------------
-# Path expansion (shared by W503/W504 and the artifact)
-# ---------------------------------------------------------------------------
-
-_EXPANSION_CACHES: Dict[int, Dict[str, Optional[List[List[WaitSite]]]]] = {}
-
-
-def _expand_paths(graph: WaitGraph, key: str,
-                  depth: int = 0) -> List[List[WaitSite]]:
-    """Wait-site sequences through ``key`` with callees inlined.
-
-    Memoised per graph (an in-progress marker breaks recursion cycles)
-    and depth-capped; path products are capped at MAX_WAIT_PATHS,
-    overflowing to a linearised merge.
-    """
-    cache = _EXPANSION_CACHES.setdefault(id(graph), {})
-    if key in cache:
-        cached = cache[key]
-        return cached if cached is not None else [[]]
-    if depth > MAX_WAIT_DEPTH:
-        return [[]]
-    info = graph.funcs.get(key)
-    if info is None:
-        return [[]]
-    cache[key] = None  # in progress: a recursive cycle expands to nothing
-    out: List[List[WaitSite]] = []
-    for template in info.templates or [[]]:
-        paths: List[List[WaitSite]] = [[]]
-        for kind, payload in template:
-            if kind == "wait":
-                paths = [p + [payload] for p in paths]
-                continue
-            if kind != "callee":
-                continue
-            sub = _expand_paths(graph, payload, depth + 1)
-            if len(paths) * len(sub) > MAX_WAIT_PATHS:
-                flat = [site for sub_path in sub for site in sub_path]
-                paths = [p + flat for p in paths]
-            else:
-                paths = [p + sp for p in paths for sp in sub]
-        out.extend(paths)
-        if len(out) > MAX_WAIT_PATHS:
-            merged = [site for p in out for site in p]
-            out = [merged]
-    cache[key] = out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -794,218 +736,8 @@ def _wait_edges(
     return regs, edges
 
 
-def _strongly_connected(count: int,
-                        edges: Dict[int, List[Tuple[int, WaitSite]]]
-                        ) -> List[List[int]]:
-    """Tarjan's SCCs over the handler wait graph (iterative, stable)."""
-    index_of: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = [0]
-
-    def strongconnect(root: int) -> None:
-        work = [(root, 0)]
-        while work:
-            node, child_index = work.pop()
-            if child_index == 0:
-                index_of[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            recursed = False
-            successors = [j for j, _ in edges.get(node, [])]
-            for offset in range(child_index, len(successors)):
-                succ = successors[offset]
-                if succ not in index_of:
-                    work.append((node, offset + 1))
-                    work.append((succ, 0))
-                    recursed = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index_of[succ])
-            if recursed:
-                continue
-            if low[node] == index_of[node]:
-                component: List[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for node in range(count):
-        if node not in index_of:
-            strongconnect(node)
-    return sccs
-
-
-@rule("W502", "static-wait-cycle", scope="project")
-def check_wait_cycles(contexts) -> Iterator[Diagnostic]:
-    """Handlers form a cross-node wait cycle: a static distributed deadlock.
-
-    Handler A's closure (the functions it calls or spawns, transitively)
-    blocks on a ``node.call`` whose message type is served by handler B,
-    and B's closure transitively blocks on a type served by A.  With one
-    request in flight on each side, both nodes wait forever: the classic
-    distributed deadlock that no local wait-for graph detects.  Cycles
-    whose every wait carries a timeout still livelock under retry, so
-    the rule flags them regardless of timeouts; break the cycle by
-    replying before blocking (as the 2PC participant does) or justify it
-    with a ``# repro: noqa W502``.
-    """
-    graph = build_waitgraph(contexts)
-    regs, edges = _wait_edges(graph)
-    reported: Set[FrozenSet[str]] = set()
-    for component in _strongly_connected(len(regs), edges):
-        members = set(component)
-        inner = [
-            (i, j, site)
-            for i in component
-            for j, site in edges.get(i, [])
-            if j in members and (len(component) > 1 or j == i)
-        ]
-        if not inner:
-            continue
-        labels = frozenset(regs[i][0].callback.label for i in component)
-        if labels in reported:
-            continue
-        reported.add(labels)
-        inner.sort(key=lambda e: (e[2].file, e[2].node.lineno))
-        description = "; ".join(
-            f"{regs[i][0].callback.label} awaits "
-            f"'{render_patterns(site.patterns)}' served by "
-            f"{regs[j][0].callback.label}"
-            for i, j, site in inner
-        )
-        first = inner[0][2]
-        yield finding(
-            first.file, first.node,
-            f"static distributed deadlock: {description} — every handler "
-            f"in the cycle blocks on a reply the others cannot produce "
-            f"while blocked",
-        )
-
-
 def _concrete(pattern: str) -> bool:
     return WILDCARD not in pattern
-
-
-def _lock_pairs(
-    graph: WaitGraph,
-) -> Dict[Tuple[str, str], List[Tuple[WaitSite, WaitSite, str, str, str]]]:
-    """Ordered concrete lock pairs: ``(a, b)`` when some path acquires
-    item ``a`` and then item ``b`` while still holding ``a`` (strict 2PL
-    holds every lock until commit)."""
-    pairs: Dict[Tuple[str, str],
-                List[Tuple[WaitSite, WaitSite, str, str, str]]] = {}
-    for key in sorted(graph.funcs):
-        for path in _expand_paths(graph, key):
-            locks = [site for site in path if site.kind == LOCK]
-            for i, first in enumerate(locks):
-                for second in locks[i + 1:]:
-                    for a in first.patterns:
-                        for b in second.patterns:
-                            if not (_concrete(a) and _concrete(b)) or a == b:
-                                continue
-                            records = pairs.setdefault((a, b), [])
-                            records.append(
-                                (first, second, first.detail,
-                                 second.detail, key)
-                            )
-    return pairs
-
-
-@rule("W503", "lock-order-inversion", scope="project")
-def check_lock_order(contexts) -> Iterator[Diagnostic]:
-    """Two code paths acquire the same two locks in conflicting orders.
-
-    Under strict 2PL both locks are held until commit, so one process
-    running the first path and another running the second deadlock as
-    soon as each holds its first item: a lock-order inversion.  Only
-    *concrete* item names participate (dynamic items widen to wildcards
-    and stay silent — the runtime deadlock detector and lock timeouts
-    own that ground), and a pair is flagged only when the modes conflict
-    on both items (two read locks coexist and cannot deadlock).
-    """
-    graph = build_waitgraph(contexts)
-    pairs = _lock_pairs(graph)
-    reported: Set[FrozenSet[str]] = set()
-    for (a, b) in sorted(pairs):
-        if (b, a) not in pairs:
-            continue
-        unordered = frozenset((a, b))
-        if unordered in reported:
-            continue
-        conflict = None
-        for fwd in pairs[(a, b)]:
-            for rev in pairs[(b, a)]:
-                first_fwd, second_fwd, mode_a_fwd, mode_b_fwd, owner_fwd = fwd
-                _f, _s, mode_b_rev, mode_a_rev, owner_rev = rev
-                if owner_fwd == owner_rev and first_fwd is rev[1]:
-                    continue  # the same two sites seen from one path
-                modes_a = {mode_a_fwd, mode_a_rev}
-                modes_b = {mode_b_fwd, mode_b_rev}
-                if "" in modes_a or "" in modes_b:
-                    continue  # unresolved mode: stay silent
-                if modes_a == {"r"} or modes_b == {"r"}:
-                    continue  # shared locks coexist on that item
-                conflict = (fwd, rev)
-                break
-            if conflict:
-                break
-        if conflict is None:
-            continue
-        reported.add(unordered)
-        fwd, rev = conflict
-        yield finding(
-            fwd[1].file, fwd[1].node,
-            f"lock-order inversion: this path acquires '{a}' then '{b}' "
-            f"(in {fwd[4]}), but {rev[4]} acquires '{b}' then '{a}'; two "
-            f"concurrent transactions taking these paths deadlock under "
-            f"strict 2PL",
-        )
-
-
-@rule("W504", "blocking-call-under-locks", scope="project")
-def check_blocking_under_locks(contexts) -> Iterator[Diagnostic]:
-    """Untimed blocking call made while holding locks.
-
-    Strict 2PL holds every acquired lock until commit or abort.  A
-    ``node.call`` without a timeout issued after a lock acquisition
-    therefore pins those locks on the outcome of a remote node: if it
-    crashed, the locks are held forever and every waiter queued behind
-    them starves — the blocking behaviour the paper attributes to
-    database protocols hardens into a permanent hang.  Internally-timed
-    waits (2PC's vote round) and calls carrying ``timeout=`` pass.
-    """
-    graph = build_waitgraph(contexts)
-    reported: Set[int] = set()
-    for key in sorted(graph.funcs):
-        for path in _expand_paths(graph, key):
-            holding: Optional[WaitSite] = None
-            for site in path:
-                if site.kind == LOCK:
-                    holding = holding or site
-                elif (site.kind == CALL and not site.timed
-                      and holding is not None
-                      and id(site.node) not in reported):
-                    reported.add(id(site.node))
-                    yield finding(
-                        site.file, site.node,
-                        f"blocking call of '{render_patterns(site.patterns)}' "
-                        f"while holding the lock acquired at "
-                        f"{holding.file}:{holding.node.lineno} has no "
-                        f"timeout=; a callee crash leaves the lock held "
-                        f"forever (strict 2PL releases only at "
-                        f"commit/abort)",
-                    )
 
 
 # ---------------------------------------------------------------------------

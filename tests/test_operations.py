@@ -72,20 +72,19 @@ class TestUpdateFunctions:
 
 class TestRequest:
     def test_make_wraps_single_operation(self):
-        request = Request.make(Operation.read("x"))
+        request = Request.make(Operation.read("x"), sequence=1)
         assert len(request.operations) == 1
 
-    def test_request_ids_unique(self):
-        ids = {Request.make(Operation.read("x")).request_id for _ in range(20)}
-        assert len(ids) == 20
-
     def test_read_only_and_deterministic_flags(self):
-        assert Request.make([Operation.read("x")]).read_only
-        assert not Request.make([Operation.write("x", 1)]).read_only
-        assert not Request.make([Operation.update("x", "random_token")]).deterministic
+        assert Request.make([Operation.read("x")], sequence=1).read_only
+        assert not Request.make([Operation.write("x", 1)], sequence=2).read_only
+        assert not Request.make(
+            [Operation.update("x", "random_token")], sequence=3
+        ).deterministic
 
     def test_wire_roundtrip(self):
-        request = Request.make([Operation.read("x"), Operation.write("y", 2)])
+        request = Request.make([Operation.read("x"), Operation.write("y", 2)],
+                               sequence=1)
         assert Request.from_wire(request.as_wire()) == request
 
 

@@ -69,7 +69,10 @@ class TestEagerPrimary:
         # r0 received it while the directory said r0... force direct path:
         proto = system.protocol_at("r2")
         from repro.core.operations import Request
-        request = Request.make([Operation.write("y", 9)], client="c0")
+        # c0's own counter starts at 1, so sequence 0 is an id no request
+        # of the system's c0 can have, in the reply cache or elsewhere.
+        request = Request.make([Operation.write("y", 9)], client="c0",
+                               sequence=0)
         proto.handle_request(request, "c0")
         system.sim.run(until=50)
         assert system.store_of("r2").read("y") is None
