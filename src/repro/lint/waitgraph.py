@@ -977,8 +977,7 @@ def render_waitgraph_markdown(artifact: Dict[str, Any]) -> str:
     lines += [
         "## Cross-handler wait edges",
         "",
-        "Handler A blocks awaiting a message type handler B serves.  The",
-        "W502 rule fails the build if these edges ever form a cycle.",
+        "Handler A blocks awaiting a message type handler B serves.",
         "",
     ]
     if artifact["handler_wait_edges"]:
