@@ -39,7 +39,7 @@ Commands
     the saturation table (goodput and p99 vs offered load, knee marked);
     see docs/workloads.md.  ``--smoke`` shrinks the matrix for CI.
 ``lint [paths] [options]``
-    Run the static determinism/layering/contract linter
+    Run the static determinism/message-flow/wait/interference linter
     (delegates to ``python -m repro.lint``; see docs/linting.md).
 """
 

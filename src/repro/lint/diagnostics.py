@@ -41,6 +41,11 @@ class Diagnostic:
     message: str
     col: int = 0
 
+    def fingerprint(self) -> str:
+        """Line-number-free identity: unrelated edits that shift code
+        leave it unchanged."""
+        return f"{self.file}::{self.rule}::{self.message}"
+
     def as_dict(self) -> Dict[str, object]:
         return {
             "file": self.file,

@@ -62,7 +62,6 @@ from .config import (
     JOIN_METHODS,
     LOCK_ACQUIRE_METHOD,
     LOCK_RECEIVER_NAMES,
-    MAX_WAIT_DEPTH,
     MAX_WAIT_PATHS,
     MUTATOR_METHODS,
     NETWORK_RECEIVER_NAMES,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, run_lint
+from repro.lint import Diagnostic, all_rules, run_lint
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import lint_parsed
 
@@ -276,6 +276,23 @@ def test_message_types_resolved_across_modules(tmp_path):
     assert run_lint(paths) == []
 
 
+def test_reply_to_a_call_is_clean(tmp_path):
+    # A handler whose only sender is a ``call`` is live (M402), and the
+    # reply that answers the call is not a finding.
+    paths = tree(tmp_path, {
+        "src/repro/core/flow.py":
+            "class Widget:\n"
+            "    def __init__(self, node):\n"
+            "        self.node = node\n"
+            "        node.on('flow.request', self._on_req)\n"
+            "    def kick(self):\n"
+            "        self.node.call('peer', 'flow.request', timeout=5.0, item=1)\n"
+            "    def _on_req(self, message):\n"
+            "        self.node.reply(message, ok=True)\n",
+    })
+    assert run_lint(paths) == []
+
+
 GROUP_FIXTURE_PRIMITIVE = (
     "class ReliableBroadcast:\n"
     "    def __init__(self, node, transport, group, deliver,\n"
@@ -325,6 +342,23 @@ def test_broadcast_binding_matched_is_clean(tmp_path):
               "        if mtype != 'apply':\n"
               "            return\n"
               "        print(body['item'])\n",
+    })
+    assert run_lint(paths) == []
+
+
+def test_on_default_catches_everything(tmp_path):
+    # An on_default registration serves every type, so M402 never
+    # reports it dead.
+    paths = tree(tmp_path, {
+        "src/repro/core/flow.py":
+            "class Sink:\n"
+            "    def __init__(self, node):\n"
+            "        self.node = node\n"
+            "        node.on_default(self._on_any)\n"
+            "    def kick(self):\n"
+            "        self.node.send('peer', 'whatever.type', item=1)\n"
+            "    def _on_any(self, message):\n"
+            "        print(message)\n",
     })
     assert run_lint(paths) == []
 
@@ -788,6 +822,12 @@ def test_rule_catalogue_has_docs():
         assert entry.doc, f"rule {entry.id} has no documentation"
         assert entry.summary
         assert entry.severity in ("error", "warning")
+
+
+def test_diagnostic_fingerprint_ignores_line_numbers():
+    a = Diagnostic("f.py", 10, "D104", "error", "msg")
+    b = Diagnostic("f.py", 99, "D104", "error", "msg")
+    assert a.fingerprint() == b.fingerprint()
 
 
 # ---------------------------------------------------------------------------
