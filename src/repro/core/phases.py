@@ -163,23 +163,20 @@ class PhaseTracer:
     observation helpers reconstruct, per request, the phase sequence as it
     unfolded at a given replica or across the system.
 
-    With an :class:`~repro.obs.Observer` attached, every record also
-    opens a phase *span* — the previous phase of the same (source,
+    When the log holds an :class:`~repro.obs.Observer`, every record also
+    opens a phase *span* there — the previous phase of the same (source,
     request) pair ends when the next begins, turning the paper's phase
     row into measurable per-phase latency.
     """
 
-    def __init__(self, trace: TraceLog, obs: Optional[object] = None) -> None:
+    def __init__(self, trace: TraceLog) -> None:
         self.trace = trace
-        self.obs = obs
 
     def record(self, source: str, request_id: object, phase: str, mechanism: str = "") -> None:
         """Report that ``source`` entered ``phase`` on behalf of a request."""
         if phase not in PHASE_ORDER:
             raise ValueError(f"unknown phase {phase!r}")
         self.trace.append("phase", source, _PHASE_KEYS, (request_id, phase, mechanism))
-        if self.obs is not None:
-            self.obs.on_phase(source, request_id, phase, mechanism)
 
     def observed_sequence(
         self,

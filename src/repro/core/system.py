@@ -489,16 +489,17 @@ class ReplicatedSystem:
         self.protocol_cls = REGISTRY[spec.technique]
         self.info: ProtocolInfo = self.protocol_cls.info
         self.sim = Simulator(seed=spec.seed)
-        self.trace = TraceLog(self.sim, max_events=spec.trace_max_events)
         self.observer: Optional[Observer] = Observer(self.sim) if spec.observe else None
+        self.trace = TraceLog(self.sim, max_events=spec.trace_max_events,
+                              obs=self.observer)
         if self.observer is not None:
-            self.observer.attach(self.trace)
+            self.observer.trace_log = self.trace
             # Windowed telemetry: sample gauges (breaker states, derived
             # end-of-run values) at every bucket boundary.  The tick hook
             # fires inline from the event loop without scheduling events,
             # so observation stays neutral to the run.
             self.observer.attach_sampler(self.sim)
-        self.tracer = PhaseTracer(self.trace, obs=self.observer)
+        self.tracer = PhaseTracer(self.trace)
         self.net = Network(self.sim, latency=spec.latency, obs=self.observer)
         self.injector = FailureInjector(self.sim, self.net, trace=self.trace)
         self.replica_names = [f"r{i}" for i in range(spec.replicas)]

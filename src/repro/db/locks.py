@@ -103,9 +103,7 @@ class LockManager:
         if self.obs is not None:
             # Record the request itself (not just contention) so recorded
             # traffic can be cross-validated against the static wait graph.
-            hook = getattr(self.obs, "on_lock_acquire", None)
-            if hook is not None:
-                hook(self.name, txn, item, mode)
+            self.obs.on_lock_acquire(self.name, txn, item, mode)
         self._ages.setdefault(txn, next(self._arrivals))
         future = self.sim.future(label=f"lock:{item}:{mode}:{txn}")
         if self._can_grant(txn, item, mode, self._queues.get(item, ())):

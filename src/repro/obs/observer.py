@@ -7,9 +7,8 @@ zero-cost when disabled and keeps the architecture acyclic (``obs`` may
 depend on ``sim``/``net``; nothing below ``core`` depends on ``obs``).
 The hooks below are therefore the whole contract between the
 observability layer and the system it watches.  A span crosses it as
-its id: the request, lock-wait and phase hooks return one, the lock
-hooks take one back, and a message carries its flight's in
-``span_id``.
+its id: the request and lock-wait hooks return one, the lock hooks take
+one back, and a message carries its flight's in ``span_id``.
 
 Causality model (one root per client request):
 
@@ -21,11 +20,13 @@ Causality model (one root per client request):
 * ``handler_context`` brackets a receiving node's handler with a span
   parented under the flight span — re-entering the request's causal tree
   on the other side of the wire.
-* ``on_phase`` turns the five-phase records into phase spans: each phase
-  of a (source, request) pair ends when the next one starts.
-* lock hooks wrap 2PL waits; the trace-log bridge converts group
+* the trace-log bridge (``_on_trace_event``, which the
+  :class:`~repro.sim.TraceLog` calls with every record it stores) turns
+  the five-phase records into phase spans — each phase of a (source,
+  request) pair ends when the next one starts — and group
   communication, failure-detector, 2PC and fault-injection records into
   instant events and counters.
+* lock hooks wrap 2PL waits.
 """
 
 from __future__ import annotations
@@ -105,7 +106,9 @@ class Observer:
         self._completed_at: Dict[str, float] = {}
         self.lock_sequence: List[Tuple[str, str, str, str]] = []
         self.attr_writes: Dict[str, set] = {}
-        self._trace_log: Any = None
+        # The run's TraceLog, given by whoever builds the system; finalize
+        # reads its ring-buffer drops.
+        self.trace_log: Any = None
         self._sampled_sim: Any = None
         self._finalized = False
         # Instruments of the per-message, per-phase and per-lock hooks,
@@ -234,37 +237,6 @@ class Observer:
             _HANDLE_KEYS, (mtype, message.src),
         )
 
-    # -- phases (called from repro.core.phases) ------------------------------
-
-    def on_phase(
-        self, source: str, request_id: object, phase: str, mechanism: str = ""
-    ) -> int:
-        """Open a phase span; the previous phase of (source, request) ends."""
-        key = (source, request_id)
-        tracer = self.tracer
-        previous = self._open_phases.pop(key, None)
-        if previous is not None:
-            tracer.finish(previous)
-            start, end = tracer.interval(previous)
-            name = tracer.name_of(previous)
-            self._phase_latency[name].observe(end - start)
-            self._ts_phase_time[name].observe(end, end - start)
-        trace_id = str(request_id)
-        span = tracer.record(
-            phase, "phase", source, trace_id, tracer.current,
-            _PHASE_KEYS, (trace_id, mechanism),
-        )
-        self._open_phases[key] = span
-        self._phases_entered[phase].value += 1
-        completed = self._completed_at.get(trace_id)
-        if phase == "AC" and completed is not None:
-            # A replica applying after the client already got its answer:
-            # lazy propagation.  The gap is the staleness window this
-            # update was invisible for — replication lag, as a series.
-            now = tracer.now
-            self.metrics.sample("ts.replication_lag", now, now - completed)
-        return span
-
     # -- locks (called from repro.db.locks, duck-typed) ----------------------
 
     def on_lock_acquire(self, site: str, txn: object, item: str, mode: str) -> None:
@@ -321,20 +293,7 @@ class Observer:
     def on_txn_abort(self, site: str, reason: str) -> None:
         self.metrics.inc("txn.aborted", label=abort_reason_label(reason))
 
-    # -- trace-log bridge -----------------------------------------------------
-
-    def attach(self, trace_log: Any) -> None:
-        """Mirror structured trace events as instant spans and counters.
-
-        The group-communication, failure-detection, 2PC and
-        fault-injection layers already narrate themselves into the
-        :class:`~repro.sim.TraceLog`; subscribing converts that
-        narration into the span world without those layers knowing the
-        observer exists.  Events fire inside handler contexts, so the
-        instants land in the right causal subtree.
-        """
-        self._trace_log = trace_log
-        trace_log.subscribe(self._on_trace_event)
+    # -- trace-log bridge and tick sampler -------------------------------------
 
     def attach_sampler(self, sim: Any) -> None:
         """Sample gauges at every bucket boundary via the sim tick hook.
@@ -355,42 +314,79 @@ class Observer:
                 f"sample.{name}", boundary, value, label=label or None
             )
 
-    def _on_trace_event(self, event: Any) -> None:
-        category = event.category
+    def _on_trace_event(
+        self, category: str, source: str, keys: Tuple[str, ...], values: tuple
+    ) -> None:
+        """Mirror one stored trace record as spans, instants and counters.
+
+        The group-communication, failure-detection, 2PC and
+        fault-injection layers, and the phase tracer, narrate themselves
+        into the :class:`~repro.sim.TraceLog`; the log hands each record
+        here, which converts that narration into the span world without
+        those layers knowing the observer exists.  Records are written
+        inside handler contexts, so the spans land in the right causal
+        subtree.
+        """
         if category == "phase":
-            return  # natively instrumented as real spans
+            self._on_phase(source, *values)
+            return
+        data = dict(zip(keys, values))
         if category in _GC_CATEGORIES:
-            mtype = event.data.get("mtype", event.data.get("action", ""))
+            mtype = data.get("mtype", data.get("action", ""))
             self.tracer.instant(
                 f"{category}:{mtype}" if mtype else category, "gc",
-                event.source, **_primitive_attrs(event.data),
+                source, **_primitive_attrs(data),
             )
             self._broadcasts[category].value += 1
         elif category == "fd":
-            action = event.data.get("action", "")
+            action = data.get("action", "")
             self.tracer.instant(
-                f"fd:{action}", "fd", event.source,
-                peer=event.data.get("peer", ""),
+                f"fd:{action}", "fd", source, peer=data.get("peer", ""),
             )
             if action == "suspect":
                 self.metrics.inc("fd.suspicions")
             elif action == "restore":
                 self.metrics.inc("fd.wrong_suspicions")
         elif category == "2pc":
-            decision = event.data.get("decision", "")
+            decision = data.get("decision", "")
             self.tracer.instant(
-                f"2pc:{decision}", "2pc", event.source,
-                txn=str(event.data.get("txn", "")),
+                f"2pc:{decision}", "2pc", source, txn=str(data.get("txn", "")),
             )
             self.metrics.inc("2pc.decisions", label=decision)
         elif category == "fault":
-            action = event.data.get("action", "")
+            action = data.get("action", "")
             self.tracer.instant(
-                f"fault:{action}", "fault", event.source,
-                **_primitive_attrs(event.data),
+                f"fault:{action}", "fault", source, **_primitive_attrs(data),
             )
             self.metrics.inc("faults.injected", label=action)
             self.metrics.sample("ts.faults", self.tracer.now)
+
+    def _on_phase(
+        self, source: str, request_id: object, phase: str, mechanism: str
+    ) -> None:
+        """Open a phase span; the previous phase of (source, request) ends."""
+        key = (source, request_id)
+        tracer = self.tracer
+        previous = self._open_phases.pop(key, None)
+        if previous is not None:
+            tracer.finish(previous)
+            start, end = tracer.interval(previous)
+            name = tracer.name_of(previous)
+            self._phase_latency[name].observe(end - start)
+            self._ts_phase_time[name].observe(end, end - start)
+        trace_id = str(request_id)
+        self._open_phases[key] = tracer.record(
+            phase, "phase", source, trace_id, tracer.current,
+            _PHASE_KEYS, (trace_id, mechanism),
+        )
+        self._phases_entered[phase].value += 1
+        completed = self._completed_at.get(trace_id)
+        if phase == "AC" and completed is not None:
+            # A replica applying after the client already got its answer:
+            # lazy propagation.  The gap is the staleness window this
+            # update was invisible for — replication lag, as a series.
+            now = tracer.now
+            self.metrics.sample("ts.replication_lag", now, now - completed)
 
     # -- crashes (called from repro.core.system) ------------------------------
 
@@ -433,12 +429,12 @@ class Observer:
         force_closed = self.tracer.finalize()
         self.metrics.set("spans.recorded", float(len(self.tracer)))
         self.metrics.set("spans.force_closed", float(force_closed))
-        if self._trace_log is not None:
+        if self.trace_log is not None:
             # Ring-buffer overflow is silent at drop time by design (the
             # hot path cannot afford reporting); surface it here so a
             # truncated trace is visible in every metrics report.
             self.metrics.set(
-                "trace.dropped_events", float(self._trace_log.dropped_events)
+                "trace.dropped_events", float(self.trace_log.dropped_events)
             )
 
     def __repr__(self) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice, starmap
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "TraceLog"]
 
@@ -56,9 +56,8 @@ class TraceLog:
     run's log costs neither collection time nor collections.
     :class:`TraceEvent` is the read-side type — the queries (iteration,
     :attr:`events`, :meth:`select`, :meth:`dump`) build one per record
-    they return, ``data`` in the order the record was written, and so
-    does a record while a subscriber is attached; nothing else constructs
-    one.
+    they return, ``data`` in the order the record was written; nothing
+    else constructs one.
 
     ``max_events`` turns the log into a ring buffer: once the bound is
     reached the oldest records are discarded (``dropped_events`` counts
@@ -68,13 +67,16 @@ class TraceLog:
     before it, so a discard costs O(1) amortised and the columns never
     hold more than twice the bound.
 
-    Subscribers are *isolated*: the record is appended to the log before
-    any subscriber runs, and a subscriber that raises is unsubscribed and
-    its exception recorded in ``subscriber_errors`` — one broken observer
-    cannot corrupt the log or starve other subscribers.
+    ``obs`` is an optional, duck-typed observer (:mod:`repro.obs`), held
+    the way :class:`~repro.net.Network` holds one: every record, once
+    stored, is handed to ``obs._on_trace_event(category, source, keys,
+    values)``.  An exception it raises surfaces where the record was
+    written, with the record already in the log.
     """
 
-    def __init__(self, sim: Any = None, max_events: Optional[int] = None) -> None:
+    def __init__(
+        self, sim: Any = None, max_events: Optional[int] = None, obs: Any = None
+    ) -> None:
         if max_events is not None and max_events <= 0:
             raise ValueError(f"max_events must be positive, got {max_events}")
         self._sim = sim
@@ -88,11 +90,8 @@ class TraceLog:
         # Schema id -> (category, keys), and back.
         self._schemas: List[Tuple[str, Tuple[str, ...]]] = []
         self._schema_id: Dict[Tuple[str, Tuple[str, ...]], int] = {}
-        # A tuple, replaced (never mutated) by subscribe() and on eviction:
-        # append() iterates it as is, with no per-record snapshot copy.
-        self._subscribers: Tuple[Callable[[TraceEvent], None], ...] = ()
+        self.obs = obs
         self.dropped_events = 0
-        self.subscriber_errors: List[Exception] = []
 
     def record(self, category: str, source: str, **data: Any) -> None:
         """Append a record stamped with the current simulated time.
@@ -110,7 +109,7 @@ class TraceLog:
         For a caller that writes one schema many times and keeps its
         ``keys`` tuple (:class:`~repro.core.phases.PhaseTracer`).  Every
         record goes through here: time stamp, ring-buffer accounting,
-        the append, the subscriber fan-out.
+        the append, the observer.
         """
         if len(values) != len(keys):
             # The flat field column is only readable if every record of a
@@ -130,17 +129,8 @@ class TraceLog:
         fields = self._fields
         fields.append(source)
         fields += values
-        subscribers = self._subscribers
-        if subscribers:
-            event = TraceEvent(now, category, source, dict(zip(keys, values)))
-            for subscriber in subscribers:
-                try:
-                    subscriber(event)
-                except Exception as exc:  # noqa: BLE001 - subscriber isolation
-                    self.subscriber_errors.append(exc)
-                    self._subscribers = tuple(
-                        s for s in self._subscribers if s != subscriber
-                    )
+        if self.obs is not None:
+            self.obs._on_trace_event(category, source, keys, values)
 
     def _discard_oldest(self) -> None:
         head = self._head
@@ -152,10 +142,6 @@ class TraceLog:
             del self._schema_ids[:head]
             del self._fields[:self._fields_head]
             self._head = self._fields_head = 0
-
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Invoke ``callback`` for every subsequently recorded event."""
-        self._subscribers += (callback,)
 
     # -- queries -----------------------------------------------------------
 
@@ -246,7 +232,7 @@ class TraceLog:
         return sum(1 for _ in self._matching(category, source, data_filters))
 
     def clear(self) -> None:
-        """Discard all recorded events (subscribers are kept)."""
+        """Discard all recorded events (the observer is kept)."""
         del self._times[:], self._schema_ids[:], self._fields[:]
         self._head = self._fields_head = 0
 

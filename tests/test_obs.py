@@ -412,7 +412,7 @@ class TestZeroCostWhenDisabled:
         system = ReplicatedSystem("eager_primary", replicas=3, seed=3)
         assert system.observer is None
         assert system.net.obs is None
-        assert system.tracer.obs is None
+        assert system.trace.obs is None
         for replica in system.replicas.values():
             assert replica.tm.obs is None
             assert replica.tm.locks.obs is None

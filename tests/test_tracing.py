@@ -24,6 +24,19 @@ WRITERS = {
 }
 
 
+class RecordingObserver:
+    """Stands in for :class:`repro.obs.Observer` as a log's ``obs``: keeps
+    every record the log hands it, stamped with the clock's time."""
+
+    def __init__(self, clock=None):
+        self.clock = clock
+        self.seen = []
+
+    def _on_trace_event(self, category, source, keys, values):
+        now = 0.0 if self.clock is None else self.clock.now
+        self.seen.append(TraceEvent(now, category, source, dict(zip(keys, values))))
+
+
 class TestTraceLog:
     def test_records_carry_sim_time(self):
         sim = Simulator()
@@ -64,22 +77,32 @@ class TestTraceLog:
         assert trace.count("tick") == 4
         assert trace.count("tick", i=2) == 1
 
-    def test_subscribers_see_new_events(self):
-        trace = TraceLog()
-        seen = []
-        trace.subscribe(seen.append)
-        trace.record("cat", "src")
-        assert len(seen) == 1
+    def test_observer_sees_new_events(self):
+        obs = RecordingObserver()
+        trace = TraceLog(obs=obs)
+        trace.record("cat", "src", i=1)
+        PhaseTracer(trace).record("r0", "req", "RE")
+        assert obs.seen == trace.events and len(obs.seen) == 2
 
-    def test_clear_keeps_subscribers(self):
-        trace = TraceLog()
-        seen = []
-        trace.subscribe(seen.append)
+    def test_clear_keeps_observer(self):
+        obs = RecordingObserver()
+        trace = TraceLog(obs=obs)
         trace.record("cat", "src")
         trace.clear()
         assert len(trace) == 0
         trace.record("cat", "src")
-        assert len(seen) == 2
+        assert len(obs.seen) == 2
+
+    def test_raising_observer_propagates_and_keeps_the_record(self):
+        class Broken:
+            def _on_trace_event(self, category, source, keys, values):
+                raise RuntimeError("observer bug")
+
+        trace = TraceLog(obs=Broken())
+        with pytest.raises(RuntimeError, match="observer bug"):
+            trace.record("cat", "src", i=1)
+        # The record was stored before the observer ran.
+        assert [(e.category, e.data) for e in trace] == [("cat", {"i": 1})]
 
     def test_dump_limits_output(self):
         trace = TraceLog()
@@ -114,14 +137,14 @@ class TestRingBuffer:
 
     @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
     def test_bound_is_kept_over_rows(self, write):
-        trace = TraceLog(max_events=5)
-        seen = []
-        trace.subscribe(seen.append)
+        obs = RecordingObserver()
+        trace = TraceLog(max_events=5, obs=obs)
         for i in range(12):
             write(trace, i)
         assert len(trace) == 5 and trace.dropped_events == 7
-        # The subscriber saw every record, dropped or kept, and every way
+        # The observer saw every record, dropped or kept, and every way
         # of reading agrees on what is left.
+        seen = obs.seen
         assert [e.data["i"] for e in seen] == list(range(12))
         assert trace.events == trace.select() == list(trace) == seen[-5:]
         assert trace.count() == 5
@@ -131,11 +154,10 @@ class TestRingBuffer:
         bound = 40
         system = ReplicatedSystem("active", replicas=3, seed=5,
                                   trace_max_events=bound)
-        seen = []
-        system.trace.subscribe(seen.append)
+        obs = system.trace.obs = RecordingObserver(system.sim)
         for i in range(6):
             assert system.execute([Operation.write("x", i)]).committed
-        trace = system.trace
+        trace, seen = system.trace, obs.seen
         assert len(seen) > 2 * bound
         assert len(trace) == bound
         assert trace.dropped_events == len(seen) - bound
@@ -153,28 +175,6 @@ class TestRingBuffer:
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
             TraceLog(max_events=0)
-
-
-class TestSubscriberIsolation:
-    def test_raising_subscriber_does_not_corrupt_log(self):
-        trace = TraceLog()
-
-        def broken(_event):
-            raise RuntimeError("observer bug")
-
-        seen = []
-        trace.subscribe(broken)
-        trace.subscribe(seen.append)
-        trace.record("cat", "src")
-        event = trace.events[-1]
-        # The event made it into the log and to the healthy subscriber.
-        assert len(trace) == 1
-        assert seen == [event]
-        # The broken subscriber was detached and its error recorded.
-        assert len(trace.subscriber_errors) == 1
-        trace.record("cat", "src")
-        assert len(trace.subscriber_errors) == 1  # not called again
-        assert len(seen) == 2
 
 
 # ---------------------------------------------------------------------------
