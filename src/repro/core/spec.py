@@ -71,7 +71,7 @@ class RunSpec:
     technique: str
     replicas: int = 3
     clients: int = 1
-    seed: Optional[int] = 0
+    seed: int = 0
     latency: LatencyModel = ConstantLatency(1.0)
     fd_interval: float = 2.0
     fd_timeout: float = 8.0
@@ -96,6 +96,9 @@ class RunSpec:
             raise ReplicationError(
                 f"unknown technique {self.technique!r}; available: {sorted(REGISTRY)}"
             )
+        if not isinstance(self.seed, int):
+            # None would seed sim.rng from OS entropy: a run nobody can repeat.
+            raise TypeError(f"seed must be an int, got {self.seed!r}")
         if self.abcast not in ABCAST_FLAVOURS:
             raise ValueError(
                 f"unknown abcast {self.abcast!r}; available: {list(ABCAST_FLAVOURS)}"

@@ -114,7 +114,7 @@ class ReplicaNode:
         # crc32, not hash(): str hashing is salted per process, which would
         # give two invocations of the same seed different replica streams.
         self.rng = random.Random(
-            (system.spec.seed or 0) * 10007 + zlib.crc32(name.encode("utf-8")) % 99991
+            system.spec.seed * 10007 + zlib.crc32(name.encode("utf-8")) % 99991
         )
         self.tracer = system.tracer
         self.protocol = None  # set by ReplicatedSystem

@@ -448,7 +448,7 @@ class Simulator:
     Parameters
     ----------
     seed:
-        Seed for the simulator-owned :class:`random.Random`.  All random
+        Seed (an int) for the simulator-owned :class:`random.Random`.  All random
         choices in the library (latencies, workload generation, protocol
         tie-breaking) draw from ``sim.rng`` or generators derived from it,
         so identical seeds yield identical executions.
@@ -458,7 +458,9 @@ class Simulator:
     # cheaper to drain through the normal pop-and-skip path.
     _COMPACT_MIN_DEAD = 32
 
-    def __init__(self, seed: Optional[int] = 0) -> None:
+    def __init__(self, seed: int = 0) -> None:
+        if not isinstance(seed, int):
+            raise TypeError(f"seed must be an int, got {seed!r}")
         self._now = 0.0
         self._queue: List[tuple] = []
         self._sequence = 0
@@ -485,7 +487,7 @@ class Simulator:
         """
         stream = self._streams.get(name)
         if stream is None:
-            derived = (self.seed or 0) * 1_000_003 + zlib.crc32(name.encode("utf-8"))
+            derived = self.seed * 1_000_003 + zlib.crc32(name.encode("utf-8"))
             stream = random.Random(derived)
             self._streams[name] = stream
         return stream

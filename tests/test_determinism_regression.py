@@ -11,6 +11,7 @@ through a helper — shows up here as a diff.
 import pytest
 
 from repro import REGISTRY, RunSpec
+from repro.net import UniformLatency
 from repro.workload import WorkloadSpec, run_workload
 
 
@@ -63,3 +64,37 @@ def test_different_seeds_actually_differ():
     other = _run("active", seed=1302)
     assert base != other
     assert len(base[0]) > 50
+
+
+def _sampled_latency_run(seed: int):
+    """A contended run whose every message latency is drawn from ``sim.rng``."""
+    spec = WorkloadSpec(items=3, read_fraction=0.2, ops_per_transaction=2)
+    system, driver, _summary = run_workload(
+        RunSpec("eager_ue_locking", replicas=3, clients=3, seed=seed,
+                latency=UniformLatency(0.5, 2.5)),
+        spec,
+        requests_per_client=4,
+        think_time=1.0,
+        settle=300.0,
+    )
+    results = [
+        (r.request_id, r.committed, repr(r.values), r.server,
+         r.submitted_at, r.completed_at)
+        for r in driver.results
+    ]
+    stores = {
+        name: system.store_of(name).digest() for name in system.live_replicas()
+    }
+    stats = vars(system.net.stats)
+    return results, stores, stats
+
+
+def test_seed_zero_draws_the_same_latencies():
+    """Seed 0 is a seed like any other: ``sim.rng`` is seeded from it, not
+    from the wall clock or the OS, so a run that samples its latencies
+    repeats exactly."""
+    first = _sampled_latency_run(seed=0)
+    second = _sampled_latency_run(seed=0)
+    for label, a, b in zip(("results", "stores", "net.stats"), first, second):
+        assert a == b, f"{label} diverged between two runs at seed 0"
+    assert first[2]["sent"] > 0 and len(first[0]) == 12

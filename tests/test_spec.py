@@ -18,6 +18,7 @@ from repro import REGISTRY, ReplicatedSystem, RunSpec
 from repro.core import AdmissionConfig
 from repro.core.spec import ABCAST_FLAVOURS
 from repro.net import ConstantLatency, ExponentialLatency, UniformLatency
+from repro.sim import Simulator
 
 
 class TestValidation:
@@ -34,6 +35,13 @@ class TestValidation:
             ReplicatedSystem("active", abcsat="sequencer")
         with pytest.raises(TypeError, match="abcsat"):
             ReplicatedSystem(RunSpec("active"), abcsat="sequencer")
+
+    def test_seed_must_be_an_int(self):
+        # None used to seed sim.rng from OS entropy: a run nobody can repeat.
+        with pytest.raises(TypeError, match="seed must be an int"):
+            RunSpec("active", seed=None)
+        with pytest.raises(TypeError, match="seed must be an int"):
+            Simulator(seed=None)
 
 
 class TestSystemFromSpec:
@@ -87,7 +95,7 @@ FIELD_VALUES = {
     "technique": st.sampled_from(sorted(REGISTRY)),
     "replicas": st.integers(1, 7),
     "clients": st.integers(0, 5),
-    "seed": st.none() | st.integers(0, 10_000),
+    "seed": st.integers(0, 10_000),
     "latency": st.one_of(
         st.builds(ConstantLatency, _FLOATS),
         _uniform(),
