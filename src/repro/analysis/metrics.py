@@ -12,6 +12,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.operations import Result
 from ..net import NetworkStats
+from ..obs.metrics import percentile
 
 __all__ = ["LatencyStats", "WorkloadSummary", "summarize", "messages_per_request"]
 
@@ -32,17 +33,12 @@ class LatencyStats:
         data = sorted(values)
         if not data:
             return LatencyStats(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-        def percentile(q: float) -> float:
-            index = min(len(data) - 1, max(0, math.ceil(q * len(data)) - 1))
-            return data[index]
-
         return LatencyStats(
             count=len(data),
             mean=sum(data) / len(data),
-            p50=percentile(0.50),
-            p95=percentile(0.95),
-            p99=percentile(0.99),
+            p50=percentile(data, 0.50),
+            p95=percentile(data, 0.95),
+            p99=percentile(data, 0.99),
             maximum=data[-1],
         )
 

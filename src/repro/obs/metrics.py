@@ -21,11 +21,18 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .timeseries import DEFAULT_BUCKET_WIDTH, TimeSeries
 
-__all__ = ["Counter", "Gauge", "Histogram", "InstrumentFamily", "MetricsRegistry"]
+__all__ = [
+    "Counter", "Gauge", "Histogram", "InstrumentFamily", "MetricsRegistry",
+    "percentile",
+]
 
 
-def _percentile(data: List[float], q: float) -> float:
-    """Nearest-rank percentile over sorted data (LatencyStats convention)."""
+def percentile(data: List[float], q: float) -> float:
+    """Nearest-rank percentile over sorted data; 0.0 for no data.
+
+    The one percentile of the package: histograms here and
+    :class:`~repro.analysis.LatencyStats` both read it.
+    """
     if not data:
         return 0.0
     index = min(len(data) - 1, max(0, math.ceil(q * len(data)) - 1))
@@ -88,9 +95,9 @@ class Histogram:
         return {
             "count": len(data),
             "mean": round(sum(data) / len(data), 6),
-            "p50": round(_percentile(data, 0.50), 6),
-            "p95": round(_percentile(data, 0.95), 6),
-            "p99": round(_percentile(data, 0.99), 6),
+            "p50": round(percentile(data, 0.50), 6),
+            "p95": round(percentile(data, 0.95), 6),
+            "p99": round(percentile(data, 0.99), 6),
             "max": round(data[-1], 6),
         }
 
