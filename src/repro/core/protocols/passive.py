@@ -11,6 +11,11 @@ Faithful points:
 * The update is propagated with **VSCAST** (Section 3.3 explains FIFO
   alone cannot survive a primary failover; the view-synchronous broadcast
   orders a faulty primary's last updates against the new primary's).
+* **END follows the backups' AC** — each backup acknowledges applying the
+  update, and the primary answers once every other member of its view
+  has acknowledged or has left the view.  An answered update is then
+  held by every member of the view, so no failover can lose it; a
+  primary excluded from the view never answers, and the client retries.
 * Non-determinism is fine: only the primary executes; backups apply
   after-images.  ``random_token`` operations are safe here.
 * **Failures are not transparent to clients** (Figure 5): if the primary
@@ -25,6 +30,8 @@ Faithful points:
 
 from __future__ import annotations
 
+from typing import Dict, List, Set, Tuple
+
 from ...errors import TransactionAborted
 from ...groupcomm import View, ViewSyncGroup
 from ..operations import Request
@@ -32,6 +39,8 @@ from ..phases import AC, END, EX, RE, PhaseDescriptor, PhaseStep
 from .base import ProtocolInfo, ReplicaProtocol, run_transaction
 
 __all__ = ["PassiveReplication"]
+
+ACK = "passive.ack"
 
 
 class PassiveReplication(ReplicaProtocol):
@@ -61,6 +70,11 @@ class PassiveReplication(ReplicaProtocol):
     def __init__(self, replica, group, spec) -> None:
         super().__init__(replica, group, spec)
         replica.node.on("passive.forward", self._on_forward)
+        replica.transport.on(ACK, self._on_ack)
+        # Updates this primary executed and vscast but has not answered:
+        # request id -> (client, request, values, the members of the view
+        # that have not yet acknowledged applying the update).
+        self._unacked: Dict[str, Tuple[str, Request, List, Set[str]]] = {}
         self.view_group = ViewSyncGroup(
             replica.node,
             replica.transport,
@@ -68,6 +82,7 @@ class PassiveReplication(ReplicaProtocol):
             group,
             self._on_vs_deliver,
             on_view_change=self._on_view_change,
+            on_excluded=self._on_excluded,
             get_state=self._state_snapshot,
             set_state=self._state_install,
             trace=replica.system.trace,
@@ -88,10 +103,22 @@ class PassiveReplication(ReplicaProtocol):
         # new primary; updating the shared directory models the name
         # service clients consult on retry.
         self.replica.system.directory.set_primary(view.members[0])
+        # A member that left the view no longer owes an acknowledgement:
+        # view synchrony delivered the update to everyone who stayed.
+        for rid in list(self._unacked):
+            self._unacked[rid][3].intersection_update(view.members)
+            self._answer_if_held(rid)
 
     def _state_snapshot(self):
         return {"store": self.store.digest(),
                 "replies": tuple(self.replica.reply_cache.items())}
+
+    def _on_excluded(self) -> None:
+        # Left out of the view while alive (a wrong suspicion): nothing
+        # waiting here is answered, and the replica asks to come back
+        # with state transfer, the way a restarted one does.
+        self._unacked.clear()
+        self.view_group.join(self.peers())
 
     def _state_install(self, state) -> None:
         if state is None:
@@ -142,9 +169,25 @@ class PassiveReplication(ReplicaProtocol):
         self.view_group.vscast(
             "apply", request_id=rid, updates=updates, values=values
         )
-        # The local vscast delivery is synchronous, so by the time we get
-        # here the reply table already holds rid; respond to the client.
-        self.respond(client, request, committed=True, values=values)
+        backups = set(self.view_group.view.members) - {self.replica.name}
+        self._unacked[rid] = (client, request, values, backups)
+        self._answer_if_held(rid)
+
+    def _on_ack(self, src: str, payload: dict) -> None:
+        rid = payload["request_id"]
+        entry = self._unacked.get(rid)
+        if entry is not None:
+            entry[3].discard(src)
+            self._answer_if_held(rid)
+
+    def _answer_if_held(self, rid: str) -> None:
+        """Answer the client once no member of the view still owes an ack."""
+        client, request, values, waiting = self._unacked[rid]
+        if waiting:
+            return
+        del self._unacked[rid]
+        if self.view_group.member and not self.view_group.excluded:
+            self.respond(client, request, committed=True, values=values)
 
     # -- backup path --------------------------------------------------------------
 
@@ -152,19 +195,32 @@ class PassiveReplication(ReplicaProtocol):
         if mtype != "apply":
             return
         rid = body["request_id"]
-        if self.replica.cached_reply(rid) is not None:
+        if origin == self.replica.name:
+            self.replica.remember_reply(rid, body["values"])
             return
-        self.replica.remember_reply(rid, body["values"])
-        if origin != self.replica.name:
+        if self.replica.cached_reply(rid) is None:
             # Backups record their part of the Agreement Coordination
             # phase and install the primary's after-images.
+            self.replica.remember_reply(rid, body["values"])
             self.phase(rid, AC, "vscast")
             self.tm.apply_updates(body["updates"])
+        # Applied now or before: either way this backup holds the update.
+        self.replica.transport.send(origin, ACK, request_id=rid)
+
+    def _on_client_request(self, message) -> None:
+        # A retry of an update still waiting for its backups is answered
+        # when they hold it, not from the reply table.
+        if message["request"].request_id not in self._unacked:
+            super()._on_client_request(message)
 
     def _on_forward(self, message) -> None:
-        self.handle_request(message["request"], message["client"])
+        if message["request"].request_id not in self._unacked:
+            self.handle_request(message["request"], message["client"])
 
     # -- recovery -----------------------------------------------------------------
+
+    def on_crash(self) -> None:
+        self._unacked.clear()
 
     def on_recover(self) -> None:
         """Re-join the group after a restart.

@@ -75,6 +75,9 @@ class ViewSyncGroup:
         Upcall ``deliver(origin, mtype, body)`` for VSCAST messages.
     on_view_change:
         Optional listener ``on_view_change(view)`` called at each install.
+    on_excluded:
+        Optional listener ``on_excluded()`` called when a view this node
+        took part in deciding leaves it out.
     get_state / set_state:
         Application state-transfer hooks used when a joiner is admitted.
     """
@@ -87,6 +90,7 @@ class ViewSyncGroup:
         initial_members: List[str],
         deliver: Callable[[str, str, dict], None],
         on_view_change: Optional[Callable[[View], None]] = None,
+        on_excluded: Optional[Callable[[], None]] = None,
         get_state: Optional[Callable[[], Any]] = None,
         set_state: Optional[Callable[[Any], None]] = None,
         trace: Optional[TraceLog] = None,
@@ -96,6 +100,7 @@ class ViewSyncGroup:
         self.detector = detector
         self.deliver = deliver
         self.on_view_change = on_view_change
+        self.on_excluded = on_excluded
         self.get_state = get_state
         self.set_state = set_state
         self.trace = trace
@@ -289,6 +294,8 @@ class ViewSyncGroup:
             self.member = False
             if self.trace is not None:
                 self.trace.record("view", self.node.name, action="excluded", view=view_id + 1)
+            if self.on_excluded is not None:
+                self.on_excluded()
             return
         self._install(View(view_id + 1, tuple(members)))
         survivors_in_new = [m for m in members if m in old_members]

@@ -115,6 +115,56 @@ class TestPassive:
         backup_seq = system.tracer.observed_sequence(result.request_id, source="r1")
         assert backup_seq == [AC], "backups only participate in agreement"
 
+    def test_primary_answers_after_the_backups_apply(self):
+        system = ReplicatedSystem("passive", replicas=3, seed=1)
+        result = system.execute([Operation.update("x", "add", 1)])
+        assert result.committed and result.server == "r0"
+        times = {
+            (event.source, event.data["phase"]): event.time
+            for event in system.trace.select("phase", request=result.request_id)
+        }
+        assert times["r0", END] > times["r1", AC]
+        assert times["r0", END] > times["r2", AC]
+
+    def test_an_answered_update_survives_partition_and_primary_crash(self):
+        # The primary is cut off from both backups just after it receives
+        # the request, then crashes; the update it vscast never reached
+        # them.  It must not have told the client the update committed.
+        system = ReplicatedSystem("passive", replicas=3, seed=3)
+        system.injector.partition_at(20.5, ["r0", "c0"], ["r1", "r2"])
+        system.injector.crash_at(21.5, "r0")
+        system.injector.heal_at(24.0)
+        answers = []
+
+        def client():
+            yield system.sim.timeout(20.0)
+            future = system.client(0).submit([Operation.update("x", "add", 1)])
+            answers.append((yield future))
+
+        system.sim.spawn(client())
+        system.settle(600)
+        if answers and answers[0].committed:
+            held = {name: system.store_of(name).read("x")
+                    for name in system.live_replicas()}
+            assert held == {"r1": 1, "r2": 1}, (answers[0].server, held)
+        # It is answered, after a retry, by the primary that replaced r0.
+        assert [(r.committed, r.server) for r in answers] == [(True, "r1")]
+
+    def test_a_wrongly_excluded_backup_rejoins(self):
+        # r1 is alive but cut off long enough to be left out of the view;
+        # once it learns that, it asks to come back and gets the state.
+        system = ReplicatedSystem("passive", replicas=3, seed=1)
+        system.injector.partition_at(20.0, ["r1"], ["r0", "r2", "c0"])
+        system.injector.heal_at(50.0)
+        results = drive_updates(system, 4, gap=25.0)
+        system.settle(300)
+        assert all(r.committed for r in results)
+        excluded = system.trace.select("view", source="r1", action="excluded")
+        assert [e.data["view"] for e in excluded] == [1]
+        assert "r1" in system.protocol_at("r1").view_group.view.members
+        for name in system.replica_names:
+            assert system.store_of(name).read("x") == 4, name
+
     def test_primary_failover_promotes_next_member(self):
         system = ReplicatedSystem("passive", replicas=3, seed=3,
                                   fd_interval=2.0, fd_timeout=8.0)
