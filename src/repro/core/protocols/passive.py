@@ -16,6 +16,9 @@ Faithful points:
   has acknowledged or has left the view.  An answered update is then
   held by every member of the view, so no failover can lose it; a
   primary excluded from the view never answers, and the client retries.
+  A replica that comes back into the view takes the group's store and
+  reply table in place of its own, so nothing it did outside the group
+  survives the rejoin.
 * Non-determinism is fine: only the primary executes; backups apply
   after-images.  ``random_token`` operations are safe here.
 * **Failures are not transparent to clients** (Figure 5): if the primary
@@ -23,9 +26,10 @@ Faithful points:
   directory flips to the new primary (the first member of the new view)
   and the client re-submits.
 * Exactly-once across failover: the primary's response values travel with
-  the vscast update and every member records them in its replica's
-  ``reply_cache``, so a backup promoted to primary answers re-submitted
-  requests from that table instead of re-executing them.
+  the vscast update and each backup records them in its replica's
+  ``reply_cache`` (the primary records them when it answers), so a
+  backup promoted to primary answers re-submitted requests from that
+  table instead of re-executing them.
 """
 
 from __future__ import annotations
@@ -110,8 +114,14 @@ class PassiveReplication(ReplicaProtocol):
             self._answer_if_held(rid)
 
     def _state_snapshot(self):
-        return {"store": self.store.digest(),
-                "replies": tuple(self.replica.reply_cache.items())}
+        # An update still waiting for acks is in this primary's store and,
+        # by view synchrony, delivered to every survivor: its reply goes
+        # with the state, so the joiner answers a retry of it from the
+        # table.
+        replies = dict(self.replica.reply_cache)
+        for rid, (_, _, values, _) in self._unacked.items():
+            replies.setdefault(rid, tuple(values))
+        return {"store": self.store.digest(), "replies": tuple(replies.items())}
 
     def _on_excluded(self) -> None:
         # Left out of the view while alive (a wrong suspicion): nothing
@@ -121,11 +131,15 @@ class PassiveReplication(ReplicaProtocol):
         self.view_group.join(self.peers())
 
     def _state_install(self, state) -> None:
+        # Replace, not merge: what this replica did outside the group (as
+        # a primary cut off from its backups) never reached the group, so
+        # it must not survive the rejoin.
         if state is None:
             return
+        self.store.restore({})
         self.store.install(state["store"])
-        for rid, values in state["replies"]:
-            self.replica.remember_reply(rid, values)
+        self.replica.reply_cache.clear()
+        self.replica.reply_cache.update(state["replies"])
 
     # -- request path ------------------------------------------------------------
 
@@ -196,7 +210,8 @@ class PassiveReplication(ReplicaProtocol):
             return
         rid = body["request_id"]
         if origin == self.replica.name:
-            self.replica.remember_reply(rid, body["values"])
+            # The primary records the reply when it answers, which waits
+            # for the backups' acks.
             return
         if self.replica.cached_reply(rid) is None:
             # Backups record their part of the Agreement Coordination

@@ -6,6 +6,7 @@ from repro import AC, END, EX, RE, SC, Operation, ReplicatedSystem
 from repro.analysis import check_linearizable, history_from_results
 from repro.core.operations import Request
 from repro.net import Node
+from repro.resilience import retrying_client
 
 
 def drive_updates(system, n, gap=25.0, item="x", client=0, func="add", arg=1):
@@ -126,29 +127,67 @@ class TestPassive:
         assert times["r0", END] > times["r1", AC]
         assert times["r0", END] > times["r2", AC]
 
-    def test_an_answered_update_survives_partition_and_primary_crash(self):
-        # The primary is cut off from both backups just after it receives
-        # the request, then crashes; the update it vscast never reached
-        # them.  It must not have told the client the update committed.
-        system = ReplicatedSystem("passive", replicas=3, seed=3)
-        system.injector.partition_at(20.5, ["r0", "c0"], ["r1", "r2"])
-        system.injector.crash_at(21.5, "r0")
-        system.injector.heal_at(24.0)
+    @staticmethod
+    def _cut_off_the_primary(system, client, heal, crash=False):
+        """Submit ``x += 1`` at 20, cut the primary and the client off from
+        both backups at 20.5 (and crash the primary at 21.5), heal at
+        ``heal`` and settle; return the client's answers."""
+        system.injector.partition_at(20.5, ["r0", client.name], ["r1", "r2"])
+        if crash:
+            system.injector.crash_at(21.5, "r0")
+        system.injector.heal_at(heal)
         answers = []
 
-        def client():
+        def submit():
             yield system.sim.timeout(20.0)
-            future = system.client(0).submit([Operation.update("x", "add", 1)])
-            answers.append((yield future))
+            answers.append((yield client.submit([Operation.update("x", "add", 1)])))
 
-        system.sim.spawn(client())
+        system.sim.spawn(submit())
         system.settle(600)
+        return answers
+
+    def test_an_answered_update_survives_partition_and_primary_crash(self):
+        # The primary crashes before the update it vscast reaches either
+        # backup.  It must not have told the client the update committed.
+        system = ReplicatedSystem("passive", replicas=3, seed=3)
+        answers = self._cut_off_the_primary(system, system.client(0), 24.0, crash=True)
         if answers and answers[0].committed:
             held = {name: system.store_of(name).read("x")
                     for name in system.live_replicas()}
             assert held == {"r1": 1, "r2": 1}, (answers[0].server, held)
         # It is answered, after a retry, by the primary that replaced r0.
         assert [(r.committed, r.server) for r in answers] == [(True, "r1")]
+
+    def test_a_short_partition_delays_the_answer(self):
+        # Healed before anyone is suspected: the vscast gets through late
+        # and the primary answers once both backups hold the update.
+        system = ReplicatedSystem("passive", replicas=3, seed=3)
+        answers = self._cut_off_the_primary(system, system.client(0), 24.0)
+        assert [(r.committed, r.server, r.values) for r in answers] == [(True, "r0", [1])]
+        for name in system.replica_names:
+            assert system.store_of(name).read("x") == 1, name
+
+    @pytest.mark.parametrize("retrying", [False, True], ids=["blocking", "retrying"])
+    def test_a_wrongly_excluded_primary_keeps_nothing_the_group_missed(self, retrying):
+        # The backups leave r0 out of view 1; after the heal r0 learns it
+        # and rejoins as the primary of view 2.  The update it executed in
+        # view 0 never reached the group: r0 must neither keep it in its
+        # store nor answer a retry of it from its reply table.
+        system = ReplicatedSystem("passive", replicas=3, seed=3)
+        client = retrying_client(system) if retrying else system.client(0)
+        answers = self._cut_off_the_primary(system, client, 30.0)
+        excluded = system.trace.select("view", source="r0", action="excluded")
+        assert [e.data["view"] for e in excluded] == [1]
+        assert system.protocol_at("r0").is_primary
+        held = {name: system.store_of(name).read("x") for name in system.replica_names}
+        if retrying:
+            # The retry reaches r0 again and is executed once, in view 2.
+            assert [(r.committed, r.server, r.values) for r in answers] == [(True, "r0", [1])]
+            assert held == {"r0": 1, "r1": 1, "r2": 1}
+        else:
+            # The blocking client waits on a live primary that never answers.
+            assert answers == []
+            assert held == {"r0": None, "r1": None, "r2": None}
 
     def test_a_wrongly_excluded_backup_rejoins(self):
         # r1 is alive but cut off long enough to be left out of the view;
