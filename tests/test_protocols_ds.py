@@ -164,6 +164,7 @@ class TestPassive:
         system = ReplicatedSystem("passive", replicas=3, seed=3)
         answers = self._cut_off_the_primary(system, system.client(0), 24.0)
         assert [(r.committed, r.server, r.values) for r in answers] == [(True, "r0", [1])]
+        assert answers[0].completed_at > 24.0
         for name in system.replica_names:
             assert system.store_of(name).read("x") == 1, name
 
