@@ -52,6 +52,7 @@ from dataclasses import replace
 from . import DB_TECHNIQUES, DS_TECHNIQUES, REGISTRY
 from .analysis import counter_check, messages_per_request
 from .profiling import STANDARD_LOOP, STANDARD_SPEC
+from .workload.openloop import _PROCESSES
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -391,8 +392,7 @@ def main(argv=None) -> int:
                     help="comma-separated seed list")
     sp.add_argument("--rates", default="0.05,0.1,0.2,0.4",
                     help="comma-separated offered rates (arrivals/time unit)")
-    sp.add_argument("--process", default="poisson",
-                    choices=("poisson", "deterministic", "burst", "diurnal"))
+    sp.add_argument("--process", default="poisson", choices=_PROCESSES)
     sp.add_argument("--duration", type=float, default=600.0)
     sp.add_argument("--clients", type=int, default=100_000,
                     help="logical client population per cell")

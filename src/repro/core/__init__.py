@@ -1,7 +1,7 @@
 """The paper's contribution: the five-phase functional model, the
 replication technique suite, and the derived classifications."""
 
-from .admission import AdmissionConfig, AdmissionController
+from .admission import AdmissionController
 from .operations import Operation, Request, Result
 from .phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseStep, PhaseTracer
 from .protocols import DB_TECHNIQUES, DS_TECHNIQUES, REGISTRY
@@ -9,7 +9,6 @@ from .spec import RunSpec
 from .system import ClientNode, Directory, ReplicaNode, ReplicatedSystem
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionController",
     "Operation",
     "Request",

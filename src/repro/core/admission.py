@@ -5,10 +5,11 @@ system can absorb it, so the edge needs a policy for the overflow.  The
 :class:`AdmissionController` implements the standard trio:
 
 * **token-bucket throttling** — arrivals are admitted at a sustained
-  ``rate`` with bursts up to ``burst`` tokens, smoothing spikes into the
+  ``rate`` with bursts up to ``BURST`` tokens, smoothing spikes into the
   replicas instead of forwarding them raw;
 * **queue-based load leveling** — arrivals that find the bucket empty
-  wait in a bounded FIFO queue and are drained as tokens refill;
+  wait in a FIFO queue of at most ``QUEUE_CAPACITY`` and are drained as
+  tokens refill;
 * **shedding** — arrivals that find the queue full, or whose deadline
   (the PR 6 envelope budget) has already expired, are refused with an
   aborted :class:`~repro.core.operations.Result` instead of being left
@@ -27,14 +28,19 @@ deterministic per seed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .system import ClientNode, ReplicatedSystem
 
-__all__ = ["AdmissionConfig", "AdmissionController", "SHED_QUEUE_FULL",
+__all__ = ["AdmissionController", "BURST", "QUEUE_CAPACITY", "SHED_QUEUE_FULL",
            "SHED_DEADLINE", "SHED_DEADLINE_QUEUED"]
+
+# Token-bucket capacity: how many arrivals may pass back-to-back after an
+# idle period.
+BURST = 8.0
+# Bound on the leveling queue; arrivals beyond it are shed.
+QUEUE_CAPACITY = 256
 
 SHED_QUEUE_FULL = "shed: admission queue full"
 
@@ -49,34 +55,13 @@ SHED_DEADLINE = "shed: deadline exceeded at admission"
 SHED_DEADLINE_QUEUED = "shed: deadline exceeded in admission queue"
 
 
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Knobs for the system-edge admission policy.
-
-    ``rate`` is the sustained admission rate in requests per simulated
-    time unit; ``rate <= 0`` disables throttling (every arrival is
-    admitted immediately and the queue is never used).  ``burst`` is the
-    token-bucket capacity — how many arrivals may pass back-to-back
-    after an idle period.  ``queue_capacity`` bounds the leveling queue;
-    arrivals beyond it are shed.  ``shed_on_deadline`` refuses arrivals
-    whose deadline already passed and drops queued entries whose
-    deadline expires while they wait.
-    """
-
-    rate: float = 0.0
-    burst: float = 8.0
-    queue_capacity: int = 1024
-    shed_on_deadline: bool = True
-
-    def __post_init__(self) -> None:
-        if self.burst < 1:
-            raise ValueError("burst must be >= 1 token")
-        if self.queue_capacity < 0:
-            raise ValueError("queue_capacity must be >= 0")
-
-
 class AdmissionController:
     """Gates every :meth:`ClientNode.submit` of one system.
+
+    ``rate`` (> 0) is the sustained admission rate in requests per
+    simulated time unit.  An arrival whose deadline already passed is
+    refused, and a queued one whose deadline expires while it waits is
+    dropped.
 
     Counters are authoritative for the offered/goodput/shed accounting:
     the open-loop engine reads them into :class:`WorkloadSummary` and the
@@ -84,15 +69,15 @@ class AdmissionController:
     ``ts.admitted`` / ``ts.shed`` time series.
     """
 
-    def __init__(self, system: "ReplicatedSystem", config: AdmissionConfig) -> None:
+    def __init__(self, system: "ReplicatedSystem", rate: float) -> None:
         self.system = system
-        self.config = config
+        self.rate = rate
         self.offered = 0
         self.admitted = 0
         self.shed = 0
         self.shed_by_reason: Dict[str, int] = {}
         self._queue: Deque[Tuple["ClientNode", dict]] = deque()
-        self._tokens = float(config.burst)
+        self._tokens = BURST
         self._refilled_at = system.sim.now
         self._drain_timer = None
 
@@ -108,21 +93,14 @@ class AdmissionController:
         self.offered += 1
         self._observe("ts.offered")
         deadline = entry.get("deadline")
-        if (
-            self.config.shed_on_deadline
-            and deadline is not None
-            and self.system.sim.now > deadline
-        ):
+        if deadline is not None and self.system.sim.now > deadline:
             self._shed(client, entry, SHED_DEADLINE)
-            return
-        if self.config.rate <= 0:
-            self._admit(client, entry, consume=False)
             return
         self._refill()
         if not self._queue and self._tokens >= 1.0 - _TOKEN_EPS:
-            self._admit(client, entry, consume=True)
+            self._admit(client, entry)
             return
-        if len(self._queue) >= self.config.queue_capacity:
+        if len(self._queue) >= QUEUE_CAPACITY:
             self._shed(client, entry, SHED_QUEUE_FULL)
             return
         self._queue.append((client, entry))
@@ -143,14 +121,11 @@ class AdmissionController:
         now = self.system.sim.now
         elapsed = now - self._refilled_at
         if elapsed > 0:
-            self._tokens = min(
-                float(self.config.burst), self._tokens + elapsed * self.config.rate
-            )
+            self._tokens = min(BURST, self._tokens + elapsed * self.rate)
         self._refilled_at = now
 
-    def _admit(self, client: "ClientNode", entry: dict, consume: bool) -> None:
-        if consume:
-            self._tokens = max(0.0, self._tokens - 1.0)
+    def _admit(self, client: "ClientNode", entry: dict) -> None:
+        self._tokens = max(0.0, self._tokens - 1.0)
         self.admitted += 1
         self._observe("ts.admitted")
         client._dispatch(entry)
@@ -167,7 +142,7 @@ class AdmissionController:
         self._refill()
         # Time until the bucket next holds a whole token.
         deficit = max(0.0, 1.0 - self._tokens)
-        delay = max(deficit / self.config.rate, _MIN_DRAIN_DELAY)
+        delay = max(deficit / self.rate, _MIN_DRAIN_DELAY)
         self._drain_timer = self.system.sim.schedule(delay, self._drain)
 
     def _drain(self) -> None:
@@ -177,15 +152,11 @@ class AdmissionController:
         while self._queue and self._tokens >= 1.0 - _TOKEN_EPS:
             client, entry = self._queue.popleft()
             deadline = entry.get("deadline")
-            if (
-                self.config.shed_on_deadline
-                and deadline is not None
-                and now > deadline
-            ):
+            if deadline is not None and now > deadline:
                 # Expired while waiting; sheds don't consume a token.
                 self._shed(client, entry, SHED_DEADLINE_QUEUED)
                 continue
-            self._admit(client, entry, consume=True)
+            self._admit(client, entry)
         self._schedule_drain()
 
     def _observe(self, series: str) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .phases import AC, END, EX, PHASE_ORDER, RE, SC, PhaseDescriptor
+from .phases import PhaseDescriptor
 from .protocols import REGISTRY
 from .protocols.base import ProtocolInfo
 
@@ -49,8 +49,6 @@ def db_matrix() -> Dict[Tuple[str, str], List[str]]:
     """
     matrix: Dict[Tuple[str, str], List[str]] = {}
     for info in _infos("db"):
-        if info.propagation is None or info.update_location is None:
-            continue
         matrix.setdefault((info.propagation, info.update_location), []).append(info.name)
     return matrix
 
@@ -80,15 +78,6 @@ def _collapsed_phases(descriptor: PhaseDescriptor) -> List[str]:
         if not names or names[-1] != name:
             names.append(name)
     return names
-
-
-def satisfies_strong_consistency_rule(descriptor: PhaseDescriptor) -> bool:
-    """Check the Figure 15 rule on a descriptor: SC or AC before END."""
-    names = descriptor.phase_names()
-    if END not in names:
-        return False
-    end_index = names.index(END)
-    return any(name in (SC, AC) for name in names[:end_index])
 
 
 def synthetic_view() -> List[dict]:

@@ -29,7 +29,6 @@ __all__ = ["AbstractReplicationProtocol", "GENERIC_DESCRIPTOR"]
 COORDINATION_TIMEOUT = 30.0
 
 GENERIC_DESCRIPTOR = PhaseDescriptor(
-    technique="functional_model",
     steps=(
         PhaseStep(RE),
         PhaseStep(SC),

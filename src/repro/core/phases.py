@@ -84,10 +84,8 @@ class PhaseDescriptor:
     eager primary copy for transactions loops over (EX, AC).
     """
 
-    technique: str
     steps: Tuple[PhaseStep, ...]
     loop: Optional[Tuple[int, int]] = None
-    loop_unit: str = "operation"
 
     def phase_names(self) -> List[str]:
         return [step.phase for step in self.steps]
@@ -132,6 +130,14 @@ class PhaseDescriptor:
         """True for lazy techniques: END precedes AC (Figures 10/11)."""
         end_index, ac_index = self.index_of(END), self.index_of(AC)
         return end_index != -1 and ac_index != -1 and end_index < ac_index
+
+    @property
+    def satisfies_strong_consistency_rule(self) -> bool:
+        """The Figure 15 rule: an SC and/or AC step comes before END."""
+        names = self.phase_names()
+        if END not in names:
+            return False
+        return any(name in (SC, AC) for name in names[:names.index(END)])
 
 
 def _fold_repeats(sequence: List[str]) -> List[str]:

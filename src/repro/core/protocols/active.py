@@ -45,7 +45,6 @@ class ActiveReplication(ReplicaProtocol):
         figure="Figure 2",
         community="ds",
         descriptor=PhaseDescriptor(
-            technique="active",
             steps=(
                 PhaseStep(RE, "abcast"),
                 PhaseStep(SC, "abcast", merged_with=RE),
@@ -53,11 +52,7 @@ class ActiveReplication(ReplicaProtocol):
                 PhaseStep(END),
             ),
         ),
-        consistency="strong",
         client_policy="all",
-        failure_transparent=True,
-        requires_determinism=True,
-        supports_multi_op=True,
     )
 
     # How long a non-injector waits before injecting a client request

@@ -57,7 +57,9 @@ class ProtocolInfo:
 
     ``client_policy`` tells the client stub where requests go:
     ``"all"`` (address the group, Section 3), ``"primary"`` or ``"local"``
-    (databases always contact one server, Section 4).
+    (databases always contact one server, Section 4).  The classification
+    coordinates (Figures 5, 6, 15 and 16) are derived from ``descriptor``
+    and ``client_policy``, not declared.
     """
 
     name: str
@@ -66,13 +68,7 @@ class ProtocolInfo:
     community: str                      # "ds" | "db"
     descriptor: PhaseDescriptor
     txn_descriptor: Optional[PhaseDescriptor] = None
-    consistency: str = "strong"         # "strong" | "weak"
     client_policy: str = "local"        # "all" | "primary" | "local"
-    failure_transparent: bool = False
-    requires_determinism: bool = False
-    propagation: Optional[str] = None   # "eager" | "lazy" (db only)
-    update_location: Optional[str] = None  # "primary" | "everywhere" (db only)
-    supports_multi_op: bool = True
     # Primary-copy schemes let read-only transactions run at any site
     # ("Reading transactions can be performed on any site", Section 4.3);
     # when set, clients route read-only requests to their home replica.
@@ -81,6 +77,37 @@ class ProtocolInfo:
     # (Section 5's "operations not necessarily available for processing
     # at the same time") — the protocols with per-operation loops.
     supports_sessions: bool = False
+
+    @property
+    def consistency(self) -> str:
+        """``"strong"`` when the Figure 15 rule holds, else ``"weak"``."""
+        return "strong" if self.descriptor.satisfies_strong_consistency_rule else "weak"
+
+    @property
+    def propagation(self) -> Optional[str]:
+        """Figure 6's first axis (db only): lazy techniques answer before AC."""
+        if self.community != "db":
+            return None
+        return "lazy" if self.descriptor.responds_before_agreement else "eager"
+
+    @property
+    def update_location(self) -> Optional[str]:
+        """Figure 6's second axis (db only): where updates are accepted."""
+        if self.community != "db":
+            return None
+        return "primary" if self.client_policy == "primary" else "everywhere"
+
+    @property
+    def failure_transparent(self) -> bool:
+        """Figure 5: the client addresses the whole group, so a crash is
+        masked without the client noticing."""
+        return self.client_policy == "all"
+
+    @property
+    def requires_determinism(self) -> bool:
+        """Figure 5: without agreement coordination, every replica
+        executes on its own, so execution must be deterministic."""
+        return not self.descriptor.uses(AC)
 
     def descriptor_for(self, operation_count: int) -> PhaseDescriptor:
         if operation_count > 1 and self.txn_descriptor is not None:

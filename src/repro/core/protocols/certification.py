@@ -56,7 +56,6 @@ class CertificationReplication(ReplicaProtocol):
         figure="Figure 14",
         community="db",
         descriptor=PhaseDescriptor(
-            technique="certification",
             steps=(
                 PhaseStep(RE),
                 PhaseStep(EX, "shadow"),
@@ -64,13 +63,7 @@ class CertificationReplication(ReplicaProtocol):
                 PhaseStep(END),
             ),
         ),
-        consistency="strong",
         client_policy="local",
-        propagation="eager",
-        update_location="everywhere",
-        failure_transparent=False,
-        requires_determinism=False,
-        supports_multi_op=True,
         reads_anywhere=True,
     )
 

@@ -61,7 +61,6 @@ class EagerPrimaryCopy(ReplicaProtocol):
         figure="Figure 7 / Figure 12",
         community="db",
         descriptor=PhaseDescriptor(
-            technique="eager_primary",
             steps=(
                 PhaseStep(RE),
                 PhaseStep(EX),
@@ -70,7 +69,6 @@ class EagerPrimaryCopy(ReplicaProtocol):
             ),
         ),
         txn_descriptor=PhaseDescriptor(
-            technique="eager_primary",
             steps=(
                 PhaseStep(RE),
                 PhaseStep(EX),
@@ -80,13 +78,7 @@ class EagerPrimaryCopy(ReplicaProtocol):
             ),
             loop=(1, 2),
         ),
-        consistency="strong",
         client_policy="primary",
-        propagation="eager",
-        update_location="primary",
-        failure_transparent=False,
-        requires_determinism=False,
-        supports_multi_op=True,
         reads_anywhere=True,
         supports_sessions=True,
     )

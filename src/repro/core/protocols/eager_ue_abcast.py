@@ -53,7 +53,6 @@ class EagerUpdateEverywhereAbcast(ReplicaProtocol):
         figure="Figure 9",
         community="db",
         descriptor=PhaseDescriptor(
-            technique="eager_ue_abcast",
             steps=(
                 PhaseStep(RE),
                 PhaseStep(SC, "abcast"),
@@ -61,13 +60,7 @@ class EagerUpdateEverywhereAbcast(ReplicaProtocol):
                 PhaseStep(END),
             ),
         ),
-        consistency="strong",
         client_policy="local",
-        propagation="eager",
-        update_location="everywhere",
-        failure_transparent=False,
-        requires_determinism=True,
-        supports_multi_op=True,
         reads_anywhere=True,
     )
 

@@ -58,7 +58,6 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         figure="Figure 8 / Figure 13",
         community="db",
         descriptor=PhaseDescriptor(
-            technique="eager_ue_locking",
             steps=(
                 PhaseStep(RE),
                 PhaseStep(SC, "locks"),
@@ -68,7 +67,6 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
             ),
         ),
         txn_descriptor=PhaseDescriptor(
-            technique="eager_ue_locking",
             steps=(
                 PhaseStep(RE),
                 PhaseStep(SC, "locks"),
@@ -78,13 +76,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
             ),
             loop=(1, 2),
         ),
-        consistency="strong",
         client_policy="local",
-        propagation="eager",
-        update_location="everywhere",
-        failure_transparent=False,
-        requires_determinism=False,
-        supports_multi_op=True,
         supports_sessions=True,
     )
 

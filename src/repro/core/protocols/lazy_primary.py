@@ -12,8 +12,7 @@ Mechanics:
   and responds **immediately** — END precedes AC, the signature phase
   reordering of Figure 10 (and the eager/lazy distinction of Figure 16).
 * Propagation: the primary ships its write-ahead-log tail to each
-  secondary, either after a fixed delay per transaction or batched on a
-  period.  The FIFO links plus LSN ordering mean secondaries apply the
+  secondary a fixed delay after each transaction.  The FIFO links plus LSN ordering mean secondaries apply the
   primary's commit order — no reconciliation needed.
 * Read-only transactions run at any replica and may observe **stale**
   data; the staleness benchmark quantifies the window.
@@ -43,7 +42,6 @@ class LazyPrimaryCopy(ReplicaProtocol):
         figure="Figure 10",
         community="db",
         descriptor=PhaseDescriptor(
-            technique="lazy_primary",
             steps=(
                 PhaseStep(RE),
                 PhaseStep(EX),
@@ -51,29 +49,17 @@ class LazyPrimaryCopy(ReplicaProtocol):
                 PhaseStep(AC, "propagation"),
             ),
         ),
-        consistency="weak",
         client_policy="primary",
-        propagation="lazy",
-        update_location="primary",
-        failure_transparent=False,
-        requires_determinism=False,
-        supports_multi_op=True,
         reads_anywhere=True,
     )
 
     def __init__(self, replica, group, spec) -> None:
         super().__init__(replica, group, spec)
         self.propagation_delay = float(spec.propagation_delay)
-        self.batch_interval: Optional[float] = spec.batch_interval
         self._shipped_lsn: Dict[str, int] = {peer: 0 for peer in self.peers()}
         replica.node.on(APPLY, self._on_apply)
         replica.detector.on_suspect(self._on_suspect)
         replica.detector.on_restore(self._on_peer_restored)
-        if self.batch_interval is not None:
-            replica.node.every(float(self.batch_interval), self._ship_tail)
-            replica.node.add_recover_hook(
-                lambda: replica.node.every(float(self.batch_interval), self._ship_tail)
-            )
 
     @property
     def is_primary(self) -> bool:
@@ -115,8 +101,7 @@ class LazyPrimaryCopy(ReplicaProtocol):
         # END before AC: the client hears back as soon as the local commit
         # is durable; propagation happens afterwards.
         self.respond(client, request, committed=True, values=values)
-        if self.batch_interval is None:
-            self.replica.node.after(self.propagation_delay, self._ship_tail, rid)
+        self.replica.node.after(self.propagation_delay, self._ship_tail, rid)
 
     # -- propagation ----------------------------------------------------------
 

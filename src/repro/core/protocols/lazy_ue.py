@@ -46,7 +46,6 @@ class LazyUpdateEverywhere(ReplicaProtocol):
         figure="Figure 11",
         community="db",
         descriptor=PhaseDescriptor(
-            technique="lazy_ue",
             steps=(
                 PhaseStep(RE),
                 PhaseStep(EX),
@@ -54,13 +53,7 @@ class LazyUpdateEverywhere(ReplicaProtocol):
                 PhaseStep(AC, "reconciliation"),
             ),
         ),
-        consistency="weak",
         client_policy="local",
-        propagation="lazy",
-        update_location="everywhere",
-        failure_transparent=False,
-        requires_determinism=False,
-        supports_multi_op=True,
         reads_anywhere=True,
     )
 

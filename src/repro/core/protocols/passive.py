@@ -56,7 +56,6 @@ class PassiveReplication(ReplicaProtocol):
         figure="Figure 3",
         community="ds",
         descriptor=PhaseDescriptor(
-            technique="passive",
             steps=(
                 PhaseStep(RE),
                 PhaseStep(EX),
@@ -64,11 +63,7 @@ class PassiveReplication(ReplicaProtocol):
                 PhaseStep(END),
             ),
         ),
-        consistency="strong",
         client_policy="primary",
-        failure_transparent=False,
-        requires_determinism=False,
-        supports_multi_op=True,
     )
 
     def __init__(self, replica, group, spec) -> None:

@@ -49,7 +49,6 @@ class SemiActiveReplication(ReplicaProtocol):
         figure="Figure 4",
         community="ds",
         descriptor=PhaseDescriptor(
-            technique="semi_active",
             steps=(
                 PhaseStep(RE, "abcast"),
                 PhaseStep(SC, "abcast"),
@@ -57,14 +56,9 @@ class SemiActiveReplication(ReplicaProtocol):
                 PhaseStep(AC, "vscast"),
                 PhaseStep(END),
             ),
-            loop=(2, 3),
-            loop_unit="non-deterministic choice",
+            loop=(2, 3),  # once per non-deterministic choice
         ),
-        consistency="strong",
         client_policy="all",
-        failure_transparent=True,
-        requires_determinism=False,
-        supports_multi_op=True,
     )
 
     # How long a non-injector waits before injecting a client request

@@ -47,7 +47,6 @@ class SemiPassiveReplication(ReplicaProtocol):
         figure="Section 3.5",
         community="ds",
         descriptor=PhaseDescriptor(
-            technique="semi_passive",
             steps=(
                 PhaseStep(RE),
                 PhaseStep(EX, "deferred"),
@@ -55,11 +54,7 @@ class SemiPassiveReplication(ReplicaProtocol):
                 PhaseStep(END),
             ),
         ),
-        consistency="strong",
         client_policy="all",
-        failure_transparent=True,
-        requires_determinism=False,
-        supports_multi_op=True,
     )
 
     def __init__(self, replica, group, spec) -> None:

@@ -13,7 +13,6 @@ from typing import Any, Optional, Tuple
 
 from ..errors import ReplicationError
 from ..net import ConstantLatency, LatencyModel
-from .admission import AdmissionConfig
 from .protocols import REGISTRY
 
 __all__ = ["RunSpec", "ABCAST_FLAVOURS"]
@@ -32,8 +31,9 @@ class RunSpec:
     time units otherwise.  ``observe`` threads a
     :class:`~repro.obs.Observer` through the run (an unobserved run takes
     the same scheduling decisions); ``trace_max_events`` bounds the trace
-    log as a ring buffer; ``admission`` gates every submit (see
-    docs/workloads.md).
+    log as a ring buffer; ``admission_rate > 0`` gates every submit
+    behind a token-bucket admission edge at that sustained rate, 0 means
+    no admission edge (see docs/workloads.md).
 
     Protocol options, each read only by the techniques named:
 
@@ -42,9 +42,6 @@ class RunSpec:
         ``"sequencer"`` (cheap fixed sequencer for failure-free runs).
     ``propagation_delay`` (lazy_primary, lazy_ue)
         Delay between commit and shipping the update.
-    ``batch_interval`` (lazy_primary)
-        When set, ship the accumulated WAL tail on this period instead
-        of one timer per transaction.
     ``reconciliation``, ``priorities`` (lazy_ue)
         ``"lww"`` (last writer wins), ``"priority"`` (site -> rank map in
         ``priorities``; higher wins) or ``"abcast"``, the paper's own
@@ -79,10 +76,9 @@ class RunSpec:
     max_client_retries: int = 10
     observe: bool = False
     trace_max_events: Optional[int] = None
-    admission: Optional[AdmissionConfig] = None
+    admission_rate: float = 0.0
     abcast: str = "consensus"
     propagation_delay: float = 20.0
-    batch_interval: Optional[float] = None
     reconciliation: str = "lww"
     priorities: Tuple[Tuple[str, int], ...] = ()
     lock_timeout: float = 40.0
@@ -99,6 +95,8 @@ class RunSpec:
         if not isinstance(self.seed, int):
             # None would seed sim.rng from OS entropy: a run nobody can repeat.
             raise TypeError(f"seed must be an int, got {self.seed!r}")
+        if not self.admission_rate >= 0:
+            raise ValueError(f"admission_rate must be >= 0, got {self.admission_rate!r}")
         if self.abcast not in ABCAST_FLAVOURS:
             raise ValueError(
                 f"unknown abcast {self.abcast!r}; available: {list(ABCAST_FLAVOURS)}"

@@ -508,8 +508,8 @@ class ReplicatedSystem:
         # absent, submits dispatch directly and nothing changes in the
         # event schedule of existing closed-loop runs.
         self.admission: Optional[AdmissionController] = (
-            AdmissionController(self, spec.admission)
-            if spec.admission is not None else None
+            AdmissionController(self, spec.admission_rate)
+            if spec.admission_rate > 0 else None
         )
 
         self.replicas: Dict[str, ReplicaNode] = {}

@@ -43,6 +43,10 @@ STATUS = "2pc.status"
 # decision journal, and how long it waits for that answer.
 DECISION_TIMEOUT = 30.0
 
+# How long the coordinator waits for the participants' votes before it
+# aborts the round.
+VOTE_TIMEOUT = 50.0
+
 
 class TwoPhaseCoordinator:
     """Coordinator side of 2PC, one instance per node.
@@ -54,11 +58,9 @@ class TwoPhaseCoordinator:
     def __init__(
         self,
         node: Node,
-        vote_timeout: float = 50.0,
         trace: Optional[TraceLog] = None,
     ) -> None:
         self.node = node
-        self.vote_timeout = vote_timeout
         self.trace = trace
         self.rounds = 0
         self.committed = 0
@@ -84,7 +86,7 @@ class TwoPhaseCoordinator:
         votes_ok = local_vote
         if votes_ok and participants:
             calls = [
-                self.node.call(p, PREPARE, timeout=self.vote_timeout, txn=txn_id)
+                self.node.call(p, PREPARE, timeout=VOTE_TIMEOUT, txn=txn_id)
                 for p in participants
             ]
             try:

@@ -135,7 +135,7 @@ TXN_RECEIVER_NAMES = frozenset({"txn"})
 TXN_LOCK_METHODS = {"read": "r", "write": "w"}
 
 # Classes whose ``.run(...)`` drives an internally-timed blocking
-# sub-protocol (2PC votes carry the constructor's ``vote_timeout``); a
+# sub-protocol (2PC votes are bounded by ``VOTE_TIMEOUT``); a
 # ``yield self.<attr>.run(...)`` where ``self.<attr>`` is constructed
 # from one of these counts as a timed wait and links the caller's
 # closure into the class's ``run`` method.

@@ -15,7 +15,7 @@ graph**:
 * ``locks.acquire(txn, item, mode, ...)`` and ``txn.read/write`` — 2PL
   lock waits with symbolically-evaluated item patterns;
 * ``coordinator.run(...)`` — the 2PC voting round (internally timed by
-  ``vote_timeout``), whose closure links into the PREPARE exchange;
+  ``VOTE_TIMEOUT``), whose closure links into the PREPARE exchange;
 * ``sim.all_of/any_of(...)`` — joins over futures produced by the call
   and lock sites inside their arguments.
 

@@ -9,9 +9,9 @@ implements the fault model needed by the paper's discussion:
   messages are dropped until :meth:`heal` is called.
 * **Message loss** — an optional uniform drop probability, used to test
   that the reliable channels in :mod:`repro.groupcomm` mask losses.
-* **FIFO links** — by default each directed link delivers in send order
-  (TCP-like), which Section 3.3 of the paper assumes for primary-backup
-  communication.  Set ``fifo=False`` to allow reordering.
+* **FIFO links** — each directed link delivers in send order (TCP-like),
+  which Section 3.3 of the paper assumes for primary-backup
+  communication.  Only a jitter fault reorders a link.
 
 The network also keeps per-message-type counters: the message-overhead
 benchmark (Section 6's promised performance study) reads protocol cost
@@ -80,9 +80,6 @@ class Network:
     loss_rate:
         Probability in ``[0, 1)`` that any individual message is silently
         dropped.  Reliable channels recover from this via retransmission.
-    fifo:
-        When true (default), each directed link is FIFO: a message can
-        never overtake an earlier message on the same link.
     obs:
         Optional observer (duck-typed, see :mod:`repro.obs`): opens a
         flight span per send and closes it at delivery or drop.  The
@@ -95,7 +92,6 @@ class Network:
         sim: Simulator,
         latency: Optional[LatencyModel] = None,
         loss_rate: float = 0.0,
-        fifo: bool = True,
         obs: Optional[Any] = None,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
@@ -103,7 +99,6 @@ class Network:
         self.sim = sim
         self.latency = latency if latency is not None else ConstantLatency(1.0)
         self.loss_rate = loss_rate
-        self.fifo = fifo
         self.obs = obs
         self.stats = NetworkStats()
         self._nodes: Dict[str, "Node"] = {}
@@ -296,11 +291,10 @@ class Network:
                 return
         else:
             extra = 0.0
-        arrival = self.sim.now + delay
-        if self.fifo:
-            link = (message.src, message.dst)
-            arrival = max(arrival, self._last_arrival.get(link, 0.0))
-            self._last_arrival[link] = arrival
+        # Each link is FIFO: no message arrives before one sent earlier.
+        link = (message.src, message.dst)
+        arrival = max(self.sim.now + delay, self._last_arrival.get(link, 0.0))
+        self._last_arrival[link] = arrival
         # Jitter lands *after* the FIFO clamp: a jittered link may reorder.
         self.sim.schedule_at(arrival + extra, self._deliver, message)
 

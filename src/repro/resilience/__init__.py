@@ -21,13 +21,12 @@ from .campaign import (
     run_campaign,
     run_matrix,
 )
-from .edge import RetryingPolicy, retrying_client
-from .retry import RetryPolicy
+from .edge import RetryingPolicy, backoff, retrying_client
 
 __all__ = [
     "CircuitBreaker",
-    "RetryPolicy",
     "RetryingPolicy",
+    "backoff",
     "retrying_client",
     "FaultAction",
     "ChaosCampaign",

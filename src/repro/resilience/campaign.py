@@ -39,7 +39,6 @@ from ..core.system import ClientNode, ReplicatedSystem
 from ..analysis import counter_check, expected_counters
 from ..failures import FailureInjector
 from .edge import retrying_client
-from .retry import RetryPolicy
 
 __all__ = [
     "FaultAction",
@@ -58,6 +57,10 @@ CLIENTS = "@clients"
 # Client-side outcomes whose server-side effect is unknown: the one
 # category the edge cannot classify, counted separately in the verdict.
 INDETERMINATE_REASONS = ("deadline exceeded", "retry budget exhausted")
+
+# How long a cell runs on after its faults heal and its clients finish,
+# before the verdict: long enough for lazy propagation and view changes.
+SETTLE_TIME = 600.0
 
 
 @dataclass(frozen=True)
@@ -266,9 +269,7 @@ def run_campaign(
     requests_per_client: int = 6,
     deadline: float = 400.0,
     request_timeout: float = 30.0,
-    retry: Optional[RetryPolicy] = None,
     artifact_dir: Optional[str] = None,
-    settle_time: float = 600.0,
 ) -> CampaignReport:
     """Run one campaign against the system ``spec`` describes and judge
     the outcome.
@@ -284,7 +285,7 @@ def run_campaign(
     edges = [
         retrying_client(
             system, index=i, request_timeout=request_timeout,
-            deadline=deadline, retry=retry,
+            deadline=deadline,
         )
         for i in range(spec.clients)
     ]
@@ -320,7 +321,7 @@ def run_campaign(
         system.sim.run(until=campaign.horizon() + 1.0)
     system.net.heal()
     system.net.clear_faults()
-    system.settle(settle_time)
+    system.settle(SETTLE_TIME)
 
     committed = [r for r in results if r.committed]
     indeterminate = [

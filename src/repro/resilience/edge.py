@@ -24,14 +24,14 @@ whose server-side effect the client cannot know.
 
 from __future__ import annotations
 
+import random
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.system import GIVE_UP, RESEND, WAIT, ClientNode
 from ..net import Message
 from .breaker import CircuitBreaker
-from .retry import RetryPolicy
 
-__all__ = ["RetryingPolicy", "retrying_client"]
+__all__ = ["RetryingPolicy", "retrying_client", "backoff"]
 
 # Abort reasons that indicate the request never ran and should be retried
 # against a (possibly re-resolved) target rather than reported.
@@ -45,6 +45,28 @@ _DEADLINE_EPS = 1e-9
 # open a breaker, and how long it stays open.
 BREAKER_THRESHOLD = 3
 BREAKER_RESET = 45.0
+
+# The retry schedule, sized for the default one-unit-latency network.
+# Attempt ``n`` (1-based) backs off ``min(BACKOFF_BASE *
+# BACKOFF_MULTIPLIER**(n-1), BACKOFF_CAP)`` scaled by a uniform draw from
+# ``[1 - BACKOFF_JITTER, 1]``: jitter desynchronizes a fleet of retrying
+# clients (the classic retry-storm fix) without ever exceeding the
+# deterministic envelope, which keeps worst-case budgets computable.
+# ``MAX_ATTEMPTS`` bounds the sends of one logical request.
+BACKOFF_BASE = 5.0
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP = 60.0
+BACKOFF_JITTER = 0.5
+MAX_ATTEMPTS = 12
+
+
+def backoff(attempt: int, rng: random.Random) -> float:
+    """Backoff before retry number ``attempt`` (1-based), in sim time.
+
+    All randomness comes from ``rng``, the client's own named stream, so
+    a same-seed run produces the same schedule."""
+    raw = min(BACKOFF_BASE * BACKOFF_MULTIPLIER ** max(attempt - 1, 0), BACKOFF_CAP)
+    return raw * (1.0 - BACKOFF_JITTER * rng.random())
 
 
 class RetryingPolicy:
@@ -64,9 +86,8 @@ class RetryingPolicy:
         Per-request total budget in simulated time.  Stamped on every
         outgoing envelope; when it runs out the request finishes with an
         indeterminate ``"deadline exceeded"`` abort.
-    retry:
-        The :class:`RetryPolicy`; defaults are sized for the default
-        one-unit-latency network.
+
+    Retries follow :func:`backoff`, at most ``MAX_ATTEMPTS`` sends.
     """
 
     def __init__(
@@ -75,12 +96,10 @@ class RetryingPolicy:
         name: str,
         request_timeout: float = 30.0,
         deadline: float = 400.0,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.system = system
         self.timeout = request_timeout
         self.budget = deadline
-        self.schedule = retry if retry is not None else RetryPolicy()
         # Client-owned randomness: jitter draws must not perturb the
         # simulator's main stream (or each other's, across clients).
         self.rng = system.sim.stream(f"resilience.{name}")
@@ -151,9 +170,9 @@ class RetryingPolicy:
             # that is already on its way.
             return RESEND, scheduled
         attempts = entry["retries"] + 1
-        if attempts >= self.schedule.max_attempts:
+        if attempts >= MAX_ATTEMPTS:
             return GIVE_UP, "retry budget exhausted"
-        answer = self._later(self.schedule.backoff(attempts, self.rng), remaining)
+        answer = self._later(backoff(attempts, self.rng), remaining)
         if answer[0] == RESEND:
             entry["retries"] += 1
             entry["resend_at"] = now + answer[1]

@@ -18,7 +18,6 @@ from .scenarios import (
     hotspot,
     read_mostly,
     uniform_updates,
-    zipf_updates,
 )
 
 __all__ = [
@@ -40,6 +39,5 @@ __all__ = [
     "uniform_updates",
     "read_mostly",
     "hotspot",
-    "zipf_updates",
     "bank_transfer",
 ]

@@ -9,7 +9,7 @@ separates locking from certification behaviour).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.operations import Operation
@@ -23,19 +23,17 @@ class WorkloadSpec:
 
     ``hot_fraction``/``hot_access_probability`` implement a simple two-
     level skew: a ``hot_fraction`` of the items receives
-    ``hot_access_probability`` of the accesses.  ``zipf_s > 0`` switches
-    to a Zipf-ranked distribution instead.
+    ``hot_access_probability`` of the accesses.  Items are named
+    ``item0`` .. ``item<items-1>``; an update applies ``update_func``
+    with argument 1.
     """
 
     items: int = 20
     read_fraction: float = 0.5
     ops_per_transaction: int = 1
     update_func: str = "add"
-    update_argument: int = 1
     hot_fraction: float = 0.0
     hot_access_probability: float = 0.0
-    zipf_s: float = 0.0
-    item_prefix: str = "item"
 
     def __post_init__(self) -> None:
         if not 0 <= self.read_fraction <= 1:
@@ -50,8 +48,6 @@ class WorkloadSpec:
             raise ValueError("hot_fraction must be in [0, 1]")
         if not 0 <= self.hot_access_probability <= 1:
             raise ValueError("hot_access_probability must be in [0, 1]")
-        if not self.zipf_s >= 0:
-            raise ValueError("zipf_s must be >= 0")
 
 
 class WorkloadGenerator:
@@ -67,11 +63,10 @@ class WorkloadGenerator:
                  seed: int = 0) -> None:
         self.spec = spec
         self.rng = rng if rng is not None else random.Random(seed)
-        self._names = [f"{spec.item_prefix}{i}" for i in range(spec.items)]
+        self._names = [f"item{i}" for i in range(spec.items)]
         self._reads = [Operation.read(name) for name in self._names]
         self._updates = [
-            Operation.update(name, spec.update_func, spec.update_argument)
-            for name in self._names
+            Operation.update(name, spec.update_func, 1) for name in self._names
         ]
         # Half-up rounding, not ``int()`` truncation: ``0.29 * 100`` is
         # 28.999... in binary floating point, and truncating it silently
@@ -80,12 +75,6 @@ class WorkloadGenerator:
             self.hot_set_size = max(1, int(spec.items * spec.hot_fraction + 0.5))
         else:
             self.hot_set_size = 0
-        if spec.zipf_s > 0:
-            weights = [1.0 / (rank ** spec.zipf_s) for rank in range(1, spec.items + 1)]
-            total = sum(weights)
-            self._weights: Optional[List[float]] = [w / total for w in weights]
-        else:
-            self._weights = None
 
     # -- item selection ---------------------------------------------------
 
@@ -94,8 +83,6 @@ class WorkloadGenerator:
 
     def _pick(self) -> int:
         spec = self.spec
-        if self._weights is not None:
-            return self.rng.choices(range(spec.items), weights=self._weights, k=1)[0]
         if self.hot_set_size > 0 and self.rng.random() < spec.hot_access_probability:
             return self.rng.randrange(self.hot_set_size)
         return self.rng.randrange(spec.items)

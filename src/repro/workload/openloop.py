@@ -32,7 +32,12 @@ from .generator import WorkloadGenerator, WorkloadSpec
 
 __all__ = ["ArrivalSpec", "OpenLoopEngine", "run_openloop"]
 
-_PROCESSES = ("poisson", "deterministic", "burst", "diurnal")
+_PROCESSES = ("poisson", "deterministic", "diurnal")
+
+# The diurnal process's sinusoid: its period in time units and its
+# amplitude relative to ``rate``.
+DIURNAL_PERIOD = 500.0
+DIURNAL_AMPLITUDE = 0.8
 
 
 @dataclass(frozen=True)
@@ -43,11 +48,8 @@ class ArrivalSpec:
 
     * ``"poisson"`` — exponential gaps at ``rate`` (memoryless traffic);
     * ``"deterministic"`` — fixed gaps of ``1/rate`` (paced load tester);
-    * ``"burst"`` — Poisson at ``rate``, except inside periodic windows
-      (every ``burst_every`` time units, for ``burst_length``) where the
-      rate jumps to ``burst_rate`` — flash-crowd traffic;
     * ``"diurnal"`` — Poisson whose rate follows a sinusoid of period
-      ``diurnal_period`` and relative amplitude ``diurnal_amplitude``
+      ``DIURNAL_PERIOD`` and relative amplitude ``DIURNAL_AMPLITUDE``
       around ``rate`` — a compressed day/night cycle.
 
     Each arrival is attributed to one of ``clients`` logical clients and
@@ -59,11 +61,6 @@ class ArrivalSpec:
     rate: float = 1.0
     duration: float = 1000.0
     clients: int = 100_000
-    burst_rate: float = 0.0
-    burst_every: float = 200.0
-    burst_length: float = 50.0
-    diurnal_period: float = 500.0
-    diurnal_amplitude: float = 0.8
     deadline_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -78,27 +75,14 @@ class ArrivalSpec:
             raise ValueError("duration must be > 0")
         if self.clients < 1:
             raise ValueError("clients must be >= 1")
-        if self.process == "burst":
-            if not self.burst_rate > 0:
-                raise ValueError("burst process needs burst_rate > 0")
-            if not 0 < self.burst_length <= self.burst_every:
-                raise ValueError("need 0 < burst_length <= burst_every")
-        if self.process == "diurnal":
-            if not 0 <= self.diurnal_amplitude < 1:
-                raise ValueError("diurnal_amplitude must be in [0, 1)")
-            if not self.diurnal_period > 0:
-                raise ValueError("diurnal_period must be > 0")
         if self.deadline_budget is not None and not self.deadline_budget > 0:
             raise ValueError("deadline_budget must be > 0 when set")
 
     def rate_at(self, time: float) -> float:
         """Instantaneous target rate at simulated ``time``."""
-        if self.process == "burst":
-            phase = time % self.burst_every
-            return self.burst_rate if phase < self.burst_length else self.rate
         if self.process == "diurnal":
-            wave = math.sin(2 * math.pi * time / self.diurnal_period)
-            return self.rate * (1.0 + self.diurnal_amplitude * wave)
+            wave = math.sin(2 * math.pi * time / DIURNAL_PERIOD)
+            return self.rate * (1.0 + DIURNAL_AMPLITUDE * wave)
         return self.rate
 
 
@@ -200,7 +184,7 @@ class OpenLoopEngine:
             return 1.0 / arrival.rate
         # Nonhomogeneous processes approximate by drawing the exponential
         # gap at the instantaneous rate — accurate while the rate changes
-        # slowly relative to the gap, which burst/diurnal defaults respect.
+        # slowly relative to the gap, which the diurnal period respects.
         rate = arrival.rate_at(self.system.sim.now - self._started_at)
         rate = max(rate, 1e-9)
         return self._gap_rng.expovariate(rate)

@@ -16,7 +16,6 @@ __all__ = [
     "uniform_updates",
     "read_mostly",
     "hotspot",
-    "zipf_updates",
     "bank_transfer",
     "SCENARIOS",
 ]
@@ -46,11 +45,6 @@ def hotspot(items: int = 100, hot_items: int = 2,
     )
 
 
-def zipf_updates(items: int = 50, s: float = 1.1) -> WorkloadSpec:
-    """Zipf-skewed update traffic (realistic popularity distribution)."""
-    return WorkloadSpec(items=items, read_fraction=0.0, zipf_s=s)
-
-
 def bank_transfer(source: str, target: str, amount: int) -> List[Operation]:
     """A classic two-item transaction: debit one account, credit another.
 
@@ -68,5 +62,4 @@ SCENARIOS = {
     "uniform_updates": uniform_updates,
     "read_mostly": read_mostly,
     "hotspot": hotspot,
-    "zipf_updates": zipf_updates,
 }

@@ -26,7 +26,6 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.admission import AdmissionConfig
 from ..core.protocols import DB_TECHNIQUES, DS_TECHNIQUES
 from ..core.spec import RunSpec
 from .generator import WorkloadSpec
@@ -51,16 +50,25 @@ KNEE_P99_FACTOR = 2.0
 KNEE_GOODPUT_FLOOR = 0.9
 
 
+# Every cell's transaction mix: a 50-item store, half reads, a hot tenth
+# of the items drawing half the accesses.
+WORKLOAD = WorkloadSpec(items=50, read_fraction=0.5, hot_fraction=0.1,
+                        hot_access_probability=0.5)
+# Physical client edges the logical clients enter through.
+EDGES = 4
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """The sweep matrix and the per-cell run shape.
 
     ``rates`` is the offered-load axis (arrivals per time unit);
     ``clients`` is the *logical* client population each cell draws
-    arrivals from, ``edges`` the physical client nodes they enter
-    through.  ``admission_rate > 0`` gates every cell behind a
-    token-bucket admission edge at that sustained rate (0 disables
-    admission, letting offered load hit the replicas raw).
+    arrivals from, entering through ``EDGES`` physical client nodes.
+    Every cell draws its transactions from ``WORKLOAD``.
+    ``admission_rate > 0`` gates every cell behind a token-bucket
+    admission edge at that sustained rate (0 disables admission, letting
+    offered load hit the replicas raw).
     """
 
     techniques: Tuple[str, ...] = ALL_TECHNIQUES
@@ -69,33 +77,17 @@ class SweepConfig:
     process: str = "poisson"
     duration: float = 600.0
     clients: int = 100_000
-    edges: int = 4
     replicas: int = 3
-    items: int = 50
-    read_fraction: float = 0.5
-    hot_fraction: float = 0.1
-    hot_access_probability: float = 0.5
     admission_rate: float = 0.0
-    admission_burst: float = 8.0
-    queue_capacity: int = 256
     deadline_budget: Optional[float] = None
 
     def cells(self) -> List[Tuple[RunSpec, WorkloadSpec, ArrivalSpec]]:
         """One picklable work item per (technique, seed, rate)."""
-        workload = WorkloadSpec(
-            items=self.items, read_fraction=self.read_fraction,
-            hot_fraction=self.hot_fraction,
-            hot_access_probability=self.hot_access_probability,
-        )
-        admission = None
-        if self.admission_rate > 0:
-            admission = AdmissionConfig(rate=self.admission_rate, burst=self.admission_burst,
-                                        queue_capacity=self.queue_capacity)
         return [
             (
-                RunSpec(technique, replicas=self.replicas, clients=self.edges,
-                        seed=seed, admission=admission),
-                workload,
+                RunSpec(technique, replicas=self.replicas, clients=EDGES,
+                        seed=seed, admission_rate=self.admission_rate),
+                WORKLOAD,
                 ArrivalSpec(process=self.process, rate=rate, duration=self.duration,
                             clients=self.clients, deadline_budget=self.deadline_budget),
             )

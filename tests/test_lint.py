@@ -601,7 +601,7 @@ def protocol_class(name, steps, body):
         f"        name='{name.lower()}', title='{name}', figure='Figure 0',\n"
         f"        community='ds',\n"
         f"        descriptor=PhaseDescriptor(\n"
-        f"            technique='{name.lower()}', steps=({step_src},),\n"
+        f"            steps=({step_src},),\n"
         f"        ),\n"
         f"    )\n"
         f"{body}"

@@ -7,7 +7,6 @@ import tracemalloc
 import pytest
 
 from repro import DB_TECHNIQUES, DS_TECHNIQUES, ReplicatedSystem, RunSpec
-from repro.core import AdmissionConfig
 from repro.core.admission import (
     SHED_DEADLINE_QUEUED,
     SHED_QUEUE_FULL,
@@ -36,33 +35,20 @@ class TestArrivalSpec:
         with pytest.raises(ValueError):
             ArrivalSpec(rate=-1.0)
 
-    def test_burst_needs_consistent_window(self):
-        with pytest.raises(ValueError):
-            ArrivalSpec(process="burst", burst_rate=0.0)
-        with pytest.raises(ValueError):
-            ArrivalSpec(process="burst", burst_rate=2.0,
-                        burst_every=50.0, burst_length=80.0)
-
     def test_diurnal_amplitude_bounded(self):
-        with pytest.raises(ValueError):
-            ArrivalSpec(process="diurnal", diurnal_amplitude=1.0)
+        # The sinusoid's amplitude stays below the mean: the rate never
+        # reaches zero.
+        spec = ArrivalSpec(process="diurnal", rate=1.0)
+        assert min(spec.rate_at(t / 10) for t in range(5000)) > 0.1
 
     def test_nonpositive_deadline_rejected(self):
         with pytest.raises(ValueError):
             ArrivalSpec(deadline_budget=0.0)
 
-    def test_burst_rate_at_follows_windows(self):
-        spec = ArrivalSpec(process="burst", rate=0.1, burst_rate=2.0,
-                           burst_every=100.0, burst_length=20.0)
-        assert spec.rate_at(10.0) == 2.0      # inside the first window
-        assert spec.rate_at(50.0) == 0.1      # between windows
-        assert spec.rate_at(110.0) == 2.0     # inside the second window
-
     def test_diurnal_rate_oscillates_around_mean(self):
-        spec = ArrivalSpec(process="diurnal", rate=1.0,
-                           diurnal_period=400.0, diurnal_amplitude=0.5)
-        assert spec.rate_at(100.0) == pytest.approx(1.5)   # sin peak
-        assert spec.rate_at(300.0) == pytest.approx(0.5)   # sin trough
+        spec = ArrivalSpec(process="diurnal", rate=1.0)
+        assert spec.rate_at(125.0) == pytest.approx(1.8)   # sin peak
+        assert spec.rate_at(375.0) == pytest.approx(0.2)   # sin trough
 
 
 class TestOpenLoopEngine:
@@ -83,11 +69,11 @@ class TestOpenLoopEngine:
 
     def test_served_plus_shed_equals_submitted(self):
         system, engine, summary = run_openloop(
-            RunSpec("lazy_primary", clients=4, seed=2,
-                    admission=AdmissionConfig(rate=0.1, burst=2.0, queue_capacity=4)),
-            arrival=ArrivalSpec(rate=0.3, duration=200.0, clients=5_000),
+            RunSpec("lazy_primary", clients=4, seed=2, admission_rate=1.0),
+            arrival=ArrivalSpec(rate=3.0, duration=200.0, clients=5_000),
             settle=100.0,
         )
+        assert engine.shed_results
         assert len(engine.results) + len(engine.shed_results) == engine.submitted
         assert summary.offered == engine.submitted
         assert summary.shed == len(engine.shed_results)
@@ -113,8 +99,7 @@ class TestOpenLoopEngine:
         primary under eager_primary): every arrival is accounted for and
         answered by its deadline."""
         system = ReplicatedSystem(
-            technique, replicas=3, clients=0, seed=3,
-            admission=AdmissionConfig(rate=2.0, burst=4, queue_capacity=4),
+            technique, replicas=3, clients=0, seed=3, admission_rate=4.0,
         )
         edges = [
             retrying_client(system, index=i, request_timeout=15.0, deadline=150.0)
@@ -125,13 +110,13 @@ class TestOpenLoopEngine:
         engine = OpenLoopEngine(
             system,
             WorkloadGenerator(WorkloadSpec(items=8, read_fraction=0.3), seed=3),
-            ArrivalSpec(process="poisson", rate=1.5, duration=200.0, clients=50,
+            ArrivalSpec(process="poisson", rate=5.5, duration=200.0, clients=50,
                         deadline_budget=100.0),
         )
         summary = engine.run(settle=400)
         assert engine.in_flight == 0
         assert summary.offered == summary.committed + summary.aborted + summary.shed
-        assert summary.offered > 250 and summary.shed > 0
+        assert summary.offered > 1000 and summary.shed > 0
         results = [r for edge in edges for r in edge.results]
         assert len(results) == summary.offered
         assert sum(r.retries for r in results) > 0, "the crash must force retries"
@@ -143,8 +128,7 @@ class TestOpenLoopEngine:
         # client population (no per-client process) with the admission
         # edge absorbing the overload.
         system, engine, summary = run_openloop(
-            RunSpec("active", clients=4, seed=11,
-                    admission=AdmissionConfig(rate=1.0, burst=8.0, queue_capacity=64)),
+            RunSpec("active", clients=4, seed=11, admission_rate=1.0),
             arrival=ArrivalSpec(process="deterministic", rate=400.0,
                                 duration=300.0, clients=1_000_000),
             settle=50.0,
@@ -193,9 +177,8 @@ class TestSameSeedByteIdentical:
 class TestAdmissionControl:
     def test_queue_full_sheds(self):
         system, engine, summary = run_openloop(
-            RunSpec("active", clients=4, seed=5,
-                    admission=AdmissionConfig(rate=0.1, burst=1.0, queue_capacity=3)),
-            arrival=ArrivalSpec(process="deterministic", rate=2.0,
+            RunSpec("active", clients=4, seed=5, admission_rate=1.0),
+            arrival=ArrivalSpec(process="deterministic", rate=10.0,
                                 duration=100.0, clients=1_000),
             settle=100.0,
         )
@@ -205,8 +188,7 @@ class TestAdmissionControl:
 
     def test_queued_deadline_expiry_sheds(self):
         system, engine, summary = run_openloop(
-            RunSpec("active", clients=4, seed=6,
-                    admission=AdmissionConfig(rate=0.05, burst=1.0, queue_capacity=1_000)),
+            RunSpec("active", clients=4, seed=6, admission_rate=0.05),
             arrival=ArrivalSpec(process="deterministic", rate=1.0,
                                 duration=50.0, clients=1_000,
                                 deadline_budget=15.0),
@@ -217,9 +199,8 @@ class TestAdmissionControl:
 
     def test_conservation_invariant_holds(self):
         system, engine, _ = run_openloop(
-            RunSpec("certification", clients=4, seed=7,
-                    admission=AdmissionConfig(rate=0.2, burst=2.0, queue_capacity=6)),
-            arrival=ArrivalSpec(rate=0.5, duration=150.0, clients=3_000),
+            RunSpec("certification", clients=4, seed=7, admission_rate=1.0),
+            arrival=ArrivalSpec(rate=4.0, duration=150.0, clients=3_000),
             settle=200.0,
         )
         snap = system.admission.snapshot()
@@ -230,9 +211,8 @@ class TestAdmissionControl:
 
     def test_shed_results_carry_shed_reason(self):
         system, engine, _ = run_openloop(
-            RunSpec("active", clients=4, seed=8,
-                    admission=AdmissionConfig(rate=0.1, burst=1.0, queue_capacity=2)),
-            arrival=ArrivalSpec(process="deterministic", rate=2.0,
+            RunSpec("active", clients=4, seed=8, admission_rate=1.0),
+            arrival=ArrivalSpec(process="deterministic", rate=10.0,
                                 duration=60.0, clients=500),
             settle=100.0,
         )
@@ -243,9 +223,8 @@ class TestAdmissionControl:
 
     def test_observer_records_edge_series(self):
         system, engine, _ = run_openloop(
-            RunSpec("active", clients=4, seed=9, observe=True,
-                    admission=AdmissionConfig(rate=0.2, burst=2.0, queue_capacity=2)),
-            arrival=ArrivalSpec(process="deterministic", rate=1.0,
+            RunSpec("active", clients=4, seed=9, observe=True, admission_rate=1.0),
+            arrival=ArrivalSpec(process="deterministic", rate=10.0,
                                 duration=80.0, clients=500),
             settle=100.0,
         )
@@ -257,8 +236,7 @@ class TestAdmissionControl:
 
     def test_rates_helper_reports_per_unit_rate(self):
         system, engine, _ = run_openloop(
-            RunSpec("active", clients=4, seed=9, observe=True,
-                    admission=AdmissionConfig(rate=0.2, burst=2.0, queue_capacity=2)),
+            RunSpec("active", clients=4, seed=9, observe=True, admission_rate=0.2),
             arrival=ArrivalSpec(process="deterministic", rate=1.0,
                                 duration=80.0, clients=500),
             settle=100.0,

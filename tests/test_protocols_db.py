@@ -230,14 +230,6 @@ class TestLazyPrimary:
         fresh = system.execute([Operation.read("x")], client=1)
         assert fresh.value == "v1"
 
-    def test_batched_propagation(self):
-        system = ReplicatedSystem("lazy_primary", replicas=2, seed=3,
-                                  batch_interval=40.0)
-        drive(system, 3, gap=5.0)
-        assert system.store_of("r1").read("x") is None
-        system.settle(300)
-        assert system.store_of("r1").read("x") == 3
-
     def test_fifo_apply_preserves_primary_commit_order(self):
         system = ReplicatedSystem("lazy_primary", replicas=2, seed=4,
                                   propagation_delay=10.0)

@@ -23,7 +23,7 @@ from repro.resilience import (
     ChaosCampaign,
     CircuitBreaker,
     FaultAction,
-    RetryPolicy,
+    backoff,
     retrying_client,
     run_campaign,
 )
@@ -63,40 +63,27 @@ class TestNamedStreams:
 
 
 # ---------------------------------------------------------------------------
-# Retry policy: pure data, bounded envelope
+# Retry schedule: a pure function of (attempt, rng), bounded envelope
 # ---------------------------------------------------------------------------
 
 class TestRetryPolicy:
     def test_exponential_growth_capped(self):
-        policy = RetryPolicy(base=5.0, multiplier=2.0, cap=60.0, jitter=0.0)
+        # Jitter only ever shortens a backoff, to at most half: each
+        # attempt stays inside [raw / 2, raw], raw doubling from 5 to 60.
         rng = random.Random(0)
-        assert [policy.backoff(n, rng) for n in range(1, 6)] == [
-            5.0, 10.0, 20.0, 40.0, 60.0
-        ]
+        for attempt, raw in zip(range(1, 8), (5.0, 10.0, 20.0, 40.0, 60.0, 60.0, 60.0)):
+            assert raw / 2 <= backoff(attempt, rng) <= raw
 
     def test_jitter_stays_inside_envelope(self):
-        policy = RetryPolicy(base=10.0, multiplier=1.0, cap=10.0, jitter=0.5)
         rng = random.Random(1)
-        for attempt in range(1, 20):
-            backoff = policy.backoff(attempt, rng)
-            assert 5.0 <= backoff <= 10.0
+        draws = [backoff(5, rng) for _ in range(200)]
+        assert all(30.0 <= draw <= 60.0 for draw in draws)
+        assert len(set(draws)) == len(draws), "jitter desynchronizes retries"
 
     def test_same_stream_same_schedule(self):
-        policy = RetryPolicy()
-        a = [policy.backoff(n, random.Random(9)) for n in range(1, 8)]
-        b = [policy.backoff(n, random.Random(9)) for n in range(1, 8)]
+        a = [backoff(n, random.Random(9)) for n in range(1, 8)]
+        b = [backoff(n, random.Random(9)) for n in range(1, 8)]
         assert a == b
-
-    @pytest.mark.parametrize("kwargs", [
-        {"base": 0.0},
-        {"multiplier": 0.5},
-        {"jitter": 1.5},
-        {"max_attempts": 0},
-    ])
-    def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
 
 # ---------------------------------------------------------------------------
 # Circuit breaker: closed -> open -> half-open -> closed

@@ -74,7 +74,7 @@ class TestNetworkProperties:
     @settings(max_examples=40, deadline=None)
     def test_fifo_per_link_under_random_traffic(self, sends, seed):
         sim = Simulator(seed=seed)
-        net = Network(sim, latency=UniformLatency(0.1, 5.0), fifo=True)
+        net = Network(sim, latency=UniformLatency(0.1, 5.0))
         received = {"a": [], "b": []}
         nodes = {}
         for name in ("a", "b", "sink"):

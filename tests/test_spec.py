@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import REGISTRY, ReplicatedSystem, RunSpec
-from repro.core import AdmissionConfig
 from repro.core.spec import ABCAST_FLAVOURS
 from repro.net import ConstantLatency, ExponentialLatency, UniformLatency
 from repro.sim import Simulator
@@ -35,6 +34,11 @@ class TestValidation:
             ReplicatedSystem("active", abcsat="sequencer")
         with pytest.raises(TypeError, match="abcsat"):
             ReplicatedSystem(RunSpec("active"), abcsat="sequencer")
+
+    def test_negative_admission_rate_rejected(self):
+        # 0 means no admission edge; below that there is no meaning.
+        with pytest.raises(ValueError, match="admission_rate"):
+            RunSpec("active", admission_rate=-1.0)
 
     def test_seed_must_be_an_int(self):
         # None used to seed sim.rng from OS entropy: a run nobody can repeat.
@@ -107,13 +111,9 @@ FIELD_VALUES = {
     "max_client_retries": st.integers(0, 20),
     "observe": st.booleans(),
     "trace_max_events": st.none() | st.integers(1, 10**6),
-    "admission": st.none() | st.builds(
-        AdmissionConfig, rate=_FLOATS, burst=st.floats(1.0, 16.0),
-        queue_capacity=st.integers(0, 1024), shed_on_deadline=st.booleans(),
-    ),
+    "admission_rate": _FLOATS,
     "abcast": st.sampled_from(ABCAST_FLAVOURS),
     "propagation_delay": _FLOATS,
-    "batch_interval": st.none() | _POSITIVE,
     "reconciliation": st.sampled_from(["lww", "priority", "abcast"]),
     "priorities": st.dictionaries(st.sampled_from(["r0", "r1", "r2"]),
                                   st.integers(0, 10)),

@@ -4,7 +4,11 @@ import json
 import pickle
 import random
 
+import pytest
+
+from repro.__main__ import main
 from repro.workload import SweepConfig
+from repro.workload.openloop import _PROCESSES
 from repro.workload.sweep import (
     merge_rows,
     render_saturation,
@@ -138,3 +142,14 @@ class TestWriteSweep:
         doc = json.load(open(paths["json"]))
         assert doc["rows"] and doc["saturation"]
         assert open(paths["table"]).read().strip()
+
+
+@pytest.mark.parametrize("process", _PROCESSES)
+def test_cli_sweeps_every_arrival_process(process, tmp_path):
+    out = str(tmp_path / process)
+    assert main(["sweep", "--process", process, "--technique", "active",
+                 "--seeds", "0", "--rates", "0.2", "--duration", "50",
+                 "--jobs", "1", "--out", out]) == 0
+    doc = json.load(open(f"{out}/sweep.json"))
+    assert doc["config"]["process"] == process
+    assert doc["rows"]

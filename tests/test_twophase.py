@@ -26,7 +26,7 @@ def rig():
     sim = Simulator(seed=1)
     net = Network(sim, latency=ConstantLatency(1.0))
     coordinator_node = Node(sim, net, "coord")
-    coordinator = TwoPhaseCoordinator(coordinator_node, vote_timeout=30.0)
+    coordinator = TwoPhaseCoordinator(coordinator_node)
     sites = {name: Site(sim, net, name) for name in ("p1", "p2", "p3")}
     return sim, net, coordinator, sites
 

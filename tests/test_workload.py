@@ -51,13 +51,6 @@ class TestWorkloadGenerator:
         hot = [p for p in picks if p in ("item0", "item1")]
         assert len(hot) > 300
 
-    def test_zipf_skews_toward_low_ranks(self):
-        spec = WorkloadSpec(items=50, zipf_s=1.2)
-        generator = WorkloadGenerator(spec, seed=3)
-        picks = [generator.pick_item() for _ in range(500)]
-        top = sum(1 for p in picks if p in ("item0", "item1", "item2"))
-        assert top > 150
-
     @given(st.floats(0, 1), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
     def test_mix_ratio_roughly_respected(self, read_fraction, ops):
@@ -70,7 +63,7 @@ class TestWorkloadGenerator:
 
 class TestSpecValidation:
     # Regression: out-of-range skew knobs used to be accepted silently and
-    # produced inverted skew or crashing Zipf weights downstream.
+    # produced inverted skew downstream.
 
     def test_out_of_range_hot_fraction_rejected(self):
         with pytest.raises(ValueError):
@@ -84,21 +77,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             WorkloadSpec(hot_access_probability=2.0)
 
-    def test_negative_zipf_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadSpec(zipf_s=-1.0)
-
     def test_nan_skew_rejected(self):
         nan = float("nan")
         with pytest.raises(ValueError):
             WorkloadSpec(hot_fraction=nan)
         with pytest.raises(ValueError):
             WorkloadSpec(hot_access_probability=nan)
-        with pytest.raises(ValueError):
-            WorkloadSpec(zipf_s=nan)
 
     def test_boundary_values_accepted(self):
-        WorkloadSpec(hot_fraction=1.0, hot_access_probability=1.0, zipf_s=0.0)
+        WorkloadSpec(hot_fraction=1.0, hot_access_probability=1.0)
 
 
 class TestHotSetRounding:
@@ -141,21 +128,6 @@ class TestHotSetRounding:
         assert generator.hot_set_size >= 1
         if expected >= 1:
             assert abs(generator.hot_set_size - expected) <= 0.5
-
-
-class TestZipfMonotonicity:
-    def test_zipf_rank_counts_decrease(self):
-        # Zipf access counts must fall with rank (coarse-grained: compare
-        # front, middle and tail thirds so sampling noise cannot flip it).
-        spec = WorkloadSpec(items=30, zipf_s=1.0)
-        generator = WorkloadGenerator(spec, seed=9)
-        counts = {f"item{i}": 0 for i in range(30)}
-        for _ in range(6000):
-            counts[generator.pick_item()] += 1
-        front = sum(counts[f"item{i}"] for i in range(10))
-        middle = sum(counts[f"item{i}"] for i in range(10, 20))
-        tail = sum(counts[f"item{i}"] for i in range(20, 30))
-        assert front > middle > tail
 
 
 class TestDriver:
