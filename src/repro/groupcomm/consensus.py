@@ -21,6 +21,15 @@ Algorithm sketch (per instance, per round ``r`` with coordinator
    decision; the broadcast's agreement property makes the decision final
    everywhere.
 
+Round 0 skips step 1: its coordinator proposes its own initial value at
+once.  Before round 0 nothing has been adopted, so every estimate it could
+gather is an initial value with adoption round -1, and proposing its own
+is as safe as proposing any of them.  A value decided in round 0 was
+adopted by a majority in round 0; every later majority of estimates holds
+one of those, and it outranks every initial value.  A fault-free instance
+thus ends after two communication steps (propose, ack) plus the
+decision's broadcast.
+
 Safety holds regardless of failure-detector behaviour; liveness needs the
 detector to eventually stop suspecting some correct process.
 
@@ -184,7 +193,7 @@ class Consensus:
                 # before the crash: a second estimate or reply from one
                 # process would count twice towards a majority, and a
                 # second proposal could differ from the first.
-                if state.estimate_sent < r:
+                if r > 0 and state.estimate_sent < r:
                     state.estimate_sent = r
                     self.transport.send(
                         coordinator,
@@ -195,10 +204,18 @@ class Consensus:
                         value=state.estimate,
                     )
                 if coordinator == self.node.name and state.proposal_sent < r:
-                    outcome = yield self._race(state, self._await_estimates(state, r))
-                    if outcome is _DECIDED:
-                        break
-                    proposal = self._choose_estimate(instance, outcome)
+                    if r == 0:
+                        # Round 0 has no phase 1: every estimate is still
+                        # an initial value, so a majority of them could
+                        # not outrank the coordinator's own.
+                        estimates = [(state.estimate_ts, self.node.name, state.estimate)]
+                    else:
+                        estimates = yield self._race(
+                            state, self._await_estimates(state, r)
+                        )
+                        if estimates is _DECIDED:
+                            break
+                    proposal = self._choose_estimate(instance, estimates)
                     state.proposal_sent = r
                     for member in self.group:
                         self.transport.send(

@@ -81,6 +81,35 @@ class TestConsensusBasics:
         assert futures["n0"].result == 42
 
 
+class TestRoundZeroFastPath:
+    def test_round_zero_sends_no_estimates(self, monkeypatch):
+        # Round 0 has no phase 1: the coordinator proposes its own value at
+        # once, so a fault-free instance is decided one step sooner.
+        h = GroupHarness(3)
+        frames = []
+        send = h.net.send
+        def recording_send(src, dst, type, payload=None, **kwargs):
+            if type == "rt.data":
+                frames.append((payload["inner_type"], payload["body"].get("round")))
+            return send(src, dst, type, payload=payload, **kwargs)
+        monkeypatch.setattr(h.net, "send", recording_send)
+        decided_at = {}
+        for name in h.names:
+            def on_decide(instance, value, n=name):
+                decided_at[n] = (h.sim.now, value)
+            Consensus(
+                h.nodes[name], h.transports[name], h.names, h.detectors[name], on_decide
+            ).propose("i", f"value-{name}")
+        h.run(until=100)
+        assert decided_at == {
+            "n0": (2.0, "value-n0"), "n1": (3.0, "value-n0"), "n2": (3.0, "value-n0"),
+        }
+        # Every process still moves on to round 1 once it has acked, and
+        # sends that round's estimate; only round 0's are gone.
+        assert ("ct.propose", 0) in frames
+        assert ("ct.estimate", 0) not in frames
+
+
 class TestConsensusUnderFailures:
     def test_decides_despite_coordinator_crash(self):
         # Round-0 coordinator is n0 (group order); crash it immediately.
@@ -263,6 +292,8 @@ class TestDeferredConsensus:
         assert decided.pop() == "update-by-n0"
 
     def test_next_coordinator_computes_after_crash(self):
+        # n0 is cut off from t = 0, so its round-0 proposal never leaves
+        # before it crashes; the next coordinator has to execute.
         h = GroupHarness(3, fd_interval=2.0, fd_timeout=6.0)
         cons, decisions = attach(h, cls=DeferredConsensus)
         computed = []
@@ -270,6 +301,7 @@ class TestDeferredConsensus:
             cons[name].propose_deferred(
                 "i", lambda n=name: (computed.append(n), f"update-by-{n}")[1]
             )
+        h.net.partition(["n0"], ["n1", "n2"])
         h.sim.schedule(0.2, h.nodes["n0"].crash)
         h.run(until=3000)
         survivors = ["n1", "n2"]
@@ -280,6 +312,24 @@ class TestDeferredConsensus:
         # Some later coordinator executed; possibly n0 also did before dying.
         assert any(n in computed for n in survivors)
         assert value in {f"update-by-{n}" for n in computed}
+
+    def test_escaped_round_zero_proposal_is_not_executed_again(self):
+        # n0 executes and proposes at t = 0, then crashes at 0.2 with its
+        # proposal on the wire.  n1 and n2 adopt it in round 0, so round 1's
+        # coordinator proposes the adopted update instead of executing.
+        h = GroupHarness(3, fd_interval=2.0, fd_timeout=6.0)
+        cons, decisions = attach(h, cls=DeferredConsensus)
+        computed = []
+        for name in h.names:
+            cons[name].propose_deferred(
+                "i", lambda n=name: (computed.append(n), f"update-by-{n}")[1]
+            )
+        h.sim.schedule(0.2, h.nodes["n0"].crash)
+        h.run(until=3000)
+        assert {n: decisions[n].get("i") for n in ("n1", "n2")} == {
+            "n1": "update-by-n0", "n2": "update-by-n0",
+        }
+        assert computed == ["n0"]
 
     def test_duplicated_unset_estimate_is_still_unset(self):
         # A duplicated packet is a deep copy of the original; an estimate

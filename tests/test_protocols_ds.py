@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro import AC, END, EX, RE, SC, Operation, ReplicatedSystem
+from repro import AC, END, EX, RE, SC, Operation, ReplicatedSystem, RunSpec
 from repro.analysis import check_linearizable, history_from_results
 from repro.core.operations import Request
 from repro.net import Node
 from repro.resilience import retrying_client
+from repro.workload import ArrivalSpec, run_openloop
 
 
 def drive_updates(system, n, gap=25.0, item="x", client=0, func="add", arg=1):
@@ -392,6 +393,22 @@ class TestSemiPassive:
         system.settle(400)
         live = system.live_replicas()
         assert all(system.store_of(n).read("x") == 5 for n in live)
+
+    def test_open_loop_below_the_consensus_ceiling(self):
+        # One consensus instance per request: at 0.4 req/unit the load
+        # stays below what two communication steps per slot can carry, so
+        # responses do not queue up behind earlier slots.
+        system, _engine, summary = run_openloop(
+            RunSpec("semi_passive", seed=7),
+            arrival=ArrivalSpec(process="poisson", rate=0.4, duration=400.0),
+        )
+        assert summary.committed == summary.offered
+        assert summary.latency.mean < 20.0, summary.latency
+        executions = sum(
+            system.protocol_at(name).consensus.executions
+            for name in system.replica_names
+        )
+        assert executions == summary.offered
 
     def test_nondeterminism_safe_like_passive(self):
         system = ReplicatedSystem("semi_passive", replicas=3, seed=4)
