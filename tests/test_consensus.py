@@ -150,8 +150,9 @@ class TestConsensusUnderFailures:
             assert decided, f"seed {seed}: nothing decided"
 
     def test_value_adopted_in_round_zero_outranks_initial_values(self):
-        # n0 proposes "x" in round 0, n1 adopts it and n0 decides it; the
-        # decision then cannot reach n1.  n2 missed round 0, so round 1's
+        # n0 proposes "x" in round 0, n1 adopts it and n0 decides it at 2;
+        # the partition at 2.5 keeps the decision from n1, which would
+        # have had it at 3.  n2 missed round 0, so round 1's
         # coordinator n1 holds its own adopted "x" and n2's initial "y",
         # and must keep "x": an adopted value has to outrank every value
         # never adopted, or the tie goes to the larger name, n2's.
@@ -160,7 +161,7 @@ class TestConsensusUnderFailures:
         for name, value in (("n0", "x"), ("n1", "x"), ("n2", "y")):
             cons[name].propose("i", value)
         h.net.partition(["n0", "n1"], ["n2"])
-        h.sim.schedule_at(3.5, h.net.partition, ["n0"], ["n1", "n2"])
+        h.sim.schedule_at(2.5, h.net.partition, ["n0"], ["n1", "n2"])
         h.sim.schedule_at(60.0, h.net.heal)
         h.run(until=500)
         assert {name: decisions[name].get("i") for name in h.names} == {
@@ -168,18 +169,22 @@ class TestConsensusUnderFailures:
         }
 
     def test_coordinator_back_before_suspected_resumes_its_round(self):
-        # n0 coordinates round 0 and crashes before its peers' estimates
-        # arrive; it is back before anyone suspects it, so they wait for
-        # its proposal.  The crash ended its round loop: the recovered
+        # n0 is down from the start, so n1 and n2 suspect it at 10 and move
+        # to round 1.  Its coordinator n1 crashes before n2's estimate
+        # arrives at 11, and is back before anyone suspects it, so n2 waits
+        # for its proposal.  The crash ended n1's round loop: the recovered
         # process must run that round again or the instance never ends.
+        # (Round 0 cannot show this: its coordinator proposes as its loop
+        # starts, so no crash ends that loop before the proposal is out.)
         h = GroupHarness(3, fd_interval=2.0, fd_timeout=8.0, retry_interval=2.0)
         cons, decisions = attach(h)
-        for name in h.names:
+        h.nodes["n0"].crash()
+        for name in ("n1", "n2"):
             cons[name].propose("i", name)
-        h.sim.schedule_at(0.5, h.nodes["n0"].crash)
-        h.sim.schedule_at(1.5, h.nodes["n0"].recover)
+        h.sim.schedule_at(10.5, h.nodes["n1"].crash)
+        h.sim.schedule_at(11.5, h.nodes["n1"].recover)
         h.run(until=500)
-        decided = {decisions[name].get("i") for name in h.names}
+        decided = {decisions[name].get("i") for name in ("n1", "n2")}
         assert len(decided) == 1 and None not in decided, decided
         assert sum(h.detectors[n].wrong_suspicions for n in h.names) == 0
 
