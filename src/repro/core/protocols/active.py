@@ -26,17 +26,15 @@ passive replication.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ...groupcomm import ConsensusAtomicBroadcast, SequencerAtomicBroadcast
 from ..operations import Request
 from ..phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseStep
-from .base import ProtocolInfo, ReplicaProtocol, apply_request_to_store
+from .base import InjectingProtocol, ProtocolInfo, apply_request_to_store
 
 __all__ = ["ActiveReplication"]
 
 
-class ActiveReplication(ReplicaProtocol):
+class ActiveReplication(InjectingProtocol):
     """Per-replica endpoint of the active replication technique."""
 
     info = ProtocolInfo(
@@ -55,10 +53,6 @@ class ActiveReplication(ReplicaProtocol):
         client_policy="all",
     )
 
-    # How long a non-injector waits before injecting a client request
-    # itself.
-    INJECT_FALLBACK = 30.0
-
     def __init__(self, replica, group, spec) -> None:
         super().__init__(replica, group, spec)
         if spec.abcast == "sequencer":
@@ -71,47 +65,10 @@ class ActiveReplication(ReplicaProtocol):
                 replica.node, replica.transport, group, replica.detector,
                 self._on_deliver, trace=replica.system.trace,
             )
-        self._awaiting_order: Dict[str, tuple] = {}
         # If the replica responsible for injecting requests is suspected,
         # take over its pending work at detection time instead of waiting
         # for the fallback timer — keeps the crash fully masked.
         replica.detector.on_suspect(lambda _peer: self._inject_all_pending())
-
-    # -- request path -----------------------------------------------------
-
-    def handle_request(self, request: Request, client: str) -> None:
-        rid = request.request_id
-        if rid in self._awaiting_order:
-            return
-        self._awaiting_order[rid] = (request, client)
-        if self._am_injector():
-            self._inject(rid)
-        else:
-            self.replica.node.after(
-                ActiveReplication.INJECT_FALLBACK, self._inject_if_pending, rid
-            )
-
-    def _am_injector(self) -> bool:
-        for name in self.group:
-            if name == self.replica.name:
-                return True
-            if not self.replica.detector.is_suspected(name):
-                return False
-        return False
-
-    def _inject_if_pending(self, rid: str) -> None:
-        if rid in self._awaiting_order:
-            self._inject(rid)
-
-    def _inject_all_pending(self) -> None:
-        if not self._am_injector():
-            return
-        for rid in list(self._awaiting_order):
-            self._inject_if_pending(rid)
-
-    def _inject(self, rid: str) -> None:
-        request, client = self._awaiting_order[rid]
-        self.abcast.abcast("request", request=request, client=client)
 
     # -- ordered delivery ----------------------------------------------------
 

@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ProtocolInfo",
     "ReplicaProtocol",
+    "InjectingProtocol",
     "run_transaction",
     "apply_request_to_store",
     "optimistic_execute",
@@ -397,6 +398,58 @@ class ReplicaProtocol:
 
     def on_recover(self) -> None:
         """Hook: the hosting replica restarted."""
+
+
+class InjectingProtocol(ReplicaProtocol):
+    """Active and semi-active: client requests, sent to every replica, are
+    ordered through ``self.abcast``, which the subclass builds.  The lowest
+    unsuspected replica injects them; the others arm a fallback timer, and
+    the subclass has ``_inject_all_pending`` run on every suspicion."""
+
+    # How long a non-injector waits before injecting a client request
+    # itself.
+    INJECT_FALLBACK = 30.0
+
+    def __init__(self, replica: "ReplicaNode", group: List[str], spec: "RunSpec") -> None:
+        super().__init__(replica, group, spec)
+        self._awaiting_order: Dict[str, tuple] = {}  # rid -> (request, client)
+
+    def handle_request(self, request: Request, client: str) -> None:
+        self._await_order(request, client)
+
+    def _await_order(self, request: Request, client: str) -> None:
+        rid = request.request_id
+        if rid in self._awaiting_order:
+            return
+        self._awaiting_order[rid] = (request, client)
+        if self._am_injector():
+            self._inject(rid)
+        else:
+            self.replica.node.after(
+                InjectingProtocol.INJECT_FALLBACK, self._inject_if_pending, rid
+            )
+
+    def _am_injector(self) -> bool:
+        for name in self.group:
+            if name == self.replica.name:
+                return True
+            if not self.replica.detector.is_suspected(name):
+                return False
+        return False
+
+    def _inject_if_pending(self, rid: str) -> None:
+        if rid in self._awaiting_order:
+            self._inject(rid)
+
+    def _inject_all_pending(self) -> None:
+        if not self._am_injector():
+            return
+        for rid in list(self._awaiting_order):
+            self._inject_if_pending(rid)
+
+    def _inject(self, rid: str) -> None:
+        request, client = self._awaiting_order[rid]
+        self.abcast.abcast("request", request=request, client=client)
 
 
 def undecided_elsewhere(workspaces: Iterable[str], request_id: str, site: str) -> bool:

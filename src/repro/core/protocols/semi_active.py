@@ -35,12 +35,12 @@ from ...db import TransactionUpdates, UpdateRecord
 from ...groupcomm import ConsensusAtomicBroadcast, SequencerAtomicBroadcast, View, ViewSyncGroup
 from ..operations import NON_DETERMINISTIC, Request, apply_update
 from ..phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseStep
-from .base import ProtocolInfo, ReplicaProtocol
+from .base import InjectingProtocol, ProtocolInfo
 
 __all__ = ["SemiActiveReplication"]
 
 
-class SemiActiveReplication(ReplicaProtocol):
+class SemiActiveReplication(InjectingProtocol):
     """Per-replica endpoint of semi-active (leader/follower) replication."""
 
     info = ProtocolInfo(
@@ -61,10 +61,6 @@ class SemiActiveReplication(ReplicaProtocol):
         client_policy="all",
     )
 
-    # How long a non-injector waits before injecting a client request
-    # itself (as in active replication).
-    INJECT_FALLBACK = 30.0
-
     def __init__(self, replica, group, spec) -> None:
         super().__init__(replica, group, spec)
         if spec.abcast == "sequencer":
@@ -83,7 +79,6 @@ class SemiActiveReplication(ReplicaProtocol):
             self._on_vs_deliver, on_view_change=self._on_view_change,
             trace=replica.system.trace,
         )
-        self._awaiting_order: Dict[str, tuple] = {}
         # Take over a suspected injector's pending requests immediately.
         replica.detector.on_suspect(lambda _peer: self._inject_all_pending())
         # Delivered and not yet answered, in delivery order: rid ->
@@ -115,38 +110,8 @@ class SemiActiveReplication(ReplicaProtocol):
     # -- request path ------------------------------------------------------------
 
     def handle_request(self, request: Request, client: str) -> None:
-        rid = request.request_id
-        if rid in self._awaiting_order or rid in self._queue:
-            return
-        self._awaiting_order[rid] = (request, client)
-        if self._am_injector():
-            self._inject(rid)
-        else:
-            self.replica.node.after(
-                SemiActiveReplication.INJECT_FALLBACK, self._inject_if_pending, rid
-            )
-
-    def _am_injector(self) -> bool:
-        for name in self.group:
-            if name == self.replica.name:
-                return True
-            if not self.replica.detector.is_suspected(name):
-                return False
-        return False
-
-    def _inject_if_pending(self, rid: str) -> None:
-        if rid in self._awaiting_order:
-            self._inject(rid)
-
-    def _inject_all_pending(self) -> None:
-        if not self._am_injector():
-            return
-        for rid in list(self._awaiting_order):
-            self._inject_if_pending(rid)
-
-    def _inject(self, rid: str) -> None:
-        request, client = self._awaiting_order[rid]
-        self.abcast.abcast("request", request=request, client=client)
+        if request.request_id not in self._queue:
+            self._await_order(request, client)
 
     # -- ordered execution -----------------------------------------------------------
 

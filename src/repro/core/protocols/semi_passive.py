@@ -27,10 +27,10 @@ Mechanics:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict
 
 from ...db.storage import DataStore
-from ...groupcomm import DeferredConsensus, ReliableBroadcast
+from ...groupcomm import DeferredConsensus, InOrder, ReliableBroadcast
 from ..operations import Request
 from ..phases import AC, END, EX, RE, PhaseDescriptor, PhaseStep
 from .base import ProtocolInfo, ReplicaProtocol, apply_request_to_store
@@ -76,12 +76,9 @@ class SemiPassiveReplication(ReplicaProtocol):
             replica.node, replica.transport, group, self._on_spread,
             trace=replica.system.trace, channel="sp.req",
         )
-        self._pending: List[tuple] = []       # (request, client) FIFO
-        self._pending_ids: Set[str] = set()
+        self._pending: Dict[str, tuple] = {}   # rid -> (request, client) FIFO
         self._coordinated = 0                  # slots executed here
-        self._slot = 0                         # next slot to decide
-        self._proposed_slot = -1
-        self._decisions_buffer: Dict[int, dict] = {}
+        self._slots = InOrder()                # decided slots, applied in order
 
     # -- request path -----------------------------------------------------
 
@@ -94,19 +91,16 @@ class SemiPassiveReplication(ReplicaProtocol):
 
     def _enqueue(self, request: Request, client: str) -> bool:
         rid = request.request_id
-        if rid in self._pending_ids or self.replica.cached_reply(rid) is not None:
+        if rid in self._pending or self.replica.cached_reply(rid) is not None:
             return False
-        self._pending.append((request, client))
-        self._pending_ids.add(rid)
+        self._pending[rid] = (request, client)
         self._maybe_propose()
         return True
 
     def _maybe_propose(self) -> None:
-        if not self._pending or self._proposed_slot >= self._slot:
-            return
-        self._proposed_slot = self._slot
-        slot = self._slot
-        self.consensus.propose_deferred(slot, lambda: self._compute(slot))
+        slot = self._slots.claim() if self._pending else None
+        if slot is not None:
+            self.consensus.propose_deferred(slot, lambda: self._compute(slot))
 
     def _compute(self, slot: int) -> dict:
         """Coordinator-only: execute the oldest pending request.
@@ -115,12 +109,13 @@ class SemiPassiveReplication(ReplicaProtocol):
         technique: execution happens at most at the (few) coordinators
         that actually run a round.
         """
-        while (self._pending
-               and self.replica.cached_reply(self._pending[0][0].request_id) is not None):
-            self._pending.pop(0)
+        for rid in list(self._pending):
+            if self.replica.cached_reply(rid) is None:
+                break
+            del self._pending[rid]
         if not self._pending:
             return {"empty": True}
-        request, client = self._pending[0]
+        request, client = next(iter(self._pending.values()))
         self.phase(request.request_id, EX, "deferred")
         # Execute speculatively on a shadow of the store: if a different
         # coordinator's proposal wins this slot, our execution must leave
@@ -140,10 +135,8 @@ class SemiPassiveReplication(ReplicaProtocol):
     # -- decision path --------------------------------------------------------
 
     def _on_decide(self, slot: int, decision: dict) -> None:
-        self._decisions_buffer[slot] = decision
-        while self._slot in self._decisions_buffer:
-            self._apply_slot(self._decisions_buffer.pop(self._slot))
-            self._slot += 1
+        for ready in self._slots.put(slot, decision):
+            self._apply_slot(ready)
         self._maybe_propose()
 
     def _apply_slot(self, decision: dict) -> None:
@@ -155,10 +148,7 @@ class SemiPassiveReplication(ReplicaProtocol):
             return
         if decision["executor"] == self.replica.name:
             self._coordinated += 1
-        self._pending_ids.discard(rid)
-        self._pending = [
-            entry for entry in self._pending if entry[0].request_id != rid
-        ]
+        self._pending.pop(rid, None)
         self.phase(rid, AC, "consensus-dv")
         # Everyone — the executor included — installs the *decided*
         # after-images; speculative executions happened on shadows.

@@ -6,13 +6,14 @@ The stack, bottom-up:
 * :class:`ReliableBroadcast` — all-or-nothing diffusion to a static group.
 * :class:`Consensus` — Chandra–Toueg rotating-coordinator consensus.
 * :class:`SequencerAtomicBroadcast` / :class:`ConsensusAtomicBroadcast` —
-  the paper's ABCAST primitive (total order).
+  the paper's ABCAST primitive (total order), both on :class:`InOrder`,
+  the one hold-back cursor (semi-passive replication's slots use it too).
 * :class:`ViewSyncGroup` — group membership + the paper's VSCAST primitive.
 * :class:`DeferredConsensus` — consensus with deferred initial values
   (the semi-passive replication engine).
 """
 
-from .abcast import ConsensusAtomicBroadcast, SequencerAtomicBroadcast
+from .abcast import ConsensusAtomicBroadcast, InOrder, SequencerAtomicBroadcast
 from .optimistic import OptimisticAtomicBroadcast
 from .channels import ReliableTransport
 from .consensus import Consensus
@@ -25,6 +26,7 @@ __all__ = [
     "ReliableBroadcast",
     "Consensus",
     "DeferredConsensus",
+    "InOrder",
     "SequencerAtomicBroadcast",
     "ConsensusAtomicBroadcast",
     "OptimisticAtomicBroadcast",

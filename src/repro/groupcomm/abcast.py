@@ -19,7 +19,7 @@ Two classic implementations are provided:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..failures import FailureDetector
 from ..net import Node
@@ -28,7 +28,40 @@ from .channels import ReliableTransport
 from .consensus import Consensus
 from .rbcast import ReliableBroadcast
 
-__all__ = ["SequencerAtomicBroadcast", "ConsensusAtomicBroadcast"]
+__all__ = ["InOrder", "SequencerAtomicBroadcast", "ConsensusAtomicBroadcast"]
+
+
+class InOrder:
+    """The hold-back cursor: positions (sequence numbers, consensus
+    instances, slots) decided in any order, acted on in position order."""
+
+    __slots__ = ("next", "_held", "_claimed")
+
+    def __init__(self) -> None:
+        self.next = 0          # position of the next value to release
+        self._held: Dict[int, Any] = {}
+        self._claimed = -1
+
+    def put(self, position: int, value: Any) -> Iterator[Any]:
+        """Hold ``value``, then yield every held value whose turn has come.
+
+        A position already released or held is dropped.  The cursor moves
+        past each value before yielding it: its position is ``next - 1``.
+        """
+        if position < self.next or position in self._held:
+            return
+        self._held[position] = value
+        while self.next in self._held:
+            value = self._held.pop(self.next)
+            self.next += 1
+            yield value
+
+    def claim(self) -> Optional[int]:
+        """The cursor's position, to propose for: once, then None."""
+        fresh = self._claimed != self.next
+        self._claimed = self.next
+        return self.next if fresh else None
+
 
 class SequencerAtomicBroadcast:
     """Fixed-sequencer ABCAST endpoint.
@@ -61,8 +94,7 @@ class SequencerAtomicBroadcast:
         self.sequencer = self.group[0]
         self._req_type = f"{channel_prefix}.req"
         self._next_seq = 0        # sequencer-side counter
-        self._next_deliver = 0    # member-side hold-back cursor
-        self._held: Dict[int, Tuple[str, str, dict]] = {}
+        self._order = InOrder()   # member-side hold-back
         transport.on(self._req_type, self._on_request)
         self._order_rb = ReliableBroadcast(
             node, transport, group, self._on_order, channel=f"{channel_prefix}.order"
@@ -89,15 +121,13 @@ class SequencerAtomicBroadcast:
         )
 
     def _on_order(self, _origin: str, _mtype: str, body: dict) -> None:
-        self._held[body["seq"]] = (body["origin"], body["m"], body["body"])
-        while self._next_deliver in self._held:
-            origin, mtype, inner = self._held.pop(self._next_deliver)
+        held = (body["origin"], body["m"], body["body"])
+        for origin, mtype, inner in self._order.put(body["seq"], held):
             if self.trace is not None:
                 self.trace.record(
                     "abcast", self.node.name,
-                    seq=self._next_deliver, origin=origin, mtype=mtype,
+                    seq=self._order.next - 1, origin=origin, mtype=mtype,
                 )
-            self._next_deliver += 1
             self.deliver(origin, mtype, inner)
 
     def __repr__(self) -> str:
@@ -120,7 +150,7 @@ class ConsensusAtomicBroadcast:
     State is kept only for what is not settled yet: disseminated messages
     waiting to be ordered, decisions waiting for the ones before them, and
     the uids ordered before their dissemination reached this node (until
-    it does).  No uid is in two decided batches — see :meth:`_apply_ready`
+    it does).  No uid is in two decided batches — see :meth:`_on_decide`
     — so delivered uids need not be remembered.
     """
 
@@ -143,10 +173,7 @@ class ConsensusAtomicBroadcast:
         # Ordered (and delivered) before their dissemination arrived here.
         self._delivered: Set[str] = set()
         self._delivered_count = 0
-        self._next_instance = 0       # next instance this node may propose
-        self._proposed_instance = -1  # last instance this node proposed for
-        self._apply_cursor = 0        # next decision to apply
-        self._decisions: Dict[int, list] = {}
+        self._decided = InOrder()   # decided batches, applied in instance order
         self._rb = ReliableBroadcast(
             node, transport, group, self._on_disseminate, channel=f"{channel_prefix}.msg"
         )
@@ -176,12 +203,10 @@ class ConsensusAtomicBroadcast:
     # -- stage 2: ordering -------------------------------------------------------
 
     def _maybe_propose(self) -> None:
-        instance = self._next_instance
-        if not self._unordered or instance == self._proposed_instance:
-            return  # consensus keeps the first proposal per instance
-        if instance in self._decisions:
-            return  # decision already known; will advance in _apply
-        self._proposed_instance = instance
+        # Consensus keeps the first proposal per instance: claim it once.
+        instance = self._decided.claim() if self._unordered else None
+        if instance is None:
+            return
         batch = [
             [uid, origin, mtype, body]
             for uid, (origin, mtype, body) in sorted(self._unordered.items())
@@ -189,33 +214,24 @@ class ConsensusAtomicBroadcast:
         self._consensus.propose(instance, batch)
 
     def _on_decide(self, instance: int, batch: list) -> None:
-        if instance in self._decisions or instance < self._apply_cursor:
-            return
-        self._decisions[instance] = batch
-        self._apply_ready()
-
-    def _apply_ready(self) -> None:
         """Deliver decided batches in instance order.
 
         No uid is in two decided batches, so none is delivered twice: a
         decided batch is some member's proposal, and a member proposes
-        instance j only with the apply cursor at j, from messages not in
-        any batch below j (applying a batch takes its uids out of
+        instance j only with the cursor at j, from messages not in any
+        batch below j (applying a batch takes its uids out of
         ``_unordered``, and ``_delivered`` keeps a uid ordered ahead of its
         dissemination out of it).
         """
-        while self._apply_cursor in self._decisions:
-            batch = self._decisions.pop(self._apply_cursor)
-            self._apply_cursor += 1
-            self._next_instance = max(self._next_instance, self._apply_cursor)
-            for uid, origin, mtype, body in batch:
+        for ready in self._decided.put(instance, batch):
+            for uid, origin, mtype, body in ready:
                 if self._unordered.pop(uid, None) is None:
                     self._delivered.add(uid)
                 self._delivered_count += 1
                 if self.trace is not None:
                     self.trace.record(
                         "abcast", self.node.name,
-                        instance=self._apply_cursor - 1, uid=uid, mtype=mtype,
+                        instance=self._decided.next - 1, uid=uid, mtype=mtype,
                     )
                 self.deliver(origin, mtype, body)
         self._maybe_propose()

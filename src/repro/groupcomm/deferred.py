@@ -71,7 +71,7 @@ class DeferredConsensus(Consensus):
         return self.propose(instance, _UNSET)
 
     def _choose_estimate(self, instance: Any, estimates: List[Tuple[int, str, Any]]) -> Any:
-        concrete = [e for e in estimates if e[2] is not _UNSET and e[2] != "__unset__"]
+        concrete = [e for e in estimates if e[2] is not _UNSET]
         if concrete:
             return super()._choose_estimate(instance, concrete)
         compute = self._compute.get(instance)

@@ -176,10 +176,23 @@ def _technique_entries(
             for info in graph.closure(key, cls):
                 seen.add(info.key)
         entries = [
-            e for e in all_entries if e.key in seen and _serves(cls, e.requires)
+            e for e in all_entries
+            if e.key in seen and _serves(cls, e.requires)
+            and not _overridden(graph, cls, e.key)
         ]
         out.append((technique, cls, entries, seen))
     return out
+
+
+def _overridden(graph: WaitGraph, cls: ClassInfo, key: str) -> bool:
+    """Is ``key`` a ``handle_request`` that ``cls`` overrides?"""
+    assert graph.index is not None
+    info = graph.funcs[key]
+    if info.node.name != REQUEST_ENTRY:
+        return False
+    return info.cls is not next(
+        (owner for owner in graph.index.mro(cls) if REQUEST_ENTRY in owner.methods), None
+    )
 
 
 def _family(graph: WaitGraph, cls: Optional[ClassInfo]) -> str:

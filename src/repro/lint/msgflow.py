@@ -186,17 +186,14 @@ class MessageGraph:
         return [v for variants in self.bindings.values() for v in variants]
 
     def sends_for_binding(self, owner: str, attr: str) -> List[BroadcastSend]:
-        """Broadcasts through ``self.attr`` of ``owner`` (or a subclass),
-        plus class-level self-sends of the bound primitive class."""
+        """Broadcasts through ``self.attr`` of ``owner``, a subclass or a
+        class ``owner`` inherits from, plus class-level self-sends of the
+        bound primitive class."""
         assert self.index is not None
-        out: List[BroadcastSend] = []
-        for send in self.broadcast_sends:
-            if send.attr == attr and send.owner is not None:
-                sender = self.index.classes.get(send.owner)
-                if sender is not None and any(
-                    info.name == owner for info in self.index.mro(sender)
-                ):
-                    out.append(send)
+        related = set(self.index.descendants(owner)) | {
+            info.name for info in self.index.mro(self.index.classes[owner])
+        }
+        out = [s for s in self.broadcast_sends if s.attr == attr and s.owner in related]
         primitives = {v.primitive for v in self.bindings.get((owner, attr), [])}
         for send in self.broadcast_sends:
             if send.attr is None and send.owner in primitives and send not in out:

@@ -244,7 +244,8 @@ def _attr_classes(
     receiver: ast.expr, cls: Optional[ClassInfo], index: ProgramIndex
 ) -> List[ClassInfo]:
     """Classes a ``self.attr`` receiver may be an instance of, resolved
-    through ``self.attr = SomeClass(...)`` assignments in the MRO."""
+    through ``self.attr = SomeClass(...)`` assignments in the MRO and in
+    the subclasses (a base class may use what its subclasses build)."""
     if not (
         isinstance(receiver, ast.Attribute)
         and isinstance(receiver.value, ast.Name)
@@ -252,8 +253,9 @@ def _attr_classes(
         and cls is not None
     ):
         return []
+    subclasses = [index.classes[name] for name in index.descendants(cls.name)[1:]]
     out: List[ClassInfo] = []
-    for info in index.mro(cls):
+    for info in index.mro(cls) + subclasses:
         for value, _method in info.attr_exprs.get(receiver.attr, ()):
             if isinstance(value, ast.Call):
                 name = simple_name(value.func)
@@ -750,18 +752,19 @@ WAITGRAPH_HEADER = (
 
 
 def _protocol_techniques(graph: WaitGraph) -> List[Tuple[str, ClassInfo]]:
-    """(technique name, class) for every ReplicaProtocol subclass."""
+    """(technique name, class) for every ReplicaProtocol subclass that
+    declares its ``info``."""
     assert graph.index is not None
     out: List[Tuple[str, ClassInfo]] = []
     for name in sorted(graph.index.classes):
         info = graph.index.classes[name]
-        if info.name == PROTOCOL_BASE:
+        if PROTOCOL_INFO_NAME not in info.consts:
             continue
         mro = graph.index.mro(info)
         if not any(a.name == PROTOCOL_BASE for a in mro[1:]):
             continue
         technique = info.name.lower()
-        assign = info.consts.get(PROTOCOL_INFO_NAME)
+        assign = info.consts[PROTOCOL_INFO_NAME]
         if isinstance(assign, ast.Call):
             for keyword in assign.keywords:
                 if keyword.arg == "name":

@@ -3,7 +3,7 @@
 from helpers import GroupHarness
 from hypothesis import given, settings, strategies as st
 
-from repro.groupcomm import ConsensusAtomicBroadcast, SequencerAtomicBroadcast
+from repro.groupcomm import ConsensusAtomicBroadcast, InOrder, SequencerAtomicBroadcast
 
 
 def attach_seq(h):
@@ -36,6 +36,47 @@ def assert_total_order(order_by_member):
         assert sequence == reference[: len(sequence)], (
             f"{name} diverges: {sequence} vs {reference}"
         )
+
+
+class TestInOrder:
+    """The one hold-back cursor both ABCASTs and semi-passive share."""
+
+    def test_out_of_order_puts_come_out_in_position_order(self):
+        cursor = InOrder()
+        assert list(cursor.put(2, "c")) == []
+        assert list(cursor.put(1, "b")) == []
+        assert list(cursor.put(0, "a")) == ["a", "b", "c"]
+        assert list(cursor.put(4, "e")) == []
+        assert list(cursor.put(3, "d")) == ["d", "e"]
+
+    def test_released_or_held_position_is_dropped(self):
+        cursor = InOrder()
+        assert list(cursor.put(0, "a")) == ["a"]
+        assert list(cursor.put(0, "again")) == []
+        assert list(cursor.put(2, "c")) == []
+        assert list(cursor.put(2, "other")) == []
+        assert list(cursor.put(1, "b")) == ["b", "c"]
+        assert cursor.next == 3
+
+    def test_cursor_moves_one_position_per_yielded_value(self):
+        cursor = InOrder()
+        for position in (3, 1, 2):
+            list(cursor.put(position, position))
+        seen = []
+        for value in cursor.put(0, 0):
+            seen.append((value, cursor.next))
+        # While the caller handles a value, ``next - 1`` is its position.
+        assert seen == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    def test_claim_returns_each_position_once_and_only_the_current_one(self):
+        cursor = InOrder()
+        assert cursor.claim() == 0
+        assert cursor.claim() is None
+        assert list(cursor.put(1, "b")) == []
+        assert cursor.claim() is None  # position 1 is not the cursor's yet
+        assert list(cursor.put(0, "a")) == ["a", "b"]
+        assert cursor.claim() == 2
+        assert cursor.claim() is None
 
 
 class TestSequencerAbcast:

@@ -165,9 +165,9 @@ def test_observed_writes_are_subset_of_static(protocol):
 
 def test_tracking_mechanism_observes_runtime_writes():
     # Proof the dynamic side is live, not vacuous: semi-passive rebinds
-    # its rotating-coordinator slot bookkeeping on every request, so a
+    # its count of executed slots on every slot a replica executes, so a
     # campaign must record those attribute writes.
     system = _run_tracked_campaign("semi_passive")
     observed = system.observer.attr_writes.get("SemiPassiveReplication")
     assert observed, "campaign recorded no attribute writes at all"
-    assert "_slot" in observed
+    assert "_coordinated" in observed

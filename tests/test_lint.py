@@ -11,7 +11,9 @@ import pytest
 
 from repro.lint import Diagnostic, all_rules, run_lint
 from repro.lint.cli import main as lint_main
-from repro.lint.engine import lint_parsed
+from repro.lint.engine import lint_parsed, parse_paths
+from repro.lint.msgflow import build_graph
+from repro.lint.waitgraph import build_waitgraph
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -346,6 +348,47 @@ def test_broadcast_binding_matched_is_clean(tmp_path):
     assert run_lint(paths) == []
 
 
+# A base class broadcasts through ``self._rb``; only its subclass builds
+# the primitive, so the send reaches the subclass's binding by inheritance.
+INHERITED_SEND_FIXTURE = (
+    "class Base:\n"
+    "    def go(self):\n"
+    "        self._rb.broadcast({mtype!r}, item=1)\n"
+    "class App(Base):\n"
+    "    def __init__(self, node, transport, group):\n"
+    "        self._rb = ReliableBroadcast(node, transport, group,\n"
+    "                                     self._on_deliver,\n"
+    "                                     channel='app.msg')\n"
+    "    def _on_deliver(self, origin, mtype, body):\n"
+    "        if mtype != 'apply':\n"
+    "            return\n"
+    "        print(body['item'])\n"
+)
+
+
+def test_broadcast_from_inherited_method_mismatch_flagged(tmp_path):
+    paths = tree(tmp_path, {
+        "src/repro/groupcomm/fixture.py":
+            GROUP_FIXTURE_PRIMITIVE + INHERITED_SEND_FIXTURE.format(mtype="aply"),
+    })
+    found = run_lint(paths)
+    assert rules_of(found) == ["M402"]
+    assert "guards for mtype 'apply'" in found[0].message
+
+
+def test_broadcast_from_inherited_method_counts_for_binding(tmp_path):
+    paths = tree(tmp_path, {
+        "src/repro/groupcomm/fixture.py":
+            GROUP_FIXTURE_PRIMITIVE + INHERITED_SEND_FIXTURE.format(mtype="apply"),
+    })
+    assert run_lint(paths) == []
+    graph = build_graph(parse_paths(paths)[0])
+    sends = graph.sends_for_binding("App", "_rb")
+    assert [(send.owner, sorted(send.patterns)) for send in sends] == [
+        ("Base", ["apply"])
+    ]
+
+
 def test_on_default_catches_everything(tmp_path):
     # An on_default registration serves every type, so M402 never
     # reports it dead.
@@ -578,6 +621,33 @@ def test_w501_timed_sites_clean(tmp_path):
             "        self.node.reply(message, ok=True)\n",
     })
     assert run_lint(paths) == []
+
+
+def test_base_class_call_resolves_through_subclass_attribute(tmp_path):
+    # Base.go calls self.ab.kick(), and only the subclass builds self.ab:
+    # the callee edge (and so the untimed call inside kick) must still be
+    # in go's closure.
+    paths = tree(tmp_path, {
+        "src/repro/core/flow.py":
+            "class Widget:\n"
+            "    def __init__(self, node):\n"
+            "        self.node = node\n"
+            "        node.on('flow.req', self._on_req)\n"
+            "    def kick(self):\n"
+            "        yield self.node.call('peer', 'flow.req', item=1)\n"
+            "    def _on_req(self, message):\n"
+            "        self.node.reply(message, ok=True)\n"
+            "class Base:\n"
+            "    def go(self):\n"
+            "        yield from self.ab.kick()\n"
+            "class App(Base):\n"
+            "    def __init__(self, node):\n"
+            "        self.ab = Widget(node)\n",
+    })
+    graph = build_waitgraph(parse_paths(paths)[0])
+    go = "repro.core.flow.Base.go"
+    assert "repro.core.flow.Widget.kick" in graph.funcs[go].callees
+    assert [site.kind for site in graph.closure_waits(go)] == ["call"]
 
 
 # ---------------------------------------------------------------------------

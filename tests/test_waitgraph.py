@@ -107,9 +107,9 @@ def test_regeneration_is_deterministic(artifact, source_contexts):
 
 def test_artifact_covers_registered_techniques(artifact):
     names = {t["technique"] for t in artifact["techniques"]}
-    assert set(REGISTRY) <= names, (
-        f"registered techniques missing from the wait graph: "
-        f"{sorted(set(REGISTRY) - names)}"
+    assert set(REGISTRY) == names, (
+        f"wait graph techniques differ from the registry: missing "
+        f"{sorted(set(REGISTRY) - names)}, extra {sorted(names - set(REGISTRY))}"
     )
 
 
