@@ -9,14 +9,14 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check lint typecheck test artifacts artifacts-check \
-	observe bench-json bench-e2e chaos profile \
+	observe bench-json bench-e2e chaos chaos-evidence profile \
 	sweep sweep-smoke figures-check
 
 # The freshness gates of the generated files under docs/ run once, inside
 # `test` (the test_*_is_fresh tests call repro.artifacts.check on the
 # session's one parse of the tree); `artifacts-check` is the same check
 # by hand.
-check: lint typecheck figures-check test chaos
+check: lint typecheck figures-check test chaos chaos-evidence
 
 lint:
 	$(PYTHON) -m repro.lint src/repro
@@ -60,6 +60,20 @@ CHAOS_OUT ?= benchmarks/output/chaos
 CHAOS_SEED ?= 0
 chaos:
 	$(PYTHON) -m repro chaos --seed $(CHAOS_SEED) --out $(CHAOS_OUT)
+
+# The seed-0 chaos files are pinned byte for byte: each one `make chaos`
+# writes must match its sha256 in CHAOS_EVIDENCE.  Regenerate that file
+# only for a deliberate behaviour change, as with the goldens:
+#   (cd $(CHAOS_OUT) && LC_ALL=C sha256sum $$(ls *--seed0.* | LC_ALL=C sort)) \
+#       > tests/data/chaos_evidence.sha256
+CHAOS_EVIDENCE = tests/data/chaos_evidence.sha256
+chaos-evidence: chaos
+	@if [ "$(CHAOS_SEED)" = 0 ]; then \
+		cd $(CHAOS_OUT) && sha256sum -c --quiet $(CURDIR)/$(CHAOS_EVIDENCE) && \
+		echo "chaos evidence byte-identical: $(CHAOS_EVIDENCE)"; \
+	else \
+		echo "chaos-evidence: pinned for CHAOS_SEED=0 only, skipped"; \
+	fi
 
 # Observed run of one technique (TECH=..., SEED=...): writes the
 # Perfetto trace, JSONL spans and metrics report to benchmarks/output/.
