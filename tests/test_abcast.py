@@ -57,6 +57,8 @@ class TestInOrder:
         assert list(cursor.put(2, "other")) == []
         assert list(cursor.put(1, "b")) == ["b", "c"]
         assert cursor.next == 3
+        assert list(cursor.put(1, "late")) == []
+        assert not cursor._held  # nothing released is kept
 
     def test_cursor_moves_one_position_per_yielded_value(self):
         cursor = InOrder()
