@@ -12,6 +12,7 @@ import pytest
 from repro.lint import Diagnostic, all_rules, run_lint
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import lint_parsed, parse_paths
+from repro.lint.interference import build_interference_artifact
 from repro.lint.msgflow import build_graph
 from repro.lint.waitgraph import build_waitgraph
 
@@ -842,6 +843,33 @@ def test_r604_copy_first_clean(tmp_path):
             "        self.node.reply(original, ok=True)\n",
     })
     assert run_lint(paths) == []
+
+
+def test_overridden_handle_request_is_not_an_entry(tmp_path):
+    # Two techniques share a base's handle_request; one overrides it and
+    # reaches the shared code through a self call.  For that one, only
+    # the override is an entry, and its closure holds the shared writes.
+    plain = protocol_class("PlainProto", ["RE", "EX", "END"], "")
+    guard = protocol_class("GuardProto", ["RE", "EX", "END"], (
+        "    def handle_request(self, request, client):\n"
+        "        if request.request_id not in self.queue:\n"
+        "            self._admit(request)\n"
+    ))
+    paths = interference_tree(tmp_path, (
+        "class Admitting(ReplicaProtocol):\n"
+        "    def handle_request(self, request, client):\n"
+        "        self._admit(request)\n"
+        "    def _admit(self, request):\n"
+        "        self.admitted = request\n"
+    ) + (plain + guard).replace("(ReplicaProtocol)", "(Admitting)"))
+    artifact = build_interference_artifact(parse_paths(paths)[0])
+    entries = {t["technique"]: t["handlers"] for t in artifact["techniques"]}
+    assert sorted(entries) == ["guardproto", "plainproto"]
+    assert [h["handler"] for h in entries["plainproto"]] == ["Admitting.handle_request"]
+    [entry] = entries["guardproto"]
+    assert entry["handler"] == "GuardProto.handle_request"
+    assert "ReplicaProtocol.queue" in entry["reads"]
+    assert entry["writes"] == ["ReplicaProtocol.admitted"]
 
 
 def test_cli_select_filters_rules(tmp_path, capsys):
