@@ -110,6 +110,7 @@ class SemiActiveReplication(InjectingProtocol):
     # -- request path ------------------------------------------------------------
 
     def handle_request(self, request: Request, client: str) -> None:
+        # A self call, not super(): the static analysers follow only the former.
         if request.request_id not in self._queue:
             self._await_order(request, client)
 

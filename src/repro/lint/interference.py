@@ -188,7 +188,7 @@ def _overridden(graph: WaitGraph, cls: ClassInfo, key: str) -> bool:
     """Is ``key`` a ``handle_request`` that ``cls`` overrides?"""
     assert graph.index is not None
     info = graph.funcs[key]
-    if info.node.name != REQUEST_ENTRY:
+    if getattr(info.node, "name", "") != REQUEST_ENTRY:
         return False
     return info.cls is not next(
         (owner for owner in graph.index.mro(cls) if REQUEST_ENTRY in owner.methods), None
