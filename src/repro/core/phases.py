@@ -119,6 +119,11 @@ class PhaseDescriptor:
             step.phase == phase or step.merged_with == phase for step in self.steps
         )
 
+    def mechanism_of(self, phase: str) -> str:
+        """The mechanism of the first ``phase`` step ("" when none)."""
+        index = self.index_of(phase)
+        return self.steps[index].mechanism if index != -1 else ""
+
     def index_of(self, phase: str) -> int:
         for index, step in enumerate(self.steps):
             if step.phase == phase:

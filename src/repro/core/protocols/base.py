@@ -72,12 +72,18 @@ class ProtocolInfo:
     client_policy: str = "local"        # "all" | "primary" | "local"
     # Primary-copy schemes let read-only transactions run at any site
     # ("Reading transactions can be performed on any site", Section 4.3);
-    # when set, clients route read-only requests to their home replica.
+    # when set, clients route read-only requests to their home replica and
+    # ReplicaProtocol._on_client_request serves them there from the local
+    # copy, so handle_request never sees one.
     reads_anywhere: bool = False
-    # Whether the technique serves interactive transaction sessions
-    # (Section 5's "operations not necessarily available for processing
-    # at the same time") — the protocols with per-operation loops.
-    supports_sessions: bool = False
+
+    @property
+    def supports_sessions(self) -> bool:
+        """Whether the technique serves interactive transaction sessions
+        (Section 5's "operations not necessarily available for processing
+        at the same time"): the protocols with a per-operation loop, which
+        is what ``txn_descriptor`` declares."""
+        return self.txn_descriptor is not None
 
     @property
     def consistency(self) -> str:
@@ -292,6 +298,13 @@ class ReplicaProtocol:
             return
         self._serving[request.request_id] = self.sim.now
         self.phase(request.request_id, RE)
+        if request.read_only and self.info.reads_anywhere:
+            # "Reading transactions can be performed on any site" (Section
+            # 4.3): served from this replica's copy, possibly stale.
+            self.phase(request.request_id, EX, self.info.descriptor.mechanism_of(EX))
+            values = [self.store.read(op.item) for op in request.operations]
+            self.respond(message.src, request, committed=True, values=values)
+            return
         self.handle_request(request, message.src)
 
     def respond(
@@ -350,9 +363,11 @@ class ReplicaProtocol:
 
     def catch_up(self, peers: Sequence[str]) -> Generator:
         """Process: pull each of ``peers``' state in turn, skipping this
-        replica and suspected peers, and install whatever is newer.  An
-        unreachable peer leaves this replica as stale as it was; anything
-        else that goes wrong is a bug and surfaces."""
+        replica and the peers suspected at that turn (a pull may wait out
+        its timeout, so a snapshot of ``trusted`` would go stale), and
+        install whatever is newer.  An unreachable peer leaves this
+        replica as stale as it was; anything else that goes wrong is a bug
+        and surfaces."""
         for peer in peers:
             if peer == self.replica.name or self.replica.detector.is_suspected(peer):
                 continue
@@ -430,12 +445,7 @@ class InjectingProtocol(ReplicaProtocol):
             )
 
     def _am_injector(self) -> bool:
-        for name in self.group:
-            if name == self.replica.name:
-                return True
-            if not self.replica.detector.is_suspected(name):
-                return False
-        return False
+        return self.replica.detector.trusted(self.group)[0] == self.replica.name
 
     def _inject_if_pending(self, rid: str) -> None:
         if rid in self._awaiting_order:

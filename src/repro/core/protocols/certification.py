@@ -112,11 +112,6 @@ class CertificationReplication(ReplicaProtocol):
 
     def handle_request(self, request: Request, client: str) -> None:
         rid = request.request_id
-        if request.read_only:
-            self.phase(rid, EX, "shadow")
-            values = [self.store.read(op.item) for op in request.operations]
-            self.respond(client, request, committed=True, values=values)
-            return
         # EX on shadow copies, before any coordination (optimistic).
         self.phase(rid, EX, "shadow")
         values, readset, writeset, base_versions = optimistic_execute(

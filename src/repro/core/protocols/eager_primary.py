@@ -80,7 +80,6 @@ class EagerPrimaryCopy(ReplicaProtocol):
         ),
         client_policy="primary",
         reads_anywhere=True,
-        supports_sessions=True,
     )
 
     def __init__(self, replica, group, spec) -> None:
@@ -103,21 +102,11 @@ class EagerPrimaryCopy(ReplicaProtocol):
         return self.replica.system.directory.primary == self.replica.name
 
     def _live_peers(self) -> List[str]:
-        return [
-            name for name in self.peers()
-            if not self.replica.detector.is_suspected(name)
-        ]
+        return self.replica.detector.trusted(self.peers())
 
     # -- request path ---------------------------------------------------------
 
     def handle_request(self, request: Request, client: str) -> None:
-        if request.read_only:
-            # Reads are local at any site (possibly returning data that is
-            # current as of the last installed update).
-            self.phase(request.request_id, EX)
-            values = [self.store.read(op.item) for op in request.operations]
-            self.respond(client, request, committed=True, values=values)
-            return
         self.replica.node.spawn(
             self.run_steps(request, client), name=f"ep-{request.request_id}"
         )
@@ -218,7 +207,7 @@ class EagerPrimaryCopy(ReplicaProtocol):
             # default idempotency key): if this secondary is promoted and
             # the client retries the same request, it is answered from the
             # cache instead of re-executed on the new primary.
-            self.replica.remember_reply(txn_id.rsplit("@", 1)[0], [])
+            self.replica.remember_reply(txn_id, [])
 
     # -- failover ---------------------------------------------------------------------
 
@@ -226,11 +215,7 @@ class EagerPrimaryCopy(ReplicaProtocol):
         directory = self.replica.system.directory
         if peer != directory.primary:
             return
-        live = [
-            name for name in self.group
-            if name == self.replica.name or not self.replica.detector.is_suspected(name)
-        ]
-        if live and live[0] == self.replica.name:
+        if self.replica.detector.trusted(self.group)[0] == self.replica.name:
             directory.set_primary(self.replica.name)
         self.replica.node.spawn(self._terminate_in_doubt(), name="ep-termination")
 

@@ -81,12 +81,6 @@ class EagerUpdateEverywhereAbcast(ReplicaProtocol):
     # -- delegate side ------------------------------------------------------
 
     def handle_request(self, request: Request, client: str) -> None:
-        rid = request.request_id
-        if request.read_only:
-            self.phase(rid, EX)
-            values = [self.store.read(op.item) for op in request.operations]
-            self.respond(client, request, committed=True, values=values)
-            return
         self.abcast.abcast(
             "txn", request=request, client=client,
             delegate=self.replica.name,

@@ -77,7 +77,6 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
             loop=(1, 2),
         ),
         client_policy="local",
-        supports_sessions=True,
     )
 
     def __init__(self, replica, group, spec) -> None:
@@ -150,8 +149,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         """
         if self.write_quorum is not None:
             return self.write_quorum
-        n_live = len([n for n in self.group
-                      if not self.replica.detector.is_suspected(n)])
+        n_live = len(self.replica.detector.trusted(self.group))
         return max(n_live, len(self.group) // 2 + 1)
 
     def busy_elsewhere(self, request: Request) -> bool:
@@ -161,8 +159,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         """``count`` sites starting at this replica, skipping suspected ones."""
         ring = self.group[self.group.index(self.replica.name):] + \
             self.group[:self.group.index(self.replica.name)]
-        live = [n for n in ring if n == self.replica.name
-                or not self.replica.detector.is_suspected(n)]
+        live = self.replica.detector.trusted(ring)
         if len(live) < count:
             raise TransactionAborted(self.replica.name, "quorum unreachable")
         return live[:count]

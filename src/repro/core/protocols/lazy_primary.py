@@ -69,13 +69,6 @@ class LazyPrimaryCopy(ReplicaProtocol):
 
     def handle_request(self, request: Request, client: str) -> None:
         rid = request.request_id
-        if request.read_only:
-            # Local (possibly stale) reads at any site — the lazy selling
-            # point: no communication inside the transaction at all.
-            self.phase(rid, EX)
-            values = [self.store.read(op.item) for op in request.operations]
-            self.respond(client, request, committed=True, values=values)
-            return
         # Lazy primary copy commits locally and propagates afterwards by
         # design: a primary deposed during the lock waits below still
         # commits, and reconciliation absorbs the divergence — no
@@ -145,11 +138,7 @@ class LazyPrimaryCopy(ReplicaProtocol):
         directory = self.replica.system.directory
         if peer != directory.primary:
             return
-        live = [
-            name for name in self.group
-            if name == self.replica.name or not self.replica.detector.is_suspected(name)
-        ]
-        if live and live[0] == self.replica.name:
+        if self.replica.detector.trusted(self.group)[0] == self.replica.name:
             directory.set_primary(self.replica.name)
 
     # -- recovery -----------------------------------------------------------------

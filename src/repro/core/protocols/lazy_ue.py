@@ -86,11 +86,6 @@ class LazyUpdateEverywhere(ReplicaProtocol):
 
     def handle_request(self, request: Request, client: str) -> None:
         rid = request.request_id
-        if request.read_only:
-            self.phase(rid, EX)
-            values = [self.store.read(op.item) for op in request.operations]
-            self.respond(client, request, committed=True, values=values)
-            return
         self.replica.node.spawn(self._execute(request, client), name=f"lue-{rid}")
 
     def _execute(self, request: Request, client: str):
@@ -138,7 +133,7 @@ class LazyUpdateEverywhere(ReplicaProtocol):
         # Remember reconciled commits: a client whose home replica crashed
         # retries at another site, which must not re-execute a transaction
         # whose writeset already arrived here (see lazy_primary._on_apply).
-        self.replica.remember_reply(str(stamp.txn_id).rsplit("@", 1)[0], [])
+        self.replica.remember_reply(stamp.txn_id, [])
 
     def _on_ordered(self, origin: str, mtype: str, body: dict) -> None:
         """Apply writesets in the ABCAST-determined after-commit order.
@@ -157,7 +152,7 @@ class LazyUpdateEverywhere(ReplicaProtocol):
                     self._overwritten_by_order.add(previous_txn)
             self._last_writer[record.item] = (stamp.txn_id, stamp)
             self.store.write(record.item, record.value)
-        self.replica.remember_reply(str(stamp.txn_id).rsplit("@", 1)[0], [])
+        self.replica.remember_reply(stamp.txn_id, [])
 
     # -- introspection ---------------------------------------------------------------
 

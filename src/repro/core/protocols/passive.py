@@ -91,11 +91,7 @@ class PassiveReplication(ReplicaProtocol):
 
     @property
     def is_primary(self) -> bool:
-        return (
-            self.view_group.member
-            and not self.view_group.excluded
-            and self.view_group.view.members[0] == self.replica.name
-        )
+        return self.view_group.leading
 
     def _on_view_change(self, view: View) -> None:
         # All surviving members install the same view, so they agree on the

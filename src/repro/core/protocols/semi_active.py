@@ -93,14 +93,10 @@ class SemiActiveReplication(InjectingProtocol):
 
     @property
     def is_leader(self) -> bool:
-        return (
-            self.view_group.member
-            and not self.view_group.excluded
-            and self.view_group.view.members[0] == self.replica.name
-        )
+        return self.view_group.leading
 
     def _on_view_change(self, view: View) -> None:
-        if view.members[0] == self.replica.name and self._blocked_on is not None:
+        if self.is_leader and self._blocked_on is not None:
             # New leader: unblock the group by publishing the choice every
             # follower (including ourselves, until now) is waiting for.
             key = self._blocked_on

@@ -20,7 +20,7 @@ refers to with "aggressive time-outs".
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from ..net import Message, Node
 from ..sim import TraceLog
@@ -78,6 +78,11 @@ class FailureDetector:
 
     def is_suspected(self, peer: str) -> bool:
         return peer in self.suspected
+
+    def trusted(self, members: Iterable[str]) -> List[str]:
+        """``members`` that are not suspected, in their order.  The own
+        node is never suspected, so it is kept wherever it is listed."""
+        return [member for member in members if member not in self.suspected]
 
     def on_suspect(self, listener: Callable[[str], None]) -> None:
         """Call ``listener(peer)`` whenever a peer becomes suspected."""

@@ -19,48 +19,16 @@ Two classic implementations are provided:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..failures import FailureDetector
 from ..net import Node
 from ..sim import TraceLog
-from .channels import ReliableTransport
+from .channels import InOrder, ReliableTransport
 from .consensus import Consensus
 from .rbcast import ReliableBroadcast
 
-__all__ = ["InOrder", "SequencerAtomicBroadcast", "ConsensusAtomicBroadcast"]
-
-
-class InOrder:
-    """The hold-back cursor: positions (sequence numbers, consensus
-    instances, slots) decided in any order, acted on in position order."""
-
-    __slots__ = ("next", "_held", "_claimed")
-
-    def __init__(self) -> None:
-        self.next = 0          # position of the next value to release
-        self._held: Dict[int, Any] = {}
-        self._claimed = -1
-
-    def put(self, position: int, value: Any) -> Iterator[Any]:
-        """Hold ``value``, then yield every held value whose turn has come.
-
-        A position already released or held is dropped.  The cursor moves
-        past each value before yielding it: its position is ``next - 1``.
-        """
-        if position < self.next or position in self._held:
-            return
-        self._held[position] = value
-        while self.next in self._held:
-            value = self._held.pop(self.next)
-            self.next += 1
-            yield value
-
-    def claim(self) -> Optional[int]:
-        """The cursor's position, to propose for: once, then None."""
-        fresh = self._claimed != self.next
-        self._claimed = self.next
-        return self.next if fresh else None
+__all__ = ["SequencerAtomicBroadcast", "ConsensusAtomicBroadcast"]
 
 
 class SequencerAtomicBroadcast:

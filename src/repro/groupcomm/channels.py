@@ -19,15 +19,48 @@ the owner says so (:meth:`ReliableTransport.resend_unacked`).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from ..net import Message, Node
 from ..sim import Timer
 
-__all__ = ["ReliableTransport"]
+__all__ = ["InOrder", "ReliableTransport"]
 
 DATA = "rt.data"
 ACK = "rt.ack"
+
+
+class InOrder:
+    """The hold-back cursor: positions (frame and broadcast sequence
+    numbers, consensus instances, slots) that arrive or are decided in any
+    order, acted on in position order."""
+
+    __slots__ = ("next", "_held", "_claimed")
+
+    def __init__(self) -> None:
+        self.next = 0          # position of the next value to release
+        self._held: Dict[int, Any] = {}
+        self._claimed = -1
+
+    def put(self, position: int, value: Any) -> Iterator[Any]:
+        """Hold ``value``, then yield every held value whose turn has come.
+
+        A position already released or held is dropped.  The cursor moves
+        past each value before yielding it: its position is ``next - 1``.
+        """
+        if position < self.next or position in self._held:
+            return
+        self._held[position] = value
+        while self.next in self._held:
+            value = self._held.pop(self.next)
+            self.next += 1
+            yield value
+
+    def claim(self) -> Optional[int]:
+        """The cursor's position, to propose for: once, then None."""
+        fresh = self._claimed != self.next
+        self._claimed = self.next
+        return self.next if fresh else None
 
 
 class _Unacked:
@@ -67,8 +100,7 @@ class ReliableTransport:
         self._windows: Dict[str, Dict[int, _Unacked]] = defaultdict(dict)
         self._retry_timers: Dict[str, Timer] = {}
         self._last_pass: Dict[str, float] = {}
-        self._next_expected: Dict[str, int] = {}     # per source
-        self._out_of_order: Dict[str, Dict[int, Message]] = {}
+        self._from: Dict[str, InOrder] = defaultdict(InOrder)  # per source
         self.transmits = 0
         self.retransmits = 0
         node.on(DATA, self._on_data)
@@ -161,15 +193,7 @@ class ReliableTransport:
         src = message.src
         seq = message["seq"]
         self.node.send(src, ACK, seq=seq)
-        expected = self._next_expected.get(src, 0)
-        if seq < expected:
-            return  # duplicate of an already-delivered frame
-        pending = self._out_of_order.setdefault(src, {})
-        pending[seq] = message
-        while expected in pending:
-            frame = pending.pop(expected)
-            expected += 1
-            self._next_expected[src] = expected
+        for frame in self._from[src].put(seq, message):
             self._upcall(frame["inner_type"], src, frame["body"])
 
     def _on_ack(self, message: Message) -> None:

@@ -123,6 +123,12 @@ class ViewSyncGroup:
         transport.on(INSTALL, self._on_install)
         detector.on_suspect(self._on_suspicion)
 
+    @property
+    def leading(self) -> bool:
+        """Is this node in the current view and ranked first in it?"""
+        return (self.member and not self.excluded
+                and self.view.members[0] == self.node.name)
+
     # -- sending ----------------------------------------------------------
 
     def vscast(self, mtype: str, **body: Any) -> None:
@@ -237,16 +243,10 @@ class ViewSyncGroup:
         }
         self._check_flush_complete()
 
-    def _unsuspected_members(self) -> List[str]:
-        return [
-            member for member in self.view.members
-            if member == self.node.name or not self.detector.is_suspected(member)
-        ]
-
     def _check_flush_complete(self) -> None:
         if not self._changing:
             return
-        survivors = self._unsuspected_members()
+        survivors = self.detector.trusted(self.view.members)
         if any(member not in self._flushes for member in survivors):
             return
         union_log: Dict[str, tuple] = {}
@@ -325,9 +325,7 @@ class ViewSyncGroup:
         # A member of the new view may already be suspected (the deciding
         # proposal came from a peer with a more optimistic detector); keep
         # reconfiguring until the view matches our own failure picture.
-        if self._pending_joins or any(
-            self.detector.is_suspected(m) for m in view.members if m != self.node.name
-        ):
+        if self._outdated(view):
             self.node.sim.call_soon(self._restart_if_needed)
         if self.trace is not None:
             self.trace.record(
@@ -342,20 +340,22 @@ class ViewSyncGroup:
         # Resend multicasts queued during the change.
         queued, self._queued_out = self._queued_out, []
         for mtype, body in queued:
-            if self._pending_joins or self.detector.suspected & set(view.members):
+            if self._outdated(view):
                 self._queued_out.append((mtype, body))
             else:
                 self.vscast(mtype, **body)
 
+    def _outdated(self, view: View) -> bool:
+        """Does ``view`` leave out a waiting joiner, or hold a member this
+        node suspects?"""
+        return bool(self._pending_joins) or (
+            len(self.detector.trusted(view.members)) < len(view.members)
+        )
+
     def _restart_if_needed(self) -> None:
-        if self.member and not self.excluded and not self._changing:
-            needs_change = self._pending_joins or any(
-                self.detector.is_suspected(m)
-                for m in self.view.members
-                if m != self.node.name
-            )
-            if needs_change:
-                self._start_flush()
+        if (self.member and not self.excluded and not self._changing
+                and self._outdated(self.view)):
+            self._start_flush()
 
     def __repr__(self) -> str:
         flags = "changing" if self._changing else "stable"

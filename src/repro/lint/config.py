@@ -44,6 +44,10 @@ ORDER_INSENSITIVE_CONSUMERS = frozenset(
 PROTOCOL_BASE = "ReplicaProtocol"
 PROTOCOL_INFO_NAME = "info"
 
+# ProtocolInfo flags that are properties, not keywords: each is set when
+# its ``info`` passes the named keyword a value other than ``None``.
+DERIVED_INFO_FLAGS = {"supports_sessions": "txn_descriptor"}
+
 # The virtual entry every technique serves: ``_on_client_request`` is
 # registered on the base class, so subclass ``handle_request`` bodies
 # join the dispatchable set as entries of their own.

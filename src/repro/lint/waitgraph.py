@@ -57,6 +57,7 @@ from .config import (
     ACCESS_DEPTH,
     COORDINATOR_CLASSES,
     COORDINATOR_RUN_METHOD,
+    DERIVED_INFO_FLAGS,
     EFFECT_METHODS,
     GUARD_ATTR_MARKERS,
     JOIN_METHODS,
@@ -696,13 +697,19 @@ def _handler_regs(graph: WaitGraph) -> List[Tuple[HandlerReg, str]]:
 def _serves(cls: ClassInfo, requires: FrozenSet[str]) -> bool:
     """Does technique ``cls`` make a registration conditional on the
     ProtocolInfo flags ``requires``?  A flag its ``info`` does not set
-    to ``True`` is unset."""
+    to ``True`` is unset; a derived flag is set by a non-``None`` value
+    of its keyword."""
     assign = cls.consts.get(PROTOCOL_INFO_NAME)
     keywords = {kw.arg: kw.value for kw in getattr(assign, "keywords", [])}
-    return all(
-        isinstance(value, ast.Constant) and value.value is True
-        for value in (keywords.get(flag) for flag in requires)
-    )
+
+    def is_set(flag: str) -> bool:
+        if flag in DERIVED_INFO_FLAGS:
+            value = keywords.get(DERIVED_INFO_FLAGS[flag], ast.Constant(None))
+            return not (isinstance(value, ast.Constant) and value.value is None)
+        value = keywords.get(flag)
+        return isinstance(value, ast.Constant) and value.value is True
+
+    return all(is_set(flag) for flag in requires)
 
 
 def _wait_edges(

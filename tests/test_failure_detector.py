@@ -48,6 +48,19 @@ class TestDetection:
         sim.run(until=100)
         assert "n0" not in detectors["n0"].suspected
 
+    def test_trusted_keeps_order_drops_suspects_and_keeps_own_node(self):
+        sim, net, nodes, detectors = build(n=4)
+        sim.schedule(30.0, nodes["n1"].crash)
+        sim.schedule(30.0, nodes["n3"].crash)
+        sim.run(until=100)
+        detector = detectors["n2"]
+        assert detector.suspected == {"n1", "n3"}
+        assert detector.trusted(["n0", "n1", "n2", "n3"]) == ["n0", "n2"]
+        assert detector.trusted(["n3", "n2", "n1", "n0"]) == ["n2", "n0"]
+        assert detector.trusted(["n1", "n3", "n2"]) == ["n2"]
+        assert detector.trusted(["n2"]) == ["n2"]
+        assert detector.trusted([]) == []
+
     def test_listeners_fire_once_per_transition(self):
         sim, net, nodes, detectors = build()
         events = []

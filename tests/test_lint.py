@@ -872,6 +872,36 @@ def test_overridden_handle_request_is_not_an_entry(tmp_path):
     assert entry["writes"] == ["ReplicaProtocol.admitted"]
 
 
+def test_derived_info_flag_counts_as_set(tmp_path):
+    # supports_sessions is derived from txn_descriptor, not passed as a
+    # keyword: a technique that declares only txn_descriptor still serves
+    # the handler its base registers under the flag; one without does not.
+    def technique(name, txn_steps):
+        source = protocol_class(name, ["RE", "EX", "END"], "")
+        if txn_steps:
+            source = source.replace(
+                "        ),\n    )\n",
+                "        ),\n        txn_descriptor=PhaseDescriptor(\n"
+                f"            steps=({txn_steps},),\n        ),\n    )\n",
+            )
+        return source.replace("(ReplicaProtocol)", "(Sessions)")
+
+    paths = interference_tree(tmp_path, (
+        "class Sessions(ReplicaProtocol):\n"
+        "    def __init__(self, replica):\n"
+        "        if self.info.supports_sessions:\n"
+        "            replica.node.on('sess.begin', self._on_begin)\n"
+        "    def _on_begin(self, message):\n"
+        "        self.opened = message\n"
+    ) + technique("TxnProto", "PhaseStep(RE), PhaseStep(EX), PhaseStep(END)")
+      + technique("OneShotProto", ""))
+    artifact = build_interference_artifact(parse_paths(paths)[0])
+    entries = {t["technique"]: [h["handler"] for h in t["handlers"]]
+               for t in artifact["techniques"]}
+    assert entries["txnproto"] == ["Sessions._on_begin"]
+    assert entries["oneshotproto"] == []
+
+
 def test_cli_select_filters_rules(tmp_path, capsys):
     paths = tree(tmp_path, {
         "src/repro/core/names.py":

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import AC, END, EX, RE, SC, Operation, ReplicatedSystem, RunSpec
+from repro.core.protocols import REGISTRY
 from repro.analysis import (
     check_one_copy_serializable,
     counter_check,
@@ -192,13 +193,28 @@ class TestEagerUEAbcast:
         assert observed == [RE, SC, EX, END]
         assert system.tracer.mechanisms_used(result.request_id)[SC] == "abcast"
 
-    def test_read_only_requests_stay_local(self):
-        system = ReplicatedSystem("eager_ue_abcast", replicas=3, seed=2)
-        before = system.net.stats.by_type.get("rt.data", 0)
-        result = system.execute([Operation.read("x")])
-        after = system.net.stats.by_type.get("rt.data", 0)
-        assert result.committed
-        assert after == before, "reads must not be broadcast"
+
+
+READS_ANYWHERE = [name for name, cls in REGISTRY.items() if cls.info.reads_anywhere]
+
+
+@pytest.mark.parametrize("technique", READS_ANYWHERE)
+def test_read_only_requests_stay_local(technique):
+    # "Reading transactions can be performed on any site" (Section 4.3):
+    # client 1's home replica r1, a secondary where there is a primary,
+    # serves the read from its own copy without sending a reliable frame.
+    system = ReplicatedSystem(technique, replicas=3, clients=2, seed=2)
+    before = system.net.stats.by_type.get("rt.data", 0)
+    result = system.execute([Operation.read("x")], client=1)
+    after = system.net.stats.by_type.get("rt.data", 0)
+    assert result.committed and result.server == "r1"
+    assert system.tracer.observed_sequence(result.request_id, source="r1") == [RE, EX, END]
+    [ex] = system.tracer.trace.select(
+        category="phase", source="r1", request=result.request_id, phase=EX
+    )
+    assert ex.data["mechanism"] == system.info.descriptor.mechanism_of(EX)
+    assert ex.data["mechanism"] == ("shadow" if technique == "certification" else "")
+    assert after == before, "reads must not be broadcast"
 
 
 class TestLazyPrimary:
