@@ -10,7 +10,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check lint typecheck test artifacts artifacts-check \
 	observe bench-json bench-e2e chaos chaos-evidence profile \
-	sweep sweep-smoke figures-check
+	sweep sweep-smoke figures-check digests-check
 
 # The freshness gates of the generated files under docs/ run once, inside
 # `test` (the test_*_is_fresh tests call repro.artifacts.check on the
@@ -74,6 +74,15 @@ chaos-evidence: chaos
 	else \
 		echo "chaos-evidence: pinned for CHAOS_SEED=0 only, skipped"; \
 	fi
+
+# The seed-7 sim_digest of each end-to-end workload (benchmarks/e2e),
+# pinned in tests/data/sim_digests.json: a hash of every simulated
+# statistic of the run, so a change that keeps the simulation
+# byte-identical is checked, not compared by hand.  ~18 s, so not part
+# of `check`.  Regenerate only for a deliberate behaviour change:
+#   $(PYTHON) tests/sim_digests.py --write
+digests-check:
+	$(PYTHON) tests/sim_digests.py
 
 # Observed run of one technique (TECH=..., SEED=...): writes the
 # Perfetto trace, JSONL spans and metrics report to benchmarks/output/.
