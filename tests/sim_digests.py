@@ -32,7 +32,7 @@ def digest(workload: str) -> str:
     """One child run's ``sim_digest`` (its report is the last stdout line)."""
     out = subprocess.run(
         [sys.executable, str(CHILD), "--workload", workload, "--seed", str(SEED)],
-        check=True, capture_output=True, text=True,
+        check=True, stdout=subprocess.PIPE, text=True,
     ).stdout
     return json.loads(out.splitlines()[-1])["sim_digest"]
 

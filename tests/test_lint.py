@@ -664,8 +664,9 @@ from repro.core.protocols.base import ProtocolInfo, ReplicaProtocol
 """
 
 
-def protocol_class(name, steps, body):
+def protocol_class(name, steps, body, txn_steps=()):
     step_src = ", ".join(f"PhaseStep({s})" for s in steps)
+    txn_src = ", ".join(f"PhaseStep({s})" for s in txn_steps)
     return (
         f"class {name}(ReplicaProtocol):\n"
         f"    info = ProtocolInfo(\n"
@@ -674,7 +675,9 @@ def protocol_class(name, steps, body):
         f"        descriptor=PhaseDescriptor(\n"
         f"            steps=({step_src},),\n"
         f"        ),\n"
-        f"    )\n"
+        + (f"        txn_descriptor=PhaseDescriptor(steps=({txn_src},)),\n"
+           if txn_steps else "")
+        + f"    )\n"
         f"{body}"
     )
 
@@ -876,16 +879,9 @@ def test_derived_info_flag_counts_as_set(tmp_path):
     # supports_sessions is derived from txn_descriptor, not passed as a
     # keyword: a technique that declares only txn_descriptor still serves
     # the handler its base registers under the flag; one without does not.
-    def technique(name, txn_steps):
-        source = protocol_class(name, ["RE", "EX", "END"], "")
-        if txn_steps:
-            source = source.replace(
-                "        ),\n    )\n",
-                "        ),\n        txn_descriptor=PhaseDescriptor(\n"
-                f"            steps=({txn_steps},),\n        ),\n    )\n",
-            )
-        return source.replace("(ReplicaProtocol)", "(Sessions)")
-
+    steps = ["RE", "EX", "END"]
+    txn = protocol_class("TxnProto", steps, "", txn_steps=steps)
+    one_shot = protocol_class("OneShotProto", steps, "")
     paths = interference_tree(tmp_path, (
         "class Sessions(ReplicaProtocol):\n"
         "    def __init__(self, replica):\n"
@@ -893,8 +889,7 @@ def test_derived_info_flag_counts_as_set(tmp_path):
         "            replica.node.on('sess.begin', self._on_begin)\n"
         "    def _on_begin(self, message):\n"
         "        self.opened = message\n"
-    ) + technique("TxnProto", "PhaseStep(RE), PhaseStep(EX), PhaseStep(END)")
-      + technique("OneShotProto", ""))
+    ) + (txn + one_shot).replace("(ReplicaProtocol)", "(Sessions)"))
     artifact = build_interference_artifact(parse_paths(paths)[0])
     entries = {t["technique"]: [h["handler"] for h in t["handlers"]]
                for t in artifact["techniques"]}
