@@ -75,11 +75,14 @@ chaos-evidence: chaos
 		echo "chaos-evidence: pinned for CHAOS_SEED=0 only, skipped"; \
 	fi
 
-# The seed-7 sim_digest of each end-to-end workload (benchmarks/e2e),
-# pinned in tests/data/sim_digests.json: a hash of every simulated
-# statistic of the run, so a change that keeps the simulation
-# byte-identical is checked, not compared by hand.  ~18 s, so not part
-# of `check`.  Regenerate only for a deliberate behaviour change:
+# Two seed-7 digests of each end-to-end workload (benchmarks/e2e),
+# pinned in tests/data/sim_digests.json: the sim_digest, a hash of every
+# simulated statistic of the run, and the outcome_digest, a hash of what
+# clients and stores see (latencies, counts, final stores; no message
+# counts).  A change that keeps the simulation byte-identical, or one
+# that changes only the messages, is checked, not compared by hand.
+# ~18 s, so not part of `check`.  Regenerate only for a deliberate
+# behaviour change:
 #   $(PYTHON) tests/sim_digests.py --write
 digests-check:
 	$(PYTHON) tests/sim_digests.py
