@@ -105,11 +105,21 @@ class SequencerAtomicBroadcast:
 class ConsensusAtomicBroadcast:
     """Fault-tolerant ABCAST via reduction to consensus.
 
-    Messages are first disseminated with reliable broadcast; members then
-    agree, one consensus instance per batch, on the set of messages forming
-    the next slice of the total order.  Within a decided batch, messages
-    are delivered in deterministic uid order.  Decisions are applied in
-    instance order, so the delivery sequence is identical everywhere.
+    Messages are first disseminated with one reliable send to each member;
+    members then agree, one consensus instance per batch, on the set of
+    messages forming the next slice of the total order.  Within a decided
+    batch, messages are delivered in deterministic uid order.  Decisions
+    are applied in instance order, so the delivery sequence is identical
+    everywhere.
+
+    Dissemination is not relayed.  A member A-delivers only from a
+    decided batch, the batch carries each message's body, and the
+    decision's reliable broadcast (which relays) brings it to every
+    correct member.  A correct origin's frames reach every member through
+    the transport; a crashed origin's message is either in a decided
+    batch, and so delivered everywhere, or delivered nowhere.  Atomicity
+    comes from the decision broadcast, not from relaying the
+    dissemination.
 
     Tolerates crashes of any minority of the group, including mid-broadcast
     sender crashes, and works with the unreliable failure detector (wrong
@@ -118,8 +128,9 @@ class ConsensusAtomicBroadcast:
     State is kept only for what is not settled yet: disseminated messages
     waiting to be ordered, decisions waiting for the ones before them, and
     the uids ordered before their dissemination reached this node (until
-    it does).  No uid is in two decided batches — see :meth:`_on_decide`
-    — so delivered uids need not be remembered.
+    it does; a uid whose crashed origin's frame to this node was lost
+    stays there).  No uid is in two decided batches — see
+    :meth:`_on_decide` — so delivered uids need not be remembered.
     """
 
     def __init__(
@@ -142,9 +153,8 @@ class ConsensusAtomicBroadcast:
         self._delivered: Set[str] = set()
         self._delivered_count = 0
         self._decided = InOrder()   # decided batches, applied in instance order
-        self._rb = ReliableBroadcast(
-            node, transport, group, self._on_disseminate, channel=f"{channel_prefix}.msg"
-        )
+        self._msg_type = f"{channel_prefix}.msg"
+        transport.on(self._msg_type, self._on_disseminate)
         self._consensus = Consensus(
             node, transport, group, detector, self._on_decide,
             trace=trace, channel_prefix=f"{channel_prefix}.ct",
@@ -153,19 +163,19 @@ class ConsensusAtomicBroadcast:
     def abcast(self, mtype: str, **body: Any) -> str:
         """Atomically broadcast ``body`` to the group; returns the uid."""
         uid = f"{self.node.name}#{self.node.fresh_uid()}"
-        self._rb.broadcast("msg", uid=uid, origin=self.node.name, m=mtype, body=body)
+        self.transport.send_to_group(self.group, self._msg_type, uid=uid, m=mtype, body=body)
         return uid
 
     # -- stage 1: dissemination ------------------------------------------------
 
-    def _on_disseminate(self, _origin: str, _mtype: str, body: dict) -> None:
-        uid = body["uid"]
+    def _on_disseminate(self, origin: str, payload: dict) -> None:
+        uid = payload["uid"]
         if uid in self._delivered:
-            # Reliable broadcast delivers each uid once per node: this is
-            # the last this node hears of it.
+            # The transport delivers each frame once, and only the origin
+            # sends one: this is the last this node hears of it.
             self._delivered.discard(uid)
             return
-        self._unordered[uid] = (body["origin"], body["m"], body["body"])
+        self._unordered[uid] = (origin, payload["m"], payload["body"])
         self._maybe_propose()
 
     # -- stage 2: ordering -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for atomic broadcast: total order, atomicity, crash tolerance."""
 
+import pytest
 from helpers import GroupHarness
 from hypothesis import given, settings, strategies as st
 
@@ -171,6 +172,66 @@ class TestConsensusAbcast:
         assert len(max(got.values(), key=len)) == 10
 
 
+def dissemination_frames(h):
+    """Record ``(src, dst)`` of every ``ctab.msg`` frame put on the wire."""
+    frames = []
+    send = h.net.send
+
+    def counted(src, dst, type, payload=None, **kwargs):
+        if type == "rt.data" and payload["inner_type"] == "ctab.msg":
+            frames.append((src, dst))
+        return send(src, dst, type, payload=payload, **kwargs)
+
+    h.net.send = counted
+    return frames
+
+
+class TestConsensusAbcastDissemination:
+    """One send per member, no relay: atomicity comes from the decision's
+    reliable broadcast, which carries every body of the batch."""
+
+    @pytest.mark.parametrize("members", [3, 5])
+    def test_each_abcast_puts_n_minus_one_frames_on_the_wire(self, members):
+        h = GroupHarness(members)
+        frames = dissemination_frames(h)
+        ab = attach_ct(h)
+        for i in range(2 * members):
+            ab[h.names[i % members]].abcast("op", tag=i)
+        h.run(until=500)
+        assert len(frames) == 2 * members * (members - 1)
+        for name in h.names:
+            sent = sorted(dst for src, dst in frames if src == name)
+            assert sent == sorted(2 * [peer for peer in h.names if peer != name])
+        got = orders(h)
+        assert_total_order(got)
+        assert sorted(got["n0"]) == list(range(2 * members))
+
+    @pytest.mark.parametrize("missed", ["n0", "n1"], ids=["coordinator", "member"])
+    def test_origin_crash_after_a_lost_frame_is_all_or_nothing(self, missed):
+        h = GroupHarness(4, fd_interval=2.0, fd_timeout=6.0)
+        ab = attach_ct(h)
+        # Only the origin's frame to ``missed`` is lost: the partition is
+        # up for the instant of the send, and the origin is gone before
+        # it would retransmit.
+        h.net.partition([name for name in h.names if name != missed], [missed])
+        doomed = ab["n3"].abcast("op", tag="doomed")
+        h.net.heal()
+        h.sim.schedule(0.5, h.nodes["n3"].crash)
+        for i in range(6):
+            h.sim.schedule(20.0 + 5 * i, lambda i=i: ab[h.names[i % 3]].abcast("op", tag=i))
+        h.run(until=2000)
+        correct = h.names[:3]
+        got = orders(h, correct)
+        for name in correct:
+            assert got[name] == got[correct[0]], f"{name} diverges"
+        assert set(range(6)) <= set(got["n0"])
+        assert len({"doomed" in sequence for sequence in got.values()}) == 1
+        if "doomed" in got[missed]:
+            # Ordered from the decision; its frame will never come, so the
+            # uid stays in the set of uids ordered ahead of their frame.
+            assert ab[missed]._delivered == {doomed}
+
+
 class TestConsensusAbcastRetention:
     """Exactly-once total order while only unsettled uids are remembered."""
 
@@ -182,8 +243,8 @@ class TestConsensusAbcastRetention:
         jitter=st.sampled_from([0.0, 3.0]),
         # Whole instants for sends and half instants for the crash: a
         # member crashing in the very instant it broadcasts loses its own
-        # copy (reliable broadcast relays to everyone but the origin), and
-        # that is the sender-crash case test_atomicity covers.
+        # copy (no member sends the origin its message back), and that is
+        # the sender-crash case test_atomicity covers.
         sends=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 120)),
                        min_size=1, max_size=20),
         # From shorter than failure detection (timeout 6 at interval 2) to
@@ -212,20 +273,21 @@ class TestConsensusAbcastRetention:
             assert early <= ordered[name] - arrived[name], (name, early)
 
         def watch(name):
-            sink, disseminate = h.sink(name), ab[name]._rb.deliver
+            sink, upcalls = h.sink(name), h.transports[name]._upcalls
+            disseminate = upcalls["ctab.msg"]
 
             def deliver(origin, mtype, body):
                 sink(origin, mtype, body)
                 ordered[name].add(uid_of[body["tag"]])
                 check(name)
 
-            def on_disseminate(origin, mtype, body):
-                arrived[name].add(body["uid"])
-                disseminate(origin, mtype, body)
+            def on_disseminate(origin, payload):
+                arrived[name].add(payload["uid"])
+                disseminate(origin, payload)
                 check(name)
 
             ab[name].deliver = deliver
-            ab[name]._rb.deliver = on_disseminate
+            upcalls["ctab.msg"] = on_disseminate
 
         for name in h.names:
             watch(name)
