@@ -14,12 +14,19 @@ one per frame waiting for it.  The backlog is resent in one pass once the
 peer is known to be back: when a probe's ack arrives (links are FIFO, so
 whatever was sent before the probe and is still unacked was lost) or when
 the owner says so (:meth:`ReliableTransport.resend_unacked`).
+
+Acks are cumulative: one ``rt.ack`` carries the highest sequence number
+delivered in order from that source, and the sender drops every frame up
+to it.  A frame that arrives in order is acked a quarter of
+``retry_interval`` later, together with whatever else arrives in order
+meanwhile; a frame out of order, a duplicate or a retransmission is
+acked at once, so a probe's ack is as prompt as ever.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional
 
 from ..net import Message, Node
 from ..sim import Timer
@@ -87,6 +94,8 @@ class ReliableTransport:
     One transport instance per node; all reliable upper layers share it.
     ``transmits`` counts the DATA frames it put on the wire, first
     transmissions and repeats, and ``retransmits`` the repeats alone.
+    Acks are cumulative and, for frames that arrive in order, delayed by
+    ``retry_interval / 4`` to cover every such frame of the interval.
     """
 
     def __init__(self, node: Node, retry_interval: float = 5.0) -> None:
@@ -101,6 +110,7 @@ class ReliableTransport:
         self._retry_timers: Dict[str, Timer] = {}
         self._last_pass: Dict[str, float] = {}
         self._from: Dict[str, InOrder] = defaultdict(InOrder)  # per source
+        self._ack_timers: Dict[str, Timer] = {}                # per source
         self.transmits = 0
         self.retransmits = 0
         node.on(DATA, self._on_data)
@@ -166,6 +176,7 @@ class ReliableTransport:
         self.transmits += 1
         if entry.transmits > 1:
             self.retransmits += 1
+            entry.frame["again"] = True  # a repeat is acked at once
         self.node.send(dst, DATA, **entry.frame)
 
     def _arm(self, dst: str, delay: float) -> None:
@@ -192,20 +203,44 @@ class ReliableTransport:
     def _on_data(self, message: Message) -> None:
         src = message.src
         seq = message["seq"]
-        self.node.send(src, ACK, seq=seq)
-        for frame in self._from[src].put(seq, message):
+        cursor = self._from[src]
+        # The ack is settled on arrival, before any upcall runs.
+        if seq == cursor.next and "again" not in message.payload:
+            timer = self._ack_timers.get(src)
+            if timer is None or timer.cancelled:  # none pending, fired, or lost to a crash
+                self._ack_timers[src] = self.node.after(
+                    self.retry_interval / 4, self._ack, src
+                )
+            released: Iterable[Message] = cursor.put(seq, message)
+        else:
+            released = list(cursor.put(seq, message))
+            self._ack(src)
+        for frame in released:
             self._upcall(frame["inner_type"], src, frame["body"])
+
+    def _ack(self, src: str) -> None:
+        """Ack everything delivered in order from ``src`` so far."""
+        timer = self._ack_timers.pop(src, None)
+        if timer is not None:
+            timer.cancel()  # this ack covers what the pending one would
+        self.node.send(src, ACK, seq=self._from[src].next - 1)
 
     def _on_ack(self, message: Message) -> None:
         src = message.src
-        entry = self._windows[src].pop(message["seq"], None)
+        window = self._windows[src]
+        # Acks only ever drop a prefix, so the window is one run of seqs.
+        first = next(iter(window), message["seq"] + 1)
+        repeated = -1.0
+        for seq in range(first, message["seq"] + 1):
+            entry = window.pop(seq)
+            if entry.transmits > 1:
+                repeated = max(repeated, entry.sent_at)
         # A retransmission got through, so the peer is back, and FIFO
-        # links would have brought the ack of anything sent earlier first:
-        # what is still unacked from before it was lost.  One pass per
+        # links would have brought the ack of anything sent earlier with
+        # it: what is still unacked from before it was lost.  One pass per
         # silence — the frames a pass resends carry the time of the pass.
-        if (entry is not None and entry.transmits > 1
-                and entry.sent_at > self._last_pass.get(src, -1.0)):
-            self.resend_unacked(src, before=entry.sent_at)
+        if repeated > self._last_pass.get(src, -1.0):
+            self.resend_unacked(src, before=repeated)
 
     def _upcall(self, inner_type: str, src: str, payload: dict) -> None:
         upcall = self._upcalls.get(inner_type)

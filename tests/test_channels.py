@@ -293,6 +293,63 @@ class TestPerPeerRetransmission:
         assert numbers(h) == sent
 
 
+def recorded_acks(harness):
+    """Log ``(time, src, seq)`` of every ``rt.ack`` put on the wire."""
+    log = []
+    send = harness.net.send
+
+    def recorded(src, dst, type, payload=None, **kwargs):
+        if type == "rt.ack":
+            log.append((harness.sim.now, src, payload["seq"]))
+        return send(src, dst, type, payload=payload, **kwargs)
+
+    harness.net.send = recorded
+    return log
+
+
+class TestCumulativeAcks:
+    """One ack per source per quarter retry interval, unless it must be prompt."""
+
+    def test_in_order_frames_of_one_interval_share_one_ack(self):
+        h = GroupHarness(2, retry_interval=4.0)  # in-order acks wait 1.0
+        wire(h)
+        log = recorded_acks(h)
+        for k in range(5):  # they arrive at 1.0, 1.2, ..., 1.8
+            h.sim.schedule_at(0.2 * k, send_numbered, h, 1, k)
+        h.run(until=1.9)
+        assert log == [] and numbers(h) == list(range(5)), "delivered before the ack"
+        h.run(until=50)
+        assert log == [(2.0, "n1", 4)], "one ack, armed by the first, with the highest seq"
+        sender = h.transports["n0"]
+        assert "unacked=0" in repr(sender) and sender.retransmits == 0
+
+    def test_next_interval_gets_its_own_ack(self):
+        h = GroupHarness(2, retry_interval=4.0)
+        wire(h)
+        log = recorded_acks(h)
+        send_numbered(h, 2)
+        h.sim.schedule_at(3.0, send_numbered, h, 1, 2)
+        h.run(until=50)
+        assert log == [(2.0, "n1", 1), (5.0, "n1", 2)]
+
+    def test_a_gap_frame_and_a_repeat_are_acked_at_once(self):
+        h = GroupHarness(2, retry_interval=4.0)
+        wire(h)
+        log = recorded_acks(h)
+        h.net.partition(["n0"], ["n1"])
+        send_numbered(h, 1)  # frame 0 is lost
+        h.net.heal()
+        h.sim.schedule_at(0.5, send_numbered, h, 1, 1)
+        h.run(until=50)
+        # Frame 1 lands at 1.5 behind the gap: its ack covers nothing yet.
+        # The probe of frame 0 (sent at 4.0) lands at 5.0 and releases
+        # both: a repeat, so its ack covers them at once.
+        assert log == [(1.5, "n1", -1), (5.0, "n1", 1)]
+        assert numbers(h) == [0, 1]
+        sender = h.transports["n0"]
+        assert "unacked=0" in repr(sender) and sender.retransmits == 1
+
+
 def openloop_events(outage, seed=7):
     """An ``active`` open-loop run through a crash of ``r0`` lasting ``outage``."""
     system = ReplicatedSystem(
