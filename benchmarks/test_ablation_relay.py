@@ -1,11 +1,16 @@
 """Ablation — reliable-broadcast relaying: the price of Agreement.
 
-The ABCAST atomicity property (Section 3.1) needs reliable dissemination:
-if any member delivers, all correct members must.  Our reliable broadcast
-buys this by relaying first receipts — O(n^2) messages.  This ablation
-measures that price and shows what the money buys: with relaying
-disabled, a sender crashing mid-broadcast under message loss leaves the
-group *non-uniform* (some members delivered, others never will).
+Reliable broadcast's Agreement property — if any correct member
+delivers, all correct members do — is bought by relaying first
+receipts, O(n^2) messages.  This ablation measures that price and shows
+what the money buys: with relaying disabled, a sender crashing
+mid-broadcast under message loss leaves the group *non-uniform* (some
+members delivered, others never will).
+
+Consensus ABCAST's atomicity (Section 3.1) rests on the relay of the
+*decision* broadcast, not of the dissemination: members deliver only
+from decided batches, which carry every message's body, so its
+dissemination is one unrelayed send per member.
 """
 
 from conftest import format_rows, report
@@ -83,6 +88,6 @@ def test_ablation_relay(once):
             ["configuration", "non-uniform outcomes", "avg rt.data msgs"], rows
         )
         + "\n\nshape: relaying costs O(n^2) messages and buys the Agreement "
-        "property\n(all-or-none delivery at correct members) that ABCAST "
-        "atomicity rests on",
+        "property\n(all-or-none delivery at correct members) that consensus "
+        "ABCAST's decision\nbroadcast rests on",
     )
