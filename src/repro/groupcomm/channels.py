@@ -26,7 +26,7 @@ acked at once, so a probe's ack is as prompt as ever.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from ..net import Message, Node
 from ..sim import Timer
@@ -204,16 +204,16 @@ class ReliableTransport:
         src = message.src
         seq = message["seq"]
         cursor = self._from[src]
+        in_order = seq == cursor.next and "again" not in message.payload
+        released = list(cursor.put(seq, message))
         # The ack is settled on arrival, before any upcall runs.
-        if seq == cursor.next and "again" not in message.payload:
+        if in_order:
             timer = self._ack_timers.get(src)
             if timer is None or timer.cancelled:  # none pending, fired, or lost to a crash
                 self._ack_timers[src] = self.node.after(
                     self.retry_interval / 4, self._ack, src
                 )
-            released: Iterable[Message] = cursor.put(seq, message)
         else:
-            released = list(cursor.put(seq, message))
             self._ack(src)
         for frame in released:
             self._upcall(frame["inner_type"], src, frame["body"])
