@@ -18,7 +18,8 @@ fabric under workloads shaped like the Section 6 performance study:
   path any replication technique takes.
 * ``soak`` — events/sec and messages/sec of the real soak workload
   (same spec as ``benchmarks/test_perf_soak.py``) for one DS and one DB
-  technique: kernel + protocols + workload driver, end to end.
+  technique: kernel + protocols + the workload engine's closed
+  population, end to end.
 * ``record`` — the ``soak_active`` run with ``observe=True``, timed end
   to end: ``spans``, ``wall_s`` and ``record_ratio``, that wall over the
   unobserved ``soak_active`` run made in the same repeat (the recording

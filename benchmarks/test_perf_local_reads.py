@@ -19,7 +19,12 @@ from conftest import format_rows, report
 from repro import ReplicatedSystem
 from repro.analysis import LatencyStats
 from repro.net import ConstantLatency, PerLinkLatency
-from repro.workload import ClosedLoopDriver, WorkloadGenerator, WorkloadSpec
+from repro.workload import (
+    ClosedPopulation,
+    OpenLoopEngine,
+    WorkloadGenerator,
+    WorkloadSpec,
+)
 
 LOCAL = 0.2
 WAN = 8.0
@@ -45,14 +50,14 @@ def run_one(protocol, replicas=3):
         latency=wan_latency(replicas, 3),
         abcast="sequencer", propagation_delay=10.0,
     )
-    driver = ClosedLoopDriver(
+    engine = OpenLoopEngine(
         system, WorkloadGenerator(SPEC, seed=51),
-        requests_per_client=12, think_time=5.0,
+        ClosedPopulation.thinking(requests=12, think_time=5.0, retry_aborts=False),
     )
-    driver.run(settle=300.0)
-    reads = [r for r in driver.results if r.committed and not any(
+    engine.run(settle=300.0)
+    reads = [r for r in engine.results if r.committed and not any(
         op.is_write for op in r.operations)]
-    writes = [r for r in driver.results if r.committed and any(
+    writes = [r for r in engine.results if r.committed and any(
         op.is_write for op in r.operations)]
     return {
         "read": LatencyStats.of(r.latency for r in reads).mean,

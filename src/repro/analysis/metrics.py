@@ -59,9 +59,9 @@ class WorkloadSummary:
     them: ``offered`` counts arrivals presented at the system edge,
     ``shed`` the arrivals refused by admission control before reaching a
     replica, and ``attempts`` every physical submission including
-    driver-level retries of aborted transactions — so ``retries`` and
-    :attr:`attempt_abort_rate` no longer under-report when a closed-loop
-    driver hides aborts by resubmitting.
+    client-level resubmissions of aborted transactions — so ``retries``
+    and :attr:`attempt_abort_rate` do not under-report when a closed
+    population hides aborts by resubmitting.
     """
 
     requests: int
@@ -138,7 +138,7 @@ def summarize(
     """Aggregate a list of client results into a summary.
 
     ``extra_attempts`` holds the intermediate aborted attempts a
-    closed-loop driver resubmitted (each one counts as a retry *and* an
+    closed population resubmitted (each one counts as a retry *and* an
     attempt — previously they vanished from the summary entirely).
     ``offered``/``shed`` carry the open-loop edge accounting; ``offered``
     defaults to the number of results, the closed-loop identity.

@@ -14,7 +14,7 @@ covered here:
 * :class:`Request` — what a client submits: one or more operations plus an
   id, i.e. a transaction.
 * :class:`Result` — what comes back: commit verdict, read values, timing.
-* :class:`ResultStore` — the results a client or driver keeps, as columns.
+* :class:`ResultStore` — the results a client or the engine keeps, as columns.
 """
 
 from __future__ import annotations
@@ -208,9 +208,9 @@ def _result(request_id: str, committed: int, values: Tuple[Any, ...],
 class ResultStore(SequenceABC):
     """Finished requests, as columns; :class:`Result` is built on access.
 
-    A client, the closed-loop driver and the open-loop engine each keep
-    every answered request until the run ends.  The store keeps no object
-    per request, but one entry a request in each column:
+    A client and the workload engine each keep every answered request
+    until the run ends.  The store keeps no object per request, but one
+    entry a request in each column:
 
     * the submit and completion times in ``array('d')``, the retries in
       ``array('I')`` and the verdict in a ``bytearray``;

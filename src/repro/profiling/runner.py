@@ -35,9 +35,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """A closed-loop workload shape: each client submits
-    ``requests_per_client`` transactions from ``workload``, thinking
-    ``think_time`` after each reply; then the run settles for ``settle``."""
+    """A closed-loop workload shape, run by the workload engine's closed
+    population: each client edge submits ``requests_per_client``
+    transactions from ``workload``, thinking ``think_time`` after each
+    reply; then the run settles for ``settle``."""
 
     workload: WorkloadSpec
     requests_per_client: int
@@ -45,7 +46,7 @@ class ClosedLoop:
     settle: float
 
     def run(self, spec: RunSpec) -> Tuple[Any, Any, Any]:
-        """Drive the system ``spec`` describes: ``(system, driver, summary)``."""
+        """Drive the system ``spec`` describes: ``(system, engine, summary)``."""
         return run_workload(
             spec, self.workload, requests_per_client=self.requests_per_client,
             think_time=self.think_time, settle=self.settle,
@@ -91,13 +92,13 @@ def dominant_phase_for(observer: Any, request_ids: Iterable[str]) -> str:
 def profile_run(spec: RunSpec, loop: ClosedLoop = STANDARD_LOOP) -> Tuple[Any, Any, Dict]:
     """Drive one observed run of ``spec`` and build its profile document.
 
-    Returns ``(system, driver, profile)`` so callers can keep digging
+    Returns ``(system, engine, profile)`` so callers can keep digging
     into the observer; the profile dict alone is what the exporters
     serialise.
     """
-    system, driver, summary = loop.run(replace(spec, observe=True))
+    system, engine, summary = loop.run(replace(spec, observe=True))
     observer = system.observer
-    profiles = profiles_for(observer, (r.request_id for r in driver.results))
+    profiles = profiles_for(observer, (r.request_id for r in engine.results))
     info = system.info
     profile = {
         "technique": spec.technique,
@@ -128,7 +129,7 @@ def profile_run(spec: RunSpec, loop: ClosedLoop = STANDARD_LOOP) -> Tuple[Any, A
             for name, series in observer.metrics.series_snapshot().items()
         },
     }
-    return system, driver, profile
+    return system, engine, profile
 
 
 def profile_json(profile: Dict) -> str:

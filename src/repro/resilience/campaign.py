@@ -32,12 +32,13 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.operations import Operation, ResultStore
+from ..core.operations import Operation, Result
 from ..core.protocols import REGISTRY
 from ..core.spec import RunSpec
 from ..core.system import ClientNode, ReplicatedSystem
 from ..analysis import counter_check, expected_counters
 from ..failures import FailureInjector
+from ..workload import ClosedPopulation, OpenLoopEngine
 from .edge import retrying_client
 
 __all__ = [
@@ -61,6 +62,28 @@ INDETERMINATE_REASONS = ("deadline exceeded", "retry budget exhausted")
 # How long a cell runs on after its faults heal and its clients finish,
 # before the verdict: long enough for lazy propagation and view changes.
 SETTLE_TIME = 600.0
+
+
+class _Increments:
+    """The campaign's transactions: every request adds 1 to counter ``x``."""
+
+    @staticmethod
+    def next_transaction() -> Operation:
+        return Operation.update("x", "add", 1)
+
+
+def _pause(edge: ClientNode, resubmitting: bool) -> float:
+    # Per-client named stream: pauses never perturb the main workload
+    # stream or other clients' draws.
+    rng = edge.system.sim.stream(f"campaign.load.{edge.name}")
+    return rng.uniform(5.0, 15.0) if resubmitting else rng.uniform(5.0, 20.0)
+
+
+def _resubmit(result: Result, resubmits: int) -> bool:
+    # A definitive abort had no effect, so it goes again as a fresh
+    # request (at most 8 times); an indeterminate outcome might have.
+    return (not result.committed and result.reason not in INDETERMINATE_REASONS
+            and resubmits < 8)
 
 
 @dataclass(frozen=True)
@@ -274,12 +297,12 @@ def run_campaign(
     """Run one campaign against the system ``spec`` describes and judge
     the outcome.
 
-    ``spec.clients`` client edges with the retrying policy each run a
-    closed loop: counter increments with think time.  A definitive
-    abort (lock timeout, deadlock, certification conflict — outcomes the
-    edge *knows* had no effect) is resubmitted as a fresh request, the
-    way an application-level retry would; an indeterminate outcome is
-    never resubmitted, because doing so could double-apply.
+    ``spec.clients`` client edges with the retrying policy are the
+    engine's closed population: counter increments with think time.  A
+    definitive abort (lock timeout, deadlock, certification conflict —
+    outcomes the edge *knows* had no effect) is resubmitted as a fresh
+    request, the way an application-level retry would; an indeterminate
+    outcome is never resubmitted, because doing so could double-apply.
     """
     system = ReplicatedSystem(spec, clients=0)
     edges = [
@@ -291,30 +314,10 @@ def run_campaign(
     ]
     campaign.schedule(system.injector, clients=[edge.name for edge in edges])
 
-    results = ResultStore()
-
-    def load(edge: ClientNode):
-        # Per-client named stream: think times never perturb the main
-        # workload stream or other clients' draws.
-        rng = system.sim.stream(f"campaign.load.{edge.name}")
-        for _ in range(requests_per_client):
-            result = yield edge.submit(Operation.update("x", "add", 1))
-            resubmits = 0
-            while (
-                not result.committed
-                and result.reason not in INDETERMINATE_REASONS
-                and resubmits < 8
-            ):
-                resubmits += 1
-                yield system.sim.timeout(rng.uniform(5.0, 15.0))
-                result = yield edge.submit(Operation.update("x", "add", 1))
-            results.append(result)
-            yield system.sim.timeout(rng.uniform(5.0, 20.0))
-
-    procs = [
-        system.sim.spawn(load(edge), name=f"load-{edge.name}") for edge in edges
-    ]
-    system.sim.run_until_done(system.sim.all_of(procs))
+    population = ClosedPopulation(requests_per_client, _pause, _resubmit)
+    engine = OpenLoopEngine(system, _Increments(), population)
+    engine.run()
+    results = engine.results
     # Let any still-armed fault window play out before end-of-run hygiene
     # (healing ahead of a scheduled partition would get re-split).
     if system.sim.now < campaign.horizon():

@@ -200,7 +200,7 @@ def retrying_client(system: Any, index: int = 0, **knobs: Any) -> ClientNode:
 
     ``index`` names the node (``rc<index>``) and picks the home replica
     round-robin; ``knobs`` are :class:`RetryingPolicy`'s.  The edge joins
-    ``system.clients``, so drivers that go through that list use it.
+    ``system.clients``, through which the workload engine drives it.
     """
     name = f"rc{index}"
     home = system.replica_names[index % len(system.replica_names)]

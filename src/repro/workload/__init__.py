@@ -1,8 +1,13 @@
-"""Workload generation: closed-loop driving, open-loop arrivals, sweeps."""
+"""Workload generation: one engine for closed and open-loop arrivals, sweeps."""
 
-from .driver import ClosedLoopDriver, run_workload
 from .generator import WorkloadGenerator, WorkloadSpec
-from .openloop import ArrivalSpec, OpenLoopEngine, run_openloop
+from .openloop import (
+    ArrivalSpec,
+    ClosedPopulation,
+    OpenLoopEngine,
+    run_openloop,
+    run_workload,
+)
 from .sweep import (
     SweepConfig,
     merge_rows,
@@ -23,7 +28,7 @@ from .scenarios import (
 __all__ = [
     "WorkloadSpec",
     "WorkloadGenerator",
-    "ClosedLoopDriver",
+    "ClosedPopulation",
     "run_workload",
     "ArrivalSpec",
     "OpenLoopEngine",

@@ -1,16 +1,17 @@
-"""Open-loop workload engine: arrival processes over lightweight clients.
+"""The workload engine: arrival sources over lightweight client records.
 
-The closed-loop driver models each client as a simulator process that
-waits for its previous response before submitting again — faithful to
-interactive terminals, but it caps the client population at the number
-of processes the run can afford, and offered load collapses exactly when
-the system slows down (the coordinated-omission trap).  An open-loop
-engine decouples the two: an **arrival process** decides *when* requests
-enter, independent of how the system is doing, and each arrival is
-attributed to one of up to 10⁵–10⁶ **logical clients** represented as
-lightweight in-flight records instead of processes.  Offered load is an
-input, goodput is an output, and the difference — queueing, shedding,
-aborts — is the saturation behaviour Section 6 is about.
+No client is a simulator process: each outstanding request is a
+callback record on its reply future.  Arrivals come from one of two
+sources.  An **open-loop arrival process** (:class:`ArrivalSpec`)
+decides *when* requests enter, independent of how the system is doing,
+and attributes each arrival to one of up to 10⁵–10⁶ **logical
+clients**: offered load is an input, goodput is an output, and the
+difference — queueing, shedding, aborts — is the saturation behaviour
+Section 6 is about.  A **closed population** (:class:`ClosedPopulation`)
+is one interactive client per edge, submitting again a pause after each
+reply: response times compare directly across techniques, but offered
+load collapses exactly when the system slows down (the
+coordinated-omission trap).
 
 Arrival timing draws from named :meth:`~repro.sim.Simulator.stream`
 RNGs, so the arrival schedule is deterministic per seed and independent
@@ -21,16 +22,17 @@ face the byte-identical offered sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, NamedTuple, Optional, Union
 
 from ..analysis.metrics import WorkloadSummary, summarize
 from ..core.operations import Result, ResultStore
 from ..core.spec import RunSpec
-from ..core.system import ReplicatedSystem
+from ..core.system import ClientNode, ReplicatedSystem
 from .generator import WorkloadGenerator, WorkloadSpec
 
-__all__ = ["ArrivalSpec", "OpenLoopEngine", "run_openloop"]
+__all__ = ["ArrivalSpec", "ClosedPopulation", "OpenLoopEngine", "run_openloop",
+           "run_workload"]
 
 _PROCESSES = ("poisson", "deterministic", "diurnal")
 
@@ -38,6 +40,9 @@ _PROCESSES = ("poisson", "deterministic", "diurnal")
 # amplitude relative to ``rate``.
 DIURNAL_PERIOD = 500.0
 DIURNAL_AMPLITUDE = 0.8
+
+# Resubmissions of one aborted transaction under ``retry_aborts``.
+MAX_RETRIES = 20
 
 
 @dataclass(frozen=True)
@@ -86,12 +91,36 @@ class ArrivalSpec:
         return self.rate
 
 
-class _InFlight:
-    """One outstanding open-loop request: a future callback, not a process.
+class ClosedPopulation(NamedTuple):
+    """Each client edge submits ``requests`` transactions, one at a time.
 
-    The per-client state a closed-loop driver keeps in a generator frame
-    (who submitted, when) fits in three slots here, which is what lets a
-    single run carry hundreds of thousands of logical clients.
+    ``resubmit(result, resubmits)`` says whether an outcome's operations
+    go again as a fresh request; ``pause(edge, resubmitting)`` is how long
+    the edge waits before that resubmission, or else before its next
+    request (and after its last).  A pause of 0 submits at once.
+    """
+
+    requests: int
+    pause: Callable[[ClientNode, bool], float]
+    resubmit: Callable[[Result, int], bool]
+
+    @classmethod
+    def thinking(cls, requests: int, think_time: float,
+                 retry_aborts: bool) -> "ClosedPopulation":
+        """Interactive clients that think ``think_time`` after every reply
+        and, with ``retry_aborts``, resubmit an abort until it commits, at
+        most :data:`MAX_RETRIES` times."""
+        def resubmit(result: Result, resubmits: int) -> bool:
+            return retry_aborts and not result.committed and resubmits < MAX_RETRIES
+        return cls(requests, lambda _edge, _resubmitting: think_time, resubmit)
+
+
+class _InFlight:
+    """One outstanding request: a future callback, not a process.
+
+    The per-client state (who submitted, when) fits in three slots,
+    which is what lets a single run carry hundreds of thousands of
+    logical clients.
     """
 
     __slots__ = ("engine", "client_id", "submitted_at")
@@ -106,19 +135,33 @@ class _InFlight:
         self.engine._on_done(self, future.result)
 
 
-class OpenLoopEngine:
-    """Submits an arrival process against a :class:`ReplicatedSystem`.
+class _Turn(_InFlight):
+    """A closed-population edge's current request, ``submitted_at`` its
+    first attempt, and how many requests the edge has ``left``."""
 
-    The engine draws arrival gaps from the ``openloop.arrivals`` stream
-    and logical-client attribution from ``openloop.clients``; requests
-    enter through the system's (physical) client edges round-robin by
-    logical client id, so admission control and routing policies apply
-    unchanged.  Results split into served (``results``) and shed
-    (``shed_results``) by the admission edge's ``shed:`` reason prefix.
+    __slots__ = ("edge", "left", "operations", "resubmits")
+
+    def __call__(self, future) -> None:
+        self.engine._on_turn_done(self, future.result)
+
+
+class OpenLoopEngine:
+    """Submits an arrival source against a :class:`ReplicatedSystem`.
+
+    With an :class:`ArrivalSpec` the engine draws arrival gaps from the
+    ``openloop.arrivals`` stream and logical-client attribution from
+    ``openloop.clients``; requests enter through the system's (physical)
+    client edges round-robin by logical client id, so admission control
+    and routing policies apply unchanged.  With a
+    :class:`ClosedPopulation` each edge is one client, started in edge
+    order at the current time.  Results split into served (``results``)
+    and shed (``shed_results``) by the admission edge's ``shed:`` reason
+    prefix; the aborted attempts a closed population resubmitted are
+    kept in ``attempts``.
     """
 
     def __init__(self, system: ReplicatedSystem, generator: WorkloadGenerator,
-                 arrival: ArrivalSpec) -> None:
+                 arrival: Union[ArrivalSpec, ClosedPopulation]) -> None:
         self.system = system
         self.generator = generator
         self.arrival = arrival
@@ -126,24 +169,36 @@ class OpenLoopEngine:
         self._client_rng = system.sim.stream("openloop.clients")
         self.results = ResultStore()
         self.shed_results = ResultStore()
+        self.attempts = ResultStore()
         self.submitted = 0
         self.in_flight = 0
         self.max_in_flight = 0
         # One bit per logical client, set on its first arrival.
-        self._touched = bytearray((arrival.clients + 7) // 8)
+        self._touched = bytearray()
         self._logical_clients = 0
+        # Closed-population edges that have not finished.
+        self._edges_left = 0
         self._started_at = 0.0
         self._arrivals_done = False
         self._drained = None
 
+    @property
+    def extra_attempts(self) -> int:
+        """Number of resubmissions a closed population made."""
+        return len(self.attempts)
+
     # -- driving ---------------------------------------------------------------
 
     def run(self, settle: float = 0.0, max_events: int = 50_000_000) -> WorkloadSummary:
-        """Play the arrival process to the end and drain all in-flight work."""
+        """Play the arrival source to its end and drain all in-flight work."""
         sim = self.system.sim
         self._started_at = sim.now
         self._drained = sim.future(label="openloop-drained")
-        sim.schedule(self._next_gap(), self._arrive)
+        if isinstance(self.arrival, ClosedPopulation):
+            self._populate(self.arrival.requests)
+        else:
+            self._touched = bytearray((self.arrival.clients + 7) // 8)
+            sim.schedule(self._next_gap(), self._arrive)
         sim.run_until_done(self._drained, max_events=max_events)
         duration = sim.now - self._started_at
         if settle > 0:
@@ -197,14 +252,63 @@ class OpenLoopEngine:
             self.results.append(result)
         self._maybe_drained()
 
+    # -- the closed population -------------------------------------------------
+
+    def _populate(self, requests: int) -> None:
+        edges = self.system.clients
+        self._logical_clients = self._edges_left = len(edges)
+        for index, edge in enumerate(edges):
+            turn = _Turn(self, index, 0.0)
+            turn.edge, turn.left = edge, requests
+            self.system.sim.call_soon(self._next_request, turn)
+        if not edges:
+            self._arrivals_done = True
+            self._maybe_drained()
+
+    def _next_request(self, turn: _Turn) -> None:
+        if turn.left == 0:
+            self._edges_left -= 1
+            if self._edges_left == 0:
+                self._arrivals_done = True
+                self._maybe_drained()
+            return
+        turn.left -= 1
+        turn.operations = self.generator.next_transaction()
+        turn.submitted_at = self.system.sim.now
+        turn.resubmits = 0
+        self.in_flight += 1
+        if self.in_flight > self.max_in_flight:
+            self.max_in_flight = self.in_flight
+        self._submit(turn)
+
+    def _submit(self, turn: _Turn) -> None:
+        self.submitted += 1
+        turn.edge.submit(turn.operations).add_callback(turn)
+
+    def _on_turn_done(self, turn: _Turn, result: Result) -> None:
+        population = self.arrival
+        if population.resubmit(result, turn.resubmits):
+            turn.resubmits += 1
+            self.attempts.append(result)
+            self._pause(population.pause(turn.edge, True), self._submit, turn)
+            return
+        if turn.resubmits:
+            result = replace(result, submitted_at=turn.submitted_at)
+        self._on_done(turn, result)
+        self._pause(population.pause(turn.edge, False), self._next_request, turn)
+
+    def _pause(self, delay: float, then: Callable, turn: _Turn) -> None:
+        if delay > 0:
+            self.system.sim.schedule(delay, then, turn)
+        else:
+            then(turn)
+
+    # -- completion -------------------------------------------------------------
+
     def _maybe_drained(self) -> None:
         if self._arrivals_done and self.in_flight == 0:
-            queued = (
-                self.system.admission.queued
-                if self.system.admission is not None
-                else 0
-            )
-            if queued == 0:
+            admission = self.system.admission
+            if admission is None or admission.queued == 0:
                 self._drained.try_set_result(None)
 
     def _observe(self, series: str) -> None:
@@ -215,12 +319,18 @@ class OpenLoopEngine:
     # -- accounting ------------------------------------------------------------
 
     def summary(self, duration: Optional[float] = None) -> WorkloadSummary:
-        """Aggregate served results with the edge's offered/shed counters."""
+        """Aggregate served results with the edge's offered/shed counters.
+
+        Without an admission edge every request is offered once: a
+        resubmission is a further attempt of it, not another offer.
+        """
         admission = self.system.admission
-        offered = admission.offered if admission is not None else self.submitted
+        offered = (admission.offered if admission is not None
+                   else self.submitted - len(self.attempts))
         shed = admission.shed if admission is not None else len(self.shed_results)
         return summarize(
-            self.results, duration=duration, offered=offered, shed=shed
+            self.results, duration=duration, extra_attempts=self.attempts,
+            offered=offered, shed=shed,
         )
 
     def stats(self) -> Dict[str, Any]:
@@ -240,7 +350,7 @@ class OpenLoopEngine:
 def run_openloop(
     spec: RunSpec,
     workload: Optional[WorkloadSpec] = None,
-    arrival: Optional[ArrivalSpec] = None,
+    arrival: Optional[Union[ArrivalSpec, ClosedPopulation]] = None,
     settle: float = 300.0,
 ) -> tuple:
     """One-call open-loop experiment: build the system ``spec`` describes,
@@ -248,7 +358,8 @@ def run_openloop(
 
     Returns ``(system, engine, summary)``.  ``spec.clients`` is the number
     of *physical* client edges; the logical population lives in
-    ``arrival.clients``.  The workload generator draws from ``spec.seed``.
+    ``arrival.clients`` (a :class:`ClosedPopulation` is one client per
+    edge).  The workload generator draws from ``spec.seed``.
     """
     workload = workload if workload is not None else WorkloadSpec()
     arrival = arrival if arrival is not None else ArrivalSpec()
@@ -257,3 +368,23 @@ def run_openloop(
     engine = OpenLoopEngine(system, generator, arrival)
     summary = engine.run(settle=settle)
     return system, engine, summary
+
+
+def run_workload(
+    spec: RunSpec,
+    workload: Optional[WorkloadSpec] = None,
+    requests_per_client: int = 15,
+    think_time: float = 0.0,
+    retry_aborts: bool = False,
+    settle: float = 300.0,
+) -> tuple:
+    """One-call closed-loop experiment: :func:`run_openloop` with
+    :meth:`ClosedPopulation.thinking` clients on every client edge.
+
+    Returns ``(system, engine, summary)`` so callers can inspect stores,
+    traces and network statistics afterwards.  With ``spec.observe`` the
+    system carries a :class:`~repro.obs.Observer`; export its spans and
+    metrics via :func:`repro.obs.write_artifacts`.
+    """
+    population = ClosedPopulation.thinking(requests_per_client, think_time, retry_aborts)
+    return run_openloop(spec, workload, population, settle)

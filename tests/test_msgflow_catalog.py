@@ -27,7 +27,8 @@ from repro.lint.symeval import WILDCARD
 from repro.net.network import Network
 from repro.resilience import retrying_client
 from repro.workload import (
-    ClosedLoopDriver,
+    ClosedPopulation,
+    OpenLoopEngine,
     WorkloadGenerator,
     WorkloadSpec,
     run_workload,
@@ -151,9 +152,10 @@ def test_catalog_covers_retrying_edge_traffic(catalog, wire):
         WorkloadSpec(items=6, read_fraction=0.3, ops_per_transaction=2),
         seed=1301,
     )
-    ClosedLoopDriver(
-        system, generator, requests_per_client=3, think_time=5.0
-    ).run(settle=300)
+    population = ClosedPopulation.thinking(
+        requests=3, think_time=5.0, retry_aborts=False
+    )
+    OpenLoopEngine(system, generator, population).run(settle=300)
     stamped = [
         deadline for outer, _payload, deadline in wire
         if outer == "client.request"

@@ -13,7 +13,13 @@ from repro import DB_TECHNIQUES, DS_TECHNIQUES, RunSpec
 from repro.core.protocols.eager_ue_locking import EagerUpdateEverywhereLocking
 from repro.core.system import ReplicatedSystem
 from repro.net import Network, Node
-from repro.workload import ClosedLoopDriver, WorkloadGenerator, WorkloadSpec, run_workload
+from repro.workload import (
+    ClosedPopulation,
+    OpenLoopEngine,
+    WorkloadGenerator,
+    WorkloadSpec,
+    run_workload,
+)
 
 
 class ReplyLedger:
@@ -82,11 +88,11 @@ def test_replies_answer_calls_across_a_catchup(monkeypatch):
     system = ReplicatedSystem("eager_ue_locking", clients=2, seed=3)
     system.injector.crash_at(10.0, "r2")
     system.injector.recover_at(80.0, "r2")
-    driver = ClosedLoopDriver(
+    engine = OpenLoopEngine(
         system, WorkloadGenerator(WorkloadSpec(items=6, read_fraction=0.0), seed=3),
-        requests_per_client=30, think_time=1.0,
+        ClosedPopulation.thinking(requests=30, think_time=1.0, retry_aborts=False),
     )
-    driver.run()
+    engine.run()
     system.settle(300.0)
     assert catchups, "no ueld.catchup was delivered"
     assert not ledger.stray, ledger.stray

@@ -28,7 +28,12 @@ from repro.resilience import (
     run_campaign,
 )
 from repro.sim import Simulator
-from repro.workload import ClosedLoopDriver, WorkloadGenerator, WorkloadSpec
+from repro.workload import (
+    ClosedPopulation,
+    OpenLoopEngine,
+    WorkloadGenerator,
+    WorkloadSpec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +271,10 @@ class TestResilientClient:
             generator = WorkloadGenerator(
                 WorkloadSpec(items=6, read_fraction=0.3), seed=5
             )
-            ClosedLoopDriver(
-                system, generator, requests_per_client=10, think_time=3.0
-            ).run(settle=300)
+            population = ClosedPopulation.thinking(
+                requests=10, think_time=3.0, retry_aborts=False
+            )
+            OpenLoopEngine(system, generator, population).run(settle=300)
             verdicts = [
                 (r.committed, r.reason, r.values, r.submitted_at,
                  r.completed_at, r.server, r.retries)

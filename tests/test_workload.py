@@ -1,4 +1,4 @@
-"""Tests for workload generation and the closed-loop driver."""
+"""Tests for workload generation and the closed population of the engine."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import RunSpec
-from repro.workload import ClosedLoopDriver, WorkloadGenerator, WorkloadSpec, run_workload
+from repro.workload import OpenLoopEngine, WorkloadGenerator, WorkloadSpec, run_workload
 
 
 class TestWorkloadSpec:
@@ -177,6 +177,25 @@ class TestDriver:
         assert summary.abort_rate == 0.0
         assert summary.attempt_abort_rate > 0.0
         assert summary.attempt_aborts == driver.extra_attempts
+
+    def test_closed_clients_are_engine_records(self):
+        # The closed loop runs on the open-loop engine: every physical
+        # submission, resubmissions included, passes its accounting, and
+        # an edge never has more than one request in flight.
+        system, engine, summary = run_workload(
+            RunSpec("certification", replicas=2, clients=3, seed=2),
+            WorkloadSpec(items=1, read_fraction=0.0),
+            requests_per_client=4,
+            retry_aborts=True,
+            settle=300.0,
+        )
+        assert isinstance(engine, OpenLoopEngine)
+        stats = engine.stats()
+        assert len(engine.attempts) > 0
+        assert stats["submitted"] == summary.requests + len(engine.attempts)
+        assert stats["submitted"] == sum(len(c.results) for c in system.clients)
+        assert stats["max_in_flight"] <= len(system.clients)
+        assert engine.in_flight == 0
 
     def test_retry_latency_spans_all_attempts(self):
         # Regression: a retried request's final Result carried the *last*
