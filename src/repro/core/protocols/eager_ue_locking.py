@@ -48,6 +48,10 @@ BUFFER = "ueld.buffer"
 CATCHUP = "ueld.catchup"
 RESTARTED = "ueld.restarted"
 
+# How long a remote lock request waits before the transaction aborts:
+# what breaks a distributed deadlock no site's wait-for graph sees.
+LOCK_TIMEOUT = 40.0
+
 
 class EagerUpdateEverywhereLocking(ReplicaProtocol):
     """Per-replica endpoint of eager update everywhere via 2PL + 2PC."""
@@ -81,7 +85,6 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
 
     def __init__(self, replica, group, spec) -> None:
         super().__init__(replica, group, spec)
-        self.lock_timeout = float(spec.lock_timeout)
         self.write_quorum = spec.write_quorum
         if self.write_quorum is not None:
             if not len(group) // 2 < self.write_quorum <= len(group):
@@ -122,7 +125,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
             for op in request.operations:
                 if self.write_quorum is None:
                     yield self.tm.locks.acquire(
-                        txn_id, op.item, READ, timeout=self.lock_timeout
+                        txn_id, op.item, READ, timeout=LOCK_TIMEOUT
                     )
                     values.append(self.store.read(op.item))
                 else:
@@ -175,8 +178,8 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         replies = []
         for site in sorted(sites):
             reply = yield self.replica.node.call(
-                site, LOCK, timeout=self.lock_timeout + 20.0,
-                txn=txn_id, item=item, mode=READ, lock_timeout=self.lock_timeout,
+                site, LOCK, timeout=LOCK_TIMEOUT + 20.0,
+                txn=txn_id, item=item, mode=READ, lock_timeout=LOCK_TIMEOUT,
             )
             if not reply["granted"]:
                 raise TransactionAborted(txn_id, "read quorum denied")
@@ -207,7 +210,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
             self.phase(tid, SC, "locks")
             if self.write_quorum is None:
                 yield self.tm.locks.acquire(
-                    txn_id, op.item, READ, timeout=self.lock_timeout
+                    txn_id, op.item, READ, timeout=LOCK_TIMEOUT
                 )
                 self.phase(tid, EX)
                 return self._workspace_read(txn_id, op.item)[1]
@@ -230,9 +233,9 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         replies = []
         for site in sorted(quorum):
             reply = yield self.replica.node.call(
-                site, LOCK, timeout=self.lock_timeout + 20.0,
+                site, LOCK, timeout=LOCK_TIMEOUT + 20.0,
                 txn=txn_id, item=op.item, mode=WRITE,
-                lock_timeout=self.lock_timeout,
+                lock_timeout=LOCK_TIMEOUT,
             )
             if not reply["granted"]:
                 raise TransactionAborted(txn_id, "remote lock denied")

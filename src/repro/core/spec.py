@@ -48,13 +48,11 @@ class RunSpec:
         suggestion: "run an Atomic Broadcast and determine the
         after-commit-order according to the order of the atomic
         broadcast" — writesets apply in delivery order at every site.
-    ``lock_timeout``, ``write_quorum`` (eager_ue_locking)
-        How long a remote lock request waits before the transaction
-        aborts (what breaks a distributed deadlock no site's wait-for
-        graph sees); sites locked and written per update, ``None`` for
-        all live ones.  Section 5.4.1: quorums are "orthogonal" — W with
-        2W > n keeps the phases while writes touch W sites and reads
-        take the freshest of R = n - W + 1 (Gifford-style voting).
+    ``write_quorum`` (eager_ue_locking)
+        Sites locked and written per update, ``None`` for all live
+        ones.  Section 5.4.1: quorums are "orthogonal" — W with 2W > n
+        keeps the phases while writes touch W sites and reads take the
+        freshest of R = n - W + 1 (Gifford-style voting).
     ``certification_mode``, ``processing_time``, ``optimistic`` (certification)
         ``"read"`` (backward validation) or ``"write"``
         (first-committer-wins ablation); simulated cost of validation
@@ -81,7 +79,6 @@ class RunSpec:
     propagation_delay: float = 20.0
     reconciliation: str = "lww"
     priorities: Tuple[Tuple[str, int], ...] = ()
-    lock_timeout: float = 40.0
     write_quorum: Optional[int] = None
     certification_mode: str = "read"
     processing_time: float = 0.0

@@ -42,7 +42,7 @@ __all__ = ["Directory", "ReplicaNode", "BlockingPolicy", "ClientNode",
 
 # How long a transaction waits for a lock at a site before it aborts.
 # Every site's own bound; eager_ue_locking's remote lock requests carry
-# their own, the technique's ``lock_timeout`` option.
+# their own, its ``LOCK_TIMEOUT``.
 SITE_LOCK_TIMEOUT = 60.0
 
 

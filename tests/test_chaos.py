@@ -85,7 +85,6 @@ class TestStrongTechniquesUnderChaos:
     def test_eager_ue_locking_under_secondary_crash(self, seed):
         system, results = run_chaos(
             "eager_ue_locking", seed, crash_victim="r2",
-            lock_timeout=25.0,
         )
         committed = [r for r in results if r.committed]
         stores = {n: system.store_of(n) for n in system.live_replicas()}

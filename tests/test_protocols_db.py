@@ -140,7 +140,6 @@ class TestEagerUELocking:
         # concurrently: a distributed deadlock no single site can see.
         system = ReplicatedSystem(
             "eager_ue_locking", replicas=2, clients=2, seed=3,
-            lock_timeout=25.0,
         )
         f1 = system.client(0).submit(
             [Operation.update("a", "add", 1), Operation.update("b", "add", 1)]

@@ -11,7 +11,7 @@ from repro.workload import WorkloadSpec, run_workload
 def quorum_system(replicas=5, write_quorum=3, clients=1, seed=1, **kwargs):
     return ReplicatedSystem(
         "eager_ue_locking", replicas=replicas, clients=clients, seed=seed,
-        write_quorum=write_quorum, lock_timeout=30.0, **kwargs,
+        write_quorum=write_quorum, **kwargs,
     )
 
 
@@ -64,7 +64,7 @@ class TestQuorumWrites:
         spec = WorkloadSpec(items=3, read_fraction=0.0)
         system, driver, summary = run_workload(
             RunSpec("eager_ue_locking", replicas=5, clients=3, seed=9,
-                    lock_timeout=30.0, write_quorum=3),
+                    write_quorum=3),
             spec,
             requests_per_client=6,
             retry_aborts=True,

@@ -151,7 +151,6 @@ class TestSessionConflicts:
     def test_deadlocked_sessions_one_aborts(self):
         system = ReplicatedSystem(
             "eager_ue_locking", replicas=2, clients=2, seed=2,
-            lock_timeout=20.0,
         )
         s1 = system.client(0).session()
         s2 = system.client(1).session()

@@ -117,7 +117,6 @@ FIELD_VALUES = {
     "reconciliation": st.sampled_from(["lww", "priority", "abcast"]),
     "priorities": st.dictionaries(st.sampled_from(["r0", "r1", "r2"]),
                                   st.integers(0, 10)),
-    "lock_timeout": _POSITIVE,
     "write_quorum": st.none() | st.integers(1, 7),
     "certification_mode": st.sampled_from(["read", "write"]),
     "processing_time": _FLOATS,
