@@ -204,17 +204,20 @@ class ReliableTransport:
         src = message.src
         seq = message["seq"]
         cursor = self._from[src]
-        in_order = seq == cursor.next and "again" not in message.payload
+        repeat = seq < cursor.next or "again" in message.payload
+        in_order = seq == cursor.next and not repeat
         released = list(cursor.put(seq, message))
-        # The ack is settled on arrival, before any upcall runs.
-        if in_order:
+        # The ack is settled on arrival, before any upcall runs.  A frame
+        # ahead of a gap gets none of its own: an ack says `next - 1`,
+        # which that frame does not move.
+        if repeat:
+            self._ack(src)
+        elif in_order:
             timer = self._ack_timers.get(src)
             if timer is None or timer.cancelled:  # none pending, fired, or lost to a crash
                 self._ack_timers[src] = self.node.after(
                     self.retry_interval / 4, self._ack, src
                 )
-        else:
-            self._ack(src)
         for frame in released:
             self._upcall(frame["inner_type"], src, frame["body"])
 
