@@ -10,13 +10,13 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check lint typecheck test artifacts artifacts-check \
 	observe bench-json bench-e2e chaos chaos-evidence profile \
-	sweep sweep-smoke figures-check digests-check
+	profile-evidence sweep sweep-smoke figures-check digests-check
 
 # The freshness gates of the generated files under docs/ run once, inside
 # `test` (the test_*_is_fresh tests call repro.artifacts.check on the
 # session's one parse of the tree); `artifacts-check` is the same check
 # by hand.
-check: lint typecheck figures-check test chaos chaos-evidence
+check: lint typecheck figures-check test chaos chaos-evidence profile-evidence
 
 lint:
 	$(PYTHON) -m repro.lint src/repro
@@ -102,6 +102,21 @@ PROFILE_OUT ?= benchmarks/output/profile
 PROFILE_SEED ?= 7
 profile:
 	$(PYTHON) -m repro profile --all --seed $(PROFILE_SEED) --out $(PROFILE_OUT)
+
+# The seed-7 profiles are pinned byte for byte, like the chaos evidence:
+# they are the only observed-run output no other gate pins, and a change
+# in span parentage moves them first.  Regenerate PROFILE_EVIDENCE only
+# for a deliberate behaviour change:
+#   (cd $(PROFILE_OUT) && LC_ALL=C sha256sum $$(ls *_seed7.* | LC_ALL=C sort)) \
+#       > tests/data/profile_evidence.sha256
+PROFILE_EVIDENCE = tests/data/profile_evidence.sha256
+profile-evidence: profile
+	@if [ "$(PROFILE_SEED)" = 7 ]; then \
+		cd $(PROFILE_OUT) && sha256sum -c --quiet $(CURDIR)/$(PROFILE_EVIDENCE) && \
+		echo "profile evidence byte-identical: $(PROFILE_EVIDENCE)"; \
+	else \
+		echo "profile-evidence: pinned for PROFILE_SEED=7 only, skipped"; \
+	fi
 
 # Open-loop seed x rate x technique sweep fanned across CPU cores:
 # writes the merged byte-deterministic sweep.json plus the saturation
