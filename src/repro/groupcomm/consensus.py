@@ -34,52 +34,66 @@ Safety holds regardless of failure-detector behaviour; liveness needs the
 detector to eventually stop suspecting some correct process.
 
 A process keeps book-keeping only for instances it has not decided.  When
-the decision arrives, the instance's estimates, proposals, replies and
-waiters are dropped and only the key is remembered as decided, so a late
+the decision arrives, the instance's estimates, proposals and replies are
+dropped and only the key is remembered as decided, so a late
 ``estimate``/``propose``/``reply`` or a second ``decide`` for it is
 discarded instead of opening the instance again.  A process that missed a
 decision learns it from the decision's reliable broadcast, never from a
 peer's consensus state.
 
-A crash ends a process's round loops but not its book-keeping, and the
-transport still delivers what the loops sent before it.  One retry
-interval after recovering, a process resumes each instance it proposed for
-that retransmission has not decided by then, in the round it stopped in:
-a peer may be waiting on it as that round's coordinator, and it is no
-longer suspected.  A resumed loop does not send again what it sent in
-that round before the crash.
+A process runs an instance's rounds as steps, not as a simulated process.
+The instance records where its round stands: about to send, waiting for
+a majority of estimates, waiting for the proposal or a suspicion of the
+coordinator, or waiting for a majority of replies.  ``propose``, each
+arriving estimate, proposal and reply, a suspicion of the coordinator and
+a restart advance it as far as what is in hand allows.  A crash stops an
+instance's rounds where they stand but keeps its book-keeping, and the
+transport still delivers what was sent before it.  One retry interval
+after recovering, a process restarts each instance it proposed for that
+retransmission has not decided by then, in the round it stopped in: a
+peer may be waiting on it as that round's coordinator, and it is no
+longer suspected.  A restarted round does not send again what it sent
+before the crash.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..errors import ProcessInterrupted
 from ..failures import FailureDetector
 from ..net import Node
-from ..sim import Future, Process, TraceLog
+from ..sim import TraceLog
 from .channels import ReliableTransport
 from .rbcast import ReliableBroadcast
 
-__all__ = ["Consensus", "ALREADY_DECIDED"]
+__all__ = ["Consensus"]
 
-ESTIMATE = "ct.estimate"
-PROPOSE = "ct.propose"
-REPLY = "ct.reply"
-DECIDE_CHANNEL = "ct.decide"
+# Where an instance stands at one process.  Its rounds run in the last
+# four; the other three take no step.
+_IDLE = 0       # not proposed for here
+_STOPPED = 1    # stopped by a crash, or ended by the decision
+_STARTING = 2   # the rounds (re)start at the next event
+_SEND = 3       # about to send the round's estimate and proposal
+_ESTIMATES = 4  # coordinator: waiting for a majority of estimates
+_PROPOSAL = 5   # waiting for the proposal or a suspicion of the coordinator
+_REPLIES = 6    # coordinator: waiting for a majority of replies
 
 
 class _Instance:
     """Book-keeping for one undecided consensus instance at one process."""
 
-    def __init__(self, decided_future: Future) -> None:
+    def __init__(self) -> None:
         self.round = 0
+        self.stage = _IDLE
         self.estimate: Any = None
         # The round the estimate was adopted in; -1 until one is adopted,
         # so a value adopted in round 0 (and maybe decided) outranks every
         # value never adopted.
         self.estimate_ts = -1
-        self.loop: Optional[Process] = None  # the round loop, once proposed
+        # The step advancing the rounds (bound by ``_start``), and the
+        # detector listener of a round waiting for its proposal.
+        self.step: Callable[[], None]
+        self.listener: Optional[Callable[[str], None]] = None
         # the last round each of this process's messages went out in
         self.estimate_sent = -1
         self.proposal_sent = -1
@@ -88,11 +102,6 @@ class _Instance:
         self.estimates: Dict[int, List[Tuple[int, str, Any]]] = {}
         self.proposals: Dict[int, Any] = {}
         self.replies: Dict[int, List[bool]] = {}
-        # waiters, keyed by round
-        self.estimate_waiters: Dict[int, Future] = {}
-        self.proposal_waiters: Dict[int, Future] = {}
-        self.reply_waiters: Dict[int, Future] = {}
-        self.decided_future = decided_future
 
 
 class Consensus:
@@ -148,126 +157,121 @@ class Consensus:
 
     # -- public API --------------------------------------------------------
 
-    def propose(self, instance: Any, value: Any) -> Future:
-        """Propose ``value`` for ``instance``; returns a decision future.
+    def propose(self, instance: Any, value: Any) -> None:
+        """Propose ``value`` for ``instance``; the decision comes through
+        ``on_decide``.
 
         Proposing twice for the same instance is a no-op (the first value
-        stands); the same decision future is returned.  Proposing for an
-        instance this process has already decided opens nothing: the
-        returned future is already resolved with :data:`ALREADY_DECIDED`,
-        since the value itself went out through ``on_decide`` and is not
-        kept.
+        stands), and so is proposing for an instance already decided here:
+        nothing is opened and nothing sent.
         """
         state = self._state(instance)
-        if state is None:
-            future = self.node.sim.future(label=f"decide:{instance}")
-            future.set_result(ALREADY_DECIDED)
-            return future
-        if state.loop is None:
+        if state is not None and state.stage == _IDLE:
             state.estimate = value
-            state.loop = self.node.spawn(
-                self._run(instance, state), name=f"{self.node.name}-ct-{instance}"
-            )
-        return state.decided_future
+            self._start(instance, state)
+
+    def _start(self, instance: Any, state: _Instance) -> None:
+        """(Re)start the rounds one event from now, as a spawned process
+        would, and run every step under the span current now."""
+        state.stage = _STARTING
+        state.step = self.node.bind(self._advance, instance, state)
+        self.node.sim.call_soon(self._begin, state)
+
+    def _begin(self, state: _Instance) -> None:
+        if state.stage == _STARTING and not self.node.crashed:
+            state.stage = _SEND
+            state.step()
 
     def _on_recover(self) -> None:
+        # The crash stopped every instance's rounds where they stood.
+        for state in self._instances.values():
+            if state.stage >= _STARTING:
+                state.stage = _STOPPED
+                self._unwatch(state)
         self.node.after(self.transport.retry_interval, self._resume)
 
     def _resume(self) -> None:
-        """Restart the round loops a crash ended, for instances still open."""
+        """Restart the rounds a crash stopped, for instances still open."""
         for instance, state in self._instances.items():
-            if state.loop is not None and state.loop.done:
-                state.loop = self.node.spawn(
-                    self._run(instance, state), name=f"{self.node.name}-ct-{instance}"
-                )
+            if state.stage == _STOPPED:
+                self._start(instance, state)
 
-    # -- the round loop -------------------------------------------------------
+    # -- the rounds -----------------------------------------------------------
 
-    def _run(self, instance: Any, state: _Instance):
-        sim = self.node.sim
-        try:
-            while not state.decided_future.done:
-                r = state.round
-                coordinator = self.group[r % len(self.group)]
-                # A resumed loop skips the sends it made in this round
-                # before the crash: a second estimate or reply from one
-                # process would count twice towards a majority, and a
-                # second proposal could differ from the first.
+    def _advance(self, instance: Any, state: _Instance) -> None:
+        """Take every step of the rounds that what is in hand allows."""
+        while True:
+            r = state.round
+            coordinator = self.group[r % len(self.group)]
+            stage = state.stage
+            if stage == _SEND:
+                # A restarted round skips the sends it made before the
+                # crash: a second estimate or reply from one process would
+                # count twice towards a majority, and a second proposal
+                # could differ from the first.
                 if r > 0 and state.estimate_sent < r:
                     state.estimate_sent = r
                     self.transport.send(
-                        coordinator,
-                        self._types["estimate"],
-                        instance=instance,
-                        round=r,
-                        ts=state.estimate_ts,
-                        value=state.estimate,
+                        coordinator, self._types["estimate"], instance=instance,
+                        round=r, ts=state.estimate_ts, value=state.estimate,
                     )
                 if coordinator == self.node.name and state.proposal_sent < r:
-                    if r == 0:
-                        # Round 0 has no phase 1: every estimate is still
-                        # an initial value, so a majority of them could
-                        # not outrank the coordinator's own.
-                        estimates = [(state.estimate_ts, self.node.name, state.estimate)]
-                    else:
-                        estimates = yield self._race(
-                            state, self._await_estimates(state, r)
-                        )
-                        if estimates is _DECIDED:
-                            break
-                    proposal = self._choose_estimate(instance, estimates)
-                    state.proposal_sent = r
-                    for member in self.group:
-                        self.transport.send(
-                            member,
-                            self._types["propose"],
-                            instance=instance,
-                            round=r,
-                            value=proposal,
-                        )
-                # Phase 3: adopt the proposal or give up on the coordinator.
-                proposal = self._await_proposal(state, r)
-                suspicion, listener = self._suspicion(coordinator)
-                try:
-                    waited = yield self._race(
-                        state,
-                        sim.any_of(
-                            [proposal, suspicion], label=f"phase3:{instance}:{r}"
-                        ),
+                    state.stage = _ESTIMATES
+                else:
+                    state.stage = _PROPOSAL
+            elif stage == _ESTIMATES:
+                if r == 0:
+                    # Round 0 has no phase 1: every estimate is still an
+                    # initial value, so a majority of them could not
+                    # outrank the coordinator's own.
+                    estimates = [(state.estimate_ts, self.node.name, state.estimate)]
+                else:
+                    estimates = state.estimates.get(r, [])
+                    if len(estimates) < self.majority:
+                        return
+                proposal = self._choose_estimate(instance, estimates)
+                state.proposal_sent = r
+                for member in self.group:
+                    self.transport.send(
+                        member, self._types["propose"],
+                        instance=instance, round=r, value=proposal,
                     )
-                finally:
-                    # Decided either way, or the node crashed: the detector
-                    # keeps one listener per live round, not per round run.
-                    self.detector.off_suspect(listener)
-                if waited is _DECIDED:
-                    break
-                index, _value = waited
-                if index == 0:
+                state.stage = _PROPOSAL
+            elif stage == _PROPOSAL:
+                # Phase 3: adopt the proposal or give up on the
+                # coordinator; a proposal in hand wins over a suspicion.
+                ack = r in state.proposals
+                if ack:
                     state.estimate = state.proposals[r]
                     state.estimate_ts = r
-                    ack = True
-                else:
-                    ack = False
+                elif not self.detector.is_suspected(coordinator):
+                    if state.listener is None:
+                        self._watch(state, coordinator)
+                    return
+                self._unwatch(state)
                 if state.reply_sent < r:
                     state.reply_sent = r
                     self.transport.send(
-                        coordinator,
-                        self._types["reply"],
-                        instance=instance,
-                        round=r,
-                        ack=ack,
+                        coordinator, self._types["reply"],
+                        instance=instance, round=r, ack=ack,
                     )
                 if coordinator == self.node.name:
-                    outcome = yield self._race(state, self._await_replies(state, r))
-                    if outcome is _DECIDED:
-                        break
-                    if all(outcome):
-                        self._decider.broadcast(
-                            "decide", instance=instance, value=state.estimate
-                        )
+                    state.stage = _REPLIES
+                else:
+                    state.round = r + 1
+                    state.stage = _SEND
+            elif stage == _REPLIES:
+                replies = state.replies.get(r, [])
+                if len(replies) < self.majority:
+                    return
+                if all(replies):
+                    self._decider.broadcast(
+                        "decide", instance=instance, value=state.estimate
+                    )
                 state.round = r + 1
-        except ProcessInterrupted:
-            return  # node crashed; _resume restarts the loop after recovery
+                state.stage = _SEND
+            else:
+                return  # not running: idle, stopped or not yet started
 
     def _choose_estimate(self, instance: Any, estimates: List[Tuple[int, str, Any]]) -> Any:
         """Pick the estimate adopted most recently; break ties by name.
@@ -279,44 +283,21 @@ class Consensus:
         del best_ts
         return value
 
-    # -- waiters --------------------------------------------------------------
+    def _watch(self, state: _Instance, coordinator: str) -> None:
+        """Step the round when the detector suspects its coordinator; the
+        listener goes when the wait ends, so the detector holds one per
+        waiting round, not one per round run."""
+        def listener(name: str) -> None:
+            if name == coordinator and state.listener is listener:
+                state.step()
 
-    def _race(self, state: _Instance, future: Future) -> Future:
-        """Race a protocol future against this instance's decision."""
-        sim = self.node.sim
-        combined = sim.future(label="race")
-        def on_either(index_value):
-            index, value = index_value
-            combined.try_set_result(_DECIDED if index == 1 else value)
-        inner = sim.any_of([future, state.decided_future])
-        inner.add_callback(lambda f: on_either(f.result))
-        return combined
+        state.listener = listener
+        self.detector.on_suspect(listener)
 
-    def _await_estimates(self, state: _Instance, r: int) -> Future:
-        future = self.node.sim.future(label=f"estimates:{r}")
-        have = state.estimates.get(r, [])
-        if len(have) >= self.majority:
-            future.set_result(list(have))
-        else:
-            state.estimate_waiters[r] = future
-        return future
-
-    def _await_proposal(self, state: _Instance, r: int) -> Future:
-        future = self.node.sim.future(label=f"proposal:{r}")
-        if r in state.proposals:
-            future.set_result(state.proposals[r])
-        else:
-            state.proposal_waiters[r] = future
-        return future
-
-    def _await_replies(self, state: _Instance, r: int) -> Future:
-        future = self.node.sim.future(label=f"replies:{r}")
-        have = state.replies.get(r, [])
-        if len(have) >= self.majority:
-            future.set_result(list(have))
-        else:
-            state.reply_waiters[r] = future
-        return future
+    def _unwatch(self, state: _Instance) -> None:
+        if state.listener is not None:
+            self.detector.off_suspect(state.listener)
+            state.listener = None
 
     # -- message handlers ---------------------------------------------------------
 
@@ -330,7 +311,7 @@ class Consensus:
         if state is None:
             if instance in self._decided:
                 return None
-            state = _Instance(self.node.sim.future(label=f"decide:{instance}"))
+            state = _Instance()
             self._instances[instance] = state
         return state
 
@@ -339,12 +320,9 @@ class Consensus:
         if state is None:
             return
         r = payload["round"]
-        bucket = state.estimates.setdefault(r, [])
-        bucket.append((payload["ts"], src, payload["value"]))
-        waiter = state.estimate_waiters.get(r)
-        if waiter is not None and len(bucket) >= self.majority and not waiter.done:
-            del state.estimate_waiters[r]
-            waiter.set_result(list(bucket))
+        state.estimates.setdefault(r, []).append((payload["ts"], src, payload["value"]))
+        if state.stage == _ESTIMATES and state.round == r:
+            state.step()
 
     def _on_propose(self, src: str, payload: dict) -> None:
         state = self._state(payload["instance"])
@@ -352,29 +330,23 @@ class Consensus:
             return
         r = payload["round"]
         state.proposals[r] = payload["value"]
-        waiter = state.proposal_waiters.pop(r, None)
-        if waiter is not None and not waiter.done:
-            waiter.set_result(payload["value"])
+        if state.stage == _PROPOSAL and state.round == r:
+            state.step()
 
     def _on_reply(self, src: str, payload: dict) -> None:
         state = self._state(payload["instance"])
         if state is None:
             return
         r = payload["round"]
-        bucket = state.replies.setdefault(r, [])
-        bucket.append(payload["ack"])
-        waiter = state.reply_waiters.get(r)
-        if waiter is not None and len(bucket) >= self.majority and not waiter.done:
-            del state.reply_waiters[r]
-            waiter.set_result(list(bucket))
+        state.replies.setdefault(r, []).append(payload["ack"])
+        if state.stage == _REPLIES and state.round == r:
+            state.step()
 
     def _on_decide_msg(self, origin: str, mtype: str, body: dict) -> None:
         instance = body["instance"]
         if instance in self._decided:
             return  # a later round's coordinator decided it too
         self._decided.add(instance)
-        # The instance's state goes here; its round loop, if one runs,
-        # still holds it and ends when the decision future resolves.
         state = self._instances.pop(instance, None)
         if self.trace is not None:
             self.trace.record(
@@ -382,35 +354,6 @@ class Consensus:
                 instance=instance, round=state.round if state is not None else 0,
             )
         if state is not None:
-            state.decided_future.set_result(body["value"])
+            state.stage = _STOPPED
+            self._unwatch(state)
         self.on_decide(instance, body["value"])
-
-    def _suspicion(self, peer: str) -> Tuple[Future, Callable[[str], None]]:
-        """Future resolving when the failure detector suspects ``peer``.
-
-        Also returns the detector listener feeding it, which the caller
-        hands to ``off_suspect`` once it stops waiting.
-        """
-        future = self.node.sim.future(label=f"suspect:{peer}")
-        def listener(name: str) -> None:
-            if name == peer:
-                future.try_set_result(peer)
-        if self.detector.is_suspected(peer):
-            future.set_result(peer)
-        else:
-            self.detector.on_suspect(listener)
-        return future, listener
-
-
-class _Sentinel:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.name}>"
-
-
-_DECIDED = _Sentinel("DECIDED")  # a round's wait lost the race to the decision
-ALREADY_DECIDED = _Sentinel("ALREADY_DECIDED")  # what ``propose`` resolves to late

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
-from ..sim import Future
 from .consensus import Consensus
 
 __all__ = ["DeferredConsensus"]
@@ -60,15 +59,14 @@ class DeferredConsensus(Consensus):
         self._computed: Dict[Any, Any] = {}
         self.executions = 0
 
-    def propose_deferred(self, instance: Any, compute: Callable[[], Any]) -> Future:
+    def propose_deferred(self, instance: Any, compute: Callable[[], Any]) -> None:
         """Participate in ``instance``, computing a value only if needed.
 
-        For an instance already decided here nothing is registered; the
-        future is :meth:`propose`'s, resolved with ``ALREADY_DECIDED``.
+        For an instance already decided here nothing is registered.
         """
         if instance not in self._decided:
             self._compute[instance] = compute
-        return self.propose(instance, _UNSET)
+        self.propose(instance, _UNSET)
 
     def _choose_estimate(self, instance: Any, estimates: List[Tuple[int, str, Any]]) -> Any:
         concrete = [e for e in estimates if e[2] is not _UNSET]

@@ -10,6 +10,7 @@ nodes additionally keep *durable* state (storage, logs) that survives
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional
 
@@ -190,6 +191,31 @@ class Node:
             self._processes = [p for p in processes if p.alive]
             self._processes_watermark = max(64, 2 * len(self._processes))
         return process
+
+    def bind(self, callback: Callable[..., None], *args: Any) -> Callable[[], None]:
+        """``callback(*args)`` as a call that runs under the span current now.
+
+        The counterpart of :meth:`spawn`'s span re-push for a protocol
+        whose steps later messages, timers and suspicions drive: under
+        observation each call pushes the span that was current when it
+        was bound, so what the step sends stays in the request's causal
+        tree.  With no span current, the call runs under whatever span
+        its caller has open, as an unwrapped process would.
+        """
+        obs = self.network.obs
+        span = obs.tracer.current if obs is not None else None
+        if span is None:
+            return functools.partial(callback, *args)
+        tracer = obs.tracer
+
+        def bound() -> None:
+            tracer.push(span)
+            try:
+                callback(*args)
+            finally:
+                tracer.pop()
+
+        return bound
 
     def after(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule a callback owned by this node (cancelled on crash)."""

@@ -3,7 +3,6 @@
 from helpers import GroupHarness
 
 from repro.groupcomm import Consensus, DeferredConsensus
-from repro.groupcomm.consensus import ALREADY_DECIDED
 
 
 def attach(h, cls=Consensus):
@@ -29,14 +28,6 @@ class TestConsensusBasics:
         assert len(decided) == 1, f"disagreement: {decided}"
         value = decided.pop()
         assert value in {"value-0", "value-1", "value-2"}
-
-    def test_decision_future_resolves(self):
-        h = GroupHarness(3)
-        cons, _ = attach(h)
-        futures = [cons[name].propose("i", name) for name in h.names]
-        h.run(until=500)
-        results = {f.result for f in futures}
-        assert len(results) == 1
 
     def test_single_proposer_value_wins(self):
         # Validity: the decided value was proposed by someone; with one
@@ -71,14 +62,16 @@ class TestConsensusBasics:
         assert all(decisions[name]["x"] == "first" for name in h.names)
 
     def test_decision_of_accessor(self):
-        # The decision future is how a proposer reads the decided value;
-        # the instance itself keeps nothing once decided.
+        # on_decide is how a proposer reads the decided value; the
+        # instance itself keeps nothing once decided.
         h = GroupHarness(3)
-        cons, _ = attach(h)
-        futures = {name: cons[name].propose("i", 42) for name in h.names}
-        assert not futures["n0"].done
+        cons, decisions = attach(h)
+        for name in h.names:
+            assert cons[name].propose("i", 42) is None
+        assert decisions["n0"] == {}
         h.run(until=500)
-        assert futures["n0"].result == 42
+        assert decisions["n0"] == {"i": 42}
+        assert cons["n0"]._instances == {}
 
 
 class TestRoundZeroFastPath:
@@ -198,6 +191,40 @@ class TestConsensusUnderFailures:
         assert decisions["n2"].get("i") == "early"
 
 
+class TestRoundsAreSteps:
+    def test_rounds_spawn_no_process(self):
+        # Messages, suspicions and the recover hook drive the rounds; no
+        # instance runs as a simulated process, before, across or after a
+        # crash and recovery of round 0's coordinator.
+        h = GroupHarness(3, fd_interval=2.0, fd_timeout=6.0, retry_interval=2.0)
+        cons, decisions = attach(h)
+
+        def propose(instances):
+            for instance in instances:
+                for name in h.alive():
+                    cons[name].propose(instance, f"{name}:{instance}")
+
+        processes = []
+
+        def look():
+            for node in h.nodes.values():
+                processes.extend(p.name for p in node._processes)
+
+        propose(range(3))
+        h.sim.schedule_at(0.5, h.nodes["n0"].crash)
+        h.sim.schedule_at(20.0, h.nodes["n0"].recover)
+        h.sim.schedule_at(30.0, propose, range(3, 6))
+        for at in (0.25, 1.0, 3.0, 10.0, 21.0, 23.0, 31.0, 33.0):
+            h.sim.schedule_at(at, look)
+        h.run(until=500)
+        look()
+        for name in h.names:
+            assert sorted(decisions[name]) == list(range(6)), (name, decisions[name])
+        for instance in range(6):
+            assert len({decisions[name][instance] for name in h.names}) == 1
+        assert processes == []
+
+
 class TestSuspicionListeners:
     def test_detector_listeners_bounded_by_live_rounds(self):
         # Every round watches its coordinator through the failure
@@ -266,19 +293,23 @@ class TestDecidedInstancesForgotten:
         assert cons["n0"]._instances == {}
         assert decisions["n0"] == decided
 
-    def test_propose_after_decision_returns_a_resolved_marker(self):
+    def test_propose_after_decision_opens_nothing(self):
         h = GroupHarness(3)
         cons, decisions = attach(h)
         for name in h.names:
             cons[name].propose("i", name)
         h.run(until=500)
         decided = dict(decisions["n0"])
-        late = cons["n0"].propose("i", "again")
-        assert late.done and late.result is ALREADY_DECIDED
+
+        def frames():
+            return {t: n for t, n in h.net.stats.by_type.items() if t != "fd.heartbeat"}
+
+        before = frames()
+        cons["n0"].propose("i", "again")
         assert cons["n0"]._instances == {}
-        assert all(p.name != "n0-ct-i" or p.done for p in h.nodes["n0"]._processes)
         h.run(until=600)
         assert decisions["n0"] == decided
+        assert frames() == before
 
 
 class TestDeferredConsensus:
