@@ -179,7 +179,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         for site in sorted(sites):
             reply = yield self.replica.node.call(
                 site, LOCK, timeout=LOCK_TIMEOUT + 20.0,
-                txn=txn_id, item=item, mode=READ, lock_timeout=LOCK_TIMEOUT,
+                txn=txn_id, item=item, mode=READ,
             )
             if not reply["granted"]:
                 raise TransactionAborted(txn_id, "read quorum denied")
@@ -235,7 +235,6 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
             reply = yield self.replica.node.call(
                 site, LOCK, timeout=LOCK_TIMEOUT + 20.0,
                 txn=txn_id, item=op.item, mode=WRITE,
-                lock_timeout=LOCK_TIMEOUT,
             )
             if not reply["granted"]:
                 raise TransactionAborted(txn_id, "remote lock denied")
@@ -315,8 +314,7 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
         item = message["item"]
         try:
             yield self.tm.locks.acquire(
-                message["txn"], item, message["mode"],
-                timeout=message["lock_timeout"],
+                message["txn"], item, message["mode"], timeout=LOCK_TIMEOUT
             )
         except TransactionAborted as exc:
             self.replica.node.reply(message, granted=False, reason=str(exc))
