@@ -85,10 +85,6 @@ class Operation:
     def is_write(self) -> bool:
         return self.kind != "read"
 
-    @property
-    def deterministic(self) -> bool:
-        return self.kind != "update" or self.func not in NON_DETERMINISTIC
-
     @staticmethod
     def read(item: str) -> "Operation":
         return Operation("read", item)
@@ -145,10 +141,6 @@ class Request:
     @property
     def read_only(self) -> bool:
         return all(not op.is_write for op in self.operations)
-
-    @property
-    def deterministic(self) -> bool:
-        return all(op.deterministic for op in self.operations)
 
     def as_wire(self) -> dict:
         return {

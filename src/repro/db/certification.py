@@ -95,11 +95,6 @@ class Certifier:
         self.certified += 1
         return CertificationOutcome(True, [])
 
-    @property
-    def abort_rate(self) -> float:
-        total = self.certified + self.rejected
-        return self.rejected / total if total else 0.0
-
     def __repr__(self) -> str:
         return (
             f"<Certifier mode={self.mode} certified={self.certified} "

@@ -73,9 +73,6 @@ class DataStore:
         for item, value, version in rows:
             self.write_versioned(item, value, version)
 
-    def delete(self, item: str) -> None:
-        self._items.pop(item, None)
-
     # -- iteration and digests ----------------------------------------------
 
     def __len__(self) -> int:

@@ -59,13 +59,6 @@ class TestReadCertification:
         assert outcomes1 == outcomes2 == [True, True, False, True]
         assert site1.digest() == site2.digest()
 
-    def test_abort_rate(self):
-        store = DataStore()
-        certifier = Certifier(store)
-        certifier.certify({}, wset(("x", 1)))
-        certifier.certify({"x": 0}, wset(("x", 2)))  # stale
-        assert certifier.abort_rate == 0.5
-
 
 class TestWriteCertification:
     def test_first_committer_wins(self):

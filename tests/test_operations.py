@@ -34,11 +34,6 @@ class TestOperation:
         with pytest.raises(ValueError):
             Operation.update("x", "frobnicate")
 
-    def test_determinism_flag(self):
-        assert Operation.update("x", "add", 1).deterministic
-        assert not Operation.update("x", "random_token").deterministic
-        assert Operation.read("x").deterministic
-
     def test_wire_roundtrip(self):
         op = Operation.update("item", "append", "tail")
         assert Operation.from_wire(op.as_wire()) == op
@@ -75,12 +70,9 @@ class TestRequest:
         request = Request.make(Operation.read("x"), sequence=1)
         assert len(request.operations) == 1
 
-    def test_read_only_and_deterministic_flags(self):
+    def test_read_only_flag(self):
         assert Request.make([Operation.read("x")], sequence=1).read_only
         assert not Request.make([Operation.write("x", 1)], sequence=2).read_only
-        assert not Request.make(
-            [Operation.update("x", "random_token")], sequence=3
-        ).deterministic
 
     def test_wire_roundtrip(self):
         request = Request.make([Operation.read("x"), Operation.write("y", 2)],

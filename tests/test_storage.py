@@ -44,13 +44,6 @@ class TestBasics:
         target.install(donor.digest())
         assert target.digest() == before
 
-    def test_delete(self):
-        store = DataStore()
-        store.write("x", 1)
-        store.delete("x")
-        assert store.read("x") is None
-        assert len(store) == 0
-
     def test_digest_is_write_order_independent_across_items(self):
         a, b = DataStore(), DataStore()
         a.write("x", 1)
