@@ -69,14 +69,13 @@ from .rbcast import ReliableBroadcast
 __all__ = ["Consensus"]
 
 # Where an instance stands at one process.  Its rounds run in the last
-# four; the other three take no step.
+# four; the first two take no step.
 _IDLE = 0       # not proposed for here
 _STOPPED = 1    # stopped by a crash, or ended by the decision
-_STARTING = 2   # the rounds (re)start at the next event
-_SEND = 3       # about to send the round's estimate and proposal
-_ESTIMATES = 4  # coordinator: waiting for a majority of estimates
-_PROPOSAL = 5   # waiting for the proposal or a suspicion of the coordinator
-_REPLIES = 6    # coordinator: waiting for a majority of replies
+_SEND = 2       # about to send the round's estimate and proposal
+_ESTIMATES = 3  # coordinator: waiting for a majority of estimates
+_PROPOSAL = 4   # waiting for the proposal or a suspicion of the coordinator
+_REPLIES = 5    # coordinator: waiting for a majority of replies
 
 
 class _Instance:
@@ -173,19 +172,14 @@ class Consensus:
     def _start(self, instance: Any, state: _Instance) -> None:
         """(Re)start the rounds one event from now, as a spawned process
         would, and run every step under the span current now."""
-        state.stage = _STARTING
+        state.stage = _SEND
         state.step = self.node.bind(self._advance, instance, state)
-        self.node.sim.call_soon(self._begin, state)
-
-    def _begin(self, state: _Instance) -> None:
-        if state.stage == _STARTING and not self.node.crashed:
-            state.stage = _SEND
-            state.step()
+        self.node.sim.call_soon(state.step)
 
     def _on_recover(self) -> None:
         # The crash stopped every instance's rounds where they stood.
         for state in self._instances.values():
-            if state.stage >= _STARTING:
+            if state.stage >= _SEND:
                 state.stage = _STOPPED
                 self._unwatch(state)
         self.node.after(self.transport.retry_interval, self._resume)
@@ -199,8 +193,12 @@ class Consensus:
     # -- the rounds -----------------------------------------------------------
 
     def _advance(self, instance: Any, state: _Instance) -> None:
-        """Take every step of the rounds that what is in hand allows."""
-        while True:
+        """Take every step of the rounds that what is in hand allows.
+
+        A crashed process takes none; a start scheduled just before its
+        crash still fires.
+        """
+        while not self.node.crashed:
             r = state.round
             coordinator = self.group[r % len(self.group)]
             stage = state.stage
@@ -245,8 +243,7 @@ class Consensus:
                     state.estimate = state.proposals[r]
                     state.estimate_ts = r
                 elif not self.detector.is_suspected(coordinator):
-                    if state.listener is None:
-                        self._watch(state, coordinator)
+                    self._watch(state, coordinator)
                     return
                 self._unwatch(state)
                 if state.reply_sent < r:
@@ -271,7 +268,7 @@ class Consensus:
                 state.round = r + 1
                 state.stage = _SEND
             else:
-                return  # not running: idle, stopped or not yet started
+                return  # idle, or stopped
 
     def _choose_estimate(self, instance: Any, estimates: List[Tuple[int, str, Any]]) -> Any:
         """Pick the estimate adopted most recently; break ties by name.
