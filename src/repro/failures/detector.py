@@ -91,8 +91,9 @@ class FailureDetector:
     def off_suspect(self, listener: Callable[[str], None]) -> None:
         """Stop calling ``listener`` (a no-op when it is not registered).
 
-        For waits that end: consensus watches its coordinator for one
-        round at a time and must not leave a listener behind per round.
+        For waits that end: a consensus round watches its coordinator
+        only while it waits for the round's proposal, and must not leave
+        a listener behind per round.
         """
         try:
             self._suspect_listeners.remove(listener)

@@ -165,10 +165,10 @@ class TestConsensusUnderFailures:
         # n0 is down from the start, so n1 and n2 suspect it at 10 and move
         # to round 1.  Its coordinator n1 crashes before n2's estimate
         # arrives at 11, and is back before anyone suspects it, so n2 waits
-        # for its proposal.  The crash ended n1's round loop: the recovered
+        # for its proposal.  The crash stopped n1's rounds: the recovered
         # process must run that round again or the instance never ends.
-        # (Round 0 cannot show this: its coordinator proposes as its loop
-        # starts, so no crash ends that loop before the proposal is out.)
+        # (Round 0 cannot show this: its coordinator proposes in its first
+        # step, so no crash stops it before the proposal is out.)
         h = GroupHarness(3, fd_interval=2.0, fd_timeout=8.0, retry_interval=2.0)
         cons, decisions = attach(h)
         h.nodes["n0"].crash()
@@ -228,8 +228,8 @@ class TestRoundsAreSteps:
 class TestSuspicionListeners:
     def test_detector_listeners_bounded_by_live_rounds(self):
         # Every round watches its coordinator through the failure
-        # detector; the listener must go when the round's phase-3 race is
-        # decided, or the detector's list grows with every round ever run.
+        # detector; the listener must go when the round's wait for its
+        # proposal ends, or the detector's list grows with every round run.
         # Jittery links and a tight timeout add wrong suspicions, so some
         # instances take several rounds.
         h = GroupHarness(3, seed=3, jitter=True, fd_interval=1.0, fd_timeout=1.5)

@@ -106,7 +106,7 @@ def run_member_window(cls, member, offset, partition):
 @pytest.mark.parametrize("partition", [False, True], ids=["crash", "crash+partition"])
 @pytest.mark.parametrize("member", ["n1", "n2"])
 @pytest.mark.parametrize("cls", [Consensus, DeferredConsensus])
-def test_member_crash_windows_around_its_round_zero_reply(cls, member, partition):
+def test_member_crash_windows(cls, member, partition):
     prefix = "update-by-" if cls is DeferredConsensus else "value-"
     for offset in OFFSETS:
         decisions, counted = run_member_window(cls, member, offset, partition)
