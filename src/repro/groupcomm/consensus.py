@@ -19,7 +19,9 @@ Algorithm sketch (per instance, per round ``r`` with coordinator
    suspecting the coordinator, *nacks* and moves to the next round;
 4. a coordinator that gathers a majority of acks reliably broadcasts the
    decision; the broadcast's agreement property makes the decision final
-   everywhere.
+   everywhere.  A coordinator whose majority held a nack moves to the
+   next round, and sends that round's estimate to every member, not
+   only to the next coordinator.
 
 Round 0 skips step 1: its coordinator proposes its own initial value at
 once.  Before round 0 nothing has been adopted, so every estimate it could
@@ -29,6 +31,22 @@ adopted by a majority in round 0; every later majority of estimates holds
 one of those, and it outranks every initial value.  A fault-free instance
 thus ends after two communication steps (propose, ack) plus the
 decision's broadcast.
+
+A process that acked round ``r``, and a coordinator that broadcast the
+decision, do not move on at once: they wait for the decision, a
+suspicion of round ``r``'s coordinator, or a message of a later round.
+A fault-free instance thus sends no estimate at all.  The one case an
+acker cannot tell from a slow decision is a majority that held a nack;
+the coordinator's estimate to every member is then the later round's
+message that wakes it.
+
+A process that has not proposed for an instance joins it when a
+proposal or an estimate for it arrives, with an unset estimate.  It acks
+what it is proposed and its estimate counts towards a majority, but a
+coordinator proposes only a set value: if every estimate it holds is
+unset, its own included, it waits for one, from ``propose`` or a later
+estimate.  An unset estimate never outranks a set one, and any set one
+is safe to propose where nothing was adopted.
 
 Safety holds regardless of failure-detector behaviour; liveness needs the
 detector to eventually stop suspecting some correct process.
@@ -44,16 +62,17 @@ peer's consensus state.
 A process runs an instance's rounds as steps, not as a simulated process.
 The instance records where its round stands: about to send, waiting for
 a majority of estimates, waiting for the proposal or a suspicion of the
-coordinator, or waiting for a majority of replies.  ``propose``, each
-arriving estimate, proposal and reply, a suspicion of the coordinator and
-a restart advance it as far as what is in hand allows.  A crash stops an
-instance's rounds where they stand but keeps its book-keeping, and the
-transport still delivers what was sent before it.  One retry interval
-after recovering, a process restarts each instance it proposed for that
-retransmission has not decided by then, in the round it stopped in: a
-peer may be waiting on it as that round's coordinator, and it is no
-longer suspected.  A restarted round does not send again what it sent
-before the crash.
+coordinator, waiting for a majority of replies, or settled (acked, or
+broadcast the decision).  ``propose``, each arriving estimate, proposal
+and reply, a suspicion of the coordinator and a restart advance it as
+far as what is in hand allows.  A crash stops an instance's rounds where
+they stand but keeps its book-keeping, and the transport still delivers
+what was sent before it.  One retry interval after recovering, a process
+restarts each instance it proposed for or joined that retransmission has
+not decided by then, in the round it stopped in: a peer may be waiting
+on it as that round's coordinator, and it is no longer suspected.  A
+restarted round does not send again what it sent before the crash: no
+second estimate, proposal, reply or decision.
 """
 
 from __future__ import annotations
@@ -69,13 +88,30 @@ from .rbcast import ReliableBroadcast
 __all__ = ["Consensus"]
 
 # Where an instance stands at one process.  Its rounds run in the last
-# four; the first two take no step.
-_IDLE = 0       # not proposed for here
+# five; the first two take no step.
+_IDLE = 0       # neither proposed for nor joined here
 _STOPPED = 1    # stopped by a crash, or ended by the decision
 _SEND = 2       # about to send the round's estimate and proposal
 _ESTIMATES = 3  # coordinator: waiting for a majority of estimates
 _PROPOSAL = 4   # waiting for the proposal or a suspicion of the coordinator
 _REPLIES = 5    # coordinator: waiting for a majority of replies
+_SETTLED = 6    # acked, or broadcast the decision: waiting for the decision,
+                # a suspicion of the coordinator or a message of a later round
+
+
+class _Unset:
+    """The estimate of a process that joined an instance without a value,
+    or has not computed its value yet."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        # Copies are the one instance: a duplicated packet's deep copy of
+        # an estimate must still read as unset in ``_choose_estimate``.
+        return "_UNSET"
+
+
+_UNSET = _Unset()
 
 
 class _Instance:
@@ -84,11 +120,13 @@ class _Instance:
     def __init__(self) -> None:
         self.round = 0
         self.stage = _IDLE
-        self.estimate: Any = None
+        self.estimate: Any = _UNSET
         # The round the estimate was adopted in; -1 until one is adopted,
         # so a value adopted in round 0 (and maybe decided) outranks every
         # value never adopted.
         self.estimate_ts = -1
+        # the highest round of any estimate, proposal or reply received
+        self.heard = -1
         # The step advancing the rounds (bound by ``_start``), and the
         # detector listener of a round waiting for its proposal.
         self.step: Callable[[], None]
@@ -97,6 +135,7 @@ class _Instance:
         self.estimate_sent = -1
         self.proposal_sent = -1
         self.reply_sent = -1
+        self.decision_sent = -1
         # round -> accumulated protocol state
         self.estimates: Dict[int, List[Tuple[int, str, Any]]] = {}
         self.proposals: Dict[int, Any] = {}
@@ -162,12 +201,17 @@ class Consensus:
 
         Proposing twice for the same instance is a no-op (the first value
         stands), and so is proposing for an instance already decided here:
-        nothing is opened and nothing sent.
+        nothing is opened and nothing sent.  An instance joined without a
+        value takes ``value`` unless it has adopted one.
         """
         state = self._state(instance)
-        if state is not None and state.stage == _IDLE:
-            state.estimate = value
+        if state is None or state.estimate is not _UNSET:
+            return
+        state.estimate = value
+        if state.stage == _IDLE:
             self._start(instance, state)
+        elif state.stage == _ESTIMATES:
+            state.step()  # a coordinator waiting for a value to propose
 
     def _start(self, instance: Any, state: _Instance) -> None:
         """(Re)start the rounds one event from now, as a spawned process
@@ -208,26 +252,25 @@ class Consensus:
                 # count twice towards a majority, and a second proposal
                 # could differ from the first.
                 if r > 0 and state.estimate_sent < r:
-                    state.estimate_sent = r
-                    self.transport.send(
-                        coordinator, self._types["estimate"], instance=instance,
-                        round=r, ts=state.estimate_ts, value=state.estimate,
-                    )
+                    self._send_estimate(instance, state, [coordinator])
                 if coordinator == self.node.name and state.proposal_sent < r:
                     state.stage = _ESTIMATES
                 else:
                     state.stage = _PROPOSAL
             elif stage == _ESTIMATES:
-                if r == 0:
-                    # Round 0 has no phase 1: every estimate is still an
-                    # initial value, so a majority of them could not
-                    # outrank the coordinator's own.
-                    estimates = [(state.estimate_ts, self.node.name, state.estimate)]
-                else:
-                    estimates = state.estimates.get(r, [])
-                    if len(estimates) < self.majority:
-                        return
-                proposal = self._choose_estimate(instance, estimates)
+                # Round 0 has no phase 1: every estimate is still an
+                # initial value, so a majority of them could not outrank
+                # the coordinator's own.  In a later round the
+                # coordinator's own estimate is in the majority already,
+                # unless it was unset then.
+                estimates = state.estimates.get(r, [])
+                if r > 0 and len(estimates) < self.majority:
+                    return
+                proposal = self._choose_estimate(
+                    instance, estimates + [(state.estimate_ts, self.node.name, state.estimate)]
+                )
+                if proposal is _UNSET:
+                    return  # every estimate is unset: wait for a value
                 state.proposal_sent = r
                 for member in self.group:
                     self.transport.send(
@@ -245,7 +288,6 @@ class Consensus:
                 elif not self.detector.is_suspected(coordinator):
                     self._watch(state, coordinator)
                     return
-                self._unwatch(state)
                 if state.reply_sent < r:
                     state.reply_sent = r
                     self.transport.send(
@@ -253,8 +295,14 @@ class Consensus:
                         instance=instance, round=r, ack=ack,
                     )
                 if coordinator == self.node.name:
+                    self._unwatch(state)
                     state.stage = _REPLIES
+                elif ack:
+                    # The listener stays: a suspicion of the coordinator
+                    # still ends the wait.
+                    state.stage = _SETTLED
                 else:
+                    self._unwatch(state)
                     state.round = r + 1
                     state.stage = _SEND
             elif stage == _REPLIES:
@@ -262,23 +310,54 @@ class Consensus:
                 if len(replies) < self.majority:
                     return
                 if all(replies):
-                    self._decider.broadcast(
-                        "decide", instance=instance, value=state.estimate
+                    if state.decision_sent < r:
+                        state.decision_sent = r
+                        self._decider.broadcast(
+                            "decide", instance=instance, value=state.estimate
+                        )
+                    state.stage = _SETTLED
+                else:
+                    # This round's ackers wait for a message of a later
+                    # round: the next round's estimate goes to every
+                    # member, not only to the next coordinator.
+                    state.round = r + 1
+                    state.stage = _SEND
+                    self._send_estimate(
+                        instance, state,
+                        [m for m in self.group if m != self.node.name],
                     )
+            elif stage == _SETTLED:
+                if state.heard <= r and not self.detector.is_suspected(coordinator):
+                    if state.listener is None and coordinator != self.node.name:
+                        self._watch(state, coordinator)
+                    return
+                self._unwatch(state)
                 state.round = r + 1
                 state.stage = _SEND
             else:
                 return  # idle, or stopped
 
-    def _choose_estimate(self, instance: Any, estimates: List[Tuple[int, str, Any]]) -> Any:
-        """Pick the estimate adopted most recently; break ties by name.
+    def _send_estimate(self, instance: Any, state: _Instance, members: List[str]) -> None:
+        """Send the estimate for the instance's current round, once."""
+        r = state.round
+        state.estimate_sent = r
+        for member in members:
+            self.transport.send(
+                member, self._types["estimate"], instance=instance,
+                round=r, ts=state.estimate_ts, value=state.estimate,
+            )
 
-        Overridden by :class:`~repro.groupcomm.deferred.DeferredConsensus`
-        to compute the initial value lazily at the coordinator.
+    def _choose_estimate(self, instance: Any, estimates: List[Tuple[int, str, Any]]) -> Any:
+        """Pick the set estimate adopted most recently; break ties by name.
+
+        ``_UNSET`` if every estimate is unset.  Overridden by
+        :class:`~repro.groupcomm.deferred.DeferredConsensus` to compute
+        the initial value lazily at the coordinator.
         """
-        best_ts, _src, value = max(estimates, key=lambda e: (e[0], e[1]))
-        del best_ts
-        return value
+        concrete = [e for e in estimates if e[2] is not _UNSET]
+        if not concrete:
+            return _UNSET
+        return max(concrete, key=lambda e: (e[0], e[1]))[2]
 
     def _watch(self, state: _Instance, coordinator: str) -> None:
         """Step the round when the detector suspects its coordinator; the
@@ -313,30 +392,44 @@ class Consensus:
         return state
 
     def _on_estimate(self, src: str, payload: dict) -> None:
-        state = self._state(payload["instance"])
+        instance = payload["instance"]
+        state = self._state(instance)
         if state is None:
             return
         r = payload["round"]
         state.estimates.setdefault(r, []).append((payload["ts"], src, payload["value"]))
-        if state.stage == _ESTIMATES and state.round == r:
-            state.step()
+        self._heard(instance, state, r, _ESTIMATES, join=True)
 
     def _on_propose(self, src: str, payload: dict) -> None:
-        state = self._state(payload["instance"])
+        instance = payload["instance"]
+        state = self._state(instance)
         if state is None:
             return
         r = payload["round"]
         state.proposals[r] = payload["value"]
-        if state.stage == _PROPOSAL and state.round == r:
-            state.step()
+        self._heard(instance, state, r, _PROPOSAL, join=True)
 
     def _on_reply(self, src: str, payload: dict) -> None:
-        state = self._state(payload["instance"])
+        instance = payload["instance"]
+        state = self._state(instance)
         if state is None:
             return
         r = payload["round"]
         state.replies.setdefault(r, []).append(payload["ack"])
-        if state.stage == _REPLIES and state.round == r:
+        self._heard(instance, state, r, _REPLIES, join=False)
+
+    def _heard(self, instance: Any, state: _Instance, r: int, stage: int, join: bool) -> None:
+        """Step the instance if round ``r``'s message of the kind ``stage``
+        waits for moves it on; an estimate or a proposal for an instance
+        this process has not proposed for makes it join, with an unset
+        estimate."""
+        state.heard = max(state.heard, r)
+        if state.stage == _IDLE:
+            if join:
+                self._start(instance, state)
+        elif state.round == r and state.stage == stage or (
+            state.stage == _SETTLED and state.round < r
+        ):
             state.step()
 
     def _on_decide_msg(self, origin: str, mtype: str, body: dict) -> None:

@@ -25,22 +25,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
-from .consensus import Consensus
+from .consensus import _UNSET, Consensus
 
 __all__ = ["DeferredConsensus"]
-
-class _Unset:
-    """The estimate of a process that has not computed its value."""
-
-    __slots__ = ()
-
-    def __reduce__(self) -> str:
-        # Copies are the one instance: a duplicated packet's deep copy of
-        # an estimate must still read as unset in ``_choose_estimate``.
-        return "_UNSET"
-
-
-_UNSET = _Unset()
 
 
 class DeferredConsensus(Consensus):
@@ -69,14 +56,12 @@ class DeferredConsensus(Consensus):
         self.propose(instance, _UNSET)
 
     def _choose_estimate(self, instance: Any, estimates: List[Tuple[int, str, Any]]) -> Any:
-        concrete = [e for e in estimates if e[2] is not _UNSET]
-        if concrete:
-            return super()._choose_estimate(instance, concrete)
+        value = super()._choose_estimate(instance, estimates)
         compute = self._compute.get(instance)
-        if compute is None:
-            # No thunk registered (plain propose with _UNSET is not public
-            # API); fall back to the raw estimates.
-            return super()._choose_estimate(instance, estimates)
+        if value is not _UNSET or compute is None:
+            # No thunk yet: this process joined the instance before it
+            # proposed, and waits for a value as the base class does.
+            return value
         if instance not in self._computed:
             self.executions += 1
             self._computed[instance] = compute()

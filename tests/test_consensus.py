@@ -1,5 +1,6 @@
 """Tests for Chandra-Toueg consensus and the deferred-value variant."""
 
+import pytest
 from helpers import GroupHarness
 
 from repro.groupcomm import Consensus, DeferredConsensus
@@ -97,10 +98,73 @@ class TestRoundZeroFastPath:
         assert decided_at == {
             "n0": (2.0, "value-n0"), "n1": (3.0, "value-n0"), "n2": (3.0, "value-n0"),
         }
-        # Every process still moves on to round 1 once it has acked, and
-        # sends that round's estimate; only round 0's are gone.
         assert ("ct.propose", 0) in frames
         assert ("ct.estimate", 0) not in frames
+
+
+ROUND_FRAMES = ("ct.estimate", "ct.propose", "ct.reply")
+
+
+def consensus_frames(h):
+    """Record ``(src, inner type, body)`` of every round frame sent."""
+    frames = []
+    send = h.net.send
+
+    def recording(src, dst, type, payload=None, **kwargs):
+        if type == "rt.data" and payload["inner_type"] in ROUND_FRAMES:
+            frames.append((src, payload["inner_type"], payload["body"]))
+        return send(src, dst, type, payload=payload, **kwargs)
+
+    h.net.send = recording
+    return frames
+
+
+class TestNoRoundAfterAnAck:
+    """A process that acked a round waits for the decision, a suspicion of
+    the round's coordinator or a message of a later round."""
+
+    @pytest.mark.parametrize("members", [3, 5])
+    def test_fault_free_instances_decide_in_round_zero_without_estimates(self, members):
+        h = GroupHarness(members)
+        frames = consensus_frames(h)
+        decisions = {name: {} for name in h.names}
+        for name in h.names:
+            def on_decide(instance, value, n=name):
+                decisions[n][instance] = value
+            cons = Consensus(h.nodes[name], h.transports[name], h.names,
+                             h.detectors[name], on_decide, trace=h.trace)
+            for instance in range(10):
+                cons.propose(instance, f"{name}:{instance}")
+        h.run(until=500)
+        for name in h.names:
+            assert decisions[name] == {i: f"n0:{i}" for i in range(10)}
+        rounds = [(e.source, e.data["round"]) for e in h.trace if e.category == "consensus"]
+        assert sorted(rounds) == sorted((name, 0) for name in h.names for _ in range(10))
+        assert [kind for _src, kind, _body in frames if kind == "ct.estimate"] == []
+        # Round 0's proposal to each peer and each peer's reply: nothing more.
+        assert len(frames) == 10 * 2 * (members - 1)
+
+    @pytest.mark.parametrize("members", [3, 5])
+    def test_a_nack_in_round_zero_wakes_the_ackers(self, members):
+        # n1 suspects n0 wrongly from the start, so it nacks round 0 before
+        # n0's proposal reaches it, and its nack is in n0's majority of
+        # replies.  Every other member acked and waits.  Round 1 needs a
+        # majority of estimates; n0's own estimate to each member is
+        # what moves the ackers on (at n = 5, n0 and n1 are not a majority).
+        h = GroupHarness(members)
+        h.detectors["n1"].suspected.add("n0")
+        frames = consensus_frames(h)
+        cons, decisions = attach(h)
+        for name in h.names:
+            cons[name].propose("i", f"value-{name}")
+        h.run(until=500)
+        replies = {(src, body["ack"]) for src, kind, body in frames
+                   if kind == "ct.reply" and body["round"] == 0}
+        assert replies == {("n1", False)} | {(name, True) for name in h.names[2:]}
+        assert {name: decisions[name].get("i") for name in h.names} == {
+            name: "value-n0" for name in h.names
+        }
+        assert h.detectors["n1"].wrong_suspicions == 1
 
 
 class TestConsensusUnderFailures:
