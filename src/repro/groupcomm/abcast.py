@@ -14,7 +14,10 @@ Two classic implementations are provided:
 * :class:`ConsensusAtomicBroadcast` — the Chandra–Toueg reduction of
   atomic broadcast to a series of consensus instances on message batches.
   Tolerates a minority of crashes and unreliable failure detection; this is
-  the primitive behind active replication's failure transparency.
+  the primitive behind active replication's failure transparency.  Each
+  message is sent once to every member, except by round 0's coordinator:
+  its own messages ride in its proposals, and are sent to the others only
+  if a decision leaves them out.
 """
 
 from __future__ import annotations
@@ -121,15 +124,24 @@ class ConsensusAtomicBroadcast:
     comes from the decision broadcast, not from relaying the
     dissemination.
 
+    Round 0's coordinator (``group[0]``) sends no frame for its own
+    messages: the next proposal it makes carries them, and the members
+    join that instance when the proposal arrives.  Only if it applies a
+    decision for an instance it proposed in, and the decision leaves out
+    one of those messages (its round 0 failed), does it send that message
+    to every other member, once, as any other origin would.  Each batch
+    entry records whether a frame was sent for it, so a member expects a
+    frame only for an entry that has one.
+
     Tolerates crashes of any minority of the group, including mid-broadcast
     sender crashes, and works with the unreliable failure detector (wrong
     suspicions cost extra rounds, never safety).
 
     State is kept only for what is not settled yet: disseminated messages
     waiting to be ordered, decisions waiting for the ones before them, and
-    the uids ordered before their dissemination reached this node (until
-    it does; a uid whose crashed origin's frame to this node was lost
-    stays there).  No uid is in two decided batches — see
+    the uids ordered before the frame sent for them reached this node
+    (until it does; a uid whose crashed origin's frame to this node was
+    lost stays there).  No uid is in two decided batches — see
     :meth:`_on_decide` — so delivered uids need not be remembered.
     """
 
@@ -148,9 +160,14 @@ class ConsensusAtomicBroadcast:
         self.group = list(group)
         self.deliver = deliver
         self.trace = trace
-        self._unordered: Dict[str, Tuple[str, str, dict]] = {}
+        # uid -> (origin, mtype, body, spread): spread is False for the
+        # round-0 coordinator's own messages it has sent no frame for.
+        self._unordered: Dict[str, Tuple[str, str, dict, bool]] = {}
         # Ordered (and delivered) before their dissemination arrived here.
         self._delivered: Set[str] = set()
+        # The instance this node last proposed for, and the unsent uids
+        # its batch carried.
+        self._proposed: Tuple[int, List[str]] = (-1, [])
         self._delivered_count = 0
         self._decided = InOrder()   # decided batches, applied in instance order
         self._msg_type = f"{channel_prefix}.msg"
@@ -163,7 +180,10 @@ class ConsensusAtomicBroadcast:
     def abcast(self, mtype: str, **body: Any) -> str:
         """Atomically broadcast ``body`` to the group; returns the uid."""
         uid = f"{self.node.name}#{self.node.fresh_uid()}"
-        self.transport.send_to_group(self.group, self._msg_type, uid=uid, m=mtype, body=body)
+        # Round 0's coordinator keeps its own message: its next proposal
+        # carries it.
+        members = [self.node.name] if self.node.name == self.group[0] else self.group
+        self.transport.send_to_group(members, self._msg_type, uid=uid, m=mtype, body=body)
         return uid
 
     # -- stage 1: dissemination ------------------------------------------------
@@ -175,8 +195,16 @@ class ConsensusAtomicBroadcast:
             # sends one: this is the last this node hears of it.
             self._delivered.discard(uid)
             return
-        self._unordered[uid] = (origin, payload["m"], payload["body"])
+        spread = not origin == self.node.name == self.group[0]
+        self._unordered[uid] = (origin, payload["m"], payload["body"], spread)
         self._maybe_propose()
+
+    def _spread(self, uid: str) -> None:
+        """Send this node's unsent message to every other member."""
+        origin, mtype, body, _ = self._unordered[uid]
+        self._unordered[uid] = (origin, mtype, body, True)
+        others = [member for member in self.group if member != self.node.name]
+        self.transport.send_to_group(others, self._msg_type, uid=uid, m=mtype, body=body)
 
     # -- stage 2: ordering -------------------------------------------------------
 
@@ -185,10 +213,8 @@ class ConsensusAtomicBroadcast:
         instance = self._decided.claim() if self._unordered else None
         if instance is None:
             return
-        batch = [
-            [uid, origin, mtype, body]
-            for uid, (origin, mtype, body) in sorted(self._unordered.items())
-        ]
+        batch = [[uid, *entry] for uid, entry in sorted(self._unordered.items())]
+        self._proposed = (instance, [uid for uid, *_, spread in batch if not spread])
         self._consensus.propose(instance, batch)
 
     def _on_decide(self, instance: int, batch: list) -> None:
@@ -202,16 +228,25 @@ class ConsensusAtomicBroadcast:
         dissemination out of it).
         """
         for ready in self._decided.put(instance, batch):
-            for uid, origin, mtype, body in ready:
-                if self._unordered.pop(uid, None) is None:
+            position = self._decided.next - 1
+            for uid, origin, mtype, body, spread in ready:
+                if self._unordered.pop(uid, None) is None and spread:
                     self._delivered.add(uid)
                 self._delivered_count += 1
                 if self.trace is not None:
                     self.trace.record(
                         "abcast", self.node.name,
-                        instance=self._decided.next - 1, uid=uid, mtype=mtype,
+                        instance=position, uid=uid, mtype=mtype,
                     )
                 self.deliver(origin, mtype, body)
+            proposed, unsent = self._proposed
+            if proposed == position:
+                # The decision left out messages only this node's
+                # proposal carried: send them now, for any member to
+                # propose.
+                for uid in unsent:
+                    if uid in self._unordered:
+                        self._spread(uid)
         self._maybe_propose()
 
     def __repr__(self) -> str:

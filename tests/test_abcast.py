@@ -188,7 +188,8 @@ def dissemination_frames(h):
 
 class TestConsensusAbcastDissemination:
     """One send per member, no relay: atomicity comes from the decision's
-    reliable broadcast, which carries every body of the batch."""
+    reliable broadcast, which carries every body of the batch.  Round 0's
+    coordinator sends none: its proposal carries its messages."""
 
     @pytest.mark.parametrize("members", [3, 5])
     def test_each_abcast_puts_n_minus_one_frames_on_the_wire(self, members):
@@ -198,8 +199,9 @@ class TestConsensusAbcastDissemination:
         for i in range(2 * members):
             ab[h.names[i % members]].abcast("op", tag=i)
         h.run(until=500)
-        assert len(frames) == 2 * members * (members - 1)
-        for name in h.names:
+        assert len(frames) == 2 * (members - 1) * (members - 1)
+        assert [dst for src, dst in frames if src == "n0"] == []
+        for name in h.names[1:]:
             sent = sorted(dst for src, dst in frames if src == name)
             assert sent == sorted(2 * [peer for peer in h.names if peer != name])
         got = orders(h)
@@ -230,6 +232,27 @@ class TestConsensusAbcastDissemination:
             # Ordered from the decision; its frame will never come, so the
             # uid stays in the set of uids ordered ahead of their frame.
             assert ab[missed]._delivered == {doomed}
+
+
+    def test_coordinator_spreads_its_message_once_its_round_zero_is_lost(self):
+        # n0 is cut off until 20.  n1 and n2 suspect it, wrongly, and decide
+        # instance 0 in round 1 without n0's message, which only n0's
+        # round-0 proposal carried.  Applying that decision, n0 sends the
+        # message to the others, and instance 1 orders it.
+        h = GroupHarness(3, fd_interval=2.0, fd_timeout=6.0)
+        frames = dissemination_frames(h)
+        ab = attach_ct(h)
+        h.net.partition(["n0"], ["n1", "n2"])
+        ab["n0"].abcast("op", tag="mine")
+        ab["n1"].abcast("op", tag="theirs")
+        h.sim.schedule_at(20.0, h.net.heal)
+        h.run(until=500)
+        assert orders(h) == {name: ["theirs", "mine"] for name in h.names}
+        assert {dst for src, dst in frames if src == "n0"} == {"n1", "n2"}
+        assert h.detectors["n1"].wrong_suspicions + h.detectors["n2"].wrong_suspicions == 2
+        for name in h.names:
+            assert ab[name]._delivered == set(), name
+            assert ab[name]._unordered == {}, name
 
 
 class TestConsensusAbcastRetention:
