@@ -16,13 +16,17 @@ serve an interactive session (Section 5), one client round trip a step.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Deque, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 from ...db import TransactionManager, TransactionUpdates, UpdateRecord
 from ...db.storage import DataStore
 from ...errors import NodeCrashed, TransactionAborted
 from ...net import Message
+from ...sim import Timer
 from ..operations import Operation, Request, apply_update
 from ..phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseTracer
 from ..sessions import ABORT as S_ABORT, BEGIN as S_BEGIN, COMMIT as S_COMMIT, OP as S_OP
@@ -418,8 +422,13 @@ class ReplicaProtocol:
 class InjectingProtocol(ReplicaProtocol):
     """Active and semi-active: client requests, sent to every replica, are
     ordered through ``self.abcast``, which the subclass builds.  The lowest
-    unsuspected replica injects them; the others arm a fallback timer, and
-    the subclass has ``_inject_all_pending`` run on every suspicion."""
+    unsuspected replica injects them; the others arm a fallback, and the
+    subclass has ``_inject_all_pending`` run on every suspicion.
+
+    Fallbacks fall due in arrival order, so a replica keeps them in one
+    queue with one timer, not one timer per request.  The timer waits for
+    the oldest request still not ordered; the ordered ones before it are
+    dropped when it fires."""
 
     # How long a non-injector waits before injecting a client request
     # itself.
@@ -428,6 +437,8 @@ class InjectingProtocol(ReplicaProtocol):
     def __init__(self, replica: "ReplicaNode", group: List[str], spec: "RunSpec") -> None:
         super().__init__(replica, group, spec)
         self._awaiting_order: Dict[str, tuple] = {}  # rid -> (request, client)
+        self._fallbacks: Deque[Tuple[float, str]] = deque()  # (due, rid), oldest first
+        self._fallback_timer: Optional[Timer] = None
 
     def handle_request(self, request: Request, client: str) -> None:
         self._await_order(request, client)
@@ -439,10 +450,33 @@ class InjectingProtocol(ReplicaProtocol):
         self._awaiting_order[rid] = (request, client)
         if self._am_injector():
             self._inject(rid)
-        else:
-            self.replica.node.after(
-                InjectingProtocol.INJECT_FALLBACK, self._inject_if_pending, rid
-            )
+            return
+        node = self.replica.node
+        self._fallbacks.append((node.sim.now + InjectingProtocol.INJECT_FALLBACK, rid))
+        if self._fallback_timer is None:
+            self._fallback_timer = node.after(InjectingProtocol.INJECT_FALLBACK, self._on_fallback)
+
+    def _on_fallback(self) -> None:
+        """Inject every request whose fallback is due and that is still not
+        ordered, drop the ordered ones queued before the first that is
+        not due, and wait for that one."""
+        node, fallbacks = self.replica.node, self._fallbacks
+        now = node.sim.now
+        while fallbacks:
+            due, rid = fallbacks[0]
+            if rid in self._awaiting_order:
+                if due > now:
+                    break
+                self._inject(rid)
+            fallbacks.popleft()
+        self._fallback_timer = (
+            node.after(fallbacks[0][0] - now, self._on_fallback) if fallbacks else None
+        )
+
+    def on_crash(self) -> None:
+        # The crash cancelled the timer, and with it every fallback armed.
+        self._fallbacks.clear()
+        self._fallback_timer = None
 
     def _am_injector(self) -> bool:
         return self.replica.detector.trusted(self.group)[0] == self.replica.name
