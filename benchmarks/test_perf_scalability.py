@@ -15,21 +15,30 @@ from repro.workload import WorkloadSpec, run_workload
 
 SPEC = WorkloadSpec(items=16, read_fraction=0.0, ops_per_transaction=1)
 SIZES = [2, 3, 5, 7]
-TECHNIQUES = ["eager_primary", "eager_ue_locking", "lazy_primary", "active"]
+# (row, technique, ABCAST): every technique on the sequencer ABCAST, and
+# active replication on the consensus ABCAST too.
+RUNS = [
+    ("eager_primary", "eager_primary", "sequencer"),
+    ("eager_ue_locking", "eager_ue_locking", "sequencer"),
+    ("lazy_primary", "lazy_primary", "sequencer"),
+    ("active", "active", "sequencer"),
+    ("active (consensus)", "active", "consensus"),
+]
+TECHNIQUES = [row for row, _name, _abcast in RUNS]
 
 
 def sweep():
     table = {}
-    for name in TECHNIQUES:
+    for row, name, abcast in RUNS:
         for n in SIZES:
             system, driver, summary = run_workload(
-                RunSpec(name, replicas=n, clients=1, seed=5, abcast="sequencer"),
+                RunSpec(name, replicas=n, clients=1, seed=5, abcast=abcast),
                 SPEC,
                 requests_per_client=8,
                 think_time=15.0,
                 settle=300.0,
             )
-            table[(name, n)] = (
+            table[(row, n)] = (
                 summary.latency.mean,
                 messages_per_request(system.net.stats, summary.requests),
             )
