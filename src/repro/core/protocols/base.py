@@ -26,7 +26,6 @@ from ...db import TransactionManager, TransactionUpdates, UpdateRecord
 from ...db.storage import DataStore
 from ...errors import NodeCrashed, TransactionAborted
 from ...net import Message
-from ...sim import Timer
 from ..operations import Operation, Request, apply_update
 from ..phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseTracer
 from ..sessions import ABORT as S_ABORT, BEGIN as S_BEGIN, COMMIT as S_COMMIT, OP as S_OP
@@ -437,8 +436,8 @@ class InjectingProtocol(ReplicaProtocol):
     def __init__(self, replica: "ReplicaNode", group: List[str], spec: "RunSpec") -> None:
         super().__init__(replica, group, spec)
         self._awaiting_order: Dict[str, tuple] = {}  # rid -> (request, client)
-        self._fallbacks: Deque[Tuple[float, str]] = deque()  # (due, rid), oldest first
-        self._fallback_timer: Optional[Timer] = None
+        # (due, rid), oldest first; the one timer is armed while it is not empty
+        self._fallbacks: Deque[Tuple[float, str]] = deque()
 
     def handle_request(self, request: Request, client: str) -> None:
         self._await_order(request, client)
@@ -451,10 +450,10 @@ class InjectingProtocol(ReplicaProtocol):
         if self._am_injector():
             self._inject(rid)
             return
-        node = self.replica.node
-        self._fallbacks.append((node.sim.now + InjectingProtocol.INJECT_FALLBACK, rid))
-        if self._fallback_timer is None:
-            self._fallback_timer = node.after(InjectingProtocol.INJECT_FALLBACK, self._on_fallback)
+        node, fallbacks = self.replica.node, self._fallbacks
+        fallbacks.append((node.sim.now + InjectingProtocol.INJECT_FALLBACK, rid))
+        if len(fallbacks) == 1:
+            node.after(InjectingProtocol.INJECT_FALLBACK, self._on_fallback)
 
     def _on_fallback(self) -> None:
         """Inject every request whose fallback is due and that is still not
@@ -469,14 +468,12 @@ class InjectingProtocol(ReplicaProtocol):
                     break
                 self._inject(rid)
             fallbacks.popleft()
-        self._fallback_timer = (
-            node.after(fallbacks[0][0] - now, self._on_fallback) if fallbacks else None
-        )
+        if fallbacks:
+            node.after(fallbacks[0][0] - now, self._on_fallback)
 
     def on_crash(self) -> None:
         # The crash cancelled the timer, and with it every fallback armed.
         self._fallbacks.clear()
-        self._fallback_timer = None
 
     def _am_injector(self) -> bool:
         return self.replica.detector.trusted(self.group)[0] == self.replica.name

@@ -398,7 +398,7 @@ class Consensus:
             return
         r = payload["round"]
         state.estimates.setdefault(r, []).append((payload["ts"], src, payload["value"]))
-        self._heard(instance, state, r, _ESTIMATES, join=True)
+        self._arrived(instance, state, r, _ESTIMATES, join=True)
 
     def _on_propose(self, src: str, payload: dict) -> None:
         instance = payload["instance"]
@@ -407,7 +407,7 @@ class Consensus:
             return
         r = payload["round"]
         state.proposals[r] = payload["value"]
-        self._heard(instance, state, r, _PROPOSAL, join=True)
+        self._arrived(instance, state, r, _PROPOSAL, join=True)
 
     def _on_reply(self, src: str, payload: dict) -> None:
         instance = payload["instance"]
@@ -416,9 +416,9 @@ class Consensus:
             return
         r = payload["round"]
         state.replies.setdefault(r, []).append(payload["ack"])
-        self._heard(instance, state, r, _REPLIES, join=False)
+        self._arrived(instance, state, r, _REPLIES, join=False)
 
-    def _heard(self, instance: Any, state: _Instance, r: int, stage: int, join: bool) -> None:
+    def _arrived(self, instance: Any, state: _Instance, r: int, stage: int, join: bool) -> None:
         """Step the instance if round ``r``'s message of the kind ``stage``
         waits for moves it on; an estimate or a proposal for an instance
         this process has not proposed for makes it join, with an unset
