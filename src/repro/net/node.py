@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from types import GeneratorType
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..errors import NodeCrashed, SimulationError
@@ -180,7 +181,9 @@ class Node:
         runs interleave identically.
         """
         obs = self.network.obs
-        if obs is not None and isinstance(generator, Generator):
+        if obs is not None and (
+            type(generator) is GeneratorType or isinstance(generator, Generator)
+        ):
             span = obs.tracer.current
             if span is not None:
                 generator = _with_span_context(obs.tracer, span, generator)
@@ -192,26 +195,28 @@ class Node:
             self._processes_watermark = max(64, 2 * len(self._processes))
         return process
 
-    def bind(self, callback: Callable[..., None], *args: Any) -> Callable[[], None]:
-        """``callback(*args)`` as a call that runs under the span current now.
+    def bind(self, callback: Callable[..., None], *args: Any) -> Callable[..., None]:
+        """``callback(*args, *more)`` as a call that runs under the span
+        current now (``more`` are the arguments of the call).
 
         The counterpart of :meth:`spawn`'s span re-push for a protocol
         whose steps later messages, timers and suspicions drive: under
         observation each call pushes the span that was current when it
         was bound, so what the step sends stays in the request's causal
         tree.  With no span current, the call runs under whatever span
-        its caller has open, as an unwrapped process would.
+        its caller has open, as an unwrapped process would; with no
+        arguments bound either, ``callback`` itself is returned.
         """
         obs = self.network.obs
         span = obs.tracer.current if obs is not None else None
         if span is None:
-            return functools.partial(callback, *args)
+            return functools.partial(callback, *args) if args else callback
         tracer = obs.tracer
 
-        def bound() -> None:
+        def bound(*more: Any) -> None:
             tracer.push(span)
             try:
-                callback(*args)
+                callback(*args, *more)
             finally:
                 tracer.pop()
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 import heapq
 import random
 import zlib
+from types import GeneratorType
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from ..errors import Cancelled, ProcessInterrupted, SimulationError
@@ -70,10 +71,12 @@ class Timer:
     already-cancelled timer is a harmless no-op, which keeps timeout
     bookkeeping in protocols simple.  Cancellation is lazy: the heap entry
     stays queued but is counted by the simulator, which compacts the queue
-    once dead entries outnumber live ones.
+    once dead entries outnumber live ones.  ``cancelled`` is a plain slot,
+    true once the timer has fired or been cancelled: the event loop reads
+    it once per event and fires only a timer that reads false.
     """
 
-    __slots__ = ("time", "_callback", "_args", "_cancelled", "_sim")
+    __slots__ = ("time", "_callback", "_args", "cancelled", "_sim")
 
     def __init__(
         self,
@@ -85,28 +88,24 @@ class Timer:
         self.time = time
         self._callback = callback
         self._args = args
-        self._cancelled = False
+        self.cancelled = False
         # Back-reference for dead-entry accounting; cleared on fire/cancel
         # so a queued timer is exactly one with a live back-reference.
         self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
-        if not self._cancelled:
-            self._cancelled = True
+        if not self.cancelled:
+            self.cancelled = True
             sim, self._sim = self._sim, None
             if sim is not None:
                 sim._note_dead()
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
     def _fire(self) -> None:
-        if not self._cancelled:
-            self._cancelled = True  # a timer fires at most once
-            self._sim = None
-            self._callback(*self._args)
+        # Called by the event loop only, which skips a cancelled timer.
+        self.cancelled = True  # a timer fires at most once
+        self._sim = None
+        self._callback(*self._args)
 
 
 class Future:
@@ -558,7 +557,7 @@ class Simulator:
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from ``generator`` and return its handle."""
-        if not isinstance(generator, Generator):
+        if type(generator) is not GeneratorType and not isinstance(generator, Generator):
             raise SimulationError(
                 f"spawn expects a generator, got {type(generator).__name__}; "
                 "did you forget to call the process function?"
