@@ -37,6 +37,7 @@ from typing import Dict, List
 from ...db import READ, WRITE, TwoPhaseCoordinator, TwoPhaseParticipant
 from ...errors import NodeCrashed, TransactionAborted
 from ...net import Message
+from ...sim import Future
 from ..operations import Operation, Request, apply_update
 from ..phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseStep
 from .base import ProtocolInfo, ReplicaProtocol, undecided_elsewhere
@@ -306,21 +307,28 @@ class EagerUpdateEverywhereLocking(ReplicaProtocol):
     # -- participant side ---------------------------------------------------------
 
     def _on_lock_request(self, message: Message) -> None:
-        self.replica.node.spawn(
-            self._grant_lock(message), name=f"ueld-lock-{message['txn']}"
-        )
+        # One event from now, where a spawned process would start, and
+        # under this handler's span; a crash cancels the step before it
+        # runs, as it would interrupt the process.
+        node = self.replica.node
+        node.after(0.0, node.bind(self._grant_lock), message)
 
-    def _grant_lock(self, message: Message):
-        item = message["item"]
-        try:
-            yield self.tm.locks.acquire(
-                message["txn"], item, message["mode"], timeout=LOCK_TIMEOUT
-            )
-        except TransactionAborted as exc:
-            self.replica.node.reply(message, granted=False, reason=str(exc))
+    def _grant_lock(self, message: Message) -> None:
+        """Ask for the lock; the reply leaves when the lock future resolves
+        (at once when the lock is free).  A crash resets the lock table,
+        so a request queued then is never resolved and never answered."""
+        future = self.tm.locks.acquire(
+            message["txn"], message["item"], message["mode"], timeout=LOCK_TIMEOUT
+        )
+        future.add_callback(self.replica.node.bind(self._answer_lock, message))
+
+    def _answer_lock(self, message: Message, future: Future) -> None:
+        if future.failed:
+            self.replica.node.reply(message, granted=False, reason=str(future.exception))
             return
         # Piggyback this copy's version and value: the delegate derives the
         # current state from the highest-versioned quorum member.
+        item = message["item"]
         self.replica.node.reply(
             message, granted=True, site=self.replica.name,
             version=self.store.version(item), value=self.store.read(item),

@@ -16,7 +16,8 @@ Message loss, however, must not look like a coordinator crash: a dropped
 DECISION would otherwise leave one participant holding locks (and a stale
 store) forever while everyone else committed.  Participants therefore run
 the classic termination protocol — an in-doubt participant periodically
-asks the coordinator for the outcome (``2pc.status``).  The coordinator
+asks the coordinator for the outcome (``2pc.status``), the first time
+``DECISION_TIMEOUT`` after its yes vote.  The coordinator
 journals every decision in the same simulated event as the first decision
 send, so a journal miss (``known=False``) only ever means the round is
 still in flight and a real DECISION is coming; the participant keeps
@@ -27,7 +28,8 @@ behaviour the paper ascribes to 2PC.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import NodeCrashed
 from ..net import Message, Node
@@ -135,6 +137,12 @@ class TwoPhaseParticipant:
     primary); voting yes puts the transaction *in doubt* until the
     decision arrives.  ``on_decision(txn_id, commit)`` applies the
     outcome.
+
+    Watches fall due in vote order, so a participant keeps them in one
+    queue with one timer, not one process per vote.  The timer waits for
+    the oldest transaction still in doubt; the decided ones before it are
+    dropped when it fires, and one still in doubt at its due instant is
+    chased by a termination process started then.
     """
 
     def __init__(
@@ -150,41 +158,70 @@ class TwoPhaseParticipant:
         self.trace = trace
         self.in_doubt: Dict[Any, float] = {}
         self.terminations = 0
+        # (due, txn, chase), oldest first; the one timer is armed while it
+        # is not empty.  A crash cancels the timer, as it interrupted the
+        # processes that once slept here, so a restart drops the queue.
+        self._watches: Deque[Tuple[float, Any, Callable[[], None]]] = deque()
         node.on(PREPARE, self._on_prepare_msg)
         node.on(DECISION, self._on_decision_msg)
+        node.add_recover_hook(self._watches.clear)
 
     def _on_prepare_msg(self, message: Message) -> None:
         txn_id = message["txn"]
         vote = bool(self.on_prepare(txn_id, message.src))
         if vote and txn_id not in self.in_doubt:
-            self.in_doubt[txn_id] = self.node.sim.now
-            self.node.spawn(
-                self._terminate(txn_id, message.src),
-                name=f"2pc-indoubt-{txn_id}",
-            )
+            node, watches = self.node, self._watches
+            self.in_doubt[txn_id] = node.sim.now
+            # The chase runs under this handler's span.
+            chase = node.bind(self._chase, txn_id, message.src)
+            watches.append((node.sim.now + DECISION_TIMEOUT, txn_id, chase))
+            if len(watches) == 1:
+                node.after(DECISION_TIMEOUT, self._on_watch)
         self.node.reply(message, vote=vote)
+
+    def _on_watch(self) -> None:
+        """Chase every transaction whose watch is due and that is still in
+        doubt, drop the decided ones queued before the first that is not
+        due, and wait for that one."""
+        node, watches = self.node, self._watches
+        now = node.sim.now
+        while watches:
+            due, txn_id, chase = watches[0]
+            if txn_id in self.in_doubt:
+                if due > now:
+                    break
+                chase()
+            watches.popleft()
+        if watches:
+            node.after(watches[0][0] - now, self._on_watch)
+
+    def _chase(self, txn_id: Any, coordinator: str) -> None:
+        self.node.spawn(
+            self._terminate(txn_id, coordinator), name=f"2pc-indoubt-{txn_id}"
+        )
 
     def _terminate(self, txn_id: Any, coordinator: str):
         """Cooperative termination: chase a decision that never arrived.
 
-        Wakes periodically while ``txn_id`` is in doubt and asks the
-        coordinator's decision journal.  A dead coordinator doesn't answer
-        (the call times out) and the participant stays blocked — only
-        *message loss* is repaired here, not coordinator failure.
+        Started once ``txn_id`` has been in doubt for ``DECISION_TIMEOUT``:
+        asks the coordinator's decision journal at once, then again every
+        ``DECISION_TIMEOUT`` while the transaction stays in doubt.  A dead
+        coordinator doesn't answer (the call times out) and the
+        participant stays blocked — only *message loss* is repaired here,
+        not coordinator failure.
         """
         sim = self.node.sim
-        while txn_id in self.in_doubt:
-            yield sim.timeout(DECISION_TIMEOUT)
-            if txn_id not in self.in_doubt:
-                return
+        while True:
             try:
                 reply = yield self.node.call(
                     coordinator, STATUS, timeout=DECISION_TIMEOUT,
                     txn=txn_id,
                 )
             except (TimeoutError, NodeCrashed):
-                continue
-            if reply["known"] and txn_id in self.in_doubt:
+                reply = None
+            if txn_id not in self.in_doubt:
+                return
+            if reply is not None and reply["known"]:
                 self.terminations += 1
                 if self.trace is not None:
                     self.trace.record(
@@ -194,6 +231,9 @@ class TwoPhaseParticipant:
                     )
                 self.in_doubt.pop(txn_id, None)
                 self.on_decision(txn_id, reply["commit"])
+                return
+            yield sim.timeout(DECISION_TIMEOUT)
+            if txn_id not in self.in_doubt:
                 return
 
     def _on_decision_msg(self, message: Message) -> None:
