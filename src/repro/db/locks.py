@@ -24,6 +24,14 @@ Those edges come in a fixed order and held items are released in grant
 order, so which waiter resumes first and which cycle is found do not depend
 on ``PYTHONHASHSEED``.
 
+Most blocked acquires need no search at all.  A cycle through the
+requester needs an edge into it, and there is none when it holds nothing
+here and the new request is its only queued one (nothing queues behind
+the last request of a queue).  The search would then only find a cycle
+left over from before, and one flag, ``_acyclic``, says there is none:
+it is cleared wherever a cycle may survive or close without a search,
+and set again once nothing waits.
+
 The table is re-entrant: resolving a future runs its callbacks inline, so
 granting or failing a request resumes its process *inside* the manager and
 that process comes straight back into ``acquire`` / ``release_all``.  One
@@ -87,6 +95,9 @@ class LockManager:
         self._arrivals = itertools.count(1)
         self.deadlocks_detected = 0
         self.timeouts = 0
+        # True only while the wait-for graph has no cycle (see the module
+        # docstring); False means "may have one".
+        self._acyclic = True
 
     # -- acquisition ---------------------------------------------------------
 
@@ -106,7 +117,12 @@ class LockManager:
             self.obs.on_lock_acquire(self.name, txn, item, mode)
         self._ages.setdefault(txn, next(self._arrivals))
         future = self.sim.future(label=f"lock:{item}:{mode}:{txn}")
-        if self._can_grant(txn, item, mode, self._queues.get(item, ())):
+        queue = self._queues.get(item, ())
+        if self._can_grant(txn, item, mode, queue):
+            if queue:
+                # An upgrade jumps the queue and adds edges into ``txn``
+                # with no search to see whether they close a cycle.
+                self._acyclic = False
             self._grant(txn, item, mode)
             if self.obs is not None:
                 self.obs.on_lock_granted(None, 0.0)
@@ -120,13 +136,21 @@ class LockManager:
             request.timer = self.sim.schedule(timeout, self._expire, request)
         # The single enqueue point: queue and wait index change together.
         self._queues.setdefault(item, []).append(request)
-        self._waiting.setdefault(txn, []).append(request)
+        mine = self._waiting.setdefault(txn, [])
+        mine.append(request)
+        if self._acyclic and len(mine) == 1 and txn not in self._held_by_txn:
+            return future  # nothing waits for txn: no cycle can close
         cycle = self._find_cycle(txn)
         if cycle:
             self.deadlocks_detected += 1
             if self.obs is not None:
                 self.obs.on_deadlock()
-            self._abort_waiting(max(cycle, key=lambda t: self._ages.get(t, 0)))
+            victim = max(cycle, key=lambda t: self._ages.get(t, 0))
+            if victim != txn:
+                # Aborting the victim breaks the cycle found; another one
+                # through txn may survive.
+                self._acyclic = False
+            self._abort_waiting(victim)
         return future
 
     def _can_grant(self, txn: object, item: str, mode: str, ahead=()) -> bool:
@@ -174,6 +198,8 @@ class LockManager:
         mine.remove(request)
         if not mine:
             del self._waiting[request.txn]
+            if not self._waiting:
+                self._acyclic = True  # nothing waits: no edges at all
         queue = self._queues[request.item]
         queue.remove(request)
         if not queue:
@@ -231,6 +257,7 @@ class LockManager:
         self._held_by_txn.clear()
         self._ages.clear()
         self._grant_times.clear()
+        self._acyclic = True
 
     def _wake(self, item: str) -> None:
         """Grant from the head of ``item``'s queue for as long as it can be."""

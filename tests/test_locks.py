@@ -283,6 +283,62 @@ class TestReentrancy:
         assert lm.waiting_count() == 0 and lm.holds("old", "y", WRITE)
 
 
+class TestSkippedSearch:
+    """``acquire`` skips the deadlock search only where no cycle can be
+    reached; these schedules leave a cycle behind that no search saw, so
+    the next blocked acquire of a fresh transaction must search."""
+
+    def test_cycle_closed_by_an_upgrade_is_found_by_the_next_wait(self, sim, lm):
+        """An upgrade granted at once, inside the wake that granted its
+        read, makes the reader queued behind wait for the upgrader."""
+        upgrades = []
+        lm.acquire("t0", "x", WRITE)
+        lm.acquire("t2", "y", WRITE)
+        read = lm.acquire("t1", "x", READ)                # behind t0
+        read.add_callback(
+            lambda _f: upgrades.append(lm.acquire("t1", "x", WRITE))
+        )
+        behind = lm.acquire("t2", "x", READ)              # behind t1's read
+        blocked = lm.acquire("t1", "y", WRITE)            # t1 -> t2
+        lm.release_all("t0")                              # t2 -> t1 closes it
+        (upgrade,) = upgrades
+        assert granted(upgrade) and not behind.done and lm.deadlocks_detected == 0
+        lm.acquire("t3", "x", WRITE)                      # t3 -> t1 -> t2 -> t1
+        assert lm.deadlocks_detected == 1 and blocked.failed
+
+    def test_cycle_left_by_another_victim_is_found_by_the_next_wait(self, sim, lm):
+        """The requester closes two cycles; the search breaks the first by
+        aborting a younger transaction, and the second survives."""
+        lm.acquire("old", "p", WRITE)
+        lm.acquire("old", "q", WRITE)
+        lm.acquire("a", "x", READ)
+        lm.acquire("b", "x", READ)
+        a_wait = lm.acquire("a", "p", WRITE)
+        b_wait = lm.acquire("b", "q", WRITE)
+        lm.acquire("old", "x", WRITE)                     # old <-> a, old <-> b
+        assert lm.deadlocks_detected == 1 and a_wait.failed and not b_wait.done
+        lm.acquire("new", "p", WRITE)                     # new -> old <-> b
+        assert lm.deadlocks_detected == 2 and b_wait.failed
+
+    def test_fresh_waits_skip_the_search(self, sim, lm):
+        """A transaction that holds nothing here and waits for the first
+        time runs no search, also behind a queue; one that holds a lock
+        or waits already does."""
+        searches = []
+        real_search = lm._find_cycle
+        lm._find_cycle = lambda start: searches.append(start) or real_search(start)
+        lm.acquire("t0", "x", WRITE)
+        for txn in ("t1", "t2", "t3"):
+            lm.acquire(txn, "x", WRITE)
+        assert searches == [] and lm.waiting_count("x") == 3
+        lm.acquire("t4", "y", WRITE)
+        lm.acquire("t4", "x", WRITE)                      # t4 holds y
+        lm.acquire("t5", "z", READ)
+        lm.acquire("t6", "z", WRITE)                      # fresh
+        lm.acquire("t6", "y", WRITE)                      # t6 waits already
+        assert searches == ["t4", "t6"] and lm.deadlocks_detected == 0
+
+
 class TestDeterministicOrder:
     """Nothing the table decides may depend on ``PYTHONHASHSEED``."""
 
@@ -435,22 +491,51 @@ class ScriptRunner:
             for txn, (release_on_abort, follow_ups) in reactions.items()
         }
         self.pending: Dict[str, list] = {}   # futures release has not dropped
+        # Per search, the youngest transaction on the cycle it found (None
+        # for no cycle); and every deadlock victim.  Both in order.
+        self.youngest: List[Optional[object]] = []
+        self.victims: List[object] = []
         real_search = self.lm._find_cycle
+        real_abort = self.lm._abort_waiting
 
         def checked_search(start):
             found = real_search(start)
             expected = reference_find_cycle(self.lm, start)
             assert (found is None) == (expected is None), (found, expected)
+            youngest = None
             if found is not None:
                 graph = reference_wait_for_graph(self.lm)
                 for here, there in zip(found, found[1:] + found[:1]):
                     assert there in graph[here], (found, graph)
+                youngest = max(found, key=lambda t: self.lm._ages.get(t, 0))
+            self.youngest.append(youngest)
             return found
 
+        def recorded_abort(victim):
+            self.victims.append(victim)
+            real_abort(victim)
+
         self.lm._find_cycle = checked_search
+        self.lm._abort_waiting = recorded_abort
 
     def acquire(self, txn, item, mode, timeout=None) -> None:
+        """One acquire, checked against the oracle at the moment its search
+        would run: a queued request that skips the search must close no
+        cycle the oracle can reach, and one that searches must abort the
+        youngest transaction on the (oracle-checked) cycle it finds."""
+        searches, victims = len(self.youngest), len(self.victims)
         future = self.lm.acquire(txn, item, mode, timeout=timeout)
+        if len(self.youngest) == searches:
+            if not future.done:  # queued, and nothing ran inside acquire
+                expected = reference_find_cycle(self.lm, txn)
+                assert expected is None, f"{txn} skipped the search: {expected}"
+        else:
+            # This acquire's search and abort come before any nested ones.
+            youngest = self.youngest[searches]
+            if youngest is None:
+                assert len(self.victims) == victims
+            else:
+                assert self.victims[victims] == youngest, (youngest, self.victims)
         self.pending.setdefault(txn, []).append(future)
         future.add_callback(lambda f: self.react(txn, item, f))
 
