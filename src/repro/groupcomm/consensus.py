@@ -286,7 +286,10 @@ class Consensus:
                     state.estimate = state.proposals[r]
                     state.estimate_ts = r
                 elif not self.detector.is_suspected(coordinator):
-                    self._watch(state, coordinator)
+                    # A coordinator waits for its own proposal, one event
+                    # away, with no watch: it never suspects itself.
+                    if coordinator != self.node.name:
+                        self._watch(state, coordinator)
                     return
                 if state.reply_sent < r:
                     state.reply_sent = r

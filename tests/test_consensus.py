@@ -317,6 +317,29 @@ class TestSuspicionListeners:
             assert len(decisions[name]) == 200
             assert len(h.detectors[name]._suspect_listeners) == registered[name]
 
+    def test_a_coordinator_does_not_watch_itself(self):
+        """A coordinator waits for its own proposal without a detector
+        listener: it never suspects itself, so one could never fire.  The
+        other members still watch it."""
+        h = GroupHarness(3)
+        watches = {name: 0 for name in h.names}
+        for name in h.names:
+            detector = h.detectors[name]
+
+            def counting(listener, real=detector.on_suspect, n=name):
+                watches[n] += 1
+                real(listener)
+
+            detector.on_suspect = counting
+        cons, decisions = attach(h)
+        for instance in range(10):
+            for name in h.names:
+                cons[name].propose(instance, f"{name}:{instance}")
+        h.run(until=500)
+        assert all(len(decisions[name]) == 10 for name in h.names)
+        assert watches["n0"] == 0
+        assert watches["n1"] > 0 and watches["n2"] > 0
+
 
 class TestDecidedInstancesForgotten:
     def test_only_undecided_instances_are_kept(self):
