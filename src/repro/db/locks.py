@@ -29,8 +29,8 @@ requester needs an edge into it, and there is none when it holds nothing
 here and the new request is its only queued one (nothing queues behind
 the last request of a queue).  The search would then only find a cycle
 left over from before, and one flag, ``_acyclic``, says there is none:
-it is cleared wherever a cycle may survive or close without a search,
-and set again once nothing waits.
+it is cleared wherever a cycle may survive, close or be seen without a
+search, and set again once nothing waits.
 
 The table is re-entrant: resolving a future runs its callbacks inline, so
 granting or failing a request resumes its process *inside* the manager and
@@ -146,9 +146,11 @@ class LockManager:
             if self.obs is not None:
                 self.obs.on_deadlock()
             victim = max(cycle, key=lambda t: self._ages.get(t, 0))
-            if victim != txn:
-                # Aborting the victim breaks the cycle found; another one
-                # through txn may survive.
+            if victim != txn or len(mine) > 1:
+                # Aborting another victim breaks the cycle found; another
+                # one through txn may survive.  And while the abort fails
+                # txn's first request, its others still close the cycle
+                # for any acquire the resumed processes make.
                 self._acyclic = False
             self._abort_waiting(victim)
         return future

@@ -320,6 +320,21 @@ class TestSkippedSearch:
         lm.acquire("new", "p", WRITE)                     # new -> old <-> b
         assert lm.deadlocks_detected == 2 and b_wait.failed
 
+    def test_cycle_still_closed_while_the_requester_is_aborted(self, sim, lm):
+        """The requester is the victim and has two queued requests: while
+        the abort fails the first, the second still closes the cycle, and
+        a fresh wait made from the failure's callback must find it."""
+        lm.acquire("y", "b", WRITE)
+        lm.acquire("x", "a", WRITE)
+        lm.acquire("r", "c", WRITE)
+        lm.acquire("y", "c", WRITE)                       # y -> r
+        first = lm.acquire("r", "a", WRITE)               # r -> x
+        fresh = []
+        first.add_callback(lambda _f: fresh.append(lm.acquire("f", "b", WRITE)))
+        second = lm.acquire("r", "b", WRITE)              # r <-> y; r dies
+        assert first.failed and second.failed and not fresh[0].done
+        assert lm.deadlocks_detected == 2                 # found again from f
+
     def test_fresh_waits_skip_the_search(self, sim, lm):
         """A transaction that holds nothing here and waits for the first
         time runs no search, also behind a queue; one that holds a lock
