@@ -21,8 +21,9 @@ A send on a network with no observer, partition, loss or fault and a
 :class:`~repro.net.latency.ConstantLatency` takes the *plain* path: its
 arrival is the constant delay from now, clamped to the link's last
 arrival, and nothing else is checked but the sender and the destination.
-Whether the plan applies is decided when the configuration changes, not
-per send, and both paths give the same delivery schedule.
+Whether the fault configuration allows it is decided when that
+configuration changes, not per send, and both paths give the same
+delivery schedule.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class Network:
         self.sim = sim
         self._plain = False
         self._loss_rate = 0.0
-        self._obs = obs
+        self.obs = obs
         self.stats = NetworkStats()
         self._nodes: Dict[str, "Node"] = {}
         self._partition: Optional[List[FrozenSet[str]]] = None
@@ -149,20 +150,11 @@ class Network:
         self._loss_rate = rate
         self._replan()
 
-    @property
-    def obs(self) -> Optional[Any]:
-        return self._obs
-
-    @obs.setter
-    def obs(self, observer: Optional[Any]) -> None:
-        self._obs = observer
-        self._replan()
-
     def _replan(self) -> None:
-        """Decide whether sends take the plain path (module docstring)."""
+        """Decide whether sends on an unobserved network take the plain
+        path (module docstring)."""
         self._plain = (
-            self._obs is None
-            and self._group_of is None
+            self._group_of is None
             and self._loss_rate == 0.0
             and not self._have_faults
             and type(self._latency) is ConstantLatency
@@ -298,7 +290,8 @@ class Network:
         stats = self.stats
         stats.sent += 1
         stats.by_type[type] += 1
-        if self._plain:
+        obs = self.obs
+        if obs is None and self._plain:
             nodes = self._nodes
             sender = nodes.get(src)
             if dst in nodes and (sender is None or not sender.crashed):
@@ -312,8 +305,8 @@ class Network:
                 self._last_arrival[link] = arrival
                 sim.schedule_at(arrival, self._deliver, message)
                 return message
-        elif self._obs is not None:
-            self._obs.on_message_send(message)
+        elif obs is not None:
+            obs.on_message_send(message)
         self._route(message)
         return message
 
@@ -422,13 +415,13 @@ class Network:
             self._drop(message, "partition")
             return
         self.stats.delivered += 1
-        if self._obs is not None:
-            self._obs.on_message_deliver(message)
+        if self.obs is not None:
+            self.obs.on_message_deliver(message)
         node._dispatch(message)
 
     def _drop(self, message: Message, cause: str) -> None:
-        if self._obs is not None:
-            self._obs.on_message_drop(message, cause)
+        if self.obs is not None:
+            self.obs.on_message_drop(message, cause)
 
     def __repr__(self) -> str:
         return f"<Network nodes={len(self._nodes)} {self.stats!r}>"
