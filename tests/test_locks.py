@@ -285,8 +285,9 @@ class TestReentrancy:
 
 class TestSkippedSearch:
     """``acquire`` skips the deadlock search only where no cycle can be
-    reached; these schedules leave a cycle behind that no search saw, so
-    the next blocked acquire of a fresh transaction must search."""
+    reached.  In the first three schedules a cycle that no search has
+    broken is still in the table when a fresh transaction comes to wait
+    on it, so that wait must search."""
 
     def test_cycle_closed_by_an_upgrade_is_found_by_the_next_wait(self, sim, lm):
         """An upgrade granted at once, inside the wake that granted its
