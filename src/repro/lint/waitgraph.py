@@ -57,6 +57,7 @@ from .config import (
     ACCESS_DEPTH,
     COORDINATOR_CLASSES,
     COORDINATOR_RUN_METHOD,
+    DEFERRAL_METHODS,
     DERIVED_INFO_FLAGS,
     EFFECT_METHODS,
     GUARD_ATTR_MARKERS,
@@ -530,16 +531,18 @@ class _WaitExtractor:
 
         # Callee edges: self.m(...), self.attr.m(...) through resolved
         # attribute classes (this also links coordinator.run into the
-        # 2PC implementation so its PREPARE exchange joins the closure).
+        # 2PC implementation so its PREPARE exchange joins the closure),
+        # and a self.m handed to a deferral (``node.after(d, self.m)``).
         value = func.value
+        if attr in DEFERRAL_METHODS:
+            for arg in call.args:
+                deferred = self._self_method(arg, info)
+                if deferred is not None:
+                    events.append(("callee", deferred))
         if isinstance(value, ast.Name) and value.id == "self" and info.cls:
-            for owner in index.mro(info.cls):
-                method = owner.methods.get(attr)
-                if method is not None:
-                    events.append(
-                        ("callee", _method_key(owner, method))
-                    )
-                    break
+            called = self._self_method(func, info)
+            if called is not None:
+                events.append(("callee", called))
         else:
             for target in _attr_classes(value, info.cls, index):
                 for owner in index.mro(target):
@@ -548,6 +551,19 @@ class _WaitExtractor:
                         events.append(("callee", _method_key(owner, method)))
                         break
         return events
+
+    def _self_method(self, node: ast.expr, info: FuncInfo) -> Optional[str]:
+        """The method ``self.m`` names, or None for anything else."""
+        if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "self" and info.cls is not None):
+            return None
+        index = self.graph.index
+        assert index is not None
+        for owner in index.mro(info.cls):
+            method = owner.methods.get(node.attr)
+            if method is not None:
+                return _method_key(owner, method)
+        return None
 
     def _resolve_plain(self, name: str, info: FuncInfo,
                        nested: Dict[str, str]) -> Optional[str]:

@@ -91,6 +91,21 @@ def test_class_write_sets_span_the_registry(artifact):
         assert len(attrs) == len(set(attrs)), name
 
 
+def test_deferred_lock_step_opens_its_window(artifact):
+    # ``_on_lock_request`` acquires nothing itself: it schedules the step
+    # ``_grant_lock`` with ``node.after`` and that step waits on the lock.
+    # The window belongs to the handler all the same.
+    handler = next(
+        h for t in artifact["techniques"] if t["technique"] == "eager_ue_locking"
+        for h in t["handlers"]
+        if h["handler"] == "EagerUpdateEverywhereLocking._on_lock_request"
+    )
+    assert [(w["kind"], w["at"]) for w in handler["windows"]] == [(
+        "lock", "src/repro/core/protocols/eager_ue_locking.py::"
+        "EagerUpdateEverywhereLocking._grant_lock",
+    )]
+
+
 def test_summary_counts_are_consistent(artifact):
     handlers = [
         h for t in artifact["techniques"] for h in t["handlers"]

@@ -126,6 +126,20 @@ def test_two_pc_prepare_edge_is_resolved(artifact):
     ), f"2pc.prepare wait edge missing from {edges}"
 
 
+def test_two_pc_status_edge_follows_the_deferred_chase(artifact):
+    # The participant's termination chase is not called from the PREPARE
+    # handler: the handler binds it (``node.bind(self._chase, ...)``) and
+    # a timer runs it later.  The edge exists only while the pass follows
+    # a bound method handed to ``Node.bind`` / ``Node.after``.
+    edges = artifact["handler_wait_edges"]
+    assert any(
+        e["from"] == "TwoPhaseParticipant._on_prepare_msg"
+        and e["type"] == "2pc.status"
+        and e["to"] == "TwoPhaseCoordinator._on_status"
+        for e in edges
+    ), f"2pc.status wait edge missing from {edges}"
+
+
 def test_every_wait_edge_targets_a_real_handler(artifact):
     handlers = {
         h["handler"] for t in artifact["techniques"] for h in t["handlers"]
