@@ -16,10 +16,9 @@ serve an interactive session (Section 5), one client round trip a step.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Any, Deque, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING,
+    Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING,
 )
 
 from ...db import TransactionManager, TransactionUpdates, UpdateRecord
@@ -425,9 +424,7 @@ class InjectingProtocol(ReplicaProtocol):
     subclass has ``_inject_all_pending`` run on every suspicion.
 
     Fallbacks fall due in arrival order, so a replica keeps them in one
-    queue with one timer, not one timer per request.  The timer waits for
-    the oldest request still not ordered; the ordered ones before it are
-    dropped when it fires."""
+    :class:`~repro.net.DueQueue`, not one timer per request."""
 
     # How long a non-injector waits before injecting a client request
     # itself.
@@ -436,8 +433,9 @@ class InjectingProtocol(ReplicaProtocol):
     def __init__(self, replica: "ReplicaNode", group: List[str], spec: "RunSpec") -> None:
         super().__init__(replica, group, spec)
         self._awaiting_order: Dict[str, tuple] = {}  # rid -> (request, client)
-        # (due, rid), oldest first; the one timer is armed while it is not empty
-        self._fallbacks: Deque[Tuple[float, str]] = deque()
+        self._fallbacks = replica.node.due_queue(
+            InjectingProtocol.INJECT_FALLBACK, self._awaiting_order.__contains__
+        )
 
     def handle_request(self, request: Request, client: str) -> None:
         self._await_order(request, client)
@@ -450,30 +448,7 @@ class InjectingProtocol(ReplicaProtocol):
         if self._am_injector():
             self._inject(rid)
             return
-        node, fallbacks = self.replica.node, self._fallbacks
-        fallbacks.append((node.sim.now + InjectingProtocol.INJECT_FALLBACK, rid))
-        if len(fallbacks) == 1:
-            node.after(InjectingProtocol.INJECT_FALLBACK, self._on_fallback)
-
-    def _on_fallback(self) -> None:
-        """Inject every request whose fallback is due and that is still not
-        ordered, drop the ordered ones queued before the first that is
-        not due, and wait for that one."""
-        node, fallbacks = self.replica.node, self._fallbacks
-        now = node.sim.now
-        while fallbacks:
-            due, rid = fallbacks[0]
-            if rid in self._awaiting_order:
-                if due > now:
-                    break
-                self._inject(rid)
-            fallbacks.popleft()
-        if fallbacks:
-            node.after(fallbacks[0][0] - now, self._on_fallback)
-
-    def on_crash(self) -> None:
-        # The crash cancelled the timer, and with it every fallback armed.
-        self._fallbacks.clear()
+        self._fallbacks.defer(rid, self._inject)
 
     def _am_injector(self) -> bool:
         return self.replica.detector.trusted(self.group)[0] == self.replica.name

@@ -28,8 +28,7 @@ behaviour the paper ascribes to 2PC.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import NodeCrashed
 from ..net import Message, Node
@@ -139,10 +138,9 @@ class TwoPhaseParticipant:
     outcome.
 
     Watches fall due in vote order, so a participant keeps them in one
-    queue with one timer, not one process per vote.  The timer waits for
-    the oldest transaction still in doubt; the decided ones before it are
-    dropped when it fires, and one still in doubt at its due instant is
-    chased by a termination process started then.
+    :class:`~repro.net.DueQueue`, not one process per vote; a transaction
+    still in doubt at its due instant is chased by a termination process
+    started then.
     """
 
     def __init__(
@@ -158,44 +156,22 @@ class TwoPhaseParticipant:
         self.trace = trace
         self.in_doubt: Dict[Any, float] = {}
         self.terminations = 0
-        # (due, txn, chase), oldest first; the one timer is armed while it
-        # is not empty.  A crash cancels the timer, as it interrupted the
-        # processes that once slept here, so a restart drops the queue.
-        self._watches: Deque[Tuple[float, Any, Callable[[], None]]] = deque()
+        # A crash cancels the watches, as it interrupted the processes
+        # that once slept here.
+        self._watches = node.due_queue(DECISION_TIMEOUT, self.in_doubt.__contains__)
         node.on(PREPARE, self._on_prepare_msg)
         node.on(DECISION, self._on_decision_msg)
-        node.add_recover_hook(self._watches.clear)
 
     def _on_prepare_msg(self, message: Message) -> None:
         txn_id = message["txn"]
         vote = bool(self.on_prepare(txn_id, message.src))
         if vote and txn_id not in self.in_doubt:
-            node, watches = self.node, self._watches
-            self.in_doubt[txn_id] = node.sim.now
+            self.in_doubt[txn_id] = self.node.sim.now
             # The chase runs under this handler's span.
-            chase = node.bind(self._chase, txn_id, message.src)
-            watches.append((node.sim.now + DECISION_TIMEOUT, txn_id, chase))
-            if len(watches) == 1:
-                node.after(DECISION_TIMEOUT, self._on_watch)
+            self._watches.defer(txn_id, self.node.bind(self._chase, message.src))
         self.node.reply(message, vote=vote)
 
-    def _on_watch(self) -> None:
-        """Chase every transaction whose watch is due and that is still in
-        doubt, drop the decided ones queued before the first that is not
-        due, and wait for that one."""
-        node, watches = self.node, self._watches
-        now = node.sim.now
-        while watches:
-            due, txn_id, chase = watches[0]
-            if txn_id in self.in_doubt:
-                if due > now:
-                    break
-                chase()
-            watches.popleft()
-        if watches:
-            node.after(watches[0][0] - now, self._on_watch)
-
-    def _chase(self, txn_id: Any, coordinator: str) -> None:
+    def _chase(self, coordinator: str, txn_id: Any) -> None:
         self.node.spawn(
             self._terminate(txn_id, coordinator), name=f"2pc-indoubt-{txn_id}"
         )

@@ -152,11 +152,12 @@ COORDINATOR_RUN_METHOD = "run"
 JOIN_METHODS = frozenset({"all_of", "any_of"})
 
 # Calls that hand a bound method on to run later on the same node: a
-# timer (``node.after``), a span-bound step (``node.bind``) or a future
-# callback (``future.add_callback``).  A ``self.m`` argument of one of
-# these joins the caller's closure, as a spawned ``self.m(...)``
-# generator does: its waits and accesses happen on the caller's behalf.
-DEFERRAL_METHODS = frozenset({"after", "bind", "add_callback"})
+# timer (``node.after``), a span-bound step (``node.bind``), a future
+# callback (``future.add_callback``) or a due-queue entry
+# (``DueQueue.defer``).  A ``self.m`` argument of one of these joins the
+# caller's closure, as a spawned ``self.m(...)`` generator does: its
+# waits and accesses happen on the caller's behalf.
+DEFERRAL_METHODS = frozenset({"add_callback", "after", "bind", "defer"})
 
 # Widening caps for the path-sensitive event expansion: a function
 # whose branch product exceeds MAX_WAIT_PATHS collapses to one

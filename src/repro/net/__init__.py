@@ -9,9 +9,10 @@ from .latency import (
 )
 from .message import Message
 from .network import Network, NetworkStats
-from .node import Node
+from .node import DueQueue, Node
 
 __all__ = [
+    "DueQueue",
     "Message",
     "Network",
     "NetworkStats",

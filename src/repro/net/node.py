@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import deque
 from types import GeneratorType
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..errors import NodeCrashed, SimulationError
 from ..sim import Future, Process, Simulator, Timer
 from .message import Message
 from .network import Network
 
-__all__ = ["Node"]
+__all__ = ["DueQueue", "Node"]
 
 REPLY_TYPE = "$reply"
 
@@ -51,6 +52,7 @@ class Node:
         self._processes_watermark = 64
         self._timers_watermark = 64
         self._recover_hooks: List[Callable[[], None]] = []
+        self._due_queues: List["DueQueue"] = []
         self._uids = itertools.count(1)
         network.register(self)
 
@@ -232,6 +234,13 @@ class Node:
             self._timers_watermark = max(64, 2 * len(self._timers))
         return timer
 
+    def due_queue(self, delay: float, pending: Callable[[Any], bool]) -> "DueQueue":
+        """A :class:`DueQueue` of this node's: its timer is the node's, and
+        a restart drops the entries the crash kept from falling due."""
+        queue = DueQueue(self, delay, pending)
+        self._due_queues.append(queue)
+        return queue
+
     def every(self, interval: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` periodically until the node crashes."""
         def tick() -> None:
@@ -280,6 +289,8 @@ class Node:
         if not self.crashed:
             return
         self.crashed = False
+        for queue in self._due_queues:
+            queue.clear()
         for hook in self._recover_hooks:
             hook()
         self.on_recover()
@@ -301,6 +312,54 @@ class Node:
     def __repr__(self) -> str:
         state = "crashed" if self.crashed else "up"
         return f"<{type(self).__name__} {self.name} {state}>"
+
+
+class DueQueue:
+    """Keys that fall due ``delay`` after they are deferred, behind one timer.
+
+    For watches that almost never fire: a fallback or a chase armed per
+    request and made moot, nearly always, by the time it falls due.  Keys
+    fall due in the order they were deferred, so one FIFO and one timer
+    at its oldest entry replace one timer (or one sleeping process) per
+    key.  When the timer fires, every due key that is still
+    ``pending(key)`` has its ``fire(key)`` run, in deferral order; keys
+    no longer pending are dropped as they reach the head, and the timer
+    is armed again at the first key not yet due.  A crash cancels the
+    timer with the node's others; :meth:`Node.recover` drops the entries.
+    """
+
+    __slots__ = ("_node", "_delay", "_pending", "_entries")
+
+    def __init__(self, node: Node, delay: float, pending: Callable[[Any], bool]) -> None:
+        self._node = node
+        self._delay = delay
+        self._pending = pending
+        # (due, key, fire), oldest first; the timer is armed while it is
+        # not empty.
+        self._entries: Deque[Tuple[float, Any, Callable[[Any], None]]] = deque()
+
+    def defer(self, key: Any, fire: Callable[[Any], None]) -> None:
+        """Run ``fire(key)`` ``delay`` from now if ``key`` is still pending."""
+        node, entries = self._node, self._entries
+        entries.append((node.sim.now + self._delay, key, fire))
+        if len(entries) == 1:
+            node.after(self._delay, self._on_due)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def _on_due(self) -> None:
+        node, entries, pending = self._node, self._entries, self._pending
+        now = node.sim.now
+        while entries:
+            due, key, fire = entries[0]
+            if pending(key):
+                if due > now:
+                    break
+                fire(key)
+            entries.popleft()
+        if entries:
+            node.after(entries[0][0] - now, self._on_due)
 
 
 def _with_span_context(
