@@ -16,14 +16,6 @@ implements the fault model needed by the paper's discussion:
 The network also keeps per-message-type counters: the message-overhead
 benchmark (Section 6's promised performance study) reads protocol cost
 directly from these.
-
-A send on a network with no observer, partition, loss or fault and a
-:class:`~repro.net.latency.ConstantLatency` takes the *plain* path: its
-arrival is the constant delay from now, clamped to the link's last
-arrival, and nothing else is checked but the sender and the destination.
-Whether the fault configuration allows it is decided when that
-configuration changes, not per send, and both paths give the same
-delivery schedule.
 """
 
 from __future__ import annotations
@@ -102,9 +94,11 @@ class Network:
         loss_rate: float = 0.0,
         obs: Optional[Any] = None,
     ) -> None:
+        if not 0.0 <= loss_rate < 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         self.sim = sim
-        self._plain = False
-        self._loss_rate = 0.0
+        self.latency = latency if latency is not None else ConstantLatency(1.0)
+        self.loss_rate = loss_rate
         self.obs = obs
         self.stats = NetworkStats()
         self._nodes: Dict[str, "Node"] = {}
@@ -125,40 +119,6 @@ class Network:
         self._fault_slow: Dict[str, float] = {}
         self._have_faults = False
         self._faults_rng: Optional[Any] = None
-        self.latency = latency if latency is not None else ConstantLatency(1.0)
-        self.loss_rate = loss_rate
-
-    # -- configuration ----------------------------------------------------------
-
-    @property
-    def latency(self) -> LatencyModel:
-        return self._latency
-
-    @latency.setter
-    def latency(self, model: LatencyModel) -> None:
-        self._latency = model
-        self._replan()
-
-    @property
-    def loss_rate(self) -> float:
-        return self._loss_rate
-
-    @loss_rate.setter
-    def loss_rate(self, rate: float) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {rate}")
-        self._loss_rate = rate
-        self._replan()
-
-    def _replan(self) -> None:
-        """Decide whether sends on an unobserved network take the plain
-        path (module docstring)."""
-        self._plain = (
-            self._group_of is None
-            and self._loss_rate == 0.0
-            and not self._have_faults
-            and type(self._latency) is ConstantLatency
-        )
 
     # -- membership -----------------------------------------------------------
 
@@ -193,13 +153,11 @@ class Network:
                 if name not in group_of:  # first group wins, like the old scan
                     group_of[name] = index
         self._group_of = group_of
-        self._replan()
 
     def heal(self) -> None:
         """Remove any active partition."""
         self._partition = None
         self._group_of = None
-        self._replan()
 
     # -- fault plane -----------------------------------------------------------
 
@@ -234,7 +192,6 @@ class Network:
         table = getattr(self, f"_fault_{'dup' if kind == 'duplicate' else kind}")
         table[node] = value
         self._have_faults = True
-        self._replan()
         if self._faults_rng is None:
             self._faults_rng = self.sim.stream("net.faults")
 
@@ -248,7 +205,6 @@ class Network:
         self._have_faults = any(
             (self._fault_drop, self._fault_dup, self._fault_jitter, self._fault_slow)
         )
-        self._replan()
 
     def _same_side(self, a: str, b: str) -> bool:
         group_of = self._group_of
@@ -275,38 +231,20 @@ class Network:
         ``deadline`` stamps the envelope with an absolute give-up time
         (see :class:`Message`); it is metadata, not payload.
         """
-        sim = self.sim
-        now = sim.now
         message = Message(
             src=src,
             dst=dst,
             type=type,
             payload=payload,
-            send_time=now,
+            send_time=self.sim.now,
             reply_to=reply_to,
             msg_id=next(self._message_ids),
         )
         message.deadline = deadline
-        stats = self.stats
-        stats.sent += 1
-        stats.by_type[type] += 1
-        obs = self.obs
-        if obs is None and self._plain:
-            nodes = self._nodes
-            sender = nodes.get(src)
-            if dst in nodes and (sender is None or not sender.crashed):
-                # Each link is FIFO: no message arrives before one sent
-                # earlier (a cleared slow fault can leave a later arrival).
-                link = (src, dst)
-                arrival = now + self._latency.delay
-                last = self._last_arrival.get(link, 0.0)
-                if last > arrival:
-                    arrival = last
-                self._last_arrival[link] = arrival
-                sim.schedule_at(arrival, self._deliver, message)
-                return message
-        elif obs is not None:
-            obs.on_message_send(message)
+        self.stats.sent += 1
+        self.stats.by_type[type] += 1
+        if self.obs is not None:
+            self.obs.on_message_send(message)
         self._route(message)
         return message
 
@@ -338,15 +276,19 @@ class Network:
             # below would otherwise leave it dangling forever.
             self._drop(message, "no-route")
             raise NetworkError(f"unknown destination {message.dst!r}")
-        if not self._same_side(message.src, message.dst):
+        if self._group_of is not None and not self._same_side(message.src, message.dst):
             self.stats.dropped_partition += 1
             self._drop(message, "partition")
             return
-        if self._loss_rate > 0.0 and self.sim.rng.random() < self._loss_rate:
+        if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
             self.stats.dropped_loss += 1
             self._drop(message, "loss")
             return
-        delay = self._latency.sample(self.sim.rng, message.src, message.dst)
+        latency = self.latency
+        if type(latency) is ConstantLatency:
+            delay = latency.delay  # draws nothing, like its sample()
+        else:
+            delay = latency.sample(self.sim.rng, message.src, message.dst)
         if self._have_faults:
             dropped, delay, extra = self._apply_faults(message, delay)
             if dropped:

@@ -1,7 +1,6 @@
 """Unit tests for the network fabric and node abstraction."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetworkError, NodeCrashed, SimulationError
 from repro.net import (
@@ -119,109 +118,16 @@ class TestDelivery:
         assert net.stats.messages_matching("no") == 2
         assert net.stats.delivered == 2
 
-
-NAMES = ["a", "b", "c"]
-
-
-@st.composite
-def send_scripts(draw):
-    """A constant latency and a list of steps: sends (through the network,
-    so a crashed sender is the network's to drop), sends under a slow fault
-    cleared right after them, clock advances, crashes and restarts."""
-    node = st.sampled_from(NAMES)
-    step = st.one_of(
-        st.tuples(st.sampled_from(["send", "slow_send"]), node, node),
-        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.25, 1.0, 3.0])),
-        st.tuples(st.sampled_from(["crash", "recover"]), node),
-    )
-    delay = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
-    return delay, draw(st.lists(step, max_size=40))
-
-
-def delivery_schedule(delay, steps, plain):
-    """Every delivery as ``(time, msg_id, src, dst)``, and the counters,
-    with the plain path allowed or never taken."""
-    sim = Simulator(seed=5)
-    net = make_net(sim, latency=ConstantLatency(delay))
-    if not plain:
-        net._replan = lambda: setattr(net, "_plain", False)
-        net._replan()
-    deliveries = []
-    nodes = {}
-    for name in NAMES:
-        nodes[name] = Node(sim, net, name)
-        nodes[name].on_default(
-            lambda m: deliveries.append((sim.now, m.msg_id, m.src, m.dst))
-        )
-    assert net._plain is plain
-    for action, *args in steps:
-        if action == "send":
-            net.send(args[0], args[1], "note")
-        elif action == "advance":
-            sim.run(until=sim.now + args[0])
-        elif action == "crash":
-            nodes[args[0]].crash()
-        elif action == "recover":
-            nodes[args[0]].recover()
-        else:
-            net.set_fault(args[0], "slow", 3.0)
-            net.send(args[0], args[1], "note")
-            net.clear_faults()
-    sim.run()
-    stats = net.stats
-    return deliveries, (stats.sent, stats.delivered, stats.dropped_crash)
-
-
-class TestPlainPath:
-    """Sends on a network with no observer, partition, loss or fault and a
-    constant latency skip the checks that cannot apply."""
-
-    @given(send_scripts())
-    @settings(max_examples=150, deadline=None)
-    def test_plain_and_checked_paths_deliver_alike(self, script):
-        delay, steps = script
-        assert delivery_schedule(delay, steps, plain=True) == (
-            delivery_schedule(delay, steps, plain=False)
-        )
-
     def test_a_cleared_slow_fault_keeps_the_link_fifo(self, sim):
         net = make_net(sim)
         a, b = Echo(sim, net, "a"), Echo(sim, net, "b")
         net.set_fault("a", "slow", 5.0)
         a.send("b", "note", n=1)
         net.clear_faults()
-        assert net._plain
         a.send("b", "note", n=2)
         sim.run()
         assert [m["n"] for m in b.received] == [1, 2]
         assert sim.now == 5.0
-
-    @pytest.mark.parametrize("flip,undo", [
-        (lambda net: setattr(net, "loss_rate", 0.5),
-         lambda net: setattr(net, "loss_rate", 0.0)),
-        (lambda net: net.partition(["a"], ["b"]), lambda net: net.heal()),
-        (lambda net: net.set_fault("b", "jitter", 1.0), lambda net: net.clear_faults()),
-        (lambda net: setattr(net, "latency", UniformLatency(0.5, 1.5)),
-         lambda net: setattr(net, "latency", ConstantLatency(2.0))),
-        (lambda net: setattr(net, "obs", _ObsProbe()),
-         lambda net: setattr(net, "obs", None)),
-    ], ids=["loss", "partition", "fault", "latency", "observer"])
-    def test_a_setting_flipped_after_construction_takes_the_checked_path(
-        self, sim, flip, undo
-    ):
-        net = make_net(sim)
-        Echo(sim, net, "a"), Echo(sim, net, "b")
-        routed = []
-        route = net._route
-        net._route = lambda message: routed.append(message.msg_id) or route(message)
-        net.send("a", "b", "note")
-        assert routed == []
-        flip(net)
-        second = net.send("a", "b", "note")
-        assert routed == [second.msg_id]
-        undo(net)
-        net.send("a", "b", "note")
-        assert routed == [second.msg_id]
 
 
 class TestLoss:
