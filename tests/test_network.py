@@ -301,6 +301,47 @@ class TestCrash:
         assert ticks == [1.0, 2.0, 3.0]
 
 
+class TestDueQueue:
+    def test_fires_due_pending_keys_in_order_and_drops_settled_ones(self, sim):
+        node = Node(sim, make_net(sim), "a")
+        pending, fired = {"x", "y", "z"}, []
+        queue = node.due_queue(2.0, pending.__contains__)
+
+        def fire(key):
+            fired.append((sim.now, key))
+
+        queue.defer("x", fire)
+        sim.run(until=0.5)
+        queue.defer("y", fire)
+        sim.run(until=1.0)
+        queue.defer("z", fire)
+        pending.discard("y")
+        sim.run()
+        assert fired == [(2.0, "x"), (3.0, "z")]
+
+    def test_a_key_settled_before_its_instant_never_fires(self, sim):
+        node = Node(sim, make_net(sim), "a")
+        pending, fired = {"x"}, []
+        node.due_queue(2.0, pending.__contains__).defer("x", fired.append)
+        sim.run(until=1.0)
+        pending.clear()
+        sim.run()
+        assert fired == [] and sim.now == 2.0
+
+    def test_a_restart_drops_what_the_crash_kept_from_falling_due(self, sim):
+        node = Node(sim, make_net(sim), "a")
+        fired = []
+        queue = node.due_queue(2.0, lambda key: True)
+        queue.defer("x", lambda key: fired.append((sim.now, key)))
+        sim.run(until=1.0)
+        node.crash()
+        sim.run(until=1.5)
+        node.recover()
+        queue.defer("y", lambda key: fired.append((sim.now, key)))
+        sim.run()
+        assert fired == [(3.5, "y")]
+
+
 class TestPerLinkLatency:
     def test_override_applies_to_specific_link(self, sim):
         model = PerLinkLatency(default=ConstantLatency(1.0))
