@@ -401,6 +401,27 @@ class TestHeapCompaction:
         assert sim.events_processed == 2
         assert sim.dead_events == 0 and sim.pending_events == 0
 
+    def test_steady_guard_churn_is_compacted_while_the_loop_runs(self, sim):
+        """Arm a far-future guard, wait, cancel the guard: the load every
+        replied ``Node.call(timeout=...)`` puts on the heap, from 8
+        processes at once.  Without compaction, 4 000 cancelled guards
+        would stay queued until their fire times."""
+        peak = 0
+
+        def churn():
+            nonlocal peak
+            for _ in range(500):
+                guard = sim.schedule(50_000.0, lambda: None)
+                yield sim.timeout(1.0)
+                guard.cancel()
+                peak = max(peak, sim.pending_events)
+
+        for _ in range(8):
+            sim.spawn(churn())
+        sim.run()
+        assert sim.now == 500.0
+        assert peak < 100
+
 
 class TestTimeoutFastPath:
     def test_timeout_value_and_clock(self, sim):
