@@ -9,7 +9,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check lint typecheck test artifacts artifacts-check \
-	observe bench-json bench-e2e chaos chaos-evidence profile \
+	observe bench-e2e chaos chaos-evidence profile \
 	profile-evidence sweep sweep-smoke figures-check digests-check
 
 # The freshness gates of the generated files under docs/ run once, inside
@@ -34,11 +34,12 @@ test:
 # The paper's figures and the Section 6 tables behind the gate:
 # regenerate the tracked benchmarks/output/*.txt and fail if any differs
 # from the copy taken before the run (so it works outside a git checkout;
-# a stale file is left regenerated, ready to commit).  perf_kernel.txt is
-# wall-clock, untracked, and not compared.
+# a stale file is left regenerated, ready to commit).  The *.metrics.txt
+# files that observed figure runs write beside them are git-ignored run
+# artifacts, so they are not compared.
 figures-check:
 	@before=$$(mktemp -d); status=0; \
-	cp benchmarks/output/*.txt $$before/ && rm -f $$before/perf_kernel.txt && \
+	cp benchmarks/output/*.txt $$before/ && rm -f $$before/*.metrics.txt && \
 	$(PYTHON) -m pytest benchmarks --ignore=benchmarks/e2e -q || status=1; \
 	for file in $$before/*.txt; do \
 		cmp $$file benchmarks/output/$$(basename $$file) || status=1; \
@@ -129,14 +130,6 @@ sweep:
 
 sweep-smoke:
 	$(PYTHON) -m repro sweep --smoke --out $(SWEEP_OUT)
-
-# Kernel & network hot-path microbenchmarks: appends one row (measured
-# figures + per-workload speedups over the recorded pre-optimization
-# baseline + calibration_s) to the append-only perf trajectory
-# BENCH_kernel.json at the repo root.  Not part of `check` — wall-clock
-# results belong in an artifact, not a gate.
-bench-json:
-	$(PYTHON) benchmarks/perf_kernel.py --json BENCH_kernel.json --repeats 5
 
 # End-to-end benchmark (BENCHMARK.json, benchmarks/e2e/README.md): five
 # open-loop workloads, five repeats each plus one traced run for the
